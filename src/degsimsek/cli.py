@@ -36,13 +36,24 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _nonneg(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _nonneg(text: str) -> int:
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("index must be non-negative")
+    return value
+
+
+def _order(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("order must be >= 1")
     return value
 
 
@@ -104,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true",
                    help="print the registry and exit")
     p.add_argument("--identity", default=None, metavar="ID[,ID...]")
-    p.add_argument("--order", type=_nonneg, default=8)
+    p.add_argument("--order", type=_order, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random-points", type=_nonneg, default=2)
     p.add_argument("--workers", type=_nonneg, default=1)

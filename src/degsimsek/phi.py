@@ -13,17 +13,21 @@ gives divisor c+a, so the identity is exact only at a=0.  At a != 0 the
 check reports the (deterministic) first mismatch as "expected-discrepancy",
 and a corrected-divisor variant (divisor c+a) is checked alongside, clearly
 labeled as derived here rather than part of the stated formula family.
+
+The values the checks share at one point live in a PointContext, computed
+once on first use; each check takes an optional context and builds a fresh
+one when none is given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import math
-import time
 
 from .algebra import (QQ, SeriesRing, TruncSeries, poly_eval, series_compose,
                       series_differentiate, series_integrate, series_log1p,
                       series_reciprocal, exp_t)
+from .classical import stirling2
 from .degenerate import apostol_euler_series, deg_exp_series
 from .reports import (EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE,
                       IdentityReport, merge_status)
@@ -70,62 +74,159 @@ def _series_report(rid, lam0, alpha0, orders, lhs, rhs, extra="",
 
 
 # ---------------------------------------------------------------------------
+# The values shared by the checks at one point.
+# ---------------------------------------------------------------------------
+
+class PointContext:
+    """Everything the rational checks read at one point (lam0, alpha0),
+    each value computed on first use and kept: y1star values, phi rows, the
+    Apostol-Euler and corrected Euler weight rows, the powers of
+    x/(1+alpha*x), (lam+1)_{m,alpha} and the S2*(n, j | alpha/lam) table.
+    Not locked: keep a context on one thread.
+    """
+
+    def __init__(self, lam0, alpha0):
+        self.lam = Fraction(lam0)
+        self.alpha = Fraction(alpha0)
+        self._y: dict[tuple[int, int], Fraction] = {}
+        self._phi: dict[tuple[int, int], TruncSeries] = {}
+        self._rows: dict[tuple[str, int], list[Fraction]] = {}
+        self._w_powers: dict[int, list[TruncSeries]] = {}
+        self._falling = [Fraction(1)]
+        self._em1_falling: list[TruncSeries] = []  # (e^t-1)_{j,alpha/lam}
+
+    @classmethod
+    def for_point(cls, lam0, alpha0, ctx=None) -> "PointContext":
+        """`ctx` when given (it must be at this point), else a new context."""
+        if ctx is None:
+            return cls(lam0, alpha0)
+        if (ctx.lam, ctx.alpha) != (Fraction(lam0), Fraction(alpha0)):
+            raise ValueError("the context belongs to another point")
+        return ctx
+
+    def y(self, n: int, k: int) -> Fraction:
+        """y1star(n,k) at the point."""
+        value = self._y.get((n, k))
+        if value is None:
+            value = self._y[(n, k)] = y1star(n, k).evaluate(self.lam, self.alpha)
+        return value
+
+    def phi(self, n: int, order: int) -> TruncSeries:
+        """phi_n at the point, equal to phi_series(n, lam0, alpha0, order)."""
+        row = self._phi.get((n, order))
+        if row is None:
+            row = self._phi[(n, order)] = TruncSeries(
+                "x", order, [self.y(n, k) for k in range(order + 1)], QQ)
+        return row
+
+    def _row(self, kind: str, n: int, series) -> list[Fraction]:
+        row = self._rows.get((kind, n))
+        if row is None:
+            coeffs = series().coeffs
+            row = self._rows[(kind, n)] = [
+                coeffs[j] * math.factorial(j) for j in range(n + 1)]
+        return row
+
+    def apostol_row(self, n: int) -> list[Fraction]:
+        """E_0(lam)..E_n(lam) with E_j(lam) = j! [t^j] 2/(lam*e^t+1)."""
+        return self._row("apostol", n,
+                         lambda: apostol_euler_series(1, self.lam, 0, n))
+
+    def corrected_euler_row(self, n: int) -> list[Fraction]:
+        """Weights of 2/(lam*e^t + 1 + alpha): the divisor that direct
+        differentiation of the antiderivative actually produces."""
+        def series():
+            half = (exp_t(n, QQ) * self.lam + 1 + self.alpha) * Fraction(1, 2)
+            return series_reciprocal(half)
+        return self._row("corrected", n, series)
+
+    def w_power(self, k: int, order: int) -> TruncSeries:
+        """(x/(1+alpha*x))^k to the given x-order."""
+        powers = self._w_powers.get(order)
+        if powers is None:
+            x = TruncSeries.variable("x", order, QQ)
+            powers = self._w_powers[order] = [
+                x.ring_one(), x * series_reciprocal(x * self.alpha + 1)]
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return powers[k]
+
+    def lam_falling(self, m: int) -> Fraction:
+        """(lam+1)_{m,alpha}."""
+        while len(self._falling) <= m:
+            i = len(self._falling) - 1
+            self._falling.append(self._falling[i] * (self.lam + 1 - self.alpha * i))
+        return self._falling[m]
+
+    def s2star(self, n: int, j: int) -> Fraction:
+        """S2*(n, j | alpha/lam) = n!/j! [t^n] (e^t-1)_{j,alpha/lam}, from
+        one product grown a factor (e^t-1-(j-1)*alpha/lam) at a time; the
+        product restarts at a higher order when n needs one."""
+        if n < 0 or j < 0:
+            return Fraction(0)
+        products = self._em1_falling
+        if not products or products[0].order < n:
+            products[:] = [TruncSeries.constant(Fraction(1), "t", n, QQ)]
+        if len(products) <= j:
+            em1 = exp_t(products[0].order, QQ) - 1
+            ratio = self.alpha / self.lam
+            while len(products) <= j:
+                products.append(
+                    products[-1] * (em1 - ratio * (len(products) - 1)))
+        return products[j].coeffs[n] * Fraction(math.factorial(n),
+                                                math.factorial(j))
+
+
+# ---------------------------------------------------------------------------
 # The seven checks.  Each returns an IdentityReport for one (n, point).
 # ---------------------------------------------------------------------------
 
-def check_egf(n_t: int, k_order: int, lam0, alpha0) -> IdentityReport:
+def check_egf(n_t: int, k_order: int, lam0, alpha0, ctx=None) -> IdentityReport:
     """sum_n phi_n(x) t^n/n! = e_a^(l*e^t+1)(x), compared as a series in x
     over a series in t, both sides truncated at (k_order, n_t)."""
-    lam0 = Fraction(lam0)
-    alpha0 = Fraction(alpha0)
-    start = time.perf_counter()
+    ctx = PointContext.for_point(lam0, alpha0, ctx)
+    lam0, alpha0 = ctx.lam, ctx.alpha
     inner_ring = SeriesRing(QQ, "t", n_t)
     lhs_cols = []
     for k in range(k_order + 1):
-        col = [poly_eval(y1star(m, k), lam0, alpha0) * Fraction(1, math.factorial(m))
+        col = [ctx.y(m, k) * Fraction(1, math.factorial(m))
                for m in range(n_t + 1)]
         lhs_cols.append(TruncSeries("t", n_t, col, QQ))
     lhs = TruncSeries("x", k_order, lhs_cols, inner_ring)
     c = exp_t(n_t, QQ) * lam0 + 1
     rhs = deg_exp_series(c, alpha0, k_order, var="x")
-    report = _series_report("PHI-EGF", lam0, alpha0,
-                            f"Nt={n_t};K={k_order}", lhs, rhs)
-    report.wall_time = time.perf_counter() - start
-    return report
+    return _series_report("PHI-EGF", lam0, alpha0,
+                          f"Nt={n_t};K={k_order}", lhs, rhs)
 
 
-def check_log_substitution(n: int, order: int, lam0, alpha0) -> IdentityReport:
+def check_log_substitution(n: int, order: int, lam0, alpha0,
+                           ctx=None) -> IdentityReport:
     """phi_n(x) = sum_k (log(1+a*x)/a)^k y1(n,k), assembled by composing the
     lam-specialized y1 column series with the inner log series."""
-    lam0 = Fraction(lam0)
-    alpha0 = Fraction(alpha0)
-    start = time.perf_counter()
+    ctx = PointContext.for_point(lam0, alpha0, ctx)
+    lam0, alpha0 = ctx.lam, ctx.alpha
     orders = f"K={order};n={n}"
     if alpha0 == 0:
         # the inner substitution degenerates to the identity map
-        report = IdentityReport("PHI-LOG", lam0, alpha0, orders, TRIVIALLY_TRUE)
-        report.wall_time = time.perf_counter() - start
-        return report
-    lhs = phi_series(n, lam0, alpha0, order)
+        return IdentityReport("PHI-LOG", lam0, alpha0, orders, TRIVIALLY_TRUE)
+    lhs = ctx.phi(n, order)
     outer = TruncSeries("x", order,
                         [poly_eval(simsek_y1(n, k), lam0, 0)
                          for k in range(order + 1)], QQ)
     x = TruncSeries.variable("x", order, QQ)
     inner = series_log1p(x * alpha0) * (1 / alpha0)
     rhs = series_compose(outer, inner)
-    report = _series_report("PHI-LOG", lam0, alpha0, orders, lhs, rhs,
-                            extra=f"n={n};")
-    report.wall_time = time.perf_counter() - start
-    return report
+    return _series_report("PHI-LOG", lam0, alpha0, orders, lhs, rhs,
+                          extra=f"n={n};")
 
 
-def check_phi_recurrence(n: int, order: int, lam0, alpha0) -> IdentityReport:
+def check_phi_recurrence(n: int, order: int, lam0, alpha0,
+                         ctx=None) -> IdentityReport:
     """phi_{n+1}(x) = (l/a) log(1+a*x) sum_i C(n,i) phi_i(x); at a=0 the
     prefactor is its limit l*x."""
-    lam0 = Fraction(lam0)
-    alpha0 = Fraction(alpha0)
-    start = time.perf_counter()
-    lhs = phi_series(n + 1, lam0, alpha0, order)
+    ctx = PointContext.for_point(lam0, alpha0, ctx)
+    lam0, alpha0 = ctx.lam, ctx.alpha
+    lhs = ctx.phi(n + 1, order)
     x = TruncSeries.variable("x", order, QQ)
     if alpha0 == 0:
         factor = x * lam0
@@ -133,70 +234,51 @@ def check_phi_recurrence(n: int, order: int, lam0, alpha0) -> IdentityReport:
         factor = series_log1p(x * alpha0) * (lam0 / alpha0)
     acc = TruncSeries.constant(Fraction(0), "x", order, QQ)
     for i in range(n + 1):
-        acc = acc + phi_series(i, lam0, alpha0, order) * math.comb(n, i)
+        acc = acc + ctx.phi(i, order) * math.comb(n, i)
     rhs = factor * acc
-    report = _series_report("PHI-REC", lam0, alpha0, f"K={order};n={n}",
-                            lhs, rhs, extra=f"n={n};")
-    report.wall_time = time.perf_counter() - start
-    return report
+    return _series_report("PHI-REC", lam0, alpha0, f"K={order};n={n}",
+                          lhs, rhs, extra=f"n={n};")
 
 
-def check_phi_derivative(n: int, order: int, lam0, alpha0) -> IdentityReport:
+def check_phi_derivative(n: int, order: int, lam0, alpha0,
+                         ctx=None) -> IdentityReport:
     """(1+a*x) phi_n'(x) = l sum_i C(n,i) phi_i(x) + phi_n(x), compared to
     x-order K-1 (the derivative loses one order)."""
-    lam0 = Fraction(lam0)
-    alpha0 = Fraction(alpha0)
-    start = time.perf_counter()
+    ctx = PointContext.for_point(lam0, alpha0, ctx)
+    lam0, alpha0 = ctx.lam, ctx.alpha
     cmp_order = order - 1
     x = TruncSeries.variable("x", cmp_order, QQ)
-    dphi = series_differentiate(phi_series(n, lam0, alpha0, order))
+    dphi = series_differentiate(ctx.phi(n, order))
     lhs = (x * alpha0 + 1) * dphi
     acc = TruncSeries.constant(Fraction(0), "x", cmp_order, QQ)
     for i in range(n + 1):
-        acc = acc + phi_series(i, lam0, alpha0, cmp_order) * math.comb(n, i)
-    rhs = acc * lam0 + phi_series(n, lam0, alpha0, cmp_order)
-    report = _series_report("PHI-DER", lam0, alpha0, f"K={order};n={n}",
-                            lhs, rhs, extra=f"n={n};")
-    report.wall_time = time.perf_counter() - start
-    return report
+        acc = acc + ctx.phi(i, cmp_order) * math.comb(n, i)
+    rhs = acc * lam0 + ctx.phi(n, cmp_order)
+    return _series_report("PHI-DER", lam0, alpha0, f"K={order};n={n}",
+                          lhs, rhs, extra=f"n={n};")
 
 
-def _apostol_row(n: int, lam0) -> list[Fraction]:
-    series = apostol_euler_series(1, lam0, 0, n)
-    return [series.coeffs[j] * math.factorial(j) for j in range(n + 1)]
-
-
-def check_phi_apostol(n: int, order: int, lam0, alpha0) -> IdentityReport:
+def check_phi_apostol(n: int, order: int, lam0, alpha0,
+                      ctx=None) -> IdentityReport:
     """(1+a*x) sum_m C(n,m) E_{n-m}(l) phi_m'(x) = 2 phi_n(x) with the
     first-kind Apostol-Euler weights E_j(l) = j! [t^j] 2/(l*e^t+1)."""
-    lam0 = Fraction(lam0)
-    alpha0 = Fraction(alpha0)
-    start = time.perf_counter()
+    ctx = PointContext.for_point(lam0, alpha0, ctx)
+    lam0, alpha0 = ctx.lam, ctx.alpha
     cmp_order = order - 1
-    euler = _apostol_row(n, lam0)
+    euler = ctx.apostol_row(n)
     x = TruncSeries.variable("x", cmp_order, QQ)
     acc = TruncSeries.constant(Fraction(0), "x", cmp_order, QQ)
     for m in range(n + 1):
-        dphi = series_differentiate(phi_series(m, lam0, alpha0, order))
+        dphi = series_differentiate(ctx.phi(m, order))
         acc = acc + dphi * (math.comb(n, m) * euler[n - m])
     lhs = (x * alpha0 + 1) * acc
-    rhs = phi_series(n, lam0, alpha0, cmp_order) * 2
-    report = _series_report("PHI-AE", lam0, alpha0, f"K={order};n={n}",
-                            lhs, rhs, extra=f"n={n};")
-    report.wall_time = time.perf_counter() - start
-    return report
-
-
-def _corrected_euler_row(n: int, lam0, alpha0) -> list[Fraction]:
-    # weights of 2/(l*e^t + 1 + a): the divisor that direct differentiation
-    # of the antiderivative actually produces
-    half = (exp_t(n, QQ) * lam0 + 1 + alpha0) * Fraction(1, 2)
-    series = series_reciprocal(half)
-    return [series.coeffs[j] * math.factorial(j) for j in range(n + 1)]
+    rhs = ctx.phi(n, cmp_order) * 2
+    return _series_report("PHI-AE", lam0, alpha0, f"K={order};n={n}",
+                          lhs, rhs, extra=f"n={n};")
 
 
 def check_phi_integral(n: int, order: int, lam0, alpha0,
-                       corrected: bool = False) -> IdentityReport:
+                       corrected: bool = False, ctx=None) -> IdentityReport:
     """int_0^x phi_n = ((1+a*x)/2) sum_i C(n,i) E_{n-i} phi_i(x) - E_n/2,
     for n >= 1.
 
@@ -207,72 +289,55 @@ def check_phi_integral(n: int, order: int, lam0, alpha0,
     """
     if n < 1:
         raise ValueError("the integral identity is stated for n >= 1")
-    lam0 = Fraction(lam0)
-    alpha0 = Fraction(alpha0)
-    start = time.perf_counter()
+    ctx = PointContext.for_point(lam0, alpha0, ctx)
+    lam0, alpha0 = ctx.lam, ctx.alpha
     rid = "PHI-INT-CORR" if corrected else "PHI-INT"
-    if corrected:
-        euler = _corrected_euler_row(n, lam0, alpha0)
-    else:
-        euler = _apostol_row(n, lam0)
-    lhs = series_integrate(phi_series(n, lam0, alpha0, order), order)
+    euler = ctx.corrected_euler_row(n) if corrected else ctx.apostol_row(n)
+    lhs = series_integrate(ctx.phi(n, order), order)
     x = TruncSeries.variable("x", order, QQ)
     acc = TruncSeries.constant(Fraction(0), "x", order, QQ)
     for i in range(n + 1):
-        acc = acc + phi_series(i, lam0, alpha0, order) \
-            * (math.comb(n, i) * euler[n - i])
+        acc = acc + ctx.phi(i, order) * (math.comb(n, i) * euler[n - i])
     rhs = (x * alpha0 + 1) * acc * Fraction(1, 2) - euler[n] * Fraction(1, 2)
     mismatch_status = FAIL if (alpha0 == 0 or corrected) else EXPECTED_DISCREPANCY
-    report = _series_report(rid, lam0, alpha0, f"K={order};n={n}", lhs, rhs,
-                            extra=f"n={n};", mismatch_status=mismatch_status)
-    report.wall_time = time.perf_counter() - start
-    return report
+    return _series_report(rid, lam0, alpha0, f"K={order};n={n}", lhs, rhs,
+                          extra=f"n={n};", mismatch_status=mismatch_status)
 
 
-def check_f_transform(n: int, f_coeffs, order: int, lam0, alpha0) -> IdentityReport:
+def check_f_transform(n: int, f_coeffs, order: int, lam0, alpha0,
+                      ctx=None) -> IdentityReport:
     """sum_m y*(n,m) f(m) x^m
        = sum_{j<=n} C(n,j) sum_{m<=deg f} sum_{k<=m} S2(m,k) (x/(1+a*x))^k k!
                      f_m y*(j,k) phi_{n-j}(x)
-    for a polynomial f given by its coefficient list."""
-    from .classical import stirling2
-    lam0 = Fraction(lam0)
-    alpha0 = Fraction(alpha0)
+    for a polynomial f given by its coefficient list.  The right side takes
+    the m-sum first and then one series product with phi_{n-j} per j: the
+    same finite exact sum, reordered."""
+    ctx = PointContext.for_point(lam0, alpha0, ctx)
+    lam0, alpha0 = ctx.lam, ctx.alpha
     f_coeffs = [Fraction(c) for c in f_coeffs]
-    start = time.perf_counter()
 
     def f_at(m: int) -> Fraction:
         return sum((c * m**i for i, c in enumerate(f_coeffs)), Fraction(0))
 
-    lhs_coeffs = [poly_eval(y1star(n, m), lam0, alpha0) * f_at(m)
-                  for m in range(order + 1)]
-    lhs = TruncSeries("x", order, lhs_coeffs, QQ)
+    lhs = TruncSeries("x", order, [ctx.y(n, m) * f_at(m)
+                                   for m in range(order + 1)], QQ)
 
-    x = TruncSeries.variable("x", order, QQ)
-    w = x * series_reciprocal(x * alpha0 + 1)  # x/(1+a*x)
+    # k! sum_m S2(m,k) f_m: the weight of (x/(1+a*x))^k beside y*(j,k)
+    weights = [math.factorial(k) * sum(stirling2(m, k) * fm
+                                       for m, fm in enumerate(f_coeffs))
+               for k in range(len(f_coeffs))]
     rhs = TruncSeries.constant(Fraction(0), "x", order, QQ)
-    w_pow = [w.ring_one()]
-    for _ in range(len(f_coeffs)):
-        w_pow.append(w_pow[-1] * w)
     for j in range(n + 1):
-        phi_tail = phi_series(n - j, lam0, alpha0, order)
-        for m, fm in enumerate(f_coeffs):
-            if fm == 0:
-                continue
-            for k in range(m + 1):
-                s2 = stirling2(m, k)
-                if s2 == 0:
-                    continue
-                scalar = (math.comb(n, j) * s2 * math.factorial(k) * fm
-                          * poly_eval(y1star(j, k), lam0, alpha0))
-                if scalar == 0:
-                    continue
-                rhs = rhs + w_pow[k] * phi_tail * scalar
+        inner = TruncSeries.constant(Fraction(0), "x", order, QQ)
+        for k, weight in enumerate(weights):
+            scalar = math.comb(n, j) * weight * ctx.y(j, k)
+            if scalar:
+                inner = inner + ctx.w_power(k, order) * scalar
+        rhs = rhs + ctx.phi(n - j, order) * inner
     f_text = "f=[" + " ".join(str(c) for c in f_coeffs) + "]"
-    report = _series_report("PHI-FT", lam0, alpha0,
-                            f"K={order};n={n};{f_text}", lhs, rhs,
-                            extra=f"n={n};{f_text};")
-    report.wall_time = time.perf_counter() - start
-    return report
+    return _series_report("PHI-FT", lam0, alpha0,
+                          f"K={order};n={n};{f_text}", lhs, rhs,
+                          extra=f"n={n};{f_text};")
 
 
 def merge_reports(rid: str, reports: list[IdentityReport],
@@ -287,5 +352,4 @@ def merge_reports(rid: str, reports: list[IdentityReport],
             mismatch = r.mismatch
             break
     first = reports[0]
-    return IdentityReport(rid, first.lam, first.alpha, orders, status, mismatch,
-                          wall_time=sum(r.wall_time for r in reports))
+    return IdentityReport(rid, first.lam, first.alpha, orders, status, mismatch)

@@ -1,9 +1,10 @@
 """Identity registry and the verification suite runner.
 
 Each entry is one identity with a stable id, a self-contained statement,
-and a mode: "symbolic" entries hold as ParamPoly/series identities in
-(l, a) and run once; "rational" entries run at every grid point.  Variant
-entries (suffixed ids) exercise alternative readings of ambiguous
+a mode and the callable that runs it: "symbolic" entries hold as
+ParamPoly/series identities in (l, a) and run once; "rational" entries run
+at every grid point, all of them at one point on one shared PointContext.
+Variant entries (suffixed ids) exercise alternative readings of ambiguous
 statements or derived corrections; they can never fail the suite, only
 report what they found.
 
@@ -15,18 +16,20 @@ worker count (reports are sorted by id, then point index).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 import math
 import random
 import time
+from typing import Callable
 
 from . import classical, degenerate, simsek
-from .algebra import PP, ParamPoly, TruncSeries, exp_t, poly_eval
+from .algebra import PP, ParamPoly, TruncSeries, exp_t
 from .classical import degenerate_falling, stirling1, stirling2
 from .degenerate import deg_stirling1, deg_stirling2, new_deg_stirling2
-from .phi import (check_egf, check_f_transform, check_log_substitution,
-                  check_phi_apostol, check_phi_derivative, check_phi_integral,
+from .phi import (PointContext, check_egf, check_f_transform,
+                  check_log_substitution, check_phi_apostol,
+                  check_phi_derivative, check_phi_integral,
                   check_phi_recurrence, merge_reports)
 from .reports import (EXPECTED_DISCREPANCY, FAIL, PASS, IdentityReport)
 from .simsek import fk_series, route_c_printed, simsek_y1, y1star
@@ -58,65 +61,113 @@ class RegistryEntry:
     id: str
     description: str
     mode: str  # "symbolic" | "rational"
+    # run(ctx, order): ctx is the PointContext of a rational entry's point,
+    # None for a symbolic entry
+    run: Callable[[PointContext | None, int], IdentityReport] = field(
+        compare=False, repr=False)
     variant_of: str | None = None
 
 
+def _per_n(rid: str, check, ctx: PointContext, order: int,
+           ns=PHI_N_VALUES, **options) -> IdentityReport:
+    """One phi check for every n in ns at the context's point, merged."""
+    subs = [check(n, order, ctx.lam, ctx.alpha, ctx=ctx, **options)
+            for n in ns]
+    return merge_reports(rid, subs, f"K={order};n<=3")
+
+
+# The callables look the checks up when they run, so a wrapper installed on
+# a module-level name (a tracer, a test double) sees every call.
 REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry("EXPL-B", "explicit double sum over C(l,j) a^(k-l) s(k,l) "
-                  "l^j j^n equals the series route, n,k <= 8", "symbolic"),
+                  "l^j j^n equals the series route, n,k <= 8", "symbolic",
+                  lambda ctx, order: check_route_against_a("EXPL-B", "B")),
     RegistryEntry("EXPL-C", "explicit double sum with the (1)_{k-l,a} factor "
-                  "equals the series route, n,k <= 8", "symbolic"),
+                  "equals the series route, n,k <= 8", "symbolic",
+                  lambda ctx, order: check_route_against_a("EXPL-C", "C")),
     RegistryEntry("EXPL-C-PRINTED", "step-j variant (1)_{k-l,j} of EXPL-C; "
-                  "recorded as a rejected reading", "symbolic", "EXPL-C"),
+                  "recorded as a rejected reading", "symbolic",
+                  lambda ctx, order: check_expl_c_printed(), "EXPL-C"),
     RegistryEntry("EXPL-D", "order-k Bernoulli-number formula equals the "
-                  "series route, n,k <= 8", "symbolic"),
+                  "series route, n,k <= 8", "symbolic",
+                  lambda ctx, order: check_route_against_a("EXPL-D", "D")),
     RegistryEntry("FUNC-EQ", "(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! "
                   "F_i(t), as series with ParamPoly coefficients, k <= 8",
-                  "symbolic"),
+                  "symbolic", lambda ctx, order: check_func_eq(order=order)),
     RegistryEntry("THM-S1", "sum_j a^(k-j) s(k,j) l^j j^n = sum_i (-1)_{k-i,a} "
                   "i! C(k,i) y*(n,i), plus its a=0 reduction, n,k <= 8",
-                  "symbolic"),
+                  "symbolic", lambda ctx, order: check_thm_s1()),
     RegistryEntry("REL-S2A", "y*(n,k) = (1/k!) sum_{i,j} S2a(k,i) s(i,j) j! "
-                  "y1(n,j), symbolic, n,k <= 8", "symbolic"),
+                  "y1(n,j), symbolic, n,k <= 8", "symbolic",
+                  lambda ctx, order: check_rel_s2a()),
     RegistryEntry("REC-K", "column recurrence (k+1) y*(n,k+1) = l sum C(n,i) "
                   "y*(i,k) + (1-k a) y*(n,k) reproduces the series route",
-                  "symbolic"),
+                  "symbolic",
+                  lambda ctx, order: check_route_against_a("REC-K", "E")),
     RegistryEntry("REC-N", "row recurrence for y*(n+1,k) from column k-1 "
-                  "reproduces the series route", "symbolic"),
+                  "reproduces the series route", "symbolic",
+                  lambda ctx, order: check_route_against_a("REC-N", "F")),
     RegistryEntry("RED-A0", "substituting a=0 into y*(n,k) gives the plain "
-                  "Simsek numbers, n,k <= 8", "symbolic"),
+                  "Simsek numbers, n,k <= 8", "symbolic",
+                  lambda ctx, order: check_red_a0()),
     RegistryEntry("RED-CLASSICAL", "degenerate Stirling triangles at a=0 "
                   "equal the classical ones; S2* at a=0 equals S2, n <= 8",
-                  "symbolic"),
+                  "symbolic", lambda ctx, order: check_red_classical()),
     RegistryEntry("REL-S2STAR", "y*(n,k) = (1/k!) sum_j C(k,j) j! l^j "
                   "(l+1)_{k-j,a} S2*(n,j|a/l) at rational points with l != 0",
-                  "rational"),
+                  "rational", lambda ctx, order: check_rel_s2star(
+                      ctx.lam, ctx.alpha, reading="j", ctx=ctx)),
     RegistryEntry("REL-S2STAR-KIDX", "variant with the fixed index "
                   "S2*(n,k|a/l) inside the sum; recorded as a rejected "
-                  "reading", "rational", "REL-S2STAR"),
+                  "reading", "rational", lambda ctx, order: check_rel_s2star(
+                      ctx.lam, ctx.alpha, reading="k", ctx=ctx), "REL-S2STAR"),
     RegistryEntry("REL-S2STAR-DUPL", "variant with a duplicated l^j factor; "
-                  "recorded as a rejected reading", "rational", "REL-S2STAR"),
+                  "recorded as a rejected reading", "rational",
+                  lambda ctx, order: check_rel_s2star(
+                      ctx.lam, ctx.alpha, reading="dup", ctx=ctx), "REL-S2STAR"),
     RegistryEntry("REL-S2STAR-ZERO0", "variant dropping the j=0 term per the "
                   "S2*(n,0)=0 convention; mismatches at n=0", "rational",
+                  lambda ctx, order: check_rel_s2star(
+                      ctx.lam, ctx.alpha, reading="zero0", ctx=ctx),
                   "REL-S2STAR"),
     RegistryEntry("PHI-EGF", "sum_n phi_n(x) t^n/n! = e_a^(l e^t + 1)(x) as a "
-                  "bivariate truncated series", "rational"),
+                  "bivariate truncated series", "rational",
+                  lambda ctx, order: check_egf(order, order, ctx.lam,
+                                               ctx.alpha, ctx=ctx)),
     RegistryEntry("PHI-LOG", "phi_n(x) = sum_k (log(1+a x)/a)^k y1(n,k); "
-                  "trivially true at a=0", "rational"),
+                  "trivially true at a=0", "rational",
+                  lambda ctx, order: _per_n("PHI-LOG", check_log_substitution,
+                                            ctx, order)),
     RegistryEntry("PHI-REC", "phi_{n+1} = (l/a) log(1+a x) sum_i C(n,i) phi_i",
-                  "rational"),
+                  "rational",
+                  lambda ctx, order: _per_n("PHI-REC", check_phi_recurrence,
+                                            ctx, order)),
     RegistryEntry("PHI-DER", "(1+a x) phi_n' = l sum_i C(n,i) phi_i + phi_n",
-                  "rational"),
+                  "rational",
+                  lambda ctx, order: _per_n("PHI-DER", check_phi_derivative,
+                                            ctx, order)),
     RegistryEntry("PHI-AE", "(1+a x) sum_m C(n,m) E_{n-m}(l) phi_m' = 2 phi_n "
-                  "with Apostol-Euler weights", "rational"),
+                  "with Apostol-Euler weights", "rational",
+                  lambda ctx, order: _per_n("PHI-AE", check_phi_apostol,
+                                            ctx, order)),
     RegistryEntry("PHI-INT", "int_0^x phi_n = ((1+a x)/2) sum_i C(n,i) "
                   "E_{n-i}(l) phi_i - E_n(l)/2; exact at a=0, deterministic "
-                  "discrepancy at a != 0", "rational"),
+                  "discrepancy at a != 0", "rational",
+                  lambda ctx, order: _per_n("PHI-INT", check_phi_integral,
+                                            ctx, order, PHI_INT_N_VALUES)),
     RegistryEntry("PHI-INT-CORR", "integral identity with the corrected "
                   "divisor l e^t + 1 + a (derived here, not part of the "
-                  "stated family)", "rational", "PHI-INT"),
+                  "stated family)", "rational",
+                  lambda ctx, order: _per_n("PHI-INT-CORR", check_phi_integral,
+                                            ctx, order, PHI_INT_N_VALUES,
+                                            corrected=True), "PHI-INT"),
     RegistryEntry("PHI-FT", "polynomial-transform identity for f in "
-                  "{1, x, x^2, x^3-2x}", "rational"),
+                  "{1, x, x^2, x^3-2x}", "rational",
+                  lambda ctx, order: merge_reports("PHI-FT", [
+                      check_f_transform(n, f, order, ctx.lam, ctx.alpha,
+                                        ctx=ctx)
+                      for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES],
+                      f"K={order};n<=3")),
 )
 
 _BY_ID = {e.id: e for e in REGISTRY}
@@ -134,14 +185,12 @@ def _poly_pair_report(rid: str, pairs, orders: str,
                       mismatch_status: str = FAIL) -> IdentityReport:
     """Compare (location, lhs, rhs) ParamPoly triples; record the first
     difference."""
-    start = time.perf_counter()
     for loc, lhs, rhs in pairs:
         if lhs != rhs:
             text = f"{loc};lhs={lhs.render()};rhs={rhs.render()}"
             return IdentityReport(rid, None, None, orders, mismatch_status,
-                                  text, wall_time=time.perf_counter() - start)
-    return IdentityReport(rid, None, None, orders, PASS,
-                          wall_time=time.perf_counter() - start)
+                                  text)
+    return IdentityReport(rid, None, None, orders, PASS)
 
 
 def check_route_against_a(rid: str, route: str, n_max: int = 8,
@@ -256,7 +305,7 @@ def check_red_classical(n_max: int = 8) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 def check_rel_s2star(lam0, alpha0, n_max: int = 8, k_max: int = 8,
-                     reading: str = "j") -> IdentityReport:
+                     reading: str = "j", ctx=None) -> IdentityReport:
     """The S2* decomposition at a rational point with lam != 0.
 
     reading selects the summation-index/factor variant:
@@ -264,28 +313,29 @@ def check_rel_s2star(lam0, alpha0, n_max: int = 8, k_max: int = 8,
       "k"     S2*(n,k|a/l) fixed outside the j dependence (as printed)
       "dup"   duplicated l^j factor (as in the printed derivation display)
       "zero0" like "j" but with S2*(n,0)=0 for all n (stated convention)
+
+    y*(n,k), (l+1)_{m,a} and S2*(n,j|a/l) are read from the point's context.
     """
-    lam0 = Fraction(lam0)
-    alpha0 = Fraction(alpha0)
+    ctx = PointContext.for_point(lam0, alpha0, ctx)
+    lam0, alpha0 = ctx.lam, ctx.alpha
     if lam0 == 0:
         raise ValueError("the S2* relation needs lam != 0")
     rid = {"j": "REL-S2STAR", "k": "REL-S2STAR-KIDX",
            "dup": "REL-S2STAR-DUPL", "zero0": "REL-S2STAR-ZERO0"}[reading]
-    ratio = alpha0 / lam0
-    start = time.perf_counter()
     status, mismatch = PASS, ""
     for k in range(k_max + 1):
         inv = Fraction(1, math.factorial(k))
+        # the n-free factor of term j: (1/k!) C(k,j) j! l^j (l+1)_{k-j,a}
+        weights = [inv * math.comb(k, j) * math.factorial(j)
+                   * lam0 ** (2 * j if reading == "dup" else j)
+                   * ctx.lam_falling(k - j) for j in range(k + 1)]
+        if reading == "zero0":
+            weights[0] = Fraction(0)
         for n in range(n_max + 1):
-            lhs = poly_eval(y1star(n, k, "A"), lam0, alpha0)
+            lhs = ctx.y(n, k)
             rhs = Fraction(0)
-            for j in range(k + 1):
-                s2s = new_deg_stirling2(n, (k if reading == "k" else j), ratio)
-                if reading == "zero0" and j == 0:
-                    s2s = Fraction(0)
-                lam_pow = lam0 ** (2 * j if reading == "dup" else j)
-                rhs += (inv * math.comb(k, j) * math.factorial(j) * lam_pow
-                        * degenerate_falling(lam0 + 1, k - j, alpha0) * s2s)
+            for j, weight in enumerate(weights):
+                rhs += weight * ctx.s2star(n, k if reading == "k" else j)
             if lhs != rhs:
                 status = FAIL if reading == "j" else EXPECTED_DISCREPANCY
                 mismatch = f"(n,k)=({n},{k});lhs={lhs};rhs={rhs}"
@@ -293,8 +343,7 @@ def check_rel_s2star(lam0, alpha0, n_max: int = 8, k_max: int = 8,
         if status != PASS:
             break
     return IdentityReport(rid, lam0, alpha0, f"n,k<={max(n_max, k_max)}",
-                          status, mismatch,
-                          wall_time=time.perf_counter() - start)
+                          status, mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -319,80 +368,13 @@ def default_grid(seed: int = 0, extra: int = 2) -> list[tuple[Fraction, Fraction
     return list(FIXED_POINTS) + random_points(seed, extra)
 
 
-def _run_symbolic(entry_id: str, order: int) -> IdentityReport:
-    if entry_id == "EXPL-B":
-        return check_route_against_a("EXPL-B", "B")
-    if entry_id == "EXPL-C":
-        return check_route_against_a("EXPL-C", "C")
-    if entry_id == "EXPL-C-PRINTED":
-        return check_expl_c_printed()
-    if entry_id == "EXPL-D":
-        return check_route_against_a("EXPL-D", "D")
-    if entry_id == "FUNC-EQ":
-        return check_func_eq(order=order)
-    if entry_id == "THM-S1":
-        return check_thm_s1()
-    if entry_id == "REL-S2A":
-        return check_rel_s2a()
-    if entry_id == "REC-K":
-        return check_route_against_a("REC-K", "E")
-    if entry_id == "REC-N":
-        return check_route_against_a("REC-N", "F")
-    if entry_id == "RED-A0":
-        return check_red_a0()
-    if entry_id == "RED-CLASSICAL":
-        return check_red_classical()
-    raise ValueError(f"no symbolic check for {entry_id!r}")
-
-
-def _run_rational(entry_id: str, lam0: Fraction, alpha0: Fraction,
-                  order: int) -> IdentityReport:
-    if entry_id == "REL-S2STAR":
-        return check_rel_s2star(lam0, alpha0, reading="j")
-    if entry_id == "REL-S2STAR-KIDX":
-        return check_rel_s2star(lam0, alpha0, reading="k")
-    if entry_id == "REL-S2STAR-DUPL":
-        return check_rel_s2star(lam0, alpha0, reading="dup")
-    if entry_id == "REL-S2STAR-ZERO0":
-        return check_rel_s2star(lam0, alpha0, reading="zero0")
-    if entry_id == "PHI-EGF":
-        return check_egf(order, order, lam0, alpha0)
-    if entry_id == "PHI-LOG":
-        subs = [check_log_substitution(n, order, lam0, alpha0)
-                for n in PHI_N_VALUES]
-        return merge_reports("PHI-LOG", subs, f"K={order};n<=3")
-    if entry_id == "PHI-REC":
-        subs = [check_phi_recurrence(n, order, lam0, alpha0)
-                for n in PHI_N_VALUES]
-        return merge_reports("PHI-REC", subs, f"K={order};n<=3")
-    if entry_id == "PHI-DER":
-        subs = [check_phi_derivative(n, order, lam0, alpha0)
-                for n in PHI_N_VALUES]
-        return merge_reports("PHI-DER", subs, f"K={order};n<=3")
-    if entry_id == "PHI-AE":
-        subs = [check_phi_apostol(n, order, lam0, alpha0)
-                for n in PHI_N_VALUES]
-        return merge_reports("PHI-AE", subs, f"K={order};n<=3")
-    if entry_id == "PHI-INT":
-        subs = [check_phi_integral(n, order, lam0, alpha0)
-                for n in PHI_INT_N_VALUES]
-        return merge_reports("PHI-INT", subs, f"K={order};n<=3")
-    if entry_id == "PHI-INT-CORR":
-        subs = [check_phi_integral(n, order, lam0, alpha0, corrected=True)
-                for n in PHI_INT_N_VALUES]
-        return merge_reports("PHI-INT-CORR", subs, f"K={order};n<=3")
-    if entry_id == "PHI-FT":
-        subs = [check_f_transform(n, f, order, lam0, alpha0)
-                for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES]
-        return merge_reports("PHI-FT", subs, f"K={order};n<=3")
-    raise ValueError(f"no rational check for {entry_id!r}")
-
-
 def run_suite(ids=None, *, order: int = 8, seed: int = 0,
               extra_points: int = 2, workers: int = 1,
               grid=None) -> list[IdentityReport]:
     """Run the selected registry entries (all by default) and return the
     deterministically ordered report list."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     if ids is None:
         selected = list(REGISTRY)
     else:
@@ -409,28 +391,31 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
     degenerate.warm_caches(bound)
     simsek.warm_caches(bound, bound)
 
-    jobs = []
-    for entry in selected:
-        if entry.mode == "symbolic":
-            jobs.append((entry.id, None, 0))
-        else:
-            for idx, (lam0, alpha0) in enumerate(grid):
-                jobs.append((entry.id, (lam0, alpha0), idx))
+    # a job is (entries, point, index): one per symbolic entry, and one per
+    # grid point running every selected rational entry on one context
+    jobs = [([e], None, 0) for e in selected if e.mode == "symbolic"]
+    rational = [e for e in selected if e.mode == "rational"]
+    if rational:
+        jobs += [(rational, point, idx) for idx, point in enumerate(grid)]
 
     def run_job(job):
-        entry_id, point, idx = job
-        if point is None:
-            report = _run_symbolic(entry_id, order)
-        else:
-            report = _run_rational(entry_id, point[0], point[1], order)
-        report.point_index = idx
-        return report
+        entries, point, idx = job
+        ctx = None if point is None else PointContext(*point)
+        reports = []
+        for entry in entries:
+            start = time.perf_counter()
+            report = entry.run(ctx, order)
+            report.wall_time = time.perf_counter() - start
+            report.point_index = idx
+            reports.append(report)
+        return reports
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_job, jobs))
+            batches = list(pool.map(run_job, jobs))
     else:
-        reports = [run_job(job) for job in jobs]
+        batches = [run_job(job) for job in jobs]
+    reports = [report for batch in batches for report in batch]
     reports.sort(key=lambda r: (r.id, r.point_index))
     return reports
 

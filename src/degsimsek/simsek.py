@@ -109,7 +109,9 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     Symbolic over ParamPoly by default; pass rationals lam/alpha for a
     specialized series over plain fractions.
     """
-    if lam is None and alpha is None:
+    if (lam is None) != (alpha is None):
+        raise ValueError("fk_series: give both lam and alpha or neither")
+    if lam is None:
         with _lock:
             cached = _fk_cache.get(k)
             if cached is not None and cached.order >= order:

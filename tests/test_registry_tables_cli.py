@@ -264,3 +264,16 @@ def test_cli_verify_deterministic_bytes():
     second = run_cli(*args, "--workers", "3")
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_cli_verify_rejects_order_below_one():
+    for order in ("0", "-3"):
+        result = run_cli("verify", "--order", order)
+        assert result.returncode == 2
+        assert "order must be >= 1" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_run_suite_rejects_order_below_one():
+    with pytest.raises(ValueError, match=">= 1"):
+        run_suite(["PHI-DER"], order=0)

@@ -170,3 +170,10 @@ def test_fk_bernoulli_polynomial_representation():
             assert direct == via_bp
     with pytest.raises(ValueError):
         fk_series_via_bernoulli(2, 4, Fraction(1), Fraction(0))
+
+
+def test_fk_series_needs_both_point_values_or_neither():
+    for kwargs in ({"lam": 1}, {"alpha": Fraction(1, 2)}):
+        with pytest.raises(ValueError,
+                           match="give both lam and alpha or neither"):
+            fk_series(2, 4, **kwargs)
