@@ -187,28 +187,44 @@ class ParamPoly:
     # -- evaluation, substitution, extraction --------------------------------
 
     def evaluate(self, lam0, alpha0) -> Fraction:
-        """Exact substitution (l, a) -> (lam0, alpha0); a ring homomorphism."""
+        """Exact substitution (l, a) -> (lam0, alpha0); a ring homomorphism.
+
+        With lam0 = p/q and alpha0 = r/s the sum is homogenised over the
+        common denominator D * q^I * s^J (D the lcm of the coefficient
+        denominators, I and J the top degrees) and summed in integers; one
+        Fraction is built at the end."""
+        if not self.terms:
+            return Fraction(0)
         lam0 = Fraction(lam0)
         alpha0 = Fraction(alpha0)
-        total = Fraction(0)
+        p, q = lam0.numerator, lam0.denominator
+        r, s = alpha0.numerator, alpha0.denominator
+        top_i = max(i for i, _ in self.terms)
+        top_j = max(j for _, j in self.terms)
+        p_pow, q_pow = _powers(p, top_i), _powers(q, top_i)
+        r_pow, s_pow = _powers(r, top_j), _powers(s, top_j)
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        total = 0
         for (i, j), c in self.terms.items():
-            total += c * lam0**i * alpha0**j
-        return total
+            total += (c.numerator * (den // c.denominator) * p_pow[i]
+                      * q_pow[top_i - i] * r_pow[j] * s_pow[top_j - j])
+        return Fraction(total, den * q_pow[top_i] * s_pow[top_j])
 
     def substitute(self, lam=None, alpha=None) -> "ParamPoly":
         """Substitute rationals for either or both parameters, keeping the
         other symbolic."""
-        out = ParamPoly()
+        lam = None if lam is None else Fraction(lam)
+        alpha = None if alpha is None else Fraction(alpha)
+        out: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in self.terms.items():
-            factor = c
             if lam is not None:
-                factor *= Fraction(lam) ** i
+                c *= lam**i
                 i = 0
             if alpha is not None:
-                factor *= Fraction(alpha) ** j
+                c *= alpha**j
                 j = 0
-            out = out + ParamPoly.term(factor, i, j)
-        return out
+            out[(i, j)] = out.get((i, j), 0) + c
+        return ParamPoly(out)
 
     def coeff_l(self, d: int) -> "ParamPoly":
         """Coefficient of l^d, as a polynomial in a alone."""
@@ -233,6 +249,14 @@ class ParamPoly:
 
     def __repr__(self):
         return f"ParamPoly({self.render()})"
+
+
+def _powers(base: int, top: int) -> list[int]:
+    """base^0 .. base^top (with 0^0 = 1)."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
 
 
 def render_scalar(value) -> str:
@@ -262,7 +286,9 @@ class RationalField:
         return Fraction(1)
 
     def coerce(self, value):
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into QQ")
 
@@ -448,13 +474,13 @@ class TruncSeries:
             n = self.order
             zero = self.ring.zero
             out = [zero] * (n + 1)
+            right = [(j, b) for j, b in enumerate(other.coeffs) if b != zero]
             for i, a in enumerate(self.coeffs):
                 if a == zero:
                     continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b == zero:
-                        continue
+                for j, b in right:
+                    if i + j > n:
+                        break
                     out[i + j] = out[i + j] + a * b
             return TruncSeries(self.var, n, out, self.ring)
         # scalar: int, Fraction, or a coefficient-ring element

@@ -57,12 +57,20 @@ def _order(text: str) -> int:
     return value
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(text: str, out: str | None, command: str) -> int:
+    """Write text to the --out file, or to stdout; 0, or USAGE_ERROR with a
+    message when the file cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"degsimsek {command}: cannot write {out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return USAGE_ERROR
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,8 +198,7 @@ def _cmd_table(args) -> int:
         print(f"table: {exc}", file=sys.stderr)
         return USAGE_ERROR
     text = render_csv(table) if args.format == "csv" else render_json(table)
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out, "table")
 
 
 def _cmd_verify(args) -> int:
@@ -212,9 +219,9 @@ def _cmd_verify(args) -> int:
                         extra_points=args.random_points,
                         workers=max(args.workers, 1))
     if args.format == "json":
-        _emit(reports_to_json(reports), args.out)
+        text = reports_to_json(reports)
     elif args.format == "csv":
-        _emit(reports_to_csv(reports), args.out)
+        text = reports_to_csv(reports)
     else:
         lines = []
         for r in reports:
@@ -224,8 +231,9 @@ def _cmd_verify(args) -> int:
             lines.append(line)
         failed = sum(1 for r in reports if r.status == "fail")
         lines.append(f"{len(reports)} reports, {failed} failures")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 1 if suite_failed(reports) else 0
+        text = "\n".join(lines) + "\n"
+    status = _emit(text, args.out, "verify")
+    return status or (1 if suite_failed(reports) else 0)
 
 
 def main(argv=None) -> int:

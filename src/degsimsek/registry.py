@@ -2,8 +2,9 @@
 
 Each entry is one identity with a stable id, a self-contained statement,
 a mode and the callable that runs it: "symbolic" entries hold as
-ParamPoly/series identities in (l, a) and run once; "rational" entries run
-at every grid point, all of them at one point on one shared PointContext.
+ParamPoly/series identities in (l, a) and run once, all of them on one
+shared SymbolicContext; "rational" entries run at every grid point, all of
+them at one point on one shared PointContext.
 Variant entries (suffixed ids) exercise alternative readings of ambiguous
 statements or derived corrections; they can never fail the suite, only
 report what they found.
@@ -25,7 +26,7 @@ from typing import Callable
 
 from . import classical, degenerate, simsek
 from .algebra import PP, ParamPoly, TruncSeries, exp_t
-from .classical import degenerate_falling, stirling1, stirling2
+from .classical import stirling1, stirling2
 from .degenerate import deg_stirling1, deg_stirling2, new_deg_stirling2
 from .phi import (PointContext, check_egf, check_f_transform,
                   check_log_substitution, check_phi_apostol,
@@ -62,9 +63,9 @@ class RegistryEntry:
     description: str
     mode: str  # "symbolic" | "rational"
     # run(ctx, order): ctx is the PointContext of a rational entry's point,
-    # None for a symbolic entry
-    run: Callable[[PointContext | None, int], IdentityReport] = field(
-        compare=False, repr=False)
+    # the suite's SymbolicContext for a symbolic entry
+    run: Callable[[PointContext | SymbolicContext, int], IdentityReport] = \
+        field(compare=False, repr=False)
     variant_of: str | None = None
 
 
@@ -81,35 +82,41 @@ def _per_n(rid: str, check, ctx: PointContext, order: int,
 REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry("EXPL-B", "explicit double sum over C(l,j) a^(k-l) s(k,l) "
                   "l^j j^n equals the series route, n,k <= 8", "symbolic",
-                  lambda ctx, order: check_route_against_a("EXPL-B", "B")),
+                  lambda ctx, order: check_route_against_a(
+                      "EXPL-B", "B", ctx=ctx)),
     RegistryEntry("EXPL-C", "explicit double sum with the (1)_{k-l,a} factor "
                   "equals the series route, n,k <= 8", "symbolic",
-                  lambda ctx, order: check_route_against_a("EXPL-C", "C")),
+                  lambda ctx, order: check_route_against_a(
+                      "EXPL-C", "C", ctx=ctx)),
     RegistryEntry("EXPL-C-PRINTED", "step-j variant (1)_{k-l,j} of EXPL-C; "
                   "recorded as a rejected reading", "symbolic",
-                  lambda ctx, order: check_expl_c_printed(), "EXPL-C"),
+                  lambda ctx, order: check_expl_c_printed(ctx=ctx), "EXPL-C"),
     RegistryEntry("EXPL-D", "order-k Bernoulli-number formula equals the "
                   "series route, n,k <= 8", "symbolic",
-                  lambda ctx, order: check_route_against_a("EXPL-D", "D")),
+                  lambda ctx, order: check_route_against_a(
+                      "EXPL-D", "D", ctx=ctx)),
     RegistryEntry("FUNC-EQ", "(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! "
                   "F_i(t), as series with ParamPoly coefficients, k <= 8",
-                  "symbolic", lambda ctx, order: check_func_eq(order=order)),
+                  "symbolic",
+                  lambda ctx, order: check_func_eq(order=order, ctx=ctx)),
     RegistryEntry("THM-S1", "sum_j a^(k-j) s(k,j) l^j j^n = sum_i (-1)_{k-i,a} "
                   "i! C(k,i) y*(n,i), plus its a=0 reduction, n,k <= 8",
-                  "symbolic", lambda ctx, order: check_thm_s1()),
+                  "symbolic", lambda ctx, order: check_thm_s1(ctx=ctx)),
     RegistryEntry("REL-S2A", "y*(n,k) = (1/k!) sum_{i,j} S2a(k,i) s(i,j) j! "
                   "y1(n,j), symbolic, n,k <= 8", "symbolic",
-                  lambda ctx, order: check_rel_s2a()),
+                  lambda ctx, order: check_rel_s2a(ctx=ctx)),
     RegistryEntry("REC-K", "column recurrence (k+1) y*(n,k+1) = l sum C(n,i) "
                   "y*(i,k) + (1-k a) y*(n,k) reproduces the series route",
                   "symbolic",
-                  lambda ctx, order: check_route_against_a("REC-K", "E")),
+                  lambda ctx, order: check_route_against_a(
+                      "REC-K", "E", ctx=ctx)),
     RegistryEntry("REC-N", "row recurrence for y*(n+1,k) from column k-1 "
                   "reproduces the series route", "symbolic",
-                  lambda ctx, order: check_route_against_a("REC-N", "F")),
+                  lambda ctx, order: check_route_against_a(
+                      "REC-N", "F", ctx=ctx)),
     RegistryEntry("RED-A0", "substituting a=0 into y*(n,k) gives the plain "
                   "Simsek numbers, n,k <= 8", "symbolic",
-                  lambda ctx, order: check_red_a0()),
+                  lambda ctx, order: check_red_a0(ctx=ctx)),
     RegistryEntry("RED-CLASSICAL", "degenerate Stirling triangles at a=0 "
                   "equal the classical ones; S2* at a=0 equals S2, n <= 8",
                   "symbolic", lambda ctx, order: check_red_classical()),
@@ -178,7 +185,66 @@ def registry_ids() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic checks.
+# The values shared by the symbolic checks.
+# ---------------------------------------------------------------------------
+
+class SymbolicContext:
+    """Everything the symbolic checks read, each value computed on first use
+    and kept: y1star values per route, y1 values, the THM-S1/FUNC-EQ weights
+    and the REL-S2A weights.  Not locked: keep a context on one thread.
+    """
+
+    def __init__(self):
+        self._y: dict[tuple[int, int, str], ParamPoly] = {}
+        self._y1: dict[tuple[int, int], ParamPoly] = {}
+        self._neg_falling = [ParamPoly.const(1)]  # (-1)_{m,a}
+        self._weights: dict[tuple[int, int], ParamPoly] = {}
+        self._s2a_weights: dict[tuple[int, int], ParamPoly] = {}
+
+    def y(self, n: int, k: int, route: str = "A") -> ParamPoly:
+        """y1star(n,k) by the given route."""
+        value = self._y.get((n, k, route))
+        if value is None:
+            value = self._y[(n, k, route)] = y1star(n, k, route)
+        return value
+
+    def y1(self, n: int, j: int) -> ParamPoly:
+        """The Simsek number y1(n,j)."""
+        value = self._y1.get((n, j))
+        if value is None:
+            value = self._y1[(n, j)] = simsek_y1(n, j)
+        return value
+
+    def weight(self, k: int, i: int) -> ParamPoly:
+        """(-1)_{k-i,a} C(k,i) i!, the weight of y*(n,i) in THM-S1 and of
+        F_i in FUNC-EQ."""
+        value = self._weights.get((k, i))
+        if value is None:
+            falling = self._neg_falling
+            while len(falling) <= k - i:
+                m = len(falling) - 1
+                falling.append(falling[m] * (-1 - _A * m))
+            value = self._weights[(k, i)] = (
+                falling[k - i] * (math.comb(k, i) * math.factorial(i)))
+        return value
+
+    def s2a_weight(self, k: int, j: int) -> ParamPoly:
+        """(j!/k!) sum_i S2a(k,i) s(i,j), the weight of y1(n,j) in REL-S2A."""
+        value = self._s2a_weights.get((k, j))
+        if value is None:
+            scale = Fraction(math.factorial(j), math.factorial(k))
+            value = ParamPoly()
+            for i in range(j, k + 1):
+                c = stirling1(i, j)
+                if c:
+                    value = value + deg_stirling2(k, i) * (scale * c)
+            self._s2a_weights[(k, j)] = value
+        return value
+
+
+# ---------------------------------------------------------------------------
+# Symbolic checks.  Each takes an optional SymbolicContext and builds a fresh
+# one when none is given.
 # ---------------------------------------------------------------------------
 
 def _poly_pair_report(rid: str, pairs, orders: str,
@@ -194,53 +260,58 @@ def _poly_pair_report(rid: str, pairs, orders: str,
 
 
 def check_route_against_a(rid: str, route: str, n_max: int = 8,
-                          k_max: int = 8) -> IdentityReport:
+                          k_max: int = 8, ctx=None) -> IdentityReport:
+    ctx = ctx or SymbolicContext()
+
     def pairs():
         for k in range(k_max + 1):
             for n in range(n_max + 1):
-                yield (f"(n,k)=({n},{k})", y1star(n, k, route), y1star(n, k, "A"))
+                yield (f"(n,k)=({n},{k})", ctx.y(n, k, route), ctx.y(n, k))
     return _poly_pair_report(rid, pairs(), f"n,k<={max(n_max, k_max)}")
 
 
-def check_expl_c_printed(n_max: int = 8, k_max: int = 8) -> IdentityReport:
+def check_expl_c_printed(n_max: int = 8, k_max: int = 8,
+                         ctx=None) -> IdentityReport:
+    ctx = ctx or SymbolicContext()
+
     def pairs():
         for k in range(k_max + 1):
             for n in range(n_max + 1):
-                yield (f"(n,k)=({n},{k})", route_c_printed(n, k), y1star(n, k, "A"))
+                yield (f"(n,k)=({n},{k})", route_c_printed(n, k), ctx.y(n, k))
     return _poly_pair_report("EXPL-C-PRINTED", pairs(),
                              f"n,k<={max(n_max, k_max)}",
                              mismatch_status=EXPECTED_DISCREPANCY)
 
 
-def check_func_eq(k_max: int = 8, order: int = 8) -> IdentityReport:
+def check_func_eq(k_max: int = 8, order: int = 8, ctx=None) -> IdentityReport:
+    ctx = ctx or SymbolicContext()
+
     def pairs():
+        fk = [fk_series(i, order) for i in range(k_max + 1)]
         lam_exp = exp_t(order, PP) * _L
+        rhs = lam_exp * 0 + 1  # (l e^t)_{k,a}, one factor more per k
         for k in range(k_max + 1):
-            rhs = degenerate_falling(lam_exp, k, _A)
+            if k:
+                rhs = rhs * (lam_exp - _A * (k - 1))
             lhs = TruncSeries.constant(ParamPoly(), "t", order, PP)
             for i in range(k + 1):
-                w = degenerate_falling(ParamPoly.const(-1), k - i, _A) \
-                    * (math.comb(k, i) * math.factorial(i))
-                lhs = lhs + fk_series(i, order) * w
+                lhs = lhs + fk[i] * ctx.weight(k, i)
             for d in range(order + 1):
                 yield (f"k={k};t^{d}", lhs.coeffs[d], rhs.coeffs[d])
     return _poly_pair_report("FUNC-EQ", pairs(), f"k<={k_max};N={order}")
 
 
-def check_thm_s1(n_max: int = 8, k_max: int = 8) -> IdentityReport:
+def check_thm_s1(n_max: int = 8, k_max: int = 8, ctx=None) -> IdentityReport:
+    ctx = ctx or SymbolicContext()
+
     def pairs():
         for k in range(k_max + 1):
             for n in range(n_max + 1):
-                lhs = ParamPoly()
-                for j in range(k + 1):
-                    c = stirling1(k, j) * j**n
-                    if c:
-                        lhs = lhs + ParamPoly.term(c, j, k - j)
+                lhs = ParamPoly({(j, k - j): stirling1(k, j) * j**n
+                                 for j in range(k + 1)})
                 rhs = ParamPoly()
                 for i in range(k + 1):
-                    w = degenerate_falling(ParamPoly.const(-1), k - i, _A) \
-                        * (math.factorial(i) * math.comb(k, i))
-                    rhs = rhs + w * y1star(n, i)
+                    rhs = rhs + ctx.weight(k, i) * ctx.y(n, i)
                 yield (f"(n,k)=({n},{k})", lhs, rhs)
                 # a = 0 reduction: l^k k^n = sum_i (-1)^(k-i) C(k,i) i! y1(n,i)
                 lhs0 = ParamPoly.term(k**n, k, 0)
@@ -248,38 +319,34 @@ def check_thm_s1(n_max: int = 8, k_max: int = 8) -> IdentityReport:
                 for i in range(k + 1):
                     w0 = Fraction((-1) ** (k - i) * math.comb(k, i)
                                   * math.factorial(i))
-                    rhs0 = rhs0 + simsek_y1(n, i) * w0
+                    rhs0 = rhs0 + ctx.y1(n, i) * w0
                 yield (f"a=0;(n,k)=({n},{k})", lhs0, rhs0)
     return _poly_pair_report("THM-S1", pairs(), f"n,k<={max(n_max, k_max)}")
 
 
-def check_rel_s2a(n_max: int = 8, k_max: int = 8) -> IdentityReport:
+def check_rel_s2a(n_max: int = 8, k_max: int = 8, ctx=None) -> IdentityReport:
+    """y*(n,k) = (1/k!) sum_{i,j} S2a(k,i) s(i,j) j! y1(n,j), with the i-sum
+    taken first: sum_j s2a_weight(k,j) y1(n,j), the same finite sum."""
+    ctx = ctx or SymbolicContext()
+
     def pairs():
         for k in range(k_max + 1):
-            inv = Fraction(1, math.factorial(k))
             for n in range(n_max + 1):
                 rhs = ParamPoly()
-                for i in range(k + 1):
-                    s2a = deg_stirling2(k, i)
-                    if s2a.is_zero:
-                        continue
-                    for j in range(i + 1):
-                        c = stirling1(i, j)
-                        if c == 0:
-                            continue
-                        rhs = rhs + s2a * simsek_y1(n, j) \
-                            * (inv * c * math.factorial(j))
-                yield (f"(n,k)=({n},{k})", y1star(n, k, "A"), rhs)
+                for j in range(k + 1):
+                    rhs = rhs + ctx.s2a_weight(k, j) * ctx.y1(n, j)
+                yield (f"(n,k)=({n},{k})", ctx.y(n, k), rhs)
     return _poly_pair_report("REL-S2A", pairs(), f"n,k<={max(n_max, k_max)}")
 
 
-def check_red_a0(n_max: int = 8, k_max: int = 8) -> IdentityReport:
+def check_red_a0(n_max: int = 8, k_max: int = 8, ctx=None) -> IdentityReport:
+    ctx = ctx or SymbolicContext()
+
     def pairs():
         for k in range(k_max + 1):
             for n in range(n_max + 1):
                 yield (f"(n,k)=({n},{k})",
-                       y1star(n, k, "A").substitute(alpha=0),
-                       simsek_y1(n, k))
+                       ctx.y(n, k).substitute(alpha=0), ctx.y1(n, k))
     return _poly_pair_report("RED-A0", pairs(), f"n,k<={max(n_max, k_max)}")
 
 
@@ -391,16 +458,20 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
     degenerate.warm_caches(bound)
     simsek.warm_caches(bound, bound)
 
-    # a job is (entries, point, index): one per symbolic entry, and one per
-    # grid point running every selected rational entry on one context
-    jobs = [([e], None, 0) for e in selected if e.mode == "symbolic"]
+    # a job is (entries, point, index): one running every selected symbolic
+    # entry on one SymbolicContext, and one per grid point running every
+    # selected rational entry on one PointContext
+    jobs = []
+    symbolic = [e for e in selected if e.mode == "symbolic"]
+    if symbolic:
+        jobs.append((symbolic, None, 0))
     rational = [e for e in selected if e.mode == "rational"]
     if rational:
         jobs += [(rational, point, idx) for idx, point in enumerate(grid)]
 
     def run_job(job):
         entries, point, idx = job
-        ctx = None if point is None else PointContext(*point)
+        ctx = SymbolicContext() if point is None else PointContext(*point)
         reports = []
         for entry in entries:
             start = time.perf_counter()

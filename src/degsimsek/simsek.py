@@ -163,9 +163,12 @@ def _route_c(n: int, k: int) -> ParamPoly:
     # (1)_{k-l,a} here follows the derivation (step parameter a); the
     # printed step-j variant is exercised separately by the verifier.
     inv = Fraction(1, math.factorial(k))
+    falling = [ParamPoly.const(1)]  # (1)_{m,a}, one factor (1 - m a) more each
+    for m in range(k):
+        falling.append(falling[m] * (1 - _A * m))
     out = ParamPoly()
     for l in range(k + 1):
-        ones = degenerate_falling(ParamPoly.const(1), k - l, _A)
+        ones = falling[k - l]
         if ones.is_zero:
             continue
         for j in range(l + 1):

@@ -53,10 +53,10 @@ class NumberTable:
 
 
 def _specialize(poly: ParamPoly, lam, alpha) -> str:
+    if lam is not None and alpha is not None:
+        return str(poly.evaluate(lam, alpha))
     if lam is not None or alpha is not None:
         poly = poly.substitute(lam=lam, alpha=alpha)
-    if lam is not None and alpha is not None:
-        return str(poly.constant_value())
     return poly.render()
 
 
@@ -101,7 +101,11 @@ def build_table(family: str, route: str | None, n_max: int, k_max: int,
         poly = y1star(n, k, route)
         return _specialize(poly, lam, alpha)
 
-    entries = [[cell(n, k) for k in range(k_max + 1)] for n in range(n_max + 1)]
+    # top row first: route A then builds each F_k once, at order n_max, and
+    # every lower row reads a truncation of the cached series
+    entries = [[cell(n, k) for k in range(k_max + 1)]
+               for n in range(n_max, -1, -1)]
+    entries.reverse()
     return NumberTable(family, route or "", n_max, k_max, lam, alpha, entries)
 
 

@@ -1,19 +1,24 @@
-"""The per-point evaluation context: differential checks against the
-uncached library functions, and a count guard on ParamPoly.evaluate."""
+"""The per-point and symbolic evaluation contexts: differential checks
+against the uncached library functions, and count guards on
+ParamPoly.evaluate, simsek_y1 and degenerate_falling."""
 
 from fractions import Fraction
+import math
 
 import pytest
 
+from degsimsek import phi, registry, simsek
 from degsimsek.algebra import ParamPoly, poly_eval
-from degsimsek.degenerate import new_deg_stirling2
+from degsimsek.classical import degenerate_falling, stirling1
+from degsimsek.degenerate import deg_stirling2, new_deg_stirling2
 from degsimsek.phi import PointContext, phi_series
-from degsimsek.registry import (FIXED_POINTS, REGISTRY, random_points,
-                                run_suite)
-from degsimsek.simsek import y1star
+from degsimsek.registry import (FIXED_POINTS, REGISTRY, SymbolicContext,
+                                random_points, run_suite)
+from degsimsek.simsek import ROUTES, y1star
 
 POINTS = list(FIXED_POINTS) + random_points(seed=5, count=3)
 RATIONAL = [e for e in REGISTRY if e.mode == "rational"]
+SYMBOLIC = [e for e in REGISTRY if e.mode == "symbolic"]
 
 
 @pytest.mark.parametrize("ratio", [Fraction(0), Fraction(1, 2),
@@ -75,3 +80,70 @@ def test_suite_evaluates_each_value_once_per_point(monkeypatch):
     reports = run_suite(order=8)
     assert len(reports) == 95
     assert calls <= 1000
+
+
+def test_symbolic_weights_match_their_definitions():
+    # weights asked for out of order, so the (-1)_{m,a} list grows unevenly
+    ctx = SymbolicContext()
+    a = ParamPoly.alpha()
+    for k in reversed(range(11)):
+        for i in range(k + 1):
+            expected = degenerate_falling(ParamPoly.const(-1), k - i, a) \
+                * (math.comb(k, i) * math.factorial(i))
+            assert ctx.weight(k, i) == expected, (k, i)
+    for k in range(9):
+        for j in range(k + 1):
+            expected = ParamPoly()
+            for i in range(k + 1):
+                expected = expected + deg_stirling2(k, i) * Fraction(
+                    stirling1(i, j) * math.factorial(j), math.factorial(k))
+            assert ctx.s2a_weight(k, j) == expected, (k, j)
+
+
+def test_shared_symbolic_context_gives_identical_reports():
+    shared = SymbolicContext()
+    for entry in reversed(SYMBOLIC):
+        entry.run(shared, 8)
+    for entry in SYMBOLIC:
+        fresh = entry.run(SymbolicContext(), 8)
+        reused = entry.run(shared, 8)
+        assert (fresh.id, fresh.to_dict()) == (reused.id, reused.to_dict())
+
+
+def test_suite_builds_symbolic_values_once(monkeypatch):
+    # a count, not a clock: the symbolic checks must read y1 values and
+    # the (-1)_{m,a} / (1)_{m,a} factors from the context instead of
+    # rebuilding them inside their innermost loops
+    calls = {"simsek_y1": 0, "degenerate_falling": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for module in (registry, simsek, phi):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    reports = run_suite(order=8)
+    assert len(reports) == 95
+    assert calls["simsek_y1"] <= 400
+    assert calls["degenerate_falling"] <= 100
+
+
+def test_symbolic_job_computes_each_route_value_once(monkeypatch):
+    # every route's own formula runs once per (n, k): the context never
+    # stands one route's value in for another's, and never recomputes one
+    asked = []
+    compute = registry.y1star
+
+    def recording(n, k, route="A"):
+        asked.append((n, k, route))
+        return compute(n, k, route)
+
+    monkeypatch.setattr(registry, "y1star", recording)
+    run_suite([e.id for e in SYMBOLIC], order=8)
+    assert sorted(asked) == sorted((n, k, route) for n in range(9)
+                                   for k in range(9) for route in ROUTES)

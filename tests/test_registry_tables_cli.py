@@ -1,6 +1,7 @@
 """Registry invariants, suite determinism, table round-trips, and the CLI."""
 
 from fractions import Fraction
+from pathlib import Path
 import subprocess
 import sys
 
@@ -264,6 +265,33 @@ def test_cli_verify_deterministic_bytes():
     second = run_cli(*args, "--workers", "3")
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_seed0_order8.json"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_verify_matches_golden_bytes(workers):
+    # the golden file pins the suite's output bytes; regenerate it only for
+    # a deliberate change of output
+    result = run_cli("verify", "--seed", "0", "--order", "8", "--format",
+                     "json", "--workers", workers)
+    assert result.returncode == 0
+    assert result.stdout.encode("utf-8") == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ("table", "--family", "stirling2", "--n-max", "2", "--k-max", "2"),
+    ("verify", "--identity", "REC-K"),
+])
+def test_cli_unwritable_out_exits_2(tmp_path, command):
+    target = tmp_path / "missing" / "out.txt"
+    result = run_cli(*command, "--out", str(target))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"degsimsek {command[0]}: cannot write "
+                                    f"{target}: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_cli_verify_rejects_order_below_one():

@@ -1,0 +1,89 @@
+"""Compare the CLI output of two source trees, byte for byte.
+
+    python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
+
+Each ROOT is a checkout of this repository; the CLI runs from ROOT/src in a
+fresh interpreter per case, two cases at a time.  The matrix: `verify` for
+seeds 0/7/41 x workers 1/2/3 x order 2/8/12 x text/csv/json, `table
+--family y1star` for routes A and E, symbolic and at two rational points,
+as CSV and JSON, and `phi` at three points.  Every differing case is printed (exit status, stdout
+or stderr), and so is a case the CLI rejects as a usage error; the exit
+status is 1 on any of these, else 0.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+from concurrent.futures import ThreadPoolExecutor
+import itertools
+import os
+from pathlib import Path
+import subprocess
+import sys
+
+USAGE_ERROR = 2
+
+
+def cases() -> list[list[str]]:
+    matrix = []
+    for seed, workers, order, fmt in itertools.product(
+            ("0", "7", "41"), ("1", "2", "3"), ("2", "8", "12"),
+            ("text", "csv", "json")):
+        matrix.append(["verify", "--seed", seed, "--workers", workers,
+                       "--order", order, "--format", fmt])
+    # "--flag=value", so that argparse reads a negative value as a value
+    points = ([], ["--lambda=1/2", "--alpha=1/3"],
+              ["--lambda=-7/5", "--alpha=0"])
+    for route, point, fmt in itertools.product(("A", "E"), points,
+                                               ("csv", "json")):
+        matrix.append(["table", "--family", "y1star", "--route", route,
+                       "--n-max", "8", "--k-max", "8", "--format", fmt,
+                       *point])
+    for n, lam, alpha in (("0", "0", "1"), ("3", "2/3", "1/3"),
+                          ("6", "-5/2", "-3/4")):
+        matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
+                       "--degree", "12"])
+    return matrix
+
+
+def run(root: Path, args: list[str]) -> tuple[int, bytes, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "degsimsek.cli", *args],
+                          capture_output=True, env=env, cwd=root)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_root", type=Path)
+    parser.add_argument("new_root", type=Path)
+    args = parser.parse_args(argv)
+    for root in (args.old_root, args.new_root):
+        if not (root / "src" / "degsimsek").is_dir():
+            print(f"compare_outputs: no src/degsimsek under {root}",
+                  file=sys.stderr)
+            return 2
+
+    def compare(case):
+        return case, run(args.old_root, case), run(args.new_root, case)
+
+    matrix = cases()
+    differing = 0
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for case, old, new in pool.map(compare, matrix):
+            if USAGE_ERROR in (old[0], new[0]):
+                # a case the CLI rejects compares nothing
+                differing += 1
+                print(f"USAGE ERROR: degsimsek {' '.join(case)}")
+            elif old != new:
+                differing += 1
+                parts = [name for name, a, b in zip(
+                    ("exit status", "stdout", "stderr"), old, new) if a != b]
+                print(f"DIFFERS ({', '.join(parts)}): "
+                      f"degsimsek {' '.join(case)}")
+    print(f"{len(matrix)} cases, {differing} differing")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
