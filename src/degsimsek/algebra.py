@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-Rational = Fraction
-
 
 class SeriesStructureError(ValueError):
     """Two series were combined whose variable or order disagree."""
@@ -471,6 +469,9 @@ class TruncSeries:
     def __mul__(self, other):
         if self._is_series_operand(other):
             self._check_compatible(other)
+            if isinstance(self.ring, RationalField) and \
+                    isinstance(other.ring, RationalField):
+                return self._mul_qq(other)
             n = self.order
             zero = self.ring.zero
             out = [zero] * (n + 1)
@@ -487,11 +488,36 @@ class TruncSeries:
         try:
             scalar = self.ring.coerce(other)
         except TypeError:
+            if isinstance(other, TruncSeries):
+                # Python tries no reflected product between two series
+                raise SeriesStructureError(
+                    f"variable mismatch: {self.var!r} vs {other.var!r}") from None
             return NotImplemented
         return TruncSeries(self.var, self.order,
                            [c * scalar for c in self.coeffs], self.ring)
 
     __rmul__ = __mul__
+
+    def _mul_qq(self, other: "TruncSeries") -> "TruncSeries":
+        """The truncated product over QQ, summed in integers: each operand
+        is scaled by the lcm of its denominators, the numerators are
+        convolved, and one Fraction is built per output coefficient."""
+        n = self.order
+        den_a = math.lcm(*(c.denominator for c in self.coeffs))
+        den_b = math.lcm(*(c.denominator for c in other.coeffs))
+        left = [(i, c.numerator * (den_a // c.denominator))
+                for i, c in enumerate(self.coeffs) if c]
+        right = [(j, c.numerator * (den_b // c.denominator))
+                 for j, c in enumerate(other.coeffs) if c]
+        sums = [0] * (n + 1)
+        for i, a in left:
+            for j, b in right:
+                if i + j > n:
+                    break
+                sums[i + j] += a * b
+        den = den_a * den_b
+        return TruncSeries(self.var, n, [Fraction(c, den) for c in sums],
+                           self.ring)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -539,14 +565,6 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 # Series operations.
 # ---------------------------------------------------------------------------
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Cauchy product truncated at the common order."""
-    if not isinstance(b, TruncSeries):
-        raise SeriesStructureError("series_mul needs two series")
-    a._check_compatible(b)
-    return a * b
-
 
 def series_exp(a: TruncSeries) -> TruncSeries:
     """Formal exponential of a series with zero constant term.
@@ -643,7 +661,3 @@ def exp_t(order: int, ring=QQ, var: str = "t") -> TruncSeries:
                        [Fraction(1, math.factorial(m)) for m in range(order + 1)],
                        ring)
 
-
-def poly_eval(p: ParamPoly, lam0, alpha0) -> Fraction:
-    """Exact evaluation of a parameter polynomial at a rational point."""
-    return p.evaluate(lam0, alpha0)

@@ -4,19 +4,15 @@ polynomials.
 
 Triangles are filled by their defining recurrences with memoized rows; the
 generating-function route is kept in the test suite as an independent
-cross-check, not here.  Caches only ever grow and hold immutable values;
-fills run under a lock so concurrent readers see consistent tables.
+cross-check, not here.  Caches only ever grow and hold immutable values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import math
-import threading
 
 from .algebra import QQ, TruncSeries, series_reciprocal
-
-_lock = threading.Lock()
 
 # Row r of each triangle holds the values for n = r, k = 0..r.
 _S2_ROWS: list[list[int]] = [[1]]
@@ -28,17 +24,16 @@ def stirling2(n: int, k: int) -> int:
     non-empty blocks.  Out-of-range indices give 0."""
     if n < 0 or k < 0 or k > n:
         return 0
-    with _lock:
-        while len(_S2_ROWS) <= n:
-            r = len(_S2_ROWS)
-            prev = _S2_ROWS[r - 1]
-            row = [0] * (r + 1)
-            for j in range(r + 1):
-                above = prev[j] if j <= r - 1 else 0
-                left = prev[j - 1] if j >= 1 else 0
-                row[j] = j * above + left
-            _S2_ROWS.append(row)
-        return _S2_ROWS[n][k]
+    while len(_S2_ROWS) <= n:
+        r = len(_S2_ROWS)
+        prev = _S2_ROWS[r - 1]
+        row = [0] * (r + 1)
+        for j in range(r + 1):
+            above = prev[j] if j <= r - 1 else 0
+            left = prev[j - 1] if j >= 1 else 0
+            row[j] = j * above + left
+        _S2_ROWS.append(row)
+    return _S2_ROWS[n][k]
 
 
 def stirling1(n: int, k: int) -> int:
@@ -46,17 +41,16 @@ def stirling1(n: int, k: int) -> int:
     the falling factorial x(x-1)...(x-n+1)."""
     if n < 0 or k < 0 or k > n:
         return 0
-    with _lock:
-        while len(_S1_ROWS) <= n:
-            r = len(_S1_ROWS)
-            prev = _S1_ROWS[r - 1]
-            row = [0] * (r + 1)
-            for j in range(r + 1):
-                above = prev[j] if j <= r - 1 else 0
-                left = prev[j - 1] if j >= 1 else 0
-                row[j] = left - (r - 1) * above
-            _S1_ROWS.append(row)
-        return _S1_ROWS[n][k]
+    while len(_S1_ROWS) <= n:
+        r = len(_S1_ROWS)
+        prev = _S1_ROWS[r - 1]
+        row = [0] * (r + 1)
+        for j in range(r + 1):
+            above = prev[j] if j <= r - 1 else 0
+            left = prev[j - 1] if j >= 1 else 0
+            row[j] = left - (r - 1) * above
+        _S1_ROWS.append(row)
+    return _S1_ROWS[n][k]
 
 
 def falling_factorial(x, n: int):
@@ -98,13 +92,12 @@ def _bernoulli_base(order: int) -> TruncSeries:
 
 
 def _bernoulli_power(k: int, order: int) -> TruncSeries:
-    with _lock:
-        cached = _bern_series_cache.get(k)
-        if cached is not None and cached.order >= order:
-            return cached.truncate(order)
-        series = _bernoulli_base(order) ** k
-        _bern_series_cache[k] = series
-        return series
+    cached = _bern_series_cache.get(k)
+    if cached is not None and cached.order >= order:
+        return cached.truncate(order)
+    series = _bernoulli_base(order) ** k
+    _bern_series_cache[k] = series
+    return series
 
 
 def bernoulli_number(n: int, k: int) -> Fraction:
@@ -122,8 +115,7 @@ def bernoulli_poly_coeffs(k: int, n: int) -> tuple[Fraction, ...]:
         cached = tuple(
             Fraction(math.comb(k, j)) * bernoulli_number(k - j, n)
             for j in range(k + 1))
-        with _lock:
-            _bern_poly_cache[key] = cached
+        _bern_poly_cache[key] = cached
     return cached
 
 
@@ -136,11 +128,3 @@ def bernoulli_poly(k: int, n: int, x):
         result = result * x + coeffs[j]
     return result
 
-
-def warm_caches(n_max: int, k_max: int) -> None:
-    """Precompute triangles and Bernoulli tables to a bound, so later
-    concurrent readers never trigger a fill."""
-    stirling2(n_max, 0)
-    stirling1(n_max, 0)
-    for k in range(k_max + 1):
-        _bernoulli_power(k, n_max)

@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 import math
+import re
 import sys
 
-from .algebra import parse_rational, poly_eval
+from .algebra import parse_rational
 from .phi import phi_series
 from .registry import (REGISTRY, registry_ids, run_suite, suite_failed)
 from .reports import reports_to_csv, reports_to_json
@@ -27,6 +28,9 @@ from .tables import (FAMILIES, TableUsageError, build_table, render_csv,
                      render_json)
 
 USAGE_ERROR = 2
+
+_RATIONAL_FLAGS = ("--lambda", "--alpha")
+_NEGATIVE = re.compile(r"-[\d.]")
 
 
 def _rational(text: str) -> Fraction:
@@ -136,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _poly_text(poly, lam, alpha) -> str:
     """Canonical text of a ParamPoly value after optional substitution."""
     if lam is not None and alpha is not None:
-        return str(poly_eval(poly, lam, alpha))
+        return str(poly.evaluate(lam, alpha))
     if lam is not None or alpha is not None:
         return poly.substitute(lam=lam, alpha=alpha).render()
     return poly.render()
@@ -229,16 +233,30 @@ def _cmd_verify(args) -> int:
             if r.mismatch:
                 line += f"  [{r.mismatch}]"
             lines.append(line)
-        failed = sum(1 for r in reports if r.status == "fail")
+        failed = sum(1 for r in reports if r.status in ("fail", "error"))
         lines.append(f"{len(reports)} reports, {failed} failures")
         text = "\n".join(lines) + "\n"
     status = _emit(text, args.out, "verify")
     return status or (1 if suite_failed(reports) else 0)
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Fold a negative value that follows a rational flag into the flag:
+    argparse reads "--lambda -1/2" as two options, "--lambda=-1/2" as one
+    option and its value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and _NEGATIVE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_negative_values(argv))
     handlers = {
         "compute": _cmd_compute,
         "series": _cmd_series,

@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
-import threading
 
 from .algebra import (PP, QQ, ParamPoly, SeriesDomainError, TruncSeries,
                       exp_t, ring_of, series_reciprocal)
 from .classical import degenerate_falling, falling_factorial
-
-_lock = threading.Lock()
 
 _L = ParamPoly.lam()
 _A = ParamPoly.alpha()
@@ -50,14 +47,12 @@ def deg_stirling2(n: int, l: int) -> ParamPoly:
     """Coefficient of (x)_l in (x)_{n,a}, as a polynomial in a."""
     if n < 0 or l < 0 or l > n:
         return ParamPoly()
-    with _lock:
-        row = _DS2_ROWS.get(n)
-        if row is None:
-            row = _falling_basis_row(
-                n,
-                lambda m: degenerate_falling(_L, m, _A),
-                lambda d: falling_factorial(_L, d))
-            _DS2_ROWS[n] = row
+    row = _DS2_ROWS.get(n)
+    if row is None:
+        row = _DS2_ROWS[n] = _falling_basis_row(
+            n,
+            lambda m: degenerate_falling(_L, m, _A),
+            lambda d: falling_factorial(_L, d))
     return row[l]
 
 
@@ -65,14 +60,12 @@ def deg_stirling1(n: int, l: int) -> ParamPoly:
     """Coefficient of (x)_{l,a} in (x)_n, as a polynomial in a."""
     if n < 0 or l < 0 or l > n:
         return ParamPoly()
-    with _lock:
-        row = _DS1_ROWS.get(n)
-        if row is None:
-            row = _falling_basis_row(
-                n,
-                lambda m: falling_factorial(_L, m),
-                lambda d: degenerate_falling(_L, d, _A))
-            _DS1_ROWS[n] = row
+    row = _DS1_ROWS.get(n)
+    if row is None:
+        row = _DS1_ROWS[n] = _falling_basis_row(
+            n,
+            lambda m: falling_factorial(_L, m),
+            lambda d: degenerate_falling(_L, d, _A))
     return row[l]
 
 
@@ -126,9 +119,3 @@ def apostol_euler(n: int, k: int, lam0, alpha0) -> Fraction:
     series = apostol_euler_series(k, lam0, alpha0, n)
     return series.coeffs[n] * math.factorial(n)
 
-
-def warm_caches(n_max: int) -> None:
-    """Fill both degenerate Stirling triangles up to row n_max."""
-    for n in range(n_max + 1):
-        deg_stirling2(n, 0)
-        deg_stirling1(n, 0)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import (QQ, SeriesRing, TruncSeries, poly_eval, series_compose,
+from .algebra import (QQ, SeriesRing, TruncSeries, series_compose,
                       series_differentiate, series_integrate, series_log1p,
                       series_reciprocal, exp_t)
 from .classical import stirling2
@@ -39,7 +39,7 @@ def phi_series(n: int, lam0, alpha0, order: int) -> TruncSeries:
     order; coefficient k is y1star(n,k) evaluated at the point."""
     lam0 = Fraction(lam0)
     alpha0 = Fraction(alpha0)
-    coeffs = [poly_eval(y1star(n, k), lam0, alpha0) for k in range(order + 1)]
+    coeffs = [y1star(n, k).evaluate(lam0, alpha0) for k in range(order + 1)]
     return TruncSeries("x", order, coeffs, QQ)
 
 
@@ -82,12 +82,16 @@ class PointContext:
     each value computed on first use and kept: y1star values, phi rows, the
     Apostol-Euler and corrected Euler weight rows, the powers of
     x/(1+alpha*x), (lam+1)_{m,alpha} and the S2*(n, j | alpha/lam) table.
+    The y1star values evaluate the route-A polynomials of `table` (an
+    object whose y(n, k) gives them, such as a registry.SymbolicContext
+    shared by every point of a suite), or of y1star when none is given.
     Not locked: keep a context on one thread.
     """
 
-    def __init__(self, lam0, alpha0):
+    def __init__(self, lam0, alpha0, table=None):
         self.lam = Fraction(lam0)
         self.alpha = Fraction(alpha0)
+        self._table = table
         self._y: dict[tuple[int, int], Fraction] = {}
         self._phi: dict[tuple[int, int], TruncSeries] = {}
         self._rows: dict[tuple[str, int], list[Fraction]] = {}
@@ -108,7 +112,8 @@ class PointContext:
         """y1star(n,k) at the point."""
         value = self._y.get((n, k))
         if value is None:
-            value = self._y[(n, k)] = y1star(n, k).evaluate(self.lam, self.alpha)
+            poly = y1star(n, k) if self._table is None else self._table.y(n, k)
+            value = self._y[(n, k)] = poly.evaluate(self.lam, self.alpha)
         return value
 
     def phi(self, n: int, order: int) -> TruncSeries:
@@ -211,7 +216,7 @@ def check_log_substitution(n: int, order: int, lam0, alpha0,
         return IdentityReport("PHI-LOG", lam0, alpha0, orders, TRIVIALLY_TRUE)
     lhs = ctx.phi(n, order)
     outer = TruncSeries("x", order,
-                        [poly_eval(simsek_y1(n, k), lam0, 0)
+                        [simsek_y1(n, k).evaluate(lam0, 0)
                          for k in range(order + 1)], QQ)
     x = TruncSeries.variable("x", order, QQ)
     inner = series_log1p(x * alpha0) * (1 / alpha0)

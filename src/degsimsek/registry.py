@@ -9,14 +9,14 @@ Variant entries (suffixed ids) exercise alternative readings of ambiguous
 statements or derived corrections; they can never fail the suite, only
 report what they found.
 
-The suite is deterministic: for a fixed seed and grid the merged report
-list, and hence its serialization, is byte-identical regardless of the
-worker count (reports are sorted by id, then point index).
+The suite runs serially and is deterministic: for a fixed seed and grid
+the report list (sorted by id, then point index), and hence its
+serialization, is byte-identical for every run.  An entry that raises at
+a point gives an "error" report there; the other reports are kept.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 import math
@@ -24,7 +24,6 @@ import random
 import time
 from typing import Callable
 
-from . import classical, degenerate, simsek
 from .algebra import PP, ParamPoly, TruncSeries, exp_t
 from .classical import stirling1, stirling2
 from .degenerate import deg_stirling1, deg_stirling2, new_deg_stirling2
@@ -32,7 +31,8 @@ from .phi import (PointContext, check_egf, check_f_transform,
                   check_log_substitution, check_phi_apostol,
                   check_phi_derivative, check_phi_integral,
                   check_phi_recurrence, merge_reports)
-from .reports import (EXPECTED_DISCREPANCY, FAIL, PASS, IdentityReport)
+from .reports import (ERROR, EXPECTED_DISCREPANCY, FAIL, PASS,
+                      IdentityReport)
 from .simsek import fk_series, route_c_printed, simsek_y1, y1star
 
 _L = ParamPoly.lam()
@@ -191,7 +191,9 @@ def registry_ids() -> list[str]:
 class SymbolicContext:
     """Everything the symbolic checks read, each value computed on first use
     and kept: y1star values per route, y1 values, the THM-S1/FUNC-EQ weights
-    and the REL-S2A weights.  Not locked: keep a context on one thread.
+    and their weighted sums of F_i, and the REL-S2A weights.  Its route-A
+    values are also the table every grid point's PointContext evaluates.
+    Not locked: keep a context on one thread.
     """
 
     def __init__(self):
@@ -199,6 +201,7 @@ class SymbolicContext:
         self._y1: dict[tuple[int, int], ParamPoly] = {}
         self._neg_falling = [ParamPoly.const(1)]  # (-1)_{m,a}
         self._weights: dict[tuple[int, int], ParamPoly] = {}
+        self._weighted_fk: dict[int, TruncSeries] = {}
         self._s2a_weights: dict[tuple[int, int], ParamPoly] = {}
 
     def y(self, n: int, k: int, route: str = "A") -> ParamPoly:
@@ -227,6 +230,19 @@ class SymbolicContext:
             value = self._weights[(k, i)] = (
                 falling[k - i] * (math.comb(k, i) * math.factorial(i)))
         return value
+
+    def weighted_fk(self, k: int, order: int) -> TruncSeries:
+        """sum_i weight(k,i) F_i(t) to the given order: the right side of
+        FUNC-EQ, and n! times its t^n coefficient is the right side of
+        THM-S1.  The highest order asked for is kept; lower ones read a
+        truncation of it."""
+        series = self._weighted_fk.get(k)
+        if series is None or series.order < order:
+            series = TruncSeries.constant(ParamPoly(), "t", order, PP)
+            for i in range(k + 1):
+                series = series + fk_series(i, order) * self.weight(k, i)
+            self._weighted_fk[k] = series
+        return series if series.order == order else series.truncate(order)
 
     def s2a_weight(self, k: int, j: int) -> ParamPoly:
         """(j!/k!) sum_i S2a(k,i) s(i,j), the weight of y1(n,j) in REL-S2A."""
@@ -287,31 +303,29 @@ def check_func_eq(k_max: int = 8, order: int = 8, ctx=None) -> IdentityReport:
     ctx = ctx or SymbolicContext()
 
     def pairs():
-        fk = [fk_series(i, order) for i in range(k_max + 1)]
         lam_exp = exp_t(order, PP) * _L
         rhs = lam_exp * 0 + 1  # (l e^t)_{k,a}, one factor more per k
         for k in range(k_max + 1):
             if k:
                 rhs = rhs * (lam_exp - _A * (k - 1))
-            lhs = TruncSeries.constant(ParamPoly(), "t", order, PP)
-            for i in range(k + 1):
-                lhs = lhs + fk[i] * ctx.weight(k, i)
+            lhs = ctx.weighted_fk(k, order)
             for d in range(order + 1):
                 yield (f"k={k};t^{d}", lhs.coeffs[d], rhs.coeffs[d])
     return _poly_pair_report("FUNC-EQ", pairs(), f"k<={k_max};N={order}")
 
 
 def check_thm_s1(n_max: int = 8, k_max: int = 8, ctx=None) -> IdentityReport:
+    """The right side sum_i weight(k,i) y*(n,i) is read as n! [t^n] of
+    sum_i weight(k,i) F_i(t) (route A of every y*(n,i) at once)."""
     ctx = ctx or SymbolicContext()
 
     def pairs():
         for k in range(k_max + 1):
+            weighted = ctx.weighted_fk(k, n_max)
             for n in range(n_max + 1):
                 lhs = ParamPoly({(j, k - j): stirling1(k, j) * j**n
                                  for j in range(k + 1)})
-                rhs = ParamPoly()
-                for i in range(k + 1):
-                    rhs = rhs + ctx.weight(k, i) * ctx.y(n, i)
+                rhs = weighted.coeffs[n] * math.factorial(n)
                 yield (f"(n,k)=({n},{k})", lhs, rhs)
                 # a = 0 reduction: l^k k^n = sum_i (-1)^(k-i) C(k,i) i! y1(n,i)
                 lhs0 = ParamPoly.term(k**n, k, 0)
@@ -439,7 +453,12 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
               extra_points: int = 2, workers: int = 1,
               grid=None) -> list[IdentityReport]:
     """Run the selected registry entries (all by default) and return the
-    deterministically ordered report list."""
+    deterministically ordered report list.
+
+    Everything runs serially: the symbolic entries on one SymbolicContext,
+    then the rational entries at each grid point on one PointContext that
+    evaluates that SymbolicContext's route-A values.  `workers` is accepted
+    for compatibility and changes nothing."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if ids is None:
@@ -452,44 +471,39 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
     if grid is None:
         grid = default_grid(seed, extra_points)
 
-    # fill shared caches up front so worker threads only read
+    # F_0..F_bound at the suite bound: route A then reads truncations and
+    # never rebuilds an F_k for a larger n
     bound = max(8, order)
-    classical.warm_caches(2 * bound, bound)
-    degenerate.warm_caches(bound)
-    simsek.warm_caches(bound, bound)
+    for k in range(bound + 1):
+        fk_series(k, bound)
 
-    # a job is (entries, point, index): one running every selected symbolic
-    # entry on one SymbolicContext, and one per grid point running every
-    # selected rational entry on one PointContext
-    jobs = []
-    symbolic = [e for e in selected if e.mode == "symbolic"]
-    if symbolic:
-        jobs.append((symbolic, None, 0))
+    symbolic = SymbolicContext()
+    reports = [_run_entry(entry, symbolic, order, (None, None), 0)
+               for entry in selected if entry.mode == "symbolic"]
     rational = [e for e in selected if e.mode == "rational"]
     if rational:
-        jobs += [(rational, point, idx) for idx, point in enumerate(grid)]
-
-    def run_job(job):
-        entries, point, idx = job
-        ctx = SymbolicContext() if point is None else PointContext(*point)
-        reports = []
-        for entry in entries:
-            start = time.perf_counter()
-            report = entry.run(ctx, order)
-            report.wall_time = time.perf_counter() - start
-            report.point_index = idx
-            reports.append(report)
-        return reports
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(run_job, jobs))
-    else:
-        batches = [run_job(job) for job in jobs]
-    reports = [report for batch in batches for report in batch]
+        for idx, point in enumerate(grid):
+            ctx = PointContext(*point, table=symbolic)
+            reports += [_run_entry(entry, ctx, order, (ctx.lam, ctx.alpha),
+                                   idx) for entry in rational]
     reports.sort(key=lambda r: (r.id, r.point_index))
     return reports
 
 
+def _run_entry(entry: RegistryEntry, ctx, order: int, point,
+               idx: int) -> IdentityReport:
+    """entry.run(ctx, order), timed; an exception becomes an error report
+    at the point, so it hides no other report."""
+    start = time.perf_counter()
+    try:
+        report = entry.run(ctx, order)
+    except Exception as exc:
+        report = IdentityReport(entry.id, *point, "", ERROR,
+                                f"{type(exc).__name__}: {exc}")
+    report.wall_time = time.perf_counter() - start
+    report.point_index = idx
+    return report
+
+
 def suite_failed(reports: list[IdentityReport]) -> bool:
-    return any(r.status == FAIL for r in reports)
+    return any(r.status in (FAIL, ERROR) for r in reports)

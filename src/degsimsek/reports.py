@@ -15,6 +15,8 @@ PASS = "pass"
 FAIL = "fail"
 EXPECTED_DISCREPANCY = "expected-discrepancy"
 TRIVIALLY_TRUE = "trivially-true"
+# the check raised; the suite records "<Type>: <message>" as the mismatch
+ERROR = "error"
 
 # ordering used when merging sub-checks into one report
 _SEVERITY = {FAIL: 3, EXPECTED_DISCREPANCY: 2, PASS: 1, TRIVIALLY_TRUE: 0}

@@ -30,13 +30,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
-import threading
 
 from .algebra import PP, QQ, ParamPoly, TruncSeries, exp_t
 from .classical import (bernoulli_number, bernoulli_poly, degenerate_falling,
                         stirling1)
-
-_lock = threading.Lock()
 
 _L = ParamPoly.lam()
 _A = ParamPoly.alpha()
@@ -112,14 +109,12 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     if (lam is None) != (alpha is None):
         raise ValueError("fk_series: give both lam and alpha or neither")
     if lam is None:
-        with _lock:
-            cached = _fk_cache.get(k)
-            if cached is not None and cached.order >= order:
-                return cached.truncate(order)
+        cached = _fk_cache.get(k)
+        if cached is not None and cached.order >= order:
+            return cached.truncate(order)
         base = exp_t(order, PP) * _L + 1
         series = degenerate_falling(base, k, _A) * Fraction(1, math.factorial(k))
-        with _lock:
-            _fk_cache[k] = series
+        _fk_cache[k] = series
         return series
     lam = Fraction(lam)
     alpha = Fraction(alpha)
@@ -145,40 +140,69 @@ def _route_a(n: int, k: int) -> ParamPoly:
     return series.coeffs[n] * math.factorial(n)
 
 
+# Routes B and C and the recurrences E and F are integer computations once
+# scaled by k!: they sum integer terms {(deg_l, deg_a): c} of
+# k! y*(n,k) in Z[l,a] and divide by k! once per value.
+
+def _over(terms: dict, den: int) -> ParamPoly:
+    """The polynomial with integer terms `terms`, divided by `den`."""
+    p = ParamPoly.__new__(ParamPoly)
+    p.terms = {key: Fraction(c, den) for key, c in terms.items() if c}
+    return p
+
+
+def _combine(parts) -> dict:
+    """sum of c * l^dl * a^da * terms over the (terms, c, dl, da) parts, as
+    integer terms without zeros."""
+    out: dict[tuple[int, int], int] = {}
+    for terms, c, dl, da in parts:
+        if not c:
+            continue
+        for (i, j), v in terms.items():
+            key = (i + dl, j + da)
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
 def _route_b(n: int, k: int) -> ParamPoly:
-    inv = Fraction(1, math.factorial(k))
-    out = ParamPoly()
+    terms: dict[tuple[int, int], int] = {}
     for l in range(k + 1):
         s1 = stirling1(k, l)
         if s1 == 0:
             continue
         for j in range(l + 1):
-            c = inv * math.comb(l, j) * s1 * j**n
-            if c:
-                out = out + ParamPoly.term(c, j, k - l)
-    return out
+            c = math.comb(l, j) * s1 * j**n
+            terms[(j, k - l)] = c  # one term per (j, l); _over drops zeros
+    return _over(terms, math.factorial(k))
 
 
 def _route_c(n: int, k: int) -> ParamPoly:
     # (1)_{k-l,a} here follows the derivation (step parameter a); the
     # printed step-j variant is exercised separately by the verifier.
-    inv = Fraction(1, math.factorial(k))
-    falling = [ParamPoly.const(1)]  # (1)_{m,a}, one factor (1 - m a) more each
+    # falling[m] lists the integer coefficients of a^0, a^1, ... in
+    # (1)_{m,a}, one factor (1 - m a) more each
+    falling = [[1]]
     for m in range(k):
-        falling.append(falling[m] * (1 - _A * m))
-    out = ParamPoly()
+        prev = falling[m]
+        nxt = prev + [0]
+        for e, c in enumerate(prev):
+            nxt[e + 1] -= m * c
+        falling.append(nxt)
+    terms: dict[tuple[int, int], int] = {}
     for l in range(k + 1):
         ones = falling[k - l]
-        if ones.is_zero:
-            continue
         for j in range(l + 1):
             s1 = stirling1(l, j)
             if s1 == 0:
                 continue
-            c = inv * math.comb(k, l) * s1 * j**n
-            if c:
-                out = out + ones * ParamPoly.term(c, j, l - j)
-    return out
+            c = math.comb(k, l) * s1 * j**n
+            if c == 0:
+                continue
+            for e, f in enumerate(ones):
+                if f:
+                    key = (j, l - j + e)
+                    terms[key] = terms.get(key, 0) + c * f
+    return _over(terms, math.factorial(k))
 
 
 def route_c_printed(n: int, k: int) -> ParamPoly:
@@ -217,55 +241,66 @@ def _route_d(n: int, k: int) -> ParamPoly:
 
 
 class _Triangle:
-    """Grow-only (n,k)-triangle of ParamPoly values filled by a recurrence."""
+    """Grow-only (n,k)-triangle filled by an integer recurrence: a cell holds
+    Y(n,k) = k! y*(n,k) as integer terms, and becomes a ParamPoly (divided
+    by k!) once, when it is first read."""
 
     def __init__(self, fill):
-        self.cells: dict[tuple[int, int], ParamPoly] = {}
+        self.cells: dict[tuple[int, int], dict] = {}
+        self.polys: dict[tuple[int, int], ParamPoly] = {}
         self.n_max = -1
         self.k_max = -1
         self._fill = fill
 
     def get(self, n: int, k: int) -> ParamPoly:
-        with _lock:
+        poly = self.polys.get((n, k))
+        if poly is None:
             if n > self.n_max or k > self.k_max:
-                self._fill(self.cells, max(n, self.n_max), max(k, self.k_max))
                 self.n_max = max(n, self.n_max)
                 self.k_max = max(k, self.k_max)
-            return self.cells[(n, k)]
+                self._fill(self.cells, self.n_max, self.k_max)
+            poly = self.polys[(n, k)] = _over(self.cells[(n, k)],
+                                              math.factorial(k))
+        return poly
 
 
 def _fill_k_recurrence(cells, n_max, k_max):
+    """E: Y(n,k+1) = l sum_i C(n,i) Y(i,k) + (1 - k a) Y(n,k)."""
     for n in range(n_max + 1):
-        cells[(n, 0)] = ParamPoly.const(1) if n == 0 else ParamPoly()
+        cells[(n, 0)] = {(0, 0): 1} if n == 0 else {}
     for k in range(k_max):
-        shrink = 1 - _A * k
         for n in range(n_max + 1):
             if (n, k + 1) in cells:
                 continue
-            acc = ParamPoly()
-            for i in range(n + 1):
-                acc = acc + cells[(i, k)] * math.comb(n, i)
-            value = (_L * acc + shrink * cells[(n, k)]) * Fraction(1, k + 1)
-            cells[(n, k + 1)] = value
+            y = cells[(n, k)]
+            cells[(n, k + 1)] = _combine(
+                [(cells[(i, k)], math.comb(n, i), 1, 0) for i in range(n + 1)]
+                + [(y, 1, 0, 0), (y, -k, 0, 1)])
 
 
 def _fill_n_recurrence(cells, n_max, k_max):
+    """F: Y(n+1,k) = l sum_j C(n,j) (Y(j,k-1) + Y(j+1,k-1))
+                     + (1 + a - k a) Y(n+1,k-1),
+    with the row Y(0,k) = (l+1)_{k,a} grown a factor (l + 1 - (k-1) a) at
+    a time."""
     for n in range(n_max + 1):
-        cells[(n, 0)] = ParamPoly.const(1) if n == 0 else ParamPoly()
+        cells[(n, 0)] = {(0, 0): 1} if n == 0 else {}
     for k in range(1, k_max + 1):
-        inv_k = Fraction(1, k)
         if (0, k) not in cells:
-            cells[(0, k)] = (degenerate_falling(_L + 1, k, _A)
-                             * Fraction(1, math.factorial(k)))
-        tail = (1 + _A - _A * k) * inv_k
+            row = cells[(0, k - 1)]
+            cells[(0, k)] = _combine([(row, 1, 1, 0), (row, 1, 0, 0),
+                                      (row, 1 - k, 0, 1)])
         for n in range(n_max):
             if (n + 1, k) in cells:
                 continue
-            acc = ParamPoly()
+            parts = []
             for j in range(n + 1):
-                acc = acc + (cells[(j, k - 1)] + cells[(j + 1, k - 1)]) \
-                    * math.comb(n, j)
-            cells[(n + 1, k)] = _L * acc * inv_k + tail * cells[(n + 1, k - 1)]
+                c = math.comb(n, j)
+                parts += [(cells[(j, k - 1)], c, 1, 0),
+                          (cells[(j + 1, k - 1)], c, 1, 0)]
+            y = cells[(n + 1, k - 1)]
+            cells[(n + 1, k)] = _combine(parts + [(y, 1, 0, 0),
+                                                  (y, 1 - k, 0, 1)])
 
 
 _triangle_e = _Triangle(_fill_k_recurrence)
@@ -293,20 +328,6 @@ def y1star(n: int, k: int, route: str = "A") -> ParamPoly:
     if route == "E":
         return _triangle_e.get(n, k)
     return _triangle_f.get(n, k)
-
-
-def y1star_gf_coeffs(k: int, order: int) -> TruncSeries:
-    """The truncated generating function F_k with symbolic coefficients;
-    coefficient n equals y1star(n,k)/n!."""
-    return fk_series(k, order)
-
-
-def warm_caches(n_max: int, k_max: int) -> None:
-    """Precompute every route's tables up to (n_max, k_max)."""
-    for k in range(k_max + 1):
-        fk_series(k, n_max)
-    _triangle_e.get(n_max, k_max)
-    _triangle_f.get(n_max, k_max)
 
 
 FAMILY_FUNCS = {

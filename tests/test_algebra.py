@@ -8,10 +8,10 @@ import pytest
 
 from degsimsek.algebra import (PP, QQ, ParamPoly, SeriesDomainError,
                                SeriesRing, SeriesStructureError, TruncSeries,
-                               exp_t, parse_rational, poly_eval,
-                               series_compose, series_differentiate,
-                               series_exp, series_integrate, series_log1p,
-                               series_mul, series_reciprocal)
+                               exp_t, parse_rational, series_compose,
+                               series_differentiate, series_exp,
+                               series_integrate, series_log1p,
+                               series_reciprocal)
 
 from oracles import count_partitions, reciprocal_solve
 
@@ -22,32 +22,32 @@ def qs(coeffs, order=None, var="t"):
 
 
 # ---------------------------------------------------------------------------
-# series_mul
+# series products
 # ---------------------------------------------------------------------------
 
 def test_mul_difference_of_squares():
     a = qs([1, 1], order=5)
     b = qs([1, -1], order=5)
-    assert series_mul(a, b) == qs([1, 0, -1], order=5)
+    assert a * b == qs([1, 0, -1], order=5)
 
 
 def test_mul_exp_times_exp_minus():
     e = exp_t(8)
     em = TruncSeries("t", 8, [Fraction((-1) ** m, math.factorial(m))
                               for m in range(9)], QQ)
-    assert series_mul(e, em) == qs([1], order=8)
+    assert e * em == qs([1], order=8)
 
 
 def test_mul_geometric_telescopes():
     geo = qs([1] * 7, order=6)
-    assert series_mul(geo, qs([1, -1], order=6)) == qs([1], order=6)
+    assert geo * qs([1, -1], order=6) == qs([1], order=6)
 
 
 def test_mul_requires_matching_structure():
     with pytest.raises(SeriesStructureError):
-        series_mul(qs([1], order=3), qs([1], order=4))
+        qs([1], order=3) * qs([1], order=4)
     with pytest.raises(SeriesStructureError):
-        series_mul(qs([1], order=3), qs([1], order=3, var="x"))
+        qs([1], order=3) * qs([1], order=3, var="x")
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +177,16 @@ def test_integrate_clamps_to_requested_order():
 
 
 # ---------------------------------------------------------------------------
-# poly_eval and ParamPoly basics
+# ParamPoly.evaluate and ParamPoly basics
 # ---------------------------------------------------------------------------
 
 def test_poly_eval_examples():
     p = (ParamPoly.lam() ** 2 + ParamPoly.lam()
          - ParamPoly.lam() * ParamPoly.alpha() * Fraction(1, 2))
-    assert poly_eval(p, 1, 0) == 2
-    assert poly_eval(ParamPoly.const(1), Fraction(7, 3), Fraction(-5)) == 1
-    assert poly_eval(ParamPoly.lam() * ParamPoly.alpha(),
-                     Fraction(2, 3), Fraction(3, 2)) == 1
+    assert p.evaluate(1, 0) == 2
+    assert ParamPoly.const(1).evaluate(Fraction(7, 3), Fraction(-5)) == 1
+    assert (ParamPoly.lam() * ParamPoly.alpha()).evaluate(
+        Fraction(2, 3), Fraction(3, 2)) == 1
 
 
 def test_poly_eval_is_multiplicative():
@@ -196,8 +196,8 @@ def test_poly_eval_is_multiplicative():
         q = _random_poly(rng)
         lam = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         alpha = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        assert poly_eval(p * q, lam, alpha) == \
-            poly_eval(p, lam, alpha) * poly_eval(q, lam, alpha)
+        assert (p * q).evaluate(lam, alpha) == \
+            p.evaluate(lam, alpha) * q.evaluate(lam, alpha)
 
 
 def test_parse_and_render_rational():

@@ -72,6 +72,12 @@ def zero_or(strategy, zero):
 
 @SETTINGS
 @given(sparse(zero_or(rationals, Fraction(0))))
+# zeros beside denominators > 1 in both operands, for the integer product
+@example(([Fraction(1, 2), Fraction(0), Fraction(-3, 4), Fraction(0)],
+          [Fraction(0), Fraction(5, 6), Fraction(0), Fraction(-7, 9)]))
+@example(([Fraction(0), Fraction(-1, 25), Fraction(0)],
+          [Fraction(0), Fraction(0), Fraction(3, 10)]))
+@example(([Fraction(0)] * 3, [Fraction(2, 3), Fraction(0), Fraction(1, 7)]))
 def test_series_product_over_qq(pair):
     a, b = pair
     order = len(a) - 1

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from degsimsek import phi, registry, simsek
-from degsimsek.algebra import ParamPoly, poly_eval
+from degsimsek.algebra import ParamPoly
 from degsimsek.classical import degenerate_falling, stirling1
 from degsimsek.degenerate import deg_stirling2, new_deg_stirling2
 from degsimsek.phi import PointContext, phi_series
@@ -42,7 +42,7 @@ def test_values_match_direct_evaluation(point):
     ctx = PointContext(lam, alpha)
     for n in range(7):
         for k in range(9):
-            assert ctx.y(n, k) == poly_eval(y1star(n, k), lam, alpha)
+            assert ctx.y(n, k) == y1star(n, k).evaluate(lam, alpha)
         assert ctx.phi(n, 8) == phi_series(n, lam, alpha, 8)
 
 
@@ -147,3 +147,24 @@ def test_symbolic_job_computes_each_route_value_once(monkeypatch):
     run_suite([e.id for e in SYMBOLIC], order=8)
     assert sorted(asked) == sorted((n, k, route) for n in range(9)
                                    for k in range(9) for route in ROUTES)
+
+
+def test_suite_extracts_each_route_a_value_once(monkeypatch):
+    # a count, not a clock: every grid point evaluates the symbolic
+    # context's route-A polynomials instead of extracting them again
+    from degsimsek import cli, tables
+    extracted = []
+
+    def counting(func):
+        def wrapper(n, k, route="A"):
+            if route == "A":
+                extracted.append((n, k))
+            return func(n, k, route)
+        return wrapper
+
+    for module in (registry, phi, simsek, tables, cli):
+        monkeypatch.setattr(module, "y1star", counting(module.y1star))
+    reports = run_suite(order=8)
+    assert len(reports) == 95
+    assert len(extracted) <= 81
+    assert len(set(extracted)) == len(extracted)

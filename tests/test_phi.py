@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from degsimsek.algebra import poly_eval
 from degsimsek.phi import (check_egf, check_f_transform,
                            check_log_substitution, check_phi_apostol,
                            check_phi_derivative, check_phi_integral,
@@ -40,7 +39,7 @@ def test_phi_coefficient_consistency():
     for n in range(7):
         series = phi_series(n, lam, alpha, 8)
         for k in range(9):
-            assert series.coeffs[k] == poly_eval(y1star(n, k), lam, alpha)
+            assert series.coeffs[k] == y1star(n, k).evaluate(lam, alpha)
 
 
 def test_phi_symbolic_mode():

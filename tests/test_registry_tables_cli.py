@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from pathlib import Path
+import re
 import subprocess
 import sys
 
@@ -112,6 +113,41 @@ def test_suite_determinism_across_workers(suite_reports):
     assert reports_to_json(suite_reports) == reports_to_json(again)
 
 
+BAD_POINTS = [(Fraction(-1), Fraction(0)),      # Apostol-Euler needs lam != -1
+              (Fraction(0), Fraction(1, 2)),     # S2* relation needs lam != 0
+              (Fraction(1, 2), Fraction(-3, 2))]  # lam + alpha = -1
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
+def test_bad_grid_point_keeps_every_report(bad):
+    good = (Fraction(1), Fraction(0))
+    ids = [e.id for e in REGISTRY if e.mode == "rational"]
+    reports = run_suite(ids, order=2, grid=[good, bad])
+    assert len(reports) == 2 * len(ids)
+    errors = [r for r in reports if r.status == "error"]
+    assert errors
+    for r in errors:
+        assert (r.point_index, r.lam, r.alpha) == (1, *bad)
+        assert re.fullmatch(r"\w+Error: .+", r.mismatch), r.mismatch
+    assert suite_failed(reports)
+    # the good point reports exactly what it reports on its own
+    alone = run_suite(ids, order=2, grid=[good])
+    assert [r.to_dict() for r in reports if r.point_index == 0] == \
+        [r.to_dict() for r in alone]
+
+
+def test_cli_verify_exits_one_on_error_report(monkeypatch, capsys):
+    from degsimsek import cli, registry
+    monkeypatch.setattr(registry, "default_grid",
+                        lambda seed, extra: [(Fraction(1), Fraction(0)),
+                                             BAD_POINTS[2]])
+    assert cli.main(["verify", "--identity", "PHI-INT,PHI-INT-CORR",
+                     "--order", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "4 reports, 1 failures"
+    assert any(" error  [SeriesDomainError: " in line for line in lines)
+
+
 def test_suite_filter_runs_subset():
     reports = run_suite(["REC-K", "RED-A0"])
     assert [r.id for r in reports] == ["REC-K", "RED-A0"]
@@ -169,10 +205,9 @@ def test_symbolic_and_substituted_tables_agree():
     sym = build_table("y1star", "A", 3, 3)
     sub = build_table("y1star", "A", 3, 3, lam=Fraction(1), alpha=Fraction(1, 2))
     from degsimsek.simsek import y1star
-    from degsimsek.algebra import poly_eval
     for n in range(4):
         for k in range(4):
-            value = poly_eval(y1star(n, k), Fraction(1), Fraction(1, 2))
+            value = y1star(n, k).evaluate(Fraction(1), Fraction(1, 2))
             assert sub.entries[n][k] == str(value)
 
 
@@ -211,6 +246,22 @@ def test_cli_series():
     assert out.returncode == 0
     # F_2 at (1, 1/2): [ (2)(3/2)/2, 7/4, ... ]
     assert out.stdout.strip().startswith("[3/2, 7/4")
+
+
+def test_cli_reads_negative_rational_after_space():
+    joined = run_cli("phi", "--n", "1", "--lambda=-1/2", "--alpha=0")
+    spaced = run_cli("phi", "--n", "1", "--lambda", "-1/2", "--alpha", "0")
+    assert joined.returncode == 0 and joined.stdout.startswith("[0, -1/2")
+    assert (spaced.returncode, spaced.stdout) == (0, joined.stdout)
+    spaced = run_cli("compute", "--family", "y1star", "--n", "2", "--k", "2",
+                     "--lambda", "-3", "--alpha", "-1/3")
+    joined = run_cli("compute", "--family", "y1star", "--n", "2", "--k", "2",
+                     "--lambda=-3", "--alpha=-1/3")
+    assert (spaced.returncode, spaced.stdout) == (0, joined.stdout)
+    for bad in ("-1/0", "-x", "-1/2/3"):
+        result = run_cli("phi", "--n", "1", "--lambda", bad, "--alpha", "0")
+        assert result.returncode == 2, bad
+        assert "Traceback" not in result.stderr
 
 
 def test_cli_usage_errors_exit_2():

@@ -5,12 +5,13 @@ import math
 
 import pytest
 
-from degsimsek.algebra import ParamPoly, poly_eval
+from degsimsek import simsek
+from degsimsek.algebra import ParamPoly
 from degsimsek.classical import degenerate_falling
 from degsimsek.simsek import (ROUTES, deg_simsek_y1, deg_simsek_y1_alt,
                               fk_series, fk_series_via_bernoulli,
                               route_c_printed, simsek_y1, simsek_y1_via_gf,
-                              y1star, y1star_gf_coeffs)
+                              y1star)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -132,7 +133,6 @@ def test_unknown_route_rejected():
 # ---------------------------------------------------------------------------
 
 def test_fk_series_small_k():
-    assert y1star_gf_coeffs(0, 5) == fk_series(0, 5)
     f0 = fk_series(0, 5)
     assert f0.coeffs[0] == ParamPoly.const(1)
     assert all(c == ParamPoly() for c in f0.coeffs[1:])
@@ -145,7 +145,7 @@ def test_fk_series_small_k():
 
 def test_fk_coefficients_are_y1star():
     for k in range(7):
-        series = y1star_gf_coeffs(k, 8)
+        series = fk_series(k, 8)
         for n in range(9):
             assert series.coeffs[n] * math.factorial(n) == y1star(n, k)
 
@@ -156,7 +156,7 @@ def test_fk_rational_specialization():
         sym = fk_series(k, 7)
         spec = fk_series(k, 7, lam, alpha)
         for n in range(8):
-            assert poly_eval(sym.coeffs[n], lam, alpha) == spec.coeffs[n]
+            assert sym.coeffs[n].evaluate(lam, alpha) == spec.coeffs[n]
 
 
 def test_fk_bernoulli_polynomial_representation():
@@ -177,3 +177,25 @@ def test_fk_series_needs_both_point_values_or_neither():
         with pytest.raises(ValueError,
                            match="give both lam and alpha or neither"):
             fk_series(2, 4, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the integer recurrences E and F and the integer routes B and C
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fill", ["_fill_k_recurrence", "_fill_n_recurrence"])
+def test_triangle_filled_out_of_order_matches_route_b(fill):
+    # a fresh triangle grown in a scrambled order: first a tall column
+    # block, then a wide row block, then the whole square
+    triangle = simsek._Triangle(getattr(simsek, fill))
+    for n, k in ((3, 9), (12, 2), (14, 14)):
+        triangle.get(n, k)
+    for n in range(15):
+        for k in range(15):
+            assert triangle.get(n, k) == y1star(n, k, "B"), (n, k)
+
+
+def test_route_c_matches_route_b():
+    for n in range(13):
+        for k in range(13):
+            assert y1star(n, k, "C") == y1star(n, k, "B"), (n, k)

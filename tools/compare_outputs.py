@@ -4,11 +4,12 @@
 
 Each ROOT is a checkout of this repository; the CLI runs from ROOT/src in a
 fresh interpreter per case, two cases at a time.  The matrix: `verify` for
-seeds 0/7/41 x workers 1/2/3 x order 2/8/12 x text/csv/json, `table
---family y1star` for routes A and E, symbolic and at two rational points,
-as CSV and JSON, and `phi` at three points.  Every differing case is printed (exit status, stdout
-or stderr), and so is a case the CLI rejects as a usage error; the exit
-status is 1 on any of these, else 0.  Stdlib only.
+seeds 0/7/41 x workers 1/2/3 x order 2/8/12 x text/csv/json, and for seed
+0 x workers 1/2/3 x order 1/16 x text/csv/json; `table --family y1star`
+for routes A-F, symbolic and at two rational points, as CSV and JSON; and
+`phi` at three points.  Every differing case is printed (exit status,
+stdout or stderr), and so is a case the CLI rejects as a usage error; the
+exit status is 1 on any of these, else 0.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -26,15 +27,18 @@ USAGE_ERROR = 2
 
 def cases() -> list[list[str]]:
     matrix = []
-    for seed, workers, order, fmt in itertools.product(
-            ("0", "7", "41"), ("1", "2", "3"), ("2", "8", "12"),
-            ("text", "csv", "json")):
+    formats = ("text", "csv", "json")
+    verify_runs = [
+        *itertools.product(("0", "7", "41"), ("1", "2", "3"),
+                           ("2", "8", "12"), formats),
+        *itertools.product(("0",), ("1", "2", "3"), ("1", "16"), formats)]
+    for seed, workers, order, fmt in verify_runs:
         matrix.append(["verify", "--seed", seed, "--workers", workers,
                        "--order", order, "--format", fmt])
     # "--flag=value", so that argparse reads a negative value as a value
     points = ([], ["--lambda=1/2", "--alpha=1/3"],
               ["--lambda=-7/5", "--alpha=0"])
-    for route, point, fmt in itertools.product(("A", "E"), points,
+    for route, point, fmt in itertools.product("ABCDEF", points,
                                                ("csv", "json")):
         matrix.append(["table", "--family", "y1star", "--route", route,
                        "--n-max", "8", "--k-max", "8", "--format", fmt,
