@@ -24,8 +24,8 @@ from .phi import phi_series
 from .registry import (REGISTRY, registry_ids, run_suite, suite_failed)
 from .reports import reports_to_csv, reports_to_json
 from .simsek import (ROUTES, deg_simsek_y1, fk_series, simsek_y1, y1star)
-from .tables import (FAMILIES, TableUsageError, build_table, render_csv,
-                     render_json)
+from .tables import (FAMILIES, TableUsageError, _specialize, build_table,
+                     render_csv, render_json)
 
 USAGE_ERROR = 2
 
@@ -130,20 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_order, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random-points", type=_nonneg, default=2)
-    p.add_argument("--workers", type=_nonneg, default=1)
+    p.add_argument("--workers", type=_nonneg, default=1,
+                   help="accepted and ignored: the suite runs serially")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None)
 
     return parser
-
-
-def _poly_text(poly, lam, alpha) -> str:
-    """Canonical text of a ParamPoly value after optional substitution."""
-    if lam is not None and alpha is not None:
-        return str(poly.evaluate(lam, alpha))
-    if lam is not None or alpha is not None:
-        return poly.substitute(lam=lam, alpha=alpha).render()
-    return poly.render()
 
 
 def _family_poly(family: str, route: str, n: int, k: int):
@@ -161,7 +153,7 @@ def _cmd_compute(args) -> int:
     poly = _family_poly(args.family, args.route, args.n, args.k)
     alpha = Fraction(0) if args.family == "y1" and args.lam is not None \
         else args.alpha
-    print(_poly_text(poly, args.lam, alpha))
+    print(_specialize(poly, args.lam, alpha))
     return 0
 
 
@@ -183,7 +175,7 @@ def _cmd_series(args) -> int:
     for n in range(args.order + 1):
         poly = _family_poly(args.family, "A", n, args.k) \
             * Fraction(1, math.factorial(n))
-        coeffs.append(_poly_text(poly, args.lam, alpha))
+        coeffs.append(_specialize(poly, args.lam, alpha))
     print("[" + ", ".join(coeffs) + "]")
     return 0
 
@@ -212,16 +204,18 @@ def _cmd_verify(args) -> int:
             print(f"{entry.id:18} {entry.mode:9} {entry.description}{variant}")
         return 0
     ids = None
-    if args.identity:
+    if args.identity is not None:
         ids = [i.strip() for i in args.identity.split(",") if i.strip()]
+        if not ids:
+            print("verify: --identity names no identity id", file=sys.stderr)
+            return USAGE_ERROR
         unknown = [i for i in ids if i not in registry_ids()]
         if unknown:
             print(f"verify: unknown identity id(s): {', '.join(unknown)}",
                   file=sys.stderr)
             return USAGE_ERROR
     reports = run_suite(ids, order=args.order, seed=args.seed,
-                        extra_points=args.random_points,
-                        workers=max(args.workers, 1))
+                        extra_points=args.random_points)
     if args.format == "json":
         text = reports_to_json(reports)
     elif args.format == "csv":

@@ -14,9 +14,8 @@ check reports the (deterministic) first mismatch as "expected-discrepancy",
 and a corrected-divisor variant (divisor c+a) is checked alongside, clearly
 labeled as derived here rather than part of the stated formula family.
 
-The values the checks share at one point live in a PointContext, computed
-once on first use; each check takes an optional context and builds a fresh
-one when none is given.
+Each check takes the PointContext of its point first: it holds the point
+and the values the checks share there, each computed once on first use.
 """
 
 from __future__ import annotations
@@ -41,12 +40,6 @@ def phi_series(n: int, lam0, alpha0, order: int) -> TruncSeries:
     alpha0 = Fraction(alpha0)
     coeffs = [y1star(n, k).evaluate(lam0, alpha0) for k in range(order + 1)]
     return TruncSeries("x", order, coeffs, QQ)
-
-
-def phi_series_symbolic(n: int, order: int) -> TruncSeries:
-    """phi_n with ParamPoly coefficients (no substitution)."""
-    from .algebra import PP
-    return TruncSeries("x", order, [y1star(n, k) for k in range(order + 1)], PP)
 
 
 def _first_mismatch(lhs: TruncSeries, rhs: TruncSeries, label: str = "x"):
@@ -82,13 +75,13 @@ class PointContext:
     each value computed on first use and kept: y1star values, phi rows, the
     Apostol-Euler and corrected Euler weight rows, the powers of
     x/(1+alpha*x), (lam+1)_{m,alpha} and the S2*(n, j | alpha/lam) table.
-    The y1star values evaluate the route-A polynomials of `table` (an
-    object whose y(n, k) gives them, such as a registry.SymbolicContext
-    shared by every point of a suite), or of y1star when none is given.
+    The y1star values evaluate the route-A polynomials of `table`, an
+    object whose y(n, k) gives them, such as the registry.SymbolicContext
+    shared by every point of a suite.
     Not locked: keep a context on one thread.
     """
 
-    def __init__(self, lam0, alpha0, table=None):
+    def __init__(self, lam0, alpha0, table):
         self.lam = Fraction(lam0)
         self.alpha = Fraction(alpha0)
         self._table = table
@@ -99,21 +92,12 @@ class PointContext:
         self._falling = [Fraction(1)]
         self._em1_falling: list[TruncSeries] = []  # (e^t-1)_{j,alpha/lam}
 
-    @classmethod
-    def for_point(cls, lam0, alpha0, ctx=None) -> "PointContext":
-        """`ctx` when given (it must be at this point), else a new context."""
-        if ctx is None:
-            return cls(lam0, alpha0)
-        if (ctx.lam, ctx.alpha) != (Fraction(lam0), Fraction(alpha0)):
-            raise ValueError("the context belongs to another point")
-        return ctx
-
     def y(self, n: int, k: int) -> Fraction:
         """y1star(n,k) at the point."""
         value = self._y.get((n, k))
         if value is None:
-            poly = y1star(n, k) if self._table is None else self._table.y(n, k)
-            value = self._y[(n, k)] = poly.evaluate(self.lam, self.alpha)
+            value = self._y[(n, k)] = self._table.y(n, k).evaluate(
+                self.lam, self.alpha)
         return value
 
     def phi(self, n: int, order: int) -> TruncSeries:
@@ -183,32 +167,31 @@ class PointContext:
 
 
 # ---------------------------------------------------------------------------
-# The seven checks.  Each returns an IdentityReport for one (n, point).
+# The seven checks.  Each returns an IdentityReport for one n at the
+# point of its context.
 # ---------------------------------------------------------------------------
 
-def check_egf(n_t: int, k_order: int, lam0, alpha0, ctx=None) -> IdentityReport:
+def check_egf(ctx: PointContext, order: int) -> IdentityReport:
     """sum_n phi_n(x) t^n/n! = e_a^(l*e^t+1)(x), compared as a series in x
-    over a series in t, both sides truncated at (k_order, n_t)."""
-    ctx = PointContext.for_point(lam0, alpha0, ctx)
+    over a series in t, both sides truncated at order in x and in t."""
     lam0, alpha0 = ctx.lam, ctx.alpha
-    inner_ring = SeriesRing(QQ, "t", n_t)
+    inner_ring = SeriesRing(QQ, "t", order)
     lhs_cols = []
-    for k in range(k_order + 1):
+    for k in range(order + 1):
         col = [ctx.y(m, k) * Fraction(1, math.factorial(m))
-               for m in range(n_t + 1)]
-        lhs_cols.append(TruncSeries("t", n_t, col, QQ))
-    lhs = TruncSeries("x", k_order, lhs_cols, inner_ring)
-    c = exp_t(n_t, QQ) * lam0 + 1
-    rhs = deg_exp_series(c, alpha0, k_order, var="x")
+               for m in range(order + 1)]
+        lhs_cols.append(TruncSeries("t", order, col, QQ))
+    lhs = TruncSeries("x", order, lhs_cols, inner_ring)
+    c = exp_t(order, QQ) * lam0 + 1
+    rhs = deg_exp_series(c, alpha0, order, var="x")
     return _series_report("PHI-EGF", lam0, alpha0,
-                          f"Nt={n_t};K={k_order}", lhs, rhs)
+                          f"Nt={order};K={order}", lhs, rhs)
 
 
-def check_log_substitution(n: int, order: int, lam0, alpha0,
-                           ctx=None) -> IdentityReport:
+def check_log_substitution(ctx: PointContext, n: int,
+                           order: int) -> IdentityReport:
     """phi_n(x) = sum_k (log(1+a*x)/a)^k y1(n,k), assembled by composing the
     lam-specialized y1 column series with the inner log series."""
-    ctx = PointContext.for_point(lam0, alpha0, ctx)
     lam0, alpha0 = ctx.lam, ctx.alpha
     orders = f"K={order};n={n}"
     if alpha0 == 0:
@@ -225,11 +208,10 @@ def check_log_substitution(n: int, order: int, lam0, alpha0,
                           extra=f"n={n};")
 
 
-def check_phi_recurrence(n: int, order: int, lam0, alpha0,
-                         ctx=None) -> IdentityReport:
+def check_phi_recurrence(ctx: PointContext, n: int,
+                         order: int) -> IdentityReport:
     """phi_{n+1}(x) = (l/a) log(1+a*x) sum_i C(n,i) phi_i(x); at a=0 the
     prefactor is its limit l*x."""
-    ctx = PointContext.for_point(lam0, alpha0, ctx)
     lam0, alpha0 = ctx.lam, ctx.alpha
     lhs = ctx.phi(n + 1, order)
     x = TruncSeries.variable("x", order, QQ)
@@ -245,11 +227,10 @@ def check_phi_recurrence(n: int, order: int, lam0, alpha0,
                           lhs, rhs, extra=f"n={n};")
 
 
-def check_phi_derivative(n: int, order: int, lam0, alpha0,
-                         ctx=None) -> IdentityReport:
+def check_phi_derivative(ctx: PointContext, n: int,
+                         order: int) -> IdentityReport:
     """(1+a*x) phi_n'(x) = l sum_i C(n,i) phi_i(x) + phi_n(x), compared to
     x-order K-1 (the derivative loses one order)."""
-    ctx = PointContext.for_point(lam0, alpha0, ctx)
     lam0, alpha0 = ctx.lam, ctx.alpha
     cmp_order = order - 1
     x = TruncSeries.variable("x", cmp_order, QQ)
@@ -263,11 +244,10 @@ def check_phi_derivative(n: int, order: int, lam0, alpha0,
                           lhs, rhs, extra=f"n={n};")
 
 
-def check_phi_apostol(n: int, order: int, lam0, alpha0,
-                      ctx=None) -> IdentityReport:
+def check_phi_apostol(ctx: PointContext, n: int,
+                      order: int) -> IdentityReport:
     """(1+a*x) sum_m C(n,m) E_{n-m}(l) phi_m'(x) = 2 phi_n(x) with the
     first-kind Apostol-Euler weights E_j(l) = j! [t^j] 2/(l*e^t+1)."""
-    ctx = PointContext.for_point(lam0, alpha0, ctx)
     lam0, alpha0 = ctx.lam, ctx.alpha
     cmp_order = order - 1
     euler = ctx.apostol_row(n)
@@ -282,8 +262,8 @@ def check_phi_apostol(n: int, order: int, lam0, alpha0,
                           lhs, rhs, extra=f"n={n};")
 
 
-def check_phi_integral(n: int, order: int, lam0, alpha0,
-                       corrected: bool = False, ctx=None) -> IdentityReport:
+def check_phi_integral(ctx: PointContext, n: int, order: int,
+                       corrected: bool = False) -> IdentityReport:
     """int_0^x phi_n = ((1+a*x)/2) sum_i C(n,i) E_{n-i} phi_i(x) - E_n/2,
     for n >= 1.
 
@@ -294,7 +274,6 @@ def check_phi_integral(n: int, order: int, lam0, alpha0,
     """
     if n < 1:
         raise ValueError("the integral identity is stated for n >= 1")
-    ctx = PointContext.for_point(lam0, alpha0, ctx)
     lam0, alpha0 = ctx.lam, ctx.alpha
     rid = "PHI-INT-CORR" if corrected else "PHI-INT"
     euler = ctx.corrected_euler_row(n) if corrected else ctx.apostol_row(n)
@@ -309,15 +288,14 @@ def check_phi_integral(n: int, order: int, lam0, alpha0,
                           extra=f"n={n};", mismatch_status=mismatch_status)
 
 
-def check_f_transform(n: int, f_coeffs, order: int, lam0, alpha0,
-                      ctx=None) -> IdentityReport:
+def check_f_transform(ctx: PointContext, n: int, f_coeffs,
+                      order: int) -> IdentityReport:
     """sum_m y*(n,m) f(m) x^m
        = sum_{j<=n} C(n,j) sum_{m<=deg f} sum_{k<=m} S2(m,k) (x/(1+a*x))^k k!
                      f_m y*(j,k) phi_{n-j}(x)
     for a polynomial f given by its coefficient list.  The right side takes
     the m-sum first and then one series product with phi_{n-j} per j: the
     same finite exact sum, reordered."""
-    ctx = PointContext.for_point(lam0, alpha0, ctx)
     lam0, alpha0 = ctx.lam, ctx.alpha
     f_coeffs = [Fraction(c) for c in f_coeffs]
 

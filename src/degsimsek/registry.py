@@ -1,10 +1,11 @@
 """Identity registry and the verification suite runner.
 
 Each entry is one identity with a stable id, a self-contained statement,
-a mode and the callable that runs it: "symbolic" entries hold as
-ParamPoly/series identities in (l, a) and run once, all of them on one
+a mode and the callable that runs it on a context: "symbolic" entries hold
+as ParamPoly/series identities in (l, a) and run once, all of them on one
 shared SymbolicContext; "rational" entries run at every grid point, all of
-them at one point on one shared PointContext.
+them at one point on one shared PointContext.  The symbolic checks and
+REL-S2STAR compare n, k <= SYMBOLIC_BOUND whatever the suite's order.
 Variant entries (suffixed ids) exercise alternative readings of ambiguous
 statements or derived corrections; they can never fail the suite, only
 report what they found.
@@ -37,6 +38,8 @@ from .simsek import fk_series, route_c_printed, simsek_y1, y1star
 
 _L = ParamPoly.lam()
 _A = ParamPoly.alpha()
+
+SYMBOLIC_BOUND = 8
 
 FIXED_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(1), Fraction(0)),
@@ -72,8 +75,7 @@ class RegistryEntry:
 def _per_n(rid: str, check, ctx: PointContext, order: int,
            ns=PHI_N_VALUES, **options) -> IdentityReport:
     """One phi check for every n in ns at the context's point, merged."""
-    subs = [check(n, order, ctx.lam, ctx.alpha, ctx=ctx, **options)
-            for n in ns]
+    subs = [check(ctx, n, order, **options) for n in ns]
     return merge_reports(rid, subs, f"K={order};n<=3")
 
 
@@ -81,66 +83,62 @@ def _per_n(rid: str, check, ctx: PointContext, order: int,
 # a module-level name (a tracer, a test double) sees every call.
 REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry("EXPL-B", "explicit double sum over C(l,j) a^(k-l) s(k,l) "
-                  "l^j j^n equals the series route, n,k <= 8", "symbolic",
-                  lambda ctx, order: check_route_against_a(
-                      "EXPL-B", "B", ctx=ctx)),
+                  f"l^j j^n equals the series route, n,k <= {SYMBOLIC_BOUND}",
+                  "symbolic",
+                  lambda ctx, order: check_route_against_a(ctx, "EXPL-B", "B")),
     RegistryEntry("EXPL-C", "explicit double sum with the (1)_{k-l,a} factor "
-                  "equals the series route, n,k <= 8", "symbolic",
-                  lambda ctx, order: check_route_against_a(
-                      "EXPL-C", "C", ctx=ctx)),
+                  f"equals the series route, n,k <= {SYMBOLIC_BOUND}",
+                  "symbolic",
+                  lambda ctx, order: check_route_against_a(ctx, "EXPL-C", "C")),
     RegistryEntry("EXPL-C-PRINTED", "step-j variant (1)_{k-l,j} of EXPL-C; "
                   "recorded as a rejected reading", "symbolic",
-                  lambda ctx, order: check_expl_c_printed(ctx=ctx), "EXPL-C"),
+                  lambda ctx, order: check_expl_c_printed(ctx), "EXPL-C"),
     RegistryEntry("EXPL-D", "order-k Bernoulli-number formula equals the "
-                  "series route, n,k <= 8", "symbolic",
-                  lambda ctx, order: check_route_against_a(
-                      "EXPL-D", "D", ctx=ctx)),
+                  f"series route, n,k <= {SYMBOLIC_BOUND}", "symbolic",
+                  lambda ctx, order: check_route_against_a(ctx, "EXPL-D", "D")),
     RegistryEntry("FUNC-EQ", "(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! "
-                  "F_i(t), as series with ParamPoly coefficients, k <= 8",
-                  "symbolic",
-                  lambda ctx, order: check_func_eq(order=order, ctx=ctx)),
+                  "F_i(t), as series with ParamPoly coefficients, "
+                  f"k <= {SYMBOLIC_BOUND}", "symbolic",
+                  lambda ctx, order: check_func_eq(ctx, order)),
     RegistryEntry("THM-S1", "sum_j a^(k-j) s(k,j) l^j j^n = sum_i (-1)_{k-i,a} "
-                  "i! C(k,i) y*(n,i), plus its a=0 reduction, n,k <= 8",
-                  "symbolic", lambda ctx, order: check_thm_s1(ctx=ctx)),
+                  "i! C(k,i) y*(n,i), plus its a=0 reduction, "
+                  f"n,k <= {SYMBOLIC_BOUND}", "symbolic",
+                  lambda ctx, order: check_thm_s1(ctx)),
     RegistryEntry("REL-S2A", "y*(n,k) = (1/k!) sum_{i,j} S2a(k,i) s(i,j) j! "
-                  "y1(n,j), symbolic, n,k <= 8", "symbolic",
-                  lambda ctx, order: check_rel_s2a(ctx=ctx)),
+                  f"y1(n,j), symbolic, n,k <= {SYMBOLIC_BOUND}", "symbolic",
+                  lambda ctx, order: check_rel_s2a(ctx)),
     RegistryEntry("REC-K", "column recurrence (k+1) y*(n,k+1) = l sum C(n,i) "
                   "y*(i,k) + (1-k a) y*(n,k) reproduces the series route",
                   "symbolic",
-                  lambda ctx, order: check_route_against_a(
-                      "REC-K", "E", ctx=ctx)),
+                  lambda ctx, order: check_route_against_a(ctx, "REC-K", "E")),
     RegistryEntry("REC-N", "row recurrence for y*(n+1,k) from column k-1 "
                   "reproduces the series route", "symbolic",
-                  lambda ctx, order: check_route_against_a(
-                      "REC-N", "F", ctx=ctx)),
+                  lambda ctx, order: check_route_against_a(ctx, "REC-N", "F")),
     RegistryEntry("RED-A0", "substituting a=0 into y*(n,k) gives the plain "
-                  "Simsek numbers, n,k <= 8", "symbolic",
-                  lambda ctx, order: check_red_a0(ctx=ctx)),
+                  f"Simsek numbers, n,k <= {SYMBOLIC_BOUND}", "symbolic",
+                  lambda ctx, order: check_red_a0(ctx)),
     RegistryEntry("RED-CLASSICAL", "degenerate Stirling triangles at a=0 "
-                  "equal the classical ones; S2* at a=0 equals S2, n <= 8",
+                  "equal the classical ones; S2* at a=0 equals S2, "
+                  f"n <= {SYMBOLIC_BOUND}",
                   "symbolic", lambda ctx, order: check_red_classical()),
     RegistryEntry("REL-S2STAR", "y*(n,k) = (1/k!) sum_j C(k,j) j! l^j "
                   "(l+1)_{k-j,a} S2*(n,j|a/l) at rational points with l != 0",
-                  "rational", lambda ctx, order: check_rel_s2star(
-                      ctx.lam, ctx.alpha, reading="j", ctx=ctx)),
+                  "rational", lambda ctx, order: check_rel_s2star(ctx, "j")),
     RegistryEntry("REL-S2STAR-KIDX", "variant with the fixed index "
                   "S2*(n,k|a/l) inside the sum; recorded as a rejected "
-                  "reading", "rational", lambda ctx, order: check_rel_s2star(
-                      ctx.lam, ctx.alpha, reading="k", ctx=ctx), "REL-S2STAR"),
+                  "reading", "rational",
+                  lambda ctx, order: check_rel_s2star(ctx, "k"), "REL-S2STAR"),
     RegistryEntry("REL-S2STAR-DUPL", "variant with a duplicated l^j factor; "
                   "recorded as a rejected reading", "rational",
-                  lambda ctx, order: check_rel_s2star(
-                      ctx.lam, ctx.alpha, reading="dup", ctx=ctx), "REL-S2STAR"),
+                  lambda ctx, order: check_rel_s2star(ctx, "dup"),
+                  "REL-S2STAR"),
     RegistryEntry("REL-S2STAR-ZERO0", "variant dropping the j=0 term per the "
                   "S2*(n,0)=0 convention; mismatches at n=0", "rational",
-                  lambda ctx, order: check_rel_s2star(
-                      ctx.lam, ctx.alpha, reading="zero0", ctx=ctx),
+                  lambda ctx, order: check_rel_s2star(ctx, "zero0"),
                   "REL-S2STAR"),
     RegistryEntry("PHI-EGF", "sum_n phi_n(x) t^n/n! = e_a^(l e^t + 1)(x) as a "
                   "bivariate truncated series", "rational",
-                  lambda ctx, order: check_egf(order, order, ctx.lam,
-                                               ctx.alpha, ctx=ctx)),
+                  lambda ctx, order: check_egf(ctx, order)),
     RegistryEntry("PHI-LOG", "phi_n(x) = sum_k (log(1+a x)/a)^k y1(n,k); "
                   "trivially true at a=0", "rational",
                   lambda ctx, order: _per_n("PHI-LOG", check_log_substitution,
@@ -171,8 +169,7 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry("PHI-FT", "polynomial-transform identity for f in "
                   "{1, x, x^2, x^3-2x}", "rational",
                   lambda ctx, order: merge_reports("PHI-FT", [
-                      check_f_transform(n, f, order, ctx.lam, ctx.alpha,
-                                        ctx=ctx)
+                      check_f_transform(ctx, n, f, order)
                       for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES],
                       f"K={order};n<=3")),
 )
@@ -193,8 +190,11 @@ class SymbolicContext:
     and kept: y1star values per route, y1 values, the THM-S1/FUNC-EQ weights
     and their weighted sums of F_i, and the REL-S2A weights.  Its route-A
     values are also the table every grid point's PointContext evaluates.
+    Its point is (None, None): the symbolic checks hold in (l, a).
     Not locked: keep a context on one thread.
     """
+
+    lam = alpha = None
 
     def __init__(self):
         self._y: dict[tuple[int, int, str], ParamPoly] = {}
@@ -259,8 +259,8 @@ class SymbolicContext:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic checks.  Each takes an optional SymbolicContext and builds a fresh
-# one when none is given.
+# Symbolic checks.  Each takes the suite's SymbolicContext first and compares
+# n, k <= SYMBOLIC_BOUND.
 # ---------------------------------------------------------------------------
 
 def _poly_pair_report(rid: str, pairs, orders: str,
@@ -275,54 +275,46 @@ def _poly_pair_report(rid: str, pairs, orders: str,
     return IdentityReport(rid, None, None, orders, PASS)
 
 
-def check_route_against_a(rid: str, route: str, n_max: int = 8,
-                          k_max: int = 8, ctx=None) -> IdentityReport:
-    ctx = ctx or SymbolicContext()
-
+def check_route_against_a(ctx: SymbolicContext, rid: str,
+                          route: str) -> IdentityReport:
     def pairs():
-        for k in range(k_max + 1):
-            for n in range(n_max + 1):
+        for k in range(SYMBOLIC_BOUND + 1):
+            for n in range(SYMBOLIC_BOUND + 1):
                 yield (f"(n,k)=({n},{k})", ctx.y(n, k, route), ctx.y(n, k))
-    return _poly_pair_report(rid, pairs(), f"n,k<={max(n_max, k_max)}")
+    return _poly_pair_report(rid, pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_expl_c_printed(n_max: int = 8, k_max: int = 8,
-                         ctx=None) -> IdentityReport:
-    ctx = ctx or SymbolicContext()
-
+def check_expl_c_printed(ctx: SymbolicContext) -> IdentityReport:
     def pairs():
-        for k in range(k_max + 1):
-            for n in range(n_max + 1):
+        for k in range(SYMBOLIC_BOUND + 1):
+            for n in range(SYMBOLIC_BOUND + 1):
                 yield (f"(n,k)=({n},{k})", route_c_printed(n, k), ctx.y(n, k))
     return _poly_pair_report("EXPL-C-PRINTED", pairs(),
-                             f"n,k<={max(n_max, k_max)}",
+                             f"n,k<={SYMBOLIC_BOUND}",
                              mismatch_status=EXPECTED_DISCREPANCY)
 
 
-def check_func_eq(k_max: int = 8, order: int = 8, ctx=None) -> IdentityReport:
-    ctx = ctx or SymbolicContext()
-
+def check_func_eq(ctx: SymbolicContext, order: int) -> IdentityReport:
     def pairs():
         lam_exp = exp_t(order, PP) * _L
         rhs = lam_exp * 0 + 1  # (l e^t)_{k,a}, one factor more per k
-        for k in range(k_max + 1):
+        for k in range(SYMBOLIC_BOUND + 1):
             if k:
                 rhs = rhs * (lam_exp - _A * (k - 1))
             lhs = ctx.weighted_fk(k, order)
             for d in range(order + 1):
                 yield (f"k={k};t^{d}", lhs.coeffs[d], rhs.coeffs[d])
-    return _poly_pair_report("FUNC-EQ", pairs(), f"k<={k_max};N={order}")
+    return _poly_pair_report("FUNC-EQ", pairs(),
+                             f"k<={SYMBOLIC_BOUND};N={order}")
 
 
-def check_thm_s1(n_max: int = 8, k_max: int = 8, ctx=None) -> IdentityReport:
+def check_thm_s1(ctx: SymbolicContext) -> IdentityReport:
     """The right side sum_i weight(k,i) y*(n,i) is read as n! [t^n] of
     sum_i weight(k,i) F_i(t) (route A of every y*(n,i) at once)."""
-    ctx = ctx or SymbolicContext()
-
     def pairs():
-        for k in range(k_max + 1):
-            weighted = ctx.weighted_fk(k, n_max)
-            for n in range(n_max + 1):
+        for k in range(SYMBOLIC_BOUND + 1):
+            weighted = ctx.weighted_fk(k, SYMBOLIC_BOUND)
+            for n in range(SYMBOLIC_BOUND + 1):
                 lhs = ParamPoly({(j, k - j): stirling1(k, j) * j**n
                                  for j in range(k + 1)})
                 rhs = weighted.coeffs[n] * math.factorial(n)
@@ -335,38 +327,34 @@ def check_thm_s1(n_max: int = 8, k_max: int = 8, ctx=None) -> IdentityReport:
                                   * math.factorial(i))
                     rhs0 = rhs0 + ctx.y1(n, i) * w0
                 yield (f"a=0;(n,k)=({n},{k})", lhs0, rhs0)
-    return _poly_pair_report("THM-S1", pairs(), f"n,k<={max(n_max, k_max)}")
+    return _poly_pair_report("THM-S1", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_rel_s2a(n_max: int = 8, k_max: int = 8, ctx=None) -> IdentityReport:
+def check_rel_s2a(ctx: SymbolicContext) -> IdentityReport:
     """y*(n,k) = (1/k!) sum_{i,j} S2a(k,i) s(i,j) j! y1(n,j), with the i-sum
     taken first: sum_j s2a_weight(k,j) y1(n,j), the same finite sum."""
-    ctx = ctx or SymbolicContext()
-
     def pairs():
-        for k in range(k_max + 1):
-            for n in range(n_max + 1):
+        for k in range(SYMBOLIC_BOUND + 1):
+            for n in range(SYMBOLIC_BOUND + 1):
                 rhs = ParamPoly()
                 for j in range(k + 1):
                     rhs = rhs + ctx.s2a_weight(k, j) * ctx.y1(n, j)
                 yield (f"(n,k)=({n},{k})", ctx.y(n, k), rhs)
-    return _poly_pair_report("REL-S2A", pairs(), f"n,k<={max(n_max, k_max)}")
+    return _poly_pair_report("REL-S2A", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_red_a0(n_max: int = 8, k_max: int = 8, ctx=None) -> IdentityReport:
-    ctx = ctx or SymbolicContext()
-
+def check_red_a0(ctx: SymbolicContext) -> IdentityReport:
     def pairs():
-        for k in range(k_max + 1):
-            for n in range(n_max + 1):
+        for k in range(SYMBOLIC_BOUND + 1):
+            for n in range(SYMBOLIC_BOUND + 1):
                 yield (f"(n,k)=({n},{k})",
                        ctx.y(n, k).substitute(alpha=0), ctx.y1(n, k))
-    return _poly_pair_report("RED-A0", pairs(), f"n,k<={max(n_max, k_max)}")
+    return _poly_pair_report("RED-A0", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_red_classical(n_max: int = 8) -> IdentityReport:
+def check_red_classical() -> IdentityReport:
     def pairs():
-        for n in range(n_max + 1):
+        for n in range(SYMBOLIC_BOUND + 1):
             for k in range(n + 1):
                 yield (f"S2a->S2;(n,k)=({n},{k})",
                        deg_stirling2(n, k).substitute(alpha=0),
@@ -374,20 +362,21 @@ def check_red_classical(n_max: int = 8) -> IdentityReport:
                 yield (f"S1a->S1;(n,k)=({n},{k})",
                        deg_stirling1(n, k).substitute(alpha=0),
                        ParamPoly.const(stirling1(n, k)))
-            for k in range(n_max + 1):
+            for k in range(SYMBOLIC_BOUND + 1):
                 yield (f"S2*->S2;(n,k)=({n},{k})",
                        ParamPoly.const(new_deg_stirling2(n, k, Fraction(0))),
                        ParamPoly.const(stirling2(n, k)))
-    return _poly_pair_report("RED-CLASSICAL", pairs(), f"n,k<={n_max}")
+    return _poly_pair_report("RED-CLASSICAL", pairs(),
+                             f"n,k<={SYMBOLIC_BOUND}")
 
 
 # ---------------------------------------------------------------------------
 # Rational checks beyond the phi family.
 # ---------------------------------------------------------------------------
 
-def check_rel_s2star(lam0, alpha0, n_max: int = 8, k_max: int = 8,
-                     reading: str = "j", ctx=None) -> IdentityReport:
-    """The S2* decomposition at a rational point with lam != 0.
+def check_rel_s2star(ctx: PointContext, reading: str) -> IdentityReport:
+    """The S2* decomposition at the context's point, which needs lam != 0,
+    for n, k <= SYMBOLIC_BOUND.
 
     reading selects the summation-index/factor variant:
       "j"     sum index inside S2*, single l^j factor (the proved form)
@@ -397,14 +386,13 @@ def check_rel_s2star(lam0, alpha0, n_max: int = 8, k_max: int = 8,
 
     y*(n,k), (l+1)_{m,a} and S2*(n,j|a/l) are read from the point's context.
     """
-    ctx = PointContext.for_point(lam0, alpha0, ctx)
     lam0, alpha0 = ctx.lam, ctx.alpha
     if lam0 == 0:
         raise ValueError("the S2* relation needs lam != 0")
     rid = {"j": "REL-S2STAR", "k": "REL-S2STAR-KIDX",
            "dup": "REL-S2STAR-DUPL", "zero0": "REL-S2STAR-ZERO0"}[reading]
     status, mismatch = PASS, ""
-    for k in range(k_max + 1):
+    for k in range(SYMBOLIC_BOUND + 1):
         inv = Fraction(1, math.factorial(k))
         # the n-free factor of term j: (1/k!) C(k,j) j! l^j (l+1)_{k-j,a}
         weights = [inv * math.comb(k, j) * math.factorial(j)
@@ -412,7 +400,7 @@ def check_rel_s2star(lam0, alpha0, n_max: int = 8, k_max: int = 8,
                    * ctx.lam_falling(k - j) for j in range(k + 1)]
         if reading == "zero0":
             weights[0] = Fraction(0)
-        for n in range(n_max + 1):
+        for n in range(SYMBOLIC_BOUND + 1):
             lhs = ctx.y(n, k)
             rhs = Fraction(0)
             for j, weight in enumerate(weights):
@@ -423,7 +411,7 @@ def check_rel_s2star(lam0, alpha0, n_max: int = 8, k_max: int = 8,
                 break
         if status != PASS:
             break
-    return IdentityReport(rid, lam0, alpha0, f"n,k<={max(n_max, k_max)}",
+    return IdentityReport(rid, lam0, alpha0, f"n,k<={SYMBOLIC_BOUND}",
                           status, mismatch)
 
 
@@ -450,15 +438,13 @@ def default_grid(seed: int = 0, extra: int = 2) -> list[tuple[Fraction, Fraction
 
 
 def run_suite(ids=None, *, order: int = 8, seed: int = 0,
-              extra_points: int = 2, workers: int = 1,
-              grid=None) -> list[IdentityReport]:
+              extra_points: int = 2, grid=None) -> list[IdentityReport]:
     """Run the selected registry entries (all by default) and return the
     deterministically ordered report list.
 
     Everything runs serially: the symbolic entries on one SymbolicContext,
     then the rational entries at each grid point on one PointContext that
-    evaluates that SymbolicContext's route-A values.  `workers` is accepted
-    for compatibility and changes nothing."""
+    evaluates that SymbolicContext's route-A values."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if ids is None:
@@ -473,32 +459,32 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
 
     # F_0..F_bound at the suite bound: route A then reads truncations and
     # never rebuilds an F_k for a larger n
-    bound = max(8, order)
+    bound = max(SYMBOLIC_BOUND, order)
     for k in range(bound + 1):
         fk_series(k, bound)
 
     symbolic = SymbolicContext()
-    reports = [_run_entry(entry, symbolic, order, (None, None), 0)
+    reports = [_run_entry(entry, symbolic, order, 0)
                for entry in selected if entry.mode == "symbolic"]
     rational = [e for e in selected if e.mode == "rational"]
     if rational:
         for idx, point in enumerate(grid):
-            ctx = PointContext(*point, table=symbolic)
-            reports += [_run_entry(entry, ctx, order, (ctx.lam, ctx.alpha),
-                                   idx) for entry in rational]
+            ctx = PointContext(*point, symbolic)
+            reports += [_run_entry(entry, ctx, order, idx)
+                        for entry in rational]
     reports.sort(key=lambda r: (r.id, r.point_index))
     return reports
 
 
-def _run_entry(entry: RegistryEntry, ctx, order: int, point,
+def _run_entry(entry: RegistryEntry, ctx, order: int,
                idx: int) -> IdentityReport:
     """entry.run(ctx, order), timed; an exception becomes an error report
-    at the point, so it hides no other report."""
+    at the context's point, so it hides no other report."""
     start = time.perf_counter()
     try:
         report = entry.run(ctx, order)
     except Exception as exc:
-        report = IdentityReport(entry.id, *point, "", ERROR,
+        report = IdentityReport(entry.id, ctx.lam, ctx.alpha, "", ERROR,
                                 f"{type(exc).__name__}: {exc}")
     report.wall_time = time.perf_counter() - start
     report.point_index = idx

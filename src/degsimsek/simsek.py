@@ -328,9 +328,3 @@ def y1star(n: int, k: int, route: str = "A") -> ParamPoly:
     if route == "E":
         return _triangle_e.get(n, k)
     return _triangle_f.get(n, k)
-
-
-FAMILY_FUNCS = {
-    "y1": simsek_y1,
-    "y1deg": deg_simsek_y1,
-}

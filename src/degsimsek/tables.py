@@ -53,6 +53,7 @@ class NumberTable:
 
 
 def _specialize(poly: ParamPoly, lam, alpha) -> str:
+    """Canonical text of a ParamPoly value after optional substitution."""
     if lam is not None and alpha is not None:
         return str(poly.evaluate(lam, alpha))
     if lam is not None or alpha is not None:

@@ -7,6 +7,8 @@ everywhere, and runtime budgets are asserted where stated.
 
 from fractions import Fraction
 import math
+import subprocess
+import sys
 import time
 
 import pytest
@@ -16,7 +18,6 @@ from degsimsek.classical import (bernoulli_number, degenerate_falling,
                                  falling_factorial, stirling1, stirling2)
 from degsimsek.degenerate import deg_stirling1, deg_stirling2
 from degsimsek.registry import FIXED_POINTS, run_suite
-from degsimsek.reports import reports_to_csv, reports_to_json
 from degsimsek.simsek import ROUTES, y1star
 
 from oracles import (count_partitions, falling_factorial_coeffs,
@@ -159,9 +160,16 @@ def test_criterion_7_golden_oracle_values():
 
 
 def test_criterion_8_suite_determinism():
-    first = run_suite(order=8, seed=7, extra_points=2, workers=1)
-    second = run_suite(order=8, seed=7, extra_points=2, workers=3)
-    ok = (reports_to_csv(first) == reports_to_csv(second)
-          and reports_to_json(first) == reports_to_json(second))
+    # `verify` in a fresh interpreter per run; --workers is accepted and
+    # ignored, so the bytes must not depend on it
+    ok = True
+    for fmt in ("csv", "json"):
+        runs = [subprocess.run(
+            [sys.executable, "-m", "degsimsek.cli", "verify", "--order", "8",
+             "--seed", "7", "--random-points", "2", "--format", fmt,
+             "--workers", workers], capture_output=True, text=True)
+            for workers in ("1", "3")]
+        ok &= all(r.returncode == 0 and r.stdout for r in runs)
+        ok &= runs[0].stdout == runs[1].stdout
     _report("8 verify is byte-identical for fixed seed across worker counts",
             bool(ok))

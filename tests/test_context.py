@@ -26,7 +26,7 @@ SYMBOLIC = [e for e in REGISTRY if e.mode == "symbolic"]
 def test_s2star_table_matches_new_deg_stirling2(ratio):
     # lam = 2 so the context has to form the ratio alpha/lam itself; n rises
     # in the outer loop, so the product restarts at every higher order
-    ctx = PointContext(2, 2 * ratio)
+    ctx = PointContext(2, 2 * ratio, SymbolicContext())
     for n in range(11):
         for j in range(11):
             assert ctx.s2star(n, j) == new_deg_stirling2(n, j, ratio), (n, j)
@@ -39,7 +39,7 @@ def test_s2star_table_matches_new_deg_stirling2(ratio):
 @pytest.mark.parametrize("point", POINTS)
 def test_values_match_direct_evaluation(point):
     lam, alpha = point
-    ctx = PointContext(lam, alpha)
+    ctx = PointContext(lam, alpha, SymbolicContext())
     for n in range(7):
         for k in range(9):
             assert ctx.y(n, k) == y1star(n, k).evaluate(lam, alpha)
@@ -50,19 +50,13 @@ def test_values_match_direct_evaluation(point):
 def test_shared_context_gives_identical_reports(point):
     # fill one context by running every rational entry in reverse registry
     # order, then compare each entry on it against a fresh context
-    shared = PointContext(*point)
+    shared = PointContext(*point, SymbolicContext())
     for entry in reversed(RATIONAL):
         entry.run(shared, 8)
     for entry in RATIONAL:
-        fresh = entry.run(PointContext(*point), 8)
+        fresh = entry.run(PointContext(*point, SymbolicContext()), 8)
         reused = entry.run(shared, 8)
         assert (fresh.id, fresh.to_dict()) == (reused.id, reused.to_dict())
-
-
-def test_context_of_another_point_is_rejected():
-    from degsimsek.phi import check_phi_derivative
-    with pytest.raises(ValueError, match="another point"):
-        check_phi_derivative(1, 4, 1, 0, ctx=PointContext(1, Fraction(1, 2)))
 
 
 def test_suite_evaluates_each_value_once_per_point(monkeypatch):

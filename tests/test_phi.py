@@ -4,14 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from degsimsek.phi import (check_egf, check_f_transform,
+from degsimsek.phi import (PointContext, check_egf, check_f_transform,
                            check_log_substitution, check_phi_apostol,
                            check_phi_derivative, check_phi_integral,
                            check_phi_recurrence, phi_series)
-from degsimsek.registry import FIXED_POINTS, F_TRANSFORM_POLYS, random_points
+from degsimsek.registry import (FIXED_POINTS, F_TRANSFORM_POLYS,
+                                SymbolicContext, random_points)
 from degsimsek.simsek import y1star
 
 POINTS = list(FIXED_POINTS) + random_points(seed=42, count=5)
+TABLE = SymbolicContext()
+
+
+def at(lam, alpha) -> PointContext:
+    """A fresh context at (lam, alpha) on the shared route-A table."""
+    return PointContext(lam, alpha, TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -42,31 +49,24 @@ def test_phi_coefficient_consistency():
             assert series.coeffs[k] == y1star(n, k).evaluate(lam, alpha)
 
 
-def test_phi_symbolic_mode():
-    from degsimsek.phi import phi_series_symbolic
-    series = phi_series_symbolic(2, 5)
-    for k in range(6):
-        assert series.coeffs[k] == y1star(2, k)
-
-
 # ---------------------------------------------------------------------------
 # the seven checks at rational points
 # ---------------------------------------------------------------------------
 
 def test_egf_passes_on_grid():
     for lam, alpha in POINTS:
-        report = check_egf(8, 8, lam, alpha)
+        report = check_egf(at(lam, alpha), 8)
         assert report.status == "pass", (lam, alpha, report.mismatch)
 
 
 def test_egf_degenerate_point():
-    assert check_egf(6, 6, 0, 0).status == "pass"
+    assert check_egf(at(0, 0), 6).status == "pass"
 
 
 def test_log_substitution():
     for lam, alpha in POINTS:
         for n in range(4):
-            report = check_log_substitution(n, 8, lam, alpha)
+            report = check_log_substitution(at(lam, alpha), n, 8)
             expected = "trivially-true" if alpha == 0 else "pass"
             assert report.status == expected, (n, lam, alpha, report.mismatch)
 
@@ -74,47 +74,48 @@ def test_log_substitution():
 def test_recurrence_check():
     for lam, alpha in POINTS:
         for n in range(4):
-            report = check_phi_recurrence(n, 8, lam, alpha)
+            report = check_phi_recurrence(at(lam, alpha), n, 8)
             assert report.status == "pass", (n, lam, alpha, report.mismatch)
 
 
 def test_derivative_check():
     for lam, alpha in POINTS:
         for n in range(4):
-            report = check_phi_derivative(n, 8, lam, alpha)
+            report = check_phi_derivative(at(lam, alpha), n, 8)
             assert report.status == "pass", (n, lam, alpha, report.mismatch)
 
 
 def test_apostol_check():
     for lam, alpha in POINTS:
         for n in range(4):
-            report = check_phi_apostol(n, 8, lam, alpha)
+            report = check_phi_apostol(at(lam, alpha), n, 8)
             assert report.status == "pass", (n, lam, alpha, report.mismatch)
 
 
 def test_checks_at_lambda_zero_edge():
     # at lam = 0 every row n >= 1 of y1star vanishes, so the recurrence and
     # derivative statements degenerate but must still verify
-    assert check_phi_recurrence(0, 6, 0, Fraction(1, 3)).status == "pass"
-    assert check_phi_derivative(0, 6, 0, 0).status == "pass"
-    assert check_phi_apostol(0, 6, 0, Fraction(1, 2)).status == "pass"
-    assert check_phi_apostol(2, 8, Fraction(1, 3), Fraction(1, 5)).status == "pass"
+    assert check_phi_recurrence(at(0, Fraction(1, 3)), 0, 6).status == "pass"
+    assert check_phi_derivative(at(0, 0), 0, 6).status == "pass"
+    assert check_phi_apostol(at(0, Fraction(1, 2)), 0, 6).status == "pass"
+    report = check_phi_apostol(at(Fraction(1, 3), Fraction(1, 5)), 2, 8)
+    assert report.status == "pass"
 
 
 def test_integral_check_exact_at_alpha_zero():
     for lam in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-2, 3)):
         for n in range(1, 4):
-            report = check_phi_integral(n, 8, lam, 0)
+            report = check_phi_integral(at(lam, 0), n, 8)
             assert report.status == "pass", (n, lam, report.mismatch)
 
 
 def test_integral_check_discrepancy_is_regression_locked():
-    report = check_phi_integral(1, 8, 1, Fraction(1, 2))
+    report = check_phi_integral(at(1, Fraction(1, 2)), 1, 8)
     assert report.status == "expected-discrepancy"
     assert report.mismatch == "n=1;x^1;lhs=0;rhs=-1/8"
-    again = check_phi_integral(1, 8, 1, Fraction(1, 2))
+    again = check_phi_integral(at(1, Fraction(1, 2)), 1, 8)
     assert again.mismatch == report.mismatch
-    report2 = check_phi_integral(1, 8, Fraction(2, 3), Fraction(1, 3))
+    report2 = check_phi_integral(at(Fraction(2, 3), Fraction(1, 3)), 1, 8)
     assert report2.status == "expected-discrepancy"
     assert report2.mismatch == "n=1;x^1;lhs=0;rhs=-2/25"
 
@@ -124,7 +125,7 @@ def test_integral_check_never_passes_silently_at_nonzero_alpha():
         if alpha == 0:
             continue
         for n in range(1, 4):
-            report = check_phi_integral(n, 8, lam, alpha)
+            report = check_phi_integral(at(lam, alpha), n, 8)
             assert report.status == "expected-discrepancy"
             assert report.mismatch
 
@@ -132,34 +133,34 @@ def test_integral_check_never_passes_silently_at_nonzero_alpha():
 def test_corrected_integral_variant_passes():
     for lam, alpha in POINTS:
         for n in range(1, 4):
-            report = check_phi_integral(n, 8, lam, alpha, corrected=True)
+            report = check_phi_integral(at(lam, alpha), n, 8, corrected=True)
             assert report.id == "PHI-INT-CORR"
             assert report.status == "pass", (n, lam, alpha, report.mismatch)
 
 
 def test_integral_check_requires_positive_n():
     with pytest.raises(ValueError):
-        check_phi_integral(0, 8, 1, 0)
+        check_phi_integral(at(1, 0), 0, 8)
 
 
 def test_f_transform():
     for lam, alpha in POINTS[:5] + random_points(seed=9, count=3):
         for f in F_TRANSFORM_POLYS:
             for n in range(4):
-                report = check_f_transform(n, f, 8, lam, alpha)
+                report = check_f_transform(at(lam, alpha), n, f, 8)
                 assert report.status == "pass", (n, f, lam, alpha,
                                                  report.mismatch)
 
 
 def test_f_transform_constant_f_is_phi():
     # with f = 1 the right side collapses to phi_n itself
-    report = check_f_transform(5, (Fraction(1),), 6, Fraction(1, 3),
-                               Fraction(2, 7))
+    report = check_f_transform(at(Fraction(1, 3), Fraction(2, 7)), 5,
+                               (Fraction(1),), 6)
     assert report.status == "pass"
 
 
 def test_reports_serialize_without_wall_time():
-    report = check_phi_derivative(1, 6, 1, 0)
+    report = check_phi_derivative(at(1, 0), 1, 6)
     data = report.to_dict()
     assert "wall_time" not in data
     assert data["status"] == "pass"

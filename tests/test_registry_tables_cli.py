@@ -11,7 +11,6 @@ import pytest
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, default_grid,
                                 random_points, registry_ids, run_suite,
                                 suite_failed)
-from degsimsek.reports import reports_to_csv, reports_to_json
 from degsimsek.tables import (TableUsageError, build_table, parse_csv,
                               parse_json, render_csv, render_json)
 
@@ -64,7 +63,7 @@ def test_unknown_filter_id_is_rejected():
 
 @pytest.fixture(scope="module")
 def suite_reports():
-    return run_suite(order=8, seed=0, extra_points=2, workers=1)
+    return run_suite(order=8, seed=0, extra_points=2)
 
 
 def test_suite_has_no_failures(suite_reports):
@@ -107,10 +106,27 @@ def test_suite_expected_discrepancies(suite_reports):
         assert r.status == expected
 
 
-def test_suite_determinism_across_workers(suite_reports):
-    again = run_suite(order=8, seed=0, extra_points=2, workers=4)
-    assert reports_to_csv(suite_reports) == reports_to_csv(again)
-    assert reports_to_json(suite_reports) == reports_to_json(again)
+def test_suite_determinism_across_workers():
+    # --workers is accepted and ignored; each run is a fresh interpreter
+    for fmt in ("csv", "json"):
+        runs = [run_cli("verify", "--seed", "0", "--order", "8", "--format",
+                        fmt, "--workers", workers) for workers in ("1", "3")]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+
+
+@pytest.mark.parametrize("order", [2, 12])
+def test_symbolic_bound_is_independent_of_order(order):
+    # the symbolic checks and REL-S2STAR compare n, k <= 8 at every order;
+    # only FUNC-EQ's series order N follows it
+    ids = [e.id for e in REGISTRY
+           if e.mode == "symbolic" or e.id.startswith("REL-S2STAR")]
+    reports = run_suite(ids, order=order, extra_points=0)
+    assert {r.id for r in reports} == set(ids)
+    assert not suite_failed(reports)
+    for r in reports:
+        expected = f"k<=8;N={order}" if r.id == "FUNC-EQ" else "n,k<=8"
+        assert r.orders == expected, r.id
 
 
 BAD_POINTS = [(Fraction(-1), Fraction(0)),      # Apostol-Euler needs lam != -1
@@ -341,6 +357,15 @@ def test_cli_unwritable_out_exits_2(tmp_path, command):
     assert result.returncode == 2
     assert result.stderr.startswith(f"degsimsek {command[0]}: cannot write "
                                     f"{target}: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("identity", [",", " , ", ""])
+def test_cli_verify_rejects_empty_identity_list(identity):
+    result = run_cli("verify", "--identity", identity)
+    assert result.returncode == 2
+    assert result.stderr.startswith("verify: ")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
 

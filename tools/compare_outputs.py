@@ -6,8 +6,10 @@ Each ROOT is a checkout of this repository; the CLI runs from ROOT/src in a
 fresh interpreter per case, two cases at a time.  The matrix: `verify` for
 seeds 0/7/41 x workers 1/2/3 x order 2/8/12 x text/csv/json, and for seed
 0 x workers 1/2/3 x order 1/16 x text/csv/json; `table --family y1star`
-for routes A-F, symbolic and at two rational points, as CSV and JSON; and
-`phi` at three points.  Every differing case is printed (exit status,
+for routes A-F, symbolic and at two rational points, as CSV and JSON;
+`compute` and `series` for the families y1, y1deg and y1star, symbolic,
+with --lambda only, --alpha only and both, where the CLI accepts the
+combination; and `phi` at three points.  Every differing case is printed (exit status,
 stdout or stderr), and so is a case the CLI rejects as a usage error; the
 exit status is 1 on any of these, else 0.  Stdlib only.
 """
@@ -43,6 +45,17 @@ def cases() -> list[list[str]]:
         matrix.append(["table", "--family", "y1star", "--route", route,
                        "--n-max", "8", "--k-max", "8", "--format", fmt,
                        *point])
+    subs = ([], ["--lambda=-3/2"], ["--alpha=2/5"],
+            ["--lambda=-3/2", "--alpha=2/5"])
+    for family, sub in itertools.product(("y1", "y1deg", "y1star"), subs):
+        if family == "y1" and "--alpha=2/5" in sub:
+            continue  # y1 takes no --alpha
+        matrix.append(["compute", "--family", family, "--n", "5", "--k", "3",
+                       *sub])
+        if family != "y1star" or len(sub) != 1:
+            # series y1star takes both --lambda and --alpha or neither
+            matrix.append(["series", "--family", family, "--k", "3",
+                           "--order", "6", *sub])
     for n, lam, alpha in (("0", "0", "1"), ("3", "2/3", "1/3"),
                           ("6", "-5/2", "-3/4")):
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
