@@ -30,12 +30,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}") from exc
 
 
-def render_rational(value: Fraction) -> str:
-    # Fraction already normalizes: positive denominator, sign on numerator,
-    # "p" when the denominator is 1.
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # Sparse polynomials in the two deformation parameters, written l and a.
 # ---------------------------------------------------------------------------
@@ -257,6 +251,41 @@ def _powers(base: int, top: int) -> list[int]:
     return out
 
 
+# Integer terms {(deg_l, deg_a): c} of Z[l,a].  The fraction-free routes and
+# identity checks sum k!-scaled values in these and build a ParamPoly once,
+# when a value is returned or a mismatch is written out.
+
+def _over(terms: dict, den: int) -> ParamPoly:
+    """The polynomial with integer terms `terms`, divided by `den`."""
+    p = ParamPoly.__new__(ParamPoly)
+    p.terms = {key: Fraction(c, den) for key, c in terms.items() if c}
+    return p
+
+
+def _combine(parts) -> dict:
+    """sum of c * l^dl * a^da * terms over the (terms, c, dl, da) parts, as
+    integer terms without zeros."""
+    out: dict[tuple[int, int], int] = {}
+    for terms, c, dl, da in parts:
+        if not c:
+            continue
+        for (i, j), v in terms.items():
+            key = (i + dl, j + da)
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _int_terms(poly: ParamPoly, scale: int) -> dict:
+    """scale * poly as integer terms; ValueError unless that is integral."""
+    out = {}
+    for key, c in poly.terms.items():
+        q, r = divmod(c.numerator * scale, c.denominator)
+        if r:
+            raise ValueError(f"{scale} * ({poly.render()}) is not integral")
+        out[key] = q
+    return out
+
+
 def render_scalar(value) -> str:
     """Canonical text of a table/report cell: Rational or ParamPoly."""
     if isinstance(value, ParamPoly):
@@ -381,20 +410,59 @@ class TruncSeries:
     `coeffs` is a tuple of order+1 coefficient-ring elements; coefficient j
     of any operation depends only on input coefficients 0..j, so truncating
     an order-N result to M <= N equals computing at order M directly.
+
+    Over QQ a series is held fraction-free: integer numerators `nums` over
+    one positive denominator `den`, in lowest terms (the gcd of den and all
+    numerators is 1), so equal series have equal (nums, den).  The QQ
+    operations below work on that form, and `coeffs` is built from it only
+    when a caller reads it.
     """
 
-    __slots__ = ("var", "order", "coeffs", "ring")
+    __slots__ = ("var", "order", "ring", "nums", "den", "_coeffs")
 
     def __init__(self, var: str, order: int, coeffs, ring):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        coeffs = [ring.coerce(c) for c in coeffs]
+        coeffs = [ring.coerce(c) for c in coeffs][: order + 1]
         if len(coeffs) < order + 1:
             coeffs.extend(ring.zero for _ in range(order + 1 - len(coeffs)))
         self.var = var
         self.order = order
-        self.coeffs = tuple(coeffs[: order + 1])
         self.ring = ring
+        self._coeffs = tuple(coeffs)
+        if isinstance(ring, RationalField):
+            # the lcm of reduced denominators leaves no common factor
+            den = math.lcm(*(c.denominator for c in coeffs))
+            self.nums = tuple(c.numerator * (den // c.denominator)
+                              for c in coeffs)
+            self.den = den
+
+    @classmethod
+    def _qq(cls, var: str, order: int, nums, den: int) -> "TruncSeries":
+        """The QQ series nums/den (order+1 integer numerators, den != 0),
+        brought to lowest terms with a positive denominator."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        s = cls.__new__(cls)
+        s.var = var
+        s.order = order
+        s.ring = QQ
+        s.nums = tuple(nums)
+        s.den = den
+        s._coeffs = None
+        return s
+
+    @property
+    def coeffs(self) -> tuple:
+        coeffs = self._coeffs
+        if coeffs is None:
+            den = self.den
+            coeffs = self._coeffs = tuple(Fraction(c, den) for c in self.nums)
+        return coeffs
 
     # -- constructors -------------------------------------------------------
 
@@ -421,26 +489,46 @@ class TruncSeries:
     def _is_series_operand(self, other) -> bool:
         return isinstance(other, TruncSeries) and other.var == self.var
 
+    def _both_qq(self, other: "TruncSeries") -> bool:
+        return isinstance(self.ring, RationalField) and \
+            isinstance(other.ring, RationalField)
+
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise SeriesStructureError(
                 f"cannot extend order {self.order} series to {order}")
+        if isinstance(self.ring, RationalField):
+            out = TruncSeries._qq(self.var, order, self.nums[: order + 1],
+                                  self.den)
+            if self._coeffs is not None:
+                out._coeffs = self._coeffs[: order + 1]
+            return out
         return TruncSeries(self.var, order, self.coeffs[: order + 1], self.ring)
 
-    def constant_term(self):
-        return self.coeffs[0]
-
     # -- ring operations ----------------------------------------------------
+
+    def _add_qq(self, nums, den: int) -> "TruncSeries":
+        """self + nums/den, for order+1 numerators."""
+        common = math.lcm(self.den, den)
+        f, g = common // self.den, common // den
+        return TruncSeries._qq(self.var, self.order,
+                               [a * f + b * g for a, b in zip(self.nums, nums)],
+                               common)
 
     def __add__(self, other):
         if self._is_series_operand(other):
             self._check_compatible(other)
+            if self._both_qq(other):
+                return self._add_qq(other.nums, other.den)
             coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
         else:
             try:
                 scalar = self.ring.coerce(other)
             except TypeError:
                 return NotImplemented
+            if isinstance(self.ring, RationalField):
+                return self._add_qq([scalar.numerator] + [0] * self.order,
+                                    scalar.denominator)
             coeffs = list(self.coeffs)
             coeffs[0] = coeffs[0] + scalar
         return TruncSeries(self.var, self.order, coeffs, self.ring)
@@ -448,17 +536,25 @@ class TruncSeries:
     __radd__ = __add__
 
     def __neg__(self):
+        if isinstance(self.ring, RationalField):
+            return TruncSeries._qq(self.var, self.order,
+                                   [-c for c in self.nums], self.den)
         return TruncSeries(self.var, self.order, [-c for c in self.coeffs], self.ring)
 
     def __sub__(self, other):
         if self._is_series_operand(other):
             self._check_compatible(other)
+            if self._both_qq(other):
+                return self._add_qq([-c for c in other.nums], other.den)
             coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
             return TruncSeries(self.var, self.order, coeffs, self.ring)
         try:
             scalar = self.ring.coerce(other)
         except TypeError:
             return NotImplemented
+        if isinstance(self.ring, RationalField):
+            return self._add_qq([-scalar.numerator] + [0] * self.order,
+                                scalar.denominator)
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] - scalar
         return TruncSeries(self.var, self.order, coeffs, self.ring)
@@ -469,8 +565,7 @@ class TruncSeries:
     def __mul__(self, other):
         if self._is_series_operand(other):
             self._check_compatible(other)
-            if isinstance(self.ring, RationalField) and \
-                    isinstance(other.ring, RationalField):
+            if self._both_qq(other):
                 return self._mul_qq(other)
             n = self.order
             zero = self.ring.zero
@@ -493,31 +588,30 @@ class TruncSeries:
                 raise SeriesStructureError(
                     f"variable mismatch: {self.var!r} vs {other.var!r}") from None
             return NotImplemented
+        if isinstance(self.ring, RationalField):
+            p = scalar.numerator
+            return TruncSeries._qq(self.var, self.order,
+                                   [c * p for c in self.nums],
+                                   self.den * scalar.denominator)
         return TruncSeries(self.var, self.order,
                            [c * scalar for c in self.coeffs], self.ring)
 
     __rmul__ = __mul__
 
     def _mul_qq(self, other: "TruncSeries") -> "TruncSeries":
-        """The truncated product over QQ, summed in integers: each operand
-        is scaled by the lcm of its denominators, the numerators are
-        convolved, and one Fraction is built per output coefficient."""
+        """The truncated product over QQ, summed in integers: the numerators
+        are convolved over the product of the denominators."""
         n = self.order
-        den_a = math.lcm(*(c.denominator for c in self.coeffs))
-        den_b = math.lcm(*(c.denominator for c in other.coeffs))
-        left = [(i, c.numerator * (den_a // c.denominator))
-                for i, c in enumerate(self.coeffs) if c]
-        right = [(j, c.numerator * (den_b // c.denominator))
-                 for j, c in enumerate(other.coeffs) if c]
+        right = [(j, b) for j, b in enumerate(other.nums) if b]
         sums = [0] * (n + 1)
-        for i, a in left:
+        for i, a in enumerate(self.nums):
+            if not a:
+                continue
             for j, b in right:
                 if i + j > n:
                     break
                 sums[i + j] += a * b
-        den = den_a * den_b
-        return TruncSeries(self.var, n, [Fraction(c, den) for c in sums],
-                           self.ring)
+        return TruncSeries._qq(self.var, n, sums, self.den * other.den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -536,12 +630,19 @@ class TruncSeries:
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries):
-            return (self.var == other.var and self.order == other.order
-                    and self.coeffs == other.coeffs)
+            if self.var != other.var or self.order != other.order:
+                return False
+            if self._both_qq(other):
+                return self.den == other.den and self.nums == other.nums
+            return self.coeffs == other.coeffs
         try:
             scalar = self.ring.coerce(other)
         except (TypeError, SeriesStructureError):
             return NotImplemented
+        if isinstance(self.ring, RationalField):
+            return (self.nums[0] * scalar.denominator
+                    == scalar.numerator * self.den
+                    and not any(self.nums[1:]))
         zero = self.ring.zero
         return self.coeffs[0] == scalar and all(c == zero for c in self.coeffs[1:])
 
@@ -608,6 +709,8 @@ def series_log1p(a: TruncSeries) -> TruncSeries:
 def series_reciprocal(a: TruncSeries) -> TruncSeries:
     """b with a·b = 1 up to the truncation order; the constant term of a
     must be invertible in the coefficient ring."""
+    if isinstance(a.ring, RationalField):
+        return _reciprocal_qq(a)
     inv0 = a.ring.invert(a.coeffs[0])
     n = a.order
     zero = a.ring.zero
@@ -619,6 +722,24 @@ def series_reciprocal(a: TruncSeries) -> TruncSeries:
                 acc = acc + a.coeffs[j] * out[m - j]
         out[m] = -(inv0 * acc)
     return TruncSeries(a.var, n, out, a.ring)
+
+
+def _reciprocal_qq(a: TruncSeries) -> TruncSeries:
+    """1/a for a = nums/den over QQ, fraction-free: with c_0 = 1 and
+    c_m = -sum_{j=1..m} nums[j] c_{m-j} nums[0]^(j-1), the coefficient m
+    of den/nums is den c_m / nums[0]^(m+1), over the one denominator
+    nums[0]^(N+1)."""
+    nums, n = a.nums, a.order
+    n0 = nums[0]
+    if n0 == 0:
+        raise SeriesDomainError("division by zero in QQ")
+    powers = _powers(n0, n + 1)
+    c = [1]
+    for m in range(1, n + 1):
+        c.append(-sum(nums[j] * c[m - j] * powers[j - 1]
+                      for j in range(1, m + 1) if nums[j]))
+    return TruncSeries._qq(a.var, n, [a.den * c[m] * powers[n - m]
+                                      for m in range(n + 1)], powers[n + 1])
 
 
 def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
@@ -637,6 +758,9 @@ def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
 def series_differentiate(a: TruncSeries) -> TruncSeries:
     """Formal derivative; the order drops by one (clamped at zero)."""
     n = max(a.order - 1, 0)
+    if isinstance(a.ring, RationalField):
+        nums = [a.nums[j + 1] * (j + 1) for j in range(a.order)] or [0]
+        return TruncSeries._qq(a.var, n, nums, a.den)
     coeffs = [a.coeffs[j + 1] * (j + 1) for j in range(a.order)]
     if not coeffs:
         coeffs = [a.ring.zero]
@@ -647,6 +771,12 @@ def series_integrate(a: TruncSeries, order: int | None = None) -> TruncSeries:
     """Formal antiderivative with zero constant term.  By default the order
     rises to N+1; pass `order` to clamp the result."""
     n = a.order + 1 if order is None else order
+    if isinstance(a.ring, RationalField):
+        # over the denominator den * lcm(1..n): out_j = nums[j-1] / j
+        scale = math.lcm(*range(1, n + 1))
+        nums = [0] + [a.nums[j - 1] * (scale // j) if j - 1 <= a.order else 0
+                      for j in range(1, n + 1)]
+        return TruncSeries._qq(a.var, n, nums, a.den * scale)
     zero = a.ring.zero
     out = [zero] * (n + 1)
     for j in range(1, n + 1):

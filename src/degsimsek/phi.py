@@ -58,7 +58,9 @@ def _first_mismatch(lhs: TruncSeries, rhs: TruncSeries, label: str = "x"):
 
 def _series_report(rid, lam0, alpha0, orders, lhs, rhs, extra="",
                    mismatch_status=FAIL) -> IdentityReport:
-    miss = _first_mismatch(lhs, rhs)
+    # equal series compare in their integer form; coefficients are read
+    # only to locate a mismatch
+    miss = None if lhs == rhs else _first_mismatch(lhs, rhs)
     if miss is None:
         return IdentityReport(rid, lam0, alpha0, orders, PASS)
     loc, a, b = miss

@@ -12,8 +12,10 @@ report what they found.
 
 The suite runs serially and is deterministic: for a fixed seed and grid
 the report list (sorted by id, then point index), and hence its
-serialization, is byte-identical for every run.  An entry that raises at
-a point gives an "error" report there; the other reports are kept.
+serialization, is byte-identical for every run.  A rational entry at a
+point outside its domain gives a "not-applicable" report there, which does
+not fail the suite; an entry that raises gives an "error" report, which
+does.  Either way the other reports are kept.
 """
 
 from __future__ import annotations
@@ -25,19 +27,16 @@ import random
 import time
 from typing import Callable
 
-from .algebra import PP, ParamPoly, TruncSeries, exp_t
+from .algebra import ParamPoly, _combine, _int_terms, _over
 from .classical import stirling1, stirling2
 from .degenerate import deg_stirling1, deg_stirling2, new_deg_stirling2
 from .phi import (PointContext, check_egf, check_f_transform,
                   check_log_substitution, check_phi_apostol,
                   check_phi_derivative, check_phi_integral,
                   check_phi_recurrence, merge_reports)
-from .reports import (ERROR, EXPECTED_DISCREPANCY, FAIL, PASS,
-                      IdentityReport)
+from .reports import (ERROR, EXPECTED_DISCREPANCY, FAIL, NOT_APPLICABLE,
+                      PASS, IdentityReport)
 from .simsek import fk_series, route_c_printed, simsek_y1, y1star
-
-_L = ParamPoly.lam()
-_A = ParamPoly.alpha()
 
 SYMBOLIC_BOUND = 8
 
@@ -60,6 +59,26 @@ PHI_N_VALUES = (0, 1, 2, 3)
 PHI_INT_N_VALUES = (1, 2, 3)
 
 
+def _everywhere(lam: Fraction, alpha: Fraction) -> bool:
+    return True
+
+
+def _lam_not_minus_one(lam: Fraction, alpha: Fraction) -> bool:
+    """The Apostol-Euler weights 2/(lam e^t + 1) need lam != -1."""
+    return lam != -1
+
+
+def _corrected_divisor_nonzero(lam: Fraction, alpha: Fraction) -> bool:
+    """The corrected weights 2/(lam e^t + 1 + alpha) need lam + 1 + alpha
+    != 0."""
+    return lam + 1 + alpha != 0
+
+
+def _lam_nonzero(lam: Fraction, alpha: Fraction) -> bool:
+    """S2*(n, j | alpha/lam) needs lam != 0."""
+    return lam != 0
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
     id: str
@@ -70,6 +89,10 @@ class RegistryEntry:
     run: Callable[[PointContext | SymbolicContext, int], IdentityReport] = \
         field(compare=False, repr=False)
     variant_of: str | None = None
+    # domain(lam, alpha) of a rational entry: outside it the suite reports
+    # "not-applicable" without running the check
+    domain: Callable[[Fraction, Fraction], bool] = \
+        field(default=_everywhere, compare=False, repr=False)
 
 
 def _per_n(rid: str, check, ctx: PointContext, order: int,
@@ -123,19 +146,21 @@ REGISTRY: tuple[RegistryEntry, ...] = (
                   "symbolic", lambda ctx, order: check_red_classical()),
     RegistryEntry("REL-S2STAR", "y*(n,k) = (1/k!) sum_j C(k,j) j! l^j "
                   "(l+1)_{k-j,a} S2*(n,j|a/l) at rational points with l != 0",
-                  "rational", lambda ctx, order: check_rel_s2star(ctx, "j")),
+                  "rational", lambda ctx, order: check_rel_s2star(ctx, "j"),
+                  domain=_lam_nonzero),
     RegistryEntry("REL-S2STAR-KIDX", "variant with the fixed index "
                   "S2*(n,k|a/l) inside the sum; recorded as a rejected "
                   "reading", "rational",
-                  lambda ctx, order: check_rel_s2star(ctx, "k"), "REL-S2STAR"),
+                  lambda ctx, order: check_rel_s2star(ctx, "k"), "REL-S2STAR",
+                  domain=_lam_nonzero),
     RegistryEntry("REL-S2STAR-DUPL", "variant with a duplicated l^j factor; "
                   "recorded as a rejected reading", "rational",
                   lambda ctx, order: check_rel_s2star(ctx, "dup"),
-                  "REL-S2STAR"),
+                  "REL-S2STAR", domain=_lam_nonzero),
     RegistryEntry("REL-S2STAR-ZERO0", "variant dropping the j=0 term per the "
                   "S2*(n,0)=0 convention; mismatches at n=0", "rational",
                   lambda ctx, order: check_rel_s2star(ctx, "zero0"),
-                  "REL-S2STAR"),
+                  "REL-S2STAR", domain=_lam_nonzero),
     RegistryEntry("PHI-EGF", "sum_n phi_n(x) t^n/n! = e_a^(l e^t + 1)(x) as a "
                   "bivariate truncated series", "rational",
                   lambda ctx, order: check_egf(ctx, order)),
@@ -154,18 +179,21 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry("PHI-AE", "(1+a x) sum_m C(n,m) E_{n-m}(l) phi_m' = 2 phi_n "
                   "with Apostol-Euler weights", "rational",
                   lambda ctx, order: _per_n("PHI-AE", check_phi_apostol,
-                                            ctx, order)),
+                                            ctx, order),
+                  domain=_lam_not_minus_one),
     RegistryEntry("PHI-INT", "int_0^x phi_n = ((1+a x)/2) sum_i C(n,i) "
                   "E_{n-i}(l) phi_i - E_n(l)/2; exact at a=0, deterministic "
                   "discrepancy at a != 0", "rational",
                   lambda ctx, order: _per_n("PHI-INT", check_phi_integral,
-                                            ctx, order, PHI_INT_N_VALUES)),
+                                            ctx, order, PHI_INT_N_VALUES),
+                  domain=_lam_not_minus_one),
     RegistryEntry("PHI-INT-CORR", "integral identity with the corrected "
                   "divisor l e^t + 1 + a (derived here, not part of the "
                   "stated family)", "rational",
                   lambda ctx, order: _per_n("PHI-INT-CORR", check_phi_integral,
                                             ctx, order, PHI_INT_N_VALUES,
-                                            corrected=True), "PHI-INT"),
+                                            corrected=True), "PHI-INT",
+                  domain=_corrected_divisor_nonzero),
     RegistryEntry("PHI-FT", "polynomial-transform identity for f in "
                   "{1, x, x^2, x^3-2x}", "rational",
                   lambda ctx, order: merge_reports("PHI-FT", [
@@ -185,11 +213,22 @@ def registry_ids() -> list[str]:
 # The values shared by the symbolic checks.
 # ---------------------------------------------------------------------------
 
+def _minus_one_falling(m: int) -> list[int]:
+    """The coefficients of a^0, a^1, ... in (-1)_{m,a} =
+    (-1)(-1-a)...(-1-(m-1)a)."""
+    out = [1]
+    for i in range(m):
+        out = [-c - i * p for c, p in zip(out + [0], [0] + out)]
+    return out
+
+
 class SymbolicContext:
     """Everything the symbolic checks read, each value computed on first use
-    and kept: y1star values per route, y1 values, the THM-S1/FUNC-EQ weights
-    and their weighted sums of F_i, and the REL-S2A weights.  Its route-A
-    values are also the table every grid point's PointContext evaluates.
+    and kept: y1star values per route, and in integers, as terms
+    {(deg_l, deg_a): c} of Z[l,a], the scaled route-A values
+    Y(n,k) = k! y*(n,k), the scaled Simsek numbers j! y1(n,j) and the
+    THM-S1/FUNC-EQ sums.  Its route-A values are also the table every grid
+    point's PointContext evaluates.
     Its point is (None, None): the symbolic checks hold in (l, a).
     Not locked: keep a context on one thread.
     """
@@ -198,11 +237,9 @@ class SymbolicContext:
 
     def __init__(self):
         self._y: dict[tuple[int, int, str], ParamPoly] = {}
-        self._y1: dict[tuple[int, int], ParamPoly] = {}
-        self._neg_falling = [ParamPoly.const(1)]  # (-1)_{m,a}
-        self._weights: dict[tuple[int, int], ParamPoly] = {}
-        self._weighted_fk: dict[int, TruncSeries] = {}
-        self._s2a_weights: dict[tuple[int, int], ParamPoly] = {}
+        self._scaled_y: dict[tuple[int, int], dict] = {}
+        self._scaled_y1: dict[tuple[int, int], dict] = {}
+        self._falling_sums: dict[tuple[int, int], dict] = {}
 
     def y(self, n: int, k: int, route: str = "A") -> ParamPoly:
         """y1star(n,k) by the given route."""
@@ -211,50 +248,31 @@ class SymbolicContext:
             value = self._y[(n, k, route)] = y1star(n, k, route)
         return value
 
-    def y1(self, n: int, j: int) -> ParamPoly:
-        """The Simsek number y1(n,j)."""
-        value = self._y1.get((n, j))
+    def scaled_y(self, n: int, k: int) -> dict:
+        """Y(n,k) = k! y*(n,k), converted exactly from route A."""
+        value = self._scaled_y.get((n, k))
         if value is None:
-            value = self._y1[(n, j)] = simsek_y1(n, j)
+            value = self._scaled_y[(n, k)] = _int_terms(self.y(n, k),
+                                                        math.factorial(k))
         return value
 
-    def weight(self, k: int, i: int) -> ParamPoly:
-        """(-1)_{k-i,a} C(k,i) i!, the weight of y*(n,i) in THM-S1 and of
-        F_i in FUNC-EQ."""
-        value = self._weights.get((k, i))
+    def scaled_y1(self, n: int, j: int) -> dict:
+        """j! y1(n,j), the scaled Simsek number."""
+        value = self._scaled_y1.get((n, j))
         if value is None:
-            falling = self._neg_falling
-            while len(falling) <= k - i:
-                m = len(falling) - 1
-                falling.append(falling[m] * (-1 - _A * m))
-            value = self._weights[(k, i)] = (
-                falling[k - i] * (math.comb(k, i) * math.factorial(i)))
+            value = self._scaled_y1[(n, j)] = _int_terms(simsek_y1(n, j),
+                                                         math.factorial(j))
         return value
 
-    def weighted_fk(self, k: int, order: int) -> TruncSeries:
-        """sum_i weight(k,i) F_i(t) to the given order: the right side of
-        FUNC-EQ, and n! times its t^n coefficient is the right side of
-        THM-S1.  The highest order asked for is kept; lower ones read a
-        truncation of it."""
-        series = self._weighted_fk.get(k)
-        if series is None or series.order < order:
-            series = TruncSeries.constant(ParamPoly(), "t", order, PP)
-            for i in range(k + 1):
-                series = series + fk_series(i, order) * self.weight(k, i)
-            self._weighted_fk[k] = series
-        return series if series.order == order else series.truncate(order)
-
-    def s2a_weight(self, k: int, j: int) -> ParamPoly:
-        """(j!/k!) sum_i S2a(k,i) s(i,j), the weight of y1(n,j) in REL-S2A."""
-        value = self._s2a_weights.get((k, j))
+    def falling_sum(self, k: int, n: int) -> dict:
+        """sum_i (-1)_{k-i,a} C(k,i) Y(n,i): the right side of THM-S1, and
+        n! [t^n] of the left side of FUNC-EQ."""
+        value = self._falling_sums.get((k, n))
         if value is None:
-            scale = Fraction(math.factorial(j), math.factorial(k))
-            value = ParamPoly()
-            for i in range(j, k + 1):
-                c = stirling1(i, j)
-                if c:
-                    value = value + deg_stirling2(k, i) * (scale * c)
-            self._s2a_weights[(k, j)] = value
+            value = self._falling_sums[(k, n)] = _combine(
+                (self.scaled_y(n, i), math.comb(k, i) * c, 0, e)
+                for i in range(k + 1)
+                for e, c in enumerate(_minus_one_falling(k - i)))
         return value
 
 
@@ -263,12 +281,15 @@ class SymbolicContext:
 # n, k <= SYMBOLIC_BOUND.
 # ---------------------------------------------------------------------------
 
-def _poly_pair_report(rid: str, pairs, orders: str,
-                      mismatch_status: str = FAIL) -> IdentityReport:
-    """Compare (location, lhs, rhs) ParamPoly triples; record the first
-    difference."""
-    for loc, lhs, rhs in pairs:
+def _pair_report(rid: str, pairs, orders: str,
+                 mismatch_status: str = FAIL) -> IdentityReport:
+    """Compare (location, lhs, rhs, den) quadruples and record the first
+    difference: ParamPolys when den is None, else the integer terms of
+    den times each side."""
+    for loc, lhs, rhs, den in pairs:
         if lhs != rhs:
+            if den is not None:
+                lhs, rhs = _over(lhs, den), _over(rhs, den)
             text = f"{loc};lhs={lhs.render()};rhs={rhs.render()}"
             return IdentityReport(rid, None, None, orders, mismatch_status,
                                   text)
@@ -280,76 +301,104 @@ def check_route_against_a(ctx: SymbolicContext, rid: str,
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
             for n in range(SYMBOLIC_BOUND + 1):
-                yield (f"(n,k)=({n},{k})", ctx.y(n, k, route), ctx.y(n, k))
-    return _poly_pair_report(rid, pairs(), f"n,k<={SYMBOLIC_BOUND}")
+                yield (f"(n,k)=({n},{k})", ctx.y(n, k, route), ctx.y(n, k),
+                       None)
+    return _pair_report(rid, pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
 def check_expl_c_printed(ctx: SymbolicContext) -> IdentityReport:
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
             for n in range(SYMBOLIC_BOUND + 1):
-                yield (f"(n,k)=({n},{k})", route_c_printed(n, k), ctx.y(n, k))
-    return _poly_pair_report("EXPL-C-PRINTED", pairs(),
-                             f"n,k<={SYMBOLIC_BOUND}",
-                             mismatch_status=EXPECTED_DISCREPANCY)
+                yield (f"(n,k)=({n},{k})", route_c_printed(n, k), ctx.y(n, k),
+                       None)
+    return _pair_report("EXPL-C-PRINTED", pairs(), f"n,k<={SYMBOLIC_BOUND}",
+                        mismatch_status=EXPECTED_DISCREPANCY)
+
+
+def _lam_exp_falling(order: int):
+    """Yield, for k = 0, 1, ..., the integer terms of N! [t^d] (l e^t)_{k,a}
+    for d <= N = order: the OGF product of the factors l e^t - j a, j < k.
+    Each factor's coefficients are kept scaled by N!, so a product is N!^2
+    times the value and each of its coefficients is divided by N! once,
+    exactly."""
+    scale = math.factorial(order)
+    lam_exp = [{(1, 0): scale // math.factorial(d)} for d in range(order + 1)]
+    product = [{(0, 0): scale}] + [{}] * order
+    j = 0
+    while True:
+        yield product
+        factor = [_combine([(lam_exp[0], 1, 0, 0), ({(0, 1): scale}, -j, 0, 0)])]
+        factor += lam_exp[1:]
+        product = [{key: v // scale for key, v in _combine(
+            (product[d - e], c, dl, da) for e in range(d + 1)
+            for (dl, da), c in factor[e].items()).items()}
+                   for d in range(order + 1)]
+        j += 1
 
 
 def check_func_eq(ctx: SymbolicContext, order: int) -> IdentityReport:
+    """(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! F_i(t), both sides
+    compared as N! = order! times their t^d coefficients, in integers: the
+    left side's coefficient is falling_sum(k, d)/d!, the right side's comes
+    from _lam_exp_falling."""
+    scale = math.factorial(order)
+
     def pairs():
-        lam_exp = exp_t(order, PP) * _L
-        rhs = lam_exp * 0 + 1  # (l e^t)_{k,a}, one factor more per k
-        for k in range(SYMBOLIC_BOUND + 1):
-            if k:
-                rhs = rhs * (lam_exp - _A * (k - 1))
-            lhs = ctx.weighted_fk(k, order)
+        for k, rhs in zip(range(SYMBOLIC_BOUND + 1), _lam_exp_falling(order)):
             for d in range(order + 1):
-                yield (f"k={k};t^{d}", lhs.coeffs[d], rhs.coeffs[d])
-    return _poly_pair_report("FUNC-EQ", pairs(),
-                             f"k<={SYMBOLIC_BOUND};N={order}")
+                weight = scale // math.factorial(d)
+                lhs = {key: v * weight
+                       for key, v in ctx.falling_sum(k, d).items()}
+                yield f"k={k};t^{d}", lhs, rhs[d], scale
+    return _pair_report("FUNC-EQ", pairs(), f"k<={SYMBOLIC_BOUND};N={order}")
 
 
 def check_thm_s1(ctx: SymbolicContext) -> IdentityReport:
-    """The right side sum_i weight(k,i) y*(n,i) is read as n! [t^n] of
-    sum_i weight(k,i) F_i(t) (route A of every y*(n,i) at once)."""
+    """sum_j a^(k-j) s(k,j) l^j j^n = falling_sum(k, n), and its a = 0
+    reduction l^k k^n = sum_i (-1)^(k-i) C(k,i) i! y1(n,i)."""
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
-            weighted = ctx.weighted_fk(k, SYMBOLIC_BOUND)
             for n in range(SYMBOLIC_BOUND + 1):
-                lhs = ParamPoly({(j, k - j): stirling1(k, j) * j**n
-                                 for j in range(k + 1)})
-                rhs = weighted.coeffs[n] * math.factorial(n)
-                yield (f"(n,k)=({n},{k})", lhs, rhs)
-                # a = 0 reduction: l^k k^n = sum_i (-1)^(k-i) C(k,i) i! y1(n,i)
-                lhs0 = ParamPoly.term(k**n, k, 0)
-                rhs0 = ParamPoly()
-                for i in range(k + 1):
-                    w0 = Fraction((-1) ** (k - i) * math.comb(k, i)
-                                  * math.factorial(i))
-                    rhs0 = rhs0 + ctx.y1(n, i) * w0
-                yield (f"a=0;(n,k)=({n},{k})", lhs0, rhs0)
-    return _poly_pair_report("THM-S1", pairs(), f"n,k<={SYMBOLIC_BOUND}")
+                lhs = {(j, k - j): stirling1(k, j) * j**n
+                       for j in range(k + 1) if stirling1(k, j) * j**n}
+                yield f"(n,k)=({n},{k})", lhs, ctx.falling_sum(k, n), 1
+                lhs0 = {(k, 0): k**n} if k**n else {}
+                rhs0 = _combine((ctx.scaled_y1(n, i),
+                                 (-1) ** (k - i) * math.comb(k, i), 0, 0)
+                                for i in range(k + 1))
+                yield f"a=0;(n,k)=({n},{k})", lhs0, rhs0, 1
+    return _pair_report("THM-S1", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
 def check_rel_s2a(ctx: SymbolicContext) -> IdentityReport:
-    """y*(n,k) = (1/k!) sum_{i,j} S2a(k,i) s(i,j) j! y1(n,j), with the i-sum
-    taken first: sum_j s2a_weight(k,j) y1(n,j), the same finite sum."""
+    """k! y*(n,k) = sum_j c(k,j) j! y1(n,j) with the weight
+    c(k,j) = sum_i S2a(k,i) s(i,j) in Z[a], taken once per k."""
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
+            weights = [_combine((_int_terms(deg_stirling2(k, i), 1),
+                                 stirling1(i, j), 0, 0)
+                                for i in range(j, k + 1))
+                       for j in range(k + 1)]
             for n in range(SYMBOLIC_BOUND + 1):
-                rhs = ParamPoly()
-                for j in range(k + 1):
-                    rhs = rhs + ctx.s2a_weight(k, j) * ctx.y1(n, j)
-                yield (f"(n,k)=({n},{k})", ctx.y(n, k), rhs)
-    return _poly_pair_report("REL-S2A", pairs(), f"n,k<={SYMBOLIC_BOUND}")
+                rhs = _combine((ctx.scaled_y1(n, j), c, dl, da)
+                               for j, weight in enumerate(weights)
+                               for (dl, da), c in weight.items())
+                yield (f"(n,k)=({n},{k})", ctx.scaled_y(n, k), rhs,
+                       math.factorial(k))
+    return _pair_report("REL-S2A", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
 def check_red_a0(ctx: SymbolicContext) -> IdentityReport:
+    """The a-free terms of k! y*(n,k) are k! y1(n,k)."""
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
             for n in range(SYMBOLIC_BOUND + 1):
-                yield (f"(n,k)=({n},{k})",
-                       ctx.y(n, k).substitute(alpha=0), ctx.y1(n, k))
-    return _poly_pair_report("RED-A0", pairs(), f"n,k<={SYMBOLIC_BOUND}")
+                lhs = {key: c for key, c in ctx.scaled_y(n, k).items()
+                       if key[1] == 0}
+                yield (f"(n,k)=({n},{k})", lhs, ctx.scaled_y1(n, k),
+                       math.factorial(k))
+    return _pair_report("RED-A0", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
 def check_red_classical() -> IdentityReport:
@@ -358,16 +407,15 @@ def check_red_classical() -> IdentityReport:
             for k in range(n + 1):
                 yield (f"S2a->S2;(n,k)=({n},{k})",
                        deg_stirling2(n, k).substitute(alpha=0),
-                       ParamPoly.const(stirling2(n, k)))
+                       ParamPoly.const(stirling2(n, k)), None)
                 yield (f"S1a->S1;(n,k)=({n},{k})",
                        deg_stirling1(n, k).substitute(alpha=0),
-                       ParamPoly.const(stirling1(n, k)))
+                       ParamPoly.const(stirling1(n, k)), None)
             for k in range(SYMBOLIC_BOUND + 1):
                 yield (f"S2*->S2;(n,k)=({n},{k})",
                        ParamPoly.const(new_deg_stirling2(n, k, Fraction(0))),
-                       ParamPoly.const(stirling2(n, k)))
-    return _poly_pair_report("RED-CLASSICAL", pairs(),
-                             f"n,k<={SYMBOLIC_BOUND}")
+                       ParamPoly.const(stirling2(n, k)), None)
+    return _pair_report("RED-CLASSICAL", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +498,9 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
     if ids is None:
         selected = list(REGISTRY)
     else:
+        ids = list(dict.fromkeys(ids))  # a repeated id runs once
+        if not ids:
+            raise ValueError("run_suite needs at least one identity id")
         unknown = [i for i in ids if i not in _BY_ID]
         if unknown:
             raise KeyError(f"unknown identity id(s): {', '.join(unknown)}")
@@ -478,11 +529,16 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
 
 def _run_entry(entry: RegistryEntry, ctx, order: int,
                idx: int) -> IdentityReport:
-    """entry.run(ctx, order), timed; an exception becomes an error report
-    at the context's point, so it hides no other report."""
+    """entry.run(ctx, order), timed; a point outside the entry's domain
+    gives a not-applicable report, and an exception an error report at the
+    context's point, so neither hides another report."""
     start = time.perf_counter()
     try:
-        report = entry.run(ctx, order)
+        if ctx.lam is None or entry.domain(ctx.lam, ctx.alpha):
+            report = entry.run(ctx, order)
+        else:
+            report = IdentityReport(entry.id, ctx.lam, ctx.alpha, "",
+                                    NOT_APPLICABLE)
     except Exception as exc:
         report = IdentityReport(entry.id, ctx.lam, ctx.alpha, "", ERROR,
                                 f"{type(exc).__name__}: {exc}")

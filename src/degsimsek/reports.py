@@ -17,6 +17,8 @@ EXPECTED_DISCREPANCY = "expected-discrepancy"
 TRIVIALLY_TRUE = "trivially-true"
 # the check raised; the suite records "<Type>: <message>" as the mismatch
 ERROR = "error"
+# the point lies outside the identity's domain; the check did not run
+NOT_APPLICABLE = "not-applicable"
 
 # ordering used when merging sub-checks into one report
 _SEVERITY = {FAIL: 3, EXPECTED_DISCREPANCY: 2, PASS: 1, TRIVIALLY_TRUE: 0}

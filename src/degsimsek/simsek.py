@@ -31,7 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import PP, QQ, ParamPoly, TruncSeries, exp_t
+from .algebra import (PP, QQ, ParamPoly, TruncSeries, _combine, _over,
+                      exp_t)
 from .classical import (bernoulli_number, bernoulli_poly, degenerate_falling,
                         stirling1)
 
@@ -143,26 +144,6 @@ def _route_a(n: int, k: int) -> ParamPoly:
 # Routes B and C and the recurrences E and F are integer computations once
 # scaled by k!: they sum integer terms {(deg_l, deg_a): c} of
 # k! y*(n,k) in Z[l,a] and divide by k! once per value.
-
-def _over(terms: dict, den: int) -> ParamPoly:
-    """The polynomial with integer terms `terms`, divided by `den`."""
-    p = ParamPoly.__new__(ParamPoly)
-    p.terms = {key: Fraction(c, den) for key, c in terms.items() if c}
-    return p
-
-
-def _combine(parts) -> dict:
-    """sum of c * l^dl * a^da * terms over the (terms, c, dl, da) parts, as
-    integer terms without zeros."""
-    out: dict[tuple[int, int], int] = {}
-    for terms, c, dl, da in parts:
-        if not c:
-            continue
-        for (i, j), v in terms.items():
-            key = (i + dl, j + da)
-            out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}
-
 
 def _route_b(n: int, k: int) -> ParamPoly:
     terms: dict[tuple[int, int], int] = {}

@@ -1,12 +1,19 @@
 """Property tests of the point layer against naive references: integer
-ParamPoly.evaluate and substitute against the plain sum c*l^i*a^j, and the
-TruncSeries product against a plain list convolution."""
+ParamPoly.evaluate and substitute against the plain sum c*l^i*a^j, the
+TruncSeries product against a plain list convolution, and every operation
+on the integer-numerator form of QQ series against a Fraction list."""
 
 from fractions import Fraction
+import math
 
 from hypothesis import example, given, settings, strategies as st
+import pytest
 
-from degsimsek.algebra import PP, QQ, ParamPoly, SeriesRing, TruncSeries
+from degsimsek.algebra import (PP, QQ, ParamPoly, SeriesDomainError,
+                               SeriesRing, TruncSeries, series_differentiate,
+                               series_integrate, series_reciprocal)
+
+from oracles import reciprocal_solve
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -111,3 +118,128 @@ def test_series_product_over_nested_ring(pair):
     assert list(product.coeffs) == convolution(a, b, INNER.zero)
     assert all(type(c) is TruncSeries and c.order == 2
                for c in product.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# The integer-numerator form of QQ series: every operation against a plain
+# Fraction-list reference, and the canonical form of every result.
+# ---------------------------------------------------------------------------
+
+qq_lists = st.integers(0, 7).flatmap(lambda order: st.lists(
+    zero_or(rationals, Fraction(0)), min_size=order + 1, max_size=order + 1))
+scalars = st.one_of(rationals, st.integers(-20, 20))
+
+
+def qq(coeffs) -> TruncSeries:
+    return TruncSeries("t", len(coeffs) - 1, coeffs, QQ)
+
+
+def assert_canonical(series: TruncSeries, expected: list):
+    """series holds exactly `expected`, in lowest terms over den > 0."""
+    assert series.den > 0
+    assert math.gcd(series.den, *series.nums) == 1
+    assert len(series.nums) == series.order + 1 == len(expected)
+    assert [Fraction(c, series.den) for c in series.nums] == expected
+    assert list(series.coeffs) == expected
+    assert all(type(c) is Fraction for c in series.coeffs)
+
+
+@SETTINGS
+@given(qq_lists, qq_lists)
+@example([Fraction(0)] * 3, [Fraction(0)] * 3)
+@example([Fraction(1, 6), Fraction(1, 3)], [Fraction(-1, 6), Fraction(2, 3)])
+def test_qq_add_sub_neg(a, b):
+    b = (b + [Fraction(0)] * len(a))[:len(a)]
+    assert_canonical(qq(a) + qq(b), [x + y for x, y in zip(a, b)])
+    assert_canonical(qq(a) - qq(b), [x - y for x, y in zip(a, b)])
+    assert_canonical(-qq(a), [-x for x in a])
+    assert_canonical(qq(a) - qq(a), [Fraction(0)] * len(a))
+
+
+@SETTINGS
+@given(qq_lists, scalars)
+@example([Fraction(3, 4), Fraction(0), Fraction(-5, 2)], 0)
+@example([Fraction(0)], Fraction(-7, 3))
+def test_qq_scalar_operations(a, c):
+    c_q = Fraction(c)
+    rest = a[1:]
+    assert_canonical(qq(a) * c, [x * c_q for x in a])
+    assert_canonical(c * qq(a), [x * c_q for x in a])
+    assert_canonical(qq(a) + c, [a[0] + c_q] + rest)
+    assert_canonical(c + qq(a), [a[0] + c_q] + rest)
+    assert_canonical(qq(a) - c, [a[0] - c_q] + rest)
+    assert_canonical(c - qq(a), [c_q - a[0]] + [-x for x in rest])
+
+
+@SETTINGS
+@given(sparse(zero_or(rationals, Fraction(0))))
+@example(([Fraction(1, 2), Fraction(0), Fraction(-3, 4), Fraction(0)],
+          [Fraction(0), Fraction(5, 6), Fraction(0), Fraction(-7, 9)]))
+@example(([Fraction(0)] * 3, [Fraction(2, 3), Fraction(0), Fraction(1, 7)]))
+def test_qq_product_is_canonical(pair):
+    a, b = pair
+    assert_canonical(qq(a) * qq(b), convolution(a, b, Fraction(0)))
+
+
+@SETTINGS
+@given(qq_lists, st.integers(0, 7))
+@example([Fraction(1, 2), Fraction(1, 3)], 0)
+def test_qq_truncate(a, m):
+    m = min(m, len(a) - 1)
+    series = qq(a)
+    assert_canonical(series.truncate(m), a[:m + 1])
+    # a series whose coefficients were read truncates to the same value
+    series.coeffs
+    assert_canonical(series.truncate(m), a[:m + 1])
+
+
+@SETTINGS
+@given(qq_lists, scalars)
+@example([Fraction(2, 4)], Fraction(1, 2))
+@example([Fraction(0)] * 4, 0)
+def test_qq_equality_is_canonical(a, c):
+    series = qq(a)
+    # the same series reached by another path compares equal
+    other = (series * 6 + qq([Fraction(1, 7)] * len(a))
+             - qq([Fraction(1, 7)] * len(a))) * Fraction(1, 6)
+    assert series == other
+    assert (series.nums, series.den) == (other.nums, other.den)
+    assert (series == qq(a[:-1] + [a[-1] + 1])) is False
+    assert (series == c) == (a[0] == c and not any(a[1:]))
+    assert series != TruncSeries("x", len(a) - 1, a, QQ)
+    if len(a) > 1:
+        assert series != series.truncate(len(a) - 2)
+
+
+@SETTINGS
+@given(qq_lists.filter(lambda a: a[0] != 0))
+@example([Fraction(-1)])
+@example([Fraction(-3, 5), Fraction(2, 7), Fraction(0), Fraction(-1, 9)])
+@example([Fraction(7, 2), Fraction(0), Fraction(0)])
+def test_qq_reciprocal(a):
+    inverse = series_reciprocal(qq(a))
+    assert_canonical(inverse, reciprocal_solve(a, len(a) - 1))
+    assert qq(a) * inverse == 1
+
+
+@SETTINGS
+@given(qq_lists)
+@example([Fraction(0), Fraction(1, 3), Fraction(-2, 9)])
+def test_qq_reciprocal_needs_a_unit(a):
+    with pytest.raises(SeriesDomainError):
+        series_reciprocal(qq([Fraction(0)] + a[1:]))
+
+
+@SETTINGS
+@given(qq_lists, st.integers(0, 9))
+@example([Fraction(0)], 0)
+@example([Fraction(5, 3)], 3)
+def test_qq_differentiate_and_integrate(a, clamp):
+    order = len(a) - 1
+    assert_canonical(series_differentiate(qq(a)),
+                     [a[j + 1] * (j + 1) for j in range(order)]
+                     or [Fraction(0)])
+    integral = [Fraction(0)] + [x / (j + 1) for j, x in enumerate(a)]
+    assert_canonical(series_integrate(qq(a)), integral)
+    clamped = (integral + [Fraction(0)] * clamp)[:clamp + 1]
+    assert_canonical(series_integrate(qq(a), clamp), clamped)

@@ -1,0 +1,50 @@
+"""tools/compare_outputs.py on a small case list: relative roots resolve
+against the caller's working directory, and an old tree that cannot run
+exits 2 instead of comparing two identical failures."""
+
+import importlib.util
+from pathlib import Path
+import shutil
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", REPO / "tools" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "cases", lambda: [
+        ["verify", "--list"],
+        ["compute", "--family", "y1", "--n", "2", "--k", "1"]])
+    return module
+
+
+def copy_tree(root: Path) -> Path:
+    shutil.copytree(REPO / "src", root / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def test_relative_roots_from_another_directory(tool, tmp_path, monkeypatch,
+                                               capsys):
+    # roots given relative to the caller's directory, as in
+    # `compare_outputs.py good broken` run beside the two checkouts
+    copy_tree(tmp_path / "good")
+    broken = copy_tree(tmp_path / "broken")
+    with open(broken / "src" / "degsimsek" / "__init__.py", "a") as handle:
+        handle.write("\nraise ImportError('broken tree')\n")
+    monkeypatch.chdir(tmp_path)
+    assert tool.main(["good", "good"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2 cases, 0 differing"
+    # the cases really ran: a broken new tree differs in every case
+    assert tool.main(["good", "broken"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "2 cases, 2 differing"
+    # a broken old tree leaves nothing to compare against
+    assert tool.main(["broken", "good"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot run verify --list" in captured.err

@@ -8,13 +8,13 @@ import math
 import pytest
 
 from degsimsek import phi, registry, simsek
-from degsimsek.algebra import ParamPoly
-from degsimsek.classical import degenerate_falling, stirling1
-from degsimsek.degenerate import deg_stirling2, new_deg_stirling2
+from degsimsek.algebra import ParamPoly, _int_terms, _over
+from degsimsek.classical import degenerate_falling
+from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.phi import PointContext, phi_series
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, SymbolicContext,
                                 random_points, run_suite)
-from degsimsek.simsek import ROUTES, y1star
+from degsimsek.simsek import ROUTES, simsek_y1, y1star
 
 POINTS = list(FIXED_POINTS) + random_points(seed=5, count=3)
 RATIONAL = [e for e in REGISTRY if e.mode == "rational"]
@@ -77,21 +77,43 @@ def test_suite_evaluates_each_value_once_per_point(monkeypatch):
 
 
 def test_symbolic_weights_match_their_definitions():
-    # weights asked for out of order, so the (-1)_{m,a} list grows unevenly
+    # the integer forms against their ParamPoly definitions, asked for out
+    # of order so the memos fill unevenly
     ctx = SymbolicContext()
     a = ParamPoly.alpha()
-    for k in reversed(range(11)):
-        for i in range(k + 1):
-            expected = degenerate_falling(ParamPoly.const(-1), k - i, a) \
-                * (math.comb(k, i) * math.factorial(i))
-            assert ctx.weight(k, i) == expected, (k, i)
-    for k in range(9):
-        for j in range(k + 1):
+    for k in reversed(range(9)):
+        for n in reversed(range(10)):
             expected = ParamPoly()
             for i in range(k + 1):
-                expected = expected + deg_stirling2(k, i) * Fraction(
-                    stirling1(i, j) * math.factorial(j), math.factorial(k))
-            assert ctx.s2a_weight(k, j) == expected, (k, j)
+                expected = expected + y1star(n, i) * degenerate_falling(
+                    ParamPoly.const(-1), k - i, a) * (
+                        math.comb(k, i) * math.factorial(i))
+            assert _over(ctx.falling_sum(k, n), 1) == expected, (k, n)
+            assert _over(ctx.scaled_y(n, k), math.factorial(k)) == \
+                y1star(n, k), (n, k)
+            assert _over(ctx.scaled_y1(n, k), math.factorial(k)) == \
+                simsek_y1(n, k), (n, k)
+            assert all(isinstance(c, int) for c in ctx.falling_sum(k, n).values())
+    with pytest.raises(ValueError, match="not integral"):
+        _int_terms(y1star(2, 2), 1)
+
+
+def test_func_eq_right_side_matches_sympy_series():
+    # an independent derivation: N! [t^d] of the product of the defining
+    # factors l e^t - j a, for k <= 5, with e^t the sympy series
+    import sympy
+    l, a, t = sympy.symbols("l a t")
+    order = 6
+    scale = math.factorial(order)
+    exp_t = sympy.series(sympy.exp(t), t, 0, order + 1).removeO()
+    for k, rhs in zip(range(6), registry._lam_exp_falling(order)):
+        series = sympy.expand(sympy.Mul(*[l * exp_t - j * a
+                                          for j in range(k)]))
+        for d in range(order + 1):
+            coeff = sympy.expand(series.coeff(t, d) * scale)
+            expected = {} if coeff == 0 else {
+                key: int(c) for key, c in sympy.Poly(coeff, l, a).terms()}
+            assert rhs[d] == expected, (k, d)
 
 
 def test_shared_symbolic_context_gives_identical_reports():

@@ -132,20 +132,28 @@ def test_symbolic_bound_is_independent_of_order(order):
 BAD_POINTS = [(Fraction(-1), Fraction(0)),      # Apostol-Euler needs lam != -1
               (Fraction(0), Fraction(1, 2)),     # S2* relation needs lam != 0
               (Fraction(1, 2), Fraction(-3, 2))]  # lam + alpha = -1
+# the entries whose domain excludes each bad point
+OUTSIDE = dict(zip(BAD_POINTS, [
+    {"PHI-AE", "PHI-INT", "PHI-INT-CORR"},
+    {"REL-S2STAR", "REL-S2STAR-KIDX", "REL-S2STAR-DUPL", "REL-S2STAR-ZERO0"},
+    {"PHI-INT-CORR"}]))
 
 
 @pytest.mark.parametrize("bad", BAD_POINTS)
 def test_bad_grid_point_keeps_every_report(bad):
+    # a point outside an entry's domain reads not-applicable there, runs
+    # every other entry, and fails nothing
+    outside = OUTSIDE[bad]
     good = (Fraction(1), Fraction(0))
     ids = [e.id for e in REGISTRY if e.mode == "rational"]
     reports = run_suite(ids, order=2, grid=[good, bad])
     assert len(reports) == 2 * len(ids)
-    errors = [r for r in reports if r.status == "error"]
-    assert errors
-    for r in errors:
-        assert (r.point_index, r.lam, r.alpha) == (1, *bad)
-        assert re.fullmatch(r"\w+Error: .+", r.mismatch), r.mismatch
-    assert suite_failed(reports)
+    skipped = [r for r in reports if r.status == "not-applicable"]
+    assert {r.id for r in skipped} == outside
+    for r in skipped:
+        assert (r.point_index, r.lam, r.alpha, r.mismatch) == (1, *bad, "")
+    assert not [r for r in reports if r.status == "error"]
+    assert not suite_failed(reports)
     # the good point reports exactly what it reports on its own
     alone = run_suite(ids, order=2, grid=[good])
     assert [r.to_dict() for r in reports if r.point_index == 0] == \
@@ -153,15 +161,24 @@ def test_bad_grid_point_keeps_every_report(bad):
 
 
 def test_cli_verify_exits_one_on_error_report(monkeypatch, capsys):
+    # a check that raises reports error and fails the suite; a point
+    # outside a domain reports not-applicable and fails nothing
     from degsimsek import cli, registry
+    from degsimsek.algebra import SeriesDomainError
+
+    def broken(ctx, n, order, corrected=False):
+        raise SeriesDomainError("broken check")
+
+    monkeypatch.setattr(registry, "check_phi_integral", broken)
     monkeypatch.setattr(registry, "default_grid",
                         lambda seed, extra: [(Fraction(1), Fraction(0)),
                                              BAD_POINTS[2]])
-    assert cli.main(["verify", "--identity", "PHI-INT,PHI-INT-CORR",
+    assert cli.main(["verify", "--identity", "PHI-INT-CORR",
                      "--order", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "4 reports, 1 failures"
-    assert any(" error  [SeriesDomainError: " in line for line in lines)
+    assert lines[0].endswith(" error  [SeriesDomainError: broken check]")
+    assert lines[1].endswith(" not-applicable")
+    assert lines[-1] == "2 reports, 1 failures"
 
 
 def test_suite_filter_runs_subset():
@@ -381,3 +398,26 @@ def test_cli_verify_rejects_order_below_one():
 def test_run_suite_rejects_order_below_one():
     with pytest.raises(ValueError, match=">= 1"):
         run_suite(["PHI-DER"], order=0)
+
+
+def test_run_suite_rejects_an_empty_id_list():
+    with pytest.raises(ValueError, match="at least one"):
+        run_suite([])
+
+
+def test_repeated_id_runs_and_reports_once(monkeypatch):
+    from degsimsek import registry
+    runs = []
+    check = registry.check_red_a0
+
+    def counting(ctx):
+        runs.append(1)
+        return check(ctx)
+
+    monkeypatch.setattr(registry, "check_red_a0", counting)
+    reports = run_suite(["RED-A0", "REC-K", "RED-A0"], order=2)
+    assert [r.id for r in reports] == ["REC-K", "RED-A0"]
+    assert len(runs) == 1
+    result = run_cli("verify", "--identity", "RED-A0,RED-A0", "--order", "2")
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[-1] == "1 reports, 0 failures"

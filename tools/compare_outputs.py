@@ -2,8 +2,9 @@
 
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
-Each ROOT is a checkout of this repository; the CLI runs from ROOT/src in a
-fresh interpreter per case, two cases at a time.  The matrix: `verify` for
+Each ROOT is a checkout of this repository, absolute or relative to the
+working directory; the CLI runs from ROOT/src in a fresh interpreter per
+case, two cases at a time.  The matrix: `verify` for
 seeds 0/7/41 x workers 1/2/3 x order 2/8/12 x text/csv/json, and for seed
 0 x workers 1/2/3 x order 1/16 x text/csv/json; `table --family y1star`
 for routes A-F, symbolic and at two rational points, as CSV and JSON;
@@ -11,7 +12,9 @@ for routes A-F, symbolic and at two rational points, as CSV and JSON;
 with --lambda only, --alpha only and both, where the CLI accepts the
 combination; and `phi` at three points.  Every differing case is printed (exit status,
 stdout or stderr), and so is a case the CLI rejects as a usage error; the
-exit status is 1 on any of these, else 0.  Stdlib only.
+exit status is 1 on any of these, else 0.  It is 2, before any case runs,
+when OLD_ROOT cannot run `verify --list`: there is nothing to compare
+against.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -75,11 +78,21 @@ def main(argv=None) -> int:
     parser.add_argument("old_root", type=Path)
     parser.add_argument("new_root", type=Path)
     args = parser.parse_args(argv)
+    # the CLI runs with ROOT as its working directory, so a relative ROOT
+    # would point elsewhere there
+    args.old_root = args.old_root.resolve()
+    args.new_root = args.new_root.resolve()
     for root in (args.old_root, args.new_root):
         if not (root / "src" / "degsimsek").is_dir():
             print(f"compare_outputs: no src/degsimsek under {root}",
                   file=sys.stderr)
             return 2
+    code, _, err = run(args.old_root, ["verify", "--list"])
+    if code != 0:
+        print(f"compare_outputs: {args.old_root} cannot run verify --list "
+              f"(exit {code}):\n{err.decode(errors='replace')}",
+              file=sys.stderr)
+        return 2
 
     def compare(case):
         return case, run(args.old_root, case), run(args.new_root, case)
