@@ -7,8 +7,10 @@ byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from fractions import Fraction
+import io
 import json
 
 PASS = "pass"
@@ -51,13 +53,8 @@ class IdentityReport:
             "mismatch": self.mismatch,
         }
 
-    def csv_line(self) -> str:
-        lam = "" if self.lam is None else str(self.lam)
-        alpha = "" if self.alpha is None else str(self.alpha)
-        return f"{self.id},{lam},{alpha},{self.orders},{self.status},{self.mismatch}"
 
-
-CSV_HEADER = "id,lambda,alpha,orders,status,mismatch"
+CSV_FIELDS = ("id", "lambda", "alpha", "orders", "status", "mismatch")
 
 
 def merge_status(statuses: list[str]) -> str:
@@ -74,6 +71,10 @@ def reports_to_json(reports: list[IdentityReport]) -> str:
 
 
 def reports_to_csv(reports: list[IdentityReport]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(r.csv_line() for r in reports)
-    return "\n".join(lines) + "\n"
+    """One row per report, quoted where a field holds a comma; a symbolic
+    report's point is two empty fields."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, CSV_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(r.to_dict() for r in reports)
+    return out.getvalue()

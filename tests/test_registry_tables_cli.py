@@ -1,6 +1,9 @@
 """Registry invariants, suite determinism, table round-trips, and the CLI."""
 
+import csv
 from fractions import Fraction
+import io
+import json
 from pathlib import Path
 import re
 import subprocess
@@ -11,6 +14,7 @@ import pytest
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, default_grid,
                                 random_points, registry_ids, run_suite,
                                 suite_failed)
+from degsimsek.reports import reports_to_csv, reports_to_json
 from degsimsek.tables import (TableUsageError, build_table, parse_csv,
                               parse_json, render_csv, render_json)
 
@@ -104,6 +108,19 @@ def test_suite_expected_discrepancies(suite_reports):
     for r in by_id["PHI-LOG"]:
         expected = "trivially-true" if r.alpha == 0 else "pass"
         assert r.status == expected
+
+
+def test_verify_csv_rows_round_trip_to_json_reports(suite_reports):
+    rows = list(csv.reader(io.StringIO(reports_to_csv(suite_reports))))
+    header = ["id", "lambda", "alpha", "orders", "status", "mismatch"]
+    assert rows[0] == header
+    reports = json.loads(reports_to_json(suite_reports))
+    assert len(rows) == len(reports) + 1
+    for row, report in zip(rows[1:], reports):
+        assert len(row) == 6
+        assert row == ["" if report[f] is None else report[f] for f in header]
+    # the orders "n,k<=8" and many mismatches hold commas
+    assert any("," in field for row in rows for field in row)
 
 
 def test_suite_determinism_across_workers():
