@@ -1,7 +1,8 @@
 """Exact arithmetic substrate: rationals, sparse (l, a) polynomials, and
 truncated formal power series over a pluggable coefficient ring.
 
-All values are immutable after construction and every operation is a pure
+All values are immutable after construction (a series over QQ builds its
+`coeffs` tuple once, when first read) and every operation is a pure
 function, so everything here is safe to share across threads.  Series keep
 coefficients only up to an explicit truncation order; no operation ever
 consults a coefficient beyond it.
@@ -411,31 +412,26 @@ class TruncSeries:
     of any operation depends only on input coefficients 0..j, so truncating
     an order-N result to M <= N equals computing at order M directly.
 
-    Over QQ a series is held fraction-free: integer numerators `nums` over
-    one positive denominator `den`, in lowest terms (the gcd of den and all
-    numerators is 1), so equal series have equal (nums, den).  The QQ
-    operations below work on that form, and `coeffs` is built from it only
-    when a caller reads it.
+    Over QQ a series is also held fraction-free: integer numerators `nums`
+    over one positive denominator `den`, in lowest terms (the gcd of den and
+    all numerators is 1), so equal series have equal (nums, den).  The QQ
+    operations below work on that form and return series that hold only
+    it; each form is built from the other when it is first read.
     """
 
-    __slots__ = ("var", "order", "ring", "nums", "den", "_coeffs")
+    __slots__ = ("var", "order", "ring", "_coeffs", "_nums", "_den")
 
     def __init__(self, var: str, order: int, coeffs, ring):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        coeffs = [ring.coerce(c) for c in coeffs][: order + 1]
+        coeffs = [ring.coerce(c) for c in coeffs]
         if len(coeffs) < order + 1:
             coeffs.extend(ring.zero for _ in range(order + 1 - len(coeffs)))
         self.var = var
         self.order = order
         self.ring = ring
-        self._coeffs = tuple(coeffs)
-        if isinstance(ring, RationalField):
-            # the lcm of reduced denominators leaves no common factor
-            den = math.lcm(*(c.denominator for c in coeffs))
-            self.nums = tuple(c.numerator * (den // c.denominator)
-                              for c in coeffs)
-            self.den = den
+        self._coeffs = tuple(coeffs[: order + 1])
+        self._nums = None
 
     @classmethod
     def _qq(cls, var: str, order: int, nums, den: int) -> "TruncSeries":
@@ -451,18 +447,42 @@ class TruncSeries:
         s.var = var
         s.order = order
         s.ring = QQ
-        s.nums = tuple(nums)
-        s.den = den
         s._coeffs = None
+        s._nums = tuple(nums)
+        s._den = den
         return s
 
     @property
     def coeffs(self) -> tuple:
         coeffs = self._coeffs
         if coeffs is None:
-            den = self.den
-            coeffs = self._coeffs = tuple(Fraction(c, den) for c in self.nums)
+            den = self._den
+            coeffs = self._coeffs = tuple(Fraction(c, den) for c in self._nums)
         return coeffs
+
+    @property
+    def nums(self) -> tuple:
+        """The integer numerators of a series over QQ."""
+        if self._nums is None:
+            self._to_ints()
+        return self._nums
+
+    @property
+    def den(self) -> int:
+        """The common denominator of a series over QQ."""
+        if self._nums is None:
+            self._to_ints()
+        return self._den
+
+    def _to_ints(self):
+        if not isinstance(self.ring, RationalField):
+            raise TypeError(f"a series over {self.ring.name} has no "
+                            "integer numerators")
+        # the lcm of reduced denominators leaves no common factor
+        den = math.lcm(*(c.denominator for c in self._coeffs))
+        self._nums = tuple(c.numerator * (den // c.denominator)
+                           for c in self._coeffs)
+        self._den = den
 
     # -- constructors -------------------------------------------------------
 
@@ -494,16 +514,21 @@ class TruncSeries:
             isinstance(other.ring, RationalField)
 
     def truncate(self, order: int) -> "TruncSeries":
+        """The first order+1 coefficients, sliced from the form the series
+        holds without coercing them again."""
         if order > self.order:
             raise SeriesStructureError(
                 f"cannot extend order {self.order} series to {order}")
-        if isinstance(self.ring, RationalField):
-            out = TruncSeries._qq(self.var, order, self.nums[: order + 1],
-                                  self.den)
-            if self._coeffs is not None:
-                out._coeffs = self._coeffs[: order + 1]
-            return out
-        return TruncSeries(self.var, order, self.coeffs[: order + 1], self.ring)
+        if self._coeffs is None:
+            return TruncSeries._qq(self.var, order, self._nums[: order + 1],
+                                   self._den)
+        out = TruncSeries.__new__(TruncSeries)
+        out.var = self.var
+        out.order = order
+        out.ring = self.ring
+        out._coeffs = self._coeffs[: order + 1]
+        out._nums = None
+        return out
 
     # -- ring operations ----------------------------------------------------
 

@@ -92,9 +92,11 @@ def _bernoulli_base(order: int) -> TruncSeries:
 
 
 def _bernoulli_power(k: int, order: int) -> TruncSeries:
+    """(t/(e^t-1))^k to at least the given order: the cached series when it
+    reaches that far, so that its coefficients are built once."""
     cached = _bern_series_cache.get(k)
     if cached is not None and cached.order >= order:
-        return cached.truncate(order)
+        return cached
     series = _bernoulli_base(order) ** k
     _bern_series_cache[k] = series
     return series

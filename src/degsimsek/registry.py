@@ -360,8 +360,8 @@ def check_thm_s1(ctx: SymbolicContext) -> IdentityReport:
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
             for n in range(SYMBOLIC_BOUND + 1):
-                lhs = {(j, k - j): stirling1(k, j) * j**n
-                       for j in range(k + 1) if stirling1(k, j) * j**n}
+                lhs = {(j, k - j): c for j in range(k + 1)
+                       if (c := stirling1(k, j) * j**n)}
                 yield f"(n,k)=({n},{k})", lhs, ctx.falling_sum(k, n), 1
                 lhs0 = {(k, 0): k**n} if k**n else {}
                 rhs0 = _combine((ctx.scaled_y1(n, i),

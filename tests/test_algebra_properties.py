@@ -186,11 +186,9 @@ def test_qq_product_is_canonical(pair):
 @example([Fraction(1, 2), Fraction(1, 3)], 0)
 def test_qq_truncate(a, m):
     m = min(m, len(a) - 1)
-    series = qq(a)
-    assert_canonical(series.truncate(m), a[:m + 1])
-    # a series whose coefficients were read truncates to the same value
-    series.coeffs
-    assert_canonical(series.truncate(m), a[:m + 1])
+    # built from Fractions, and a product that holds only integers
+    assert_canonical(qq(a).truncate(m), a[:m + 1])
+    assert_canonical((qq(a) * 1).truncate(m), a[:m + 1])
 
 
 @SETTINGS

@@ -1,6 +1,7 @@
 """The per-point and symbolic evaluation contexts: differential checks
-against the uncached library functions, and count guards on
-ParamPoly.evaluate, simsek_y1 and degenerate_falling."""
+against the uncached library functions, the integer forms of the symbolic
+checks against their ParamPoly definitions and a sympy oracle, and count
+guards on ParamPoly.evaluate, simsek_y1 and degenerate_falling."""
 
 from fractions import Fraction
 import math
