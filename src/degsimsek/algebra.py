@@ -177,7 +177,7 @@ class ParamPoly:
 
     __hash__ = None
 
-    # -- evaluation, substitution, extraction --------------------------------
+    # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, lam0, alpha0) -> Fraction:
         """Exact substitution (l, a) -> (lam0, alpha0); a ring homomorphism.
@@ -218,12 +218,6 @@ class ParamPoly:
                 j = 0
             out[(i, j)] = out.get((i, j), 0) + c
         return ParamPoly(out)
-
-    def coeff_l(self, d: int) -> "ParamPoly":
-        """Coefficient of l^d, as a polynomial in a alone."""
-        p = ParamPoly.__new__(ParamPoly)
-        p.terms = {(0, j): c for (i, j), c in self.terms.items() if i == d}
-        return p
 
     # -- canonical text ------------------------------------------------------
 

@@ -18,28 +18,39 @@ from fractions import Fraction
 import math
 
 from .algebra import (PP, QQ, ParamPoly, SeriesDomainError, TruncSeries,
-                      exp_t, ring_of, series_reciprocal)
-from .classical import degenerate_falling, falling_factorial
-
-_L = ParamPoly.lam()
-_A = ParamPoly.alpha()
+                      _combine, _over, exp_t, ring_of, series_reciprocal)
+from .classical import degenerate_falling
 
 # row caches: n -> list of ParamPoly (index l), polynomials in a only
 _DS2_ROWS: dict[int, list[ParamPoly]] = {}
 _DS1_ROWS: dict[int, list[ParamPoly]] = {}
 
 
-def _falling_basis_row(n: int, source, target_basis) -> list[ParamPoly]:
-    """Expand source(n) in the monic basis target_basis(0..n) by descending
-    triangular elimination on the l-degree."""
-    p = source(n)
+def _falling_terms(n: int, step_a: int) -> list[dict]:
+    """Integer terms {(deg_l, deg_a): c} of prod_{i<m} (l - i a^step_a)
+    for m = 0..n: the falling factorials (l)_m at step_a = 0, the
+    degenerate ones (l)_{m,a} at step_a = 1 (l stands for x)."""
+    out = [{(0, 0): 1}]
+    for i in range(n):
+        out.append(_combine([(out[i], 1, 1, 0), (out[i], -i, 0, step_a)]))
+    return out
+
+
+def _falling_basis_row(n: int, source_a: int, target_a: int) -> list[ParamPoly]:
+    """Expand the source falling factorial of degree n in the monic target
+    basis (step_a as in _falling_terms) by descending triangular
+    elimination on the l-degree.  Both bases have integer coefficients and
+    are monic, so every step stays in integers."""
+    p = _falling_terms(n, source_a)[n]
+    basis = _falling_terms(n, target_a)
     row = [ParamPoly() for _ in range(n + 1)]
     for d in range(n, -1, -1):
-        c = p.coeff_l(d)
-        row[d] = c
-        if not c.is_zero:
-            p = p - c * target_basis(d)
-    assert p.is_zero, "basis conversion left a nonzero remainder"
+        c = {(0, j): v for (i, j), v in p.items() if i == d}
+        row[d] = _over(c, 1)
+        if c:
+            p = _combine([(p, 1, 0, 0)] + [(basis[d], -v, 0, j)
+                                           for (_, j), v in c.items()])
+    assert not p, "basis conversion left a nonzero remainder"
     return row
 
 
@@ -49,10 +60,7 @@ def deg_stirling2(n: int, l: int) -> ParamPoly:
         return ParamPoly()
     row = _DS2_ROWS.get(n)
     if row is None:
-        row = _DS2_ROWS[n] = _falling_basis_row(
-            n,
-            lambda m: degenerate_falling(_L, m, _A),
-            lambda d: falling_factorial(_L, d))
+        row = _DS2_ROWS[n] = _falling_basis_row(n, 1, 0)
     return row[l]
 
 
@@ -62,10 +70,7 @@ def deg_stirling1(n: int, l: int) -> ParamPoly:
         return ParamPoly()
     row = _DS1_ROWS.get(n)
     if row is None:
-        row = _DS1_ROWS[n] = _falling_basis_row(
-            n,
-            lambda m: falling_factorial(_L, m),
-            lambda d: degenerate_falling(_L, d, _A))
+        row = _DS1_ROWS[n] = _falling_basis_row(n, 0, 1)
     return row[l]
 
 

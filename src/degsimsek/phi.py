@@ -23,14 +23,13 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import (QQ, SeriesRing, TruncSeries, series_compose,
-                      series_differentiate, series_integrate, series_log1p,
-                      series_reciprocal, exp_t)
+from .algebra import (QQ, SeriesRing, TruncSeries, series_differentiate,
+                      series_integrate, series_log1p, series_reciprocal, exp_t)
 from .classical import stirling2
 from .degenerate import apostol_euler_series, deg_exp_series
 from .reports import (EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE,
                       IdentityReport, merge_status)
-from .simsek import simsek_y1, y1star
+from .simsek import y1star
 
 
 def phi_series(n: int, lam0, alpha0, order: int) -> TruncSeries:
@@ -76,10 +75,12 @@ class PointContext:
     """Everything the rational checks read at one point (lam0, alpha0),
     each value computed on first use and kept: y1star values, phi rows, the
     Apostol-Euler and corrected Euler weight rows, the powers of
-    x/(1+alpha*x), (lam+1)_{m,alpha} and the S2*(n, j | alpha/lam) table.
-    The y1star values evaluate the route-A polynomials of `table`, an
-    object whose y(n, k) gives them, such as the registry.SymbolicContext
-    shared by every point of a suite.
+    x/(1+alpha*x) and of log(1+alpha*x)/alpha, the PHI-FT blocks, the
+    S2*(n, j | alpha/lam) table and the REL-S2STAR weights.
+    The y1star values evaluate the route-A polynomials of `table`, and the
+    y1 values its scaled Simsek numbers: an object whose y(n, k) and
+    scaled_y1(n, k) give them, such as the registry.SymbolicContext shared
+    by every point of a suite.
     Not locked: keep a context on one thread.
     """
 
@@ -90,9 +91,10 @@ class PointContext:
         self._y: dict[tuple[int, int], Fraction] = {}
         self._phi: dict[tuple[int, int], TruncSeries] = {}
         self._rows: dict[tuple[str, int], list[Fraction]] = {}
-        self._w_powers: dict[int, list[TruncSeries]] = {}
-        self._falling = [Fraction(1)]
-        self._em1_falling: list[TruncSeries] = []  # (e^t-1)_{j,alpha/lam}
+        self._powers: dict[tuple[str, int], list[TruncSeries]] = {}
+        self._ft_blocks: dict[tuple[int, int, int], TruncSeries] = {}
+        self._s2star = None
+        self._s2star_weights: dict[int, tuple[list[int], int]] = {}
 
     def y(self, n: int, k: int) -> Fraction:
         """y1star(n,k) at the point."""
@@ -101,6 +103,14 @@ class PointContext:
             value = self._y[(n, k)] = self._table.y(n, k).evaluate(
                 self.lam, self.alpha)
         return value
+
+    def y1(self, n: int, k: int) -> Fraction:
+        """The Simsek number y1(n,k) at (lam, 0), from the table's integer
+        terms of k! y1(n,k), all of degree <= k in l."""
+        p, q = self.lam.numerator, self.lam.denominator
+        num = sum(c * p**i * q**(k - i)
+                  for (i, _), c in self._table.scaled_y1(n, k).items())
+        return Fraction(num, q**k * math.factorial(k))
 
     def phi(self, n: int, order: int) -> TruncSeries:
         """phi_n at the point, equal to phi_series(n, lam0, alpha0, order)."""
@@ -131,41 +141,87 @@ class PointContext:
             return series_reciprocal(half)
         return self._row("corrected", n, series)
 
-    def w_power(self, k: int, order: int) -> TruncSeries:
-        """(x/(1+alpha*x))^k to the given x-order."""
-        powers = self._w_powers.get(order)
+    def _power(self, kind: str, base, k: int, order: int) -> TruncSeries:
+        """base(x)^k to the given x-order, each power one product more than
+        the last."""
+        powers = self._powers.get((kind, order))
         if powers is None:
             x = TruncSeries.variable("x", order, QQ)
-            powers = self._w_powers[order] = [
-                x.ring_one(), x * series_reciprocal(x * self.alpha + 1)]
+            powers = self._powers[(kind, order)] = [x.ring_one(), base(x)]
         while len(powers) <= k:
             powers.append(powers[-1] * powers[1])
         return powers[k]
 
-    def lam_falling(self, m: int) -> Fraction:
-        """(lam+1)_{m,alpha}."""
-        while len(self._falling) <= m:
-            i = len(self._falling) - 1
-            self._falling.append(self._falling[i] * (self.lam + 1 - self.alpha * i))
-        return self._falling[m]
+    def w_power(self, k: int, order: int) -> TruncSeries:
+        """(x/(1+alpha*x))^k to the given x-order."""
+        return self._power(
+            "w", lambda x: x * series_reciprocal(x * self.alpha + 1), k, order)
+
+    def log_power(self, k: int, order: int) -> TruncSeries:
+        """(log(1+alpha*x)/alpha)^k to the given x-order; alpha != 0."""
+        return self._power(
+            "log", lambda x: series_log1p(x * self.alpha) * (1 / self.alpha),
+            k, order)
+
+    def ft_block(self, n: int, k: int, order: int) -> TruncSeries:
+        """(x/(1+alpha*x))^k sum_j C(n,j) y*(j,k) phi_{n-j}(x): the part of
+        the PHI-FT right side that f weights by k! sum_m S2(m,k) f_m."""
+        block = self._ft_blocks.get((n, k, order))
+        if block is None:
+            acc = TruncSeries.constant(Fraction(0), "x", order, QQ)
+            for j in range(n + 1):
+                scalar = math.comb(n, j) * self.y(j, k)
+                if scalar:
+                    acc = acc + self.phi(n - j, order) * scalar
+            block = self._ft_blocks[(n, k, order)] = \
+                self.w_power(k, order) * acc
+        return block
+
+    def s2star_table(self, size: int) -> tuple[list[list[int]], int]:
+        """(rows, den) with rows[j][n] / den = n! [t^n] (e^t-1)_{j,alpha/lam}
+        = j! S2*(n, j | alpha/lam) for n, j <= size (at least): integer
+        numerators over one denominator q^size for alpha/lam = p/q.  Row j+1
+        is row j times the factor e^t - 1 - j p/q, a binomial convolution of
+        n!-scaled coefficients; the table is built again when a larger size
+        is asked for."""
+        table = self._s2star
+        if table is None or len(table[0]) <= size:
+            ratio = self.alpha / self.lam
+            p, q = ratio.numerator, ratio.denominator
+            row = [1] + [0] * size  # q^j n! [t^n] of the product
+            rows = [row]
+            for j in range(size):
+                row = [q * sum(math.comb(n, e) * row[n - e]
+                               for e in range(1, n + 1)) - j * p * row[n]
+                       for n in range(size + 1)]
+                rows.append(row)
+            table = self._s2star = (
+                [[c * q**(size - j) for c in row] for j, row in enumerate(rows)],
+                q**size)
+        return table
 
     def s2star(self, n: int, j: int) -> Fraction:
-        """S2*(n, j | alpha/lam) = n!/j! [t^n] (e^t-1)_{j,alpha/lam}, from
-        one product grown a factor (e^t-1-(j-1)*alpha/lam) at a time; the
-        product restarts at a higher order when n needs one."""
+        """S2*(n, j | alpha/lam) = n!/j! [t^n] (e^t-1)_{j,alpha/lam}."""
         if n < 0 or j < 0:
             return Fraction(0)
-        products = self._em1_falling
-        if not products or products[0].order < n:
-            products[:] = [TruncSeries.constant(Fraction(1), "t", n, QQ)]
-        if len(products) <= j:
-            em1 = exp_t(products[0].order, QQ) - 1
-            ratio = self.alpha / self.lam
-            while len(products) <= j:
-                products.append(
-                    products[-1] * (em1 - ratio * (len(products) - 1)))
-        return products[j].coeffs[n] * Fraction(math.factorial(n),
-                                                math.factorial(j))
+        rows, den = self.s2star_table(max(n, j))
+        return Fraction(rows[j][n], den * math.factorial(j))
+
+    def s2star_weights(self, k: int) -> tuple[list[int], int]:
+        """(nums, den) with nums[j] / den = C(k,j) lam^j (lam+1)_{k-j,alpha}
+        for j <= k, over one denominator den = (q s)^k for lam = p/q and
+        alpha = r/s: the n-free weights of the S2* relation."""
+        weights = self._s2star_weights.get(k)
+        if weights is None:
+            p, q = self.lam.numerator, self.lam.denominator
+            r, s = self.alpha.numerator, self.alpha.denominator
+            falling = [1]  # numerators of (lam+1)_{m,alpha} over (q s)^m
+            for i in range(k):
+                falling.append(falling[-1] * ((p + q) * s - i * r * q))
+            weights = self._s2star_weights[k] = (
+                [math.comb(k, j) * (p * s)**j * falling[k - j]
+                 for j in range(k + 1)], (q * s)**k)
+        return weights
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +246,30 @@ def check_egf(ctx: PointContext, order: int) -> IdentityReport:
                           f"Nt={order};K={order}", lhs, rhs)
 
 
+def log_substitution_rhs(ctx: PointContext, n: int,
+                         order: int) -> TruncSeries:
+    """sum_k y1(n,k)(lam) L^k with L = log(1+a*x)/a: the y1 column at
+    (lam, 0) composed with L, over the powers of L the point shares by
+    every n; a != 0."""
+    acc = TruncSeries.constant(Fraction(0), "x", order, QQ)
+    for k in range(order + 1):
+        value = ctx.y1(n, k)
+        if value:
+            acc = acc + ctx.log_power(k, order) * value
+    return acc
+
+
 def check_log_substitution(ctx: PointContext, n: int,
                            order: int) -> IdentityReport:
-    """phi_n(x) = sum_k (log(1+a*x)/a)^k y1(n,k), assembled by composing the
-    lam-specialized y1 column series with the inner log series."""
+    """phi_n(x) = sum_k (log(1+a*x)/a)^k y1(n,k), the y1 values taken at
+    (lam, 0)."""
     lam0, alpha0 = ctx.lam, ctx.alpha
     orders = f"K={order};n={n}"
     if alpha0 == 0:
         # the inner substitution degenerates to the identity map
         return IdentityReport("PHI-LOG", lam0, alpha0, orders, TRIVIALLY_TRUE)
-    lhs = ctx.phi(n, order)
-    outer = TruncSeries("x", order,
-                        [simsek_y1(n, k).evaluate(lam0, 0)
-                         for k in range(order + 1)], QQ)
-    x = TruncSeries.variable("x", order, QQ)
-    inner = series_log1p(x * alpha0) * (1 / alpha0)
-    rhs = series_compose(outer, inner)
-    return _series_report("PHI-LOG", lam0, alpha0, orders, lhs, rhs,
+    return _series_report("PHI-LOG", lam0, alpha0, orders, ctx.phi(n, order),
+                          log_substitution_rhs(ctx, n, order),
                           extra=f"n={n};")
 
 
@@ -295,30 +358,23 @@ def check_f_transform(ctx: PointContext, n: int, f_coeffs,
     """sum_m y*(n,m) f(m) x^m
        = sum_{j<=n} C(n,j) sum_{m<=deg f} sum_{k<=m} S2(m,k) (x/(1+a*x))^k k!
                      f_m y*(j,k) phi_{n-j}(x)
-    for a polynomial f given by its coefficient list.  The right side takes
-    the m-sum first and then one series product with phi_{n-j} per j: the
-    same finite exact sum, reordered."""
+    for a polynomial f given by its coefficient list.  The right side is
+    sum_k (k! sum_m S2(m,k) f_m) ctx.ft_block(n, k): the same finite exact
+    sum, reordered so that the blocks serve every f."""
     lam0, alpha0 = ctx.lam, ctx.alpha
     f_coeffs = [Fraction(c) for c in f_coeffs]
-
-    def f_at(m: int) -> Fraction:
-        return sum((c * m**i for i, c in enumerate(f_coeffs)), Fraction(0))
-
-    lhs = TruncSeries("x", order, [ctx.y(n, m) * f_at(m)
-                                   for m in range(order + 1)], QQ)
-
-    # k! sum_m S2(m,k) f_m: the weight of (x/(1+a*x))^k beside y*(j,k)
-    weights = [math.factorial(k) * sum(stirling2(m, k) * fm
-                                       for m, fm in enumerate(f_coeffs))
-               for k in range(len(f_coeffs))]
+    # f(m) = sum_i f_nums[i] m^i / f_den, summed in integers
+    f_den = math.lcm(*(c.denominator for c in f_coeffs))
+    f_nums = [c.numerator * (f_den // c.denominator) for c in f_coeffs]
+    lhs = TruncSeries("x", order, [
+        ctx.y(n, m) * sum(c * m**i for i, c in enumerate(f_nums))
+        for m in range(order + 1)], QQ) * Fraction(1, f_den)
     rhs = TruncSeries.constant(Fraction(0), "x", order, QQ)
-    for j in range(n + 1):
-        inner = TruncSeries.constant(Fraction(0), "x", order, QQ)
-        for k, weight in enumerate(weights):
-            scalar = math.comb(n, j) * weight * ctx.y(j, k)
-            if scalar:
-                inner = inner + ctx.w_power(k, order) * scalar
-        rhs = rhs + ctx.phi(n - j, order) * inner
+    for k in range(len(f_coeffs)):
+        weight = math.factorial(k) * sum(stirling2(m, k) * fm
+                                         for m, fm in enumerate(f_coeffs))
+        if weight:
+            rhs = rhs + ctx.ft_block(n, k, order) * weight
     f_text = "f=[" + " ".join(str(c) for c in f_coeffs) + "]"
     return _series_report("PHI-FT", lam0, alpha0,
                           f"K={order};n={n};{f_text}", lhs, rhs,

@@ -432,35 +432,42 @@ def check_rel_s2star(ctx: PointContext, reading: str) -> IdentityReport:
       "dup"   duplicated l^j factor (as in the printed derivation display)
       "zero0" like "j" but with S2*(n,0)=0 for all n (stated convention)
 
-    y*(n,k), (l+1)_{m,a} and S2*(n,j|a/l) are read from the point's context.
+    Term j of the proved form is weights[j] * rows[j][n] / den, with the
+    point's n-free weights C(k,j) l^j (l+1)_{k-j,a} and its table of
+    j! S2*(n,j|a/l) (PointContext.s2star_weights and .s2star_table), so
+    each right side is one integer dot product over den, compared with
+    y*(n,k) from the point's context.
     """
     lam0, alpha0 = ctx.lam, ctx.alpha
     if lam0 == 0:
         raise ValueError("the S2* relation needs lam != 0")
     rid = {"j": "REL-S2STAR", "k": "REL-S2STAR-KIDX",
            "dup": "REL-S2STAR-DUPL", "zero0": "REL-S2STAR-ZERO0"}[reading]
-    status, mismatch = PASS, ""
+    orders = f"n,k<={SYMBOLIC_BOUND}"
+    rows, s2_den = ctx.s2star_table(SYMBOLIC_BOUND)
     for k in range(SYMBOLIC_BOUND + 1):
-        inv = Fraction(1, math.factorial(k))
-        # the n-free factor of term j: (1/k!) C(k,j) j! l^j (l+1)_{k-j,a}
-        weights = [inv * math.comb(k, j) * math.factorial(j)
-                   * lam0 ** (2 * j if reading == "dup" else j)
-                   * ctx.lam_falling(k - j) for j in range(k + 1)]
-        if reading == "zero0":
-            weights[0] = Fraction(0)
+        weights, den = ctx.s2star_weights(k)
+        den *= s2_den * math.factorial(k)
+        if reading == "dup":
+            p, q = lam0.numerator, lam0.denominator
+            weights = [w * p**j * q**(k - j) for j, w in enumerate(weights)]
+            den *= q**k
+        elif reading == "zero0":
+            weights = [0] + weights[1:]
+        elif reading == "k":
+            # S2*(n,k) = rows[k][n] / (k! s2_den) times sum_j j! weights[j]
+            weights = [0] * k + [sum(w * math.factorial(j)
+                                     for j, w in enumerate(weights))]
+            den *= math.factorial(k)
         for n in range(SYMBOLIC_BOUND + 1):
+            rhs = sum(w * rows[j][n] for j, w in enumerate(weights))
             lhs = ctx.y(n, k)
-            rhs = Fraction(0)
-            for j, weight in enumerate(weights):
-                rhs += weight * ctx.s2star(n, k if reading == "k" else j)
-            if lhs != rhs:
+            if rhs * lhs.denominator != lhs.numerator * den:
                 status = FAIL if reading == "j" else EXPECTED_DISCREPANCY
-                mismatch = f"(n,k)=({n},{k});lhs={lhs};rhs={rhs}"
-                break
-        if status != PASS:
-            break
-    return IdentityReport(rid, lam0, alpha0, f"n,k<={SYMBOLIC_BOUND}",
-                          status, mismatch)
+                return IdentityReport(
+                    rid, lam0, alpha0, orders, status,
+                    f"(n,k)=({n},{k});lhs={lhs};rhs={Fraction(rhs, den)}")
+    return IdentityReport(rid, lam0, alpha0, orders, PASS)
 
 
 # ---------------------------------------------------------------------------

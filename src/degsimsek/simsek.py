@@ -141,9 +141,10 @@ def _route_a(n: int, k: int) -> ParamPoly:
     return series.coeffs[n] * math.factorial(n)
 
 
-# Routes B and C and the recurrences E and F are integer computations once
-# scaled by k!: they sum integer terms {(deg_l, deg_a): c} of
-# k! y*(n,k) in Z[l,a] and divide by k! once per value.
+# Routes B, C and D and the recurrences E and F are integer computations
+# once scaled by k! (route D also by the lcm of its Bernoulli weights'
+# denominators): they sum integer terms {(deg_l, deg_a): c} of the scaled
+# k! y*(n,k) in Z[l,a] and divide once per value.
 
 def _route_b(n: int, k: int) -> ParamPoly:
     terms: dict[tuple[int, int], int] = {}
@@ -208,17 +209,14 @@ def route_c_printed(n: int, k: int) -> ParamPoly:
 def _route_d(n: int, k: int) -> ParamPoly:
     if k == 0:
         return ParamPoly.const(1) if n == 0 else ParamPoly()
-    inv = Fraction(1, math.factorial(k))
-    out = ParamPoly()
-    for j in range(1, k + 1):  # the j = 0 term carries the factor j/k = 0
-        w = inv * math.comb(k, j) * Fraction(j, k) * bernoulli_number(k - j, k)
-        if w == 0:
-            continue
-        for i in range(j + 1):
-            c = w * math.comb(j, i) * i**n
-            if c:
-                out = out + ParamPoly.term(c, i, k - j)
-    return out
+    # the j = 0 term carries the factor j/k = 0
+    weights = {j: math.comb(k, j) * Fraction(j, k) * bernoulli_number(k - j, k)
+               for j in range(1, k + 1)}
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    terms = {(i, k - j): w.numerator * (den // w.denominator)
+             * math.comb(j, i) * i**n
+             for j, w in weights.items() for i in range(j + 1)}
+    return _over(terms, den * math.factorial(k))
 
 
 class _Triangle:

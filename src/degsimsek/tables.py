@@ -8,8 +8,10 @@ and parse/re-render round-trips are exact.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from fractions import Fraction
+import io
 import json
 
 from .algebra import ParamPoly, render_scalar
@@ -119,34 +121,32 @@ def _param_parse(text: str) -> Fraction | None:
 
 
 def render_csv(table: NumberTable) -> str:
-    lines = [
-        f"family,{table.family}",
-        f"route,{table.route}",
-        f"n_max,{table.n_max}",
-        f"k_max,{table.k_max}",
-        f"lambda,{_param_text(table.lam)}",
-        f"alpha,{_param_text(table.alpha)}",
-        f"version,{table.version}",
-        "n\\k," + ",".join(str(k) for k in range(table.k_max + 1)),
-    ]
-    for n, row in enumerate(table.entries):
-        lines.append(f"{n}," + ",".join(row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerows([
+        ["family", table.family],
+        ["route", table.route],
+        ["n_max", table.n_max],
+        ["k_max", table.k_max],
+        ["lambda", _param_text(table.lam)],
+        ["alpha", _param_text(table.alpha)],
+        ["version", table.version],
+        ["n\\k", *range(table.k_max + 1)],
+    ])
+    writer.writerows([n, *row] for n, row in enumerate(table.entries))
+    return out.getvalue()
 
 
 def parse_csv(text: str) -> NumberTable:
-    lines = text.splitlines()
-    meta = {}
-    for line in lines[:7]:
-        key, _, value = line.partition(",")
-        meta[key] = value
+    rows = list(csv.reader(io.StringIO(text)))
+    meta = dict(row[:2] for row in rows[:7])
     n_max = int(meta["n_max"])
     k_max = int(meta["k_max"])
     entries = []
     for n in range(n_max + 1):
-        cells = lines[8 + n].split(",")
+        cells = rows[8 + n]
         if cells[0] != str(n) or len(cells) != k_max + 2:
-            raise ValueError(f"malformed table row {lines[8 + n]!r}")
+            raise ValueError(f"malformed table row {cells!r}")
         entries.append(cells[1:])
     return NumberTable(meta["family"], meta["route"], n_max, k_max,
                        _param_parse(meta["lambda"]), _param_parse(meta["alpha"]),

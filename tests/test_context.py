@@ -1,21 +1,26 @@
 """The per-point and symbolic evaluation contexts: differential checks
 against the uncached library functions, the integer forms of the symbolic
-checks against their ParamPoly definitions and a sympy oracle, and count
-guards on ParamPoly.evaluate, simsek_y1 and degenerate_falling."""
+and REL-S2STAR checks against their definitions, term-by-term references
+and sympy oracles, and count guards on ParamPoly.evaluate, simsek_y1,
+degenerate_falling and the degenerate Stirling rows."""
 
 from fractions import Fraction
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from degsimsek import phi, registry, simsek
-from degsimsek.algebra import ParamPoly, _int_terms, _over
+from degsimsek import degenerate, phi, registry, simsek
+from degsimsek.algebra import (QQ, ParamPoly, TruncSeries, _int_terms, _over,
+                               series_compose, series_log1p)
 from degsimsek.classical import degenerate_falling
 from degsimsek.degenerate import new_deg_stirling2
-from degsimsek.phi import PointContext, phi_series
+from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, SymbolicContext,
-                                random_points, run_suite)
+                                check_rel_s2star, random_points, run_suite)
 from degsimsek.simsek import ROUTES, simsek_y1, y1star
+
+from oracles import rel_s2star_reference
 
 POINTS = list(FIXED_POINTS) + random_points(seed=5, count=3)
 RATIONAL = [e for e in REGISTRY if e.mode == "rational"]
@@ -144,10 +149,25 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
+    # each degenerate Stirling row is built once, from empty row caches
+    built = []
+    basis_row = degenerate._falling_basis_row
+
+    def recording(n, source_a, target_a):
+        built.append((n, source_a, target_a))
+        return basis_row(n, source_a, target_a)
+
+    monkeypatch.setattr(degenerate, "_falling_basis_row", recording)
+    monkeypatch.setattr(degenerate, "_DS1_ROWS", {})
+    monkeypatch.setattr(degenerate, "_DS2_ROWS", {})
     reports = run_suite(order=8)
     assert len(reports) == 95
-    assert calls["simsek_y1"] <= 400
+    # one k! y1(n,k) per (n, k) <= 8, read by the symbolic checks and by
+    # PHI-LOG at every point
+    assert calls["simsek_y1"] <= 81
     assert calls["degenerate_falling"] <= 100
+    assert sorted(built) == sorted((n, source_a, 1 - source_a)
+                                   for n in range(9) for source_a in (0, 1))
 
 
 def test_symbolic_job_computes_each_route_value_once(monkeypatch):
@@ -185,3 +205,57 @@ def test_suite_extracts_each_route_a_value_once(monkeypatch):
     assert len(reports) == 95
     assert len(extracted) <= 81
     assert len(set(extracted)) == len(extracted)
+
+
+# REL-S2STAR and PHI-LOG against references at random points: lam and
+# alpha with negative numerators, alpha = 0, and larger denominators
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rationals.filter(bool), rationals)
+@example(Fraction(-7, 3), Fraction(0))
+@example(Fraction(1), Fraction(0))
+@example(Fraction(2, 9), Fraction(-5, 8))
+def test_rel_s2star_readings_match_term_by_term_reference(lam, alpha):
+    ctx = PointContext(lam, alpha, SymbolicContext())
+    for reading in ("j", "k", "dup", "zero0"):
+        report = check_rel_s2star(ctx, reading)
+        expected = rel_s2star_reference(
+            lam, alpha, lambda n, k: y1star(n, k).evaluate(lam, alpha), reading)
+        assert (report.status, report.mismatch) == expected, reading
+
+
+@settings(max_examples=25, deadline=None)
+@given(rationals, rationals.filter(bool), st.integers(0, 3), st.integers(1, 8))
+@example(Fraction(0), Fraction(-1, 9), 2, 8)
+def test_log_substitution_powers_equal_horner_composition(lam, alpha, n,
+                                                          order):
+    ctx = PointContext(lam, alpha, SymbolicContext())
+    outer = TruncSeries("x", order, [simsek_y1(n, k).evaluate(lam, 0)
+                                     for k in range(order + 1)], QQ)
+    x = TruncSeries.variable("x", order, QQ)
+    inner = series_log1p(x * alpha) * (1 / alpha)
+    assert log_substitution_rhs(ctx, n, order) == series_compose(outer, inner)
+
+
+def test_s2star_table_matches_sympy_series():
+    # an independent derivation: n!/j! [t^n] of the product of the
+    # factors e^t - 1 - i r, e^t the sympy series, for n, j <= 6
+    import sympy
+    t, r = sympy.symbols("t r")
+    exp_t = sympy.series(sympy.exp(t), t, 0, 7).removeO()
+    contexts = [PointContext(lam, alpha, SymbolicContext())
+                for lam, alpha in ((2, Fraction(-3, 2)), (Fraction(-3, 5), 1),
+                                   (Fraction(4, 7), 0))]
+    for j in range(7):
+        product = sympy.expand(sympy.Mul(*[exp_t - 1 - i * r
+                                           for i in range(j)]))
+        for n in range(7):
+            value = product.coeff(t, n) * sympy.factorial(n) / sympy.factorial(j)
+            for ctx in contexts:
+                ratio = ctx.alpha / ctx.lam
+                expected = value.subs(r, sympy.Rational(ratio.numerator,
+                                                        ratio.denominator))
+                assert ctx.s2star(n, j) == Fraction(int(expected.p),
+                                                    int(expected.q)), (n, j)

@@ -57,6 +57,33 @@ def test_deg_stirling_basis_identities():
         assert rhs == falling_factorial(L, n)
 
 
+def test_deg_stirling_rows_match_sympy_ff_expansion():
+    # an independent derivation for n <= 6: solve (x)_{n,a} = sum_l c_l
+    # ff(x, l) and ff(x, n) = sum_l c_l a^l ff(x/a, l) for the c_l with
+    # sympy, matching coefficients of x
+    import sympy
+    x, a = sympy.symbols("x a")
+
+    def expansion(target, basis, n):
+        cs = sympy.symbols(f"c0:{n + 1}")
+        residue = sympy.expand(target - sum(c * basis(l)
+                                            for l, c in enumerate(cs)))
+        solution = sympy.solve(sympy.Poly(residue, x).coeffs(), cs, dict=True)
+        return [sympy.Poly(solution[0][c], a) for c in cs]
+
+    def terms(poly):
+        return {(0, e[0]): Fraction(int(c)) for e, c in poly.terms() if c}
+
+    for n in range(7):
+        degenerate = sympy.Mul(*[x - i * a for i in range(n)])
+        row2 = expansion(degenerate, lambda l: sympy.ff(x, l), n)
+        row1 = expansion(sympy.expand_func(sympy.ff(x, n)),
+                         lambda l: sympy.expand(a**l * sympy.ff(x / a, l)), n)
+        for l in range(n + 1):
+            assert deg_stirling2(n, l).terms == terms(row2[l]), (n, l)
+            assert deg_stirling1(n, l).terms == terms(row1[l]), (n, l)
+
+
 def test_deg_stirling_triangles_are_mutually_inverse():
     for n in range(9):
         for m in range(9):

@@ -15,8 +15,8 @@ from degsimsek.registry import (FIXED_POINTS, REGISTRY, default_grid,
                                 random_points, registry_ids, run_suite,
                                 suite_failed)
 from degsimsek.reports import reports_to_csv, reports_to_json
-from degsimsek.tables import (TableUsageError, build_table, parse_csv,
-                              parse_json, render_csv, render_json)
+from degsimsek.tables import (NumberTable, TableUsageError, build_table,
+                              parse_csv, parse_json, render_csv, render_json)
 
 CORE_IDS = {"FUNC-EQ", "THM-S1", "EXPL-B", "EXPL-C", "EXPL-D", "REL-S2A",
             "REL-S2STAR", "REC-K", "REC-N", "PHI-EGF", "PHI-LOG", "PHI-REC",
@@ -232,6 +232,27 @@ def test_table_round_trip_csv_and_json():
         assert render_csv(parse_csv(csv_text)) == csv_text
         json_text = render_json(table)
         assert render_json(parse_json(json_text)) == json_text
+
+
+def test_table_csv_rows_parse_back_to_their_cells():
+    # table CSV goes through the csv module: every row reads back as its
+    # cells, and a cell holding a comma or a quote survives the round trip
+    tables = [build_table("y1star", "A", 3, 4),
+              build_table("y1star", "C", 3, 3, lam=Fraction(-1, 2),
+                          alpha=Fraction(2, 3)),
+              NumberTable("y1", "", 0, 1, None, None, [["1", 'a,"b"']])]
+    for table in tables:
+        rows = list(csv.reader(io.StringIO(render_csv(table))))
+        assert rows[:8] == [
+            ["family", table.family], ["route", table.route],
+            ["n_max", str(table.n_max)], ["k_max", str(table.k_max)],
+            ["lambda", "symbolic" if table.lam is None else str(table.lam)],
+            ["alpha", "symbolic" if table.alpha is None else str(table.alpha)],
+            ["version", table.version],
+            ["n\\k", *(str(k) for k in range(table.k_max + 1))]]
+        assert rows[8:] == [[str(n), *row]
+                            for n, row in enumerate(table.entries)]
+        assert parse_csv(render_csv(table)) == table
 
 
 def test_table_determinism():

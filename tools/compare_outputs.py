@@ -5,8 +5,10 @@
 Each ROOT is a checkout of this repository, absolute or relative to the
 working directory; the CLI runs from ROOT/src in a fresh interpreter per
 case, two cases at a time.  The matrix: `verify` for
-seeds 0/7/41 x workers 1/2/3 x order 2/8/12 x text/csv/json, and for seed
-0 x workers 1/2/3 x order 1/16 x text/csv/json; `table --family y1star`
+seeds 0/7/41 x workers 1/2/3 x order 2/8/12 x text/csv/json, for seed
+0 x workers 1/2/3 x order 1/16 x text/csv/json, with `--random-points 8`
+at seeds 3 and 11, and for the REL-S2STAR family, PHI-LOG and PHI-FT
+alone at orders 3 and 12, as JSON; `table --family y1star`
 for routes A-F, symbolic and at two rational points, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
 with --lambda only, --alpha only and both, where the CLI accepts the
@@ -28,6 +30,8 @@ import subprocess
 import sys
 
 USAGE_ERROR = 2
+INTEGER_SUM_IDS = ("REL-S2STAR", "REL-S2STAR-KIDX", "REL-S2STAR-DUPL",
+                   "REL-S2STAR-ZERO0", "PHI-LOG", "PHI-FT")
 
 
 def cases() -> list[list[str]]:
@@ -40,6 +44,14 @@ def cases() -> list[list[str]]:
     for seed, workers, order, fmt in verify_runs:
         matrix.append(["verify", "--seed", seed, "--workers", workers,
                        "--order", order, "--format", fmt])
+    # eight random points bring negative lambda and alpha and larger
+    # denominators to the point checks' integer sums
+    for seed in ("3", "11"):
+        matrix.append(["verify", "--seed", seed, "--random-points", "8",
+                       "--format", "json"])
+    for order in ("3", "12"):
+        matrix.append(["verify", "--identity", ",".join(INTEGER_SUM_IDS),
+                       "--order", order, "--format", "json"])
     # "--flag=value", so that argparse reads a negative value as a value
     points = ([], ["--lambda=1/2", "--alpha=1/3"],
               ["--lambda=-7/5", "--alpha=0"])
