@@ -90,6 +90,22 @@ def new_deg_stirling2(n: int, k: int, alpha):
     return series.coeffs[n] * Fraction(math.factorial(n), math.factorial(k))
 
 
+def _s2star_rows(ratio: Fraction, size: int) -> tuple[list[list[int]], int]:
+    """(rows, den) with rows[j][n] / den = n! [t^n] (e^t-1)_{j,ratio}
+    = j! S2*(n, j | ratio) for n, j <= size: integer numerators over one
+    denominator q^size for ratio = p/q.  Row j+1 is row j times the factor
+    e^t - 1 - j p/q, a binomial convolution of n!-scaled coefficients."""
+    p, q = ratio.numerator, ratio.denominator
+    row = [1] + [0] * size  # q^j n! [t^n] of the product
+    rows = [row]
+    for j in range(size):
+        row = [q * sum(math.comb(n, e) * row[n - e] for e in range(1, n + 1))
+               - j * p * row[n] for n in range(size + 1)]
+        rows.append(row)
+    return ([[c * q**(size - j) for c in row] for j, row in enumerate(rows)],
+            q**size)
+
+
 def deg_exp_series(x, alpha, order: int, var: str = "t",
                    ring=None) -> TruncSeries:
     """Degenerate exponential e_a^x as a truncated series: coefficient m is

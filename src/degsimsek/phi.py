@@ -26,7 +26,7 @@ import math
 from .algebra import (QQ, SeriesRing, TruncSeries, series_differentiate,
                       series_integrate, series_log1p, series_reciprocal, exp_t)
 from .classical import stirling2
-from .degenerate import apostol_euler_series, deg_exp_series
+from .degenerate import _s2star_rows, apostol_euler_series, deg_exp_series
 from .reports import (EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE,
                       IdentityReport, merge_status)
 from .simsek import y1star
@@ -77,10 +77,10 @@ class PointContext:
     Apostol-Euler and corrected Euler weight rows, the powers of
     x/(1+alpha*x) and of log(1+alpha*x)/alpha, the PHI-FT blocks, the
     S2*(n, j | alpha/lam) table and the REL-S2STAR weights.
-    The y1star values evaluate the route-A polynomials of `table`, and the
-    y1 values its scaled Simsek numbers: an object whose y(n, k) and
-    scaled_y1(n, k) give them, such as the registry.SymbolicContext shared
-    by every point of a suite.
+    The y1star and y1 values are read from `table`, an object whose
+    scaled(n, k) gives the route-A integer terms of k! y1star(n,k) and whose
+    scaled_y1(n, k) gives those of k! y1(n,k), such as the
+    registry.SymbolicContext shared by every point of a suite.
     Not locked: keep a context on one thread.
     """
 
@@ -94,23 +94,33 @@ class PointContext:
         self._powers: dict[tuple[str, int], list[TruncSeries]] = {}
         self._ft_blocks: dict[tuple[int, int, int], TruncSeries] = {}
         self._s2star = None
+        self._term_weights: dict[int, tuple[list[int], list[int], int]] = {}
         self._s2star_weights: dict[int, tuple[list[int], int]] = {}
+
+    def _at_point(self, terms: dict, k: int) -> Fraction:
+        """terms / k! at the point, for integer terms of degree <= k in l
+        and in a: one numerator over k! q^k s^k (lam = p/q, alpha = r/s)."""
+        if k not in self._term_weights:
+            p, q = self.lam.numerator, self.lam.denominator
+            r, s = self.alpha.numerator, self.alpha.denominator
+            self._term_weights[k] = (
+                [p**i * q**(k - i) for i in range(k + 1)],
+                [r**j * s**(k - j) for j in range(k + 1)],
+                math.factorial(k) * q**k * s**k)
+        lam_pows, alpha_pows, den = self._term_weights[k]
+        return Fraction(sum(c * lam_pows[i] * alpha_pows[j]
+                            for (i, j), c in terms.items()), den)
 
     def y(self, n: int, k: int) -> Fraction:
         """y1star(n,k) at the point."""
-        value = self._y.get((n, k))
-        if value is None:
-            value = self._y[(n, k)] = self._table.y(n, k).evaluate(
-                self.lam, self.alpha)
-        return value
+        if (n, k) not in self._y:
+            self._y[(n, k)] = self._at_point(self._table.scaled(n, k), k)
+        return self._y[(n, k)]
 
     def y1(self, n: int, k: int) -> Fraction:
         """The Simsek number y1(n,k) at (lam, 0), from the table's integer
-        terms of k! y1(n,k), all of degree <= k in l."""
-        p, q = self.lam.numerator, self.lam.denominator
-        num = sum(c * p**i * q**(k - i)
-                  for (i, _), c in self._table.scaled_y1(n, k).items())
-        return Fraction(num, q**k * math.factorial(k))
+        terms of k! y1(n,k), which are free of a."""
+        return self._at_point(self._table.scaled_y1(n, k), k)
 
     def phi(self, n: int, order: int) -> TruncSeries:
         """phi_n at the point, equal to phi_series(n, lam0, alpha0, order)."""
@@ -178,27 +188,12 @@ class PointContext:
         return block
 
     def s2star_table(self, size: int) -> tuple[list[list[int]], int]:
-        """(rows, den) with rows[j][n] / den = n! [t^n] (e^t-1)_{j,alpha/lam}
-        = j! S2*(n, j | alpha/lam) for n, j <= size (at least): integer
-        numerators over one denominator q^size for alpha/lam = p/q.  Row j+1
-        is row j times the factor e^t - 1 - j p/q, a binomial convolution of
-        n!-scaled coefficients; the table is built again when a larger size
-        is asked for."""
-        table = self._s2star
-        if table is None or len(table[0]) <= size:
-            ratio = self.alpha / self.lam
-            p, q = ratio.numerator, ratio.denominator
-            row = [1] + [0] * size  # q^j n! [t^n] of the product
-            rows = [row]
-            for j in range(size):
-                row = [q * sum(math.comb(n, e) * row[n - e]
-                               for e in range(1, n + 1)) - j * p * row[n]
-                       for n in range(size + 1)]
-                rows.append(row)
-            table = self._s2star = (
-                [[c * q**(size - j) for c in row] for j, row in enumerate(rows)],
-                q**size)
-        return table
+        """(rows, den) with rows[j][n] / den = j! S2*(n, j | alpha/lam) for
+        n, j <= size (at least), as degenerate._s2star_rows builds them; the
+        table is built again when a larger size is asked for."""
+        if self._s2star is None or len(self._s2star[0]) <= size:
+            self._s2star = _s2star_rows(self.alpha / self.lam, size)
+        return self._s2star
 
     def s2star(self, n: int, j: int) -> Fraction:
         """S2*(n, j | alpha/lam) = n!/j! [t^n] (e^t-1)_{j,alpha/lam}."""

@@ -31,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import (PP, QQ, ParamPoly, TruncSeries, _combine, _over,
-                      exp_t)
+from .algebra import (PP, QQ, ParamPoly, TruncSeries, _combine, _int_terms,
+                      _over, exp_t)
 from .classical import (bernoulli_number, bernoulli_poly, degenerate_falling,
                         stirling1)
 
@@ -136,29 +136,23 @@ def fk_series_via_bernoulli(k: int, order: int, lam, alpha) -> TruncSeries:
     return poly * Fraction(alpha**k, math.factorial(k))
 
 
-def _route_a(n: int, k: int) -> ParamPoly:
-    series = fk_series(k, n)
-    return series.coeffs[n] * math.factorial(n)
+# Each route's core gives Y(n,k) = k! y*(n,k) as integer terms
+# {(deg_l, deg_a): c} of Z[l,a] without zeros: routes B, C and D and the
+# recurrences E and F are integer computations at that scale, and route A's
+# coefficient is converted to it exactly.  y1star divides by k! once.
 
-
-# Routes B, C and D and the recurrences E and F are integer computations
-# once scaled by k! (route D also by the lcm of its Bernoulli weights'
-# denominators): they sum integer terms {(deg_l, deg_a): c} of the scaled
-# k! y*(n,k) in Z[l,a] and divide once per value.
-
-def _route_b(n: int, k: int) -> ParamPoly:
+def _route_b(n: int, k: int) -> dict:
     terms: dict[tuple[int, int], int] = {}
     for l in range(k + 1):
         s1 = stirling1(k, l)
-        if s1 == 0:
-            continue
         for j in range(l + 1):
             c = math.comb(l, j) * s1 * j**n
-            terms[(j, k - l)] = c  # one term per (j, l); _over drops zeros
-    return _over(terms, math.factorial(k))
+            if c:
+                terms[(j, k - l)] = c  # one term per (j, l)
+    return terms
 
 
-def _route_c(n: int, k: int) -> ParamPoly:
+def _route_c(n: int, k: int) -> dict:
     # (1)_{k-l,a} here follows the derivation (step parameter a); the
     # printed step-j variant is exercised separately by the verifier.
     # falling[m] lists the integer coefficients of a^0, a^1, ... in
@@ -166,81 +160,65 @@ def _route_c(n: int, k: int) -> ParamPoly:
     falling = [[1]]
     for m in range(k):
         prev = falling[m]
-        nxt = prev + [0]
-        for e, c in enumerate(prev):
-            nxt[e + 1] -= m * c
-        falling.append(nxt)
+        falling.append([c - m * p for c, p in zip(prev + [0], [0] + prev)])
     terms: dict[tuple[int, int], int] = {}
     for l in range(k + 1):
         ones = falling[k - l]
         for j in range(l + 1):
-            s1 = stirling1(l, j)
-            if s1 == 0:
-                continue
-            c = math.comb(k, l) * s1 * j**n
-            if c == 0:
-                continue
+            c = math.comb(k, l) * stirling1(l, j) * j**n
             for e, f in enumerate(ones):
-                if f:
+                if c * f:
                     key = (j, l - j + e)
                     terms[key] = terms.get(key, 0) + c * f
-    return _over(terms, math.factorial(k))
+    return {key: c for key, c in terms.items() if c}
+
+
+def _route_c_printed(n: int, k: int) -> dict:
+    # one term per (l, j): the step-j factor (1)_{k-l,j} is an integer
+    return {(j, l - j): c for l in range(k + 1) for j in range(l + 1)
+            if (c := math.comb(k, l) * stirling1(l, j) * j**n
+                * math.prod(1 - i * j for i in range(k - l)))}
 
 
 def route_c_printed(n: int, k: int) -> ParamPoly:
-    """The step-j reading (1)_{k-l,j} of route C as printed; kept only so the
-    verifier can report that it disagrees with the other routes."""
-    inv = Fraction(1, math.factorial(k))
-    out = ParamPoly()
-    for l in range(k + 1):
-        for j in range(l + 1):
-            s1 = stirling1(l, j)
-            if s1 == 0:
-                continue
-            ones = 1
-            for i in range(k - l):
-                ones *= 1 - i * j
-            c = inv * math.comb(k, l) * s1 * ones * j**n
-            if c:
-                out = out + ParamPoly.term(c, j, l - j)
-    return out
+    """The step-j reading (1)_{k-l,j} of route C as printed, which disagrees
+    with the other routes (the verifier compares its integer terms)."""
+    return _over(_route_c_printed(n, k), math.factorial(k))
 
 
-def _route_d(n: int, k: int) -> ParamPoly:
+def _route_d(n: int, k: int) -> dict:
     if k == 0:
-        return ParamPoly.const(1) if n == 0 else ParamPoly()
-    # the j = 0 term carries the factor j/k = 0
-    weights = {j: math.comb(k, j) * Fraction(j, k) * bernoulli_number(k - j, k)
-               for j in range(1, k + 1)}
-    den = math.lcm(*(w.denominator for w in weights.values()))
-    terms = {(i, k - j): w.numerator * (den // w.denominator)
-             * math.comb(j, i) * i**n
-             for j, w in weights.items() for i in range(j + 1)}
-    return _over(terms, den * math.factorial(k))
+        return {(0, 0): 1} if n == 0 else {}
+    # the weights C(k,j) (j/k) B_{k-j}^(k) are the integers s(k,j), since
+    # s(k,j) = C(k-1,j-1) B_{k-j}^(k); the j = 0 term carries j/k = 0
+    terms = {}
+    for j in range(1, k + 1):
+        w = math.comb(k, j) * Fraction(j, k) * bernoulli_number(k - j, k)
+        if w.denominator != 1:
+            raise ValueError(f"route D weight ({k},{j}) = {w} is not integral")
+        for i in range(j + 1):
+            c = w.numerator * math.comb(j, i) * i**n
+            if c:
+                terms[(i, k - j)] = c
+    return terms
 
 
 class _Triangle:
     """Grow-only (n,k)-triangle filled by an integer recurrence: a cell holds
-    Y(n,k) = k! y*(n,k) as integer terms, and becomes a ParamPoly (divided
-    by k!) once, when it is first read."""
+    Y(n,k) = k! y*(n,k) as integer terms."""
 
     def __init__(self, fill):
         self.cells: dict[tuple[int, int], dict] = {}
-        self.polys: dict[tuple[int, int], ParamPoly] = {}
         self.n_max = -1
         self.k_max = -1
         self._fill = fill
 
-    def get(self, n: int, k: int) -> ParamPoly:
-        poly = self.polys.get((n, k))
-        if poly is None:
-            if n > self.n_max or k > self.k_max:
-                self.n_max = max(n, self.n_max)
-                self.k_max = max(k, self.k_max)
-                self._fill(self.cells, self.n_max, self.k_max)
-            poly = self.polys[(n, k)] = _over(self.cells[(n, k)],
-                                              math.factorial(k))
-        return poly
+    def get(self, n: int, k: int) -> dict:
+        if n > self.n_max or k > self.k_max:
+            self.n_max = max(n, self.n_max)
+            self.k_max = max(k, self.k_max)
+            self._fill(self.cells, self.n_max, self.k_max)
+        return self.cells[(n, k)]
 
 
 def _fill_k_recurrence(cells, n_max, k_max):
@@ -286,18 +264,17 @@ _triangle_e = _Triangle(_fill_k_recurrence)
 _triangle_f = _Triangle(_fill_n_recurrence)
 
 
-def y1star(n: int, k: int, route: str = "A") -> ParamPoly:
-    """New-type degenerate Simsek number y1star(n,k) by the chosen route.
-
-    All six routes return identical polynomials in (l, a); route A is the
-    definition, the others exist to be checked against it.
-    """
+def scaled_y1star(n: int, k: int, route: str = "A") -> dict:
+    """Y(n,k) = k! y1star(n,k) by the chosen route, as integer terms
+    {(deg_l, deg_a): c} of Z[l,a] without zeros.  Do not mutate the result:
+    routes E and F hand out their triangles' cells."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     if n < 0 or k < 0:
-        return ParamPoly()
+        return {}
     if route == "A":
-        return _route_a(n, k)
+        return _int_terms(fk_series(k, n).coeffs[n],
+                          math.factorial(n) * math.factorial(k))
     if route == "B":
         return _route_b(n, k)
     if route == "C":
@@ -307,3 +284,15 @@ def y1star(n: int, k: int, route: str = "A") -> ParamPoly:
     if route == "E":
         return _triangle_e.get(n, k)
     return _triangle_f.get(n, k)
+
+
+def y1star(n: int, k: int, route: str = "A") -> ParamPoly:
+    """New-type degenerate Simsek number y1star(n,k) by the chosen route.
+
+    All six routes return identical polynomials in (l, a); route A is the
+    definition, the others exist to be checked against it.
+    """
+    if route == "A" and n >= 0 and k >= 0:
+        return fk_series(k, n).coeffs[n] * math.factorial(n)
+    # scaled_y1star checks the route, and gives {} for a negative index
+    return _over(scaled_y1star(n, k, route), math.factorial(max(k, 0)))

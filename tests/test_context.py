@@ -2,7 +2,7 @@
 against the uncached library functions, the integer forms of the symbolic
 and REL-S2STAR checks against their definitions, term-by-term references
 and sympy oracles, and count guards on ParamPoly.evaluate, simsek_y1,
-degenerate_falling and the degenerate Stirling rows."""
+degenerate_falling, the degenerate Stirling rows and the route values."""
 
 from fractions import Fraction
 import math
@@ -18,6 +18,7 @@ from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, SymbolicContext,
                                 check_rel_s2star, random_points, run_suite)
+from degsimsek.reports import FAIL
 from degsimsek.simsek import ROUTES, simsek_y1, y1star
 
 from oracles import rel_s2star_reference
@@ -95,8 +96,9 @@ def test_symbolic_weights_match_their_definitions():
                     ParamPoly.const(-1), k - i, a) * (
                         math.comb(k, i) * math.factorial(i))
             assert _over(ctx.falling_sum(k, n), 1) == expected, (k, n)
-            assert _over(ctx.scaled_y(n, k), math.factorial(k)) == \
-                y1star(n, k), (n, k)
+            for route in ROUTES:
+                assert _over(ctx.scaled(n, k, route), math.factorial(k)) == \
+                    y1star(n, k), (n, k, route)
             assert _over(ctx.scaled_y1(n, k), math.factorial(k)) == \
                 simsek_y1(n, k), (n, k)
             assert all(isinstance(c, int) for c in ctx.falling_sum(k, n).values())
@@ -136,7 +138,7 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
     # a count, not a clock: the symbolic checks must read y1 values and
     # the (-1)_{m,a} / (1)_{m,a} factors from the context instead of
     # rebuilding them inside their innermost loops
-    calls = {"simsek_y1": 0, "degenerate_falling": 0}
+    calls = {"simsek_y1": 0, "degenerate_falling": 0, "evaluate": 0}
 
     def counting(name, func):
         def wrapper(*args, **kwargs):
@@ -160,12 +162,29 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
     monkeypatch.setattr(degenerate, "_falling_basis_row", recording)
     monkeypatch.setattr(degenerate, "_DS1_ROWS", {})
     monkeypatch.setattr(degenerate, "_DS2_ROWS", {})
+    # point values come from integer terms, never from ParamPoly.evaluate
+    monkeypatch.setattr(ParamPoly, "evaluate", counting(
+        "evaluate", ParamPoly.evaluate))
+    # the factors of every series (x)_{n,a}: at most the F_0..F_8 chain
+    factors = []
+    for module in (simsek, degenerate):
+        falling = module.degenerate_falling
+
+        def factor_counting(x, n, alpha, falling=falling):
+            if isinstance(x, TruncSeries):
+                factors.append(n)
+            return falling(x, n, alpha)
+        monkeypatch.setattr(module, "degenerate_falling", factor_counting)
     reports = run_suite(order=8)
     assert len(reports) == 95
     # one k! y1(n,k) per (n, k) <= 8, read by the symbolic checks and by
     # PHI-LOG at every point
     assert calls["simsek_y1"] <= 81
     assert calls["degenerate_falling"] <= 100
+    assert calls["evaluate"] == 0
+    # F_0..F_8 take 0 + 1 + ... + 8 = 36 factors when nothing is cached;
+    # one S2* chain per (n, k) of RED-CLASSICAL would take 324 more
+    assert sum(factors) <= 36
     assert sorted(built) == sorted((n, source_a, 1 - source_a)
                                    for n in range(9) for source_a in (0, 1))
 
@@ -174,13 +193,13 @@ def test_symbolic_job_computes_each_route_value_once(monkeypatch):
     # every route's own formula runs once per (n, k): the context never
     # stands one route's value in for another's, and never recomputes one
     asked = []
-    compute = registry.y1star
+    compute = registry.scaled_y1star
 
     def recording(n, k, route="A"):
         asked.append((n, k, route))
         return compute(n, k, route)
 
-    monkeypatch.setattr(registry, "y1star", recording)
+    monkeypatch.setattr(registry, "scaled_y1star", recording)
     run_suite([e.id for e in SYMBOLIC], order=8)
     assert sorted(asked) == sorted((n, k, route) for n in range(9)
                                    for k in range(9) for route in ROUTES)
@@ -188,7 +207,7 @@ def test_symbolic_job_computes_each_route_value_once(monkeypatch):
 
 def test_suite_extracts_each_route_a_value_once(monkeypatch):
     # a count, not a clock: every grid point evaluates the symbolic
-    # context's route-A polynomials instead of extracting them again
+    # context's route-A integer terms instead of reading F_k again
     from degsimsek import cli, tables
     extracted = []
 
@@ -200,7 +219,10 @@ def test_suite_extracts_each_route_a_value_once(monkeypatch):
         return wrapper
 
     for module in (registry, phi, simsek, tables, cli):
-        monkeypatch.setattr(module, "y1star", counting(module.y1star))
+        for name in ("y1star", "scaled_y1star"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(getattr(module, name)))
     reports = run_suite(order=8)
     assert len(reports) == 95
     assert len(extracted) <= 81
@@ -237,6 +259,42 @@ def test_log_substitution_powers_equal_horner_composition(lam, alpha, n,
     x = TruncSeries.variable("x", order, QQ)
     inner = series_log1p(x * alpha) * (1 / alpha)
     assert log_substitution_rhs(ctx, n, order) == series_compose(outer, inner)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+       st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+@example(Fraction(-7, 3), Fraction(0))
+@example(Fraction(0), Fraction(-999_999, 10**6))
+@example(Fraction(-1), Fraction(5, 999_983))
+def test_point_values_equal_polynomial_evaluation(lam, alpha):
+    # the integer-term evaluation against ParamPoly.evaluate of the route-A
+    # polynomial: negative numerators, alpha = 0, denominators up to 10^6
+    ctx = PointContext(lam, alpha, SymbolicContext())
+    for n in range(9):
+        for k in range(9):
+            assert ctx.y(n, k) == y1star(n, k).evaluate(lam, alpha), (n, k)
+            assert ctx.y1(n, k) == simsek_y1(n, k).evaluate(lam, 0), (n, k)
+
+
+@pytest.mark.parametrize("rid,route", [("EXPL-B", "B"), ("EXPL-D", "D"),
+                                       ("REC-N", "F")])
+def test_wrong_route_value_is_reported_as_polynomials(monkeypatch, rid,
+                                                      route):
+    # one route gives a wrong Y(3,4); the report shows both sides divided
+    # by 4! exactly as the polynomials y1star renders
+    compute = registry.scaled_y1star
+    wrong = {(1, 2): 7, (3, 0): -5}
+
+    def corrupted(n, k, r="A"):
+        return wrong if (n, k, r) == (3, 4, route) else compute(n, k, r)
+
+    monkeypatch.setattr(registry, "scaled_y1star", corrupted)
+    [report] = run_suite([rid], order=8)
+    assert report.status == FAIL
+    lhs = _over(wrong, math.factorial(4)).render()
+    assert report.mismatch == (f"(n,k)=(3,4);lhs={lhs};"
+                               f"rhs={y1star(3, 4).render()}")
 
 
 def test_s2star_table_matches_sympy_series():

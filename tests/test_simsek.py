@@ -7,7 +7,8 @@ import pytest
 
 from degsimsek import simsek
 from degsimsek.algebra import ParamPoly
-from degsimsek.classical import degenerate_falling
+from degsimsek.classical import (bernoulli_number, degenerate_falling,
+                                 stirling1)
 from degsimsek.simsek import (ROUTES, deg_simsek_y1, deg_simsek_y1_alt,
                               fk_series, fk_series_via_bernoulli,
                               route_c_printed, simsek_y1, simsek_y1_via_gf,
@@ -192,10 +193,29 @@ def test_triangle_filled_out_of_order_matches_route_b(fill):
         triangle.get(n, k)
     for n in range(15):
         for k in range(15):
-            assert triangle.get(n, k) == y1star(n, k, "B"), (n, k)
+            assert triangle.get(n, k) == simsek.scaled_y1star(n, k, "B"), \
+                (n, k)
 
 
 def test_route_c_matches_route_b():
     for n in range(13):
         for k in range(13):
             assert y1star(n, k, "C") == y1star(n, k, "B"), (n, k)
+
+
+def test_route_d_weights_are_signed_stirling_numbers():
+    # route D's weights C(k,j) (j/k) B_{k-j}^(k) are the integers s(k,j),
+    # since s(k,j) = C(k-1,j-1) B_{k-j}^(k)
+    for k in range(1, 16):
+        for j in range(1, k + 1):
+            weight = (math.comb(k, j) * Fraction(j, k)
+                      * bernoulli_number(k - j, k))
+            assert weight == stirling1(k, j), (k, j)
+
+
+def test_stirling1_matches_sympy_signed():
+    from sympy.functions.combinatorial.numbers import stirling
+    for k in range(9):
+        for j in range(k + 1):
+            assert stirling1(k, j) == stirling(k, j, kind=1, signed=True), \
+                (k, j)

@@ -7,8 +7,10 @@ working directory; the CLI runs from ROOT/src in a fresh interpreter per
 case, two cases at a time.  The matrix: `verify` for
 seeds 0/7/41 x workers 1/2/3 x order 2/8/12 x text/csv/json, for seed
 0 x workers 1/2/3 x order 1/16 x text/csv/json, with `--random-points 8`
-at seeds 3 and 11, and for the REL-S2STAR family, PHI-LOG and PHI-FT
-alone at orders 3 and 12, as JSON; `table --family y1star`
+at seeds 3 and 11, and at seed 19 with order 12, for the REL-S2STAR
+family, PHI-LOG and PHI-FT alone at orders 3 and 12, and for the symbolic
+route, recurrence and reduction checks alone at orders 1 and 16, as JSON;
+`table --family y1star`
 for routes A-F, symbolic and at two rational points, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
 with --lambda only, --alpha only and both, where the CLI accepts the
@@ -32,6 +34,8 @@ import sys
 USAGE_ERROR = 2
 INTEGER_SUM_IDS = ("REL-S2STAR", "REL-S2STAR-KIDX", "REL-S2STAR-DUPL",
                    "REL-S2STAR-ZERO0", "PHI-LOG", "PHI-FT")
+ROUTE_IDS = ("EXPL-B", "EXPL-C", "EXPL-C-PRINTED", "EXPL-D", "REC-K",
+             "REC-N", "RED-A0", "RED-CLASSICAL")
 
 
 def cases() -> list[list[str]]:
@@ -49,9 +53,13 @@ def cases() -> list[list[str]]:
     for seed in ("3", "11"):
         matrix.append(["verify", "--seed", seed, "--random-points", "8",
                        "--format", "json"])
-    for order in ("3", "12"):
-        matrix.append(["verify", "--identity", ",".join(INTEGER_SUM_IDS),
-                       "--order", order, "--format", "json"])
+    matrix.append(["verify", "--random-points", "8", "--seed", "19",
+                   "--order", "12", "--format", "json"])
+    for ids, orders in ((INTEGER_SUM_IDS, ("3", "12")),
+                        (ROUTE_IDS, ("1", "16"))):
+        for order in orders:
+            matrix.append(["verify", "--identity", ",".join(ids),
+                           "--order", order, "--format", "json"])
     # "--flag=value", so that argparse reads a negative value as a value
     points = ([], ["--lambda=1/2", "--alpha=1/3"],
               ["--lambda=-7/5", "--alpha=0"])
