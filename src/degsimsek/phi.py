@@ -7,6 +7,28 @@ in the parameters, so rational substitution is what keeps the comparisons
 exact.  Where an identity divides by (1+a*x), the check multiplies through
 instead so both sides stay polynomial.
 
+The checks compare in integers.  At lam = p/q and alpha = r/s put
+D = q*s and x = D*u.  Then phi_n(x) = sum_k Phi_n[k] u^k/k! with the
+integer Phi_n[k] = k! D^k y1star(n,k), and every factor the identities use
+is an integer EGF in u as well (entry m is m! times the coefficient of
+u^m; c = r*q):
+
+    (l/a) log(1+a*x)           p s (-c)^(m-1) (m-1)!
+    (log(1+a*x)/a)^k / k!      D^k s(m,k) c^(m-k)     (signed Stirling)
+    (x/(1+a*x))^k / (k! D^k)   L(m,k) (-c)^(m-k)      (Lah numbers)
+    1 + a*x                    [1, c]
+    d/dx                       entries shifted down by one, over D
+    integral dx                entries shifted up by one, times D
+    e_a^(l*e^t+1)(x)           entry k: prod_{i<k} (p s e^t + q s - i c),
+                               an integer EGF in t
+
+A product of two series is the binomial convolution of their entries.
+Each check scales both sides by one integer, so that both are integer
+lists, and compares them entry by entry.  Fractions are built only for the
+Apostol-Euler weight rows, which are then held as integers over one
+denominator, and to write a mismatch: entry d of den times a side stands
+for the coefficient value/(d! D^d den) of x^d.
+
 The integral identity is special: its stated form relies on an
 antiderivative of e_a^c(y) with divisor c, while direct differentiation
 gives divisor c+a, so the identity is exact only at a=0.  At a != 0 the
@@ -23,10 +45,9 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import (QQ, SeriesRing, TruncSeries, series_differentiate,
-                      series_integrate, series_log1p, series_reciprocal, exp_t)
+from .algebra import QQ, TruncSeries, series_reciprocal, exp_t
 from .classical import stirling2
-from .degenerate import _s2star_rows, apostol_euler_series, deg_exp_series
+from .degenerate import _s2star_rows, apostol_euler_series
 from .reports import (EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE,
                       IdentityReport, merge_status)
 from .simsek import y1star
@@ -41,30 +62,48 @@ def phi_series(n: int, lam0, alpha0, order: int) -> TruncSeries:
     return TruncSeries("x", order, coeffs, QQ)
 
 
-def _first_mismatch(lhs: TruncSeries, rhs: TruncSeries, label: str = "x"):
-    """(degree, lhs_text, rhs_text) of the lowest differing coefficient, or
-    None when the series agree through the common order."""
-    from .algebra import render_scalar
-    for d in range(min(lhs.order, rhs.order) + 1):
-        a, b = lhs.coeffs[d], rhs.coeffs[d]
+# ---------------------------------------------------------------------------
+# Integer EGFs: coefficient lists whose entry m is m! times the coefficient
+# of u^m.
+# ---------------------------------------------------------------------------
+
+def _conv(a: list[int], b: list[int], order: int) -> list[int]:
+    """The product of the EGFs a and b to the given order: entry m is
+    sum_j C(m,j) a[j] b[m-j]."""
+    out = [0] * (order + 1)
+    right = [(j, v) for j, v in enumerate(b[:order + 1]) if v]
+    for i, w in enumerate(a[:order + 1]):
+        if not w:
+            continue
+        for j, v in right:
+            if i + j > order:
+                break
+            out[i + j] += math.comb(i + j, i) * w * v
+    return out
+
+
+def _sum_rows(parts, order: int) -> list[int]:
+    """sum of c * row over the (c, row) parts, entries 0..order."""
+    out = [0] * (order + 1)
+    for c, row in parts:
+        if c:
+            out = [o + c * v for o, v in zip(out, row)]
+    return out
+
+
+def _series_report(rid: str, ctx: PointContext, orders: str, lhs, rhs,
+                   den: int = 1, extra: str = "",
+                   mismatch_status: str = FAIL) -> IdentityReport:
+    """Compare lhs and rhs, den times the two sides as integer EGFs in u,
+    entry by entry; the lowest differing entry d is written as the two
+    sides' coefficients of x^d."""
+    for d, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
-            if isinstance(a, TruncSeries):
-                inner = _first_mismatch(a, b, label="t")
-                return (f"{label}^{d};{inner[0]}", inner[1], inner[2])
-            return (f"{label}^{d}", render_scalar(a), render_scalar(b))
-    return None
-
-
-def _series_report(rid, lam0, alpha0, orders, lhs, rhs, extra="",
-                   mismatch_status=FAIL) -> IdentityReport:
-    # equal series compare in their integer form; coefficients are read
-    # only to locate a mismatch
-    miss = None if lhs == rhs else _first_mismatch(lhs, rhs)
-    if miss is None:
-        return IdentityReport(rid, lam0, alpha0, orders, PASS)
-    loc, a, b = miss
-    text = f"{extra}{loc};lhs={a};rhs={b}"
-    return IdentityReport(rid, lam0, alpha0, orders, mismatch_status, text)
+            text = (f"{extra}x^{d};lhs={ctx.x_coeff(a, d, den)};"
+                    f"rhs={ctx.x_coeff(b, d, den)}")
+            return IdentityReport(rid, ctx.lam, ctx.alpha, orders,
+                                  mismatch_status, text)
+    return IdentityReport(rid, ctx.lam, ctx.alpha, orders, PASS)
 
 
 # ---------------------------------------------------------------------------
@@ -72,119 +111,150 @@ def _series_report(rid, lam0, alpha0, orders, lhs, rhs, extra="",
 # ---------------------------------------------------------------------------
 
 class PointContext:
-    """Everything the rational checks read at one point (lam0, alpha0),
-    each value computed on first use and kept: y1star values, phi rows, the
-    Apostol-Euler and corrected Euler weight rows, the powers of
-    x/(1+alpha*x) and of log(1+alpha*x)/alpha, the PHI-FT blocks, the
-    S2*(n, j | alpha/lam) table and the REL-S2STAR weights.
-    The y1star and y1 values are read from `table`, an object whose
-    scaled(n, k) gives the route-A integer terms of k! y1star(n,k) and whose
-    scaled_y1(n, k) gives those of k! y1(n,k), such as the
-    registry.SymbolicContext shared by every point of a suite.
+    """Everything the rational checks read at one point lam = p/q,
+    alpha = r/s, each value computed on first use and kept, in integers:
+    the rows of phi_n and of sum_k y1(n,k) x^k as integer EGFs in
+    u = x/(q s), the triangles of the powers of log(1+alpha*x)/alpha and
+    of x/(1+alpha*x) in u, the PHI-FT blocks, the Apostol-Euler and
+    corrected Euler weight rows over one denominator each, the
+    S2*(n, j | alpha/lam) table and the REL-S2STAR weights; y(n, k) and
+    y1(n, k) give single values as Fractions.
+    The values are read from `table`, an object whose scaled(n, k) gives
+    the route-A integer terms of k! y1star(n,k) and whose scaled_y1(n, k)
+    gives those of k! y1(n,k), such as the registry.SymbolicContext shared
+    by every point of a suite.
     Not locked: keep a context on one thread.
     """
 
     def __init__(self, lam0, alpha0, table):
         self.lam = Fraction(lam0)
         self.alpha = Fraction(alpha0)
+        p, q = self.lam.numerator, self.lam.denominator
+        r, s = self.alpha.numerator, self.alpha.denominator
+        self.qs = q * s     # D: x = D u
+        self.ps = p * s     # lam D
+        self.rq = r * q     # alpha D
         self._table = table
+        self._nums: dict[tuple[int, int], int] = {}
         self._y: dict[tuple[int, int], Fraction] = {}
-        self._phi: dict[tuple[int, int], TruncSeries] = {}
-        self._rows: dict[tuple[str, int], list[Fraction]] = {}
-        self._powers: dict[tuple[str, int], list[TruncSeries]] = {}
-        self._ft_blocks: dict[tuple[int, int, int], TruncSeries] = {}
+        self._phi: dict[tuple[int, int], list[int]] = {}
+        self._triangles: dict[tuple[str, int], list[list[int]]] = {}
+        self._rows: dict[tuple[str, int], tuple[list[int], int]] = {}
+        self._ft_blocks: dict[tuple[int, int, int], list[int]] = {}
         self._s2star = None
-        self._term_weights: dict[int, tuple[list[int], list[int], int]] = {}
+        self._term_weights: dict[int, tuple[list[int], list[int]]] = {}
         self._s2star_weights: dict[int, tuple[list[int], int]] = {}
 
-    def _at_point(self, terms: dict, k: int) -> Fraction:
-        """terms / k! at the point, for integer terms of degree <= k in l
-        and in a: one numerator over k! q^k s^k (lam = p/q, alpha = r/s)."""
+    def _numerator(self, terms: dict, k: int) -> int:
+        """k! D^k times terms / k! at the point, for integer terms of degree
+        <= k in l and in a: sum_(i,j) c p^i q^(k-i) r^j s^(k-j)."""
         if k not in self._term_weights:
             p, q = self.lam.numerator, self.lam.denominator
             r, s = self.alpha.numerator, self.alpha.denominator
             self._term_weights[k] = (
                 [p**i * q**(k - i) for i in range(k + 1)],
-                [r**j * s**(k - j) for j in range(k + 1)],
-                math.factorial(k) * q**k * s**k)
-        lam_pows, alpha_pows, den = self._term_weights[k]
-        return Fraction(sum(c * lam_pows[i] * alpha_pows[j]
-                            for (i, j), c in terms.items()), den)
+                [r**j * s**(k - j) for j in range(k + 1)])
+        lam_pows, alpha_pows = self._term_weights[k]
+        return sum(c * lam_pows[i] * alpha_pows[j]
+                   for (i, j), c in terms.items())
+
+    def x_coeff(self, value: int, d: int, den: int = 1) -> Fraction:
+        """The coefficient of x^d for which value / den is entry d of an
+        EGF in u: value / (d! D^d den)."""
+        return Fraction(value, math.factorial(d) * self.qs**d * den)
+
+    def _phi_num(self, n: int, k: int) -> int:
+        """Phi_n[k] = k! D^k y1star(n,k)."""
+        value = self._nums.get((n, k))
+        if value is None:
+            value = self._nums[(n, k)] = self._numerator(
+                self._table.scaled(n, k), k)
+        return value
 
     def y(self, n: int, k: int) -> Fraction:
         """y1star(n,k) at the point."""
-        if (n, k) not in self._y:
-            self._y[(n, k)] = self._at_point(self._table.scaled(n, k), k)
-        return self._y[(n, k)]
+        value = self._y.get((n, k))
+        if value is None:
+            value = self._y[(n, k)] = self.x_coeff(self._phi_num(n, k), k)
+        return value
 
     def y1(self, n: int, k: int) -> Fraction:
         """The Simsek number y1(n,k) at (lam, 0), from the table's integer
         terms of k! y1(n,k), which are free of a."""
-        return self._at_point(self._table.scaled_y1(n, k), k)
+        return self.x_coeff(self.y1_row(n, k)[k], k)
 
-    def phi(self, n: int, order: int) -> TruncSeries:
-        """phi_n at the point, equal to phi_series(n, lam0, alpha0, order)."""
+    def phi_row(self, n: int, order: int) -> list[int]:
+        """Phi_n[0..order]: phi_n at the point as an integer EGF in u."""
         row = self._phi.get((n, order))
         if row is None:
-            row = self._phi[(n, order)] = TruncSeries(
-                "x", order, [self.y(n, k) for k in range(order + 1)], QQ)
+            row = self._phi[(n, order)] = [self._phi_num(n, k)
+                                           for k in range(order + 1)]
         return row
 
-    def _row(self, kind: str, n: int, series) -> list[Fraction]:
+    def y1_row(self, n: int, order: int) -> list[int]:
+        """sum_k y1(n,k) x^k at (lam, 0) as an integer EGF in u: entry k is
+        k! D^k y1(n,k)."""
+        return [self._numerator(self._table.scaled_y1(n, k), k)
+                for k in range(order + 1)]
+
+    def triangle(self, kind: str, order: int) -> list[list[int]]:
+        """rows[m][k] for m, k <= order, with c = alpha D: for kind "log",
+        s(m,k) c^(m-k), so that column k is (log(1+alpha*x)/alpha)^k /
+        (k! D^k) in u; for kind "lah", L(m,k) (-c)^(m-k), so that column k
+        is (x/(1+alpha*x))^k / (k! D^k) in u.  Row m+1 is row m shifted
+        one column right, less row m times m c (Stirling) or (m+k) c
+        (Lah) in column k."""
+        rows = self._triangles.get((kind, order))
+        if rows is None:
+            c, lah = self.rq, kind == "lah"
+            rows = [[1] + [0] * order]
+            for m in range(order):
+                prev = rows[m]
+                rows.append([(prev[k - 1] if k else 0)
+                             - (m + k if lah else m) * c * prev[k]
+                             for k in range(order + 1)])
+            self._triangles[(kind, order)] = rows
+        return rows
+
+    def _row(self, kind: str, n: int, series) -> tuple[list[int], int]:
+        """(nums, den) with nums[j] / den = j! [t^j] series() for j <= n,
+        over the series' one denominator."""
         row = self._rows.get((kind, n))
         if row is None:
-            coeffs = series().coeffs
-            row = self._rows[(kind, n)] = [
-                coeffs[j] * math.factorial(j) for j in range(n + 1)]
+            values = series()
+            row = self._rows[(kind, n)] = (
+                [math.factorial(j) * values.nums[j] for j in range(n + 1)],
+                values.den)
         return row
 
-    def apostol_row(self, n: int) -> list[Fraction]:
-        """E_0(lam)..E_n(lam) with E_j(lam) = j! [t^j] 2/(lam*e^t+1)."""
+    def apostol_row(self, n: int) -> tuple[list[int], int]:
+        """(nums, den) with nums[j] / den = E_j(lam) = j! [t^j]
+        2/(lam*e^t+1), j <= n."""
         return self._row("apostol", n,
                          lambda: apostol_euler_series(1, self.lam, 0, n))
 
-    def corrected_euler_row(self, n: int) -> list[Fraction]:
-        """Weights of 2/(lam*e^t + 1 + alpha): the divisor that direct
-        differentiation of the antiderivative actually produces."""
+    def corrected_euler_row(self, n: int) -> tuple[list[int], int]:
+        """The weights of 2/(lam*e^t + 1 + alpha), as apostol_row gives
+        them: the divisor that direct differentiation of the antiderivative
+        actually produces."""
         def series():
             half = (exp_t(n, QQ) * self.lam + 1 + self.alpha) * Fraction(1, 2)
             return series_reciprocal(half)
         return self._row("corrected", n, series)
 
-    def _power(self, kind: str, base, k: int, order: int) -> TruncSeries:
-        """base(x)^k to the given x-order, each power one product more than
-        the last."""
-        powers = self._powers.get((kind, order))
-        if powers is None:
-            x = TruncSeries.variable("x", order, QQ)
-            powers = self._powers[(kind, order)] = [x.ring_one(), base(x)]
-        while len(powers) <= k:
-            powers.append(powers[-1] * powers[1])
-        return powers[k]
-
-    def w_power(self, k: int, order: int) -> TruncSeries:
-        """(x/(1+alpha*x))^k to the given x-order."""
-        return self._power(
-            "w", lambda x: x * series_reciprocal(x * self.alpha + 1), k, order)
-
-    def log_power(self, k: int, order: int) -> TruncSeries:
-        """(log(1+alpha*x)/alpha)^k to the given x-order; alpha != 0."""
-        return self._power(
-            "log", lambda x: series_log1p(x * self.alpha) * (1 / self.alpha),
-            k, order)
-
-    def ft_block(self, n: int, k: int, order: int) -> TruncSeries:
-        """(x/(1+alpha*x))^k sum_j C(n,j) y*(j,k) phi_{n-j}(x): the part of
-        the PHI-FT right side that f weights by k! sum_m S2(m,k) f_m."""
+    def ft_block(self, n: int, k: int, order: int) -> list[int]:
+        """(x/(1+alpha*x))^k sum_j C(n,j) y*(j,k) phi_{n-j}(x) as an
+        integer EGF in u: the part of the PHI-FT right side that f weights
+        by k! sum_m S2(m,k) f_m."""
         block = self._ft_blocks.get((n, k, order))
         if block is None:
-            acc = TruncSeries.constant(Fraction(0), "x", order, QQ)
-            for j in range(n + 1):
-                scalar = math.comb(n, j) * self.y(j, k)
-                if scalar:
-                    acc = acc + self.phi(n - j, order) * scalar
-            block = self._ft_blocks[(n, k, order)] = \
-                self.w_power(k, order) * acc
+            # k! D^k y*(j,k) (x/(1+alpha*x))^k is Phi_j[k] times the Lah
+            # column k, which starts at u^k: k <= order
+            acc = _sum_rows([(math.comb(n, j) * self._phi_num(j, k),
+                              self.phi_row(n - j, order))
+                             for j in range(n + 1)], order)
+            lah = [row[k] for row in self.triangle("lah", order)]
+            block = self._ft_blocks[(n, k, order)] = _conv(lah, acc, order)
         return block
 
     def s2star_table(self, size: int) -> tuple[list[list[int]], int]:
@@ -208,14 +278,12 @@ class PointContext:
         alpha = r/s: the n-free weights of the S2* relation."""
         weights = self._s2star_weights.get(k)
         if weights is None:
-            p, q = self.lam.numerator, self.lam.denominator
-            r, s = self.alpha.numerator, self.alpha.denominator
             falling = [1]  # numerators of (lam+1)_{m,alpha} over (q s)^m
             for i in range(k):
-                falling.append(falling[-1] * ((p + q) * s - i * r * q))
+                falling.append(falling[-1] * (self.ps + self.qs - i * self.rq))
             weights = self._s2star_weights[k] = (
-                [math.comb(k, j) * (p * s)**j * falling[k - j]
-                 for j in range(k + 1)], (q * s)**k)
+                [math.comb(k, j) * self.ps**j * falling[k - j]
+                 for j in range(k + 1)], self.qs**k)
         return weights
 
 
@@ -226,44 +294,47 @@ class PointContext:
 
 def check_egf(ctx: PointContext, order: int) -> IdentityReport:
     """sum_n phi_n(x) t^n/n! = e_a^(l*e^t+1)(x), compared as a series in x
-    over a series in t, both sides truncated at order in x and in t."""
-    lam0, alpha0 = ctx.lam, ctx.alpha
-    inner_ring = SeriesRing(QQ, "t", order)
-    lhs_cols = []
+    over a series in t, both sides truncated at order in x and in t: the
+    coefficient of x^k t^e, times k! D^k e!, is Phi_e[k] on the left and
+    e! [t^e] of D^k (l*e^t+1)_{k,a} on the right."""
+    orders = f"Nt={order};K={order}"
+    rows = [ctx.phi_row(e, order) for e in range(order + 1)]
+    # product is D^k (l*e^t+1)_{k,a} as a t-EGF; each k multiplies in the
+    # factor p s e^t + q s - k c, the t-EGF [p s + q s - k c, p s, p s, ...]
+    product = [1] + [0] * order
     for k in range(order + 1):
-        col = [ctx.y(m, k) * Fraction(1, math.factorial(m))
-               for m in range(order + 1)]
-        lhs_cols.append(TruncSeries("t", order, col, QQ))
-    lhs = TruncSeries("x", order, lhs_cols, inner_ring)
-    c = exp_t(order, QQ) * lam0 + 1
-    rhs = deg_exp_series(c, alpha0, order, var="x")
-    return _series_report("PHI-EGF", lam0, alpha0,
-                          f"Nt={order};K={order}", lhs, rhs)
+        for e, row in enumerate(rows):
+            if row[k] != product[e]:
+                scale = math.factorial(e)
+                text = (f"x^{k};t^{e};lhs={ctx.x_coeff(row[k], k, scale)};"
+                        f"rhs={ctx.x_coeff(product[e], k, scale)}")
+                return IdentityReport("PHI-EGF", ctx.lam, ctx.alpha, orders,
+                                      FAIL, text)
+        factor = [ctx.ps + ctx.qs - k * ctx.rq] + [ctx.ps] * order
+        product = _conv(product, factor, order)
+    return IdentityReport("PHI-EGF", ctx.lam, ctx.alpha, orders, PASS)
 
 
 def log_substitution_rhs(ctx: PointContext, n: int,
-                         order: int) -> TruncSeries:
-    """sum_k y1(n,k)(lam) L^k with L = log(1+a*x)/a: the y1 column at
-    (lam, 0) composed with L, over the powers of L the point shares by
-    every n; a != 0."""
-    acc = TruncSeries.constant(Fraction(0), "x", order, QQ)
-    for k in range(order + 1):
-        value = ctx.y1(n, k)
-        if value:
-            acc = acc + ctx.log_power(k, order) * value
-    return acc
+                         order: int) -> list[int]:
+    """sum_k y1(n,k)(lam) L^k with L = log(1+a*x)/a, as an integer EGF in
+    u: entry m is sum_k s(m,k) (a D)^(m-k) k! D^k y1(n,k), the y1 row at
+    (lam, 0) times the point's log triangle, which every n shares; a != 0."""
+    y1 = ctx.y1_row(n, order)
+    return [sum(c * v for c, v in zip(row, y1) if c)
+            for row in ctx.triangle("log", order)]
 
 
 def check_log_substitution(ctx: PointContext, n: int,
                            order: int) -> IdentityReport:
     """phi_n(x) = sum_k (log(1+a*x)/a)^k y1(n,k), the y1 values taken at
     (lam, 0)."""
-    lam0, alpha0 = ctx.lam, ctx.alpha
     orders = f"K={order};n={n}"
-    if alpha0 == 0:
+    if ctx.alpha == 0:
         # the inner substitution degenerates to the identity map
-        return IdentityReport("PHI-LOG", lam0, alpha0, orders, TRIVIALLY_TRUE)
-    return _series_report("PHI-LOG", lam0, alpha0, orders, ctx.phi(n, order),
+        return IdentityReport("PHI-LOG", ctx.lam, ctx.alpha, orders,
+                              TRIVIALLY_TRUE)
+    return _series_report("PHI-LOG", ctx, orders, ctx.phi_row(n, order),
                           log_substitution_rhs(ctx, n, order),
                           extra=f"n={n};")
 
@@ -271,61 +342,51 @@ def check_log_substitution(ctx: PointContext, n: int,
 def check_phi_recurrence(ctx: PointContext, n: int,
                          order: int) -> IdentityReport:
     """phi_{n+1}(x) = (l/a) log(1+a*x) sum_i C(n,i) phi_i(x); at a=0 the
-    prefactor is its limit l*x."""
-    lam0, alpha0 = ctx.lam, ctx.alpha
-    lhs = ctx.phi(n + 1, order)
-    x = TruncSeries.variable("x", order, QQ)
-    if alpha0 == 0:
-        factor = x * lam0
-    else:
-        factor = series_log1p(x * alpha0) * (lam0 / alpha0)
-    acc = TruncSeries.constant(Fraction(0), "x", order, QQ)
-    for i in range(n + 1):
-        acc = acc + ctx.phi(i, order) * math.comb(n, i)
-    rhs = factor * acc
-    return _series_report("PHI-REC", lam0, alpha0, f"K={order};n={n}",
-                          lhs, rhs, extra=f"n={n};")
+    prefactor is its limit l*x, which the log row gives there too."""
+    # (l/a) log(1+a*x) = l D times column 1 of the log triangle
+    factor = [0] + [ctx.ps * row[1] for row in ctx.triangle("log", order)[1:]]
+    acc = _sum_rows([(math.comb(n, i), ctx.phi_row(i, order))
+                     for i in range(n + 1)], order)
+    return _series_report("PHI-REC", ctx, f"K={order};n={n}",
+                          ctx.phi_row(n + 1, order),
+                          _conv(factor, acc, order), extra=f"n={n};")
 
 
 def check_phi_derivative(ctx: PointContext, n: int,
                          order: int) -> IdentityReport:
     """(1+a*x) phi_n'(x) = l sum_i C(n,i) phi_i(x) + phi_n(x), compared to
-    x-order K-1 (the derivative loses one order)."""
-    lam0, alpha0 = ctx.lam, ctx.alpha
+    x-order K-1 (the derivative loses one order), both sides times D."""
     cmp_order = order - 1
-    x = TruncSeries.variable("x", cmp_order, QQ)
-    dphi = series_differentiate(ctx.phi(n, order))
-    lhs = (x * alpha0 + 1) * dphi
-    acc = TruncSeries.constant(Fraction(0), "x", cmp_order, QQ)
-    for i in range(n + 1):
-        acc = acc + ctx.phi(i, cmp_order) * math.comb(n, i)
-    rhs = acc * lam0 + ctx.phi(n, cmp_order)
-    return _series_report("PHI-DER", lam0, alpha0, f"K={order};n={n}",
-                          lhs, rhs, extra=f"n={n};")
+    # D d/dx is d/du, a shift by one entry
+    lhs = _conv([1, ctx.rq], ctx.phi_row(n, order)[1:], cmp_order)
+    rhs = _sum_rows([(ctx.ps * math.comb(n, i), ctx.phi_row(i, order))
+                     for i in range(n + 1)]
+                    + [(ctx.qs, ctx.phi_row(n, order))], cmp_order)
+    return _series_report("PHI-DER", ctx, f"K={order};n={n}", lhs, rhs,
+                          den=ctx.qs, extra=f"n={n};")
 
 
 def check_phi_apostol(ctx: PointContext, n: int,
                       order: int) -> IdentityReport:
     """(1+a*x) sum_m C(n,m) E_{n-m}(l) phi_m'(x) = 2 phi_n(x) with the
-    first-kind Apostol-Euler weights E_j(l) = j! [t^j] 2/(l*e^t+1)."""
-    lam0, alpha0 = ctx.lam, ctx.alpha
+    first-kind Apostol-Euler weights E_j(l) = j! [t^j] 2/(l*e^t+1),
+    compared to x-order K-1, both sides times D and the weights'
+    denominator."""
     cmp_order = order - 1
-    euler = ctx.apostol_row(n)
-    x = TruncSeries.variable("x", cmp_order, QQ)
-    acc = TruncSeries.constant(Fraction(0), "x", cmp_order, QQ)
-    for m in range(n + 1):
-        dphi = series_differentiate(ctx.phi(m, order))
-        acc = acc + dphi * (math.comb(n, m) * euler[n - m])
-    lhs = (x * alpha0 + 1) * acc
-    rhs = ctx.phi(n, cmp_order) * 2
-    return _series_report("PHI-AE", lam0, alpha0, f"K={order};n={n}",
-                          lhs, rhs, extra=f"n={n};")
+    euler, den = ctx.apostol_row(n)
+    acc = _sum_rows([(math.comb(n, m) * euler[n - m],
+                      ctx.phi_row(m, order)[1:]) for m in range(n + 1)],
+                    cmp_order)
+    lhs = _conv([1, ctx.rq], acc, cmp_order)
+    rhs = [2 * den * ctx.qs * c for c in ctx.phi_row(n, order)[:order]]
+    return _series_report("PHI-AE", ctx, f"K={order};n={n}", lhs, rhs,
+                          den=den * ctx.qs, extra=f"n={n};")
 
 
 def check_phi_integral(ctx: PointContext, n: int, order: int,
                        corrected: bool = False) -> IdentityReport:
     """int_0^x phi_n = ((1+a*x)/2) sum_i C(n,i) E_{n-i} phi_i(x) - E_n/2,
-    for n >= 1.
+    for n >= 1, both sides times twice the weights' denominator.
 
     With corrected=True the weights use the divisor l*e^t+1+a instead (the
     exact-antiderivative variant derived here); at a=0 both coincide.  The
@@ -334,18 +395,19 @@ def check_phi_integral(ctx: PointContext, n: int, order: int,
     """
     if n < 1:
         raise ValueError("the integral identity is stated for n >= 1")
-    lam0, alpha0 = ctx.lam, ctx.alpha
     rid = "PHI-INT-CORR" if corrected else "PHI-INT"
-    euler = ctx.corrected_euler_row(n) if corrected else ctx.apostol_row(n)
-    lhs = series_integrate(ctx.phi(n, order), order)
-    x = TruncSeries.variable("x", order, QQ)
-    acc = TruncSeries.constant(Fraction(0), "x", order, QQ)
-    for i in range(n + 1):
-        acc = acc + ctx.phi(i, order) * (math.comb(n, i) * euler[n - i])
-    rhs = (x * alpha0 + 1) * acc * Fraction(1, 2) - euler[n] * Fraction(1, 2)
-    mismatch_status = FAIL if (alpha0 == 0 or corrected) else EXPECTED_DISCREPANCY
-    return _series_report(rid, lam0, alpha0, f"K={order};n={n}", lhs, rhs,
-                          extra=f"n={n};", mismatch_status=mismatch_status)
+    euler, den = ctx.corrected_euler_row(n) if corrected else ctx.apostol_row(n)
+    # the integral dx is D times a shift by one entry the other way
+    lhs = [0] + [2 * den * ctx.qs * c for c in ctx.phi_row(n, order)[:order]]
+    acc = _sum_rows([(math.comb(n, i) * euler[n - i], ctx.phi_row(i, order))
+                     for i in range(n + 1)], order)
+    rhs = _conv([1, ctx.rq], acc, order)
+    rhs[0] -= euler[n]
+    mismatch_status = (FAIL if (ctx.alpha == 0 or corrected)
+                       else EXPECTED_DISCREPANCY)
+    return _series_report(rid, ctx, f"K={order};n={n}", lhs, rhs,
+                          den=2 * den, extra=f"n={n};",
+                          mismatch_status=mismatch_status)
 
 
 def check_f_transform(ctx: PointContext, n: int, f_coeffs,
@@ -355,25 +417,22 @@ def check_f_transform(ctx: PointContext, n: int, f_coeffs,
                      f_m y*(j,k) phi_{n-j}(x)
     for a polynomial f given by its coefficient list.  The right side is
     sum_k (k! sum_m S2(m,k) f_m) ctx.ft_block(n, k): the same finite exact
-    sum, reordered so that the blocks serve every f."""
-    lam0, alpha0 = ctx.lam, ctx.alpha
+    sum, reordered so that the blocks serve every f.  Both sides are
+    compared times the lcm f_den of f's denominators."""
     f_coeffs = [Fraction(c) for c in f_coeffs]
     # f(m) = sum_i f_nums[i] m^i / f_den, summed in integers
     f_den = math.lcm(*(c.denominator for c in f_coeffs))
     f_nums = [c.numerator * (f_den // c.denominator) for c in f_coeffs]
-    lhs = TruncSeries("x", order, [
-        ctx.y(n, m) * sum(c * m**i for i, c in enumerate(f_nums))
-        for m in range(order + 1)], QQ) * Fraction(1, f_den)
-    rhs = TruncSeries.constant(Fraction(0), "x", order, QQ)
-    for k in range(len(f_coeffs)):
-        weight = math.factorial(k) * sum(stirling2(m, k) * fm
-                                         for m, fm in enumerate(f_coeffs))
-        if weight:
-            rhs = rhs + ctx.ft_block(n, k, order) * weight
+    lhs = [c * sum(f * m**i for i, f in enumerate(f_nums))
+           for m, c in enumerate(ctx.phi_row(n, order))]
+    # block k starts at x^k, so blocks past the order add nothing
+    rhs = _sum_rows([(math.factorial(k) * sum(stirling2(m, k) * f
+                                              for m, f in enumerate(f_nums)),
+                      ctx.ft_block(n, k, order))
+                     for k in range(min(len(f_nums), order + 1))], order)
     f_text = "f=[" + " ".join(str(c) for c in f_coeffs) + "]"
-    return _series_report("PHI-FT", lam0, alpha0,
-                          f"K={order};n={n};{f_text}", lhs, rhs,
-                          extra=f"n={n};{f_text};")
+    return _series_report("PHI-FT", ctx, f"K={order};n={n};{f_text}", lhs,
+                          rhs, den=f_den, extra=f"n={n};{f_text};")
 
 
 def merge_reports(rid: str, reports: list[IdentityReport],

@@ -100,3 +100,157 @@ def rel_s2star_reference(lam, alpha, y, reading: str, bound: int = 8):
                 status = "fail" if reading == "j" else "expected-discrepancy"
                 return status, f"(n,k)=({n},{k});lhs={lhs};rhs={rhs}"
     return "pass", ""
+
+
+# ---------------------------------------------------------------------------
+# The phi identity checks in their truncated-series form: each side a list
+# of Fraction coefficients in x, products by list convolution, the merged
+# (status, mismatch) of each registry entry as the suite reports it.
+# ---------------------------------------------------------------------------
+
+_SEVERITY = {"fail": 3, "expected-discrepancy": 2, "pass": 1,
+             "trivially-true": 0}
+
+
+def _mul(a, b, order: int):
+    """The product of two coefficient lists, truncated at x^order."""
+    out = [Fraction(0)] * (order + 1)
+    for i, ca in enumerate(a[: order + 1]):
+        if ca:
+            for j, cb in enumerate(b[: order + 1 - i]):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
+
+
+def _lin(parts, order: int):
+    """sum of c * series over the (c, series) parts, to x^order."""
+    out = [Fraction(0)] * (order + 1)
+    for c, series in parts:
+        for m in range(order + 1):
+            out[m] += c * series[m]
+    return out
+
+
+def _compare(lhs, rhs, extra: str, status: str = "fail"):
+    for d, (a, b) in enumerate(zip(lhs, rhs)):
+        if a != b:
+            return status, f"{extra}x^{d};lhs={Fraction(a)};rhs={Fraction(b)}"
+    return "pass", ""
+
+
+def euler_weights(lam, shift, n: int):
+    """E_j = j! [t^j] 2/(lam e^t + 1 + shift) for j <= n."""
+    half = [(lam + 1 + shift) / 2] + [lam / (2 * math.factorial(j))
+                                      for j in range(1, n + 1)]
+    inverse = reciprocal_solve(half, n)
+    return [inverse[j] * math.factorial(j) for j in range(n + 1)]
+
+
+def _phi_egf(lam, alpha, order, y):
+    """sum_n phi_n(x) t^n/n! against e_alpha^(lam e^t + 1)(x), whose x^k
+    coefficient is prod_{i<k} (lam e^t + 1 - i alpha) / k! in t."""
+    exp_t = [Fraction(1, math.factorial(e)) for e in range(order + 1)]
+    product = [Fraction(1)] + [Fraction(0)] * order
+    for k in range(order + 1):
+        for e in range(order + 1):
+            lhs = y(e, k) / math.factorial(e)
+            rhs = product[e] / math.factorial(k)
+            if lhs != rhs:
+                return "fail", f"x^{k};t^{e};lhs={lhs};rhs={rhs}"
+        factor = [lam + 1 - k * alpha] + [lam * c for c in exp_t[1:]]
+        product = _mul(product, factor, order)
+    return "pass", ""
+
+
+def phi_reference(rid: str, lam, alpha, order: int, y, y1, ns, f_polys=()):
+    """(status, mismatch) of phi identity rid at (lam, alpha) to x-order
+    `order`, merged over n in ns (and over f in f_polys, f outer, for
+    PHI-FT) as the suite merges them: the worst status, and the mismatch of
+    the first sub-check that failed or found the expected discrepancy.
+    y(n, k) gives y*(n,k) at the point and y1(n, k) the Simsek number
+    y1(n,k) at (lam, 0)."""
+    lam, alpha = Fraction(lam), Fraction(alpha)
+    if rid == "PHI-EGF":
+        return _phi_egf(lam, alpha, order, y)
+
+    def phi(n, top=order):
+        return [y(n, k) for k in range(top + 1)]
+
+    def derivative(series):
+        return [series[j + 1] * (j + 1) for j in range(len(series) - 1)]
+
+    one_plus = [Fraction(1), alpha]  # 1 + alpha x
+    # log(1 + alpha x) / alpha, whose limit at alpha = 0 is x
+    log_a = [Fraction(0)] + [(-alpha) ** (m - 1) / m
+                             for m in range(1, order + 1)]
+
+    def sub(n, f=None):
+        extra = f"n={n};"
+        if rid == "PHI-LOG":
+            if alpha == 0:
+                return "trivially-true", ""
+            rhs = [Fraction(0)] * (order + 1)
+            power = [Fraction(1)] + [Fraction(0)] * order
+            for k in range(order + 1):
+                rhs = _lin([(1, rhs), (y1(n, k), power)], order)
+                power = _mul(power, log_a, order)
+            return _compare(phi(n), rhs, extra)
+        if rid == "PHI-REC":
+            acc = _lin([(math.comb(n, i), phi(i)) for i in range(n + 1)], order)
+            return _compare(phi(n + 1), _mul([lam * c for c in log_a], acc,
+                                             order), extra)
+        if rid == "PHI-DER":
+            low = order - 1
+            lhs = _mul(one_plus, derivative(phi(n)), low)
+            rhs = _lin([(lam * math.comb(n, i), phi(i, low))
+                        for i in range(n + 1)] + [(1, phi(n, low))], low)
+            return _compare(lhs, rhs, extra)
+        if rid == "PHI-AE":
+            low = order - 1
+            euler = euler_weights(lam, 0, n)
+            acc = _lin([(math.comb(n, m) * euler[n - m], derivative(phi(m)))
+                        for m in range(n + 1)], low)
+            return _compare(_mul(one_plus, acc, low),
+                            [2 * c for c in phi(n, low)], extra)
+        if rid in ("PHI-INT", "PHI-INT-CORR"):
+            corrected = rid == "PHI-INT-CORR"
+            euler = euler_weights(lam, alpha if corrected else 0, n)
+            lhs = [Fraction(0)] + [c / (j + 1)
+                                   for j, c in enumerate(phi(n, order - 1))]
+            acc = _lin([(math.comb(n, i) * euler[n - i], phi(i))
+                        for i in range(n + 1)], order)
+            rhs = [c / 2 for c in _mul(one_plus, acc, order)]
+            rhs[0] -= euler[n] / 2
+            status = ("fail" if alpha == 0 or corrected
+                      else "expected-discrepancy")
+            return _compare(lhs, rhs, extra, status)
+        if rid == "PHI-FT":
+            # the stated triple sum, with w = x/(1 + alpha x)
+            f = [Fraction(c) for c in f]
+            w = _mul([Fraction(0), Fraction(1)],
+                     reciprocal_solve(one_plus, order), order)
+            w_powers = [[Fraction(1)] + [Fraction(0)] * order]
+            while len(w_powers) < len(f):
+                w_powers.append(_mul(w_powers[-1], w, order))
+            lhs = [y(n, m) * sum(c * m**i for i, c in enumerate(f))
+                   for m in range(order + 1)]
+            rhs = [Fraction(0)] * (order + 1)
+            for j in range(n + 1):
+                for m, fm in enumerate(f):
+                    for k in range(m + 1):
+                        c = (math.comb(n, j) * count_partitions(m, k)
+                             * math.factorial(k) * fm * y(j, k))
+                        if c:
+                            term = _mul(w_powers[k], phi(n - j), order)
+                            rhs = _lin([(1, rhs), (c, term)], order)
+            f_text = "f=[" + " ".join(str(c) for c in f) + "]"
+            return _compare(lhs, rhs, f"{extra}{f_text};")
+        raise KeyError(rid)
+
+    subs = ([sub(n, f) for f in f_polys for n in ns] if rid == "PHI-FT"
+            else [sub(n) for n in ns])
+    status = max((s for s, _ in subs), key=_SEVERITY.__getitem__)
+    mismatch = next((m for s, m in subs
+                     if s in ("fail", "expected-discrepancy")), "")
+    return status, mismatch

@@ -1,8 +1,10 @@
 """The per-point and symbolic evaluation contexts: differential checks
 against the uncached library functions, the integer forms of the symbolic
 and REL-S2STAR checks against their definitions, term-by-term references
-and sympy oracles, and count guards on ParamPoly.evaluate, simsek_y1,
-degenerate_falling, the degenerate Stirling rows and the route values."""
+and sympy oracles, the phi checks against their truncated-series forms,
+and count guards on ParamPoly.evaluate, simsek_y1, degenerate_falling, the
+degenerate Stirling rows, the route values and the series products of the
+phi checks."""
 
 from fractions import Fraction
 import math
@@ -21,11 +23,18 @@ from degsimsek.registry import (FIXED_POINTS, REGISTRY, SymbolicContext,
 from degsimsek.reports import FAIL
 from degsimsek.simsek import ROUTES, simsek_y1, y1star
 
-from oracles import rel_s2star_reference
+from oracles import phi_reference, rel_s2star_reference
 
 POINTS = list(FIXED_POINTS) + random_points(seed=5, count=3)
 RATIONAL = [e for e in REGISTRY if e.mode == "rational"]
 SYMBOLIC = [e for e in REGISTRY if e.mode == "symbolic"]
+PHI = [e for e in REGISTRY if e.id.startswith("PHI-")]
+
+
+def x_series(ctx: PointContext, row: list[int]) -> TruncSeries:
+    """The series in x whose EGF in u = x/(q s) is the integer row."""
+    return TruncSeries("x", len(row) - 1,
+                       [ctx.x_coeff(c, d) for d, c in enumerate(row)], QQ)
 
 
 @pytest.mark.parametrize("ratio", [Fraction(0), Fraction(1, 2),
@@ -50,7 +59,7 @@ def test_values_match_direct_evaluation(point):
     for n in range(7):
         for k in range(9):
             assert ctx.y(n, k) == y1star(n, k).evaluate(lam, alpha)
-        assert ctx.phi(n, 8) == phi_series(n, lam, alpha, 8)
+        assert x_series(ctx, ctx.phi_row(n, 8)) == phi_series(n, lam, alpha, 8)
 
 
 @pytest.mark.parametrize("point", POINTS[:2] + POINTS[-1:])
@@ -177,9 +186,8 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
         monkeypatch.setattr(module, "degenerate_falling", factor_counting)
     reports = run_suite(order=8)
     assert len(reports) == 95
-    # one k! y1(n,k) per (n, k) <= 8, read by the symbolic checks and by
-    # PHI-LOG at every point
-    assert calls["simsek_y1"] <= 81
+    # k! y1(n,k) is built as integer terms, never from simsek_y1
+    assert calls["simsek_y1"] == 0
     assert calls["degenerate_falling"] <= 100
     assert calls["evaluate"] == 0
     # F_0..F_8 take 0 + 1 + ... + 8 = 36 factors when nothing is cached;
@@ -258,7 +266,8 @@ def test_log_substitution_powers_equal_horner_composition(lam, alpha, n,
                                      for k in range(order + 1)], QQ)
     x = TruncSeries.variable("x", order, QQ)
     inner = series_log1p(x * alpha) * (1 / alpha)
-    assert log_substitution_rhs(ctx, n, order) == series_compose(outer, inner)
+    assert x_series(ctx, log_substitution_rhs(ctx, n, order)) == \
+        series_compose(outer, inner)
 
 
 @settings(max_examples=25, deadline=None)
@@ -317,3 +326,114 @@ def test_s2star_table_matches_sympy_series():
                                                         ratio.denominator))
                 assert ctx.s2star(n, j) == Fraction(int(expected.p),
                                                     int(expected.q)), (n, j)
+
+
+# The eight phi entries against their truncated-series forms at random
+# points: negative numerators, denominators up to 10^4, lam = 0, alpha = 0;
+# with one value of the table raised, so that every check writes mismatches
+wide = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**4))
+wide_or_zero = st.one_of(st.just(Fraction(0)), wide)
+TABLE = SymbolicContext()
+
+
+class RaisedTable:
+    """TABLE with k! y*(n,k) raised by 3 l (by 1 at k = 0) and k! y1(n,k)
+    raised by 2 at (n, k) = target."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def scaled(self, n, k):
+        terms = dict(TABLE.scaled(n, k))
+        if (n, k) == self.target:
+            key, step = ((1, 0), 3) if k else ((0, 0), 1)
+            terms[key] = terms.get(key, 0) + step
+        return terms
+
+    def scaled_y1(self, n, k):
+        terms = dict(TABLE.scaled_y1(n, k))
+        if (n, k) == self.target:
+            terms[(0, 0)] = terms.get((0, 0), 0) + 2
+        return terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_or_zero, wide_or_zero, st.integers(1, 10),
+       st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 10))))
+@example(Fraction(1), Fraction(1, 2), 8, None)
+@example(Fraction(-2, 3), Fraction(7, 5), 3, None)
+@example(Fraction(9_999, 7), Fraction(-1, 10**4), 1, None)
+@example(Fraction(-3, 8), Fraction(5, 2), 6, (2, 1))
+def test_phi_checks_match_their_series_forms(lam, alpha, order, target):
+    for k in range(11):
+        simsek.fk_series(k, 10)  # route A at the largest order, built once
+    ctx = PointContext(lam, alpha, RaisedTable(target))
+    values = {}
+
+    def y(n, k):
+        if (n, k) not in values:
+            values[(n, k)] = y1star(n, k).evaluate(lam, alpha)
+            if (n, k) == target:
+                values[(n, k)] += 3 * lam / math.factorial(k) if k else 1
+        return values[(n, k)]
+
+    def y1(n, k):
+        value = simsek_y1(n, k).evaluate(lam, 0)
+        return value + Fraction(2, math.factorial(k)) * ((n, k) == target)
+
+    for entry in PHI:
+        if not entry.domain(lam, alpha):
+            continue
+        report = entry.run(ctx, order)
+        ns = (registry.PHI_INT_N_VALUES if entry.id.startswith("PHI-INT")
+              else registry.PHI_N_VALUES)
+        expected = phi_reference(entry.id, lam, alpha, order, y, y1, ns,
+                                 registry.F_TRANSFORM_POLYS)
+        assert (report.status, report.mismatch) == expected, entry.id
+
+
+@pytest.mark.parametrize("point,text", [
+    ((Fraction(1), Fraction(1, 2)), "n=1;x^1;lhs=0;rhs=-1/8"),
+    ((Fraction(-2, 3), Fraction(7, 5)), "n=1;x^1;lhs=0;rhs=42/5"),
+    ((Fraction(9_999, 7), Fraction(-1, 10**4)),
+     "n=1;x^1;lhs=0;rhs=69993/1001200360000")])
+def test_integral_discrepancy_text_at_nonzero_alpha(point, text):
+    # the merged PHI-INT report at alpha != 0 records n = 1's first
+    # mismatch, written from the integer comparison
+    [report] = run_suite(["PHI-INT"], order=8, grid=[point])
+    assert (report.status, report.mismatch) == ("expected-discrepancy", text)
+
+
+def test_phi_checks_take_no_series_product_outside_the_euler_rows(
+        monkeypatch):
+    # a count, not a clock: the eight phi checks multiply integer EGF rows;
+    # a TruncSeries product is taken only to build the Euler weight rows
+    for k in range(9):
+        simsek.fk_series(k, 8)  # route A's F_k, read by every point
+    outside = 0
+    depth = 0
+    product = TruncSeries.__mul__
+
+    def counting(self, other):
+        nonlocal outside
+        outside += not depth
+        return product(self, other)
+
+    def euler(method):
+        def wrapper(*args):
+            nonlocal depth
+            depth += 1
+            try:
+                return method(*args)
+            finally:
+                depth -= 1
+        return wrapper
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    monkeypatch.setattr(TruncSeries, "__rmul__", counting)
+    for name in ("apostol_row", "corrected_euler_row"):
+        monkeypatch.setattr(PointContext, name,
+                            euler(getattr(PointContext, name)))
+    reports = run_suite([e.id for e in PHI], order=8)
+    assert len(reports) == 8 * 7
+    assert outside == 0

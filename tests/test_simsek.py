@@ -219,3 +219,22 @@ def test_stirling1_matches_sympy_signed():
         for j in range(k + 1):
             assert stirling1(k, j) == stirling(k, j, kind=1, signed=True), \
                 (k, j)
+
+
+def test_route_a_matches_sympy_series():
+    # an independent derivation of route A: n! [t^n] of
+    # prod_{i<k} (l e^t + 1 - i a) / k!, for n, k <= 5, with e^t the sympy
+    # series through t^5 (the product's series itself takes sympy minutes)
+    import sympy
+    l, a, t = sympy.symbols("l a t")
+    exp_t = sympy.series(sympy.exp(t), t, 0, 6).removeO()
+    for k in range(6):
+        series = sympy.expand(sympy.Mul(*[l * exp_t + 1 - i * a
+                                          for i in range(k)])
+                              / sympy.factorial(k))
+        for n in range(6):
+            coeff = sympy.expand(series.coeff(t, n) * sympy.factorial(n))
+            expected = ParamPoly({} if coeff == 0 else {
+                key: Fraction(int(c.p), int(c.q))
+                for key, c in sympy.Poly(coeff, l, a).terms()})
+            assert y1star(n, k) == expected, (n, k)

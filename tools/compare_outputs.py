@@ -7,9 +7,11 @@ working directory; the CLI runs from ROOT/src in a fresh interpreter per
 case, two cases at a time.  The matrix: `verify` for
 seeds 0/7/41 x workers 1/2/3 x order 2/8/12 x text/csv/json, for seed
 0 x workers 1/2/3 x order 1/16 x text/csv/json, with `--random-points 8`
-at seeds 3 and 11, and at seed 19 with order 12, for the REL-S2STAR
-family, PHI-LOG and PHI-FT alone at orders 3 and 12, and for the symbolic
-route, recurrence and reduction checks alone at orders 1 and 16, as JSON;
+at seeds 3 and 11, at seed 19 with order 12 and at seeds 23 and 29 with
+order 10, for the REL-S2STAR family, PHI-LOG and PHI-FT alone at orders 3
+and 12, for the eight phi checks alone at orders 1, 2 and 16, and for the
+symbolic route, recurrence and reduction checks alone at orders 1 and 16,
+as JSON;
 `table --family y1star`
 for routes A-F, symbolic and at two rational points, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
@@ -34,6 +36,8 @@ import sys
 USAGE_ERROR = 2
 INTEGER_SUM_IDS = ("REL-S2STAR", "REL-S2STAR-KIDX", "REL-S2STAR-DUPL",
                    "REL-S2STAR-ZERO0", "PHI-LOG", "PHI-FT")
+PHI_IDS = ("PHI-EGF", "PHI-LOG", "PHI-REC", "PHI-DER", "PHI-AE", "PHI-INT",
+           "PHI-INT-CORR", "PHI-FT")
 ROUTE_IDS = ("EXPL-B", "EXPL-C", "EXPL-C-PRINTED", "EXPL-D", "REC-K",
              "REC-N", "RED-A0", "RED-CLASSICAL")
 
@@ -53,9 +57,11 @@ def cases() -> list[list[str]]:
     for seed in ("3", "11"):
         matrix.append(["verify", "--seed", seed, "--random-points", "8",
                        "--format", "json"])
-    matrix.append(["verify", "--random-points", "8", "--seed", "19",
-                   "--order", "12", "--format", "json"])
+    for seed, order in (("19", "12"), ("23", "10"), ("29", "10")):
+        matrix.append(["verify", "--random-points", "8", "--seed", seed,
+                       "--order", order, "--format", "json"])
     for ids, orders in ((INTEGER_SUM_IDS, ("3", "12")),
+                        (PHI_IDS, ("1", "2", "16")),
                         (ROUTE_IDS, ("1", "16"))):
         for order in orders:
             matrix.append(["verify", "--identity", ",".join(ids),
