@@ -117,8 +117,9 @@ class PointContext:
     u = x/(q s), the triangles of the powers of log(1+alpha*x)/alpha and
     of x/(1+alpha*x) in u, the PHI-FT blocks, the Apostol-Euler and
     corrected Euler weight rows over one denominator each, the
-    S2*(n, j | alpha/lam) table and the REL-S2STAR weights; y(n, k) and
-    y1(n, k) give single values as Fractions.
+    S2*(n, j | alpha/lam) table and the REL-S2STAR weights; phi_num(n, k)
+    gives the single integer Phi_n[k], and y1(n, k) a single y1 value as a
+    Fraction.
     The values are read from `table`, an object whose scaled(n, k) gives
     the route-A integer terms of k! y1star(n,k) and whose scaled_y1(n, k)
     gives those of k! y1(n,k), such as the registry.SymbolicContext shared
@@ -136,7 +137,6 @@ class PointContext:
         self.rq = r * q     # alpha D
         self._table = table
         self._nums: dict[tuple[int, int], int] = {}
-        self._y: dict[tuple[int, int], Fraction] = {}
         self._phi: dict[tuple[int, int], list[int]] = {}
         self._triangles: dict[tuple[str, int], list[list[int]]] = {}
         self._rows: dict[tuple[str, int], tuple[list[int], int]] = {}
@@ -163,19 +163,12 @@ class PointContext:
         EGF in u: value / (d! D^d den)."""
         return Fraction(value, math.factorial(d) * self.qs**d * den)
 
-    def _phi_num(self, n: int, k: int) -> int:
+    def phi_num(self, n: int, k: int) -> int:
         """Phi_n[k] = k! D^k y1star(n,k)."""
         value = self._nums.get((n, k))
         if value is None:
             value = self._nums[(n, k)] = self._numerator(
                 self._table.scaled(n, k), k)
-        return value
-
-    def y(self, n: int, k: int) -> Fraction:
-        """y1star(n,k) at the point."""
-        value = self._y.get((n, k))
-        if value is None:
-            value = self._y[(n, k)] = self.x_coeff(self._phi_num(n, k), k)
         return value
 
     def y1(self, n: int, k: int) -> Fraction:
@@ -187,7 +180,7 @@ class PointContext:
         """Phi_n[0..order]: phi_n at the point as an integer EGF in u."""
         row = self._phi.get((n, order))
         if row is None:
-            row = self._phi[(n, order)] = [self._phi_num(n, k)
+            row = self._phi[(n, order)] = [self.phi_num(n, k)
                                            for k in range(order + 1)]
         return row
 
@@ -250,7 +243,7 @@ class PointContext:
         if block is None:
             # k! D^k y*(j,k) (x/(1+alpha*x))^k is Phi_j[k] times the Lah
             # column k, which starts at u^k: k <= order
-            acc = _sum_rows([(math.comb(n, j) * self._phi_num(j, k),
+            acc = _sum_rows([(math.comb(n, j) * self.phi_num(j, k),
                               self.phi_row(n - j, order))
                              for j in range(n + 1)], order)
             lah = [row[k] for row in self.triangle("lah", order)]

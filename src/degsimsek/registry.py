@@ -434,8 +434,9 @@ def check_rel_s2star(ctx: PointContext, reading: str) -> IdentityReport:
     Term j of the proved form is weights[j] * rows[j][n] / den, with the
     point's n-free weights C(k,j) l^j (l+1)_{k-j,a} and its table of
     j! S2*(n,j|a/l) (PointContext.s2star_weights and .s2star_table), so
-    each right side is one integer dot product over den, compared with
-    y*(n,k) from the point's context.
+    each right side is one integer dot product over den.  It is compared
+    in integers with Phi_n[k] = k! (q s)^k y*(n,k) from the point's context
+    (lam = p/q, alpha = r/s): rhs k! (q s)^k = Phi_n[k] den.
     """
     lam0, alpha0 = ctx.lam, ctx.alpha
     if lam0 == 0:
@@ -458,14 +459,16 @@ def check_rel_s2star(ctx: PointContext, reading: str) -> IdentityReport:
             weights = [0] * k + [sum(w * math.factorial(j)
                                      for j, w in enumerate(weights))]
             den *= math.factorial(k)
+        scale = math.factorial(k) * ctx.qs**k
         for n in range(SYMBOLIC_BOUND + 1):
             rhs = sum(w * rows[j][n] for j, w in enumerate(weights))
-            lhs = ctx.y(n, k)
-            if rhs * lhs.denominator != lhs.numerator * den:
+            lhs = ctx.phi_num(n, k)
+            if rhs * scale != lhs * den:
                 status = FAIL if reading == "j" else EXPECTED_DISCREPANCY
                 return IdentityReport(
                     rid, lam0, alpha0, orders, status,
-                    f"(n,k)=({n},{k});lhs={lhs};rhs={Fraction(rhs, den)}")
+                    f"(n,k)=({n},{k});lhs={ctx.x_coeff(lhs, k)};"
+                    f"rhs={Fraction(rhs, den)}")
     return IdentityReport(rid, lam0, alpha0, orders, PASS)
 
 

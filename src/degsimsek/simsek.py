@@ -186,18 +186,33 @@ def route_c_printed(n: int, k: int) -> ParamPoly:
     return _over(_route_c_printed(n, k), math.factorial(k))
 
 
+_route_d_weights: dict[int, list[int]] = {}
+
+
+def _route_d_weight_row(k: int) -> list[int]:
+    """The n-free weights C(k,j) (j/k) B_{k-j}^(k) for j = 1..k, as
+    integers, built once per k.  They are the integers s(k,j), since
+    s(k,j) = C(k-1,j-1) B_{k-j}^(k); the j = 0 term carries j/k = 0."""
+    row = _route_d_weights.get(k)
+    if row is None:
+        row = []
+        for j in range(1, k + 1):
+            w = math.comb(k, j) * Fraction(j, k) * bernoulli_number(k - j, k)
+            if w.denominator != 1:
+                raise ValueError(
+                    f"route D weight ({k},{j}) = {w} is not integral")
+            row.append(w.numerator)
+        _route_d_weights[k] = row
+    return row
+
+
 def _route_d(n: int, k: int) -> dict:
     if k == 0:
         return {(0, 0): 1} if n == 0 else {}
-    # the weights C(k,j) (j/k) B_{k-j}^(k) are the integers s(k,j), since
-    # s(k,j) = C(k-1,j-1) B_{k-j}^(k); the j = 0 term carries j/k = 0
     terms = {}
-    for j in range(1, k + 1):
-        w = math.comb(k, j) * Fraction(j, k) * bernoulli_number(k - j, k)
-        if w.denominator != 1:
-            raise ValueError(f"route D weight ({k},{j}) = {w} is not integral")
+    for j, w in enumerate(_route_d_weight_row(k), 1):
         for i in range(j + 1):
-            c = w.numerator * math.comb(j, i) * i**n
+            c = w * math.comb(j, i) * i**n
             if c:
                 terms[(i, k - j)] = c
     return terms
@@ -286,13 +301,27 @@ def scaled_y1star(n: int, k: int, route: str = "A") -> dict:
     return _triangle_f.get(n, k)
 
 
+# Every y1star value read so far, by (n, k, route); it only grows.
+_y1star_store: dict[tuple[int, int, str], ParamPoly] = {}
+
+
 def y1star(n: int, k: int, route: str = "A") -> ParamPoly:
     """New-type degenerate Simsek number y1star(n,k) by the chosen route.
 
     All six routes return identical polynomials in (l, a); route A is the
-    definition, the others exist to be checked against it.
+    definition, the others exist to be checked against it.  The first read
+    of (n, k, route) computes the value by that route's formula and keeps
+    it; later reads return the same object, so do not mutate the result.
     """
-    if route == "A" and n >= 0 and k >= 0:
-        return fk_series(k, n).coeffs[n] * math.factorial(n)
-    # scaled_y1star checks the route, and gives {} for a negative index
-    return _over(scaled_y1star(n, k, route), math.factorial(max(k, 0)))
+    key = (n, k, route)
+    value = _y1star_store.get(key)
+    if value is None:
+        if route == "A" and n >= 0 and k >= 0:
+            value = fk_series(k, n).coeffs[n] * math.factorial(n)
+        else:
+            # scaled_y1star checks the route, and gives {} for a negative
+            # index
+            value = _over(scaled_y1star(n, k, route),
+                          math.factorial(max(k, 0)))
+        _y1star_store[key] = value
+    return value

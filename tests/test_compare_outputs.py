@@ -48,3 +48,28 @@ def test_relative_roots_from_another_directory(tool, tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot run verify --list" in captured.err
+
+
+def test_library_stream_catches_a_value_that_changes_on_revisit(
+        tool, tmp_path, monkeypatch, capsys):
+    # a tree whose y1star answers a repeated read with another value reads
+    # alike in every single CLI call, but not in the library stream
+    monkeypatch.setattr(tool, "cases", lambda: [
+        ["compute", "--family", "y1star", "--n", "2", "--k", "2"],
+        tool.LIBRARY_CASE])
+    good = copy_tree(tmp_path / "good")
+    revisit = copy_tree(tmp_path / "revisit")
+    with open(revisit / "src" / "degsimsek" / "simsek.py", "a") as handle:
+        handle.write(
+            "\n_first_read = y1star\n_read = set()\n\n\n"
+            "def y1star(n, k, route='A'):\n"
+            "    value = _first_read(n, k, route)\n"
+            "    if (n, k, route) in _read:\n"
+            "        return value + 1\n"
+            "    _read.add((n, k, route))\n"
+            "    return value\n")
+    assert tool.main([str(good), str(good)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2 cases, 0 differing"
+    assert tool.main([str(good), str(revisit)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DIFFERS (stdout): library stream", "2 cases, 1 differing"]

@@ -57,8 +57,9 @@ def test_values_match_direct_evaluation(point):
     lam, alpha = point
     ctx = PointContext(lam, alpha, SymbolicContext())
     for n in range(7):
+        row = ctx.phi_row(n, 8)
         for k in range(9):
-            assert ctx.y(n, k) == y1star(n, k).evaluate(lam, alpha)
+            assert ctx.x_coeff(row[k], k) == y1star(n, k).evaluate(lam, alpha)
         assert x_series(ctx, ctx.phi_row(n, 8)) == phi_series(n, lam, alpha, 8)
 
 
@@ -281,8 +282,10 @@ def test_point_values_equal_polynomial_evaluation(lam, alpha):
     # polynomial: negative numerators, alpha = 0, denominators up to 10^6
     ctx = PointContext(lam, alpha, SymbolicContext())
     for n in range(9):
+        row = ctx.phi_row(n, 8)
         for k in range(9):
-            assert ctx.y(n, k) == y1star(n, k).evaluate(lam, alpha), (n, k)
+            assert ctx.x_coeff(row[k], k) == \
+                y1star(n, k).evaluate(lam, alpha), (n, k)
             assert ctx.y1(n, k) == simsek_y1(n, k).evaluate(lam, 0), (n, k)
 
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from degsimsek import simsek
-from degsimsek.algebra import ParamPoly
+from degsimsek.algebra import ParamPoly, _over
 from degsimsek.classical import (bernoulli_number, degenerate_falling,
                                  stirling1)
 from degsimsek.simsek import (ROUTES, deg_simsek_y1, deg_simsek_y1_alt,
@@ -124,9 +124,100 @@ def test_y1star_degree_bounds():
                 assert poly.deg_a <= k - 1
 
 
-def test_unknown_route_rejected():
+def test_unknown_route_rejected(cold_store):
     with pytest.raises(ValueError):
         y1star(1, 1, "G")
+    assert simsek._y1star_store == {}
+
+
+def test_negative_index_is_zero():
+    for route in ROUTES:
+        for n, k in ((-1, 2), (2, -1), (-1, -1)):
+            assert y1star(n, k, route) == ParamPoly(), (n, k, route)
+
+
+# ---------------------------------------------------------------------------
+# the store of y1star values
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cold_store(monkeypatch):
+    """Empty y1star store, route-D weights, F_k cache and E/F triangles for
+    one test; the warm ones come back afterwards."""
+    monkeypatch.setattr(simsek, "_y1star_store", {})
+    monkeypatch.setattr(simsek, "_route_d_weights", {})
+    monkeypatch.setattr(simsek, "_fk_cache", {})
+    monkeypatch.setattr(simsek, "_triangle_e",
+                        simsek._Triangle(simsek._fill_k_recurrence))
+    monkeypatch.setattr(simsek, "_triangle_f",
+                        simsek._Triangle(simsek._fill_n_recurrence))
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap owner.name so that each call appends its arguments to the
+    returned list."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def route_core(route: str):
+    """(owner, name) of the function that computes the route's value."""
+    if route == "E":
+        return simsek._triangle_e, "get"
+    if route == "F":
+        return simsek._triangle_f, "get"
+    return simsek, {"A": "fk_series", "B": "_route_b", "C": "_route_c",
+                    "D": "_route_d"}[route]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_store_second_read_is_a_lookup(cold_store, monkeypatch, route):
+    core = count_calls(monkeypatch, *route_core(route))
+    fk = count_calls(monkeypatch, simsek, "fk_series")
+    first = {(n, k): y1star(n, k, route) for n in range(7) for k in range(7)}
+    # the counters see the first reads: one core call per value
+    assert len(core) == 49
+    assert len(fk) == (49 if route == "A" else 0)
+    core.clear()
+    fk.clear()
+    for (n, k), value in first.items():
+        assert y1star(n, k, route) is value, (n, k)
+    assert core == [] and fk == []
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_stored_value_equals_route_b(cold_store, route):
+    for n in range(7):
+        for k in range(7):
+            value = y1star(n, k, route)
+            assert simsek._y1star_store[(n, k, route)] is value
+            assert value == _over(simsek._route_b(n, k),
+                                  math.factorial(k)), (n, k)
+
+
+def test_store_reads_interleaved_with_fk_series(cold_store):
+    # F_k is read at growing orders between the y1star reads, so route A
+    # reads both a freshly built series and truncations of a longer one
+    expected = {(n, k): _over(simsek._route_b(n, k),
+                              math.factorial(k)).render()
+                for n in range(7) for k in range(7)}
+    for order in range(7):
+        for k in range(7):
+            assert fk_series(k, order).coeffs[order] * \
+                math.factorial(order) == y1star(order, k)
+            for route in ROUTES:
+                for n in range(order + 1):
+                    assert y1star(n, k, route).render() == \
+                        expected[(n, k)], (n, k, route)
+    for (n, k), text in expected.items():
+        for route in ROUTES:
+            assert y1star(n, k, route).render() == text, (n, k, route)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +292,17 @@ def test_route_c_matches_route_b():
     for n in range(13):
         for k in range(13):
             assert y1star(n, k, "C") == y1star(n, k, "B"), (n, k)
+
+
+def test_route_d_reads_each_bernoulli_weight_once(cold_store, monkeypatch):
+    # the weights are n-free: 36 (k, j) with 1 <= j <= k <= 8 serve the 81
+    # route-D values at n, k <= 8
+    calls = count_calls(monkeypatch, simsek, "bernoulli_number")
+    for n in range(9):
+        for k in range(9):
+            simsek.scaled_y1star(n, k, "D")
+    assert len(calls) <= 36
+    assert sorted(set(calls)) == sorted(calls)
 
 
 def test_route_d_weights_are_signed_stirling_numbers():

@@ -16,11 +16,15 @@ as JSON;
 for routes A-F, symbolic and at two rational points, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
 with --lambda only, --alpha only and both, where the CLI accepts the
-combination; and `phi` at three points.  Every differing case is printed (exit status,
-stdout or stderr), and so is a case the CLI rejects as a usage error; the
-exit status is 1 on any of these, else 0.  It is 2, before any case runs,
-when OLD_ROOT cannot run `verify --list`: there is nothing to compare
-against.  Stdlib only.
+combination; and `phi` at three points.  One more case, the library stream,
+runs a fixed stream of library reads with revisits in one interpreter:
+`y1star` by every route, its value at two rational points, `phi_series` and
+`fk_series`, with every answer rendered on its own line, so that a value
+that changes when it is read again shows.  Every differing case is printed
+(exit status, stdout or stderr), and so is a case the CLI rejects as a
+usage error; the exit status is 1 on any of these, else 0.  It is 2,
+before any case runs, when OLD_ROOT cannot run `verify --list`: there is
+nothing to compare against.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -40,6 +44,24 @@ PHI_IDS = ("PHI-EGF", "PHI-LOG", "PHI-REC", "PHI-DER", "PHI-AE", "PHI-INT",
            "PHI-INT-CORR", "PHI-FT")
 ROUTE_IDS = ("EXPL-B", "EXPL-C", "EXPL-C-PRINTED", "EXPL-D", "REC-K",
              "REC-N", "RED-A0", "RED-CLASSICAL")
+
+LIBRARY_CASE = ["library stream"]
+# rising and falling index tops, so that later passes revisit values and
+# read F_k both freshly built and truncated from a longer series
+LIBRARY_STREAM = """
+from fractions import Fraction
+from degsimsek import fk_series, phi_series, y1star
+points = ((Fraction(3, 2), Fraction(1, 3)), (Fraction(-3, 5), Fraction(1, 2)))
+for top in (4, 7, 3, 9, 7):
+    lam, alpha = points[top % 2]
+    print(phi_series(top, lam, alpha, top).render())
+    for k in range(top + 1):
+        print(fk_series(k, top).render())
+        for route in "ABCDEF":
+            for n in range(top + 1):
+                value = y1star(n, k, route)
+                print(route, n, k, value.render(), value.evaluate(lam, alpha))
+"""
 
 
 def cases() -> list[list[str]]:
@@ -89,14 +111,21 @@ def cases() -> list[list[str]]:
                           ("6", "-5/2", "-3/4")):
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
                        "--degree", "12"])
+    matrix.append(LIBRARY_CASE)
     return matrix
 
 
 def run(root: Path, args: list[str]) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, "-m", "degsimsek.cli", *args],
+    command = (["-c", LIBRARY_STREAM] if args == LIBRARY_CASE
+               else ["-m", "degsimsek.cli", *args])
+    done = subprocess.run([sys.executable, *command],
                           capture_output=True, env=env, cwd=root)
     return done.returncode, done.stdout, done.stderr
+
+
+def label(case: list[str]) -> str:
+    return case[0] if case == LIBRARY_CASE else f"degsimsek {' '.join(case)}"
 
 
 def main(argv=None) -> int:
@@ -130,13 +159,12 @@ def main(argv=None) -> int:
             if USAGE_ERROR in (old[0], new[0]):
                 # a case the CLI rejects compares nothing
                 differing += 1
-                print(f"USAGE ERROR: degsimsek {' '.join(case)}")
+                print(f"USAGE ERROR: {label(case)}")
             elif old != new:
                 differing += 1
                 parts = [name for name, a, b in zip(
                     ("exit status", "stdout", "stderr"), old, new) if a != b]
-                print(f"DIFFERS ({', '.join(parts)}): "
-                      f"degsimsek {' '.join(case)}")
+                print(f"DIFFERS ({', '.join(parts)}): {label(case)}")
     print(f"{len(matrix)} cases, {differing} differing")
     return 1 if differing else 0
 
