@@ -16,11 +16,16 @@ as JSON;
 for routes A-F, symbolic and at two rational points, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
 with --lambda only, --alpha only and both, where the CLI accepts the
-combination; and `phi` at three points.  One more case, the library stream,
-runs a fixed stream of library reads with revisits in one interpreter:
-`y1star` by every route, its value at two rational points, `phi_series` and
-`fk_series`, with every answer rendered on its own line, so that a value
-that changes when it is read again shows.  Every differing case is printed
+combination; and `phi` at three points.  Two more cases run a fixed stream
+of library reads with revisits in one interpreter each, with every answer
+rendered on its own line, so that a value that changes when it is read
+again shows.  The library stream reads `y1star` by every route, its value
+at two rational points, `phi_series` and `fk_series`.  The series stream
+reads `new_deg_stirling2` with rational and symbolic alpha,
+`bernoulli_number`, `apostol_euler`, `deg_exp_series` (rational and
+symbolic) and `fk_series` at a point, and applies every public `series_*`
+operation, series + and -, negation and `truncate` to a series over QQ
+and one over QQ[l,a].  Every differing case is printed
 (exit status, stdout or stderr), and so is a case the CLI rejects as a
 usage error; the exit status is 1 on any of these, else 0.  It is 2,
 before any case runs, when OLD_ROOT cannot run `verify --list`: there is
@@ -62,6 +67,71 @@ for top in (4, 7, 3, 9, 7):
                 value = y1star(n, k, route)
                 print(route, n, k, value.render(), value.evaluate(lam, alpha))
 """
+
+SERIES_CASE = ["series stream"]
+SERIES_STREAM = """
+from fractions import Fraction as F
+from degsimsek import (ParamPoly, TruncSeries, apostol_euler,
+                       bernoulli_number, deg_exp_series, fk_series,
+                       new_deg_stirling2, series_compose, series_differentiate,
+                       series_exp, series_integrate, series_log1p,
+                       series_reciprocal)
+from degsimsek.algebra import PP, QQ
+l, a = ParamPoly.lam(), ParamPoly.alpha()
+points = ((F(3, 2), F(1, 3)), (F(-3, 5), F(1, 2)))
+
+
+def show(name, value):
+    print(name, value.render() if hasattr(value, "render") else value)
+
+
+def operations(s, z, w):
+    # s has a unit constant term, z a zero one; w is a second series
+    show("exp", series_exp(z))
+    show("log1p", series_log1p(z))
+    show("reciprocal", series_reciprocal(s))
+    show("compose", series_compose(s, z))
+    show("differentiate", series_differentiate(s))
+    show("integrate", series_integrate(s))
+    show("integrate clamped", series_integrate(s, max(s.order - 1, 0)))
+    show("add", s + w)
+    show("sub", s - w)
+    show("neg", -s)
+    show("add scalar", s + F(2, 3))
+    show("rsub scalar", F(2, 3) - s)
+    show("mul", s * w)
+    show("pow", s ** 3)
+    show("eq", (s == w, s - w + w == s, z == 0))
+    for m in range(s.order + 1):
+        show(f"truncate {m}", s.truncate(m))
+        show(f"product truncate {m}", (s * w).truncate(m))
+
+
+for top in (4, 7, 3, 9, 7):
+    lam, alpha = points[top % 2]
+    for n in range(top + 1):
+        for k in range(top + 1):
+            show(f"S2* {n} {k}", new_deg_stirling2(n, k, alpha))
+            show(f"S2* {n} {k} symbolic", new_deg_stirling2(n, k, a))
+            show(f"B {n} {k}", bernoulli_number(n, k))
+            show(f"E {n} {k}", apostol_euler(n, k, lam, alpha))
+    for k in range(top + 1):
+        show(f"F {k}", fk_series(k, top, lam, alpha))
+    show("e_a", deg_exp_series(lam, alpha, top))
+    show("e_a symbolic", deg_exp_series(l, a, top))
+    qq = TruncSeries("t", top, [F((-1) ** m * (m + 2), m * m + 3)
+                                for m in range(top + 1)], QQ)
+    qq2 = TruncSeries("t", top, [F(m - 2, 2 * m + 1)
+                                 for m in range(top + 1)], QQ)
+    operations(qq, qq - qq.coeffs[0], qq2)
+    pp = TruncSeries("t", top, [F(3, 2)] + [l ** m * F(1, m) + a * (m - 2)
+                                            for m in range(1, top + 1)], PP)
+    pp2 = TruncSeries("t", top, [l * m - a + F(1, m + 1)
+                                 for m in range(top + 1)], PP)
+    operations(pp, pp - pp.coeffs[0], pp2)
+"""
+
+STREAMS = {LIBRARY_CASE[0]: LIBRARY_STREAM, SERIES_CASE[0]: SERIES_STREAM}
 
 
 def cases() -> list[list[str]]:
@@ -111,13 +181,13 @@ def cases() -> list[list[str]]:
                           ("6", "-5/2", "-3/4")):
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
                        "--degree", "12"])
-    matrix.append(LIBRARY_CASE)
+    matrix += [LIBRARY_CASE, SERIES_CASE]
     return matrix
 
 
 def run(root: Path, args: list[str]) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    command = (["-c", LIBRARY_STREAM] if args == LIBRARY_CASE
+    command = (["-c", STREAMS[args[0]]] if args[0] in STREAMS
                else ["-m", "degsimsek.cli", *args])
     done = subprocess.run([sys.executable, *command],
                           capture_output=True, env=env, cwd=root)
@@ -125,7 +195,7 @@ def run(root: Path, args: list[str]) -> tuple[int, bytes, bytes]:
 
 
 def label(case: list[str]) -> str:
-    return case[0] if case == LIBRARY_CASE else f"degsimsek {' '.join(case)}"
+    return case[0] if case[0] in STREAMS else f"degsimsek {' '.join(case)}"
 
 
 def main(argv=None) -> int:
