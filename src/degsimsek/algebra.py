@@ -1,8 +1,8 @@
 """Exact arithmetic substrate: rationals, sparse (l, a) polynomials, and
-truncated formal power series over a pluggable coefficient ring.
+truncated formal power series with coefficients in QQ or QQ[l,a].
 
-All values are immutable after construction (a series over QQ builds its
-`coeffs` tuple once, when first read) and every operation is a pure
+All values are immutable after construction (a series over QQ builds each
+of its two forms once, when first read) and every operation is a pure
 function, so everything here is safe to share across threads.  Series keep
 coefficients only up to an explicit truncation order; no operation ever
 consults a coefficient beyond it.
@@ -291,9 +291,9 @@ def render_scalar(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-ring descriptors.  A ring knows its zero/one, how to coerce
-# plain scalars into itself, and how to invert a unit; everything else is
-# handled by the elements' own operators.
+# Coefficient-ring descriptors.  A ring knows its zero/one and how to coerce
+# plain scalars into itself, and QQ[l,a] how to invert a unit; everything
+# else is handled by the elements' own operators.
 # ---------------------------------------------------------------------------
 
 class RationalField:
@@ -313,11 +313,6 @@ class RationalField:
         if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into QQ")
-
-    def invert(self, value):
-        if value == 0:
-            raise SeriesDomainError("division by zero in QQ")
-        return 1 / Fraction(value)
 
 
 class ParamPolyRing:
@@ -350,67 +345,28 @@ QQ = RationalField()
 PP = ParamPolyRing()
 
 
-class SeriesRing:
-    """Ring of truncated series in `var` to order `order` over `coeff_ring`.
-
-    Used as the coefficient ring of an outer series for bivariate work
-    (a series in x whose coefficients are series in t).
-    """
-
-    def __init__(self, coeff_ring, var: str, order: int):
-        self.coeff_ring = coeff_ring
-        self.var = var
-        self.order = order
-        self.name = f"{coeff_ring.name}[[{var}]]/{var}^{order + 1}"
-
-    @property
-    def zero(self):
-        return TruncSeries.constant(self.coeff_ring.zero, self.var, self.order, self.coeff_ring)
-
-    @property
-    def one(self):
-        return TruncSeries.constant(self.coeff_ring.one, self.var, self.order, self.coeff_ring)
-
-    def coerce(self, value):
-        if isinstance(value, TruncSeries) and value.var == self.var:
-            if value.order != self.order:
-                raise SeriesStructureError(
-                    f"order mismatch coercing into {self.name}: {value.order}")
-            return value
-        return TruncSeries.constant(
-            self.coeff_ring.coerce(value), self.var, self.order, self.coeff_ring)
-
-    def invert(self, value):
-        return series_reciprocal(self.coerce(value))
-
-
-def ring_of(value):
-    """The ring descriptor a given element belongs to."""
-    if isinstance(value, (int, Fraction)):
-        return QQ
-    if isinstance(value, ParamPoly):
-        return PP
-    if isinstance(value, TruncSeries):
-        return SeriesRing(value.ring, value.var, value.order)
-    raise TypeError(f"no ring for {type(value).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Truncated formal power series.
 # ---------------------------------------------------------------------------
 
 class TruncSeries:
-    """Formal power series in one named variable, truncated at a fixed order.
+    """Formal power series in one named variable, truncated at a fixed order,
+    over QQ or QQ[l,a].
 
     `coeffs` is a tuple of order+1 coefficient-ring elements; coefficient j
     of any operation depends only on input coefficients 0..j, so truncating
     an order-N result to M <= N equals computing at order M directly.
+    Series in different variables or of different orders do not combine:
+    +, - and * raise SeriesStructureError, and == is False.
 
-    Over QQ a series is also held fraction-free: integer numerators `nums`
-    over one positive denominator `den`, in lowest terms (the gcd of den and
-    all numerators is 1), so equal series have equal (nums, den).  The QQ
-    operations below work on that form and return series that hold only
-    it; each form is built from the other when it is first read.
+    Over QQ a series may also be held fraction-free: integer numerators
+    `nums` over one positive denominator `den`, in lowest terms (the gcd of
+    den and all numerators is 1), so equal series have equal (nums, den).
+    The QQ operations that the number families run in their inner loops
+    (+, - and * by a scalar, the series product and series_reciprocal) work
+    on that form and return series that hold only it; every other operation
+    reads `coeffs`.  Each form is built from the other when it is first
+    read.
     """
 
     __slots__ = ("var", "order", "ring", "_coeffs", "_nums", "_den")
@@ -469,7 +425,7 @@ class TruncSeries:
         return self._den
 
     def _to_ints(self):
-        if not isinstance(self.ring, RationalField):
+        if self.ring is not QQ:
             raise TypeError(f"a series over {self.ring.name} has no "
                             "integer numerators")
         # the lcm of reduced denominators leaves no common factor
@@ -500,91 +456,57 @@ class TruncSeries:
             raise SeriesStructureError(
                 f"order mismatch: {self.order} vs {other.order}")
 
-    def _is_series_operand(self, other) -> bool:
-        return isinstance(other, TruncSeries) and other.var == self.var
-
-    def _both_qq(self, other: "TruncSeries") -> bool:
-        return isinstance(self.ring, RationalField) and \
-            isinstance(other.ring, RationalField)
-
     def truncate(self, order: int) -> "TruncSeries":
-        """The first order+1 coefficients, sliced from the form the series
-        holds without coercing them again."""
+        """The first order+1 coefficients, sliced without coercing them
+        again."""
         if order > self.order:
             raise SeriesStructureError(
                 f"cannot extend order {self.order} series to {order}")
-        if self._coeffs is None:
-            return TruncSeries._qq(self.var, order, self._nums[: order + 1],
-                                   self._den)
         out = TruncSeries.__new__(TruncSeries)
         out.var = self.var
         out.order = order
         out.ring = self.ring
-        out._coeffs = self._coeffs[: order + 1]
+        out._coeffs = self.coeffs[: order + 1]
         out._nums = None
         return out
 
     # -- ring operations ----------------------------------------------------
 
-    def _add_qq(self, nums, den: int) -> "TruncSeries":
-        """self + nums/den, for order+1 numerators."""
-        common = math.lcm(self.den, den)
-        f, g = common // self.den, common // den
-        return TruncSeries._qq(self.var, self.order,
-                               [a * f + b * g for a, b in zip(self.nums, nums)],
-                               common)
-
     def __add__(self, other):
-        if self._is_series_operand(other):
+        if isinstance(other, TruncSeries):
             self._check_compatible(other)
-            if self._both_qq(other):
-                return self._add_qq(other.nums, other.den)
             coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        else:
-            try:
-                scalar = self.ring.coerce(other)
-            except TypeError:
-                return NotImplemented
-            if isinstance(self.ring, RationalField):
-                return self._add_qq([scalar.numerator] + [0] * self.order,
-                                    scalar.denominator)
-            coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] + scalar
-        return TruncSeries(self.var, self.order, coeffs, self.ring)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if isinstance(self.ring, RationalField):
-            return TruncSeries._qq(self.var, self.order,
-                                   [-c for c in self.nums], self.den)
-        return TruncSeries(self.var, self.order, [-c for c in self.coeffs], self.ring)
-
-    def __sub__(self, other):
-        if self._is_series_operand(other):
-            self._check_compatible(other)
-            if self._both_qq(other):
-                return self._add_qq([-c for c in other.nums], other.den)
-            coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
             return TruncSeries(self.var, self.order, coeffs, self.ring)
         try:
             scalar = self.ring.coerce(other)
         except TypeError:
             return NotImplemented
-        if isinstance(self.ring, RationalField):
-            return self._add_qq([-scalar.numerator] + [0] * self.order,
-                                scalar.denominator)
+        if self.ring is QQ:
+            # self + p/q in integers, over the lcm of the two denominators
+            den = math.lcm(self.den, scalar.denominator)
+            nums = [c * (den // self.den) for c in self.nums]
+            nums[0] += scalar.numerator * (den // scalar.denominator)
+            return TruncSeries._qq(self.var, self.order, nums, den)
         coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] - scalar
+        coeffs[0] = coeffs[0] + scalar
         return TruncSeries(self.var, self.order, coeffs, self.ring)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TruncSeries(self.var, self.order, [-c for c in self.coeffs],
+                           self.ring)
+
+    def __sub__(self, other):
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if self._is_series_operand(other):
+        if isinstance(other, TruncSeries):
             self._check_compatible(other)
-            if self._both_qq(other):
+            if self.ring is QQ and other.ring is QQ:
                 return self._mul_qq(other)
             n = self.order
             zero = self.ring.zero
@@ -598,16 +520,11 @@ class TruncSeries:
                         break
                     out[i + j] = out[i + j] + a * b
             return TruncSeries(self.var, n, out, self.ring)
-        # scalar: int, Fraction, or a coefficient-ring element
         try:
             scalar = self.ring.coerce(other)
         except TypeError:
-            if isinstance(other, TruncSeries):
-                # Python tries no reflected product between two series
-                raise SeriesStructureError(
-                    f"variable mismatch: {self.var!r} vs {other.var!r}") from None
             return NotImplemented
-        if isinstance(self.ring, RationalField):
+        if self.ring is QQ:
             p = scalar.numerator
             return TruncSeries._qq(self.var, self.order,
                                    [c * p for c in self.nums],
@@ -635,7 +552,8 @@ class TruncSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("series powers must be non-negative integers")
-        result = self.ring_one()
+        result = TruncSeries.constant(self.ring.one, self.var, self.order,
+                                      self.ring)
         base = self
         while n:
             if n & 1:
@@ -644,24 +562,14 @@ class TruncSeries:
             n >>= 1
         return result
 
-    def ring_one(self) -> "TruncSeries":
-        return TruncSeries.constant(self.ring.one, self.var, self.order, self.ring)
-
     def __eq__(self, other):
         if isinstance(other, TruncSeries):
-            if self.var != other.var or self.order != other.order:
-                return False
-            if self._both_qq(other):
-                return self.den == other.den and self.nums == other.nums
-            return self.coeffs == other.coeffs
+            return (self.var == other.var and self.order == other.order
+                    and self.coeffs == other.coeffs)
         try:
             scalar = self.ring.coerce(other)
-        except (TypeError, SeriesStructureError):
+        except TypeError:
             return NotImplemented
-        if isinstance(self.ring, RationalField):
-            return (self.nums[0] * scalar.denominator
-                    == scalar.numerator * self.den
-                    and not any(self.nums[1:]))
         zero = self.ring.zero
         return self.coeffs[0] == scalar and all(c == zero for c in self.coeffs[1:])
 
@@ -670,13 +578,7 @@ class TruncSeries:
     # -- canonical text ------------------------------------------------------
 
     def render(self) -> str:
-        cells = []
-        for c in self.coeffs:
-            if isinstance(c, TruncSeries):
-                cells.append(c.render())
-            else:
-                cells.append(render_scalar(c))
-        return "[" + ", ".join(cells) + "]"
+        return "[" + ", ".join(render_scalar(c) for c in self.coeffs) + "]"
 
     def __repr__(self):
         return f"TruncSeries({self.var!r}, N={self.order}, {self.render()})"
@@ -728,7 +630,7 @@ def series_log1p(a: TruncSeries) -> TruncSeries:
 def series_reciprocal(a: TruncSeries) -> TruncSeries:
     """b with a·b = 1 up to the truncation order; the constant term of a
     must be invertible in the coefficient ring."""
-    if isinstance(a.ring, RationalField):
+    if a.ring is QQ:
         return _reciprocal_qq(a)
     inv0 = a.ring.invert(a.coeffs[0])
     n = a.order
@@ -776,26 +678,15 @@ def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
 
 def series_differentiate(a: TruncSeries) -> TruncSeries:
     """Formal derivative; the order drops by one (clamped at zero)."""
-    n = max(a.order - 1, 0)
-    if isinstance(a.ring, RationalField):
-        nums = [a.nums[j + 1] * (j + 1) for j in range(a.order)] or [0]
-        return TruncSeries._qq(a.var, n, nums, a.den)
     coeffs = [a.coeffs[j + 1] * (j + 1) for j in range(a.order)]
-    if not coeffs:
-        coeffs = [a.ring.zero]
-    return TruncSeries(a.var, n, coeffs, a.ring)
+    return TruncSeries(a.var, max(a.order - 1, 0), coeffs or [a.ring.zero],
+                       a.ring)
 
 
 def series_integrate(a: TruncSeries, order: int | None = None) -> TruncSeries:
     """Formal antiderivative with zero constant term.  By default the order
     rises to N+1; pass `order` to clamp the result."""
     n = a.order + 1 if order is None else order
-    if isinstance(a.ring, RationalField):
-        # over the denominator den * lcm(1..n): out_j = nums[j-1] / j
-        scale = math.lcm(*range(1, n + 1))
-        nums = [0] + [a.nums[j - 1] * (scale // j) if j - 1 <= a.order else 0
-                      for j in range(1, n + 1)]
-        return TruncSeries._qq(a.var, n, nums, a.den * scale)
     zero = a.ring.zero
     out = [zero] * (n + 1)
     for j in range(1, n + 1):
@@ -804,9 +695,8 @@ def series_integrate(a: TruncSeries, order: int | None = None) -> TruncSeries:
     return TruncSeries(a.var, n, out, a.ring)
 
 
-def exp_t(order: int, ring=QQ, var: str = "t") -> TruncSeries:
-    """The exponential series e^var to the given order."""
-    return TruncSeries(var, order,
+def exp_t(order: int, ring=QQ) -> TruncSeries:
+    """The exponential series e^t to the given order."""
+    return TruncSeries("t", order,
                        [Fraction(1, math.factorial(m)) for m in range(order + 1)],
                        ring)
-

@@ -151,9 +151,7 @@ def _cmd_compute(args) -> int:
         print("compute: family y1 takes no --alpha", file=sys.stderr)
         return USAGE_ERROR
     poly = _family_poly(args.family, args.route, args.n, args.k)
-    alpha = Fraction(0) if args.family == "y1" and args.lam is not None \
-        else args.alpha
-    print(_specialize(poly, args.lam, alpha))
+    print(_specialize(poly, args.lam, args.alpha))
     return 0
 
 
@@ -169,13 +167,11 @@ def _cmd_series(args) -> int:
         series = fk_series(args.k, args.order, args.lam, args.alpha)
         print(series.render())
         return 0
-    alpha = Fraction(0) if args.family == "y1" and args.lam is not None \
-        else args.alpha
     coeffs = []
     for n in range(args.order + 1):
         poly = _family_poly(args.family, "A", n, args.k) \
             * Fraction(1, math.factorial(n))
-        coeffs.append(_specialize(poly, args.lam, alpha))
+        coeffs.append(_specialize(poly, args.lam, args.alpha))
     print("[" + ", ".join(coeffs) + "]")
     return 0
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import math
 
 from .algebra import (PP, QQ, ParamPoly, SeriesDomainError, TruncSeries,
-                      _combine, _over, exp_t, ring_of, series_reciprocal)
+                      _combine, _over, exp_t, series_reciprocal)
 from .classical import degenerate_falling
 
 # row caches: n -> list of ParamPoly (index l), polynomials in a only
@@ -106,19 +106,18 @@ def _s2star_rows(ratio: Fraction, size: int) -> tuple[list[list[int]], int]:
             q**size)
 
 
-def deg_exp_series(x, alpha, order: int, var: str = "t",
-                   ring=None) -> TruncSeries:
-    """Degenerate exponential e_a^x as a truncated series: coefficient m is
-    (x)_{m,alpha}/m!.  Works for x and alpha in any kit ring; at alpha = 0
-    it reduces to exp(x*var)."""
-    if ring is None:
-        ring = ring_of(x)
-    prod = ring.coerce(x) * 0 + 1
+def deg_exp_series(x, alpha, order: int) -> TruncSeries:
+    """Degenerate exponential e_a^x as a truncated series in t: coefficient
+    m is (x)_{m,alpha}/m!.  Over QQ[l,a] when x or alpha is a ParamPoly,
+    else over QQ; at alpha = 0 it reduces to exp(x*t)."""
+    ring = PP if isinstance(x, ParamPoly) or isinstance(alpha, ParamPoly) \
+        else QQ
+    prod = ring.one
     coeffs = [prod]
     for m in range(1, order + 1):
         prod = prod * (x - alpha * (m - 1))
         coeffs.append(prod * Fraction(1, math.factorial(m)))
-    return TruncSeries(var, order, coeffs, ring)
+    return TruncSeries("t", order, coeffs, ring)
 
 
 def apostol_euler_series(k: int, lam0, alpha0, order: int) -> TruncSeries:

@@ -118,8 +118,8 @@ class PointContext:
     of x/(1+alpha*x) in u, the PHI-FT blocks, the Apostol-Euler and
     corrected Euler weight rows over one denominator each, the
     S2*(n, j | alpha/lam) table and the REL-S2STAR weights; phi_num(n, k)
-    gives the single integer Phi_n[k], and y1(n, k) a single y1 value as a
-    Fraction.
+    gives the single integer Phi_n[k], and x_coeff turns an entry of an
+    integer EGF back into the Fraction coefficient of x^d.
     The values are read from `table`, an object whose scaled(n, k) gives
     the route-A integer terms of k! y1star(n,k) and whose scaled_y1(n, k)
     gives those of k! y1(n,k), such as the registry.SymbolicContext shared
@@ -170,11 +170,6 @@ class PointContext:
             value = self._nums[(n, k)] = self._numerator(
                 self._table.scaled(n, k), k)
         return value
-
-    def y1(self, n: int, k: int) -> Fraction:
-        """The Simsek number y1(n,k) at (lam, 0), from the table's integer
-        terms of k! y1(n,k), which are free of a."""
-        return self.x_coeff(self.y1_row(n, k)[k], k)
 
     def phi_row(self, n: int, order: int) -> list[int]:
         """Phi_n[0..order]: phi_n at the point as an integer EGF in u."""
@@ -257,13 +252,6 @@ class PointContext:
         if self._s2star is None or len(self._s2star[0]) <= size:
             self._s2star = _s2star_rows(self.alpha / self.lam, size)
         return self._s2star
-
-    def s2star(self, n: int, j: int) -> Fraction:
-        """S2*(n, j | alpha/lam) = n!/j! [t^n] (e^t-1)_{j,alpha/lam}."""
-        if n < 0 or j < 0:
-            return Fraction(0)
-        rows, den = self.s2star_table(max(n, j))
-        return Fraction(rows[j][n], den * math.factorial(j))
 
     def s2star_weights(self, k: int) -> tuple[list[int], int]:
         """(nums, den) with nums[j] / den = C(k,j) lam^j (lam+1)_{k-j,alpha}

@@ -36,7 +36,7 @@ from .phi import (PointContext, check_egf, check_f_transform,
                   check_phi_recurrence, merge_reports)
 from .reports import (ERROR, EXPECTED_DISCREPANCY, FAIL, NOT_APPLICABLE,
                       PASS, IdentityReport)
-from .simsek import (_route_c_printed, fk_series, scaled_y1star,
+from .simsek import (_route_c_printed, fk_series, scaled_y1, scaled_y1star,
                      y1star)  # noqa: F401 (perfbench's tracer test reads it)
 
 SYMBOLIC_BOUND = 8
@@ -248,12 +248,10 @@ class SymbolicContext:
         return value
 
     def scaled_y1(self, n: int, j: int) -> dict:
-        """j! y1(n,j) = sum_i C(j,i) i^n l^i, the scaled Simsek number
-        (0^0 = 1)."""
+        """j! y1(n,j), the scaled Simsek number of simsek.scaled_y1."""
         value = self._scaled_y1.get((n, j))
         if value is None:
-            value = self._scaled_y1[(n, j)] = {
-                (i, 0): math.comb(j, i) * i**n for i in range(j + 1) if i**n}
+            value = self._scaled_y1[(n, j)] = scaled_y1(n, j)
         return value
 
     def falling_sum(self, k: int, n: int) -> dict:

@@ -42,17 +42,17 @@ _A = ParamPoly.alpha()
 ROUTES = ("A", "B", "C", "D", "E", "F")
 
 
+def scaled_y1(n: int, k: int) -> dict:
+    """k! y1(n,k) = sum_j C(k,j) j^n l^j (0^0 = 1) as integer terms
+    {(j, 0): c} without zeros, for n, k >= 0."""
+    return {(j, 0): math.comb(k, j) * j**n for j in range(k + 1) if j**n}
+
+
 def simsek_y1(n: int, k: int) -> ParamPoly:
     """Simsek number y1(n,k) = (1/k!) sum_j C(k,j) j^n l^j, with 0^0 = 1."""
     if n < 0 or k < 0:
         return ParamPoly()
-    inv = Fraction(1, math.factorial(k))
-    out = ParamPoly()
-    for j in range(k + 1):
-        c = inv * math.comb(k, j) * j**n
-        if c:
-            out = out + ParamPoly.term(c, j, 0)
-    return out
+    return _over(scaled_y1(n, k), math.factorial(k))
 
 
 def simsek_y1_via_gf(n: int, k: int) -> ParamPoly:

@@ -97,8 +97,7 @@ def build_table(family: str, route: str | None, n_max: int, k_max: int,
                                       ParamPoly.alpha() if alpha is None else alpha)
             return render_scalar(value)
         if family == "y1":
-            poly = simsek_y1(n, k)
-            return str(poly.evaluate(lam, 0)) if lam is not None else poly.render()
+            return _specialize(simsek_y1(n, k), lam, alpha)
         if family == "y1deg":
             return _specialize(deg_simsek_y1(n, k), lam, alpha)
         poly = y1star(n, k, route)

@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 import math
+import operator
 import random
 
 import pytest
 
 from degsimsek.algebra import (PP, QQ, ParamPoly, SeriesDomainError,
-                               SeriesRing, SeriesStructureError, TruncSeries,
-                               exp_t, parse_rational, series_compose,
+                               SeriesStructureError, TruncSeries, exp_t,
+                               parse_rational, series_compose,
                                series_differentiate, series_exp,
                                series_integrate, series_log1p,
                                series_reciprocal)
@@ -48,6 +49,20 @@ def test_mul_requires_matching_structure():
         qs([1], order=3) * qs([1], order=4)
     with pytest.raises(SeriesStructureError):
         qs([1], order=3) * qs([1], order=3, var="x")
+
+
+@pytest.mark.parametrize("ring,c", [(QQ, Fraction(-2, 3)),
+                                    (PP, ParamPoly.lam())])
+def test_series_in_different_variables_do_not_combine(ring, c):
+    t = TruncSeries("t", 3, [c, 1, c], ring)
+    x = TruncSeries("x", 3, [c, 1, c], ring)
+    # t * 3 over QQ holds only integer numerators
+    for a, b in ((t, x), (x, t), (t * 3, x), (x, t * 3)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(SeriesStructureError):
+                op(a, b)
+        assert (a == b) is False
+        assert a != b
 
 
 # ---------------------------------------------------------------------------
@@ -275,35 +290,6 @@ def test_ring_axioms_series_over_parampoly():
     for _ in range(10):
         triple = [_random_series(rng, 4, PP, _random_poly) for _ in range(3)]
         _ring_axioms(*triple, one)
-
-
-def test_ring_axioms_nested_series():
-    rng = random.Random(4)
-    inner = SeriesRing(QQ, "t", 3)
-
-    def make_coeff(r):
-        return _random_series(r, 3)
-
-    one = inner.one
-    xone = TruncSeries.constant(one, "x", 3, inner)
-    for _ in range(6):
-        triple = [TruncSeries("x", 3, [make_coeff(rng) for _ in range(4)], inner)
-                  for _ in range(3)]
-        _ring_axioms(*triple, xone)
-
-
-def test_nested_series_over_parampoly():
-    # series in x whose coefficients are series in t over QQ[l,a]:
-    # exp(x * (l*t)) has coefficient of x^k equal to (l*t)^k / k!
-    inner = SeriesRing(PP, "t", 3)
-    lt = TruncSeries("t", 3, [ParamPoly(), ParamPoly.lam()], PP)
-    x_lt = TruncSeries("x", 3, [inner.zero, lt], inner)
-    e = series_exp(x_lt)
-    for k in range(4):
-        expected = TruncSeries("t", 3, [ParamPoly()] * k
-                               + [ParamPoly.lam() ** k * Fraction(1, math.factorial(k))],
-                               PP)
-        assert e.coeffs[k] == expected
 
 
 def test_truncation_consistency():
