@@ -1,9 +1,12 @@
 """Exact arithmetic substrate: rationals, sparse (l, a) polynomials, and
 truncated formal power series with coefficients in QQ or QQ[l,a].
 
-All values are immutable after construction (a series over QQ builds each
-of its two forms once, when first read) and every operation is a pure
-function, so everything here is safe to share across threads.  Series keep
+All values are immutable after construction apart from lazily filled
+memos (a series over QQ builds each of its two forms once, when first read;
+a ParamPoly keeps the values `evaluate` computed), and every operation is
+a pure function, so everything here is safe to share across threads.  The
+`terms` of a ParamPoly and the forms of a series must therefore never be
+mutated.  Series keep
 coefficients only up to an explicit truncation order; no operation ever
 consults a coefficient beyond it.
 """
@@ -41,9 +44,13 @@ class ParamPoly:
     Terms live in a dict mapping (deg_l, deg_a) to a nonzero Fraction.
     The canonical text form lists terms with deg_l descending and, within
     equal deg_l, deg_a ascending: "1*l^2 + 1*l + -1/2*l*a".
+
+    A value is immutable after construction apart from its memo of point
+    values, which `evaluate` fills lazily; `terms` must not be mutated, or
+    the memo would answer for the old polynomial.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_values")
 
     def __init__(self, terms: dict | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -185,13 +192,27 @@ class ParamPoly:
         With lam0 = p/q and alpha0 = r/s the sum is homogenised over the
         common denominator D * q^I * s^J (D the lcm of the coefficient
         denominators, I and J the top degrees) and summed in integers; one
-        Fraction is built at the end."""
+        Fraction is built at the end.  It is kept in a memo on the
+        polynomial keyed by the point in lowest terms, (p, q, r, s), so
+        equal points share one entry (hashing four ints is much cheaper
+        than hashing two Fractions)."""
         if not self.terms:
             return Fraction(0)
-        lam0 = Fraction(lam0)
-        alpha0 = Fraction(alpha0)
-        p, q = lam0.numerator, lam0.denominator
-        r, s = alpha0.numerator, alpha0.denominator
+        try:
+            key = (lam0.numerator, lam0.denominator,
+                   alpha0.numerator, alpha0.denominator)
+        except AttributeError:  # a float or a string: read it exactly
+            return self.evaluate(Fraction(lam0), Fraction(alpha0))
+        try:
+            values = self._values
+        except AttributeError:
+            values = self._values = {}
+        value = values.get(key)
+        if value is None:
+            value = values[key] = self._evaluate(*key)
+        return value
+
+    def _evaluate(self, p: int, q: int, r: int, s: int) -> Fraction:
         top_i = max(i for i, _ in self.terms)
         top_j = max(j for _, j in self.terms)
         p_pow, q_pow = _powers(p, top_i), _powers(q, top_i)

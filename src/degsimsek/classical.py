@@ -75,13 +75,46 @@ def degenerate_falling(x, n: int, alpha):
     return result
 
 
+class _ProductChain:
+    """Grow-only chain of the products P_j = x(x - a)(x - 2a)...(x - (j-1)a)
+    of a series x, all held at one truncation order: P_0 = 1 and
+    P_{j+1} = P_j * (x - j a), the products degenerate_falling(x, j, a)
+    forms; at a = 0 they are the powers of x.  `base(order)` gives x at a
+    truncation order.  A read at a higher order than the chain's rebuilds
+    the chain from its base; a read of a longer product extends it by one
+    series product per factor.  The state (order, x, products) is one tuple
+    replaced whole, so a reader in another thread sees an older chain or a
+    newer one, never a mix of the two."""
+
+    __slots__ = ("base", "step", "state")
+
+    def __init__(self, base, step=0):
+        self.base = base
+        self.step = step
+        self.state = (-1, None, ())
+
+    def product(self, j: int, order: int) -> TruncSeries:
+        """P_j truncated at `order` or above: its coefficients 0..order are
+        those of P_j at `order`."""
+        chain_order, x, products = self.state
+        if len(products) > j and chain_order >= order:
+            return products[j]
+        if order > chain_order:
+            chain_order, x = order, self.base(order)
+            products = (x * 0 + 1,)
+        grown = list(products)
+        for i in range(len(grown) - 1, j):
+            grown.append(grown[i] * (x - self.step * i))
+        self.state = (chain_order, x, tuple(grown))
+        return grown[j]
+
+
 # ---------------------------------------------------------------------------
 # Higher-order Bernoulli numbers B_n^(k) and polynomials B_k^(n)(x):
 #   (t/(e^t-1))^k       = sum_n B_n^(k) t^n/n!
 #   t^n e^{xt}/(e^t-1)^n = sum_k B_k^(n)(x) t^k/k!
 # ---------------------------------------------------------------------------
 
-_bern_series_cache: dict[int, TruncSeries] = {}
 _bern_poly_cache: dict[tuple[int, int], tuple[Fraction, ...]] = {}
 
 
@@ -91,22 +124,15 @@ def _bernoulli_base(order: int) -> TruncSeries:
     return series_reciprocal(TruncSeries("t", order, coeffs, QQ))
 
 
-def _bernoulli_power(k: int, order: int) -> TruncSeries:
-    """(t/(e^t-1))^k to at least the given order: the cached series when it
-    reaches that far, so that its coefficients are built once."""
-    cached = _bern_series_cache.get(k)
-    if cached is not None and cached.order >= order:
-        return cached
-    series = _bernoulli_base(order) ** k
-    _bern_series_cache[k] = series
-    return series
+# the powers (t/(e^t-1))^k, k = 0, 1, ...
+_bernoulli_powers = _ProductChain(_bernoulli_base)
 
 
 def bernoulli_number(n: int, k: int) -> Fraction:
     """Bernoulli number of order k: n! times coefficient n of (t/(e^t-1))^k."""
     if n < 0 or k < 0:
         raise ValueError("bernoulli_number needs n, k >= 0")
-    return _bernoulli_power(k, n).coeffs[n] * math.factorial(n)
+    return _bernoulli_powers.product(k, n).coeffs[n] * math.factorial(n)
 
 
 def bernoulli_poly_coeffs(k: int, n: int) -> tuple[Fraction, ...]:

@@ -19,7 +19,7 @@ import math
 
 from .algebra import (PP, QQ, ParamPoly, SeriesDomainError, TruncSeries,
                       _combine, _over, exp_t, series_reciprocal)
-from .classical import degenerate_falling
+from .classical import _ProductChain
 
 # row caches: n -> list of ParamPoly (index l), polynomials in a only
 _DS2_ROWS: dict[int, list[ParamPoly]] = {}
@@ -74,6 +74,11 @@ def deg_stirling1(n: int, l: int) -> ParamPoly:
     return row[l]
 
 
+# chains of (e^t-1)_{j,a}, keyed by a rational alpha's Fraction or a
+# symbolic alpha's canonical text
+_s2star_chains: dict[Fraction | str, _ProductChain] = {}
+
+
 def new_deg_stirling2(n: int, k: int, alpha):
     """New-type degenerate Stirling number S2*(n,k|a): n! times coefficient
     n of (e^t-1)_{k,a}/k!.
@@ -82,11 +87,19 @@ def new_deg_stirling2(n: int, k: int, alpha):
     (value returned symbolically).  Series extraction is authoritative at
     k = 0: S2*(0,0|a) = 1 and S2*(n,0|a) = 0 for n >= 1.
     """
+    symbolic = isinstance(alpha, ParamPoly)
     if n < 0 or k < 0:
-        return ParamPoly() if isinstance(alpha, ParamPoly) else Fraction(0)
-    ring = PP if isinstance(alpha, ParamPoly) else QQ
-    em1 = exp_t(n, ring) - 1
-    series = degenerate_falling(em1, k, alpha)
+        return ParamPoly() if symbolic else Fraction(0)
+    if symbolic:
+        key = alpha.render()
+    else:
+        key = alpha = Fraction(alpha)
+    chain = _s2star_chains.get(key)
+    if chain is None:
+        ring = PP if symbolic else QQ
+        chain = _s2star_chains[key] = _ProductChain(
+            lambda order: exp_t(order, ring) - 1, alpha)
+    series = chain.product(k, n)
     return series.coeffs[n] * Fraction(math.factorial(n), math.factorial(k))
 
 
@@ -120,22 +133,36 @@ def deg_exp_series(x, alpha, order: int) -> TruncSeries:
     return TruncSeries("t", order, coeffs, ring)
 
 
+def _euler_point(lam0, alpha0) -> tuple[Fraction, Fraction]:
+    lam0 = Fraction(lam0)
+    if lam0 == -1:
+        raise SeriesDomainError("Apostol-Euler numbers need lam != -1")
+    return lam0, Fraction(alpha0)
+
+
+def _euler_base(lam0: Fraction, alpha0: Fraction, order: int) -> TruncSeries:
+    """2/(lam * e_a(t) + 1), with e_a(t) = exp(t) at a = 0."""
+    inner = deg_exp_series(Fraction(1), alpha0, order)
+    return series_reciprocal((inner * lam0 + 1) * Fraction(1, 2))
+
+
+# chains of (2/(lam * e_a(t) + 1))^k, keyed by (lam, alpha)
+_apostol_chains: dict[tuple[Fraction, Fraction], _ProductChain] = {}
+
+
 def apostol_euler_series(k: int, lam0, alpha0, order: int) -> TruncSeries:
     """The series (2/(lam * e_a(t) + 1))^k whose coefficients carry the
     degenerate Apostol-Euler numbers of order k; needs lam != -1."""
-    lam0 = Fraction(lam0)
-    alpha0 = Fraction(alpha0)
-    if lam0 == -1:
-        raise SeriesDomainError("Apostol-Euler numbers need lam != -1")
-    inner = deg_exp_series(Fraction(1), alpha0, order)  # e_a(t); exp(t) at a=0
-    half = (inner * lam0 + 1) * Fraction(1, 2)
-    return series_reciprocal(half) ** k
+    return _euler_base(*_euler_point(lam0, alpha0), order) ** k
 
 
 def apostol_euler(n: int, k: int, lam0, alpha0) -> Fraction:
     """Degenerate first-kind Apostol-Euler number E_n^(k)(lam|a)."""
     if n < 0 or k < 0:
         raise ValueError("apostol_euler needs n, k >= 0")
-    series = apostol_euler_series(k, lam0, alpha0, n)
-    return series.coeffs[n] * math.factorial(n)
-
+    point = _euler_point(lam0, alpha0)
+    chain = _apostol_chains.get(point)
+    if chain is None:
+        chain = _apostol_chains[point] = _ProductChain(
+            lambda order: _euler_base(*point, order))
+    return chain.product(k, n).coeffs[n] * math.factorial(n)

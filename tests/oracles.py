@@ -1,8 +1,9 @@
 """Independent oracles used to pin golden values.
 
 Everything here is deliberately written from first principles (enumeration,
-list convolution, triangular solves) without importing the package under
-test, so a value computed here is evidence, not an echo.
+list convolution, triangular solves, or sympy's own series expansion, a
+test-only dependency) without importing the package under test, so a value
+computed here is evidence, not an echo.
 """
 
 from fractions import Fraction
@@ -55,6 +56,41 @@ def reciprocal_solve(a, order: int):
     for m in range(1, order + 1):
         b.append(-inv0 * sum(a[j] * b[m - j] for j in range(1, m + 1)))
     return b
+
+
+def _sympy_power_table(expr, t, bound: int) -> dict:
+    """{(n, k): n! [t^n] expr^k} for n, k <= bound, from sympy's series of
+    expr in t, raised to the power k and read to t^bound."""
+    import sympy
+    series = sympy.series(expr, t, 0, bound + 1).removeO()
+    out = {}
+    for k in range(bound + 1):
+        power = sympy.expand(series**k)
+        for n in range(bound + 1):
+            value = power.coeff(t, n) * sympy.factorial(n)
+            out[(n, k)] = Fraction(int(value.p), int(value.q))
+    return out
+
+
+def higher_bernoulli_sympy(bound: int) -> dict:
+    """{(n, k): B_n^(k)} for n, k <= bound, read from the series of
+    (t/(e^t - 1))^k."""
+    import sympy
+    t = sympy.symbols("t")
+    return _sympy_power_table(t / (sympy.exp(t) - 1), t, bound)
+
+
+def apostol_euler_sympy(lam, alpha, bound: int) -> dict:
+    """{(n, k): E_n^(k)(lam|alpha)} for n, k <= bound, read from the series
+    of (2/(lam e_alpha(t) + 1))^k, with e_alpha(t) = (1 + alpha t)^(1/alpha)
+    and e_0(t) = e^t."""
+    import sympy
+    t = sympy.symbols("t")
+    lam = sympy.Rational(Fraction(lam).numerator, Fraction(lam).denominator)
+    alpha = sympy.Rational(Fraction(alpha).numerator,
+                           Fraction(alpha).denominator)
+    inner = sympy.exp(t) if alpha == 0 else (1 + alpha * t) ** (1 / alpha)
+    return _sympy_power_table(2 / (lam * inner + 1), t, bound)
 
 
 def s2star_table_reference(ratio, bound: int):

@@ -1,6 +1,7 @@
 """tools/compare_outputs.py on a small case list: relative roots resolve
 against the caller's working directory, and an old tree that cannot run
-exits 2 instead of comparing two identical failures."""
+exits 2 instead of comparing two identical failures, and each stream and
+table case catches the fault it is there for."""
 
 import importlib.util
 from pathlib import Path
@@ -11,12 +12,17 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture
-def tool(monkeypatch):
+def load_tool():
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", REPO / "tools" / "compare_outputs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    module = load_tool()
     monkeypatch.setattr(module, "cases", lambda: [
         ["verify", "--list"],
         ["compute", "--family", "y1", "--n", "2", "--k", "1"]])
@@ -99,3 +105,29 @@ def test_series_stream_catches_a_wrong_qq_integral(tool, tmp_path,
     assert tool.main([str(good), str(wrong)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "DIFFERS (stdout): series stream", "3 cases, 1 differing"]
+
+
+def test_table_cases_catch_a_wrong_s2star_cell(tool, tmp_path, monkeypatch,
+                                               capsys):
+    # a tree whose s2star table is wrong in one cell reads alike in the
+    # series stream, which reads new_deg_stirling2 directly, and in the
+    # other tables, but not in the s2star table cases
+    s2star_cases = [case for case in load_tool().cases()
+                    if case[:3] == ["table", "--family", "s2star"]]
+    assert len(s2star_cases) == 4  # symbolic and at --alpha, CSV and JSON
+    good = copy_tree(tmp_path / "good")
+    wrong = copy_tree(tmp_path / "wrong")
+    with open(wrong / "src" / "degsimsek" / "tables.py", "a") as handle:
+        handle.write(
+            "\n_exact_s2star = new_deg_stirling2\n\n\n"
+            "def new_deg_stirling2(n, k, alpha):\n"
+            "    value = _exact_s2star(n, k, alpha)\n"
+            "    return value + 1 if (n, k) == (3, 2) else value\n")
+    monkeypatch.setattr(tool, "cases", lambda: [
+        *s2star_cases,
+        ["table", "--family", "y1deg", "--n-max", "4", "--k-max", "4"],
+        tool.SERIES_CASE])
+    assert tool.main([str(good), str(wrong)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"DIFFERS (stdout): {tool.label(case)}" for case in s2star_cases),
+        "6 cases, 4 differing"]

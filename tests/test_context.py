@@ -182,16 +182,18 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
     # point values come from integer terms, never from ParamPoly.evaluate
     monkeypatch.setattr(ParamPoly, "evaluate", counting(
         "evaluate", ParamPoly.evaluate))
-    # the factors of every series (x)_{n,a}: at most the F_0..F_8 chain
+    # the factors of every series (x)_{n,a}: at most the F_0..F_8 chain,
+    # and no S2* or Apostol-Euler chain at all
     factors = []
-    for module in (simsek, degenerate):
-        falling = module.degenerate_falling
+    monkeypatch.setattr(degenerate, "_s2star_chains", {})
+    monkeypatch.setattr(degenerate, "_apostol_chains", {})
+    falling = simsek.degenerate_falling
 
-        def factor_counting(x, n, alpha, falling=falling):
-            if isinstance(x, TruncSeries):
-                factors.append(n)
-            return falling(x, n, alpha)
-        monkeypatch.setattr(module, "degenerate_falling", factor_counting)
+    def factor_counting(x, n, alpha):
+        if isinstance(x, TruncSeries):
+            factors.append(n)
+        return falling(x, n, alpha)
+    monkeypatch.setattr(simsek, "degenerate_falling", factor_counting)
     reports = run_suite(order=8)
     assert len(reports) == 95
     # k! y1(n,k) is built as integer terms, never from simsek_y1
@@ -201,6 +203,7 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
     # F_0..F_8 take 0 + 1 + ... + 8 = 36 factors when nothing is cached;
     # one S2* chain per (n, k) of RED-CLASSICAL would take 324 more
     assert sum(factors) <= 36
+    assert degenerate._s2star_chains == {} == degenerate._apostol_chains
     assert sorted(built) == sorted((n, source_a, 1 - source_a)
                                    for n in range(9) for source_a in (0, 1))
 

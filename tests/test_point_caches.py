@@ -1,0 +1,238 @@
+"""The product chains behind bernoulli_number, new_deg_stirling2 and
+apostol_euler, and the memo of ParamPoly.evaluate: independent sympy
+oracles, a property that any interleaving of cached reads equals the
+uncached formulas, and count guards on the work a read does."""
+
+from fractions import Fraction
+import math
+import random
+import sys
+import threading
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+
+from degsimsek.algebra import PP, ParamPoly, TruncSeries, exp_t
+from degsimsek.classical import (_bernoulli_base, bernoulli_number,
+                                 degenerate_falling)
+from degsimsek.degenerate import (apostol_euler, apostol_euler_series,
+                                  new_deg_stirling2)
+from degsimsek.phi import phi_series
+from degsimsek.simsek import y1star
+
+from oracles import apostol_euler_sympy, higher_bernoulli_sympy
+
+L = ParamPoly.lam()
+A = ParamPoly.alpha()
+
+
+def shuffled(keys, seed: int = 0) -> list:
+    """The keys in a fixed random order, so that reads rebuild and extend
+    the chains instead of climbing n and k in step."""
+    keys = list(keys)
+    random.Random(seed).shuffle(keys)
+    return keys
+
+
+def test_bernoulli_numbers_match_sympy_series(cold_chains):
+    expected = higher_bernoulli_sympy(6)
+    for n, k in shuffled(expected):
+        assert bernoulli_number(n, k) == expected[(n, k)], (n, k)
+
+
+def test_apostol_euler_numbers_match_sympy_series(cold_chains):
+    # alpha = 0 (e^t) and rational points, two of them with one lam, read
+    # interleaved so that each point must keep its own chain
+    points = ((Fraction(3, 2), 0), (Fraction(-3, 5), Fraction(1, 2)),
+              (2, Fraction(-1, 3)), (Fraction(3, 2), Fraction(-1, 3)))
+    expected = {(point, n, k): value for point in points
+                for (n, k), value in apostol_euler_sympy(*point, 5).items()}
+    for point, n, k in shuffled(expected):
+        value = expected[(point, n, k)]
+        assert apostol_euler(n, k, *point) == value, (point, n, k)
+        series = apostol_euler_series(k, *point, n)
+        assert series.coeffs[n] * math.factorial(n) == value
+
+
+# ---------------------------------------------------------------------------
+# cached reads against the formulas computed fresh
+# ---------------------------------------------------------------------------
+
+# equal points written as ints and as Fractions, and points that share
+# lam or alpha
+POINTS = ((1, 0), (Fraction(1), Fraction(0)), (Fraction(3, 2), Fraction(1, 3)),
+          (Fraction(-3, 5), Fraction(2, 4)), (Fraction(-6, 10), Fraction(1, 2)),
+          (Fraction(3, 2), Fraction(-2, 5)), (2, Fraction(1, 3)))
+SYMBOLIC_ALPHAS = (A, A * 2, L + A)
+
+
+def cached(kind, n, k, point, route):
+    lam, alpha = point
+    if kind == "B":
+        return bernoulli_number(n, k)
+    if kind == "S2":
+        return new_deg_stirling2(n, k, alpha)
+    if kind == "S2 symbolic":
+        return new_deg_stirling2(n, k, SYMBOLIC_ALPHAS[route % 3])
+    if kind == "E":
+        return apostol_euler(n, k, lam, alpha)
+    return y1star(n, k, "ABCDEF"[route]).evaluate(lam, alpha)
+
+
+def fresh(kind, n, k, point, route):
+    lam, alpha = point
+    scale = Fraction(math.factorial(n), math.factorial(k))
+    if kind == "B":
+        return (_bernoulli_base(n) ** k).coeffs[n] * math.factorial(n)
+    if kind == "S2":
+        return degenerate_falling(exp_t(n) - 1, k, alpha).coeffs[n] * scale
+    if kind == "S2 symbolic":
+        series = degenerate_falling(exp_t(n, PP) - 1, k,
+                                    SYMBOLIC_ALPHAS[route % 3])
+        return series.coeffs[n] * scale
+    if kind == "E":
+        return apostol_euler_series(k, lam, alpha, n).coeffs[n] \
+            * math.factorial(n)
+    value = y1star(n, k, "ABCDEF"[route])
+    return ParamPoly(dict(value.terms)).evaluate(lam, alpha)
+
+
+READS = st.tuples(st.sampled_from(("B", "S2", "S2 symbolic", "E", "evaluate")),
+                  st.integers(0, 7), st.integers(0, 7),
+                  st.sampled_from(POINTS), st.integers(0, 5))
+
+
+# the chains start cold for the test and carry over between examples,
+# which only adds interleavings
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(READS, min_size=1, max_size=20))
+def test_interleaved_reads_equal_fresh_formulas(cold_chains, reads):
+    for read in reads:
+        assert cached(*read) == fresh(*read), read
+
+
+# ---------------------------------------------------------------------------
+# count guards
+# ---------------------------------------------------------------------------
+
+def count_products(monkeypatch) -> list:
+    """Record the order of every series-by-series product from now on."""
+    products = []
+    inner = TruncSeries.__mul__
+
+    def counted(self, other):
+        if isinstance(other, TruncSeries):
+            products.append(self.order)
+        return inner(self, other)
+    monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    return products
+
+
+FAMILIES = {
+    "bernoulli": bernoulli_number,
+    "s2star": lambda n, k: new_deg_stirling2(n, k, Fraction(2, 5)),
+    "s2star symbolic": lambda n, k: new_deg_stirling2(n, k, A),
+    "apostol": lambda n, k: apostol_euler(n, k, Fraction(3, 2), Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_revisit_is_free_and_one_more_k_is_one_product(cold_chains,
+                                                       monkeypatch, family):
+    read = FAMILIES[family]
+    first = read(5, 4)
+    products = count_products(monkeypatch)
+    # a revisit, a lower order and a shorter product read the chain
+    assert read(5, 4) == first
+    read(3, 4)
+    read(0, 2)
+    assert products == []
+    # each further k is one product at the chain's order
+    read(5, 5)
+    assert products == [5]
+    read(2, 6)
+    assert products == [5, 5]
+    # a higher order rebuilds the chain from its base, to the k asked for
+    products.clear()
+    read(6, 3)
+    assert products == [6] * 3
+
+
+def test_equal_points_share_one_memo_entry(monkeypatch):
+    poly = ParamPoly({(2, 1): Fraction(3, 7), (0, 3): -2, (1, 0): 5})
+    expected, other = (ParamPoly(dict(poly.terms)).evaluate(*point)
+                       for point in ((1, Fraction(1, 2)), (Fraction(-1, 2), 2)))
+    evaluations = []
+    inner = ParamPoly._evaluate
+
+    def counted(self, *point):
+        evaluations.append(point)
+        return inner(self, *point)
+    monkeypatch.setattr(ParamPoly, "_evaluate", counted)
+    for lam, alpha in ((1, Fraction(1, 2)), (Fraction(1), Fraction(2, 4)),
+                       (Fraction(3, 3), 0.5), (True, "2/4")):
+        assert poly.evaluate(lam, alpha) == expected
+    # the point in lowest terms, whichever way it was written
+    assert evaluations == [(1, 1, 1, 2)]
+    assert list(poly._values) == [(1, 1, 1, 2)]
+    # another point is another entry
+    assert poly.evaluate(Fraction(-1, 2), 2) == other
+    assert evaluations == [(1, 1, 1, 2), (-1, 2, 2, 1)]
+
+
+def test_revisits_of_evaluate_and_phi_series_evaluate_nothing(monkeypatch):
+    point = (Fraction(5, 4), Fraction(-2, 3))
+    first = [y1star(n, 3).evaluate(*point) for n in range(6)]
+    row = phi_series(4, *point, 6)
+    evaluations = []
+    inner = ParamPoly._evaluate
+
+    def counted(self, *point):
+        evaluations.append(self)
+        return inner(self, *point)
+    monkeypatch.setattr(ParamPoly, "_evaluate", counted)
+    assert [y1star(n, 3).evaluate(*point) for n in range(6)] == first
+    assert phi_series(4, *point, 6) == row
+    assert phi_series(4, Fraction(10, 8), Fraction(-4, 6), 6) == row
+    assert evaluations == []
+
+
+def test_chain_reads_from_threads_stay_exact(cold_chains):
+    # more threads than cores, switching often, each reading the Bernoulli
+    # chain and one fresh S2* chain per round in its own order: a lost or
+    # doubled extension would put a product at the wrong index
+    keys = [(n, k) for n in range(7) for k in range(7)]
+    alphas = [Fraction(1, r + 2) for r in range(8)]
+    bernoulli = {(n, k): (_bernoulli_base(n) ** k).coeffs[n]
+                 * math.factorial(n) for n, k in keys}
+    s2star = {(alpha, n, k): degenerate_falling(exp_t(n) - 1, k, alpha)
+              .coeffs[n] * Fraction(math.factorial(n), math.factorial(k))
+              for alpha in alphas for n, k in keys}
+    wrong = []
+    threads = 6
+    # each round starts in every thread at once, on a cold S2* chain
+    barrier = threading.Barrier(threads)
+
+    def reader(seed):
+        for alpha in alphas:
+            barrier.wait(timeout=60)
+            for n, k in shuffled(keys, seed):
+                if (bernoulli_number(n, k) != bernoulli[(n, k)]
+                        or new_deg_stirling2(n, k, alpha)
+                        != s2star[(alpha, n, k)]):
+                    wrong.append((alpha, n, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=reader, args=(seed,))
+                   for seed in range(threads)]
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert wrong == []

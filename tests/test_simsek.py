@@ -141,9 +141,10 @@ def test_negative_index_is_zero():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def cold_store(monkeypatch):
-    """Empty y1star store, route-D weights, F_k cache and E/F triangles for
-    one test; the warm ones come back afterwards."""
+def cold_store(monkeypatch, cold_chains):
+    """Empty y1star store, route-D weights, F_k cache, E/F triangles and
+    product chains (route D reads the Bernoulli chain) for one test; the
+    warm ones come back afterwards."""
     monkeypatch.setattr(simsek, "_y1star_store", {})
     monkeypatch.setattr(simsek, "_route_d_weights", {})
     monkeypatch.setattr(simsek, "_fk_cache", {})

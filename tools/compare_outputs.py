@@ -14,6 +14,8 @@ symbolic route, recurrence and reduction checks alone at orders 1 and 16,
 as JSON;
 `table --family y1star`
 for routes A-F, symbolic and at two rational points, as CSV and JSON;
+`table` for all nine families, symbolic and with --lambda, --alpha or both
+wherever the family accepts them, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
 with --lambda only, --alpha only and both, where the CLI accepts the
 combination; and `phi` at three points.  Two more cases run a fixed stream
@@ -25,7 +27,13 @@ reads `new_deg_stirling2` with rational and symbolic alpha,
 `bernoulli_number`, `apostol_euler`, `deg_exp_series` (rational and
 symbolic) and `fk_series` at a point, and applies every public `series_*`
 operation, series + and -, negation and `truncate` to a series over QQ
-and one over QQ[l,a].  Every differing case is printed
+and one over QQ[l,a].  It then reads `apostol_euler`, `new_deg_stirling2`
+(rational and symbolic alpha) and `bernoulli_number` at three points with
+n falling and rising and k above and below what earlier reads built, so
+that the grow-only product chains behind them are rebuilt and extended,
+and revisits `y1star(...).evaluate` and `phi_series` at the same points,
+given once as Fractions and once as equal ints or unreduced Fractions.
+Every differing case is printed
 (exit status, stdout or stderr), and so is a case the CLI rejects as a
 usage error; the exit status is 1 on any of these, else 0.  It is 2,
 before any case runs, when OLD_ROOT cannot run `verify --list`: there is
@@ -50,6 +58,14 @@ PHI_IDS = ("PHI-EGF", "PHI-LOG", "PHI-REC", "PHI-DER", "PHI-AE", "PHI-INT",
 ROUTE_IDS = ("EXPL-B", "EXPL-C", "EXPL-C-PRINTED", "EXPL-D", "REC-K",
              "REC-N", "RED-A0", "RED-CLASSICAL")
 
+# the substitutions `table` accepts for each family
+TABLE_PARAMS = {
+    "stirling1": (), "stirling2": (), "bernoulli": (),
+    "deg-stirling1": ("--alpha",), "deg-stirling2": ("--alpha",),
+    "s2star": ("--alpha",), "y1": ("--lambda",),
+    "y1deg": ("--lambda", "--alpha"), "y1star": ("--lambda", "--alpha"),
+}
+
 LIBRARY_CASE = ["library stream"]
 # rising and falling index tops, so that later passes revisit values and
 # read F_k both freshly built and truncated from a longer series
@@ -73,9 +89,9 @@ SERIES_STREAM = """
 from fractions import Fraction as F
 from degsimsek import (ParamPoly, TruncSeries, apostol_euler,
                        bernoulli_number, deg_exp_series, fk_series,
-                       new_deg_stirling2, series_compose, series_differentiate,
-                       series_exp, series_integrate, series_log1p,
-                       series_reciprocal)
+                       new_deg_stirling2, phi_series, series_compose,
+                       series_differentiate, series_exp, series_integrate,
+                       series_log1p, series_reciprocal, y1star)
 from degsimsek.algebra import PP, QQ
 l, a = ParamPoly.lam(), ParamPoly.alpha()
 points = ((F(3, 2), F(1, 3)), (F(-3, 5), F(1, 2)))
@@ -129,6 +145,22 @@ for top in (4, 7, 3, 9, 7):
     pp2 = TruncSeries("t", top, [l * m - a + F(1, m + 1)
                                  for m in range(top + 1)], PP)
     operations(pp, pp - pp.coeffs[0], pp2)
+
+# (n, k) with n falling and rising and k above and below the length of the
+# chains that earlier reads built; the second pass revisits every value at
+# the same points written another way
+reads = ((6, 2), (2, 7), (0, 9), (8, 4), (8, 10), (3, 1), (11, 3), (5, 12))
+for chain_points in (((F(3, 2), F(1, 3)), (F(-3, 5), F(1, 2)), (F(2), F(0))),
+                     ((F(6, 4), F(2, 6)), (F(-6, 10), F(2, 4)), (2, 0))):
+    for lam, alpha in chain_points:
+        for n, k in reads:
+            show(f"E {n} {k} at {lam} {alpha}", apostol_euler(n, k, lam, alpha))
+            show(f"S2* {n} {k} at {alpha}", new_deg_stirling2(n, k, alpha))
+            show(f"S2* {n} {k} symbolic", new_deg_stirling2(n, k, a))
+            show(f"B {n} {k}", bernoulli_number(n, k))
+            show(f"y1star {n} {k} at {lam} {alpha}",
+                 y1star(n, k).evaluate(lam, alpha))
+            show(f"phi {n} {k} at {lam} {alpha}", phi_series(n, lam, alpha, k))
 """
 
 STREAMS = {LIBRARY_CASE[0]: LIBRARY_STREAM, SERIES_CASE[0]: SERIES_STREAM}
@@ -168,6 +200,14 @@ def cases() -> list[list[str]]:
                        *point])
     subs = ([], ["--lambda=-3/2"], ["--alpha=2/5"],
             ["--lambda=-3/2", "--alpha=2/5"])
+    for family, sub, fmt in itertools.product(TABLE_PARAMS, subs,
+                                              ("csv", "json")):
+        if not {arg.split("=")[0] for arg in sub} <= set(TABLE_PARAMS[family]):
+            continue
+        if family == "y1star" and len(sub) != 1:
+            continue  # symbolic and at both: the route cases above
+        matrix.append(["table", "--family", family, "--n-max", "8",
+                       "--k-max", "8", "--format", fmt, *sub])
     for family, sub in itertools.product(("y1", "y1deg", "y1star"), subs):
         if family == "y1" and "--alpha=2/5" in sub:
             continue  # y1 takes no --alpha
