@@ -74,9 +74,11 @@ def deg_stirling1(n: int, l: int) -> ParamPoly:
     return row[l]
 
 
-# chains of (e^t-1)_{j,a}, keyed by a rational alpha's Fraction or a
-# symbolic alpha's canonical text
-_s2star_chains: dict[Fraction | str, _ProductChain] = {}
+# chains of (e^t-1)_{j,a}, keyed by a rational alpha = p/q in lowest terms
+# as (p, q) or by a symbolic alpha's canonical text: hashing two ints is
+# much cheaper than hashing a Fraction, and equal alphas however written
+# share one chain
+_s2star_chains: dict[tuple[int, int] | str, _ProductChain] = {}
 
 
 def new_deg_stirling2(n: int, k: int, alpha):
@@ -93,12 +95,15 @@ def new_deg_stirling2(n: int, k: int, alpha):
     if symbolic:
         key = alpha.render()
     else:
-        key = alpha = Fraction(alpha)
+        try:
+            key = alpha.numerator, alpha.denominator
+        except AttributeError:  # a float or a string: read it exactly
+            return new_deg_stirling2(n, k, Fraction(alpha))
     chain = _s2star_chains.get(key)
     if chain is None:
-        ring = PP if symbolic else QQ
+        ring, step = (PP, alpha) if symbolic else (QQ, Fraction(*key))
         chain = _s2star_chains[key] = _ProductChain(
-            lambda order: exp_t(order, ring) - 1, alpha)
+            lambda order: exp_t(order, ring) - 1, step)
     series = chain.product(k, n)
     return series.coeffs[n] * Fraction(math.factorial(n), math.factorial(k))
 
@@ -146,8 +151,9 @@ def _euler_base(lam0: Fraction, alpha0: Fraction, order: int) -> TruncSeries:
     return series_reciprocal((inner * lam0 + 1) * Fraction(1, 2))
 
 
-# chains of (2/(lam * e_a(t) + 1))^k, keyed by (lam, alpha)
-_apostol_chains: dict[tuple[Fraction, Fraction], _ProductChain] = {}
+# chains of (2/(lam * e_a(t) + 1))^k, keyed by the point lam = p/q,
+# alpha = r/s in lowest terms as (p, q, r, s), like ParamPoly.evaluate's memo
+_apostol_chains: dict[tuple[int, int, int, int], _ProductChain] = {}
 
 
 def apostol_euler_series(k: int, lam0, alpha0, order: int) -> TruncSeries:
@@ -160,9 +166,15 @@ def apostol_euler(n: int, k: int, lam0, alpha0) -> Fraction:
     """Degenerate first-kind Apostol-Euler number E_n^(k)(lam|a)."""
     if n < 0 or k < 0:
         raise ValueError("apostol_euler needs n, k >= 0")
-    point = _euler_point(lam0, alpha0)
-    chain = _apostol_chains.get(point)
+    try:
+        key = (lam0.numerator, lam0.denominator,
+               alpha0.numerator, alpha0.denominator)
+    except AttributeError:  # a float or a string: read it exactly
+        return apostol_euler(n, k, Fraction(lam0), Fraction(alpha0))
+    chain = _apostol_chains.get(key)
     if chain is None:
-        chain = _apostol_chains[point] = _ProductChain(
+        # raises at lam = -1, so no chain is ever stored for it
+        point = _euler_point(lam0, alpha0)
+        chain = _apostol_chains[key] = _ProductChain(
             lambda order: _euler_base(*point, order))
     return chain.product(k, n).coeffs[n] * math.factorial(n)

@@ -20,12 +20,11 @@ does.  Either way the other reports are kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
 import math
 import random
 import time
-from typing import Callable
 
 from .algebra import _combine, _int_terms, _over
 from .classical import stirling1, stirling2
@@ -35,7 +34,7 @@ from .phi import (PointContext, check_egf, check_f_transform,
                   check_phi_derivative, check_phi_integral,
                   check_phi_recurrence, merge_reports)
 from .reports import (ERROR, EXPECTED_DISCREPANCY, FAIL, NOT_APPLICABLE,
-                      PASS, IdentityReport)
+                      PASS, IdentityReport, _Record)
 from .simsek import (_route_c_printed, fk_series, scaled_y1, scaled_y1star,
                      y1star)  # noqa: F401 (perfbench's tracer test reads it)
 
@@ -80,20 +79,37 @@ def _lam_nonzero(lam: Fraction, alpha: Fraction) -> bool:
     return lam != 0
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    id: str
-    description: str
-    mode: str  # "symbolic" | "rational"
-    # run(ctx, order): ctx is the PointContext of a rational entry's point,
-    # the suite's SymbolicContext for a symbolic entry
-    run: Callable[[PointContext | SymbolicContext, int], IdentityReport] = \
-        field(compare=False, repr=False)
-    variant_of: str | None = None
-    # domain(lam, alpha) of a rational entry: outside it the suite reports
-    # "not-applicable" without running the check
-    domain: Callable[[Fraction, Fraction], bool] = \
-        field(default=_everywhere, compare=False, repr=False)
+class RegistryEntry(_Record):
+    """An immutable, hashable entry; `run` and `domain` take no part in
+    equality, hash or repr."""
+
+    _FIELDS = ("id", "description", "mode", "variant_of")
+
+    def __init__(self, id: str, description: str, mode: str,
+                 run: Callable[[PointContext | SymbolicContext, int],
+                               IdentityReport],
+                 variant_of: str | None = None,
+                 domain: Callable[[Fraction, Fraction], bool] = _everywhere):
+        set_field = object.__setattr__
+        set_field(self, "id", id)
+        set_field(self, "description", description)
+        set_field(self, "mode", mode)  # "symbolic" | "rational"
+        # run(ctx, order): ctx is the PointContext of a rational entry's point,
+        # the suite's SymbolicContext for a symbolic entry
+        set_field(self, "run", run)
+        set_field(self, "variant_of", variant_of)
+        # domain(lam, alpha) of a rational entry: outside it the suite reports
+        # "not-applicable" without running the check
+        set_field(self, "domain", domain)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _per_n(rid: str, check, ctx: PointContext, order: int,

@@ -8,7 +8,6 @@ byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from fractions import Fraction
 import io
 import json
@@ -26,16 +25,43 @@ NOT_APPLICABLE = "not-applicable"
 _SEVERITY = {FAIL: 3, EXPECTED_DISCREPANCY: 2, PASS: 1, TRIVIALLY_TRUE: 0}
 
 
-@dataclass
-class IdentityReport:
-    id: str
-    lam: Fraction | None
-    alpha: Fraction | None
-    orders: str
-    status: str
-    mismatch: str = ""
-    point_index: int = 0
-    wall_time: float = 0.0
+class _Record:
+    """Base of the record classes: equal when of one class with equal
+    `_FIELDS`, shown as Class(field=value, ...).  Written out, not made by
+    `dataclasses`, whose import (inspect, ast, dis, tokenize) would add to
+    the start-up of every CLI call."""
+
+    _FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class IdentityReport(_Record):
+    _FIELDS = ("id", "lam", "alpha", "orders", "status", "mismatch",
+               "point_index", "wall_time")
+
+    def __init__(self, id: str, lam: Fraction | None, alpha: Fraction | None,
+                 orders: str, status: str, mismatch: str = "",
+                 point_index: int = 0, wall_time: float = 0.0):
+        self.id = id
+        self.lam = lam
+        self.alpha = alpha
+        self.orders = orders
+        self.status = status
+        self.mismatch = mismatch
+        self.point_index = point_index
+        self.wall_time = wall_time
 
     @property
     def point_text(self) -> str:

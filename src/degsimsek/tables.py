@@ -9,7 +9,6 @@ and parse/re-render round-trips are exact.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from fractions import Fraction
 import io
 import json
@@ -17,6 +16,7 @@ import json
 from .algebra import ParamPoly, render_scalar
 from .classical import bernoulli_number, stirling1, stirling2
 from .degenerate import deg_stirling1, deg_stirling2, new_deg_stirling2
+from .reports import _Record
 from .simsek import deg_simsek_y1, simsek_y1, y1star
 
 KIT_VERSION = "0.1.0"
@@ -42,16 +42,21 @@ class TableUsageError(ValueError):
     """Invalid family/route/substitution combination."""
 
 
-@dataclass
-class NumberTable:
-    family: str
-    route: str  # "" when the family has no routes
-    n_max: int
-    k_max: int
-    lam: Fraction | None
-    alpha: Fraction | None
-    entries: list[list[str]]  # rows indexed by n, columns by k
-    version: str = KIT_VERSION
+class NumberTable(_Record):
+    _FIELDS = ("family", "route", "n_max", "k_max", "lam", "alpha",
+               "entries", "version")
+
+    def __init__(self, family: str, route: str, n_max: int, k_max: int,
+                 lam: Fraction | None, alpha: Fraction | None,
+                 entries: list[list[str]], version: str = KIT_VERSION):
+        self.family = family
+        self.route = route  # "" when the family has no routes
+        self.n_max = n_max
+        self.k_max = k_max
+        self.lam = lam
+        self.alpha = alpha
+        self.entries = entries  # rows indexed by n, columns by k
+        self.version = version
 
 
 def _specialize(poly: ParamPoly, lam, alpha) -> str:

@@ -12,9 +12,11 @@ import threading
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from degsimsek.algebra import PP, ParamPoly, TruncSeries, exp_t
-from degsimsek.classical import (_bernoulli_base, bernoulli_number,
-                                 degenerate_falling)
+from degsimsek import degenerate
+from degsimsek.algebra import (PP, ParamPoly, SeriesDomainError, TruncSeries,
+                              exp_t)
+from degsimsek.classical import (_bernoulli_base, _ProductChain,
+                                 bernoulli_number, degenerate_falling)
 from degsimsek.degenerate import (apostol_euler, apostol_euler_series,
                                   new_deg_stirling2)
 from degsimsek.phi import phi_series
@@ -236,3 +238,70 @@ def test_chain_reads_from_threads_stay_exact(cold_chains):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in readers)
     assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# chain keys and publication
+# ---------------------------------------------------------------------------
+
+def test_equal_alphas_and_points_share_one_chain(cold_chains):
+    # a rational alpha is keyed by (p, q) and a point by (p, q, r, s) in
+    # lowest terms, whichever way it is written
+    expected = degenerate_falling(exp_t(5) - 1, 3, Fraction(1, 2)).coeffs[5] \
+        * Fraction(math.factorial(5), math.factorial(3))
+    for alpha in (1 / 2, Fraction(2, 4), "1/2", Fraction(1, 2)):
+        assert new_deg_stirling2(5, 3, alpha) == expected
+    assert list(degenerate._s2star_chains) == [(1, 2)]
+    assert new_deg_stirling2(4, 2, 0) == new_deg_stirling2(4, 2, Fraction(0))
+    assert list(degenerate._s2star_chains) == [(1, 2), (0, 1)]
+    # a symbolic alpha keeps its canonical text
+    new_deg_stirling2(3, 2, A)
+    assert list(degenerate._s2star_chains)[-1] == "1*a"
+
+    expected = apostol_euler_series(3, Fraction(3, 2), Fraction(-1, 4),
+                                    5).coeffs[5] * math.factorial(5)
+    for point in ((1.5, -0.25), (Fraction(6, 4), Fraction(-2, 8)),
+                  ("3/2", "-1/4"), (Fraction(3, 2), Fraction(-1, 4))):
+        assert apostol_euler(5, 3, *point) == expected
+    assert list(degenerate._apostol_chains) == [(3, 2, -1, 4)]
+    assert apostol_euler(2, 1, 2, 0) == apostol_euler(2, 1, Fraction(4, 2), 0)
+    assert list(degenerate._apostol_chains) == [(3, 2, -1, 4), (2, 1, 0, 1)]
+
+
+@pytest.mark.parametrize("lam", [-1, Fraction(-2, 2), -1.0, "-1"])
+def test_apostol_euler_at_lambda_minus_one_raises_and_stores_nothing(
+        cold_chains, lam):
+    for _ in range(2):
+        with pytest.raises(SeriesDomainError, match="lam != -1"):
+            apostol_euler(2, 1, lam, Fraction(1, 3))
+    assert degenerate._apostol_chains == {}
+
+
+@pytest.mark.parametrize("step", [0, Fraction(2, 5)])
+def test_chain_state_is_replaced_not_mutated(step):
+    # a reader holding the state keeps a consistent chain however the chain
+    # grows after it: an extension and a rebuild each publish a new tuple
+    chain = _ProductChain(lambda order: exp_t(order) - 1, step)
+    chain.product(3, 4)
+    held = chain.state
+    order, x, products = held
+    texts = [product.render() for product in products]
+    chain.product(6, 4)  # extension at the same order
+    extended = chain.state
+    chain.product(4, 7)  # rebuild at a higher order
+    rebuilt = chain.state
+    assert held == (order, x, products) and held[2] is products
+    assert (len(products), [product.render() for product in products]) \
+        == (4, texts)
+    assert extended is not held and rebuilt is not extended
+    for state, size, top in ((extended, 7, 4), (rebuilt, 5, 7)):
+        assert type(state) is tuple and type(state[2]) is tuple
+        assert state[2] is not products
+        assert (state[0], len(state[2])) == (top, size)
+    # the held products are still P_0..P_3 at order 4, and the new states
+    # extend and recompute them
+    for j, product in enumerate(products):
+        fresh_product = degenerate_falling(exp_t(4) - 1, j, step)
+        assert product == fresh_product
+        assert extended[2][j] == fresh_product
+        assert rebuilt[2][j] == degenerate_falling(exp_t(7) - 1, j, step)

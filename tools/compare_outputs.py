@@ -4,7 +4,8 @@
 
 Each ROOT is a checkout of this repository, absolute or relative to the
 working directory; the CLI runs from ROOT/src in a fresh interpreter per
-case, two cases at a time.  The matrix: `verify` for
+case, two cases at a time.  The matrix: `verify --list`, which prints
+every registry entry's id, mode, description and variant; `verify` for
 seeds 0/7/41 x workers 1/2/3 x order 2/8/12 x text/csv/json, for seed
 0 x workers 1/2/3 x order 1/16 x text/csv/json, with `--random-points 8`
 at seeds 3 and 11, at seed 19 with order 12 and at seeds 23 and 29 with
@@ -167,7 +168,7 @@ STREAMS = {LIBRARY_CASE[0]: LIBRARY_STREAM, SERIES_CASE[0]: SERIES_STREAM}
 
 
 def cases() -> list[list[str]]:
-    matrix = []
+    matrix = [["verify", "--list"]]
     formats = ("text", "csv", "json")
     verify_runs = [
         *itertools.product(("0", "7", "41"), ("1", "2", "3"),
