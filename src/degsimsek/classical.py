@@ -56,12 +56,7 @@ def stirling1(n: int, k: int) -> int:
 def falling_factorial(x, n: int):
     """x(x-1)...(x-n+1) for x in any commutative ring of the kit; the empty
     product is 1."""
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    result = x * 0 + 1
-    for i in range(n):
-        result = result * (x - i)
-    return result
+    return degenerate_falling(x, n, 1)
 
 
 def degenerate_falling(x, n: int, alpha):
@@ -73,6 +68,17 @@ def degenerate_falling(x, n: int, alpha):
     for i in range(n):
         result = result * (x - alpha * i)
     return result
+
+
+def degenerate_falling_rows(x: int, m: int) -> list[list[int]]:
+    """Rows 0..m for an integer x: row j lists the integer coefficients of
+    a^0, a^1, ... in (x)_{j,a} = x(x-a)...(x-(j-1)a), one factor
+    (x - j a) more than row j-1."""
+    rows = [[1]]
+    for j in range(m):
+        prev = rows[j]
+        rows.append([x * c - j * p for c, p in zip(prev + [0], [0] + prev)])
+    return rows
 
 
 class _ProductChain:

@@ -23,11 +23,16 @@ from .algebra import parse_rational
 from .phi import phi_series
 from .registry import (REGISTRY, registry_ids, run_suite, suite_failed)
 from .reports import reports_to_csv, reports_to_json
-from .simsek import (ROUTES, deg_simsek_y1, fk_series, simsek_y1, y1star)
-from .tables import (FAMILIES, TableUsageError, _specialize, build_table,
-                     render_csv, render_json)
+from .simsek import ROUTES, fk_series
+from .tables import (FAMILIES, FAMILY_TABLE, TableUsageError, _specialize,
+                     build_table, render_csv, render_json)
 
 USAGE_ERROR = 2
+
+# compute and series take the families in l, the Simsek numbers, all of
+# which accept --lambda
+_SIMSEK_FAMILIES = tuple(family for family, (_, params, _) in
+                         FAMILY_TABLE.items() if "lambda" in params)
 
 _RATIONAL_FLAGS = ("--lambda", "--alpha")
 _NEGATIVE = re.compile(r"-[\d.]")
@@ -93,15 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="p/q")
 
     p = sub.add_parser("compute", help="one family value")
-    p.add_argument("--family", choices=("y1", "y1deg", "y1star"), required=True)
+    p.add_argument("--family", choices=_SIMSEK_FAMILIES, required=True)
     p.add_argument("--route", choices=ROUTES, default="A")
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--k", type=_nonneg, required=True)
     add_point_flags(p)
 
     p = sub.add_parser("series", help="column generating function in t")
-    p.add_argument("--family", choices=("y1", "y1deg", "y1star"),
-                   default="y1star")
+    p.add_argument("--family", choices=_SIMSEK_FAMILIES, default="y1star")
     p.add_argument("--k", type=_nonneg, required=True)
     p.add_argument("--order", type=_nonneg, default=8)
     add_point_flags(p)
@@ -138,40 +142,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _family_poly(family: str, route: str, n: int, k: int):
-    if family == "y1":
-        return simsek_y1(n, k)
-    if family == "y1deg":
-        return deg_simsek_y1(n, k)
-    return y1star(n, k, route)
-
-
 def _cmd_compute(args) -> int:
-    if args.family == "y1" and args.alpha is not None:
-        print("compute: family y1 takes no --alpha", file=sys.stderr)
+    value, params, _ = FAMILY_TABLE[args.family]
+    if args.alpha is not None and "alpha" not in params:
+        print(f"compute: family {args.family} takes no --alpha",
+              file=sys.stderr)
         return USAGE_ERROR
-    poly = _family_poly(args.family, args.route, args.n, args.k)
-    print(_specialize(poly, args.lam, args.alpha))
+    print(_specialize(value(args.n, args.k, args.route, None), args.lam,
+                      args.alpha))
     return 0
 
 
 def _cmd_series(args) -> int:
-    if args.family == "y1" and args.alpha is not None:
-        print("series: family y1 takes no --alpha", file=sys.stderr)
-        return USAGE_ERROR
-    if args.family == "y1star" and (args.lam is None) != (args.alpha is None):
-        print("series: give both --lambda and --alpha or neither",
+    value, params, _ = FAMILY_TABLE[args.family]
+    if args.alpha is not None and "alpha" not in params:
+        print(f"series: family {args.family} takes no --alpha",
               file=sys.stderr)
         return USAGE_ERROR
     if args.family == "y1star":
-        series = fk_series(args.k, args.order, args.lam, args.alpha)
-        print(series.render())
+        # F_k, which fk_series gives symbolic or at a point
+        if (args.lam is None) != (args.alpha is None):
+            print("series: give both --lambda and --alpha or neither",
+                  file=sys.stderr)
+            return USAGE_ERROR
+        print(fk_series(args.k, args.order, args.lam, args.alpha).render())
         return 0
-    coeffs = []
-    for n in range(args.order + 1):
-        poly = _family_poly(args.family, "A", n, args.k) \
-            * Fraction(1, math.factorial(n))
-        coeffs.append(_specialize(poly, args.lam, args.alpha))
+    coeffs = [_specialize(value(n, args.k, "A", None)
+                          * Fraction(1, math.factorial(n)),
+                          args.lam, args.alpha)
+              for n in range(args.order + 1)]
     print("[" + ", ".join(coeffs) + "]")
     return 0
 

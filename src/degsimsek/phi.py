@@ -50,7 +50,7 @@ from .classical import stirling2
 from .degenerate import _s2star_rows, apostol_euler_series
 from .reports import (EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE,
                       IdentityReport, merge_status)
-from .simsek import y1star
+from .simsek import scaled_y1, scaled_y1star, y1star
 
 
 def phi_series(n: int, lam0, alpha0, order: int) -> TruncSeries:
@@ -120,14 +120,13 @@ class PointContext:
     S2*(n, j | alpha/lam) table and the REL-S2STAR weights; phi_num(n, k)
     gives the single integer Phi_n[k], and x_coeff turns an entry of an
     integer EGF back into the Fraction coefficient of x^d.
-    The values are read from `table`, an object whose scaled(n, k) gives
-    the route-A integer terms of k! y1star(n,k) and whose scaled_y1(n, k)
-    gives those of k! y1(n,k), such as the registry.SymbolicContext shared
-    by every point of a suite.
+    The values are read from simsek.scaled_y1star (route A) and
+    simsek.scaled_y1, the integer terms of k! y1star(n,k) and of k! y1(n,k)
+    that every point of a suite shares.
     Not locked: keep a context on one thread.
     """
 
-    def __init__(self, lam0, alpha0, table):
+    def __init__(self, lam0, alpha0):
         self.lam = Fraction(lam0)
         self.alpha = Fraction(alpha0)
         p, q = self.lam.numerator, self.lam.denominator
@@ -135,7 +134,6 @@ class PointContext:
         self.qs = q * s     # D: x = D u
         self.ps = p * s     # lam D
         self.rq = r * q     # alpha D
-        self._table = table
         self._nums: dict[tuple[int, int], int] = {}
         self._phi: dict[tuple[int, int], list[int]] = {}
         self._triangles: dict[tuple[str, int], list[list[int]]] = {}
@@ -168,7 +166,7 @@ class PointContext:
         value = self._nums.get((n, k))
         if value is None:
             value = self._nums[(n, k)] = self._numerator(
-                self._table.scaled(n, k), k)
+                scaled_y1star(n, k), k)
         return value
 
     def phi_row(self, n: int, order: int) -> list[int]:
@@ -182,7 +180,7 @@ class PointContext:
     def y1_row(self, n: int, order: int) -> list[int]:
         """sum_k y1(n,k) x^k at (lam, 0) as an integer EGF in u: entry k is
         k! D^k y1(n,k)."""
-        return [self._numerator(self._table.scaled_y1(n, k), k)
+        return [self._numerator(scaled_y1(n, k), k)
                 for k in range(order + 1)]
 
     def triangle(self, kind: str, order: int) -> list[list[int]]:

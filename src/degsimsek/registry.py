@@ -1,10 +1,10 @@
 """Identity registry and the verification suite runner.
 
 Each entry is one identity with a stable id, a self-contained statement,
-a mode and the callable that runs it on a context: "symbolic" entries hold
-in (l, a), run once, all on one shared SymbolicContext, and compare values
-in Z[l,a]; "rational" entries run at every grid point, all of them at one
-point on one shared PointContext.  The symbolic checks and REL-S2STAR
+a mode and the callable that runs it: "symbolic" entries hold in (l, a),
+run once, and compare values in Z[l,a] that simsek and falling_sum compute
+once and keep; "rational" entries run at every grid point, all of them at
+one point on one shared PointContext.  The symbolic checks and REL-S2STAR
 compare n, k <= SYMBOLIC_BOUND whatever the suite's order.
 Variant entries (suffixed ids) exercise alternative readings of ambiguous
 statements or derived corrections; they can never fail the suite, only
@@ -27,7 +27,7 @@ import random
 import time
 
 from .algebra import _combine, _int_terms, _over
-from .classical import stirling1, stirling2
+from .classical import degenerate_falling_rows, stirling1, stirling2
 from .degenerate import _s2star_rows, deg_stirling1, deg_stirling2
 from .phi import (PointContext, check_egf, check_f_transform,
                   check_log_substitution, check_phi_apostol,
@@ -86,8 +86,7 @@ class RegistryEntry(_Record):
     _FIELDS = ("id", "description", "mode", "variant_of")
 
     def __init__(self, id: str, description: str, mode: str,
-                 run: Callable[[PointContext | SymbolicContext, int],
-                               IdentityReport],
+                 run: Callable[[PointContext | None, int], IdentityReport],
                  variant_of: str | None = None,
                  domain: Callable[[Fraction, Fraction], bool] = _everywhere):
         set_field = object.__setattr__
@@ -95,7 +94,7 @@ class RegistryEntry(_Record):
         set_field(self, "description", description)
         set_field(self, "mode", mode)  # "symbolic" | "rational"
         # run(ctx, order): ctx is the PointContext of a rational entry's point,
-        # the suite's SymbolicContext for a symbolic entry
+        # None for a symbolic entry
         set_field(self, "run", run)
         set_field(self, "variant_of", variant_of)
         # domain(lam, alpha) of a rational entry: outside it the suite reports
@@ -125,38 +124,38 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry("EXPL-B", "explicit double sum over C(l,j) a^(k-l) s(k,l) "
                   f"l^j j^n equals the series route, n,k <= {SYMBOLIC_BOUND}",
                   "symbolic",
-                  lambda ctx, order: check_route_against_a(ctx, "EXPL-B", "B")),
+                  lambda ctx, order: check_route_against_a("EXPL-B", "B")),
     RegistryEntry("EXPL-C", "explicit double sum with the (1)_{k-l,a} factor "
                   f"equals the series route, n,k <= {SYMBOLIC_BOUND}",
                   "symbolic",
-                  lambda ctx, order: check_route_against_a(ctx, "EXPL-C", "C")),
+                  lambda ctx, order: check_route_against_a("EXPL-C", "C")),
     RegistryEntry("EXPL-C-PRINTED", "step-j variant (1)_{k-l,j} of EXPL-C; "
                   "recorded as a rejected reading", "symbolic",
-                  lambda ctx, order: check_expl_c_printed(ctx), "EXPL-C"),
+                  lambda ctx, order: check_expl_c_printed(), "EXPL-C"),
     RegistryEntry("EXPL-D", "order-k Bernoulli-number formula equals the "
                   f"series route, n,k <= {SYMBOLIC_BOUND}", "symbolic",
-                  lambda ctx, order: check_route_against_a(ctx, "EXPL-D", "D")),
+                  lambda ctx, order: check_route_against_a("EXPL-D", "D")),
     RegistryEntry("FUNC-EQ", "(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! "
                   "F_i(t), as series with ParamPoly coefficients, "
                   f"k <= {SYMBOLIC_BOUND}", "symbolic",
-                  lambda ctx, order: check_func_eq(ctx, order)),
+                  lambda ctx, order: check_func_eq(order)),
     RegistryEntry("THM-S1", "sum_j a^(k-j) s(k,j) l^j j^n = sum_i (-1)_{k-i,a} "
                   "i! C(k,i) y*(n,i), plus its a=0 reduction, "
                   f"n,k <= {SYMBOLIC_BOUND}", "symbolic",
-                  lambda ctx, order: check_thm_s1(ctx)),
+                  lambda ctx, order: check_thm_s1()),
     RegistryEntry("REL-S2A", "y*(n,k) = (1/k!) sum_{i,j} S2a(k,i) s(i,j) j! "
                   f"y1(n,j), symbolic, n,k <= {SYMBOLIC_BOUND}", "symbolic",
-                  lambda ctx, order: check_rel_s2a(ctx)),
+                  lambda ctx, order: check_rel_s2a()),
     RegistryEntry("REC-K", "column recurrence (k+1) y*(n,k+1) = l sum C(n,i) "
                   "y*(i,k) + (1-k a) y*(n,k) reproduces the series route",
                   "symbolic",
-                  lambda ctx, order: check_route_against_a(ctx, "REC-K", "E")),
+                  lambda ctx, order: check_route_against_a("REC-K", "E")),
     RegistryEntry("REC-N", "row recurrence for y*(n+1,k) from column k-1 "
                   "reproduces the series route", "symbolic",
-                  lambda ctx, order: check_route_against_a(ctx, "REC-N", "F")),
+                  lambda ctx, order: check_route_against_a("REC-N", "F")),
     RegistryEntry("RED-A0", "substituting a=0 into y*(n,k) gives the plain "
                   f"Simsek numbers, n,k <= {SYMBOLIC_BOUND}", "symbolic",
-                  lambda ctx, order: check_red_a0(ctx)),
+                  lambda ctx, order: check_red_a0()),
     RegistryEntry("RED-CLASSICAL", "degenerate Stirling triangles at a=0 "
                   "equal the classical ones; S2* at a=0 equals S2, "
                   f"n <= {SYMBOLIC_BOUND}",
@@ -227,65 +226,28 @@ def registry_ids() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# The values shared by the symbolic checks.
+# Symbolic checks.  Each compares n, k <= SYMBOLIC_BOUND, in integers, as
+# terms {(deg_l, deg_a): c} of Z[l,a]: the scaled values Y(n,k) = k! y*(n,k)
+# of simsek.scaled_y1star per route, the scaled Simsek numbers j! y1(n,j) of
+# simsek.scaled_y1 and the THM-S1/FUNC-EQ sums of falling_sum.
 # ---------------------------------------------------------------------------
 
-def _minus_one_falling(m: int) -> list[int]:
-    """The coefficients of a^0, a^1, ... in (-1)_{m,a} =
-    (-1)(-1-a)...(-1-(m-1)a)."""
-    out = [1]
-    for i in range(m):
-        out = [-c - i * p for c, p in zip(out + [0], [0] + out)]
-    return out
+_falling_sums: dict[tuple[int, int], dict] = {}
 
 
-class SymbolicContext:
-    """Everything the symbolic checks read, each value computed on first use
-    and kept, all in integers, as terms {(deg_l, deg_a): c} of Z[l,a]: the
-    scaled values Y(n,k) = k! y*(n,k) per route, the scaled Simsek numbers
-    j! y1(n,j) and the THM-S1/FUNC-EQ sums.  Its route-A values are also
-    the table every grid point's PointContext evaluates.
-    Its point is (None, None): the symbolic checks hold in (l, a).
-    Not locked: keep a context on one thread.
-    """
+def falling_sum(k: int, n: int) -> dict:
+    """sum_i (-1)_{k-i,a} C(k,i) Y(n,i): the right side of THM-S1, and
+    n! [t^n] of the left side of FUNC-EQ; computed once per (k, n) and
+    kept, so do not mutate the result."""
+    value = _falling_sums.get((k, n))
+    if value is None:
+        minus_one = degenerate_falling_rows(-1, k)
+        value = _falling_sums[(k, n)] = _combine(
+            (scaled_y1star(n, i), math.comb(k, i) * c, 0, e)
+            for i in range(k + 1)
+            for e, c in enumerate(minus_one[k - i]))
+    return value
 
-    lam = alpha = None
-
-    def __init__(self):
-        self._scaled: dict[tuple[int, int, str], dict] = {}
-        self._scaled_y1: dict[tuple[int, int], dict] = {}
-        self._falling_sums: dict[tuple[int, int], dict] = {}
-
-    def scaled(self, n: int, k: int, route: str = "A") -> dict:
-        """Y(n,k) = k! y*(n,k) by the given route."""
-        value = self._scaled.get((n, k, route))
-        if value is None:
-            value = self._scaled[(n, k, route)] = scaled_y1star(n, k, route)
-        return value
-
-    def scaled_y1(self, n: int, j: int) -> dict:
-        """j! y1(n,j), the scaled Simsek number of simsek.scaled_y1."""
-        value = self._scaled_y1.get((n, j))
-        if value is None:
-            value = self._scaled_y1[(n, j)] = scaled_y1(n, j)
-        return value
-
-    def falling_sum(self, k: int, n: int) -> dict:
-        """sum_i (-1)_{k-i,a} C(k,i) Y(n,i): the right side of THM-S1, and
-        n! [t^n] of the left side of FUNC-EQ."""
-        value = self._falling_sums.get((k, n))
-        if value is None:
-            value = self._falling_sums[(k, n)] = _combine(
-                (self.scaled(n, i), math.comb(k, i) * c, 0, e)
-                for i in range(k + 1)
-                for e, c in enumerate(_minus_one_falling(k - i)))
-        return value
-
-
-# ---------------------------------------------------------------------------
-# Symbolic checks.  Each takes the suite's SymbolicContext first and compares
-# n, k <= SYMBOLIC_BOUND.
-# ---------------------------------------------------------------------------
 
 def _pair_report(rid: str, pairs, orders: str,
                  mismatch_status: str = FAIL) -> IdentityReport:
@@ -301,22 +263,21 @@ def _pair_report(rid: str, pairs, orders: str,
     return IdentityReport(rid, None, None, orders, PASS)
 
 
-def check_route_against_a(ctx: SymbolicContext, rid: str,
-                          route: str) -> IdentityReport:
+def check_route_against_a(rid: str, route: str) -> IdentityReport:
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
             for n in range(SYMBOLIC_BOUND + 1):
-                yield (f"(n,k)=({n},{k})", ctx.scaled(n, k, route),
-                       ctx.scaled(n, k), math.factorial(k))
+                yield (f"(n,k)=({n},{k})", scaled_y1star(n, k, route),
+                       scaled_y1star(n, k), math.factorial(k))
     return _pair_report(rid, pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_expl_c_printed(ctx: SymbolicContext) -> IdentityReport:
+def check_expl_c_printed() -> IdentityReport:
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
             for n in range(SYMBOLIC_BOUND + 1):
                 yield (f"(n,k)=({n},{k})", _route_c_printed(n, k),
-                       ctx.scaled(n, k), math.factorial(k))
+                       scaled_y1star(n, k), math.factorial(k))
     return _pair_report("EXPL-C-PRINTED", pairs(), f"n,k<={SYMBOLIC_BOUND}",
                         mismatch_status=EXPECTED_DISCREPANCY)
 
@@ -342,7 +303,7 @@ def _lam_exp_falling(order: int):
         j += 1
 
 
-def check_func_eq(ctx: SymbolicContext, order: int) -> IdentityReport:
+def check_func_eq(order: int) -> IdentityReport:
     """(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! F_i(t), both sides
     compared as N! = order! times their t^d coefficients, in integers: the
     left side's coefficient is falling_sum(k, d)/d!, the right side's comes
@@ -354,12 +315,12 @@ def check_func_eq(ctx: SymbolicContext, order: int) -> IdentityReport:
             for d in range(order + 1):
                 weight = scale // math.factorial(d)
                 lhs = {key: v * weight
-                       for key, v in ctx.falling_sum(k, d).items()}
+                       for key, v in falling_sum(k, d).items()}
                 yield f"k={k};t^{d}", lhs, rhs[d], scale
     return _pair_report("FUNC-EQ", pairs(), f"k<={SYMBOLIC_BOUND};N={order}")
 
 
-def check_thm_s1(ctx: SymbolicContext) -> IdentityReport:
+def check_thm_s1() -> IdentityReport:
     """sum_j a^(k-j) s(k,j) l^j j^n = falling_sum(k, n), and its a = 0
     reduction l^k k^n = sum_i (-1)^(k-i) C(k,i) i! y1(n,i)."""
     def pairs():
@@ -367,16 +328,16 @@ def check_thm_s1(ctx: SymbolicContext) -> IdentityReport:
             for n in range(SYMBOLIC_BOUND + 1):
                 lhs = {(j, k - j): c for j in range(k + 1)
                        if (c := stirling1(k, j) * j**n)}
-                yield f"(n,k)=({n},{k})", lhs, ctx.falling_sum(k, n), 1
+                yield f"(n,k)=({n},{k})", lhs, falling_sum(k, n), 1
                 lhs0 = {(k, 0): k**n} if k**n else {}
-                rhs0 = _combine((ctx.scaled_y1(n, i),
+                rhs0 = _combine((scaled_y1(n, i),
                                  (-1) ** (k - i) * math.comb(k, i), 0, 0)
                                 for i in range(k + 1))
                 yield f"a=0;(n,k)=({n},{k})", lhs0, rhs0, 1
     return _pair_report("THM-S1", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_rel_s2a(ctx: SymbolicContext) -> IdentityReport:
+def check_rel_s2a() -> IdentityReport:
     """k! y*(n,k) = sum_j c(k,j) j! y1(n,j) with the weight
     c(k,j) = sum_i S2a(k,i) s(i,j) in Z[a], taken once per k."""
     def pairs():
@@ -386,22 +347,22 @@ def check_rel_s2a(ctx: SymbolicContext) -> IdentityReport:
                                 for i in range(j, k + 1))
                        for j in range(k + 1)]
             for n in range(SYMBOLIC_BOUND + 1):
-                rhs = _combine((ctx.scaled_y1(n, j), c, dl, da)
+                rhs = _combine((scaled_y1(n, j), c, dl, da)
                                for j, weight in enumerate(weights)
                                for (dl, da), c in weight.items())
-                yield (f"(n,k)=({n},{k})", ctx.scaled(n, k), rhs,
+                yield (f"(n,k)=({n},{k})", scaled_y1star(n, k), rhs,
                        math.factorial(k))
     return _pair_report("REL-S2A", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_red_a0(ctx: SymbolicContext) -> IdentityReport:
+def check_red_a0() -> IdentityReport:
     """The a-free terms of k! y*(n,k) are k! y1(n,k)."""
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
             for n in range(SYMBOLIC_BOUND + 1):
-                lhs = {key: c for key, c in ctx.scaled(n, k).items()
+                lhs = {key: c for key, c in scaled_y1star(n, k).items()
                        if key[1] == 0}
-                yield (f"(n,k)=({n},{k})", lhs, ctx.scaled_y1(n, k),
+                yield (f"(n,k)=({n},{k})", lhs, scaled_y1(n, k),
                        math.factorial(k))
     return _pair_report("RED-A0", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
@@ -513,9 +474,9 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
     """Run the selected registry entries (all by default) and return the
     deterministically ordered report list.
 
-    Everything runs serially: the symbolic entries on one SymbolicContext,
-    then the rational entries at each grid point on one PointContext that
-    evaluates that SymbolicContext's route-A values."""
+    Everything runs serially: the symbolic entries first, then the rational
+    entries at each grid point on one PointContext, which evaluates the
+    route-A values the symbolic entries read."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if ids is None:
@@ -537,33 +498,33 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
     for k in range(bound + 1):
         fk_series(k, bound)
 
-    symbolic = SymbolicContext()
-    reports = [_run_entry(entry, symbolic, order, 0)
+    reports = [_run_entry(entry, None, order, 0)
                for entry in selected if entry.mode == "symbolic"]
     rational = [e for e in selected if e.mode == "rational"]
     if rational:
         for idx, point in enumerate(grid):
-            ctx = PointContext(*point, symbolic)
+            ctx = PointContext(*point)
             reports += [_run_entry(entry, ctx, order, idx)
                         for entry in rational]
     reports.sort(key=lambda r: (r.id, r.point_index))
     return reports
 
 
-def _run_entry(entry: RegistryEntry, ctx, order: int,
+def _run_entry(entry: RegistryEntry, ctx: PointContext | None, order: int,
                idx: int) -> IdentityReport:
-    """entry.run(ctx, order), timed; a point outside the entry's domain
-    gives a not-applicable report, and an exception an error report at the
-    context's point, so neither hides another report."""
+    """entry.run(ctx, order), timed, ctx None for a symbolic entry; a point
+    outside the entry's domain gives a not-applicable report, and an
+    exception an error report at the context's point, so neither hides
+    another report."""
+    lam, alpha = (None, None) if ctx is None else (ctx.lam, ctx.alpha)
     start = time.perf_counter()
     try:
-        if ctx.lam is None or entry.domain(ctx.lam, ctx.alpha):
+        if ctx is None or entry.domain(lam, alpha):
             report = entry.run(ctx, order)
         else:
-            report = IdentityReport(entry.id, ctx.lam, ctx.alpha, "",
-                                    NOT_APPLICABLE)
+            report = IdentityReport(entry.id, lam, alpha, "", NOT_APPLICABLE)
     except Exception as exc:
-        report = IdentityReport(entry.id, ctx.lam, ctx.alpha, "", ERROR,
+        report = IdentityReport(entry.id, lam, alpha, "", ERROR,
                                 f"{type(exc).__name__}: {exc}")
     report.wall_time = time.perf_counter() - start
     report.point_index = idx

@@ -34,18 +34,23 @@ import math
 from .algebra import (PP, QQ, ParamPoly, TruncSeries, _combine, _int_terms,
                       _over, exp_t)
 from .classical import (bernoulli_number, bernoulli_poly, degenerate_falling,
-                        stirling1)
+                        degenerate_falling_rows, stirling1)
 
 _L = ParamPoly.lam()
 _A = ParamPoly.alpha()
 
-ROUTES = ("A", "B", "C", "D", "E", "F")
+_scaled_y1_store: dict[tuple[int, int], dict] = {}
 
 
 def scaled_y1(n: int, k: int) -> dict:
     """k! y1(n,k) = sum_j C(k,j) j^n l^j (0^0 = 1) as integer terms
-    {(j, 0): c} without zeros, for n, k >= 0."""
-    return {(j, 0): math.comb(k, j) * j**n for j in range(k + 1) if j**n}
+    {(j, 0): c} without zeros, for n, k >= 0.  Computed once per (n, k) and
+    kept: do not mutate the result."""
+    value = _scaled_y1_store.get((n, k))
+    if value is None:
+        value = _scaled_y1_store[(n, k)] = {
+            (j, 0): math.comb(k, j) * j**n for j in range(k + 1) if j**n}
+    return value
 
 
 def simsek_y1(n: int, k: int) -> ParamPoly:
@@ -141,6 +146,18 @@ def fk_series_via_bernoulli(k: int, order: int, lam, alpha) -> TruncSeries:
 # recurrences E and F are integer computations at that scale, and route A's
 # coefficient is converted to it exactly.  y1star divides by k! once.
 
+_route_a_store: dict[tuple[int, int], dict] = {}
+
+
+def _route_a(n: int, k: int) -> dict:
+    """n! k! [t^n] F_k, extracted from F_k once per (n, k) and kept."""
+    terms = _route_a_store.get((n, k))
+    if terms is None:
+        terms = _route_a_store[(n, k)] = _int_terms(
+            fk_series(k, n).coeffs[n], math.factorial(n) * math.factorial(k))
+    return terms
+
+
 def _route_b(n: int, k: int) -> dict:
     terms: dict[tuple[int, int], int] = {}
     for l in range(k + 1):
@@ -156,11 +173,8 @@ def _route_c(n: int, k: int) -> dict:
     # (1)_{k-l,a} here follows the derivation (step parameter a); the
     # printed step-j variant is exercised separately by the verifier.
     # falling[m] lists the integer coefficients of a^0, a^1, ... in
-    # (1)_{m,a}, one factor (1 - m a) more each
-    falling = [[1]]
-    for m in range(k):
-        prev = falling[m]
-        falling.append([c - m * p for c, p in zip(prev + [0], [0] + prev)])
+    # (1)_{m,a}
+    falling = degenerate_falling_rows(1, k)
     terms: dict[tuple[int, int], int] = {}
     for l in range(k + 1):
         ones = falling[k - l]
@@ -278,27 +292,29 @@ def _fill_n_recurrence(cells, n_max, k_max):
 _triangle_e = _Triangle(_fill_k_recurrence)
 _triangle_f = _Triangle(_fill_n_recurrence)
 
+# route -> core, each looked up when it runs, so that a wrapper installed
+# on a module-level name (a tracer, a test double) sees every call
+_CORES = {
+    "A": lambda n, k: _route_a(n, k),
+    "B": lambda n, k: _route_b(n, k),
+    "C": lambda n, k: _route_c(n, k),
+    "D": lambda n, k: _route_d(n, k),
+    "E": lambda n, k: _triangle_e.get(n, k),
+    "F": lambda n, k: _triangle_f.get(n, k),
+}
+ROUTES = tuple(_CORES)
+
 
 def scaled_y1star(n: int, k: int, route: str = "A") -> dict:
     """Y(n,k) = k! y1star(n,k) by the chosen route, as integer terms
     {(deg_l, deg_a): c} of Z[l,a] without zeros.  Do not mutate the result:
-    routes E and F hand out their triangles' cells."""
+    route A hands out its store's values, routes E and F their triangles'
+    cells."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     if n < 0 or k < 0:
         return {}
-    if route == "A":
-        return _int_terms(fk_series(k, n).coeffs[n],
-                          math.factorial(n) * math.factorial(k))
-    if route == "B":
-        return _route_b(n, k)
-    if route == "C":
-        return _route_c(n, k)
-    if route == "D":
-        return _route_d(n, k)
-    if route == "E":
-        return _triangle_e.get(n, k)
-    return _triangle_f.get(n, k)
+    return _CORES[route](n, k)
 
 
 # Every y1star value read so far, by (n, k, route); it only grows.

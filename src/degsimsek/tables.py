@@ -17,25 +17,27 @@ from .algebra import ParamPoly, render_scalar
 from .classical import bernoulli_number, stirling1, stirling2
 from .degenerate import deg_stirling1, deg_stirling2, new_deg_stirling2
 from .reports import _Record
-from .simsek import deg_simsek_y1, simsek_y1, y1star
+from .simsek import ROUTES, deg_simsek_y1, simsek_y1, y1star
 
 KIT_VERSION = "0.1.0"
 
-FAMILIES = ("stirling1", "stirling2", "deg-stirling1", "deg-stirling2",
-            "s2star", "bernoulli", "y1", "y1deg", "y1star")
-
-# which substitutions each family accepts: subset of {"lambda", "alpha"}
-_FAMILY_PARAMS = {
-    "stirling1": frozenset(),
-    "stirling2": frozenset(),
-    "bernoulli": frozenset(),
-    "deg-stirling1": frozenset({"alpha"}),
-    "deg-stirling2": frozenset({"alpha"}),
-    "s2star": frozenset({"alpha"}),
-    "y1": frozenset({"lambda"}),
-    "y1deg": frozenset({"lambda", "alpha"}),
-    "y1star": frozenset({"lambda", "alpha"}),
+# family -> (its value at (n, k, route, alpha), the substitutions it
+# accepts, its routes); a value is an int, a Fraction or a ParamPoly, and
+# only s2star reads alpha, which it takes rational or symbolic.
+FAMILY_TABLE = {
+    "stirling1": (lambda n, k, *_: stirling1(n, k), (), ()),
+    "stirling2": (lambda n, k, *_: stirling2(n, k), (), ()),
+    "deg-stirling1": (lambda n, k, *_: deg_stirling1(n, k), ("alpha",), ()),
+    "deg-stirling2": (lambda n, k, *_: deg_stirling2(n, k), ("alpha",), ()),
+    "s2star": (lambda n, k, route, alpha: new_deg_stirling2(
+        n, k, ParamPoly.alpha() if alpha is None else alpha), ("alpha",), ()),
+    "bernoulli": (lambda n, k, *_: bernoulli_number(n, k), (), ()),
+    "y1": (lambda n, k, *_: simsek_y1(n, k), ("lambda",), ()),
+    "y1deg": (lambda n, k, *_: deg_simsek_y1(n, k), ("lambda", "alpha"), ()),
+    "y1star": (lambda n, k, route, alpha: y1star(n, k, route),
+               ("lambda", "alpha"), ROUTES),
 }
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 class TableUsageError(ValueError):
@@ -59,61 +61,41 @@ class NumberTable(_Record):
         self.version = version
 
 
-def _specialize(poly: ParamPoly, lam, alpha) -> str:
-    """Canonical text of a ParamPoly value after optional substitution."""
+def _specialize(value, lam, alpha) -> str:
+    """Canonical text of a family value after optional substitution."""
+    if not isinstance(value, ParamPoly):
+        return render_scalar(value)
     if lam is not None and alpha is not None:
-        return str(poly.evaluate(lam, alpha))
+        return str(value.evaluate(lam, alpha))
     if lam is not None or alpha is not None:
-        poly = poly.substitute(lam=lam, alpha=alpha)
-    return poly.render()
+        value = value.substitute(lam=lam, alpha=alpha)
+    return value.render()
 
 
 def build_table(family: str, route: str | None, n_max: int, k_max: int,
                 lam=None, alpha=None) -> NumberTable:
-    if family not in FAMILIES:
+    if family not in FAMILY_TABLE:
         raise TableUsageError(f"unknown family {family!r}")
-    if route and family != "y1star":
+    value, params, routes = FAMILY_TABLE[family]
+    if route and not routes:
         raise TableUsageError(f"family {family!r} has no routes")
-    allowed = _FAMILY_PARAMS[family]
-    if lam is not None and "lambda" not in allowed:
+    if lam is not None and "lambda" not in params:
         raise TableUsageError(f"family {family!r} takes no lambda substitution")
-    if alpha is not None and "alpha" not in allowed:
+    if alpha is not None and "alpha" not in params:
         raise TableUsageError(f"family {family!r} takes no alpha substitution")
     if n_max < 0 or k_max < 0:
         raise TableUsageError("table bounds must be non-negative")
     lam = None if lam is None else Fraction(lam)
     alpha = None if alpha is None else Fraction(alpha)
-    if family == "y1star":
-        route = route or "A"
-
-    def cell(n: int, k: int) -> str:
-        if family == "stirling1":
-            return str(stirling1(n, k))
-        if family == "stirling2":
-            return str(stirling2(n, k))
-        if family == "bernoulli":
-            return str(bernoulli_number(n, k))
-        if family == "deg-stirling1":
-            return _specialize(deg_stirling1(n, k), None, alpha)
-        if family == "deg-stirling2":
-            return _specialize(deg_stirling2(n, k), None, alpha)
-        if family == "s2star":
-            value = new_deg_stirling2(n, k,
-                                      ParamPoly.alpha() if alpha is None else alpha)
-            return render_scalar(value)
-        if family == "y1":
-            return _specialize(simsek_y1(n, k), lam, alpha)
-        if family == "y1deg":
-            return _specialize(deg_simsek_y1(n, k), lam, alpha)
-        poly = y1star(n, k, route)
-        return _specialize(poly, lam, alpha)
+    route = route or (routes[0] if routes else "")
 
     # top row first: route A then builds each F_k once, at order n_max, and
     # every lower row reads a truncation of the cached series
-    entries = [[cell(n, k) for k in range(k_max + 1)]
+    entries = [[_specialize(value(n, k, route, alpha), lam, alpha)
+                for k in range(k_max + 1)]
                for n in range(n_max, -1, -1)]
     entries.reverse()
-    return NumberTable(family, route or "", n_max, k_max, lam, alpha, entries)
+    return NumberTable(family, route, n_max, k_max, lam, alpha, entries)
 
 
 def _param_text(value: Fraction | None) -> str:

@@ -1,4 +1,4 @@
-"""The per-point and symbolic evaluation contexts: differential checks
+"""The per-point context and the symbolic stores: differential checks
 against the uncached library functions, the integer forms of the symbolic
 and REL-S2STAR checks against their definitions, term-by-term references
 and sympy oracles, the phi checks against their truncated-series forms,
@@ -18,9 +18,9 @@ from degsimsek.algebra import (QQ, ParamPoly, TruncSeries, _int_terms, _over,
 from degsimsek.classical import degenerate_falling
 from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
-from degsimsek.registry import (FIXED_POINTS, REGISTRY, SymbolicContext,
-                                check_rel_s2star, random_points, run_suite)
-from degsimsek.reports import FAIL
+from degsimsek.registry import (FIXED_POINTS, REGISTRY, check_rel_s2star,
+                                falling_sum, random_points, run_suite)
+from degsimsek.reports import FAIL, reports_to_json
 from degsimsek.simsek import ROUTES, simsek_y1, y1star
 
 from oracles import phi_reference, rel_s2star_reference
@@ -49,7 +49,7 @@ def s2star(ctx: PointContext, n: int, j: int) -> Fraction:
 def test_s2star_table_matches_new_deg_stirling2(ratio):
     # lam = 2 so the context has to form the ratio alpha/lam itself; the
     # size asked for rises, so the table is built again at every higher size
-    ctx = PointContext(2, 2 * ratio, SymbolicContext())
+    ctx = PointContext(2, 2 * ratio)
     for n in range(11):
         for j in range(11):
             assert s2star(ctx, n, j) == new_deg_stirling2(n, j, ratio), (n, j)
@@ -62,7 +62,7 @@ def test_s2star_table_matches_new_deg_stirling2(ratio):
 @pytest.mark.parametrize("point", POINTS)
 def test_values_match_direct_evaluation(point):
     lam, alpha = point
-    ctx = PointContext(lam, alpha, SymbolicContext())
+    ctx = PointContext(lam, alpha)
     for n in range(7):
         row = ctx.phi_row(n, 8)
         for k in range(9):
@@ -74,11 +74,11 @@ def test_values_match_direct_evaluation(point):
 def test_shared_context_gives_identical_reports(point):
     # fill one context by running every rational entry in reverse registry
     # order, then compare each entry on it against a fresh context
-    shared = PointContext(*point, SymbolicContext())
+    shared = PointContext(*point)
     for entry in reversed(RATIONAL):
         entry.run(shared, 8)
     for entry in RATIONAL:
-        fresh = entry.run(PointContext(*point, SymbolicContext()), 8)
+        fresh = entry.run(PointContext(*point), 8)
         reused = entry.run(shared, 8)
         assert (fresh.id, fresh.to_dict()) == (reused.id, reused.to_dict())
 
@@ -100,10 +100,33 @@ def test_suite_evaluates_each_value_once_per_point(monkeypatch):
     assert calls <= 1000
 
 
-def test_symbolic_weights_match_their_definitions():
+# the module stores that the symbolic checks and every PointContext read
+SYMBOLIC_STORES = ((simsek, "_route_a_store"), (simsek, "_scaled_y1_store"),
+                   (registry, "_falling_sums"))
+
+
+def empty_symbolic_stores(monkeypatch):
+    for module, name in SYMBOLIC_STORES:
+        monkeypatch.setattr(module, name, {})
+
+
+class RecordingStore(dict):
+    """A store that appends (n, k, "A") to `misses` at each write, which
+    its owner makes once per miss."""
+
+    def __init__(self, misses):
+        super().__init__()
+        self.misses = misses
+
+    def __setitem__(self, key, value):
+        self.misses.append((*key, "A"))
+        super().__setitem__(key, value)
+
+
+def test_symbolic_weights_match_their_definitions(monkeypatch):
     # the integer forms against their ParamPoly definitions, asked for out
     # of order so the memos fill unevenly
-    ctx = SymbolicContext()
+    empty_symbolic_stores(monkeypatch)
     a = ParamPoly.alpha()
     for k in reversed(range(9)):
         for n in reversed(range(10)):
@@ -112,13 +135,13 @@ def test_symbolic_weights_match_their_definitions():
                 expected = expected + y1star(n, i) * degenerate_falling(
                     ParamPoly.const(-1), k - i, a) * (
                         math.comb(k, i) * math.factorial(i))
-            assert _over(ctx.falling_sum(k, n), 1) == expected, (k, n)
+            assert _over(falling_sum(k, n), 1) == expected, (k, n)
             for route in ROUTES:
-                assert _over(ctx.scaled(n, k, route), math.factorial(k)) == \
-                    y1star(n, k), (n, k, route)
-            assert _over(ctx.scaled_y1(n, k), math.factorial(k)) == \
+                assert _over(simsek.scaled_y1star(n, k, route),
+                             math.factorial(k)) == y1star(n, k), (n, k, route)
+            assert _over(simsek.scaled_y1(n, k), math.factorial(k)) == \
                 simsek_y1(n, k), (n, k)
-            assert all(isinstance(c, int) for c in ctx.falling_sum(k, n).values())
+            assert all(isinstance(c, int) for c in falling_sum(k, n).values())
     with pytest.raises(ValueError, match="not integral"):
         _int_terms(y1star(2, 2), 1)
 
@@ -141,19 +164,25 @@ def test_func_eq_right_side_matches_sympy_series():
             assert rhs[d] == expected, (k, d)
 
 
-def test_shared_symbolic_context_gives_identical_reports():
-    shared = SymbolicContext()
+def test_shared_symbolic_context_gives_identical_reports(monkeypatch):
+    # fill the stores by running every symbolic entry in reverse registry
+    # order, then compare each entry on them against a run on empty stores
+    empty_symbolic_stores(monkeypatch)
     for entry in reversed(SYMBOLIC):
-        entry.run(shared, 8)
+        entry.run(None, 8)
+    shared = [getattr(module, name) for module, name in SYMBOLIC_STORES]
     for entry in SYMBOLIC:
-        fresh = entry.run(SymbolicContext(), 8)
-        reused = entry.run(shared, 8)
+        empty_symbolic_stores(monkeypatch)
+        fresh = entry.run(None, 8)
+        for (module, name), store in zip(SYMBOLIC_STORES, shared):
+            monkeypatch.setattr(module, name, store)
+        reused = entry.run(None, 8)
         assert (fresh.id, fresh.to_dict()) == (reused.id, reused.to_dict())
 
 
 def test_suite_builds_symbolic_values_once(monkeypatch):
     # a count, not a clock: the symbolic checks must read y1 values and
-    # the (-1)_{m,a} / (1)_{m,a} factors from the context instead of
+    # the (-1)_{m,a} / (1)_{m,a} factors from their stores instead of
     # rebuilding them inside their innermost loops
     calls = {"simsek_y1": 0, "degenerate_falling": 0, "evaluate": 0}
 
@@ -209,43 +238,68 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
 
 
 def test_symbolic_job_computes_each_route_value_once(monkeypatch):
-    # every route's own formula runs once per (n, k): the context never
-    # stands one route's value in for another's, and never recomputes one
+    # every route's own formula runs once per (n, k): no route's value
+    # stands in for another's, and none is computed again; route A is
+    # counted at its store's miss, the other routes at each read
     asked = []
     compute = registry.scaled_y1star
 
     def recording(n, k, route="A"):
-        asked.append((n, k, route))
+        if route != "A":
+            asked.append((n, k, route))
         return compute(n, k, route)
 
+    empty_symbolic_stores(monkeypatch)
+    monkeypatch.setattr(simsek, "_route_a_store", RecordingStore(asked))
     monkeypatch.setattr(registry, "scaled_y1star", recording)
     run_suite([e.id for e in SYMBOLIC], order=8)
     assert sorted(asked) == sorted((n, k, route) for n in range(9)
                                    for k in range(9) for route in ROUTES)
 
 
-def test_suite_extracts_each_route_a_value_once(monkeypatch):
-    # a count, not a clock: every grid point evaluates the symbolic
-    # context's route-A integer terms instead of reading F_k again
+def count_route_a_extractions(monkeypatch) -> list:
+    """Empty the symbolic stores, and record every route-A value taken
+    from F_k from then on: each miss of the route-A store, and each
+    y1star read of route A."""
     from degsimsek import cli, tables
     extracted = []
+    empty_symbolic_stores(monkeypatch)
+    monkeypatch.setattr(simsek, "_route_a_store", RecordingStore(extracted))
 
     def counting(func):
         def wrapper(n, k, route="A"):
             if route == "A":
-                extracted.append((n, k))
+                extracted.append((n, k, route))
             return func(n, k, route)
         return wrapper
 
     for module in (registry, phi, simsek, tables, cli):
-        for name in ("y1star", "scaled_y1star"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counting(getattr(module, name)))
+        if hasattr(module, "y1star"):
+            monkeypatch.setattr(module, "y1star", counting(module.y1star))
+    return extracted
+
+
+def test_suite_extracts_each_route_a_value_once(monkeypatch):
+    # a count, not a clock: every grid point evaluates the route-A integer
+    # terms the symbolic checks read instead of reading F_k again
+    extracted = count_route_a_extractions(monkeypatch)
     reports = run_suite(order=8)
     assert len(reports) == 95
     assert len(extracted) <= 81
     assert len(set(extracted)) == len(extracted)
+
+
+def test_suites_in_one_process_share_the_route_a_store(monkeypatch):
+    # a suite at a higher order between two equal ones: the third run gives
+    # the first run's bytes and takes every route-A value from the store
+    extracted = count_route_a_extractions(monkeypatch)
+    first = reports_to_json(run_suite(order=8))
+    assert sorted(extracted) == sorted((n, k, "A") for n in range(9)
+                                       for k in range(9))
+    run_suite(order=12)
+    extracted.clear()
+    assert reports_to_json(run_suite(order=8)) == first
+    assert extracted == []
 
 
 # REL-S2STAR and PHI-LOG against references at random points: lam and
@@ -259,7 +313,7 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 @example(Fraction(1), Fraction(0))
 @example(Fraction(2, 9), Fraction(-5, 8))
 def test_rel_s2star_readings_match_term_by_term_reference(lam, alpha):
-    ctx = PointContext(lam, alpha, SymbolicContext())
+    ctx = PointContext(lam, alpha)
     for reading in ("j", "k", "dup", "zero0"):
         report = check_rel_s2star(ctx, reading)
         expected = rel_s2star_reference(
@@ -272,7 +326,7 @@ def test_rel_s2star_readings_match_term_by_term_reference(lam, alpha):
 @example(Fraction(0), Fraction(-1, 9), 2, 8)
 def test_log_substitution_powers_equal_horner_composition(lam, alpha, n,
                                                           order):
-    ctx = PointContext(lam, alpha, SymbolicContext())
+    ctx = PointContext(lam, alpha)
     outer = TruncSeries("x", order, [simsek_y1(n, k).evaluate(lam, 0)
                                      for k in range(order + 1)], QQ)
     x = TruncSeries.variable("x", order, QQ)
@@ -290,7 +344,7 @@ def test_log_substitution_powers_equal_horner_composition(lam, alpha, n,
 def test_point_values_equal_polynomial_evaluation(lam, alpha):
     # the integer-term evaluation against ParamPoly.evaluate of the route-A
     # polynomial: negative numerators, alpha = 0, denominators up to 10^6
-    ctx = PointContext(lam, alpha, SymbolicContext())
+    ctx = PointContext(lam, alpha)
     for n in range(9):
         row = ctx.phi_row(n, 8)
         y1_row = ctx.y1_row(n, 8)
@@ -327,7 +381,7 @@ def test_s2star_table_matches_sympy_series():
     import sympy
     t, r = sympy.symbols("t r")
     exp_t = sympy.series(sympy.exp(t), t, 0, 7).removeO()
-    contexts = [PointContext(lam, alpha, SymbolicContext())
+    contexts = [PointContext(lam, alpha)
                 for lam, alpha in ((2, Fraction(-3, 2)), (Fraction(-3, 5), 1),
                                    (Fraction(4, 7), 0))]
     for j in range(7):
@@ -348,25 +402,24 @@ def test_s2star_table_matches_sympy_series():
 # with one value of the table raised, so that every check writes mismatches
 wide = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**4))
 wide_or_zero = st.one_of(st.just(Fraction(0)), wide)
-TABLE = SymbolicContext()
 
 
 class RaisedTable:
-    """TABLE with k! y*(n,k) raised by 3 l (by 1 at k = 0) and k! y1(n,k)
-    raised by 2 at (n, k) = target."""
+    """simsek's k! y*(n,k) raised by 3 l (by 1 at k = 0) and k! y1(n,k)
+    raised by 2 at (n, k) = target, to stand in for phi's reads."""
 
     def __init__(self, target):
         self.target = target
 
-    def scaled(self, n, k):
-        terms = dict(TABLE.scaled(n, k))
+    def scaled_y1star(self, n, k, route="A"):
+        terms = dict(simsek.scaled_y1star(n, k, route))
         if (n, k) == self.target:
             key, step = ((1, 0), 3) if k else ((0, 0), 1)
             terms[key] = terms.get(key, 0) + step
         return terms
 
     def scaled_y1(self, n, k):
-        terms = dict(TABLE.scaled_y1(n, k))
+        terms = dict(simsek.scaled_y1(n, k))
         if (n, k) == self.target:
             terms[(0, 0)] = terms.get((0, 0), 0) + 2
         return terms
@@ -382,29 +435,33 @@ class RaisedTable:
 def test_phi_checks_match_their_series_forms(lam, alpha, order, target):
     for k in range(11):
         simsek.fk_series(k, 10)  # route A at the largest order, built once
-    ctx = PointContext(lam, alpha, RaisedTable(target))
-    values = {}
+    raised = RaisedTable(target)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phi, "scaled_y1star", raised.scaled_y1star)
+        patch.setattr(phi, "scaled_y1", raised.scaled_y1)
+        ctx = PointContext(lam, alpha)
+        values = {}
 
-    def y(n, k):
-        if (n, k) not in values:
-            values[(n, k)] = y1star(n, k).evaluate(lam, alpha)
-            if (n, k) == target:
-                values[(n, k)] += 3 * lam / math.factorial(k) if k else 1
-        return values[(n, k)]
+        def y(n, k):
+            if (n, k) not in values:
+                values[(n, k)] = y1star(n, k).evaluate(lam, alpha)
+                if (n, k) == target:
+                    values[(n, k)] += 3 * lam / math.factorial(k) if k else 1
+            return values[(n, k)]
 
-    def y1(n, k):
-        value = simsek_y1(n, k).evaluate(lam, 0)
-        return value + Fraction(2, math.factorial(k)) * ((n, k) == target)
+        def y1(n, k):
+            value = simsek_y1(n, k).evaluate(lam, 0)
+            return value + Fraction(2, math.factorial(k)) * ((n, k) == target)
 
-    for entry in PHI:
-        if not entry.domain(lam, alpha):
-            continue
-        report = entry.run(ctx, order)
-        ns = (registry.PHI_INT_N_VALUES if entry.id.startswith("PHI-INT")
-              else registry.PHI_N_VALUES)
-        expected = phi_reference(entry.id, lam, alpha, order, y, y1, ns,
-                                 registry.F_TRANSFORM_POLYS)
-        assert (report.status, report.mismatch) == expected, entry.id
+        for entry in PHI:
+            if not entry.domain(lam, alpha):
+                continue
+            report = entry.run(ctx, order)
+            ns = (registry.PHI_INT_N_VALUES if entry.id.startswith("PHI-INT")
+                  else registry.PHI_N_VALUES)
+            expected = phi_reference(entry.id, lam, alpha, order, y, y1, ns,
+                                     registry.F_TRANSFORM_POLYS)
+            assert (report.status, report.mismatch) == expected, entry.id
 
 
 @pytest.mark.parametrize("point,text", [

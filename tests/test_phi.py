@@ -8,17 +8,15 @@ from degsimsek.phi import (PointContext, check_egf, check_f_transform,
                            check_log_substitution, check_phi_apostol,
                            check_phi_derivative, check_phi_integral,
                            check_phi_recurrence, phi_series)
-from degsimsek.registry import (FIXED_POINTS, F_TRANSFORM_POLYS,
-                                SymbolicContext, random_points)
+from degsimsek.registry import FIXED_POINTS, F_TRANSFORM_POLYS, random_points
 from degsimsek.simsek import y1star
 
 POINTS = list(FIXED_POINTS) + random_points(seed=42, count=5)
-TABLE = SymbolicContext()
 
 
 def at(lam, alpha) -> PointContext:
-    """A fresh context at (lam, alpha) on the shared route-A table."""
-    return PointContext(lam, alpha, TABLE)
+    """A fresh context at (lam, alpha) on the shared route-A store."""
+    return PointContext(lam, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,87 @@ def test_cli_usage_errors_exit_2():
     assert run_cli("verify", "--identity", "BOGUS").returncode == 2
 
 
+# The substitution flags each command rejects for a family, with the exact
+# stderr; every other family x flag combination runs and exits 0.
+SIMSEK_FAMILIES = ("y1", "y1deg", "y1star")
+FLAG_ERRORS = {
+    ("table", "stirling1", "lambda"): "table: family 'stirling1' takes no "
+                                      "lambda substitution",
+    ("table", "stirling1", "alpha"): "table: family 'stirling1' takes no "
+                                     "alpha substitution",
+    ("table", "stirling2", "lambda"): "table: family 'stirling2' takes no "
+                                      "lambda substitution",
+    ("table", "stirling2", "alpha"): "table: family 'stirling2' takes no "
+                                     "alpha substitution",
+    ("table", "deg-stirling1", "lambda"): "table: family 'deg-stirling1' "
+                                          "takes no lambda substitution",
+    ("table", "deg-stirling2", "lambda"): "table: family 'deg-stirling2' "
+                                          "takes no lambda substitution",
+    ("table", "s2star", "lambda"): "table: family 's2star' takes no lambda "
+                                   "substitution",
+    ("table", "bernoulli", "lambda"): "table: family 'bernoulli' takes no "
+                                      "lambda substitution",
+    ("table", "bernoulli", "alpha"): "table: family 'bernoulli' takes no "
+                                     "alpha substitution",
+    ("table", "y1", "alpha"): "table: family 'y1' takes no alpha "
+                              "substitution",
+    ("compute", "y1", "alpha"): "compute: family y1 takes no --alpha",
+    ("series", "y1", "alpha"): "series: family y1 takes no --alpha",
+    ("series", "y1star", "lambda"): "series: give both --lambda and --alpha "
+                                    "or neither",
+    ("series", "y1star", "alpha"): "series: give both --lambda and --alpha "
+                                   "or neither",
+}
+COMMAND_SIZES = {"table": ["--n-max", "2", "--k-max", "2"],
+                 "compute": ["--n", "2", "--k", "2"],
+                 "series": ["--k", "2", "--order", "3"]}
+
+
+@pytest.mark.parametrize("command", ["table", "compute", "series"])
+@pytest.mark.parametrize("flag", ["lambda", "alpha"])
+def test_cli_family_flag_usage_errors(capsys, command, flag):
+    from degsimsek import cli
+    from degsimsek.tables import FAMILIES
+    value = "1/2" if flag == "lambda" else "1/3"
+    for family in FAMILIES:
+        argv = [command, "--family", family, f"--{flag}={value}",
+                *COMMAND_SIZES[command]]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        expected = FLAG_ERRORS.get((command, family, flag))
+        if command != "table" and family not in SIMSEK_FAMILIES:
+            # argparse rejects the family itself
+            assert code == 2, argv
+            assert captured.err.splitlines()[-1].startswith(
+                f"degsimsek {command}: error: argument --family: invalid "
+                f"choice: {family!r}"), argv
+        elif expected is not None:
+            assert (code, captured.err, captured.out) == \
+                (2, expected + "\n", ""), argv
+        else:
+            assert (code, captured.err) == (0, ""), argv
+            assert captured.out, argv
+
+
+def test_cli_family_choice_lists():
+    from degsimsek import cli
+    from degsimsek.tables import FAMILIES
+    assert FAMILIES == ("stirling1", "stirling2", "deg-stirling1",
+                        "deg-stirling2", "s2star", "bernoulli", "y1",
+                        "y1deg", "y1star")
+    commands = next(action for action in cli.build_parser()._actions
+                    if action.dest == "command").choices
+    for command, families in (("table", FAMILIES),
+                              ("compute", SIMSEK_FAMILIES),
+                              ("series", SIMSEK_FAMILIES)):
+        [family] = [action for action in commands[command]._actions
+                    if action.dest == "family"]
+        assert tuple(family.choices) == families, command
+
+
 def test_cli_table_bytes_match_library(tmp_path):
     out_path = tmp_path / "table.csv"
     result = run_cli("table", "--family", "y1star", "--route", "A",
@@ -448,9 +529,9 @@ def test_repeated_id_runs_and_reports_once(monkeypatch):
     runs = []
     check = registry.check_red_a0
 
-    def counting(ctx):
+    def counting():
         runs.append(1)
-        return check(ctx)
+        return check()
 
     monkeypatch.setattr(registry, "check_red_a0", counting)
     reports = run_suite(["RED-A0", "REC-K", "RED-A0"], order=2)

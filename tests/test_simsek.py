@@ -142,10 +142,12 @@ def test_negative_index_is_zero():
 
 @pytest.fixture
 def cold_store(monkeypatch, cold_chains):
-    """Empty y1star store, route-D weights, F_k cache, E/F triangles and
-    product chains (route D reads the Bernoulli chain) for one test; the
-    warm ones come back afterwards."""
+    """Empty y1star, route-A and scaled_y1 stores, route-D weights, F_k
+    cache, E/F triangles and product chains (route D reads the Bernoulli
+    chain) for one test; the warm ones come back afterwards."""
     monkeypatch.setattr(simsek, "_y1star_store", {})
+    monkeypatch.setattr(simsek, "_route_a_store", {})
+    monkeypatch.setattr(simsek, "_scaled_y1_store", {})
     monkeypatch.setattr(simsek, "_route_d_weights", {})
     monkeypatch.setattr(simsek, "_fk_cache", {})
     monkeypatch.setattr(simsek, "_triangle_e",

@@ -19,11 +19,16 @@ for routes A-F, symbolic and at two rational points, as CSV and JSON;
 wherever the family accepts them, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
 with --lambda only, --alpha only and both, where the CLI accepts the
-combination; and `phi` at three points.  Two more cases run a fixed stream
-of library reads with revisits in one interpreter each, with every answer
-rendered on its own line, so that a value that changes when it is read
-again shows.  The library stream reads `y1star` by every route, its value
-at two rational points, `phi_series` and `fk_series`.  The series stream
+combination; and `phi` at three points.  Three more cases run a fixed
+stream of library reads with revisits in one interpreter each, with every
+answer rendered on its own line, so that a value that changes when it is
+read again shows.  The library stream reads `y1star` by every route, its
+value at two rational points, `phi_series` and `fk_series`.  The suite
+stream runs `run_suite` twice, at order 12 with seed 7 and then at order 8
+with seed 3, and prints both report lists as JSON; it then reads
+`scaled_y1star` by every route for n, k <= 12.  A module memo that
+outlives a suite, and that a fresh interpreter per case cannot see, shows
+there.  The series stream
 reads `new_deg_stirling2` with rational and symbolic alpha,
 `bernoulli_number`, `apostol_euler`, `deg_exp_series` (rational and
 symbolic) and `fk_series` at a point, and applies every public `series_*`
@@ -83,6 +88,20 @@ for top in (4, 7, 3, 9, 7):
             for n in range(top + 1):
                 value = y1star(n, k, route)
                 print(route, n, k, value.render(), value.evaluate(lam, alpha))
+"""
+
+SUITE_CASE = ["suite stream"]
+# the second suite reads what the first left in the module stores
+SUITE_STREAM = """
+from degsimsek import run_suite
+from degsimsek.reports import reports_to_json
+from degsimsek.simsek import scaled_y1star
+for order, seed in ((12, 7), (8, 3)):
+    print(reports_to_json(run_suite(order=order, seed=seed)))
+for route in "ABCDEF":
+    for n in range(13):
+        for k in range(13):
+            print(route, n, k, sorted(scaled_y1star(n, k, route).items()))
 """
 
 SERIES_CASE = ["series stream"]
@@ -164,7 +183,8 @@ for chain_points in (((F(3, 2), F(1, 3)), (F(-3, 5), F(1, 2)), (F(2), F(0))),
             show(f"phi {n} {k} at {lam} {alpha}", phi_series(n, lam, alpha, k))
 """
 
-STREAMS = {LIBRARY_CASE[0]: LIBRARY_STREAM, SERIES_CASE[0]: SERIES_STREAM}
+STREAMS = {LIBRARY_CASE[0]: LIBRARY_STREAM, SUITE_CASE[0]: SUITE_STREAM,
+           SERIES_CASE[0]: SERIES_STREAM}
 
 
 def cases() -> list[list[str]]:
@@ -222,7 +242,7 @@ def cases() -> list[list[str]]:
                           ("6", "-5/2", "-3/4")):
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
                        "--degree", "12"])
-    matrix += [LIBRARY_CASE, SERIES_CASE]
+    matrix += [LIBRARY_CASE, SUITE_CASE, SERIES_CASE]
     return matrix
 
 
