@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
+from operator import mul
 
 from .algebra import QQ, TruncSeries, series_reciprocal
 
@@ -86,11 +87,17 @@ class _ProductChain:
     of a series x, all held at one truncation order: P_0 = 1 and
     P_{j+1} = P_j * (x - j a), the products degenerate_falling(x, j, a)
     forms; at a = 0 they are the powers of x.  `base(order)` gives x at a
-    truncation order.  A read at a higher order than the chain's rebuilds
-    the chain from its base; a read of a longer product extends it by one
-    series product per factor.  The state (order, x, products) is one tuple
-    replaced whole, so a reader in another thread sees an older chain or a
-    newer one, never a mix of the two."""
+    truncation order.
+
+    The chain only extends.  A read at a higher order than the chain's
+    extends every product held by its coefficients above the old order; a
+    read of a longer product appends products, each extended from nothing.
+    The factor x - j a differs from x only in its constant term, so
+    coefficient m of P_{j+1} is sum_r P_j[r] x[m-r] - j a P_j[m]: a step of
+    one order costs one such sum per product, not a series product.  Over
+    QQ the sums run on the integer numerators.  The state (order, x,
+    products) is one tuple replaced whole, so a reader in another thread
+    sees an older chain or a newer one, never a mix of the two."""
 
     __slots__ = ("base", "step", "state")
 
@@ -107,12 +114,50 @@ class _ProductChain:
             return products[j]
         if order > chain_order:
             chain_order, x = order, self.base(order)
-            products = (x * 0 + 1,)
-        grown = list(products)
-        for i in range(len(grown) - 1, j):
-            grown.append(grown[i] * (x - self.step * i))
+        extend = _extend_qq if x.ring is QQ else _extend
+        grown = []
+        for i in range(max(j + 1, len(products))):
+            held = products[i] if i < len(products) else None
+            if held is None or held.order < chain_order:
+                held = (extend(held, grown[i - 1], x, self.step, i - 1) if i
+                        else TruncSeries.constant(x.ring.one, x.var,
+                                                  chain_order, x.ring))
+            grown.append(held)
         self.state = (chain_order, x, tuple(grown))
         return grown[j]
+
+
+def _extend_qq(old, prev: TruncSeries, x: TruncSeries, step,
+               i: int) -> TruncSeries:
+    """prev * (x - i step) over QQ at x's order, summed in integers: with
+    prev = a/da, x = xs/dx and i step = p/q, coefficient m is
+    (q sum_r a[r] xs[m-r] - p dx a[m]) / (da dx q).  The coefficients of
+    `old`, the product at a lower order (or None), are kept, so only the
+    ones above its order are summed."""
+    a, xs = prev.nums, x.nums
+    p, q = i * step.numerator, step.denominator
+    den = prev.den * x.den * q
+    if old is None:
+        nums = []
+    else:
+        scale = den // old.den
+        nums = [c * scale for c in old.nums]
+    shift = p * x.den
+    for m in range(len(nums), x.order + 1):
+        nums.append(q * sum(map(mul, a[:m + 1], xs[m::-1])) - shift * a[m])
+    return TruncSeries._qq(x.var, x.order, nums, den)
+
+
+def _extend(old, prev: TruncSeries, x: TruncSeries, step,
+            i: int) -> TruncSeries:
+    """prev * (x - i step) at x's order over any coefficient ring, keeping
+    the coefficients of `old` (the product at a lower order, or None)."""
+    shift = -step * i
+    a, xs = prev.coeffs, x.coeffs
+    coeffs = [] if old is None else list(old.coeffs)
+    for m in range(len(coeffs), x.order + 1):
+        coeffs.append(sum(map(mul, a[:m + 1], xs[m::-1]), a[m] * shift))
+    return TruncSeries(x.var, x.order, coeffs, x.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +183,8 @@ def bernoulli_number(n: int, k: int) -> Fraction:
     """Bernoulli number of order k: n! times coefficient n of (t/(e^t-1))^k."""
     if n < 0 or k < 0:
         raise ValueError("bernoulli_number needs n, k >= 0")
-    return _bernoulli_powers.product(k, n).coeffs[n] * math.factorial(n)
+    series = _bernoulli_powers.product(k, n)
+    return Fraction(series.nums[n] * math.factorial(n), series.den)
 
 
 def bernoulli_poly_coeffs(k: int, n: int) -> tuple[Fraction, ...]:

@@ -105,7 +105,11 @@ def new_deg_stirling2(n: int, k: int, alpha):
         chain = _s2star_chains[key] = _ProductChain(
             lambda order: exp_t(order, ring) - 1, step)
     series = chain.product(k, n)
-    return series.coeffs[n] * Fraction(math.factorial(n), math.factorial(k))
+    if symbolic:
+        return series.coeffs[n] * Fraction(math.factorial(n),
+                                           math.factorial(k))
+    return Fraction(series.nums[n] * math.factorial(n),
+                    series.den * math.factorial(k))
 
 
 def _s2star_rows(ratio: Fraction, size: int) -> tuple[list[list[int]], int]:
@@ -177,4 +181,5 @@ def apostol_euler(n: int, k: int, lam0, alpha0) -> Fraction:
         point = _euler_point(lam0, alpha0)
         chain = _apostol_chains[key] = _ProductChain(
             lambda order: _euler_base(*point, order))
-    return chain.product(k, n).coeffs[n] * math.factorial(n)
+    series = chain.product(k, n)
+    return Fraction(series.nums[n] * math.factorial(n), series.den)

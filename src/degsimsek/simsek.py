@@ -326,18 +326,14 @@ def y1star(n: int, k: int, route: str = "A") -> ParamPoly:
 
     All six routes return identical polynomials in (l, a); route A is the
     definition, the others exist to be checked against it.  The first read
-    of (n, k, route) computes the value by that route's formula and keeps
-    it; later reads return the same object, so do not mutate the result.
+    of (n, k, route) divides that route's scaled_y1star by k! (route A's
+    from the store the symbolic checks read) and keeps it; later reads
+    return the same object, so do not mutate the result.
     """
     key = (n, k, route)
     value = _y1star_store.get(key)
     if value is None:
-        if route == "A" and n >= 0 and k >= 0:
-            value = fk_series(k, n).coeffs[n] * math.factorial(n)
-        else:
-            # scaled_y1star checks the route, and gives {} for a negative
-            # index
-            value = _over(scaled_y1star(n, k, route),
-                          math.factorial(max(k, 0)))
-        _y1star_store[key] = value
+        # scaled_y1star checks the route, and gives {} for a negative index
+        value = _y1star_store[key] = _over(scaled_y1star(n, k, route),
+                                           math.factorial(max(k, 0)))
     return value

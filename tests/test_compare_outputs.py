@@ -155,3 +155,26 @@ def test_suite_stream_catches_a_memo_that_outlives_a_suite(
     assert tool.main([str(good), str(stale)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "DIFFERS (stdout): suite stream", "4 cases, 1 differing"]
+
+
+def test_climb_stream_catches_an_error_of_one_order_steps(
+        tool, tmp_path, monkeypatch, capsys):
+    # a tree whose chains go wrong only when a product is extended by one
+    # order at order 10 or above reads alike in the series stream, which
+    # jumps several orders at a time there, but not in the climb stream
+    monkeypatch.setattr(tool, "cases", lambda: [tool.SERIES_CASE,
+                                                tool.CLIMB_CASE])
+    good = copy_tree(tmp_path / "good")
+    wrong = copy_tree(tmp_path / "wrong")
+    with open(wrong / "src" / "degsimsek" / "classical.py", "a") as handle:
+        handle.write(
+            "\n_exact_extend_qq = _extend_qq\n\n\n"
+            "def _extend_qq(old, prev, x, step, i):\n"
+            "    out = _exact_extend_qq(old, prev, x, step, i)\n"
+            "    if old is None or old.order != x.order - 1 or x.order < 10:\n"
+            "        return out\n"
+            "    top = [0] * out.order + [1]\n"
+            "    return out + TruncSeries(out.var, out.order, top, QQ)\n")
+    assert tool.main([str(good), str(wrong)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DIFFERS (stdout): climb stream", "2 cases, 1 differing"]

@@ -259,23 +259,11 @@ def test_symbolic_job_computes_each_route_value_once(monkeypatch):
 
 def count_route_a_extractions(monkeypatch) -> list:
     """Empty the symbolic stores, and record every route-A value taken
-    from F_k from then on: each miss of the route-A store, and each
-    y1star read of route A."""
-    from degsimsek import cli, tables
+    from F_k from then on: each miss of the route-A store, which y1star's
+    route A and scaled_y1star share."""
     extracted = []
     empty_symbolic_stores(monkeypatch)
     monkeypatch.setattr(simsek, "_route_a_store", RecordingStore(extracted))
-
-    def counting(func):
-        def wrapper(n, k, route="A"):
-            if route == "A":
-                extracted.append((n, k, route))
-            return func(n, k, route)
-        return wrapper
-
-    for module in (registry, phi, simsek, tables, cli):
-        if hasattr(module, "y1star"):
-            monkeypatch.setattr(module, "y1star", counting(module.y1star))
     return extracted
 
 

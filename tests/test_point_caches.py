@@ -12,7 +12,7 @@ import threading
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from degsimsek import degenerate
+from degsimsek import classical, degenerate
 from degsimsek.algebra import (PP, ParamPoly, SeriesDomainError, TruncSeries,
                               exp_t)
 from degsimsek.classical import (_bernoulli_base, _ProductChain,
@@ -139,26 +139,94 @@ FAMILIES = {
 }
 
 
+def family_chain(family: str) -> _ProductChain:
+    """The chain behind a family of FAMILIES, once a read has made it."""
+    if family == "bernoulli":
+        return classical._bernoulli_powers
+    if family == "apostol":
+        return degenerate._apostol_chains[(3, 2, 1, 3)]
+    return degenerate._s2star_chains["1*a" if "symbolic" in family
+                                     else (2, 5)]
+
+
+def count_extensions(monkeypatch) -> tuple[list, list]:
+    """From now on, record (order of the product kept, order extended to)
+    for every product a chain extends, -1 for a product made from nothing,
+    and every term of the coefficient sums: coefficient m of a product
+    sums m + 1 terms."""
+    calls, terms = [], []
+    for name in ("_extend_qq", "_extend"):
+        inner = getattr(classical, name)
+
+        def counted(old, prev, x, step, i, inner=inner):
+            calls.append((-1 if old is None else old.order, x.order))
+            return inner(old, prev, x, step, i)
+        monkeypatch.setattr(classical, name, counted)
+
+    def counted_mul(a, b):
+        terms.append(1)
+        return a * b
+    monkeypatch.setattr(classical, "mul", counted_mul)
+    return calls, terms
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_revisit_is_free_and_one_more_k_is_one_product(cold_chains,
                                                        monkeypatch, family):
     read = FAMILIES[family]
     first = read(5, 4)
+    chain = family_chain(family)
     products = count_products(monkeypatch)
+    extensions, terms = count_extensions(monkeypatch)
     # a revisit, a lower order and a shorter product read the chain
     assert read(5, 4) == first
     read(3, 4)
     read(0, 2)
-    assert products == []
-    # each further k is one product at the chain's order
+    assert products == extensions == terms == []
+    # each further k is one product at the chain's order: coefficients
+    # 0..5, 1 + 2 + ... + 6 terms
     read(5, 5)
-    assert products == [5]
     read(2, 6)
-    assert products == [5, 5]
-    # a higher order rebuilds the chain from its base, to the k asked for
-    products.clear()
+    assert extensions == [(-1, 5), (-1, 5)]
+    assert len(terms) == 2 * 21
+    held = chain.state
+    # one order more extends each of P_1..P_6 by its one new coefficient,
+    # 7 terms each, and runs no series-by-series product
+    extensions.clear()
+    terms.clear()
     read(6, 3)
-    assert products == [6] * 3
+    assert products == []
+    assert extensions == [(5, 6)] * 6
+    assert len(terms) == 6 * 7
+    # the extended products are the ones the factors give at order 6, in a
+    # new state; the held one is as it was
+    order, x, grown = chain.state
+    assert chain.state is not held and held[0] == 5
+    assert (order, len(grown)) == (6, 7)
+    base = chain.base(6)
+    for j, product in enumerate(grown):
+        assert product == degenerate_falling(base, j, chain.step), j
+        assert held[2][j] == degenerate_falling(chain.base(5), j, chain.step)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_climbing_reads_equal_one_build_at_the_top_order(cold_chains,
+                                                         family):
+    # the session's pattern: n = 0, 1, ..., 12 with every k <= n, so the
+    # chain steps up one order at a time and each step also adds a product;
+    # every value and, at the end, every product equals the series
+    # products of one build at order 12
+    read = FAMILIES[family]
+    values = {(n, k): read(n, k) for n in range(13) for k in range(n + 1)}
+    chain = family_chain(family)
+    top = chain.base(12)
+    fresh = [degenerate_falling(top, k, chain.step) for k in range(13)]
+    scale = (lambda n, k: Fraction(math.factorial(n), math.factorial(k))) \
+        if family.startswith("s2star") else (lambda n, k: math.factorial(n))
+    for (n, k), value in values.items():
+        assert value == fresh[k].coeffs[n] * scale(n, k), (n, k)
+    order, _, products = chain.state
+    assert order == 12 and list(products) == fresh
 
 
 def test_equal_points_share_one_memo_entry(monkeypatch):
@@ -202,8 +270,10 @@ def test_revisits_of_evaluate_and_phi_series_evaluate_nothing(monkeypatch):
 
 def test_chain_reads_from_threads_stay_exact(cold_chains):
     # more threads than cores, switching often, each reading the Bernoulli
-    # chain and one fresh S2* chain per round in its own order: a lost or
-    # doubled extension would put a product at the wrong index
+    # chain and one fresh S2* chain per round, half of them in their own
+    # random order and half climbing n one order at a time, so that order
+    # steps race longer products: a lost or doubled extension would put a
+    # product at the wrong index or a coefficient at the wrong order
     keys = [(n, k) for n in range(7) for k in range(7)]
     alphas = [Fraction(1, r + 2) for r in range(8)]
     bernoulli = {(n, k): (_bernoulli_base(n) ** k).coeffs[n]
@@ -219,7 +289,7 @@ def test_chain_reads_from_threads_stay_exact(cold_chains):
     def reader(seed):
         for alpha in alphas:
             barrier.wait(timeout=60)
-            for n, k in shuffled(keys, seed):
+            for n, k in (keys if seed % 2 else shuffled(keys, seed)):
                 if (bernoulli_number(n, k) != bernoulli[(n, k)]
                         or new_deg_stirling2(n, k, alpha)
                         != s2star[(alpha, n, k)]):
@@ -280,28 +350,32 @@ def test_apostol_euler_at_lambda_minus_one_raises_and_stores_nothing(
 @pytest.mark.parametrize("step", [0, Fraction(2, 5)])
 def test_chain_state_is_replaced_not_mutated(step):
     # a reader holding the state keeps a consistent chain however the chain
-    # grows after it: an extension and a rebuild each publish a new tuple
-    chain = _ProductChain(lambda order: exp_t(order) - 1, step)
+    # grows after it: a longer product and a higher order each publish a
+    # new tuple, and neither touches a product already handed out
+    base = lambda order: exp_t(order) - 1  # noqa: E731
+    chain = _ProductChain(base, step)
     chain.product(3, 4)
     held = chain.state
     order, x, products = held
     texts = [product.render() for product in products]
-    chain.product(6, 4)  # extension at the same order
+    chain.product(6, 4)  # longer products at the same order
+    longer = chain.state
+    chain.product(4, 7)  # every product extended to a higher order
     extended = chain.state
-    chain.product(4, 7)  # rebuild at a higher order
-    rebuilt = chain.state
     assert held == (order, x, products) and held[2] is products
     assert (len(products), [product.render() for product in products]) \
         == (4, texts)
-    assert extended is not held and rebuilt is not extended
-    for state, size, top in ((extended, 7, 4), (rebuilt, 5, 7)):
+    assert longer is not held and extended is not longer
+    for state, top in ((longer, 4), (extended, 7)):
         assert type(state) is tuple and type(state[2]) is tuple
         assert state[2] is not products
-        assert (state[0], len(state[2])) == (top, size)
-    # the held products are still P_0..P_3 at order 4, and the new states
-    # extend and recompute them
-    for j, product in enumerate(products):
-        fresh_product = degenerate_falling(exp_t(4) - 1, j, step)
-        assert product == fresh_product
-        assert extended[2][j] == fresh_product
-        assert rebuilt[2][j] == degenerate_falling(exp_t(7) - 1, j, step)
+        assert (state[0], len(state[2])) == (top, 7)
+    # the held products are still P_0..P_3 at order 4; the later states
+    # keep them at order 4 and extend all seven to order 7
+    for j in range(7):
+        at_4 = degenerate_falling(base(4), j, step)
+        if j < 4:
+            assert products[j] == at_4
+            assert longer[2][j] is products[j]
+        assert longer[2][j] == at_4
+        assert extended[2][j] == degenerate_falling(base(7), j, step)

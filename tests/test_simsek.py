@@ -3,12 +3,15 @@
 from fractions import Fraction
 import math
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from degsimsek import simsek
 from degsimsek.algebra import ParamPoly, _over
 from degsimsek.classical import (bernoulli_number, degenerate_falling,
                                  stirling1)
+from degsimsek.phi import phi_series
+from degsimsek.registry import run_suite
 from degsimsek.simsek import (ROUTES, deg_simsek_y1, deg_simsek_y1_alt,
                               fk_series, fk_series_via_bernoulli,
                               route_c_printed, simsek_y1, simsek_y1_via_gf,
@@ -221,6 +224,32 @@ def test_store_reads_interleaved_with_fk_series(cold_store):
     for (n, k), text in expected.items():
         for route in ROUTES:
             assert y1star(n, k, route).render() == text, (n, k, route)
+
+
+# route A read through the integer store that the symbolic checks share
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 10))
+def test_route_a_equals_route_b_on_cold_stores(n, k):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in ("_y1star_store", "_route_a_store", "_fk_cache"):
+            monkeypatch.setattr(simsek, name, {})
+        value = y1star(n, k, "A")
+        assert value == y1star(n, k, "B")
+        assert value == _over(simsek._route_a_store[(n, k)],
+                              math.factorial(k))
+
+
+def test_phi_series_then_suite_read_each_f_k_coefficient_once(cold_store,
+                                                              monkeypatch):
+    # phi_series reads y1star, the suite scaled_y1star; both take route A
+    # from one store, so each (n, k) is extracted from F_k once
+    fk = count_calls(monkeypatch, simsek, "fk_series")
+    for n in range(9):
+        phi_series(n, 1, 0, 8)
+    assert sorted(fk) == sorted((k, n) for n in range(9) for k in range(9))
+    fk.clear()
+    assert len(run_suite(order=8)) == 95
+    assert fk == []
 
 
 # ---------------------------------------------------------------------------

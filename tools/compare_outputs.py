@@ -19,7 +19,7 @@ for routes A-F, symbolic and at two rational points, as CSV and JSON;
 wherever the family accepts them, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
 with --lambda only, --alpha only and both, where the CLI accepts the
-combination; and `phi` at three points.  Three more cases run a fixed
+combination; and `phi` at three points.  Four more cases run a fixed
 stream of library reads with revisits in one interpreter each, with every
 answer rendered on its own line, so that a value that changes when it is
 read again shows.  The library stream reads `y1star` by every route, its
@@ -39,6 +39,13 @@ n falling and rising and k above and below what earlier reads built, so
 that the grow-only product chains behind them are rebuilt and extended,
 and revisits `y1star(...).evaluate` and `phi_series` at the same points,
 given once as Fractions and once as equal ints or unreduced Fractions.
+The climb stream reads `apostol_euler`, `new_deg_stirling2` (rational and
+symbolic alpha) and `bernoulli_number` at n = 0, 1, ..., 12 with every
+k <= n, so that each product chain steps up one order at a time, and
+route-A `y1star` the same way to n = 8 (F_k is rebuilt at each order,
+which costs seconds beyond that); it then reads `scaled_y1star` by route
+A for n, k <= 8.  An error that builds up over order extensions shows
+there as a byte difference.
 Every differing case is printed
 (exit status, stdout or stderr), and so is a case the CLI rejects as a
 usage error; the exit status is 1 on any of these, else 0.  It is 2,
@@ -183,8 +190,30 @@ for chain_points in (((F(3, 2), F(1, 3)), (F(-3, 5), F(1, 2)), (F(2), F(0))),
             show(f"phi {n} {k} at {lam} {alpha}", phi_series(n, lam, alpha, k))
 """
 
+CLIMB_CASE = ["climb stream"]
+# the pattern of the benchmark's session: one order more at a time
+CLIMB_STREAM = """
+from fractions import Fraction as F
+from degsimsek import (ParamPoly, apostol_euler, bernoulli_number,
+                       new_deg_stirling2, y1star)
+from degsimsek.simsek import scaled_y1star
+a = ParamPoly.alpha()
+lam, alpha = F(3, 2), F(1, 3)
+for n in range(13):
+    for k in range(n + 1):
+        print("E", n, k, apostol_euler(n, k, lam, alpha))
+        print("S2*", n, k, new_deg_stirling2(n, k, alpha))
+        print("S2* symbolic", n, k, new_deg_stirling2(n, k, a).render())
+        print("B", n, k, bernoulli_number(n, k))
+        if n <= 8:
+            print("y1star", n, k, y1star(n, k).render())
+for n in range(9):
+    for k in range(9):
+        print("Y", n, k, sorted(scaled_y1star(n, k).items()))
+"""
+
 STREAMS = {LIBRARY_CASE[0]: LIBRARY_STREAM, SUITE_CASE[0]: SUITE_STREAM,
-           SERIES_CASE[0]: SERIES_STREAM}
+           SERIES_CASE[0]: SERIES_STREAM, CLIMB_CASE[0]: CLIMB_STREAM}
 
 
 def cases() -> list[list[str]]:
@@ -242,7 +271,7 @@ def cases() -> list[list[str]]:
                           ("6", "-5/2", "-3/4")):
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
                        "--degree", "12"])
-    matrix += [LIBRARY_CASE, SUITE_CASE, SERIES_CASE]
+    matrix += [LIBRARY_CASE, SUITE_CASE, SERIES_CASE, CLIMB_CASE]
     return matrix
 
 
