@@ -9,6 +9,11 @@ a pure function, so everything here is safe to share across threads.  The
 mutated.  Series keep
 coefficients only up to an explicit truncation order; no operation ever
 consults a coefficient beyond it.
+
+Over QQ the series product convolves integer numerators.  Over QQ[l,a]
+(`_pp_dot`) it sums each output coefficient in one dict keyed by the
+(l, a) degrees, adding every term product c1*c2 of a[r] and b[m-r] to its
+key, and builds one ParamPoly at the end without the terms that cancelled.
 """
 
 from __future__ import annotations
@@ -117,11 +122,12 @@ class ParamPoly:
             return NotImplemented
         out = dict(self.terms)
         for key, c in o.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
+            if key not in out:
+                out[key] = c
+            elif s := out[key] + c:
                 out[key] = s
             else:
-                out.pop(key, None)
+                del out[key]
         p = ParamPoly.__new__(ParamPoly)
         p.terms = out
         return p
@@ -153,11 +159,12 @@ class ParamPoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in o.terms.items():
                 key = (i1 + i2, j1 + j2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
+                if key not in out:
+                    out[key] = c1 * c2
+                elif s := out[key] + c1 * c2:
                     out[key] = s
                 else:
-                    out.pop(key, None)
+                    del out[key]
         p = ParamPoly.__new__(ParamPoly)
         p.terms = out
         return p
@@ -300,6 +307,25 @@ def _int_terms(poly: ParamPoly, scale: int) -> dict:
             raise ValueError(f"{scale} * ({poly.render()}) is not integral")
         out[key] = q
     return out
+
+
+def _pp_dot(left, right, start=None) -> ParamPoly:
+    """sum_r left[r] * right[r] over QQ[l,a], plus `start` if given,
+    summed in one dict as the module docstring says; coefficient m of a
+    series product is _pp_dot(a[:m+1], b[m::-1])."""
+    out = {} if start is None else dict(start.terms)
+    for a, b in zip(left, right):
+        right_terms = b.terms.items()
+        for (i1, j1), c1 in a.terms.items():
+            for (i2, j2), c2 in right_terms:
+                key = (i1 + i2, j1 + j2)
+                if key in out:
+                    out[key] += c1 * c2
+                else:
+                    out[key] = c1 * c2
+    p = ParamPoly.__new__(ParamPoly)
+    p.terms = {key: c for key, c in out.items() if c}
+    return p
 
 
 def render_scalar(value) -> str:
@@ -529,18 +555,12 @@ class TruncSeries:
             self._check_compatible(other)
             if self.ring is QQ and other.ring is QQ:
                 return self._mul_qq(other)
-            n = self.order
-            zero = self.ring.zero
-            out = [zero] * (n + 1)
-            right = [(j, b) for j, b in enumerate(other.coeffs) if b != zero]
-            for i, a in enumerate(self.coeffs):
-                if a == zero:
-                    continue
-                for j, b in right:
-                    if i + j > n:
-                        break
-                    out[i + j] = out[i + j] + a * b
-            return TruncSeries(self.var, n, out, self.ring)
+            # a series over QQ times one over QQ[l,a] is read over QQ[l,a]
+            a, b = (s.coeffs if s.ring is PP
+                    else tuple(map(PP.coerce, s.coeffs)) for s in (self, other))
+            return TruncSeries(self.var, self.order,
+                               [_pp_dot(a[:m + 1], b[m::-1])
+                                for m in range(self.order + 1)], PP)
         try:
             scalar = self.ring.coerce(other)
         except TypeError:
@@ -666,22 +686,21 @@ def series_reciprocal(a: TruncSeries) -> TruncSeries:
     return TruncSeries(a.var, n, out, a.ring)
 
 
-def _reciprocal_qq(a: TruncSeries) -> TruncSeries:
-    """1/a for a = nums/den over QQ, fraction-free: with c_0 = 1 and
-    c_m = -sum_{j=1..m} nums[j] c_{m-j} nums[0]^(j-1), the coefficient m
-    of den/nums is den c_m / nums[0]^(m+1), over the one denominator
-    nums[0]^(N+1)."""
-    nums, n = a.nums, a.order
-    n0 = nums[0]
+def _reciprocal_qq(a: TruncSeries, old=None) -> TruncSeries:
+    """1/a for a = nums/den over QQ, fraction-free, keeping the coefficients
+    of `old` (1/a at a lower order, or None).  With 1/a = bs/D so far,
+    b_m = -(1/a_0) sum_{j=1..m} a_j b_{m-j} is -sum_j nums[j] bs[m-j] over
+    nums[0] D: each new coefficient multiplies the denominator by nums[0]."""
+    nums, n0 = a.nums, a.nums[0]
     if n0 == 0:
         raise SeriesDomainError("division by zero in QQ")
-    powers = _powers(n0, n + 1)
-    c = [1]
-    for m in range(1, n + 1):
-        c.append(-sum(nums[j] * c[m - j] * powers[j - 1]
-                      for j in range(1, m + 1) if nums[j]))
-    return TruncSeries._qq(a.var, n, [a.den * c[m] * powers[n - m]
-                                      for m in range(n + 1)], powers[n + 1])
+    bs, den = ([a.den], n0) if old is None else (list(old.nums), old.den)
+    for m in range(len(bs), a.order + 1):
+        total = sum(nums[j] * bs[m - j] for j in range(1, m + 1) if nums[j])
+        bs = [c * n0 for c in bs]
+        bs.append(-total)
+        den *= n0
+    return TruncSeries._qq(a.var, a.order, bs, den)
 
 
 def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import math
 from operator import mul
 
-from .algebra import QQ, TruncSeries, series_reciprocal
+from .algebra import QQ, TruncSeries, _pp_dot, _reciprocal_qq
 
 # Row r of each triangle holds the values for n = r, k = 0..r.
 _S2_ROWS: list[list[int]] = [[1]]
@@ -95,7 +95,8 @@ class _ProductChain:
     The factor x - j a differs from x only in its constant term, so
     coefficient m of P_{j+1} is sum_r P_j[r] x[m-r] - j a P_j[m]: a step of
     one order costs one such sum per product, not a series product.  Over
-    QQ the sums run on the integer numerators.  The state (order, x,
+    QQ the sums run on the integer numerators, over QQ[l,a] in the series
+    product's one dict per coefficient.  The state (order, x,
     products) is one tuple replaced whole, so a reader in another thread
     sees an older chain or a newer one, never a mix of the two."""
 
@@ -150,14 +151,33 @@ def _extend_qq(old, prev: TruncSeries, x: TruncSeries, step,
 
 def _extend(old, prev: TruncSeries, x: TruncSeries, step,
             i: int) -> TruncSeries:
-    """prev * (x - i step) at x's order over any coefficient ring, keeping
-    the coefficients of `old` (the product at a lower order, or None)."""
+    """prev * (x - i step) over QQ[l,a] at x's order, keeping the
+    coefficients of `old` (the product at a lower order, or None)."""
     shift = -step * i
     a, xs = prev.coeffs, x.coeffs
     coeffs = [] if old is None else list(old.coeffs)
     for m in range(len(coeffs), x.order + 1):
-        coeffs.append(sum(map(mul, a[:m + 1], xs[m::-1]), a[m] * shift))
+        coeffs.append(_pp_dot(a[:m + 1], xs[m::-1], a[m] * shift))
     return TruncSeries(x.var, x.order, coeffs, x.ring)
+
+
+class _Reciprocal:
+    """The base 1/y of a product chain, for `y(order)` a series over QQ
+    given at any order.  A higher order extends the reciprocal held by its
+    new coefficients b_m = -(1/y_0) sum_{j>=1} y_j b_{m-j}; like a chain's
+    state it is replaced whole."""
+
+    __slots__ = ("y", "held")
+
+    def __init__(self, y):
+        self.y = y
+        self.held = None
+
+    def __call__(self, order: int) -> TruncSeries:
+        held = self.held
+        if held is None or held.order < order:
+            held = self.held = _reciprocal_qq(self.y(order), held)
+        return held if held.order == order else held.truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +189,15 @@ def _extend(old, prev: TruncSeries, x: TruncSeries, step,
 _bern_poly_cache: dict[tuple[int, int], tuple[Fraction, ...]] = {}
 
 
-def _bernoulli_base(order: int) -> TruncSeries:
-    # t/(e^t - 1) as a reciprocal of sum_m t^m/(m+1)!
-    coeffs = [Fraction(1, math.factorial(m + 1)) for m in range(order + 1)]
-    return series_reciprocal(TruncSeries("t", order, coeffs, QQ))
+def _bernoulli_inner(order: int) -> TruncSeries:
+    """(e^t - 1)/t = sum_m t^m/(m+1)!, over the one denominator (order+1)!."""
+    top = math.factorial(order + 1)
+    return TruncSeries._qq("t", order, [top // math.factorial(m + 1)
+                                        for m in range(order + 1)], top)
 
+
+# t/(e^t - 1)
+_bernoulli_base = _Reciprocal(_bernoulli_inner)
 
 # the powers (t/(e^t-1))^k, k = 0, 1, ...
 _bernoulli_powers = _ProductChain(_bernoulli_base)

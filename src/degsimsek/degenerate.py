@@ -19,7 +19,7 @@ import math
 
 from .algebra import (PP, QQ, ParamPoly, SeriesDomainError, TruncSeries,
                       _combine, _over, exp_t, series_reciprocal)
-from .classical import _ProductChain
+from .classical import _ProductChain, _Reciprocal
 
 # row caches: n -> list of ParamPoly (index l), polynomials in a only
 _DS2_ROWS: dict[int, list[ParamPoly]] = {}
@@ -149,10 +149,10 @@ def _euler_point(lam0, alpha0) -> tuple[Fraction, Fraction]:
     return lam0, Fraction(alpha0)
 
 
-def _euler_base(lam0: Fraction, alpha0: Fraction, order: int) -> TruncSeries:
-    """2/(lam * e_a(t) + 1), with e_a(t) = exp(t) at a = 0."""
+def _euler_half(lam0: Fraction, alpha0: Fraction, order: int) -> TruncSeries:
+    """(lam * e_a(t) + 1)/2, with e_a(t) = exp(t) at a = 0."""
     inner = deg_exp_series(Fraction(1), alpha0, order)
-    return series_reciprocal((inner * lam0 + 1) * Fraction(1, 2))
+    return (inner * lam0 + 1) * Fraction(1, 2)
 
 
 # chains of (2/(lam * e_a(t) + 1))^k, keyed by the point lam = p/q,
@@ -163,7 +163,8 @@ _apostol_chains: dict[tuple[int, int, int, int], _ProductChain] = {}
 def apostol_euler_series(k: int, lam0, alpha0, order: int) -> TruncSeries:
     """The series (2/(lam * e_a(t) + 1))^k whose coefficients carry the
     degenerate Apostol-Euler numbers of order k; needs lam != -1."""
-    return _euler_base(*_euler_point(lam0, alpha0), order) ** k
+    half = _euler_half(*_euler_point(lam0, alpha0), order)
+    return series_reciprocal(half) ** k
 
 
 def apostol_euler(n: int, k: int, lam0, alpha0) -> Fraction:
@@ -180,6 +181,6 @@ def apostol_euler(n: int, k: int, lam0, alpha0) -> Fraction:
         # raises at lam = -1, so no chain is ever stored for it
         point = _euler_point(lam0, alpha0)
         chain = _apostol_chains[key] = _ProductChain(
-            lambda order: _euler_base(*point, order))
+            _Reciprocal(lambda order: _euler_half(*point, order)))
     series = chain.product(k, n)
     return Fraction(series.nums[n] * math.factorial(n), series.den)

@@ -33,7 +33,7 @@ import math
 
 from .algebra import (PP, QQ, ParamPoly, TruncSeries, _combine, _int_terms,
                       _over, exp_t)
-from .classical import (bernoulli_number, bernoulli_poly, degenerate_falling,
+from .classical import (bernoulli_number, degenerate_falling,
                         degenerate_falling_rows, stirling1)
 
 _L = ParamPoly.lam()
@@ -60,13 +60,6 @@ def simsek_y1(n: int, k: int) -> ParamPoly:
     return _over(scaled_y1(n, k), math.factorial(k))
 
 
-def simsek_y1_via_gf(n: int, k: int) -> ParamPoly:
-    """Independent route for y1: n! [t^n] (l*e^t+1)^k / k!."""
-    base = exp_t(n, PP) * _L + 1
-    series = base**k
-    return series.coeffs[n] * Fraction(math.factorial(n), math.factorial(k))
-
-
 def deg_simsek_y1(n: int, k: int) -> ParamPoly:
     """Degenerate Simsek number y1(n,k) of the log-compose family:
     (1/k!) sum_{m<=n} sum_{j<=k} C(k,j) j^m l^j a^(n-m) s(n,m)."""
@@ -82,20 +75,6 @@ def deg_simsek_y1(n: int, k: int) -> ParamPoly:
             c = inv * math.comb(k, j) * j**m * s1
             if c:
                 out = out + ParamPoly.term(c, j, n - m)
-    return out
-
-
-def deg_simsek_y1_alt(n: int, k: int) -> ParamPoly:
-    """Second route for the same family:
-    (1/k!) sum_j C(k,j) l^j (j)_{n,a}, the a^n (j/a)_n product read as the
-    polynomial prod_{i<n} (j - i*a)."""
-    if n < 0 or k < 0:
-        return ParamPoly()
-    inv = Fraction(1, math.factorial(k))
-    out = ParamPoly()
-    for j in range(k + 1):
-        prod = degenerate_falling(ParamPoly.const(j), n, _A)
-        out = out + prod * ParamPoly.term(inv * math.comb(k, j), j, 0)
     return out
 
 
@@ -126,19 +105,6 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     alpha = Fraction(alpha)
     base = exp_t(order, QQ) * lam + 1
     return degenerate_falling(base, k, alpha) * Fraction(1, math.factorial(k))
-
-
-def fk_series_via_bernoulli(k: int, order: int, lam, alpha) -> TruncSeries:
-    """Cross-check representation of F_k at a rational point with alpha != 0:
-    (a^k/k!) * B_k^(k+1)((l*e^t+1)/a + 1), using the order-(k+1) Bernoulli
-    polynomial evaluated at a series argument."""
-    lam = Fraction(lam)
-    alpha = Fraction(alpha)
-    if alpha == 0:
-        raise ValueError("the Bernoulli representation needs alpha != 0")
-    x = (exp_t(order, QQ) * lam + 1) * (1 / alpha) + 1
-    poly = bernoulli_poly(k, k + 1, x)
-    return poly * Fraction(alpha**k, math.factorial(k))
 
 
 # Each route's core gives Y(n,k) = k! y*(n,k) as integer terms
@@ -192,12 +158,6 @@ def _route_c_printed(n: int, k: int) -> dict:
     return {(j, l - j): c for l in range(k + 1) for j in range(l + 1)
             if (c := math.comb(k, l) * stirling1(l, j) * j**n
                 * math.prod(1 - i * j for i in range(k - l)))}
-
-
-def route_c_printed(n: int, k: int) -> ParamPoly:
-    """The step-j reading (1)_{k-l,j} of route C as printed, which disagrees
-    with the other routes (the verifier compares its integer terms)."""
-    return _over(_route_c_printed(n, k), math.factorial(k))
 
 
 _route_d_weights: dict[int, list[int]] = {}

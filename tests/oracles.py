@@ -3,7 +3,10 @@
 Everything here is deliberately written from first principles (enumeration,
 list convolution, triangular solves, or sympy's own series expansion, a
 test-only dependency) without importing the package under test, so a value
-computed here is evidence, not an echo.
+computed here is evidence, not an echo.  The second routes at the end are
+the exception: they are built on the package's ring types and its Bernoulli
+polynomials, and reach a family by a formula the package does not use for
+it.
 """
 
 from fractions import Fraction
@@ -290,3 +293,70 @@ def phi_reference(rid: str, lam, alpha, order: int, y, y1, ns, f_polys=()):
     mismatch = next((m for s, m in subs
                      if s in ("fail", "expected-discrepancy")), "")
     return status, mismatch
+
+
+def ring_product(a: list, b: list, zero) -> list:
+    """The truncated product of two coefficient lists of one length over a
+    ring whose elements carry their own + and *, by the plain loop
+    out[i+j] = out[i+j] + a[i]*b[j] over the nonzero coefficients."""
+    n = len(a) - 1
+    out = [zero] * (n + 1)
+    right = [(j, c) for j, c in enumerate(b) if c != zero]
+    for i, c in enumerate(a):
+        if c == zero:
+            continue
+        for j, d in right:
+            if i + j > n:
+                break
+            out[i + j] = out[i + j] + c * d
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Second routes on the package's types.
+# ---------------------------------------------------------------------------
+
+def simsek_y1_via_gf(n: int, k: int):
+    """y1(n,k) = n! [t^n] (l*e^t+1)^k / k!, by series powers."""
+    from degsimsek.algebra import PP, ParamPoly, exp_t
+    series = (exp_t(n, PP) * ParamPoly.lam() + 1) ** k
+    return series.coeffs[n] * Fraction(math.factorial(n), math.factorial(k))
+
+
+def deg_simsek_y1_alt(n: int, k: int):
+    """The log-compose family deg_simsek_y1(n,k) as
+    (1/k!) sum_j C(k,j) l^j (j)_{n,a}, the a^n (j/a)_n product read as the
+    polynomial prod_{i<n} (j - i*a)."""
+    from degsimsek.algebra import ParamPoly
+    from degsimsek.classical import degenerate_falling
+    if n < 0 or k < 0:
+        return ParamPoly()
+    inv = Fraction(1, math.factorial(k))
+    out = ParamPoly()
+    for j in range(k + 1):
+        prod = degenerate_falling(ParamPoly.const(j), n, ParamPoly.alpha())
+        out = out + prod * ParamPoly.term(inv * math.comb(k, j), j, 0)
+    return out
+
+
+def fk_series_via_bernoulli(k: int, order: int, lam, alpha):
+    """F_k at a rational point with alpha != 0 as
+    (a^k/k!) * B_k^(k+1)((l*e^t+1)/a + 1), the order-(k+1) Bernoulli
+    polynomial evaluated at a series argument."""
+    from degsimsek.algebra import exp_t
+    from degsimsek.classical import bernoulli_poly
+    lam = Fraction(lam)
+    alpha = Fraction(alpha)
+    if alpha == 0:
+        raise ValueError("the Bernoulli representation needs alpha != 0")
+    x = (exp_t(order) * lam + 1) * (1 / alpha) + 1
+    return bernoulli_poly(k, k + 1, x) * Fraction(alpha**k,
+                                                  math.factorial(k))
+
+
+def route_c_printed(n: int, k: int):
+    """The step-j reading (1)_{k-l,j} of route C as printed, whose integer
+    terms the verifier compares, divided by k!."""
+    from degsimsek.algebra import _over
+    from degsimsek.simsek import _route_c_printed
+    return _over(_route_c_printed(n, k), math.factorial(k))

@@ -1,7 +1,8 @@
 """Property tests of the point layer against naive references: integer
 ParamPoly.evaluate and substitute against the plain sum c*l^i*a^j, the
-TruncSeries product against a plain list convolution, and every operation
-on QQ series against a Fraction list.  Scalar +, - and *, the product and
+TruncSeries product against a plain list convolution and, over QQ[l,a],
+against the plain ring loop, and every operation on QQ series against a
+Fraction list.  Scalar +, - and *, the product and
 the reciprocal of QQ series run on their integer numerators; the other
 operations run on their Fraction coefficients, and every result must still
 read back in the canonical integer form."""
@@ -13,10 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from degsimsek.algebra import (PP, QQ, ParamPoly, SeriesDomainError,
-                               TruncSeries, series_differentiate,
-                               series_integrate, series_reciprocal)
+                               TruncSeries, _reciprocal_qq, exp_t,
+                               series_differentiate, series_integrate,
+                               series_reciprocal)
+from degsimsek.classical import _ProductChain, degenerate_falling
 
-from oracles import reciprocal_solve
+from oracles import reciprocal_solve, ring_product
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -24,6 +27,8 @@ exponents = st.tuples(st.integers(0, 7), st.integers(0, 7))
 polys = st.dictionaries(exponents, rationals, max_size=8).map(ParamPoly)
 
 SETTINGS = settings(max_examples=150, deadline=None)
+L = ParamPoly.lam()
+A = ParamPoly.alpha()
 
 
 def naive_value(poly: ParamPoly, lam, alpha) -> Fraction:
@@ -107,6 +112,71 @@ def test_series_product_over_parampoly(pair):
 
 
 # ---------------------------------------------------------------------------
+# The QQ[l,a] product kernel: one dict per coefficient, against the plain
+# ring loop, with zero coefficients and products that cancel.
+# ---------------------------------------------------------------------------
+
+pp_lists = st.integers(0, 8).flatmap(lambda order: st.lists(
+    zero_or(polys, ParamPoly()), min_size=order + 1, max_size=order + 1))
+
+
+@st.composite
+def pp_pairs(draw):
+    """Two coefficient lists of one length; in about half the draws the
+    first two coefficients are p, q and p*s, -q*s + x, so that coefficient
+    1 of the product, p*(-q*s + x) + q*p*s = p*x, cancels whole when x is
+    0 and term by term otherwise."""
+    a = draw(pp_lists)
+    b = draw(st.lists(zero_or(polys, ParamPoly()), min_size=len(a),
+                      max_size=len(a)))
+    if len(a) > 1 and draw(st.booleans()):
+        p, q, s = draw(polys), draw(polys), draw(polys)
+        x = draw(zero_or(polys, ParamPoly()))
+        a[:2] = [p, q]
+        b[:2] = [p * s, -(q * s) + x]
+    return a, b
+
+
+def assert_no_zero_terms(series: TruncSeries):
+    assert all(type(c) is ParamPoly for c in series.coeffs)
+    assert all(v != 0 for c in series.coeffs for v in c.terms.values())
+
+
+@SETTINGS
+@given(pp_pairs())
+@example(([L, L], [A, -A]))  # (l + l t)(a - a t) = l a - l a t^2
+@example(([ParamPoly()] * 3, [L, ParamPoly(), A]))
+@example(([L + 1, L - A], [L + 1, A - L]))  # coefficient 1 cancels
+def test_pp_product_kernel_equals_the_ring_loop(pair):
+    a, b = pair
+    order = len(a) - 1
+    product = TruncSeries("t", order, a, PP) * TruncSeries("t", order, b, PP)
+    assert list(product.coeffs) == ring_product(a, b, ParamPoly())
+    assert_no_zero_terms(product)
+
+
+small_alphas = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                               small_rationals, max_size=3).map(ParamPoly)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_alphas, st.integers(0, 6), st.integers(0, 5))
+@example(A, 6, 5)
+@example(ParamPoly(), 4, 3)
+def test_symbolic_s2star_chain_climbed_by_order_equals_the_products(
+        alpha, top, length):
+    base = lambda order: exp_t(order, PP) - 1  # noqa: E731
+    chain = _ProductChain(base, alpha)
+    for order in range(top + 1):
+        chain.product(length, order)
+    order, _, products = chain.state
+    assert order == top and len(products) == length + 1
+    for j, product in enumerate(products):
+        assert product == degenerate_falling(base(top), j, alpha), j
+        assert_no_zero_terms(product)
+
+
+# ---------------------------------------------------------------------------
 # QQ series: every operation against a plain Fraction-list reference, and
 # the canonical integer form of every result.
 # ---------------------------------------------------------------------------
@@ -128,6 +198,19 @@ def assert_canonical(series: TruncSeries, expected: list):
     assert [Fraction(c, series.den) for c in series.nums] == expected
     assert list(series.coeffs) == expected
     assert all(type(c) is Fraction for c in series.coeffs)
+
+
+@SETTINGS
+@given(pp_lists, qq_lists)
+def test_pp_times_qq_series_is_read_over_pp(a, b):
+    b = (b + [Fraction(0)] * len(a))[:len(a)]
+    b_pp = [ParamPoly.const(c) for c in b]
+    expected = ring_product(a, b_pp, ParamPoly())
+    for product in (TruncSeries("t", len(a) - 1, a, PP) * qq(b),
+                    qq(b) * TruncSeries("t", len(a) - 1, a, PP)):
+        assert product.ring is PP
+        assert list(product.coeffs) == expected
+        assert_no_zero_terms(product)
 
 
 @SETTINGS
@@ -204,6 +287,16 @@ def test_qq_reciprocal(a):
     inverse = series_reciprocal(qq(a))
     assert_canonical(inverse, reciprocal_solve(a, len(a) - 1))
     assert qq(a) * inverse == 1
+
+
+@SETTINGS
+@given(qq_lists.filter(lambda a: a[0] != 0), st.integers(0, 7))
+@example([Fraction(2, 3), Fraction(0), Fraction(5, 4), Fraction(-1, 6)], 0)
+def test_qq_reciprocal_extended_from_a_lower_order(a, m):
+    # the coefficients held at order m are kept, the others appended
+    m = min(m, len(a) - 1)
+    extended = _reciprocal_qq(qq(a), _reciprocal_qq(qq(a[:m + 1])))
+    assert_canonical(extended, reciprocal_solve(a, len(a) - 1))
 
 
 @SETTINGS

@@ -114,7 +114,8 @@ def test_table_cases_catch_a_wrong_s2star_cell(tool, tmp_path, monkeypatch,
     # other tables, but not in the s2star table cases
     s2star_cases = [case for case in load_tool().cases()
                     if case[:3] == ["table", "--family", "s2star"]]
-    assert len(s2star_cases) == 4  # symbolic and at --alpha, CSV and JSON
+    # symbolic and at --alpha, CSV and JSON, at 8x8; symbolic at 10x10
+    assert len(s2star_cases) == 5
     good = copy_tree(tmp_path / "good")
     wrong = copy_tree(tmp_path / "wrong")
     with open(wrong / "src" / "degsimsek" / "tables.py", "a") as handle:
@@ -130,7 +131,7 @@ def test_table_cases_catch_a_wrong_s2star_cell(tool, tmp_path, monkeypatch,
     assert tool.main([str(good), str(wrong)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         *(f"DIFFERS (stdout): {tool.label(case)}" for case in s2star_cases),
-        "6 cases, 4 differing"]
+        "7 cases, 5 differing"]
 
 
 def test_suite_stream_catches_a_memo_that_outlives_a_suite(

@@ -22,7 +22,8 @@ from degsimsek.degenerate import (apostol_euler, apostol_euler_series,
 from degsimsek.phi import phi_series
 from degsimsek.simsek import y1star
 
-from oracles import apostol_euler_sympy, higher_bernoulli_sympy
+from oracles import (apostol_euler_sympy, higher_bernoulli_sympy,
+                     reciprocal_solve)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -153,7 +154,8 @@ def count_extensions(monkeypatch) -> tuple[list, list]:
     """From now on, record (order of the product kept, order extended to)
     for every product a chain extends, -1 for a product made from nothing,
     and every term of the coefficient sums: coefficient m of a product
-    sums m + 1 terms."""
+    sums m + 1 terms, as integer products over QQ and as polynomial pairs
+    of the series product's kernel over QQ[l,a]."""
     calls, terms = [], []
     for name in ("_extend_qq", "_extend"):
         inner = getattr(classical, name)
@@ -167,6 +169,12 @@ def count_extensions(monkeypatch) -> tuple[list, list]:
         terms.append(1)
         return a * b
     monkeypatch.setattr(classical, "mul", counted_mul)
+    inner_dot = classical._pp_dot
+
+    def counted_dot(left, right, start=None):
+        terms.extend(1 for _ in left)
+        return inner_dot(left, right, start)
+    monkeypatch.setattr(classical, "_pp_dot", counted_dot)
     return calls, terms
 
 
@@ -207,6 +215,58 @@ def test_revisit_is_free_and_one_more_k_is_one_product(cold_chains,
     for j, product in enumerate(grown):
         assert product == degenerate_falling(base, j, chain.step), j
         assert held[2][j] == degenerate_falling(chain.base(5), j, chain.step)
+
+
+def euler_half(lam, alpha, order: int) -> list:
+    """(lam e_a(t) + 1)/2 to `order`, e_a's coefficient m being
+    (1)_{m,alpha}/m!."""
+    out, falling = [], Fraction(1)
+    for m in range(order + 1):
+        out.append((lam * falling / math.factorial(m) + (m == 0)) / 2)
+        falling *= 1 - m * alpha
+    return out
+
+
+BASES = {
+    "bernoulli": lambda order: [Fraction(1, math.factorial(m + 1))
+                                for m in range(order + 1)],
+    "apostol (3/2, 1/3)": lambda order: euler_half(Fraction(3, 2),
+                                                   Fraction(1, 3), order),
+    "apostol (-2/3, 5/4)": lambda order: euler_half(Fraction(-2, 3),
+                                                    Fraction(5, 4), order),
+}
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_base_climbed_one_order_at_a_time_equals_a_fresh_base(
+        cold_chains, monkeypatch, name):
+    if name == "bernoulli":
+        base = classical._Reciprocal(classical._bernoulli_inner)
+    else:
+        lam, alpha = map(Fraction, name.split("(")[1][:-1].split(", "))
+        # a cold base on the series the point's chain inverts
+        apostol_euler(0, 0, lam, alpha)
+        (chain,) = degenerate._apostol_chains.values()
+        base = classical._Reciprocal(chain.base.y)
+    steps = []
+    inner = classical._reciprocal_qq
+
+    def counted(y, old=None):
+        steps.append((-1 if old is None else old.order, y.order))
+        return inner(y, old)
+    monkeypatch.setattr(classical, "_reciprocal_qq", counted)
+    climbed = [base(order) for order in range(13)]
+    # each order step extends the base held, by one coefficient
+    assert steps == [(order - 1, order) for order in range(13)]
+    fresh = reciprocal_solve(BASES[name](12), 12)
+    for order, series in enumerate(climbed):
+        assert list(series.coeffs) == fresh[:order + 1], order
+    top = climbed[-1]
+    assert top.den > 0 and math.gcd(top.den, *top.nums) == 1
+    # a lower order is read from the base held, in lowest terms
+    low = base(5)
+    assert steps[-1] == (11, 12) and list(low.coeffs) == fresh[:6]
+    assert math.gcd(low.den, *low.nums) == 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -12,10 +12,11 @@ from degsimsek.classical import (bernoulli_number, degenerate_falling,
                                  stirling1)
 from degsimsek.phi import phi_series
 from degsimsek.registry import run_suite
-from degsimsek.simsek import (ROUTES, deg_simsek_y1, deg_simsek_y1_alt,
-                              fk_series, fk_series_via_bernoulli,
-                              route_c_printed, simsek_y1, simsek_y1_via_gf,
+from degsimsek.simsek import (ROUTES, deg_simsek_y1, fk_series, simsek_y1,
                               y1star)
+
+from oracles import (deg_simsek_y1_alt, fk_series_via_bernoulli,
+                     route_c_printed, simsek_y1_via_gf)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()

@@ -19,7 +19,10 @@ for routes A-F, symbolic and at two rational points, as CSV and JSON;
 wherever the family accepts them, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
 with --lambda only, --alpha only and both, where the CLI accepts the
-combination; and `phi` at three points.  Four more cases run a fixed
+combination; three larger symbolic cases, where more terms of the products
+over QQ[l,a] cancel: `table --family y1star` at 12x12, `series --family
+y1star --k 8 --order 12` and `table --family s2star` at 10x10; and `phi`
+at three points.  Four more cases run a fixed
 stream of library reads with revisits in one interpreter each, with every
 answer rendered on its own line, so that a value that changes when it is
 read again shows.  The library stream reads `y1star` by every route, its
@@ -267,6 +270,13 @@ def cases() -> list[list[str]]:
             # series y1star takes both --lambda and --alpha or neither
             matrix.append(["series", "--family", family, "--k", "3",
                            "--order", "6", *sub])
+    # larger symbolic sizes, where more terms of the QQ[l,a] product sums
+    # cancel: route A, an F_k series, and S2* through its chain's extension
+    matrix += [["table", "--family", "y1star", "--n-max", "12",
+                "--k-max", "12"],
+               ["series", "--family", "y1star", "--k", "8", "--order", "12"],
+               ["table", "--family", "s2star", "--n-max", "10",
+                "--k-max", "10"]]
     for n, lam, alpha in (("0", "0", "1"), ("3", "2/3", "1/3"),
                           ("6", "-5/2", "-3/4")):
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
