@@ -2,13 +2,21 @@
 truncated formal power series with coefficients in QQ or QQ[l,a].
 
 All values are immutable after construction apart from lazily filled
-memos (a series over QQ builds each of its two forms once, when first read;
-a ParamPoly keeps the values `evaluate` computed), and every operation is
-a pure function, so everything here is safe to share across threads.  The
-`terms` of a ParamPoly and the forms of a series must therefore never be
-mutated.  Series keep
-coefficients only up to an explicit truncation order; no operation ever
-consults a coefficient beyond it.
+memos (a series over QQ and a ParamPoly each build each of their two forms
+once, when first read; a ParamPoly also keeps the values `evaluate`
+computed), and every operation is a pure function, so everything here is
+safe to share across threads.  The `terms` of a ParamPoly and the forms of
+a series must therefore never be mutated.  Series keep coefficients only
+up to an explicit truncation order; no operation ever consults a
+coefficient beyond it.
+
+A ParamPoly holds Fraction terms, or integer numerators over one positive
+denominator in lowest terms, or both.  The fraction-free routes build
+their values from integer terms with `_over`, which makes the integer form
+only; `evaluate` reads that form and `_int_terms` reads whichever form is
+built, so a value that is only evaluated or scaled back to integers never
+builds a Fraction per term.  Ring operations, ==, substitute, render and
+the series kernel read the Fraction terms.
 
 Over QQ the series product convolves integer numerators.  Over QQ[l,a]
 (`_pp_dot`) it sums each output coefficient in one dict keyed by the
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
+import operator
 
 
 class SeriesStructureError(ValueError):
@@ -46,25 +55,56 @@ def parse_rational(text: str) -> Fraction:
 class ParamPoly:
     """Polynomial in the parameters l and a with exact rational coefficients.
 
-    Terms live in a dict mapping (deg_l, deg_a) to a nonzero Fraction.
-    The canonical text form lists terms with deg_l descending and, within
-    equal deg_l, deg_a ascending: "1*l^2 + 1*l + -1/2*l*a".
+    A value has two forms, each built from the other when first read:
+    `terms`, a dict mapping (deg_l, deg_a) to a nonzero Fraction, and the
+    integer form `_nums`, a dict mapping (deg_l, deg_a) to a nonzero int,
+    over one positive denominator `_den`, in lowest terms (the gcd of _den
+    and all numerators is 1), so equal polynomials have equal forms.
+    Arithmetic, ==, substitute, render and the series kernel `_pp_dot` read
+    `terms`; `evaluate` reads the integer form, which is all `_over` builds,
+    and `_int_terms` whichever form is built.  The canonical text form
+    lists terms with deg_l descending and, within equal deg_l, deg_a
+    ascending: "1*l^2 + 1*l + -1/2*l*a".
 
-    A value is immutable after construction apart from its memo of point
-    values, which `evaluate` fills lazily; `terms` must not be mutated, or
-    the memo would answer for the old polynomial.
+    A value is immutable after construction apart from those lazily built
+    forms and its memo of point values, which `evaluate` fills; `terms`
+    must not be mutated, or the other form and the memo would answer for
+    the old polynomial.
     """
 
-    __slots__ = ("terms", "_values")
+    __slots__ = ("_terms", "_nums", "_den", "_values")
 
     def __init__(self, terms: dict | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
         if terms:
-            for (i, j), c in terms.items():
+            for key, c in terms.items():
+                key = _degrees(key)
                 c = Fraction(c)
                 if c != 0:
-                    clean[(int(i), int(j))] = c
-        self.terms = clean
+                    clean[key] = c
+        self._terms = clean
+        self._nums = None
+
+    @property
+    def terms(self) -> dict:
+        """The Fraction form {(deg_l, deg_a): nonzero Fraction}."""
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            terms = self._terms = {key: Fraction(c, den)
+                                   for key, c in self._nums.items()}
+        return terms
+
+    def _ints(self) -> tuple[dict, int]:
+        """The integer form (_nums, _den)."""
+        if self._nums is None:
+            terms = self._terms
+            # the lcm of reduced denominators leaves no common factor
+            den = self._den = math.lcm(*(c.denominator
+                                         for c in terms.values()))
+            self._nums = {key: c.numerator * (den // c.denominator)
+                          for key, c in terms.items()}
+        return self._nums, self._den
 
     # -- constructors -------------------------------------------------------
 
@@ -113,7 +153,7 @@ class ParamPoly:
         if isinstance(other, ParamPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return ParamPoly({(0, 0): Fraction(other)})
+            return _poly({(0, 0): Fraction(other)} if other else {})
         return None
 
     def __add__(self, other):
@@ -128,16 +168,12 @@ class ParamPoly:
                 out[key] = s
             else:
                 del out[key]
-        p = ParamPoly.__new__(ParamPoly)
-        p.terms = out
-        return p
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = ParamPoly.__new__(ParamPoly)
-        p.terms = {key: -c for key, c in self.terms.items()}
-        return p
+        return _poly({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -165,9 +201,7 @@ class ParamPoly:
                     out[key] = s
                 else:
                     del out[key]
-        p = ParamPoly.__new__(ParamPoly)
-        p.terms = out
-        return p
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -196,15 +230,12 @@ class ParamPoly:
     def evaluate(self, lam0, alpha0) -> Fraction:
         """Exact substitution (l, a) -> (lam0, alpha0); a ring homomorphism.
 
-        With lam0 = p/q and alpha0 = r/s the sum is homogenised over the
-        common denominator D * q^I * s^J (D the lcm of the coefficient
-        denominators, I and J the top degrees) and summed in integers; one
-        Fraction is built at the end.  It is kept in a memo on the
-        polynomial keyed by the point in lowest terms, (p, q, r, s), so
+        With lam0 = p/q and alpha0 = r/s the integer form is homogenised
+        over _den * q^I * s^J (I and J the top degrees) and summed in
+        integers; one Fraction is built at the end.  It is kept in a memo on
+        the polynomial keyed by the point in lowest terms, (p, q, r, s), so
         equal points share one entry (hashing four ints is much cheaper
         than hashing two Fractions)."""
-        if not self.terms:
-            return Fraction(0)
         try:
             key = (lam0.numerator, lam0.denominator,
                    alpha0.numerator, alpha0.denominator)
@@ -220,15 +251,17 @@ class ParamPoly:
         return value
 
     def _evaluate(self, p: int, q: int, r: int, s: int) -> Fraction:
-        top_i = max(i for i, _ in self.terms)
-        top_j = max(j for _, j in self.terms)
+        nums, den = self._ints()
+        if not nums:
+            return Fraction(0)
+        top_i = max(i for i, _ in nums)
+        top_j = max(j for _, j in nums)
         p_pow, q_pow = _powers(p, top_i), _powers(q, top_i)
         r_pow, s_pow = _powers(r, top_j), _powers(s, top_j)
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
         total = 0
-        for (i, j), c in self.terms.items():
-            total += (c.numerator * (den // c.denominator) * p_pow[i]
-                      * q_pow[top_i - i] * r_pow[j] * s_pow[top_j - j])
+        for (i, j), c in nums.items():
+            total += (c * p_pow[i] * q_pow[top_i - i]
+                      * r_pow[j] * s_pow[top_j - j])
         return Fraction(total, den * q_pow[top_i] * s_pow[top_j])
 
     def substitute(self, lam=None, alpha=None) -> "ParamPoly":
@@ -266,6 +299,19 @@ class ParamPoly:
         return f"ParamPoly({self.render()})"
 
 
+def _degrees(key) -> tuple[int, int]:
+    """A term key (deg_l, deg_a) as two ints; ValueError unless both are
+    non-negative integers."""
+    try:
+        i, j = map(operator.index, key)
+    except (TypeError, ValueError):
+        i = j = -1
+    if i < 0 or j < 0:
+        raise ValueError(
+            f"term degrees must be non-negative integers, not {key!r}")
+    return i, j
+
+
 def _powers(base: int, top: int) -> list[int]:
     """base^0 .. base^top (with 0^0 = 1)."""
     out = [1]
@@ -279,9 +325,28 @@ def _powers(base: int, top: int) -> list[int]:
 # when a value is returned or a mismatch is written out.
 
 def _over(terms: dict, den: int) -> ParamPoly:
-    """The polynomial with integer terms `terms`, divided by `den`."""
+    """The polynomial with integer terms `terms`, divided by `den` (nonzero),
+    held in the integer form only."""
+    nums = {key: c for key, c in terms.items() if c}
+    g = math.gcd(den, *nums.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = {key: c // g for key, c in nums.items()}
+        den //= g
     p = ParamPoly.__new__(ParamPoly)
-    p.terms = {key: Fraction(c, den) for key, c in terms.items() if c}
+    p._terms = None
+    p._den = den
+    p._nums = nums
+    return p
+
+
+def _poly(terms: dict) -> ParamPoly:
+    """The polynomial with the Fraction terms `terms` (nonzero, keyed by
+    int degrees), held in the Fraction form only."""
+    p = ParamPoly.__new__(ParamPoly)
+    p._terms = terms
+    p._nums = None
     return p
 
 
@@ -299,14 +364,22 @@ def _combine(parts) -> dict:
 
 
 def _int_terms(poly: ParamPoly, scale: int) -> dict:
-    """scale * poly as integer terms; ValueError unless that is integral."""
+    """scale * poly as integer terms; ValueError unless that is integral.
+    Reads the integer form if it is built (in lowest terms it is integral
+    exactly when _den divides scale), else the Fraction terms one by one,
+    and builds no form: route A reads each F_k coefficient once."""
     out = {}
-    for key, c in poly.terms.items():
-        q, r = divmod(c.numerator * scale, c.denominator)
-        if r:
-            raise ValueError(f"{scale} * ({poly.render()}) is not integral")
-        out[key] = q
-    return out
+    if poly._nums is None:
+        for key, c in poly._terms.items():
+            q, r = divmod(c.numerator * scale, c.denominator)
+            if r:
+                raise ValueError(f"{scale} * ({poly.render()}) is not integral")
+            out[key] = q
+        return out
+    factor, r = divmod(scale, poly._den)
+    if r:
+        raise ValueError(f"{scale} * ({poly.render()}) is not integral")
+    return {key: c * factor for key, c in poly._nums.items()}
 
 
 def _pp_dot(left, right, start=None) -> ParamPoly:
@@ -323,9 +396,7 @@ def _pp_dot(left, right, start=None) -> ParamPoly:
                     out[key] += c1 * c2
                 else:
                     out[key] = c1 * c2
-    p = ParamPoly.__new__(ParamPoly)
-    p.terms = {key: c for key, c in out.items() if c}
-    return p
+    return _poly({key: c for key, c in out.items() if c})
 
 
 def render_scalar(value) -> str:

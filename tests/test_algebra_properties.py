@@ -1,20 +1,24 @@
 """Property tests of the point layer against naive references: integer
-ParamPoly.evaluate and substitute against the plain sum c*l^i*a^j, the
-TruncSeries product against a plain list convolution and, over QQ[l,a],
-against the plain ring loop, and every operation on QQ series against a
-Fraction list.  Scalar +, - and *, the product and
-the reciprocal of QQ series run on their integer numerators; the other
-operations run on their Fraction coefficients, and every result must still
-read back in the canonical integer form."""
+ParamPoly.evaluate and substitute against the plain sum c*l^i*a^j, a
+ParamPoly built in the integer form alone against the same polynomial
+built from Fractions (one canonical integer form, and equal values under
+every operation), the TruncSeries product against a plain list
+convolution and, over QQ[l,a], against the plain ring loop, and every
+operation on QQ series against a Fraction list.  Scalar +, - and *, the
+product and the reciprocal of QQ series run on their integer numerators;
+the other operations run on their Fraction coefficients, and every result
+must still read back in the canonical integer form."""
 
 from fractions import Fraction
 import math
+import operator
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from degsimsek.algebra import (PP, QQ, ParamPoly, SeriesDomainError,
-                               TruncSeries, _reciprocal_qq, exp_t,
+                               TruncSeries, _int_terms, _over,
+                               _reciprocal_qq, exp_t,
                                series_differentiate, series_integrate,
                                series_reciprocal)
 from degsimsek.classical import _ProductChain, degenerate_falling
@@ -67,6 +71,65 @@ def test_substitute_one_then_other_equals_evaluate(poly, value):
         ParamPoly.const(poly.evaluate(value, value))
     assert poly.substitute(alpha=value).evaluate(value, 0) == \
         poly.evaluate(value, value)
+
+
+int_terms = st.dictionaries(exponents, st.integers(-10**6, 10**6), max_size=8)
+denominators = st.integers(-720, 720).filter(bool)
+
+
+def integer_form(poly: ParamPoly) -> tuple[dict, int]:
+    """poly's integer form, which must be in lowest terms."""
+    nums, den = poly._ints()
+    assert den > 0 and 0 not in nums.values()
+    assert math.gcd(den, *nums.values()) == 1
+    return nums, den
+
+
+def int_terms_or_error(poly: ParamPoly, scale: int):
+    try:
+        return _int_terms(poly, scale)
+    except ValueError:
+        return "not integral"
+
+
+@SETTINGS
+@given(int_terms, denominators, polys, small_rationals, small_rationals)
+# lam = 0, alpha = 0 and negative points; negative and unreduced
+# denominators
+@example({(0, 0): 6, (2, 1): -4, (1, 0): 0}, -2, ParamPoly(),
+         Fraction(0), Fraction(0))
+@example({(1, 0): 15, (0, 3): -10}, 25, ParamPoly.lam(),
+         Fraction(0), Fraction(-3, 4))
+@example({(3, 2): -7, (0, 1): 14}, -21, ParamPoly.alpha() + 1,
+         Fraction(-5, 3), Fraction(0))
+@example({}, 5, ParamPoly.const(Fraction(1, 3)), Fraction(2), Fraction(-1))
+def test_integer_form_reads_like_the_fraction_form(terms, den, other, lam,
+                                                   alpha):
+    def from_fractions():
+        return ParamPoly({key: Fraction(c, den) for key, c in terms.items()})
+    over, frac = _over(terms, den), from_fractions()
+    # built alone by _over, and read from the Fraction terms: one form
+    assert integer_form(over) == integer_form(frac)
+    assert over.evaluate(lam, alpha) == frac.evaluate(lam, alpha) == \
+        naive_value(frac, lam, alpha)
+    for scale in (1, den, 6 * den, abs(den) + 1):
+        scaled = {key: Fraction(c * scale, den)
+                  for key, c in terms.items() if c}
+        expected = ({key: int(v) for key, v in scaled.items()}
+                    if all(v.denominator == 1 for v in scaled.values())
+                    else "not integral")
+        # _int_terms reads the integer form, or a fresh Fraction form
+        assert int_terms_or_error(over, scale) == \
+            int_terms_or_error(from_fractions(), scale) == expected
+    assert over == frac and frac == over
+    assert over.render() == frac.render()
+    for op in (operator.add, operator.sub, operator.mul):
+        assert op(over, other).render() == op(frac, other).render()
+        assert op(other, over).render() == op(other, frac).render()
+    for values in ({"lam": lam}, {"alpha": alpha},
+                   {"lam": lam, "alpha": alpha}):
+        assert over.substitute(**values).render() == \
+            frac.substitute(**values).render()
 
 
 def convolution(a: list, b: list, zero) -> list:

@@ -81,6 +81,25 @@ def test_library_stream_catches_a_value_that_changes_on_revisit(
         "DIFFERS (stdout): library stream", "2 cases, 1 differing"]
 
 
+def test_library_stream_catches_a_wrong_power_of_zero(tool, tmp_path,
+                                                      monkeypatch, capsys):
+    # a tree whose polynomial evaluation takes 0^0 as 0 evaluates correctly
+    # wherever lambda and alpha are nonzero, but not at the stream's
+    # lambda = 0 point
+    monkeypatch.setattr(tool, "cases", lambda: [tool.LIBRARY_CASE])
+    good = copy_tree(tmp_path / "good")
+    wrong = copy_tree(tmp_path / "wrong")
+    with open(wrong / "src" / "degsimsek" / "algebra.py", "a") as handle:
+        handle.write(
+            "\n_exact_powers = _powers\n\n\n"
+            "def _powers(base, top):\n"
+            "    out = _exact_powers(base, top)\n"
+            "    return [0] * len(out) if base == 0 else out\n")
+    assert tool.main([str(good), str(wrong)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DIFFERS (stdout): library stream", "1 cases, 1 differing"]
+
+
 def test_series_stream_catches_a_wrong_qq_integral(tool, tmp_path,
                                                    monkeypatch, capsys):
     # a tree whose QQ series_integrate is off by one in its top coefficient

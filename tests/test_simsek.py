@@ -240,6 +240,34 @@ def test_route_a_equals_route_b_on_cold_stores(n, k):
                               math.factorial(k))
 
 
+@pytest.mark.parametrize("route", ROUTES)
+def test_reads_and_evaluations_build_no_fraction_terms(cold_store, route):
+    # y1star divides a route's integer terms by k! in the integer form of
+    # ParamPoly, and evaluate sums that form: a value that is only read and
+    # evaluated never builds a Fraction per term (its terms stay unbuilt)
+    values = [y1star(n, k, route) for n in range(7) for k in range(7)]
+    for value in values:
+        value.evaluate(Fraction(-7, 11), Fraction(13, 17))
+        value.evaluate(0, Fraction(1, 2))
+    assert all(value._terms is None for value in values)
+    assert [y1star(n, k, route) for n in range(7) for k in range(7)] == \
+        [_over(simsek._route_b(n, k), math.factorial(k))
+         for n in range(7) for k in range(7)]
+    # rendering (or arithmetic) reads the Fraction terms, built once
+    assert all(value._terms is not None for value in values)
+
+
+def test_phi_series_points_build_no_fraction_terms(cold_store):
+    # a phi_series row fills route A's values at its first point; later
+    # reads of those values and new points evaluate the integer form only
+    row = phi_series(5, Fraction(3, 2), Fraction(1, 3), 6)
+    values = [y1star(5, k) for k in range(7)]
+    assert phi_series(5, Fraction(-7, 11), Fraction(13, 17), 6) != row
+    for value in values:
+        value.evaluate(Fraction(2, 3), Fraction(-1, 4))
+    assert all(value._terms is None for value in values)
+
+
 def test_phi_series_then_suite_read_each_f_k_coefficient_once(cold_store,
                                                               monkeypatch):
     # phi_series reads y1star, the suite scaled_y1star; both take route A

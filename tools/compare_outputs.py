@@ -26,7 +26,9 @@ at three points.  Four more cases run a fixed
 stream of library reads with revisits in one interpreter each, with every
 answer rendered on its own line, so that a value that changes when it is
 read again shows.  The library stream reads `y1star` by every route, its
-value at two rational points, `phi_series` and `fk_series`.  The suite
+value at four rational points (one with lambda = 0, one with the large
+coprime denominators of (-7/11, 13/17)) before the value is rendered,
+`phi_series` at two of them each pass, and `fk_series`.  The suite
 stream runs `run_suite` twice, at order 12 with seed 7 and then at order 8
 with seed 3, and prints both report lists as JSON; it then reads
 `scaled_y1star` by every route for n, k <= 12.  A module memo that
@@ -88,16 +90,21 @@ LIBRARY_CASE = ["library stream"]
 LIBRARY_STREAM = """
 from fractions import Fraction
 from degsimsek import fk_series, phi_series, y1star
-points = ((Fraction(3, 2), Fraction(1, 3)), (Fraction(-3, 5), Fraction(1, 2)))
+# the last two points bring lam = 0 (powers of 0) and large coprime
+# denominators (large powers of 11 and 17)
+points = ((Fraction(3, 2), Fraction(1, 3)), (Fraction(-3, 5), Fraction(1, 2)),
+          (Fraction(0), Fraction(-2, 5)), (Fraction(-7, 11), Fraction(13, 17)))
 for top in (4, 7, 3, 9, 7):
-    lam, alpha = points[top % 2]
-    print(phi_series(top, lam, alpha, top).render())
+    for lam, alpha in (points[top % 2], points[2 + top % 2]):
+        print(phi_series(top, lam, alpha, top).render())
     for k in range(top + 1):
         print(fk_series(k, top).render())
         for route in "ABCDEF":
             for n in range(top + 1):
                 value = y1star(n, k, route)
-                print(route, n, k, value.render(), value.evaluate(lam, alpha))
+                # evaluated before it is rendered, from the integer form
+                at = [value.evaluate(lam, alpha) for lam, alpha in points]
+                print(route, n, k, value.render(), *at)
 """
 
 SUITE_CASE = ["suite stream"]
