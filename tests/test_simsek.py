@@ -253,7 +253,7 @@ def test_reads_and_evaluations_build_no_fraction_terms(cold_store, route):
     assert [y1star(n, k, route) for n in range(7) for k in range(7)] == \
         [_over(simsek._route_b(n, k), math.factorial(k))
          for n in range(7) for k in range(7)]
-    # rendering (or arithmetic) reads the Fraction terms, built once
+    # comparing (like rendering or arithmetic) builds the Fraction terms
     assert all(value._terms is not None for value in values)
 
 
