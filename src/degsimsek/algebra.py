@@ -15,8 +15,10 @@ denominator in lowest terms, or both.  The fraction-free routes build
 their values from integer terms with `_over`, which makes the integer form
 only; `evaluate` reads that form and `_int_terms` reads whichever form is
 built, so a value that is only evaluated or scaled back to integers never
-builds a Fraction per term.  Ring operations, ==, substitute, render and
-the series kernel read the Fraction terms.
+builds a Fraction per term.  The powers `evaluate` multiplies by are kept
+per point and top degrees, in one table that every polynomial evaluated
+there shares.  Ring operations, ==, substitute, render and the series
+kernel read the Fraction terms.
 
 Over QQ the series product convolves integer numerators.  Over QQ[l,a]
 (`_pp_dot`) it sums each output coefficient in one dict keyed by the
@@ -232,10 +234,12 @@ class ParamPoly:
 
         With lam0 = p/q and alpha0 = r/s the integer form is homogenised
         over _den * q^I * s^J (I and J the top degrees) and summed in
-        integers; one Fraction is built at the end.  It is kept in a memo on
-        the polynomial keyed by the point in lowest terms, (p, q, r, s), so
-        equal points share one entry (hashing four ints is much cheaper
-        than hashing two Fractions)."""
+        integers, each term c l^i a^j as c p^i q^(I-i) r^j s^(J-j) from the
+        rows that every polynomial of top degrees (I, J) at the point
+        shares (`_point_rows`); one Fraction is built at the end.  It is
+        kept in a memo on the polynomial keyed by the point in lowest
+        terms, (p, q, r, s), so equal points share one entry (hashing four
+        ints is much cheaper than hashing two Fractions)."""
         try:
             key = (lam0.numerator, lam0.denominator,
                    alpha0.numerator, alpha0.denominator)
@@ -254,15 +258,12 @@ class ParamPoly:
         nums, den = self._ints()
         if not nums:
             return Fraction(0)
-        top_i = max(i for i, _ in nums)
-        top_j = max(j for _, j in nums)
-        p_pow, q_pow = _powers(p, top_i), _powers(q, top_i)
-        r_pow, s_pow = _powers(r, top_j), _powers(s, top_j)
+        l_row, a_row, scale = _point_rows(p, q, r, s, max(nums)[0],
+                                          max(j for _, j in nums))
         total = 0
         for (i, j), c in nums.items():
-            total += (c * p_pow[i] * q_pow[top_i - i]
-                      * r_pow[j] * s_pow[top_j - j])
-        return Fraction(total, den * q_pow[top_i] * s_pow[top_j])
+            total += c * l_row[i] * a_row[j]
+        return Fraction(total, den * scale)
 
     def substitute(self, lam=None, alpha=None) -> "ParamPoly":
         """Substitute rationals for either or both parameters, keeping the
@@ -318,6 +319,31 @@ def _powers(base: int, top: int) -> list[int]:
     for _ in range(top):
         out.append(out[-1] * base)
     return out
+
+
+# (p, q, r, s, I, J) -> the rows `_point_rows` gives: the point's power
+# table, in lowest terms like the memo of `evaluate`, one entry per top
+# degrees evaluated there; values never change
+_power_rows: dict[tuple[int, int, int, int, int, int], tuple] = {}
+
+
+def _point_rows(p: int, q: int, r: int, s: int, top_i: int,
+                top_j: int) -> tuple[list[int], list[int], int]:
+    """(L, A, q^I s^J) with L[i] = p^i q^(I-i) and A[j] = r^j s^(J-j) for
+    the top degrees I = top_i, J = top_j: a polynomial sum_ij c_ij l^i a^j
+    at lam = p/q, alpha = r/s is sum_ij c_ij L[i] A[j] / (q^I s^J).  Made
+    once per (point, I, J) and kept, so the polynomials of a phi_series
+    row or a table share them."""
+    key = (p, q, r, s, top_i, top_j)
+    rows = _power_rows.get(key)
+    if rows is None:
+        p_pow, q_pow = _powers(p, top_i), _powers(q, top_i)
+        r_pow, s_pow = _powers(r, top_j), _powers(s, top_j)
+        rows = _power_rows[key] = (
+            [a * b for a, b in zip(p_pow, reversed(q_pow))],
+            [a * b for a, b in zip(r_pow, reversed(s_pow))],
+            q_pow[top_i] * s_pow[top_j])
+    return rows
 
 
 # Integer terms {(deg_l, deg_a): c} of Z[l,a].  The fraction-free routes and

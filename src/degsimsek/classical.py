@@ -42,6 +42,12 @@ def stirling1(n: int, k: int) -> int:
     the falling factorial x(x-1)...(x-n+1)."""
     if n < 0 or k < 0 or k > n:
         return 0
+    return _stirling1_row(n)[k]
+
+
+def _stirling1_row(n: int) -> list[int]:
+    """The signed Stirling numbers s(n, 0..n), for n >= 0: the memoized
+    row itself, so do not mutate it."""
     while len(_S1_ROWS) <= n:
         r = len(_S1_ROWS)
         prev = _S1_ROWS[r - 1]
@@ -51,7 +57,7 @@ def stirling1(n: int, k: int) -> int:
             left = prev[j - 1] if j >= 1 else 0
             row[j] = left - (r - 1) * above
         _S1_ROWS.append(row)
-    return _S1_ROWS[n][k]
+    return _S1_ROWS[n]
 
 
 def falling_factorial(x, n: int):
@@ -92,6 +98,9 @@ class _ProductChain:
     The chain only extends.  A read at a higher order than the chain's
     extends every product held by its coefficients above the old order; a
     read of a longer product appends products, each extended from nothing.
+    Extending every product at once, not only P_0..P_j, keeps the work of
+    an order step in the one read that crosses it: left to the later reads
+    of each product, it puts more of them in the slow tail.
     The factor x - j a differs from x only in its constant term, so
     coefficient m of P_{j+1} is sum_r P_j[r] x[m-r] - j a P_j[m]: a step of
     one order costs one such sum per product, not a series product.  Over

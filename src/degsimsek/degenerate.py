@@ -150,9 +150,22 @@ def _euler_point(lam0, alpha0) -> tuple[Fraction, Fraction]:
 
 
 def _euler_half(lam0: Fraction, alpha0: Fraction, order: int) -> TruncSeries:
-    """(lam * e_a(t) + 1)/2, with e_a(t) = exp(t) at a = 0."""
-    inner = deg_exp_series(Fraction(1), alpha0, order)
-    return (inner * lam0 + 1) * Fraction(1, 2)
+    """(lam * e_a(t) + 1)/2, with e_a(t) = exp(t) at a = 0, summed in
+    integers: at lam = p/q, alpha = r/s the coefficient (1)_{m,a}/m! of
+    e_a is f_m/(s^m m!) with f_m = prod_{i<m} (s - i r), so at order N
+    coefficient m >= 1 is p f_m s^(N-m) N!/m! over 2 q s^N N!."""
+    p, q = lam0.numerator, lam0.denominator
+    r, s = alpha0.numerator, alpha0.denominator
+    falling = [1]
+    for m in range(order):
+        falling.append(falling[-1] * (s - m * r))
+    nums = [0] * (order + 1)
+    weight = 1  # s^(N-m) N!/m!
+    for m in range(order, 0, -1):
+        nums[m] = p * falling[m] * weight
+        weight *= s * m
+    nums[0] = (p + q) * weight
+    return TruncSeries._qq("t", order, nums, 2 * q * weight)
 
 
 # chains of (2/(lam * e_a(t) + 1))^k, keyed by the point lam = p/q,

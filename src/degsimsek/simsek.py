@@ -33,8 +33,9 @@ import math
 
 from .algebra import (PP, QQ, ParamPoly, TruncSeries, _combine, _int_terms,
                       _over, exp_t)
-from .classical import (bernoulli_number, degenerate_falling,
-                        degenerate_falling_rows, stirling1)
+from .classical import (_stirling1_row, bernoulli_number,
+                        degenerate_falling, degenerate_falling_rows,
+                        stirling1)
 
 _L = ParamPoly.lam()
 _A = ParamPoly.alpha()
@@ -83,13 +84,19 @@ def deg_simsek_y1(n: int, k: int) -> ParamPoly:
 # ---------------------------------------------------------------------------
 
 _fk_cache: dict[int, TruncSeries] = {}
+# (n, k) -> n! k! [t^n] F_k as integer terms, for every n up to the order
+# each cached F_k was built at: keep it and _fk_cache emptied together
+_route_a_store: dict[tuple[int, int], dict] = {}
 
 
 def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     """F_k(t) = (l*e^t + 1)_{k,a}/k! truncated at `order`.
 
     Symbolic over ParamPoly by default; pass rationals lam/alpha for a
-    specialized series over plain fractions.
+    specialized series over plain fractions.  A symbolic F_k is built once
+    per order rise and kept; a build publishes n! k! [t^n] F_k for every
+    n <= order into the route-A store, skipping the (n, k) already held,
+    before the series is kept, so route A only ever reads that store.
     """
     if (lam is None) != (alpha is None):
         raise ValueError("fk_series: give both lam and alpha or neither")
@@ -99,6 +106,11 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
             return cached.truncate(order)
         base = exp_t(order, PP) * _L + 1
         series = degenerate_falling(base, k, _A) * Fraction(1, math.factorial(k))
+        scale = math.factorial(k)
+        for n, c in enumerate(series.coeffs):
+            if (n, k) not in _route_a_store:
+                _route_a_store[(n, k)] = _int_terms(c, scale)
+            scale *= n + 1
         _fk_cache[k] = series
         return series
     lam = Fraction(lam)
@@ -112,24 +124,23 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
 # recurrences E and F are integer computations at that scale, and route A's
 # coefficient is converted to it exactly.  y1star divides by k! once.
 
-_route_a_store: dict[tuple[int, int], dict] = {}
-
 
 def _route_a(n: int, k: int) -> dict:
-    """n! k! [t^n] F_k, extracted from F_k once per (n, k) and kept."""
+    """n! k! [t^n] F_k from the route-A store; a miss builds F_k to order
+    n, which publishes it."""
     terms = _route_a_store.get((n, k))
     if terms is None:
-        terms = _route_a_store[(n, k)] = _int_terms(
-            fk_series(k, n).coeffs[n], math.factorial(n) * math.factorial(k))
+        fk_series(k, n)
+        terms = _route_a_store[(n, k)]
     return terms
 
 
 def _route_b(n: int, k: int) -> dict:
+    powers = [j**n for j in range(k + 1)]
     terms: dict[tuple[int, int], int] = {}
-    for l in range(k + 1):
-        s1 = stirling1(k, l)
+    for l, s1 in enumerate(_stirling1_row(k)):
         for j in range(l + 1):
-            c = math.comb(l, j) * s1 * j**n
+            c = math.comb(l, j) * s1 * powers[j]
             if c:
                 terms[(j, k - l)] = c  # one term per (j, l)
     return terms
@@ -141,11 +152,13 @@ def _route_c(n: int, k: int) -> dict:
     # falling[m] lists the integer coefficients of a^0, a^1, ... in
     # (1)_{m,a}
     falling = degenerate_falling_rows(1, k)
+    powers = [j**n for j in range(k + 1)]
     terms: dict[tuple[int, int], int] = {}
     for l in range(k + 1):
         ones = falling[k - l]
+        s1 = _stirling1_row(l)
         for j in range(l + 1):
-            c = math.comb(k, l) * stirling1(l, j) * j**n
+            c = math.comb(k, l) * s1[j] * powers[j]
             for e, f in enumerate(ones):
                 if c * f:
                     key = (j, l - j + e)
@@ -155,8 +168,10 @@ def _route_c(n: int, k: int) -> dict:
 
 def _route_c_printed(n: int, k: int) -> dict:
     # one term per (l, j): the step-j factor (1)_{k-l,j} is an integer
-    return {(j, l - j): c for l in range(k + 1) for j in range(l + 1)
-            if (c := math.comb(k, l) * stirling1(l, j) * j**n
+    powers = [j**n for j in range(k + 1)]
+    return {(j, l - j): c for l in range(k + 1)
+            for j, s1 in enumerate(_stirling1_row(l))
+            if (c := math.comb(k, l) * s1 * powers[j]
                 * math.prod(1 - i * j for i in range(k - l)))}
 
 
@@ -183,10 +198,11 @@ def _route_d_weight_row(k: int) -> list[int]:
 def _route_d(n: int, k: int) -> dict:
     if k == 0:
         return {(0, 0): 1} if n == 0 else {}
+    powers = [i**n for i in range(k + 1)]
     terms = {}
     for j, w in enumerate(_route_d_weight_row(k), 1):
         for i in range(j + 1):
-            c = w * math.comb(j, i) * i**n
+            c = w * math.comb(j, i) * powers[i]
             if c:
                 terms[(i, k - j)] = c
     return terms

@@ -89,8 +89,8 @@ def build_table(family: str, route: str | None, n_max: int, k_max: int,
     alpha = None if alpha is None else Fraction(alpha)
     route = route or (routes[0] if routes else "")
 
-    # top row first: route A then builds each F_k once, at order n_max, and
-    # every lower row reads a truncation of the cached series
+    # top row first: route A then builds each F_k once, at order n_max,
+    # which publishes every lower row's value into the route-A store
     entries = [[_specialize(value(n, k, route, alpha), lam, alpha)
                 for k in range(k_max + 1)]
                for n in range(n_max, -1, -1)]

@@ -100,9 +100,10 @@ def test_suite_evaluates_each_value_once_per_point(monkeypatch):
     assert calls <= 1000
 
 
-# the module stores that the symbolic checks and every PointContext read
-SYMBOLIC_STORES = ((simsek, "_route_a_store"), (simsek, "_scaled_y1_store"),
-                   (registry, "_falling_sums"))
+# the module stores that the symbolic checks and every PointContext read,
+# and the F_k cache, which fills the route-A store as it builds
+SYMBOLIC_STORES = ((simsek, "_route_a_store"), (simsek, "_fk_cache"),
+                   (simsek, "_scaled_y1_store"), (registry, "_falling_sums"))
 
 
 def empty_symbolic_stores(monkeypatch):
@@ -257,37 +258,54 @@ def test_symbolic_job_computes_each_route_value_once(monkeypatch):
                                    for k in range(9) for route in ROUTES)
 
 
-def count_route_a_extractions(monkeypatch) -> list:
-    """Empty the symbolic stores, and record every route-A value taken
-    from F_k from then on: each miss of the route-A store, which y1star's
-    route A and scaled_y1star share."""
+def count_route_a_extractions(monkeypatch) -> tuple[list, list]:
+    """Empty the symbolic stores and the F_k cache, and record from then
+    on every route-A value written to the route-A store, which y1star's
+    route A and scaled_y1star share, and every coefficient of F_k
+    converted to integer terms: fk_series publishes each value it converts
+    as it builds, so the two lists grow together."""
     extracted = []
+    converted = []
     empty_symbolic_stores(monkeypatch)
     monkeypatch.setattr(simsek, "_route_a_store", RecordingStore(extracted))
-    return extracted
+
+    def counted(poly, scale):
+        converted.append(scale)
+        return _int_terms(poly, scale)
+    monkeypatch.setattr(simsek, "_int_terms", counted)
+    return extracted, converted
 
 
 def test_suite_extracts_each_route_a_value_once(monkeypatch):
-    # a count, not a clock: every grid point evaluates the route-A integer
-    # terms the symbolic checks read instead of reading F_k again
-    extracted = count_route_a_extractions(monkeypatch)
+    # a count, not a clock: the suite's warm-up builds F_0..F_8 at order 8,
+    # which publishes every route-A value the symbolic checks and the grid
+    # points read, each once; no read converts a coefficient of F_k again
+    extracted, converted = count_route_a_extractions(monkeypatch)
     reports = run_suite(order=8)
     assert len(reports) == 95
     assert len(extracted) <= 81
     assert len(set(extracted)) == len(extracted)
+    assert len(converted) == len(extracted)
 
 
 def test_suites_in_one_process_share_the_route_a_store(monkeypatch):
-    # a suite at a higher order between two equal ones: the third run gives
-    # the first run's bytes and takes every route-A value from the store
-    extracted = count_route_a_extractions(monkeypatch)
+    # a suite at a higher order between two equal ones: the higher one's
+    # F_k builds publish only the values the first did not, and the third
+    # run gives the first run's bytes and takes every route-A value from
+    # the store
+    extracted, converted = count_route_a_extractions(monkeypatch)
     first = reports_to_json(run_suite(order=8))
     assert sorted(extracted) == sorted((n, k, "A") for n in range(9)
                                        for k in range(9))
-    run_suite(order=12)
     extracted.clear()
+    run_suite(order=12)
+    assert sorted(extracted) == sorted(
+        (n, k, "A") for n in range(13) for k in range(13)
+        if n > 8 or k > 8)
+    extracted.clear()
+    converted.clear()
     assert reports_to_json(run_suite(order=8)) == first
-    assert extracted == []
+    assert extracted == [] == converted
 
 
 # REL-S2STAR and PHI-LOG against references at random points: lam and

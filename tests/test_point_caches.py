@@ -9,10 +9,11 @@ import random
 import sys
 import threading
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 import pytest
 
-from degsimsek import classical, degenerate
+from degsimsek import algebra, classical, degenerate, simsek
 from degsimsek.algebra import (PP, ParamPoly, SeriesDomainError, TruncSeries,
                               exp_t)
 from degsimsek.classical import (_bernoulli_base, _ProductChain,
@@ -309,6 +310,78 @@ def test_equal_points_share_one_memo_entry(monkeypatch):
     # another point is another entry
     assert poly.evaluate(Fraction(-1, 2), 2) == other
     assert evaluations == [(1, 1, 1, 2), (-1, 2, 2, 1)]
+
+
+# the power table each point shares: polynomials with negative numerators
+# and terms at l^0 or a^0, evaluated at points with lam = 0, alpha = 0 or
+# negative numerators
+coefficients = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+degrees = st.tuples(st.integers(0, 4), st.integers(0, 4))
+point_values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(degrees, coefficients.filter(bool), min_size=1,
+                      max_size=6), degrees, coefficients.filter(bool),
+       point_values, point_values)
+@example({(1, 2): Fraction(-3, 4)}, (3, 1), Fraction(5), Fraction(0),
+         Fraction(-2, 3))
+@example({(2, 0): Fraction(7, 2), (0, 0): -1}, (2, 3), Fraction(-1, 5),
+         Fraction(3, 7), Fraction(0))
+def test_power_table_evaluation_equals_substitution(terms, shift, extra,
+                                                   lam, alpha):
+    # a polynomial starts the point's table, and a second one, of higher
+    # degree in l and in a, adds to it; each value equals the substitution,
+    # and the first entry is kept as it was
+    low = ParamPoly(terms)
+    high = low * ParamPoly.term(1, *shift) + ParamPoly.term(
+        extra, low.deg_l + shift[0] + 1, low.deg_a + shift[1] + 1)
+    point = (lam.numerator, lam.denominator,
+             alpha.numerator, alpha.denominator)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(algebra, "_power_rows", {})
+        entries = []
+        for poly in (low, high):
+            expected = poly.substitute(lam, alpha).constant_value()
+            assert ParamPoly(dict(poly.terms)).evaluate(lam, alpha) \
+                == expected
+            key = (*point, poly.deg_l, poly.deg_a)
+            entries.append(algebra._power_rows[key])
+        assert list(algebra._power_rows) == [(*point, p.deg_l, p.deg_a)
+                                             for p in (low, high)]
+    for (top_i, top_j), (l_row, a_row, scale) in zip(
+            ((low.deg_l, low.deg_a), (high.deg_l, high.deg_a)), entries):
+        p, q, r, s = point
+        assert l_row == [p**i * q**(top_i - i) for i in range(top_i + 1)]
+        assert a_row == [r**j * s**(top_j - j) for j in range(top_j + 1)]
+        assert scale == q**top_i * s**top_j
+
+
+def test_new_phi_series_row_computes_each_power_row_once(monkeypatch):
+    # a row at a new point evaluates y1star(10, k) for k <= 10, of top
+    # degrees (k, k - 1): the powers of each top degree are computed once,
+    # four lists per (k, k - 1), and the row read again at the point
+    # written another way, or a lower row at it, computes none
+    monkeypatch.setattr(simsek, "_y1star_store", {})
+    monkeypatch.setattr(algebra, "_power_rows", {})
+    calls = []
+    inner = algebra._powers
+
+    def counted(base, top):
+        calls.append((base, top))
+        return inner(base, top)
+    monkeypatch.setattr(algebra, "_powers", counted)
+    point = (Fraction(-7, 11), Fraction(13, 17))
+    row = phi_series(10, *point, 10)
+    assert sorted(calls) == sorted(
+        (base, top) for k in range(1, 11)
+        for base, top in ((-7, k), (11, k), (13, k - 1), (17, k - 1)))
+    assert list(row.coeffs) == [y1star(10, k).substitute(*point)
+                                .constant_value() for k in range(11)]
+    calls.clear()
+    assert phi_series(10, Fraction(-14, 22), Fraction(26, 34), 10) == row
+    phi_series(9, *point, 10)
+    assert calls == []
 
 
 def test_revisits_of_evaluate_and_phi_series_evaluate_nothing(monkeypatch):

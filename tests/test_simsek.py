@@ -271,14 +271,47 @@ def test_phi_series_points_build_no_fraction_terms(cold_store):
 def test_phi_series_then_suite_read_each_f_k_coefficient_once(cold_store,
                                                               monkeypatch):
     # phi_series reads y1star, the suite scaled_y1star; both take route A
-    # from one store, so each (n, k) is extracted from F_k once
+    # from the store that fk_series publishes into, so each (n, k) is
+    # converted from F_k once, when the build that first reaches order n
+    # publishes it, and no read converts one
     fk = count_calls(monkeypatch, simsek, "fk_series")
+    converted = count_calls(monkeypatch, simsek, "_int_terms")
     for n in range(9):
         phi_series(n, 1, 0, 8)
     assert sorted(fk) == sorted((k, n) for n in range(9) for k in range(9))
+    assert len(converted) == 81
     fk.clear()
+    converted.clear()
     assert len(run_suite(order=8)) == 95
-    assert fk == []
+    assert fk == [] == converted
+
+
+# route A read from the store that fk_series publishes into
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9), st.integers(1, 3))
+def test_fk_series_publishes_every_route_a_value(k, order, more):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in ("_y1star_store", "_route_a_store", "_fk_cache"):
+            monkeypatch.setattr(simsek, name, {})
+        fk_series(k, order)
+        store = simsek._route_a_store
+        assert sorted(store) == [(n, k) for n in range(order + 1)]
+        for n in range(order + 1):
+            assert store[(n, k)] == simsek._route_b(n, k), n
+        # a later y1star reads the store: no F_k and no coefficient
+        fk = count_calls(monkeypatch, simsek, "fk_series")
+        converted = count_calls(monkeypatch, simsek, "_int_terms")
+        for n in range(order + 1):
+            assert y1star(n, k, "A") == _over(simsek._route_b(n, k),
+                                              math.factorial(k))
+        assert fk == [] == converted
+        # a build at a higher order publishes only the orders it adds, and
+        # keeps the values already held
+        held = dict(store)
+        fk_series(k, order + more)
+        assert len(converted) == more
+        assert all(store[key] is value for key, value in held.items())
+        assert sorted(store) == [(n, k) for n in range(order + more + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ with --lambda only, --alpha only and both, where the CLI accepts the
 combination; three larger symbolic cases, where more terms of the products
 over QQ[l,a] cancel: `table --family y1star` at 12x12, `series --family
 y1star --k 8 --order 12` and `table --family s2star` at 10x10; and `phi`
-at three points.  Four more cases run a fixed
+at three points: 211 cases in all, 206 CLI calls and five streams.  The
+five stream cases run a fixed
 stream of library reads with revisits in one interpreter each, with every
 answer rendered on its own line, so that a value that changes when it is
 read again shows.  The library stream reads `y1star` by every route, its
@@ -50,7 +51,16 @@ k <= n, so that each product chain steps up one order at a time, and
 route-A `y1star` the same way to n = 8 (F_k is rebuilt at each order,
 which costs seconds beyond that); it then reads `scaled_y1star` by route
 A for n, k <= 8.  An error that builds up over order extensions shows
-there as a byte difference.
+there as a byte difference.  The tail stream reads route A below an F_k,
+builds that F_k at a higher order, which publishes the route-A values not
+read yet, and reads every value again; it reads the product chains out of
+order (a high k at a low n, a higher n at a low k, then the high k again)
+at two points and symbolically; and it reads `phi_series` rows of rising
+and falling degree at four fresh points, lambda = 0 and alpha = 0 among
+them, so that a row of low degree starts each point's power table and
+later rows grow it.  Values published ahead of their reads, products
+extended out of order and powers read from a shared table show there
+byte for byte.
 Every differing case is printed
 (exit status, stdout or stderr), and so is a case the CLI rejects as a
 usage error; the exit status is 1 on any of these, else 0.  It is 2,
@@ -222,8 +232,44 @@ for n in range(9):
         print("Y", n, k, sorted(scaled_y1star(n, k).items()))
 """
 
+TAIL_CASE = ["tail stream"]
+# the first reads of the benchmark's session tail, out of order
+TAIL_STREAM = """
+from fractions import Fraction as F
+from degsimsek import (ParamPoly, apostol_euler, bernoulli_number, fk_series,
+                       new_deg_stirling2, phi_series, y1star)
+from degsimsek.simsek import scaled_y1star
+a = ParamPoly.alpha()
+# route A read below an F_k, then the F_k built at a higher order, which
+# publishes the values not read yet, then every value read again
+for k in (3, 7):
+    for n in (0, 2, 5):
+        print("A before", n, k, y1star(n, k).render())
+    print("F", k, fk_series(k, 10).render())
+    for n in range(11):
+        print("A after", n, k, sorted(scaled_y1star(n, k).items()),
+              y1star(n, k).render())
+# chain reads out of order: high k at low n, then higher n at low k, then
+# the high k again, at the higher n and at a lower one
+for lam, alpha in ((F(3, 2), F(1, 3)), (F(-5, 7), F(2, 9))):
+    for n, k in ((1, 9), (7, 2), (11, 1), (3, 9), (11, 9), (2, 12), (12, 12),
+                 (5, 4)):
+        print("E", n, k, apostol_euler(n, k, lam, alpha))
+        print("S2*", n, k, new_deg_stirling2(n, k, alpha))
+        print("S2* symbolic", n, k, new_deg_stirling2(n, k, a).render())
+        print("B", n, k, bernoulli_number(n, k))
+# rows at fresh points, lam = 0 and alpha = 0 among them: a row of low
+# degree starts each point's power table and the later rows grow it
+for lam, alpha in ((F(0), F(5, 3)), (F(-9, 4), F(0)),
+                   (F(-11, 13), F(-17, 19)), (F(7, 2), F(-1, 8))):
+    for n, order in ((3, 2), (9, 9), (4, 11), (11, 6)):
+        print("phi", n, order, lam, alpha,
+              phi_series(n, lam, alpha, order).render())
+"""
+
 STREAMS = {LIBRARY_CASE[0]: LIBRARY_STREAM, SUITE_CASE[0]: SUITE_STREAM,
-           SERIES_CASE[0]: SERIES_STREAM, CLIMB_CASE[0]: CLIMB_STREAM}
+           SERIES_CASE[0]: SERIES_STREAM, CLIMB_CASE[0]: CLIMB_STREAM,
+           TAIL_CASE[0]: TAIL_STREAM}
 
 
 def cases() -> list[list[str]]:
@@ -288,7 +334,7 @@ def cases() -> list[list[str]]:
                           ("6", "-5/2", "-3/4")):
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
                        "--degree", "12"])
-    matrix += [LIBRARY_CASE, SUITE_CASE, SERIES_CASE, CLIMB_CASE]
+    matrix += [LIBRARY_CASE, SUITE_CASE, SERIES_CASE, CLIMB_CASE, TAIL_CASE]
     return matrix
 
 
