@@ -77,14 +77,24 @@ def degenerate_falling(x, n: int, alpha):
     return result
 
 
+# x -> the rows degenerate_falling_rows gives for the integer x
+_falling_rows: dict[int, list[list[int]]] = {}
+
+
 def degenerate_falling_rows(x: int, m: int) -> list[list[int]]:
-    """Rows 0..m for an integer x: row j lists the integer coefficients of
-    a^0, a^1, ... in (x)_{j,a} = x(x-a)...(x-(j-1)a), one factor
-    (x - j a) more than row j-1."""
-    rows = [[1]]
-    for j in range(m):
-        prev = rows[j]
-        rows.append([x * c - j * p for c, p in zip(prev + [0], [0] + prev)])
+    """Rows 0..m (at least) for an integer x: row j lists the integer
+    coefficients of a^0, a^1, ... in (x)_{j,a} = x(x-a)...(x-(j-1)a), one
+    factor (x - j a) more than row j-1.  One list per x, handed out
+    itself, so do not mutate it; a longer one replaces it whole, so a list
+    handed out never changes."""
+    rows = _falling_rows.get(x, [[1]])
+    if len(rows) <= m:
+        rows = list(rows)
+        for j in range(len(rows) - 1, m):
+            prev = rows[j]
+            rows.append([x * c - j * p
+                         for c, p in zip(prev + [0], [0] + prev)])
+        _falling_rows[x] = rows
     return rows
 
 

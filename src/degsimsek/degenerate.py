@@ -9,7 +9,9 @@ between the ordinary and the a-deformed falling-factorial bases:
     (x)_n     = sum_l  deg_stirling1(n,l) (x)_{l,a}
 
 They are computed by a triangular solve against the (monic) target basis,
-straight from the definitions.
+straight from the definitions.  S2* and the Apostol-Euler numbers are read
+from grow-only product chains, one per alpha and one per point, which
+_s2star_chain and _apostol_chain hand to the library and the verifier alike.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 import math
 
 from .algebra import (PP, QQ, ParamPoly, SeriesDomainError, TruncSeries,
-                      _combine, _over, exp_t, series_reciprocal)
+                      _combine, _over, exp_t)
 from .classical import _ProductChain, _Reciprocal
 
 # row caches: n -> list of ParamPoly (index l), polynomials in a only
@@ -81,6 +83,26 @@ def deg_stirling1(n: int, l: int) -> ParamPoly:
 _s2star_chains: dict[tuple[int, int] | str, _ProductChain] = {}
 
 
+def _s2star_chain(alpha) -> _ProductChain:
+    """The chain of the products (e^t-1)_{j,alpha}, j = 0, 1, ..., that
+    new_deg_stirling2 and the verifier's S2* tables read: over QQ for a
+    rational alpha, over QQ[l,a] for a ParamPoly; made on first use."""
+    if isinstance(alpha, ParamPoly):
+        key = alpha.render()
+    else:
+        try:
+            key = alpha.numerator, alpha.denominator
+        except AttributeError:  # a float or a string: read it exactly
+            return _s2star_chain(Fraction(alpha))
+    chain = _s2star_chains.get(key)
+    if chain is None:
+        ring, step = ((PP, alpha) if isinstance(key, str)
+                      else (QQ, Fraction(*key)))
+        chain = _s2star_chains[key] = _ProductChain(
+            lambda order: exp_t(order, ring) - 1, step)
+    return chain
+
+
 def new_deg_stirling2(n: int, k: int, alpha):
     """New-type degenerate Stirling number S2*(n,k|a): n! times coefficient
     n of (e^t-1)_{k,a}/k!.
@@ -92,40 +114,12 @@ def new_deg_stirling2(n: int, k: int, alpha):
     symbolic = isinstance(alpha, ParamPoly)
     if n < 0 or k < 0:
         return ParamPoly() if symbolic else Fraction(0)
-    if symbolic:
-        key = alpha.render()
-    else:
-        try:
-            key = alpha.numerator, alpha.denominator
-        except AttributeError:  # a float or a string: read it exactly
-            return new_deg_stirling2(n, k, Fraction(alpha))
-    chain = _s2star_chains.get(key)
-    if chain is None:
-        ring, step = (PP, alpha) if symbolic else (QQ, Fraction(*key))
-        chain = _s2star_chains[key] = _ProductChain(
-            lambda order: exp_t(order, ring) - 1, step)
-    series = chain.product(k, n)
+    series = _s2star_chain(alpha).product(k, n)
     if symbolic:
         return series.coeffs[n] * Fraction(math.factorial(n),
                                            math.factorial(k))
     return Fraction(series.nums[n] * math.factorial(n),
                     series.den * math.factorial(k))
-
-
-def _s2star_rows(ratio: Fraction, size: int) -> tuple[list[list[int]], int]:
-    """(rows, den) with rows[j][n] / den = n! [t^n] (e^t-1)_{j,ratio}
-    = j! S2*(n, j | ratio) for n, j <= size: integer numerators over one
-    denominator q^size for ratio = p/q.  Row j+1 is row j times the factor
-    e^t - 1 - j p/q, a binomial convolution of n!-scaled coefficients."""
-    p, q = ratio.numerator, ratio.denominator
-    row = [1] + [0] * size  # q^j n! [t^n] of the product
-    rows = [row]
-    for j in range(size):
-        row = [q * sum(math.comb(n, e) * row[n - e] for e in range(1, n + 1))
-               - j * p * row[n] for n in range(size + 1)]
-        rows.append(row)
-    return ([[c * q**(size - j) for c in row] for j, row in enumerate(rows)],
-            q**size)
 
 
 def deg_exp_series(x, alpha, order: int) -> TruncSeries:
@@ -140,13 +134,6 @@ def deg_exp_series(x, alpha, order: int) -> TruncSeries:
         prod = prod * (x - alpha * (m - 1))
         coeffs.append(prod * Fraction(1, math.factorial(m)))
     return TruncSeries("t", order, coeffs, ring)
-
-
-def _euler_point(lam0, alpha0) -> tuple[Fraction, Fraction]:
-    lam0 = Fraction(lam0)
-    if lam0 == -1:
-        raise SeriesDomainError("Apostol-Euler numbers need lam != -1")
-    return lam0, Fraction(alpha0)
 
 
 def _euler_half(lam0: Fraction, alpha0: Fraction, order: int) -> TruncSeries:
@@ -173,27 +160,30 @@ def _euler_half(lam0: Fraction, alpha0: Fraction, order: int) -> TruncSeries:
 _apostol_chains: dict[tuple[int, int, int, int], _ProductChain] = {}
 
 
-def apostol_euler_series(k: int, lam0, alpha0, order: int) -> TruncSeries:
-    """The series (2/(lam * e_a(t) + 1))^k whose coefficients carry the
-    degenerate Apostol-Euler numbers of order k; needs lam != -1."""
-    half = _euler_half(*_euler_point(lam0, alpha0), order)
-    return series_reciprocal(half) ** k
-
-
-def apostol_euler(n: int, k: int, lam0, alpha0) -> Fraction:
-    """Degenerate first-kind Apostol-Euler number E_n^(k)(lam|a)."""
-    if n < 0 or k < 0:
-        raise ValueError("apostol_euler needs n, k >= 0")
+def _apostol_chain(lam0, alpha0) -> _ProductChain:
+    """The chain of the powers (2/(lam * e_a(t) + 1))^j, j = 0, 1, ..., at
+    the point, that apostol_euler and the verifier's Euler weights read;
+    made on first use.  Raises at lam = -1, so no chain is ever stored for
+    it."""
     try:
         key = (lam0.numerator, lam0.denominator,
                alpha0.numerator, alpha0.denominator)
     except AttributeError:  # a float or a string: read it exactly
-        return apostol_euler(n, k, Fraction(lam0), Fraction(alpha0))
+        return _apostol_chain(Fraction(lam0), Fraction(alpha0))
     chain = _apostol_chains.get(key)
     if chain is None:
-        # raises at lam = -1, so no chain is ever stored for it
-        point = _euler_point(lam0, alpha0)
+        lam0, alpha0 = Fraction(lam0), Fraction(alpha0)
+        if lam0 == -1:
+            raise SeriesDomainError("Apostol-Euler numbers need lam != -1")
         chain = _apostol_chains[key] = _ProductChain(
-            _Reciprocal(lambda order: _euler_half(*point, order)))
-    series = chain.product(k, n)
+            _Reciprocal(lambda order: _euler_half(lam0, alpha0, order)))
+    return chain
+
+
+def apostol_euler(n: int, k: int, lam0, alpha0) -> Fraction:
+    """Degenerate first-kind Apostol-Euler number E_n^(k)(lam|a): n! times
+    coefficient n of (2/(lam * e_a(t) + 1))^k; needs lam != -1."""
+    if n < 0 or k < 0:
+        raise ValueError("apostol_euler needs n, k >= 0")
+    series = _apostol_chain(lam0, alpha0).product(k, n)
     return Fraction(series.nums[n] * math.factorial(n), series.den)

@@ -25,7 +25,7 @@ u^m; c = r*q):
 A product of two series is the binomial convolution of their entries.
 Each check scales both sides by one integer, so that both are integer
 lists, and compares them entry by entry.  Fractions are built only for the
-Apostol-Euler weight rows, which are then held as integers over one
+corrected Euler weight row, which is then held as integers over one
 denominator, and to write a mismatch: entry d of den times a side stands
 for the coefficient value/(d! D^d den) of x^d.
 
@@ -45,9 +45,9 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import QQ, TruncSeries, series_reciprocal, exp_t
+from .algebra import QQ, TruncSeries, _point_rows, series_reciprocal, exp_t
 from .classical import stirling2
-from .degenerate import _s2star_rows, apostol_euler_series
+from .degenerate import _apostol_chain, _s2star_chain
 from .reports import (EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE,
                       IdentityReport, merge_status)
 from .simsek import scaled_y1, scaled_y1star, y1star
@@ -122,7 +122,8 @@ class PointContext:
     integer EGF back into the Fraction coefficient of x^d.
     The values are read from simsek.scaled_y1star (route A) and
     simsek.scaled_y1, the integer terms of k! y1star(n,k) and of k! y1(n,k)
-    that every point of a suite shares.
+    that every point of a suite shares; the S2* table and the Apostol-Euler
+    row from the chains new_deg_stirling2 and apostol_euler keep.
     Not locked: keep a context on one thread.
     """
 
@@ -131,6 +132,7 @@ class PointContext:
         self.alpha = Fraction(alpha0)
         p, q = self.lam.numerator, self.lam.denominator
         r, s = self.alpha.numerator, self.alpha.denominator
+        self._point = (p, q, r, s)
         self.qs = q * s     # D: x = D u
         self.ps = p * s     # lam D
         self.rq = r * q     # alpha D
@@ -140,19 +142,13 @@ class PointContext:
         self._rows: dict[tuple[str, int], tuple[list[int], int]] = {}
         self._ft_blocks: dict[tuple[int, int, int], list[int]] = {}
         self._s2star = None
-        self._term_weights: dict[int, tuple[list[int], list[int]]] = {}
         self._s2star_weights: dict[int, tuple[list[int], int]] = {}
 
     def _numerator(self, terms: dict, k: int) -> int:
         """k! D^k times terms / k! at the point, for integer terms of degree
-        <= k in l and in a: sum_(i,j) c p^i q^(k-i) r^j s^(k-j)."""
-        if k not in self._term_weights:
-            p, q = self.lam.numerator, self.lam.denominator
-            r, s = self.alpha.numerator, self.alpha.denominator
-            self._term_weights[k] = (
-                [p**i * q**(k - i) for i in range(k + 1)],
-                [r**j * s**(k - j) for j in range(k + 1)])
-        lam_pows, alpha_pows = self._term_weights[k]
+        <= k in l and in a: sum_(i,j) c p^i q^(k-i) r^j s^(k-j), from the
+        power rows that ParamPoly.evaluate reads at the point."""
+        lam_pows, alpha_pows, _ = _point_rows(*self._point, k, k)
         return sum(c * lam_pows[i] * alpha_pows[j]
                    for (i, j), c in terms.items())
 
@@ -217,7 +213,7 @@ class PointContext:
         """(nums, den) with nums[j] / den = E_j(lam) = j! [t^j]
         2/(lam*e^t+1), j <= n."""
         return self._row("apostol", n,
-                         lambda: apostol_euler_series(1, self.lam, 0, n))
+                         lambda: _apostol_chain(self.lam, 0).product(1, n))
 
     def corrected_euler_row(self, n: int) -> tuple[list[int], int]:
         """The weights of 2/(lam*e^t + 1 + alpha), as apostol_row gives
@@ -244,11 +240,19 @@ class PointContext:
         return block
 
     def s2star_table(self, size: int) -> tuple[list[list[int]], int]:
-        """(rows, den) with rows[j][n] / den = j! S2*(n, j | alpha/lam) for
-        n, j <= size (at least), as degenerate._s2star_rows builds them; the
-        table is built again when a larger size is asked for."""
+        """(rows, den) with rows[j][n] / den = j! S2*(n, j | alpha/lam)
+        = n! [t^n] (e^t-1)_{j,alpha/lam} for n, j <= size (at least), read
+        from the S2* chain that new_deg_stirling2 keeps, over the lcm of its
+        products' denominators; the table is read again when a larger size
+        is asked for."""
         if self._s2star is None or len(self._s2star[0]) <= size:
-            self._s2star = _s2star_rows(self.alpha / self.lam, size)
+            chain = _s2star_chain(self.alpha / self.lam)
+            chain.product(size, size)  # P_0..P_size at order size or above
+            products = [chain.product(j, size) for j in range(size + 1)]
+            den = math.lcm(*(series.den for series in products))
+            self._s2star = ([[math.factorial(n) * c * (den // series.den)
+                              for n, c in enumerate(series.nums[:size + 1])]
+                             for series in products], den)
         return self._s2star
 
     def s2star_weights(self, k: int) -> tuple[list[int], int]:

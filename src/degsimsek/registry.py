@@ -5,7 +5,9 @@ a mode and the callable that runs it: "symbolic" entries hold in (l, a),
 run once, and compare values in Z[l,a] that simsek and falling_sum compute
 once and keep; "rational" entries run at every grid point, all of them at
 one point on one shared PointContext.  The symbolic checks and REL-S2STAR
-compare n, k <= SYMBOLIC_BOUND whatever the suite's order.
+compare n, k <= SYMBOLIC_BOUND whatever the suite's order.  The S2* and
+Apostol-Euler values they compare are the ones new_deg_stirling2 and
+apostol_euler serve, read from the same chains.
 Variant entries (suffixed ids) exercise alternative readings of ambiguous
 statements or derived corrections; they can never fail the suite, only
 report what they found.
@@ -28,7 +30,7 @@ import time
 
 from .algebra import _combine, _int_terms, _over
 from .classical import degenerate_falling_rows, stirling1, stirling2
-from .degenerate import _s2star_rows, deg_stirling1, deg_stirling2
+from .degenerate import deg_stirling1, deg_stirling2, new_deg_stirling2
 from .phi import (PointContext, check_egf, check_f_transform,
                   check_log_substitution, check_phi_apostol,
                   check_phi_derivative, check_phi_integral,
@@ -369,9 +371,8 @@ def check_red_a0() -> IdentityReport:
 
 def check_red_classical() -> IdentityReport:
     """At a = 0 the degenerate Stirling triangles are the classical ones, and
-    the table of j! S2*(n,j|0) (over q^size = 1) is j! S2(n,j)."""
-    s2star, _ = _s2star_rows(Fraction(0), SYMBOLIC_BOUND)
-
+    new_deg_stirling2(n, k, 0) is S2(n,k), both sides times its
+    denominator."""
     def const(c):
         return {(0, 0): c} if c else {}
 
@@ -386,9 +387,10 @@ def check_red_classical() -> IdentityReport:
                 yield (f"S1a->S1;(n,k)=({n},{k})", at_a0(deg_stirling1(n, k)),
                        const(stirling1(n, k)), 1)
             for k in range(SYMBOLIC_BOUND + 1):
-                yield (f"S2*->S2;(n,k)=({n},{k})", const(s2star[k][n]),
-                       const(math.factorial(k) * stirling2(n, k)),
-                       math.factorial(k))
+                s2star = new_deg_stirling2(n, k, 0)
+                yield (f"S2*->S2;(n,k)=({n},{k})", const(s2star.numerator),
+                       const(s2star.denominator * stirling2(n, k)),
+                       s2star.denominator)
     return _pair_report("RED-CLASSICAL", pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 

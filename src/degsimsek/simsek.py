@@ -34,8 +34,7 @@ import math
 from .algebra import (PP, QQ, ParamPoly, TruncSeries, _combine, _int_terms,
                       _over, exp_t)
 from .classical import (_stirling1_row, bernoulli_number,
-                        degenerate_falling, degenerate_falling_rows,
-                        stirling1)
+                        degenerate_falling, degenerate_falling_rows)
 
 _L = ParamPoly.lam()
 _A = ParamPoly.alpha()
@@ -66,17 +65,9 @@ def deg_simsek_y1(n: int, k: int) -> ParamPoly:
     (1/k!) sum_{m<=n} sum_{j<=k} C(k,j) j^m l^j a^(n-m) s(n,m)."""
     if n < 0 or k < 0:
         return ParamPoly()
-    inv = Fraction(1, math.factorial(k))
-    out = ParamPoly()
-    for m in range(n + 1):
-        s1 = stirling1(n, m)
-        if s1 == 0:
-            continue
-        for j in range(k + 1):
-            c = inv * math.comb(k, j) * j**m * s1
-            if c:
-                out = out + ParamPoly.term(c, j, n - m)
-    return out
+    return _over({(j, n - m): math.comb(k, j) * j**m * s1
+                  for m, s1 in enumerate(_stirling1_row(n))
+                  for j in range(k + 1)}, math.factorial(k))
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,18 @@ def deg_simsek_y1_alt(n: int, k: int):
     return out
 
 
+def apostol_euler_series(k: int, lam, alpha, order: int):
+    """The series (2/(lam e_alpha(t) + 1))^k, lam != -1, whose coefficient n
+    times n! is E_n^(k)(lam|alpha): the package's degenerate exponential
+    series, inverted by series_reciprocal and raised to the power k by
+    series products, not by the product chain apostol_euler reads."""
+    from degsimsek.algebra import series_reciprocal
+    from degsimsek.degenerate import deg_exp_series
+    half = (deg_exp_series(1, Fraction(alpha), order) * Fraction(lam) + 1) \
+        * Fraction(1, 2)
+    return series_reciprocal(half) ** k
+
+
 def fk_series_via_bernoulli(k: int, order: int, lam, alpha):
     """F_k at a rational point with alpha != 0 as
     (a^k/k!) * B_k^(k+1)((l*e^t+1)/a + 1), the order-(k+1) Bernoulli

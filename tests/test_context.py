@@ -12,7 +12,7 @@ import math
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from degsimsek import degenerate, phi, registry, simsek
+from degsimsek import classical, degenerate, phi, registry, simsek
 from degsimsek.algebra import (QQ, ParamPoly, TruncSeries, _int_terms, _over,
                                series_compose, series_log1p)
 from degsimsek.classical import degenerate_falling
@@ -20,7 +20,7 @@ from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, check_rel_s2star,
                                 falling_sum, random_points, run_suite)
-from degsimsek.reports import FAIL, reports_to_json
+from degsimsek.reports import FAIL, PASS, reports_to_json
 from degsimsek.simsek import ROUTES, simsek_y1, y1star
 
 from oracles import phi_reference, rel_s2star_reference
@@ -212,8 +212,8 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
     # point values come from integer terms, never from ParamPoly.evaluate
     monkeypatch.setattr(ParamPoly, "evaluate", counting(
         "evaluate", ParamPoly.evaluate))
-    # the factors of every series (x)_{n,a}: at most the F_0..F_8 chain,
-    # and no S2* or Apostol-Euler chain at all
+    # the factors of every series (x)_{n,a}: at most the F_0..F_8 chain;
+    # the S2* and Apostol-Euler values come from the library's own chains
     factors = []
     monkeypatch.setattr(degenerate, "_s2star_chains", {})
     monkeypatch.setattr(degenerate, "_apostol_chains", {})
@@ -231,11 +231,46 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
     assert calls["degenerate_falling"] <= 100
     assert calls["evaluate"] == 0
     # F_0..F_8 take 0 + 1 + ... + 8 = 36 factors when nothing is cached;
-    # one S2* chain per (n, k) of RED-CLASSICAL would take 324 more
+    # one S2* series per (n, k) of RED-CLASSICAL would take 324 more
     assert sum(factors) <= 36
-    assert degenerate._s2star_chains == {} == degenerate._apostol_chains
+    # one S2* chain per alpha/lam of the grid, and (0, 1) for
+    # RED-CLASSICAL; one Apostol-Euler chain per lam, at alpha = 0
+    grid = registry.default_grid()
+    ratios = {alpha / lam for lam, alpha in grid} | {Fraction(0)}
+    assert sorted(degenerate._s2star_chains) == sorted(
+        (r.numerator, r.denominator) for r in ratios)
+    assert sorted(degenerate._apostol_chains) == sorted(
+        {(lam.numerator, lam.denominator, 0, 1) for lam, _ in grid})
+    # and none of them is read above the suite's order
+    for chain in (*degenerate._s2star_chains.values(),
+                  *degenerate._apostol_chains.values()):
+        order, _, products = chain.state
+        assert order <= 8
+        assert all(series.order <= 8 for series in products)
     assert sorted(built) == sorted((n, source_a, 1 - source_a)
                                    for n in range(9) for source_a in (0, 1))
+
+
+def test_rel_s2star_reads_the_chain_new_deg_stirling2_keeps(monkeypatch,
+                                                            cold_chains):
+    # a product chain over QQ whose step term is doubled from coefficient 3
+    # on gives wrong S2* values wherever alpha/lam != 0; REL-S2STAR reads
+    # that chain, so it fails at every grid point with alpha != 0
+    exact = classical._extend_qq
+
+    def doubled_step(old, prev, x, step, i):
+        out = exact(old, prev, x, step, i)
+        start = max(3, 0 if old is None else old.order + 1)
+        extra = [0] * start + [-i * step * c
+                               for c in prev.coeffs[start:x.order + 1]]
+        return out + TruncSeries(x.var, x.order, extra[:x.order + 1], QQ)
+
+    monkeypatch.setattr(classical, "_extend_qq", doubled_step)
+    reports = [r for r in run_suite(order=8) if r.id == "REL-S2STAR"]
+    assert len(reports) == len(registry.default_grid()) == 7
+    assert [r.status for r in reports] == [
+        PASS if r.alpha == 0 else FAIL for r in reports]
+    assert sum(r.status == FAIL for r in reports) == 6
 
 
 def test_symbolic_job_computes_each_route_value_once(monkeypatch):

@@ -18,13 +18,12 @@ from degsimsek.algebra import (PP, ParamPoly, SeriesDomainError, TruncSeries,
                               exp_t)
 from degsimsek.classical import (_bernoulli_base, _ProductChain,
                                  bernoulli_number, degenerate_falling)
-from degsimsek.degenerate import (apostol_euler, apostol_euler_series,
-                                  new_deg_stirling2)
+from degsimsek.degenerate import apostol_euler, new_deg_stirling2
 from degsimsek.phi import phi_series
 from degsimsek.simsek import y1star
 
-from oracles import (apostol_euler_sympy, higher_bernoulli_sympy,
-                     reciprocal_solve)
+from oracles import (apostol_euler_series, apostol_euler_sympy,
+                     higher_bernoulli_sympy, reciprocal_solve)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()

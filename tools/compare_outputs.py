@@ -30,8 +30,11 @@ read again shows.  The library stream reads `y1star` by every route, its
 value at four rational points (one with lambda = 0, one with the large
 coprime denominators of (-7/11, 13/17)) before the value is rendered,
 `phi_series` at two of them each pass, and `fk_series`.  The suite
-stream runs `run_suite` twice, at order 12 with seed 7 and then at order 8
-with seed 3, and prints both report lists as JSON; it then reads
+stream first reads `new_deg_stirling2` at every alpha/lambda of the seed-7
+grid and `apostol_euler(n, 1, lambda, 0)` at its lambda values, to order
+14, so that the suites then read the chains behind them held above their
+size; it runs `run_suite` twice, at order 12 with seed 7 and then at order
+8 with seed 3, and prints both report lists as JSON; it then reads
 `scaled_y1star` by every route for n, k <= 12.  A module memo that
 outlives a suite, and that a fresh interpreter per case cannot see, shows
 there.  The series stream
@@ -120,9 +123,16 @@ for top in (4, 7, 3, 9, 7):
 SUITE_CASE = ["suite stream"]
 # the second suite reads what the first left in the module stores
 SUITE_STREAM = """
-from degsimsek import run_suite
+from degsimsek import apostol_euler, new_deg_stirling2, run_suite
+from degsimsek.registry import default_grid
 from degsimsek.reports import reports_to_json
 from degsimsek.simsek import scaled_y1star
+# the S2* and Apostol-Euler chains the first suite reads, held to order 14
+# first, so that the suites read products above the size they ask for
+for lam, alpha in default_grid(7):
+    for n in range(14, -1, -1):
+        print(lam, alpha, n, apostol_euler(n, 1, lam, 0),
+              *(new_deg_stirling2(n, k, alpha / lam) for k in range(15)))
 for order, seed in ((12, 7), (8, 3)):
     print(reports_to_json(run_suite(order=order, seed=seed)))
 for route in "ABCDEF":
