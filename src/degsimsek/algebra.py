@@ -21,9 +21,10 @@ there shares.  Ring operations, ==, substitute, render and the series
 kernel read the Fraction terms.
 
 Over QQ the series product convolves integer numerators.  Over QQ[l,a]
-(`_pp_dot`) it sums each output coefficient in one dict keyed by the
-(l, a) degrees, adding every term product c1*c2 of a[r] and b[m-r] to its
-key, and builds one ParamPoly at the end without the terms that cancelled.
+its kernel `_pp_dot`, which serves nothing else, sums each output
+coefficient in one dict keyed by the (l, a) degrees, adding every term
+product c1*c2 of a[r] and b[m-r] to its key, and builds one ParamPoly at
+the end without the terms that cancelled.
 """
 
 from __future__ import annotations
@@ -127,10 +128,6 @@ class ParamPoly:
         return cls({(0, 1): Fraction(1)})
 
     # -- structure ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def deg_l(self) -> int:
@@ -408,11 +405,11 @@ def _int_terms(poly: ParamPoly, scale: int) -> dict:
     return {key: c * factor for key, c in poly._nums.items()}
 
 
-def _pp_dot(left, right, start=None) -> ParamPoly:
-    """sum_r left[r] * right[r] over QQ[l,a], plus `start` if given,
-    summed in one dict as the module docstring says; coefficient m of a
-    series product is _pp_dot(a[:m+1], b[m::-1])."""
-    out = {} if start is None else dict(start.terms)
+def _pp_dot(left, right) -> ParamPoly:
+    """sum_r left[r] * right[r] over QQ[l,a], summed in one dict as the
+    module docstring says: the series product's kernel, coefficient m of
+    a * b being _pp_dot(a[:m+1], b[m::-1])."""
+    out = {}
     for a, b in zip(left, right):
         right_terms = b.terms.items()
         for (i1, j1), c1 in a.terms.items():

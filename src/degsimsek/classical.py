@@ -4,7 +4,9 @@ polynomials.
 
 Triangles are filled by their defining recurrences with memoized rows; the
 generating-function route is kept in the test suite as an independent
-cross-check, not here.  Caches only ever grow and hold immutable values.
+cross-check, not here.  The Bernoulli powers, like the rational S2* and
+the Apostol-Euler series of `degenerate`, are read from grow-only product
+chains over QQ.  Caches only ever grow and hold immutable values.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 import math
 from operator import mul
 
-from .algebra import QQ, TruncSeries, _pp_dot, _reciprocal_qq
+from .algebra import QQ, TruncSeries, _reciprocal_qq
 
 # Row r of each triangle holds the values for n = r, k = 0..r.
 _S2_ROWS: list[list[int]] = [[1]]
@@ -77,30 +79,9 @@ def degenerate_falling(x, n: int, alpha):
     return result
 
 
-# x -> the rows degenerate_falling_rows gives for the integer x
-_falling_rows: dict[int, list[list[int]]] = {}
-
-
-def degenerate_falling_rows(x: int, m: int) -> list[list[int]]:
-    """Rows 0..m (at least) for an integer x: row j lists the integer
-    coefficients of a^0, a^1, ... in (x)_{j,a} = x(x-a)...(x-(j-1)a), one
-    factor (x - j a) more than row j-1.  One list per x, handed out
-    itself, so do not mutate it; a longer one replaces it whole, so a list
-    handed out never changes."""
-    rows = _falling_rows.get(x, [[1]])
-    if len(rows) <= m:
-        rows = list(rows)
-        for j in range(len(rows) - 1, m):
-            prev = rows[j]
-            rows.append([x * c - j * p
-                         for c, p in zip(prev + [0], [0] + prev)])
-        _falling_rows[x] = rows
-    return rows
-
-
 class _ProductChain:
     """Grow-only chain of the products P_j = x(x - a)(x - 2a)...(x - (j-1)a)
-    of a series x, all held at one truncation order: P_0 = 1 and
+    of a series x over QQ, all held at one truncation order: P_0 = 1 and
     P_{j+1} = P_j * (x - j a), the products degenerate_falling(x, j, a)
     forms; at a = 0 they are the powers of x.  `base(order)` gives x at a
     truncation order.
@@ -113,9 +94,8 @@ class _ProductChain:
     of each product, it puts more of them in the slow tail.
     The factor x - j a differs from x only in its constant term, so
     coefficient m of P_{j+1} is sum_r P_j[r] x[m-r] - j a P_j[m]: a step of
-    one order costs one such sum per product, not a series product.  Over
-    QQ the sums run on the integer numerators, over QQ[l,a] in the series
-    product's one dict per coefficient.  The state (order, x,
+    one order costs one such sum per product, not a series product, and
+    the sums run on the integer numerators.  The state (order, x,
     products) is one tuple replaced whole, so a reader in another thread
     sees an older chain or a newer one, never a mix of the two."""
 
@@ -134,14 +114,13 @@ class _ProductChain:
             return products[j]
         if order > chain_order:
             chain_order, x = order, self.base(order)
-        extend = _extend_qq if x.ring is QQ else _extend
         grown = []
         for i in range(max(j + 1, len(products))):
             held = products[i] if i < len(products) else None
             if held is None or held.order < chain_order:
-                held = (extend(held, grown[i - 1], x, self.step, i - 1) if i
-                        else TruncSeries.constant(x.ring.one, x.var,
-                                                  chain_order, x.ring))
+                held = (_extend_qq(held, grown[i - 1], x, self.step, i - 1)
+                        if i else TruncSeries.constant(QQ.one, x.var,
+                                                       chain_order, QQ))
             grown.append(held)
         self.state = (chain_order, x, tuple(grown))
         return grown[j]
@@ -149,7 +128,7 @@ class _ProductChain:
 
 def _extend_qq(old, prev: TruncSeries, x: TruncSeries, step,
                i: int) -> TruncSeries:
-    """prev * (x - i step) over QQ at x's order, summed in integers: with
+    """prev * (x - i step) at x's order, summed in integers: with
     prev = a/da, x = xs/dx and i step = p/q, coefficient m is
     (q sum_r a[r] xs[m-r] - p dx a[m]) / (da dx q).  The coefficients of
     `old`, the product at a lower order (or None), are kept, so only the
@@ -166,18 +145,6 @@ def _extend_qq(old, prev: TruncSeries, x: TruncSeries, step,
     for m in range(len(nums), x.order + 1):
         nums.append(q * sum(map(mul, a[:m + 1], xs[m::-1])) - shift * a[m])
     return TruncSeries._qq(x.var, x.order, nums, den)
-
-
-def _extend(old, prev: TruncSeries, x: TruncSeries, step,
-            i: int) -> TruncSeries:
-    """prev * (x - i step) over QQ[l,a] at x's order, keeping the
-    coefficients of `old` (the product at a lower order, or None)."""
-    shift = -step * i
-    a, xs = prev.coeffs, x.coeffs
-    coeffs = [] if old is None else list(old.coeffs)
-    for m in range(len(coeffs), x.order + 1):
-        coeffs.append(_pp_dot(a[:m + 1], xs[m::-1], a[m] * shift))
-    return TruncSeries(x.var, x.order, coeffs, x.ring)
 
 
 class _Reciprocal:

@@ -9,9 +9,13 @@ between the ordinary and the a-deformed falling-factorial bases:
     (x)_n     = sum_l  deg_stirling1(n,l) (x)_{l,a}
 
 They are computed by a triangular solve against the (monic) target basis,
-straight from the definitions.  S2* and the Apostol-Euler numbers are read
-from grow-only product chains, one per alpha and one per point, which
-_s2star_chain and _apostol_chain hand to the library and the verifier alike.
+straight from the definitions; both bases, like route C's (1)_{n,a} and
+falling_sum's (-1)_{n,a}, are read off the Stirling-1 rows,
+(x)_{n,a} = sum_j s(n,j) a^(n-j) x^j.  So is a symbolic S2*:
+n! [t^n] (e^t-1)^j = j! S2(n,j) makes it an integer sum.  A rational S2*
+and the Apostol-Euler numbers are read from grow-only product chains over
+QQ, one per alpha and one per point, which _s2star_chain and
+_apostol_chain hand to the library and the verifier alike.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 
 from .algebra import (PP, QQ, ParamPoly, SeriesDomainError, TruncSeries,
                       _combine, _over, exp_t)
-from .classical import _ProductChain, _Reciprocal
+from .classical import _ProductChain, _Reciprocal, _stirling1_row, stirling2
 
 # row caches: n -> list of ParamPoly (index l), polynomials in a only
 _DS2_ROWS: dict[int, list[ParamPoly]] = {}
@@ -30,12 +34,12 @@ _DS1_ROWS: dict[int, list[ParamPoly]] = {}
 
 def _falling_terms(n: int, step_a: int) -> list[dict]:
     """Integer terms {(deg_l, deg_a): c} of prod_{i<m} (l - i a^step_a)
-    for m = 0..n: the falling factorials (l)_m at step_a = 0, the
-    degenerate ones (l)_{m,a} at step_a = 1 (l stands for x)."""
-    out = [{(0, 0): 1}]
-    for i in range(n):
-        out.append(_combine([(out[i], 1, 1, 0), (out[i], -i, 0, step_a)]))
-    return out
+    = sum_j s(m,j) l^j a^(step_a (m-j)) for m = 0..n: the falling
+    factorials (l)_m at step_a = 0, the degenerate ones (l)_{m,a} at
+    step_a = 1 (l stands for x)."""
+    return [{(j, step_a * (m - j)): s1
+             for j, s1 in enumerate(_stirling1_row(m)) if s1}
+            for m in range(n + 1)]
 
 
 def _falling_basis_row(n: int, source_a: int, target_a: int) -> list[ParamPoly]:
@@ -77,29 +81,23 @@ def deg_stirling1(n: int, l: int) -> ParamPoly:
 
 
 # chains of (e^t-1)_{j,a}, keyed by a rational alpha = p/q in lowest terms
-# as (p, q) or by a symbolic alpha's canonical text: hashing two ints is
-# much cheaper than hashing a Fraction, and equal alphas however written
-# share one chain
-_s2star_chains: dict[tuple[int, int] | str, _ProductChain] = {}
+# as (p, q): hashing two ints is much cheaper than hashing a Fraction, and
+# equal alphas however written share one chain
+_s2star_chains: dict[tuple[int, int], _ProductChain] = {}
 
 
 def _s2star_chain(alpha) -> _ProductChain:
-    """The chain of the products (e^t-1)_{j,alpha}, j = 0, 1, ..., that
-    new_deg_stirling2 and the verifier's S2* tables read: over QQ for a
-    rational alpha, over QQ[l,a] for a ParamPoly; made on first use."""
-    if isinstance(alpha, ParamPoly):
-        key = alpha.render()
-    else:
-        try:
-            key = alpha.numerator, alpha.denominator
-        except AttributeError:  # a float or a string: read it exactly
-            return _s2star_chain(Fraction(alpha))
+    """The chain of the products (e^t-1)_{j,alpha}, j = 0, 1, ..., at a
+    rational alpha, that new_deg_stirling2 and the verifier's S2* tables
+    read; made on first use."""
+    try:
+        key = alpha.numerator, alpha.denominator
+    except AttributeError:  # a float or a string: read it exactly
+        return _s2star_chain(Fraction(alpha))
     chain = _s2star_chains.get(key)
     if chain is None:
-        ring, step = ((PP, alpha) if isinstance(key, str)
-                      else (QQ, Fraction(*key)))
         chain = _s2star_chains[key] = _ProductChain(
-            lambda order: exp_t(order, ring) - 1, step)
+            lambda order: exp_t(order) - 1, Fraction(*key))
     return chain
 
 
@@ -107,17 +105,20 @@ def new_deg_stirling2(n: int, k: int, alpha):
     """New-type degenerate Stirling number S2*(n,k|a): n! times coefficient
     n of (e^t-1)_{k,a}/k!.
 
-    `alpha` may be a rational (value returned as Fraction) or a ParamPoly
-    (value returned symbolically).  Series extraction is authoritative at
-    k = 0: S2*(0,0|a) = 1 and S2*(n,0|a) = 0 for n >= 1.
+    `alpha` may be a rational (value returned as Fraction, read from the
+    alpha's chain) or a ParamPoly (value returned symbolically, as the sum
+    (1/k!) sum_j s(k,j) alpha^(k-j) j! S2(n,j), by Horner in alpha).
+    S2*(0,0|a) = 1 and S2*(n,0|a) = 0 for n >= 1.
     """
     symbolic = isinstance(alpha, ParamPoly)
     if n < 0 or k < 0:
         return ParamPoly() if symbolic else Fraction(0)
-    series = _s2star_chain(alpha).product(k, n)
     if symbolic:
-        return series.coeffs[n] * Fraction(math.factorial(n),
-                                           math.factorial(k))
+        value = ParamPoly()
+        for j, s1 in enumerate(_stirling1_row(k)):
+            value = value * alpha + s1 * math.factorial(j) * stirling2(n, j)
+        return value * Fraction(1, math.factorial(k))
+    series = _s2star_chain(alpha).product(k, n)
     return Fraction(series.nums[n] * math.factorial(n),
                     series.den * math.factorial(k))
 

@@ -29,7 +29,7 @@ import random
 import time
 
 from .algebra import _combine, _int_terms, _over
-from .classical import degenerate_falling_rows, stirling1, stirling2
+from .classical import _stirling1_row, stirling1, stirling2
 from .degenerate import deg_stirling1, deg_stirling2, new_deg_stirling2
 from .phi import (PointContext, check_egf, check_f_transform,
                   check_log_substitution, check_phi_apostol,
@@ -239,15 +239,16 @@ _falling_sums: dict[tuple[int, int], dict] = {}
 
 def falling_sum(k: int, n: int) -> dict:
     """sum_i (-1)_{k-i,a} C(k,i) Y(n,i): the right side of THM-S1, and
-    n! [t^n] of the left side of FUNC-EQ; computed once per (k, n) and
+    n! [t^n] of the left side of FUNC-EQ, with
+    (-1)_{m,a} = sum_j s(m,j) (-1)^j a^(m-j); computed once per (k, n) and
     kept, so do not mutate the result."""
     value = _falling_sums.get((k, n))
     if value is None:
-        minus_one = degenerate_falling_rows(-1, k)
         value = _falling_sums[(k, n)] = _combine(
-            (scaled_y1star(n, i), math.comb(k, i) * c, 0, e)
+            (scaled_y1star(n, i), math.comb(k, i) * (-1) ** j * s1, 0,
+             k - i - j)
             for i in range(k + 1)
-            for e, c in enumerate(minus_one[k - i]))
+            for j, s1 in enumerate(_stirling1_row(k - i)))
     return value
 
 

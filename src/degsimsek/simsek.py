@@ -33,8 +33,7 @@ import math
 
 from .algebra import (PP, QQ, ParamPoly, TruncSeries, _combine, _int_terms,
                       _over, exp_t)
-from .classical import (_stirling1_row, bernoulli_number,
-                        degenerate_falling, degenerate_falling_rows)
+from .classical import _stirling1_row, bernoulli_number, degenerate_falling
 
 _L = ParamPoly.lam()
 _A = ParamPoly.alpha()
@@ -140,13 +139,12 @@ def _route_b(n: int, k: int) -> dict:
 def _route_c(n: int, k: int) -> dict:
     # (1)_{k-l,a} here follows the derivation (step parameter a); the
     # printed step-j variant is exercised separately by the verifier.
-    # falling[m] lists the integer coefficients of a^0, a^1, ... in
-    # (1)_{m,a}
-    falling = degenerate_falling_rows(1, k)
+    # (1)_{m,a} = sum_j s(m,j) a^(m-j), so the reversed row s(m, m..0)
+    # lists its integer coefficients of a^0, a^1, ...
     powers = [j**n for j in range(k + 1)]
     terms: dict[tuple[int, int], int] = {}
     for l in range(k + 1):
-        ones = falling[k - l]
+        ones = _stirling1_row(k - l)[::-1]
         s1 = _stirling1_row(l)
         for j in range(l + 1):
             c = math.comb(k, l) * s1[j] * powers[j]

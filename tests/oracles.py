@@ -83,6 +83,24 @@ def higher_bernoulli_sympy(bound: int) -> dict:
     return _sympy_power_table(t / (sympy.exp(t) - 1), t, bound)
 
 
+def s2star_sympy(bound: int) -> dict:
+    """{(n, k): S2*(n,k|a) as terms {(0, deg_a): c}} for n, k <= bound,
+    read from the expansion of n!/k! prod_{i<k} (e^t - 1 - i a)."""
+    import sympy
+    t, a = sympy.symbols("t a")
+    em1 = sympy.series(sympy.exp(t) - 1, t, 0, bound + 1).removeO()
+    out = {}
+    product = sympy.Integer(1)
+    for k in range(bound + 1):
+        for n in range(bound + 1):
+            value = sympy.Poly(product.coeff(t, n) * sympy.factorial(n)
+                               / sympy.factorial(k), a)
+            out[(n, k)] = {(0, d): Fraction(int(c.p), int(c.q))
+                           for (d,), c in value.terms() if c}
+        product = sympy.expand(product * (em1 - k * a))
+    return out
+
+
 def apostol_euler_sympy(lam, alpha, bound: int) -> dict:
     """{(n, k): E_n^(k)(lam|alpha)} for n, k <= bound, read from the series
     of (2/(lam e_alpha(t) + 1))^k, with e_alpha(t) = (1 + alpha t)^(1/alpha)

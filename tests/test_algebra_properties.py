@@ -3,9 +3,10 @@ ParamPoly.evaluate and substitute against the plain sum c*l^i*a^j, a
 ParamPoly built in the integer form alone against the same polynomial
 built from Fractions (one canonical integer form, and equal values under
 every operation), the TruncSeries product against a plain list
-convolution and, over QQ[l,a], against the plain ring loop, and every
-operation on QQ series against a Fraction list.  Scalar +, - and *, the
-product and the reciprocal of QQ series run on their integer numerators;
+convolution and, over QQ[l,a], against the plain ring loop, a symbolic
+S2* (a Stirling-1 sum) against the series of the product it expands, and
+every operation on QQ series against a Fraction list.  Scalar +, - and *,
+the product and the reciprocal of QQ series run on their integer numerators;
 the other operations run on their Fraction coefficients, and every result
 must still read back in the canonical integer form."""
 
@@ -21,7 +22,8 @@ from degsimsek.algebra import (PP, QQ, ParamPoly, SeriesDomainError,
                                _reciprocal_qq, exp_t,
                                series_differentiate, series_integrate,
                                series_reciprocal)
-from degsimsek.classical import _ProductChain, degenerate_falling
+from degsimsek.classical import degenerate_falling
+from degsimsek.degenerate import new_deg_stirling2
 
 from oracles import reciprocal_solve, ring_product
 
@@ -223,20 +225,19 @@ small_alphas = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 
 
 @settings(max_examples=25, deadline=None)
-@given(small_alphas, st.integers(0, 6), st.integers(0, 5))
+@given(small_alphas, st.integers(0, 6), st.integers(0, 6))
 @example(A, 6, 5)
+@example(A * 2, 6, 5)
+@example(L + A, 6, 6)
 @example(ParamPoly(), 4, 3)
-def test_symbolic_s2star_chain_climbed_by_order_equals_the_products(
-        alpha, top, length):
-    base = lambda order: exp_t(order, PP) - 1  # noqa: E731
-    chain = _ProductChain(base, alpha)
-    for order in range(top + 1):
-        chain.product(length, order)
-    order, _, products = chain.state
-    assert order == top and len(products) == length + 1
-    for j, product in enumerate(products):
-        assert product == degenerate_falling(base(top), j, alpha), j
-        assert_no_zero_terms(product)
+def test_symbolic_s2star_equals_the_series_of_the_falling_product(
+        alpha, n, k):
+    # the Stirling-1 sum against n!/k! [t^n] of the product it expands
+    series = degenerate_falling(exp_t(n, PP) - 1, k, alpha)
+    value = new_deg_stirling2(n, k, alpha)
+    assert value == series.coeffs[n] * Fraction(math.factorial(n),
+                                                math.factorial(k))
+    assert all(c != 0 for c in value.terms.values())
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ def test_degenerate_falling_at_alpha_one_is_falling():
             falling_factorial(L, n)
 
 
+def test_degenerate_falling_at_integers_from_stirling1():
+    # (x)_{m,a} = sum_j s(m,j) x^j a^(m-j), which route C, falling_sum and
+    # the degenerate Stirling bases read off the Stirling-1 rows
+    for x in (1, -1, 3):
+        for m in range(11):
+            expected = degenerate_falling(Fraction(x), m, A)
+            assert ParamPoly({(0, m - j): stirling1(m, j) * x**j
+                              for j in range(m + 1)}) == expected, (x, m)
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and polynomials
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""The product chains behind bernoulli_number, new_deg_stirling2 and
-apostol_euler, and the memo of ParamPoly.evaluate: independent sympy
-oracles, a property that any interleaving of cached reads equals the
-uncached formulas, and count guards on the work a read does."""
+"""The product chains behind bernoulli_number, new_deg_stirling2 at a
+rational alpha and apostol_euler, and the memo of ParamPoly.evaluate:
+independent sympy oracles (symbolic S2* among them), a property that any
+interleaving of cached reads equals the uncached formulas, and count
+guards on the work a read does."""
 
 from fractions import Fraction
 import math
@@ -23,7 +24,7 @@ from degsimsek.phi import phi_series
 from degsimsek.simsek import y1star
 
 from oracles import (apostol_euler_series, apostol_euler_sympy,
-                     higher_bernoulli_sympy, reciprocal_solve)
+                     higher_bernoulli_sympy, reciprocal_solve, s2star_sympy)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -41,6 +42,14 @@ def test_bernoulli_numbers_match_sympy_series(cold_chains):
     expected = higher_bernoulli_sympy(6)
     for n, k in shuffled(expected):
         assert bernoulli_number(n, k) == expected[(n, k)], (n, k)
+
+
+def test_symbolic_s2star_matches_sympy_series(cold_chains):
+    expected = s2star_sympy(6)
+    for n, k in shuffled(expected):
+        assert new_deg_stirling2(n, k, A) == ParamPoly(expected[(n, k)]), \
+            (n, k)
+    assert degenerate._s2star_chains == {}
 
 
 def test_apostol_euler_numbers_match_sympy_series(cold_chains):
@@ -135,7 +144,6 @@ def count_products(monkeypatch) -> list:
 FAMILIES = {
     "bernoulli": bernoulli_number,
     "s2star": lambda n, k: new_deg_stirling2(n, k, Fraction(2, 5)),
-    "s2star symbolic": lambda n, k: new_deg_stirling2(n, k, A),
     "apostol": lambda n, k: apostol_euler(n, k, Fraction(3, 2), Fraction(1, 3)),
 }
 
@@ -146,35 +154,26 @@ def family_chain(family: str) -> _ProductChain:
         return classical._bernoulli_powers
     if family == "apostol":
         return degenerate._apostol_chains[(3, 2, 1, 3)]
-    return degenerate._s2star_chains["1*a" if "symbolic" in family
-                                     else (2, 5)]
+    return degenerate._s2star_chains[(2, 5)]
 
 
 def count_extensions(monkeypatch) -> tuple[list, list]:
     """From now on, record (order of the product kept, order extended to)
     for every product a chain extends, -1 for a product made from nothing,
     and every term of the coefficient sums: coefficient m of a product
-    sums m + 1 terms, as integer products over QQ and as polynomial pairs
-    of the series product's kernel over QQ[l,a]."""
+    sums m + 1 integer products."""
     calls, terms = [], []
-    for name in ("_extend_qq", "_extend"):
-        inner = getattr(classical, name)
+    inner = classical._extend_qq
 
-        def counted(old, prev, x, step, i, inner=inner):
-            calls.append((-1 if old is None else old.order, x.order))
-            return inner(old, prev, x, step, i)
-        monkeypatch.setattr(classical, name, counted)
+    def counted(old, prev, x, step, i):
+        calls.append((-1 if old is None else old.order, x.order))
+        return inner(old, prev, x, step, i)
+    monkeypatch.setattr(classical, "_extend_qq", counted)
 
     def counted_mul(a, b):
         terms.append(1)
         return a * b
     monkeypatch.setattr(classical, "mul", counted_mul)
-    inner_dot = classical._pp_dot
-
-    def counted_dot(left, right, start=None):
-        terms.extend(1 for _ in left)
-        return inner_dot(left, right, start)
-    monkeypatch.setattr(classical, "_pp_dot", counted_dot)
     return calls, terms
 
 
@@ -282,7 +281,7 @@ def test_climbing_reads_equal_one_build_at_the_top_order(cold_chains,
     top = chain.base(12)
     fresh = [degenerate_falling(top, k, chain.step) for k in range(13)]
     scale = (lambda n, k: Fraction(math.factorial(n), math.factorial(k))) \
-        if family.startswith("s2star") else (lambda n, k: math.factorial(n))
+        if family == "s2star" else (lambda n, k: math.factorial(n))
     for (n, k), value in values.items():
         assert value == fresh[k].coeffs[n] * scale(n, k), (n, k)
     order, _, products = chain.state
@@ -456,9 +455,9 @@ def test_equal_alphas_and_points_share_one_chain(cold_chains):
     assert list(degenerate._s2star_chains) == [(1, 2)]
     assert new_deg_stirling2(4, 2, 0) == new_deg_stirling2(4, 2, Fraction(0))
     assert list(degenerate._s2star_chains) == [(1, 2), (0, 1)]
-    # a symbolic alpha keeps its canonical text
+    # a symbolic read makes no chain
     new_deg_stirling2(3, 2, A)
-    assert list(degenerate._s2star_chains)[-1] == "1*a"
+    assert list(degenerate._s2star_chains) == [(1, 2), (0, 1)]
 
     expected = apostol_euler_series(3, Fraction(3, 2), Fraction(-1, 4),
                                     5).coeffs[5] * math.factorial(5)

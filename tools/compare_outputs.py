@@ -19,10 +19,10 @@ for routes A-F, symbolic and at two rational points, as CSV and JSON;
 wherever the family accepts them, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
 with --lambda only, --alpha only and both, where the CLI accepts the
-combination; three larger symbolic cases, where more terms of the products
-over QQ[l,a] cancel: `table --family y1star` at 12x12, `series --family
-y1star --k 8 --order 12` and `table --family s2star` at 10x10; and `phi`
-at three points: 211 cases in all, 206 CLI calls and five streams.  The
+combination; three larger symbolic cases, where more terms cancel: the
+products over QQ[l,a] of `table --family y1star` at 12x12 and `series
+--family y1star --k 8 --order 12`, and the Stirling-1 sums of `table
+--family s2star` at 10x10; and `phi` at three points: 211 cases in all, 206 CLI calls and five streams.  The
 five stream cases run a fixed
 stream of library reads with revisits in one interpreter each, with every
 answer rendered on its own line, so that a value that changes when it is
@@ -37,20 +37,21 @@ size; it runs `run_suite` twice, at order 12 with seed 7 and then at order
 8 with seed 3, and prints both report lists as JSON; it then reads
 `scaled_y1star` by every route for n, k <= 12.  A module memo that
 outlives a suite, and that a fresh interpreter per case cannot see, shows
-there.  The series stream
-reads `new_deg_stirling2` with rational and symbolic alpha,
+there.  The series stream reads `new_deg_stirling2` with rational alpha
+and with the symbolic alphas a, 2a, l + a and 0 (a ParamPoly),
 `bernoulli_number`, `apostol_euler`, `deg_exp_series` (rational and
 symbolic) and `fk_series` at a point, and applies every public `series_*`
 operation, series + and -, negation and `truncate` to a series over QQ
 and one over QQ[l,a].  It then reads `apostol_euler`, `new_deg_stirling2`
-(rational and symbolic alpha) and `bernoulli_number` at three points with
-n falling and rising and k above and below what earlier reads built, so
-that the grow-only product chains behind them are rebuilt and extended,
-and revisits `y1star(...).evaluate` and `phi_series` at the same points,
-given once as Fractions and once as equal ints or unreduced Fractions.
+(rational and the four symbolic alphas) and `bernoulli_number` at three
+points with n falling and rising and k above and below what earlier reads
+built, so that the grow-only product chains behind the rational values
+are rebuilt and extended, and revisits `y1star(...).evaluate` and
+`phi_series` at the same points, given once as Fractions and once as
+equal ints or unreduced Fractions.
 The climb stream reads `apostol_euler`, `new_deg_stirling2` (rational and
-symbolic alpha) and `bernoulli_number` at n = 0, 1, ..., 12 with every
-k <= n, so that each product chain steps up one order at a time, and
+the four symbolic alphas) and `bernoulli_number` at n = 0, 1, ..., 12 with
+every k <= n, so that each product chain steps up one order at a time, and
 route-A `y1star` the same way to n = 8 (F_k is rebuilt at each order,
 which costs seconds beyond that); it then reads `scaled_y1star` by route
 A for n, k <= 8.  An error that builds up over order extensions shows
@@ -58,7 +59,7 @@ there as a byte difference.  The tail stream reads route A below an F_k,
 builds that F_k at a higher order, which publishes the route-A values not
 read yet, and reads every value again; it reads the product chains out of
 order (a high k at a low n, a higher n at a low k, then the high k again)
-at two points and symbolically; and it reads `phi_series` rows of rising
+at two points, with symbolic S2* read alike; and it reads `phi_series` rows of rising
 and falling degree at four fresh points, lambda = 0 and alpha = 0 among
 them, so that a row of low degree starts each point's power table and
 later rows grow it.  Values published ahead of their reads, products
@@ -152,6 +153,7 @@ from degsimsek import (ParamPoly, TruncSeries, apostol_euler,
 from degsimsek.algebra import PP, QQ
 l, a = ParamPoly.lam(), ParamPoly.alpha()
 points = ((F(3, 2), F(1, 3)), (F(-3, 5), F(1, 2)))
+symbolic_alphas = (a, 2 * a, l + a, ParamPoly())
 
 
 def show(name, value):
@@ -185,7 +187,9 @@ for top in (4, 7, 3, 9, 7):
     for n in range(top + 1):
         for k in range(top + 1):
             show(f"S2* {n} {k}", new_deg_stirling2(n, k, alpha))
-            show(f"S2* {n} {k} symbolic", new_deg_stirling2(n, k, a))
+            for s_alpha in symbolic_alphas:
+                show(f"S2* {n} {k} at {s_alpha.render()}",
+                     new_deg_stirling2(n, k, s_alpha))
             show(f"B {n} {k}", bernoulli_number(n, k))
             show(f"E {n} {k}", apostol_euler(n, k, lam, alpha))
     for k in range(top + 1):
@@ -213,7 +217,9 @@ for chain_points in (((F(3, 2), F(1, 3)), (F(-3, 5), F(1, 2)), (F(2), F(0))),
         for n, k in reads:
             show(f"E {n} {k} at {lam} {alpha}", apostol_euler(n, k, lam, alpha))
             show(f"S2* {n} {k} at {alpha}", new_deg_stirling2(n, k, alpha))
-            show(f"S2* {n} {k} symbolic", new_deg_stirling2(n, k, a))
+            for s_alpha in symbolic_alphas:
+                show(f"S2* {n} {k} at {s_alpha.render()}",
+                     new_deg_stirling2(n, k, s_alpha))
             show(f"B {n} {k}", bernoulli_number(n, k))
             show(f"y1star {n} {k} at {lam} {alpha}",
                  y1star(n, k).evaluate(lam, alpha))
@@ -227,13 +233,15 @@ from fractions import Fraction as F
 from degsimsek import (ParamPoly, apostol_euler, bernoulli_number,
                        new_deg_stirling2, y1star)
 from degsimsek.simsek import scaled_y1star
-a = ParamPoly.alpha()
+l, a = ParamPoly.lam(), ParamPoly.alpha()
 lam, alpha = F(3, 2), F(1, 3)
 for n in range(13):
     for k in range(n + 1):
         print("E", n, k, apostol_euler(n, k, lam, alpha))
         print("S2*", n, k, new_deg_stirling2(n, k, alpha))
-        print("S2* symbolic", n, k, new_deg_stirling2(n, k, a).render())
+        for s_alpha in (a, 2 * a, l + a, ParamPoly()):
+            print("S2* at", s_alpha.render(), n, k,
+                  new_deg_stirling2(n, k, s_alpha).render())
         print("B", n, k, bernoulli_number(n, k))
         if n <= 8:
             print("y1star", n, k, y1star(n, k).render())
@@ -333,8 +341,8 @@ def cases() -> list[list[str]]:
             # series y1star takes both --lambda and --alpha or neither
             matrix.append(["series", "--family", family, "--k", "3",
                            "--order", "6", *sub])
-    # larger symbolic sizes, where more terms of the QQ[l,a] product sums
-    # cancel: route A, an F_k series, and S2* through its chain's extension
+    # larger symbolic sizes, where more terms cancel: route A and an F_k
+    # series in the QQ[l,a] product sums, and S2* in its Stirling-1 sums
     matrix += [["table", "--family", "y1star", "--n-max", "12",
                 "--k-max", "12"],
                ["series", "--family", "y1star", "--k", "8", "--order", "12"],
