@@ -32,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 import operator
+import re
 
 
 class SeriesStructureError(ValueError):
@@ -43,8 +44,24 @@ class SeriesDomainError(ValueError):
     series with nonzero constant term, reciprocal of a non-unit)."""
 
 
+# The largest decimal exponent parse_rational reads, in absolute value:
+# Fraction builds 10^e in full, so "1e999999999" would run until memory
+# runs out, while 10^20000 takes about a millisecond.
+MAX_DECIMAL_EXPONENT = 20000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical 'p/q' (or plain 'p') rendering into a Fraction."""
+    """Parse the canonical 'p/q' (or plain 'p') rendering into a Fraction.
+    Decimals such as '0.25' or '5e-3' are read too, with an exponent of at
+    most MAX_DECIMAL_EXPONENT in absolute value."""
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits or "0") > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"rational {text!r} has a decimal exponent "
+                             f"above the cap of {MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

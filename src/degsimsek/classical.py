@@ -97,14 +97,19 @@ class _ProductChain:
     one order costs one such sum per product, not a series product, and
     the sums run on the integer numerators.  The state (order, x,
     products) is one tuple replaced whole, so a reader in another thread
-    sees an older chain or a newer one, never a mix of the two."""
+    sees an older chain or a newer one, never a mix of the two.
 
-    __slots__ = ("base", "step", "state")
+    `values` maps (n, k) to the number the chain's public reader returned
+    for it, stored once built, so that a repeated read is one lookup that
+    returns the same object."""
+
+    __slots__ = ("base", "step", "state", "values")
 
     def __init__(self, base, step=0):
         self.base = base
         self.step = step
         self.state = (-1, None, ())
+        self.values: dict[tuple[int, int], Fraction] = {}
 
     def product(self, j: int, order: int) -> TruncSeries:
         """P_j truncated at `order` or above: its coefficients 0..order are
@@ -190,11 +195,18 @@ _bernoulli_powers = _ProductChain(_bernoulli_base)
 
 
 def bernoulli_number(n: int, k: int) -> Fraction:
-    """Bernoulli number of order k: n! times coefficient n of (t/(e^t-1))^k."""
-    if n < 0 or k < 0:
-        raise ValueError("bernoulli_number needs n, k >= 0")
-    series = _bernoulli_powers.product(k, n)
-    return Fraction(series.nums[n] * math.factorial(n), series.den)
+    """Bernoulli number of order k: n! times coefficient n of (t/(e^t-1))^k.
+    Kept on the chain once read: a repeated read returns the same
+    Fraction."""
+    chain = _bernoulli_powers
+    value = chain.values.get((n, k))
+    if value is None:
+        if n < 0 or k < 0:
+            raise ValueError("bernoulli_number needs n, k >= 0")
+        series = chain.product(k, n)
+        value = chain.values[(n, k)] = Fraction(
+            series.nums[n] * math.factorial(n), series.den)
+    return value
 
 
 def bernoulli_poly_coeffs(k: int, n: int) -> tuple[Fraction, ...]:

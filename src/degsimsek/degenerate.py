@@ -106,7 +106,8 @@ def new_deg_stirling2(n: int, k: int, alpha):
     n of (e^t-1)_{k,a}/k!.
 
     `alpha` may be a rational (value returned as Fraction, read from the
-    alpha's chain) or a ParamPoly (value returned symbolically, as the sum
+    alpha's chain and kept on it, so a repeated read returns the same
+    Fraction) or a ParamPoly (value returned symbolically, as the sum
     (1/k!) sum_j s(k,j) alpha^(k-j) j! S2(n,j), by Horner in alpha).
     S2*(0,0|a) = 1 and S2*(n,0|a) = 0 for n >= 1.
     """
@@ -118,9 +119,17 @@ def new_deg_stirling2(n: int, k: int, alpha):
         for j, s1 in enumerate(_stirling1_row(k)):
             value = value * alpha + s1 * math.factorial(j) * stirling2(n, j)
         return value * Fraction(1, math.factorial(k))
-    series = _s2star_chain(alpha).product(k, n)
-    return Fraction(series.nums[n] * math.factorial(n),
-                    series.den * math.factorial(k))
+    try:  # a Fraction alpha's key, read off its slots as in apostol_euler
+        chain = _s2star_chains[(alpha._numerator, alpha._denominator)]
+    except (AttributeError, KeyError):  # another spelling, or a new alpha
+        chain = _s2star_chain(alpha)
+    value = chain.values.get((n, k))
+    if value is None:
+        series = chain.product(k, n)
+        value = chain.values[(n, k)] = Fraction(
+            series.nums[n] * math.factorial(n),
+            series.den * math.factorial(k))
+    return value
 
 
 def deg_exp_series(x, alpha, order: int) -> TruncSeries:
@@ -183,8 +192,20 @@ def _apostol_chain(lam0, alpha0) -> _ProductChain:
 
 def apostol_euler(n: int, k: int, lam0, alpha0) -> Fraction:
     """Degenerate first-kind Apostol-Euler number E_n^(k)(lam|a): n! times
-    coefficient n of (2/(lam * e_a(t) + 1))^k; needs lam != -1."""
+    coefficient n of (2/(lam * e_a(t) + 1))^k; needs lam != -1.  Kept on
+    the point's chain once read: a repeated read returns the same
+    Fraction."""
     if n < 0 or k < 0:
         raise ValueError("apostol_euler needs n, k >= 0")
-    series = _apostol_chain(lam0, alpha0).product(k, n)
-    return Fraction(series.nums[n] * math.factorial(n), series.den)
+    try:  # a Fraction point's key, read off its slots: the numerator and
+        # denominator properties cost a Python call each
+        chain = _apostol_chains[(lam0._numerator, lam0._denominator,
+                                 alpha0._numerator, alpha0._denominator)]
+    except (AttributeError, KeyError):  # another spelling, or a new point
+        chain = _apostol_chain(lam0, alpha0)
+    value = chain.values.get((n, k))
+    if value is None:
+        series = chain.product(k, n)
+        value = chain.values[(n, k)] = Fraction(
+            series.nums[n] * math.factorial(n), series.den)
+    return value

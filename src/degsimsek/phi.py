@@ -53,13 +53,28 @@ from .reports import (EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE,
 from .simsek import scaled_y1, scaled_y1star, y1star
 
 
+# (n, p, q, r, s, order) -> the phi_n row phi_series returned at the point
+# lam = p/q, alpha = r/s, keyed in lowest terms as ParamPoly.evaluate's
+# memo is; it only grows
+_phi_rows: dict[tuple[int, int, int, int, int, int], TruncSeries] = {}
+
+
 def phi_series(n: int, lam0, alpha0, order: int) -> TruncSeries:
     """phi_n at a rational point, as a truncated series in x of the given
-    order; coefficient k is y1star(n,k) evaluated at the point."""
-    lam0 = Fraction(lam0)
-    alpha0 = Fraction(alpha0)
-    coeffs = [y1star(n, k).evaluate(lam0, alpha0) for k in range(order + 1)]
-    return TruncSeries("x", order, coeffs, QQ)
+    order; coefficient k is y1star(n,k) evaluated at the point.  The first
+    read of (n, point, order) is kept, and later reads, with the point
+    written any way, return the same object, so do not mutate it."""
+    try:  # read off a Fraction's slots, as apostol_euler reads its point
+        key = (n, lam0._numerator, lam0._denominator,
+               alpha0._numerator, alpha0._denominator, order)
+    except AttributeError:  # an int, a float or a string: read it exactly
+        return phi_series(n, Fraction(lam0), Fraction(alpha0), order)
+    row = _phi_rows.get(key)
+    if row is None:
+        coeffs = [y1star(n, k).evaluate(lam0, alpha0)
+                  for k in range(order + 1)]
+        row = _phi_rows[key] = TruncSeries("x", order, coeffs, QQ)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,11 @@ def deg_simsek_y1(n: int, k: int) -> ParamPoly:
 # The generating function F_k and the six y1star routes.
 # ---------------------------------------------------------------------------
 
-_fk_cache: dict[int, TruncSeries] = {}
+# k -> F_k at the highest order built so far, and (k, order) -> the series
+# fk_series handed out for that order, so that a repeated read is one
+# lookup: both go with the route-A store below, and emptying this dict
+# empties both
+_fk_cache: dict[int | tuple[int, int], TruncSeries] = {}
 # (n, k) -> n! k! [t^n] F_k as integer terms, for every n up to the order
 # each cached F_k was built at: keep it and _fk_cache emptied together
 _route_a_store: dict[tuple[int, int], dict] = {}
@@ -86,14 +90,21 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     specialized series over plain fractions.  A symbolic F_k is built once
     per order rise and kept; a build publishes n! k! [t^n] F_k for every
     n <= order into the route-A store, skipping the (n, k) already held,
-    before the series is kept, so route A only ever reads that store.
+    before the series is kept, so route A only ever reads that store.  The
+    first symbolic read of (k, order) is kept too, and later reads return
+    the same object, so do not mutate the result.
     """
     if (lam is None) != (alpha is None):
         raise ValueError("fk_series: give both lam and alpha or neither")
     if lam is None:
+        key = (k, order)
+        series = _fk_cache.get(key)
+        if series is not None:
+            return series
         cached = _fk_cache.get(k)
         if cached is not None and cached.order >= order:
-            return cached.truncate(order)
+            series = _fk_cache[key] = cached.truncate(order)
+            return series
         base = exp_t(order, PP) * _L + 1
         series = degenerate_falling(base, k, _A) * Fraction(1, math.factorial(k))
         scale = math.factorial(k)
@@ -101,7 +112,7 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
             if (n, k) not in _route_a_store:
                 _route_a_store[(n, k)] = _int_terms(c, scale)
             scale *= n + 1
-        _fk_cache[k] = series
+        _fk_cache[k] = _fk_cache[key] = series
         return series
     lam = Fraction(lam)
     alpha = Fraction(alpha)

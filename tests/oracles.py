@@ -130,18 +130,18 @@ def s2star_table_reference(ratio, bound: int):
     return table
 
 
-def rel_s2star_reference(lam, alpha, y, reading: str, bound: int = 8):
-    """(status, mismatch) of the S2* relation at (lam, alpha), lam != 0, for
-    n, k <= bound, summed term by term in Fractions:
+def rel_s2star_terms(lam, alpha, reading: str, bound: int = 8) -> dict:
+    """{(n, k): right side} of the S2* relation at (lam, alpha), lam != 0,
+    for n, k <= bound, summed term by term in Fractions:
     y(n,k) = (1/k!) sum_j C(k,j) j! lam^j (lam+1)_{k-j,alpha} S2*(n,j|alpha/lam),
     with the readings "j" (as written), "k" (S2*(n,k) for every j), "dup"
-    (lam^(2j)) and "zero0" (no j = 0 term).  y(n, k) gives y*(n,k) at the
-    point."""
+    (lam^(2j)) and "zero0" (no j = 0 term)."""
     lam, alpha = Fraction(lam), Fraction(alpha)
     s2star = s2star_table_reference(alpha / lam, bound)
     falling = [Fraction(1)]  # (lam+1)_{m,alpha}
     for i in range(bound):
         falling.append(falling[-1] * (lam + 1 - alpha * i))
+    terms = {}
     for k in range(bound + 1):
         weights = [Fraction(math.comb(k, j) * math.factorial(j),
                             math.factorial(k))
@@ -150,13 +150,48 @@ def rel_s2star_reference(lam, alpha, y, reading: str, bound: int = 8):
         if reading == "zero0":
             weights[0] = Fraction(0)
         for n in range(bound + 1):
-            lhs = y(n, k)
-            rhs = sum((w * s2star[k if reading == "k" else j][n]
-                       for j, w in enumerate(weights)), Fraction(0))
+            terms[(n, k)] = sum((w * s2star[k if reading == "k" else j][n]
+                                 for j, w in enumerate(weights)), Fraction(0))
+    return terms
+
+
+def rel_s2star_reference(lam, alpha, y, reading: str, bound: int = 8):
+    """(status, mismatch) of the S2* relation at (lam, alpha): the first
+    (n, k), k outer, at which y(n, k), y*(n,k) at the point, differs from
+    the reading's right side (rel_s2star_terms)."""
+    terms = rel_s2star_terms(lam, alpha, reading, bound)
+    for k in range(bound + 1):
+        for n in range(bound + 1):
+            lhs, rhs = y(n, k), terms[(n, k)]
             if lhs != rhs:
                 status = "fail" if reading == "j" else "expected-discrepancy"
                 return status, f"(n,k)=({n},{k});lhs={lhs};rhs={rhs}"
     return "pass", ""
+
+
+def expl_c_printed_sympy(bound: int = 8) -> dict:
+    """{(n, k): k! times the printed reading of route C as integer terms
+    {(deg_l, deg_a): c}} for n, k <= bound: the polynomial
+    sum_{m<=k} sum_{j<=m} C(k,m) a^(m-j) l^j j^n (1)_{k-m,j} s(m,j)
+    (0^0 = 1), whose factor (1)_{k-m,j} = prod_{i<k-m} (1 - i j) steps by
+    the summation index j, expanded by sympy with its own signed Stirling
+    numbers."""
+    import sympy
+    from sympy.functions.combinatorial.numbers import stirling
+    l, a = sympy.symbols("l a")
+    out = {}
+    for k in range(bound + 1):
+        for n in range(bound + 1):
+            expr = sympy.Integer(0)
+            for m in range(k + 1):
+                for j in range(m + 1):
+                    power = 1 if n == 0 else j**n
+                    step = sympy.prod([1 - i * j for i in range(k - m)])
+                    expr += (sympy.binomial(k, m) * a**(m - j) * l**j * power
+                             * step * stirling(m, j, kind=1, signed=True))
+            poly = sympy.Poly(sympy.expand(expr), l, a)
+            out[(n, k)] = {(i, d): int(c) for (i, d), c in poly.terms() if c}
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ import random
 
 import pytest
 
-from degsimsek.algebra import (PP, QQ, ParamPoly, SeriesDomainError,
-                               SeriesStructureError, TruncSeries, exp_t,
-                               parse_rational, series_compose,
-                               series_differentiate, series_exp,
-                               series_integrate, series_log1p,
+from degsimsek.algebra import (MAX_DECIMAL_EXPONENT, PP, QQ, ParamPoly,
+                               SeriesDomainError, SeriesStructureError,
+                               TruncSeries, exp_t, parse_rational,
+                               series_compose, series_differentiate,
+                               series_exp, series_integrate, series_log1p,
                                series_reciprocal)
 
 from oracles import count_partitions, reciprocal_solve
@@ -222,6 +222,22 @@ def test_parse_and_render_rational():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("abc")
+
+
+def test_parse_rational_caps_the_decimal_exponent():
+    # the cap is read, in either sign and however the exponent is written;
+    # one more is rejected with a message naming the cap (Fraction would
+    # build 10^20001 in about a millisecond, so the case stays cheap)
+    cap = MAX_DECIMAL_EXPONENT
+    assert cap == 20000
+    assert parse_rational(f"1e{cap}") == 10**cap
+    assert parse_rational(f" -3E-{cap} ") == Fraction(-3, 10**cap)
+    assert parse_rational(f"2.5e+000{cap}") == Fraction(5, 2) * 10**cap
+    assert parse_rational("1e1_0") == 10**10
+    for text in (f"1e{cap + 1}", f"1e-{cap + 1}", f"0.5E+{cap + 1}",
+                 f"1e{cap + 1:_}"):
+        with pytest.raises(ValueError, match=f"above the cap of {cap}$"):
+            parse_rational(text)
 
 
 def test_parampoly_render_canonical_order():

@@ -198,3 +198,27 @@ def test_climb_stream_catches_an_error_of_one_order_steps(
     assert tool.main([str(good), str(wrong)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "DIFFERS (stdout): climb stream", "2 cases, 1 differing"]
+
+
+def test_revisit_stream_catches_a_memo_keyed_without_alpha(
+        tool, tmp_path, monkeypatch, capsys):
+    # a tree that keeps apostol_euler's values by (n, k, lambda) alone
+    # reads alike in the series stream, whose points have distinct
+    # lambdas, but not in the revisit stream, where two points share one
+    monkeypatch.setattr(tool, "cases", lambda: [tool.SERIES_CASE,
+                                                tool.REVISIT_CASE])
+    good = copy_tree(tmp_path / "good")
+    stale = copy_tree(tmp_path / "stale")
+    with open(stale / "src" / "degsimsek" / "degenerate.py", "a") as handle:
+        handle.write(
+            "\n_exact_apostol = apostol_euler\n_by_lam = {}\n\n\n"
+            "def apostol_euler(n, k, lam0, alpha0):\n"
+            "    key = (n, k, Fraction(lam0))\n"
+            "    if key not in _by_lam:\n"
+            "        _by_lam[key] = _exact_apostol(n, k, lam0, alpha0)\n"
+            "    return _by_lam[key]\n")
+    assert tool.main([str(good), str(good)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2 cases, 0 differing"
+    assert tool.main([str(good), str(stale)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DIFFERS (stdout): revisit stream", "2 cases, 1 differing"]

@@ -20,10 +20,12 @@ from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, check_rel_s2star,
                                 falling_sum, random_points, run_suite)
-from degsimsek.reports import FAIL, PASS, reports_to_json
+from degsimsek.reports import (EXPECTED_DISCREPANCY, FAIL, PASS,
+                               reports_to_json)
 from degsimsek.simsek import ROUTES, simsek_y1, y1star
 
-from oracles import phi_reference, rel_s2star_reference
+from oracles import (expl_c_printed_sympy, phi_reference,
+                     rel_s2star_reference, rel_s2star_terms)
 
 POINTS = list(FIXED_POINTS) + random_points(seed=5, count=3)
 RATIONAL = [e for e in REGISTRY if e.mode == "rational"]
@@ -360,6 +362,53 @@ def test_rel_s2star_readings_match_term_by_term_reference(lam, alpha):
         expected = rel_s2star_reference(
             lam, alpha, lambda n, k: y1star(n, k).evaluate(lam, alpha), reading)
         assert (report.status, report.mismatch) == expected, reading
+
+
+@settings(max_examples=15, deadline=None)
+@given(rationals.filter(bool), rationals)
+@example(Fraction(-7, 3), Fraction(0))
+@example(Fraction(2, 9), Fraction(-5, 8))
+def test_rel_s2star_readings_equal_the_reference_at_every_term(lam, alpha):
+    # each reading's right side from the reference, handed to the check as
+    # its left side, passes at every (n, k); raised by one at (8, 8), the
+    # last term the check compares, it is reported there: so every term of
+    # every reading is pinned, not only the first mismatch with y*
+    for reading in ("j", "k", "dup", "zero0"):
+        terms = rel_s2star_terms(lam, alpha, reading)
+        for raised in (None, (8, 8)):
+            ctx = PointContext(lam, alpha)
+            ctx.phi_num = lambda n, k: ((terms[(n, k)] + ((n, k) == raised))
+                                        * math.factorial(k) * ctx.qs**k)
+            report = check_rel_s2star(ctx, reading)
+            if raised is None:
+                assert report.status == PASS, (reading, report.mismatch)
+            else:
+                assert report.status != PASS, reading
+                assert report.mismatch.startswith("(n,k)=(8,8);"), reading
+
+
+def test_expl_c_printed_equals_the_reference_at_every_term(monkeypatch):
+    # the step-j reading against sympy's expansion of it: the report's
+    # first mismatch with route A is the reference's, and the reference
+    # handed to the check as route A passes at every (n, k), and is
+    # reported at (8, 8), the last term compared, when raised by one there
+    printed = expl_c_printed_sympy()
+    n, k = next((n, k) for k in range(9) for n in range(9)
+                if printed[(n, k)] != simsek.scaled_y1star(n, k))
+    lhs = _over(printed[(n, k)], math.factorial(k)).render()
+    report = registry.check_expl_c_printed()
+    assert (report.status, report.mismatch) == (
+        EXPECTED_DISCREPANCY,
+        f"(n,k)=({n},{k});lhs={lhs};rhs={y1star(n, k).render()}")
+    raised = dict(printed)
+    raised[(8, 8)] = {**printed[(8, 8)],
+                      (0, 0): printed[(8, 8)].get((0, 0), 0) + 1}
+    for values, status in ((printed, PASS), (raised, EXPECTED_DISCREPANCY)):
+        monkeypatch.setattr(registry, "scaled_y1star",
+                            lambda n, k, route="A": values[(n, k)])
+        report = registry.check_expl_c_printed()
+        assert report.status == status
+    assert report.mismatch.startswith("(n,k)=(8,8);")
 
 
 @settings(max_examples=25, deadline=None)

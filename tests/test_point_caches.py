@@ -2,7 +2,8 @@
 rational alpha and apostol_euler, and the memo of ParamPoly.evaluate:
 independent sympy oracles (symbolic S2* among them), a property that any
 interleaving of cached reads equals the uncached formulas, and count
-guards on the work a read does."""
+guards on the work a read does; and the values the public readers keep,
+so that a revisit returns the first object and does no work."""
 
 from fractions import Fraction
 import math
@@ -14,14 +15,14 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 import pytest
 
-from degsimsek import algebra, classical, degenerate, simsek
+from degsimsek import algebra, classical, degenerate, phi, simsek
 from degsimsek.algebra import (PP, ParamPoly, SeriesDomainError, TruncSeries,
                               exp_t)
 from degsimsek.classical import (_bernoulli_base, _ProductChain,
                                  bernoulli_number, degenerate_falling)
 from degsimsek.degenerate import apostol_euler, new_deg_stirling2
 from degsimsek.phi import phi_series
-from degsimsek.simsek import y1star
+from degsimsek.simsek import fk_series, y1star
 
 from oracles import (apostol_euler_series, apostol_euler_sympy,
                      higher_bernoulli_sympy, reciprocal_solve, s2star_sympy)
@@ -360,6 +361,7 @@ def test_new_phi_series_row_computes_each_power_row_once(monkeypatch):
     # degrees (k, k - 1): the powers of each top degree are computed once,
     # four lists per (k, k - 1), and the row read again at the point
     # written another way, or a lower row at it, computes none
+    monkeypatch.setattr(phi, "_phi_rows", {})
     monkeypatch.setattr(simsek, "_y1star_store", {})
     monkeypatch.setattr(algebra, "_power_rows", {})
     calls = []
@@ -510,3 +512,138 @@ def test_chain_state_is_replaced_not_mutated(step):
             assert longer[2][j] is products[j]
         assert longer[2][j] == at_4
         assert extended[2][j] == degenerate_falling(base(7), j, step)
+
+
+# ---------------------------------------------------------------------------
+# revisits: each public reader keeps the values it returned, inside the
+# store or chain it reads
+# ---------------------------------------------------------------------------
+
+# n, k and the point of a read; fk_series reads F_k to order n, phi_series
+# phi_n to order k
+READERS = {
+    "fk_series": lambda n, k, lam, alpha: fk_series(k, n),
+    "bernoulli_number": lambda n, k, lam, alpha: bernoulli_number(n, k),
+    "new_deg_stirling2": lambda n, k, lam, alpha: new_deg_stirling2(n, k,
+                                                                    alpha),
+    "apostol_euler": lambda n, k, lam, alpha: apostol_euler(n, k, lam, alpha),
+    "phi_series": lambda n, k, lam, alpha: phi_series(n, lam, alpha, k),
+}
+
+
+def empty_memos(monkeypatch):
+    """Empty every store and chain the readers of READERS keep values in
+    or read from."""
+    monkeypatch.setattr(classical, "_bernoulli_powers",
+                        classical._ProductChain(classical._bernoulli_base))
+    monkeypatch.setattr(degenerate, "_s2star_chains", {})
+    monkeypatch.setattr(degenerate, "_apostol_chains", {})
+    monkeypatch.setattr(phi, "_phi_rows", {})
+    for name in ("_y1star_store", "_route_a_store", "_fk_cache"):
+        monkeypatch.setattr(simsek, name, {})
+
+
+def count_work(monkeypatch) -> list:
+    """Record from now on every product-chain extension, every TruncSeries
+    made (built, brought to lowest terms or truncated) and every
+    polynomial evaluated at a point that no memo held."""
+    work = []
+
+    def counting(name, inner):
+        def counted(*args):
+            work.append(name)
+            return inner(*args)
+        return counted
+    monkeypatch.setattr(classical, "_extend_qq",
+                        counting("_extend_qq", classical._extend_qq))
+    for name in ("__init__", "truncate"):
+        monkeypatch.setattr(TruncSeries, name, counting(
+            "TruncSeries", getattr(TruncSeries, name)))
+    monkeypatch.setattr(TruncSeries, "_qq", classmethod(counting(
+        "TruncSeries", TruncSeries._qq.__func__)))
+    monkeypatch.setattr(ParamPoly, "_evaluate", counting(
+        "ParamPoly._evaluate", ParamPoly._evaluate))
+    return work
+
+
+# a point as the first read writes it, then written other ways: unreduced,
+# as ints, as a string and as a float
+SPELLINGS = {
+    "5/4, -2/3": ((Fraction(5, 4), Fraction(-2, 3)),
+                  (Fraction(10, 8), Fraction(-4, 6)), ("5/4", "-2/3")),
+    "2, 0": ((Fraction(2), Fraction(0)), (2, 0), (Fraction(6, 3), 0.0)),
+    "-3/7, 1/2": ((Fraction(-3, 7), Fraction(1, 2)),
+                  (Fraction(-6, 14), 0.5)),
+}
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("reader", READERS)
+def test_revisit_returns_the_first_object_and_does_no_work(monkeypatch,
+                                                           reader, spelling):
+    empty_memos(monkeypatch)
+    read = READERS[reader]
+    first_point, *other_points = SPELLINGS[spelling]
+    work = count_work(monkeypatch)
+    first = read(6, 4, *first_point)
+    # the counters see the first read's work
+    assert work
+    work.clear()
+    for point in (first_point, *other_points, first_point):
+        assert read(6, 4, *point) is first, point
+    assert work == []
+
+
+def test_a_lower_order_of_f_k_is_kept_beside_the_one_built():
+    # a read below the order F_k is held at is a truncation, kept under
+    # its own order; the build is kept under k and under its order
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        empty_memos(monkeypatch)
+        built = fk_series(3, 7)
+        low = fk_series(3, 4)
+        assert low.order == 4 and list(low.coeffs) == list(built.coeffs[:5])
+        assert simsek._fk_cache == {3: built, (3, 7): built, (3, 4): low}
+        # a higher order builds F_k again; both reads already handed out
+        # are kept as they were
+        higher = fk_series(3, 9)
+        assert simsek._fk_cache[3] is higher
+        assert fk_series(3, 7) is built and fk_series(3, 4) is low
+        assert list(higher.coeffs[:8]) == list(built.coeffs)
+
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+MEMO_READS = st.tuples(st.sampled_from(sorted(READERS)), st.integers(0, 8),
+                       st.integers(0, 8), small_rationals, small_rationals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(MEMO_READS, min_size=1, max_size=6))
+@example([("apostol_euler", 8, 8, Fraction(-9, 8), Fraction(7, 3)),
+          ("phi_series", 8, 8, Fraction(0), Fraction(-1, 9))])
+def test_memoised_read_equals_a_cold_read(reads):
+    # each read twice on the module stores every test shares (the
+    # second is the memo's answer), then once on empty stores
+    for reader, n, k, lam, alpha in reads:
+        read = READERS[reader]
+        if reader == "apostol_euler" and lam == -1:
+            continue
+        warm = read(n, k, lam, alpha)
+        assert read(n, k, lam, alpha) is warm
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            empty_memos(monkeypatch)
+            cold = read(n, k, lam, alpha)
+        assert cold == warm and cold is not warm, (reader, n, k, lam, alpha)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((-1, Fraction(-2, 2), -1.0, "-1", "-3/3")),
+       small_rationals, st.integers(0, 8), st.integers(0, 8))
+def test_apostol_euler_at_lambda_minus_one_raises_on_every_read(lam, alpha,
+                                                                n, k):
+    held = dict(degenerate._apostol_chains)
+    for _ in range(3):
+        with pytest.raises(SeriesDomainError, match="lam != -1"):
+            apostol_euler(n, k, lam, alpha)
+    # no chain, and so no value, was stored for the point
+    assert degenerate._apostol_chains == held
+    assert not any(key[:2] == (-1, 1) for key in degenerate._apostol_chains)

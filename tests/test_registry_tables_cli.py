@@ -335,6 +335,19 @@ def test_cli_reads_negative_rational_after_space():
         assert "Traceback" not in result.stderr
 
 
+def test_cli_caps_the_decimal_exponent_of_a_rational():
+    # the cap is accepted; one more exits 2 with a message naming the cap
+    # (y*(0,0) = 1 keeps the accepted case's output short)
+    accepted = run_cli("compute", "--family", "y1star", "--n", "0", "--k",
+                       "0", "--lambda=1e20000", "--alpha=1e-20000")
+    assert (accepted.returncode, accepted.stdout) == (0, "1\n")
+    rejected = run_cli("phi", "--n", "1", "--lambda=1e20001", "--alpha=0")
+    assert rejected.returncode == 2 and rejected.stdout == ""
+    assert rejected.stderr.splitlines()[-1] == (
+        "degsimsek phi: error: argument --lambda: rational '1e20001' has a "
+        "decimal exponent above the cap of 20000")
+
+
 def test_cli_usage_errors_exit_2():
     assert run_cli("compute", "--family", "y1", "--n", "-1", "--k", "0").returncode == 2
     assert run_cli("compute", "--family", "y1", "--n", "1", "--k", "0",

@@ -6,7 +6,7 @@ import math
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from degsimsek import simsek
+from degsimsek import phi, simsek
 from degsimsek.algebra import ParamPoly, _over
 from degsimsek.classical import (bernoulli_number, degenerate_falling,
                                  stirling1)
@@ -147,8 +147,10 @@ def test_negative_index_is_zero():
 @pytest.fixture
 def cold_store(monkeypatch, cold_chains):
     """Empty y1star, route-A and scaled_y1 stores, route-D weights, F_k
-    cache, E/F triangles and product chains (route D reads the Bernoulli
-    chain) for one test; the warm ones come back afterwards."""
+    cache, E/F triangles, product chains (route D reads the Bernoulli
+    chain) and the phi_series rows read from the y1star store for one
+    test; the warm ones come back afterwards."""
+    monkeypatch.setattr(phi, "_phi_rows", {})
     monkeypatch.setattr(simsek, "_y1star_store", {})
     monkeypatch.setattr(simsek, "_route_a_store", {})
     monkeypatch.setattr(simsek, "_scaled_y1_store", {})

@@ -58,7 +58,7 @@ def test_session_tail_reports_every_kind():
         timeout=300, check=True)
     lines = done.stdout.splitlines()
     assert lines[0].split() == ["kind", "route", "age", "count",
-                                "median_us", ">p90", "near"]
+                                "median_us", ">p90", "near", "<=p50"]
     rows = [line.split() for line in lines[1:-1]]
     sys.path.insert(0, str(REPO / "perfbench"))
     try:
@@ -68,4 +68,6 @@ def test_session_tail_reports_every_kind():
     assert {(row[0], row[1]) for row in rows} >= {
         (kind, route or "-") for kind, route, _, _ in session.MIX}
     assert sum(int(row[3]) for row in rows) == 2 * session.PER_LEVEL
+    # at least half of the queries lie at or below the pooled median
+    assert 2 * sum(int(row[7]) for row in rows) >= 2 * session.PER_LEVEL
     assert lines[-1].startswith(f"{2 * session.PER_LEVEL} queries, pooled")

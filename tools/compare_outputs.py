@@ -22,8 +22,8 @@ with --lambda only, --alpha only and both, where the CLI accepts the
 combination; three larger symbolic cases, where more terms cancel: the
 products over QQ[l,a] of `table --family y1star` at 12x12 and `series
 --family y1star --k 8 --order 12`, and the Stirling-1 sums of `table
---family s2star` at 10x10; and `phi` at three points: 211 cases in all, 206 CLI calls and five streams.  The
-five stream cases run a fixed
+--family s2star` at 10x10; and `phi` at three points: 212 cases in all,
+206 CLI calls and six streams.  The six stream cases run a fixed
 stream of library reads with revisits in one interpreter each, with every
 answer rendered on its own line, so that a value that changes when it is
 read again shows.  The library stream reads `y1star` by every route, its
@@ -64,7 +64,12 @@ and falling degree at four fresh points, lambda = 0 and alpha = 0 among
 them, so that a row of low degree starts each point's power table and
 later rows grow it.  Values published ahead of their reads, products
 extended out of order and powers read from a shared table show there
-byte for byte.
+byte for byte.  The revisit stream reads each reader that keeps the values
+it returned (`fk_series`, `bernoulli_number`, `new_deg_stirling2` at a
+rational alpha, `apostol_euler` and `phi_series`) twice in a row for
+n, k <= 8, the second time with the point written another way (an
+unreduced Fraction, an int, a string or a float), at points that share
+lambda or alpha, so that every memo hit is compared byte for byte.
 Every differing case is printed
 (exit status, stdout or stderr), and so is a case the CLI rejects as a
 usage error; the exit status is 1 on any of these, else 0.  It is 2,
@@ -285,9 +290,32 @@ for lam, alpha in ((F(0), F(5, 3)), (F(-9, 4), F(0)),
               phi_series(n, lam, alpha, order).render())
 """
 
+REVISIT_CASE = ["revisit stream"]
+# each value read again at once, at the point written another way; the
+# points share lambda or alpha pairwise
+REVISIT_STREAM = """
+from fractions import Fraction as F
+from degsimsek import (apostol_euler, bernoulli_number, fk_series,
+                       new_deg_stirling2, phi_series)
+spellings = (((F(5, 4), F(-2, 3)), (F(10, 8), F(-4, 6))),
+             ((F(5, 4), F(1, 2)), ("5/4", 0.5)),
+             ((F(2), F(1, 2)), (2, "2/4")),
+             ((F(2), F(0)), (2.0, 0)))
+for n in range(9):
+    for k in range(9):
+        print("F", k, n, fk_series(k, n).render(), fk_series(k, n).render())
+        print("B", n, k, bernoulli_number(n, k), bernoulli_number(n, k))
+        for point in spellings:
+            for lam, alpha in point:
+                print("S2*", n, k, alpha, new_deg_stirling2(n, k, alpha))
+                print("E", n, k, lam, alpha, apostol_euler(n, k, lam, alpha))
+                print("phi", n, k, lam, alpha,
+                      phi_series(n, lam, alpha, k).render())
+"""
+
 STREAMS = {LIBRARY_CASE[0]: LIBRARY_STREAM, SUITE_CASE[0]: SUITE_STREAM,
            SERIES_CASE[0]: SERIES_STREAM, CLIMB_CASE[0]: CLIMB_STREAM,
-           TAIL_CASE[0]: TAIL_STREAM}
+           TAIL_CASE[0]: TAIL_STREAM, REVISIT_CASE[0]: REVISIT_STREAM}
 
 
 def cases() -> list[list[str]]:
@@ -352,7 +380,8 @@ def cases() -> list[list[str]]:
                           ("6", "-5/2", "-3/4")):
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
                        "--degree", "12"])
-    matrix += [LIBRARY_CASE, SUITE_CASE, SERIES_CASE, CLIMB_CASE, TAIL_CASE]
+    matrix += [LIBRARY_CASE, SUITE_CASE, SERIES_CASE, CLIMB_CASE, TAIL_CASE,
+               REVISIT_CASE]
     return matrix
 
 

@@ -14,9 +14,10 @@ It prints one line per (kind, route, new or revisit), where route is the
 y1star route, "level" for the level-step `phi_series` fill that opens
 each level, and "-" otherwise, and a query is new at its first occurrence
 in its stream: the count, the median in microseconds, the count above the
-p90 pooled over all queries of all streams, and the count in
-[0.6 p90, p90].  The last line gives the pooled p50 and p90.  Timings are
-this host's, without the benchmark's host-speed scaling.
+p90 pooled over all queries of all streams, the count in
+[0.6 p90, p90] and the count at or below the pooled p50.  The last line
+gives the pooled p50 and p90.  Timings are this host's, without the
+benchmark's host-speed scaling.
 """
 
 from __future__ import annotations
@@ -79,15 +80,16 @@ def table(timed: list[tuple[tuple, float]]) -> list[str]:
     for group, seconds in timed:
         by_group.setdefault(group, []).append(seconds)
     lines = [f"{'kind':<10}{'route':<7}{'age':<8}{'count':>6}"
-             f"{'median_us':>11}{'>p90':>6}{'near':>6}"]
+             f"{'median_us':>11}{'>p90':>6}{'near':>6}{'<=p50':>7}"]
     for group in sorted(by_group):
         values = by_group[group]
         above = sum(1 for s in values if s > p90)
         near = sum(1 for s in values if 0.6 * p90 <= s <= p90)
+        low = sum(1 for s in values if s <= p50)
         kind, route, age = group
         lines.append(f"{kind:<10}{route:<7}{age:<8}{len(values):>6}"
                      f"{statistics.median(values) * 1e6:>11.1f}"
-                     f"{above:>6}{near:>6}")
+                     f"{above:>6}{near:>6}{low:>7}")
     lines.append(f"{len(timed)} queries, pooled p50 {p50 * 1e3:.5f} ms, "
                  f"p90 {p90 * 1e3:.5f} ms")
     return lines
