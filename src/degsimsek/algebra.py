@@ -1,5 +1,7 @@
 """Exact arithmetic substrate: rationals, sparse (l, a) polynomials, and
-truncated formal power series with coefficients in QQ or QQ[l,a].
+truncated formal power series with coefficients in QQ or QQ[l,a].  Series
+over either ring add, multiply and truncate; the reciprocal, which the
+product chains read, is taken over QQ only.
 
 All values are immutable after construction apart from lazily filled
 memos (a series over QQ and a ParamPoly each build each of their two forms
@@ -40,8 +42,8 @@ class SeriesStructureError(ValueError):
 
 
 class SeriesDomainError(ValueError):
-    """A series operation was applied outside its domain (e.g. exp of a
-    series with nonzero constant term, reciprocal of a non-unit)."""
+    """A value was asked for outside its domain (e.g. the reciprocal of a
+    series with zero constant term)."""
 
 
 # The largest decimal exponent parse_rational reads, in absolute value:
@@ -254,10 +256,10 @@ class ParamPoly:
         kept in a memo on the polynomial keyed by the point in lowest
         terms, (p, q, r, s), so equal points share one entry (hashing four
         ints is much cheaper than hashing two Fractions)."""
-        try:
-            key = (lam0.numerator, lam0.denominator,
-                   alpha0.numerator, alpha0.denominator)
-        except AttributeError:  # a float or a string: read it exactly
+        try:  # a Fraction's slots, read without a property call each
+            key = (lam0._numerator, lam0._denominator,
+                   alpha0._numerator, alpha0._denominator)
+        except AttributeError:  # an int, a float or a string: read exactly
             return self.evaluate(Fraction(lam0), Fraction(alpha0))
         try:
             values = self._values
@@ -450,8 +452,8 @@ def render_scalar(value) -> str:
 
 # ---------------------------------------------------------------------------
 # Coefficient-ring descriptors.  A ring knows its zero/one and how to coerce
-# plain scalars into itself, and QQ[l,a] how to invert a unit; everything
-# else is handled by the elements' own operators.
+# plain scalars into itself; everything else is handled by the elements'
+# own operators.
 # ---------------------------------------------------------------------------
 
 class RationalField:
@@ -490,13 +492,6 @@ class ParamPolyRing:
         if isinstance(value, (int, Fraction)):
             return ParamPoly.const(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into QQ[l,a]")
-
-    def invert(self, value):
-        value = self.coerce(value)
-        c = value.constant_value()  # raises unless value is constant
-        if c == 0:
-            raise SeriesDomainError("division by zero in QQ[l,a]")
-        return ParamPoly.const(1 / c)
 
 
 QQ = RationalField()
@@ -740,68 +735,13 @@ class TruncSeries:
 # Series operations.
 # ---------------------------------------------------------------------------
 
-def series_exp(a: TruncSeries) -> TruncSeries:
-    """Formal exponential of a series with zero constant term.
-
-    Solves e' = a'·e coefficient-wise: n·e_n = sum_{j=1..n} j·a_j·e_{n-j},
-    which only ever divides by integers (exact over rational-based rings).
-    """
-    zero = a.ring.zero
-    if a.coeffs[0] != zero:
-        raise SeriesDomainError("series_exp needs zero constant term")
-    n = a.order
-    out = [a.ring.one] + [zero] * n
-    for m in range(1, n + 1):
-        acc = zero
-        for j in range(1, m + 1):
-            if a.coeffs[j] != zero:
-                acc = acc + (a.coeffs[j] * out[m - j]) * j
-        out[m] = acc * Fraction(1, m)
-    return TruncSeries(a.var, n, out, a.ring)
-
-
-def series_log1p(a: TruncSeries) -> TruncSeries:
-    """log(1 + a) for a with zero constant term.
-
-    Coefficient recurrence n·l_n = n·a_n - sum_{j=1..n-1} j·l_j·a_{n-j}.
-    """
-    zero = a.ring.zero
-    if a.coeffs[0] != zero:
-        raise SeriesDomainError("series_log1p needs zero constant term")
-    n = a.order
-    out = [zero] * (n + 1)
-    for m in range(1, n + 1):
-        acc = a.coeffs[m] * m
-        for j in range(1, m):
-            if out[j] != zero and a.coeffs[m - j] != zero:
-                acc = acc - (out[j] * a.coeffs[m - j]) * j
-        out[m] = acc * Fraction(1, m)
-    return TruncSeries(a.var, n, out, a.ring)
-
-
-def series_reciprocal(a: TruncSeries) -> TruncSeries:
-    """b with a·b = 1 up to the truncation order; the constant term of a
-    must be invertible in the coefficient ring."""
-    if a.ring is QQ:
-        return _reciprocal_qq(a)
-    inv0 = a.ring.invert(a.coeffs[0])
-    n = a.order
-    zero = a.ring.zero
-    out = [inv0] + [zero] * n
-    for m in range(1, n + 1):
-        acc = zero
-        for j in range(1, m + 1):
-            if a.coeffs[j] != zero:
-                acc = acc + a.coeffs[j] * out[m - j]
-        out[m] = -(inv0 * acc)
-    return TruncSeries(a.var, n, out, a.ring)
-
-
-def _reciprocal_qq(a: TruncSeries, old=None) -> TruncSeries:
-    """1/a for a = nums/den over QQ, fraction-free, keeping the coefficients
-    of `old` (1/a at a lower order, or None).  With 1/a = bs/D so far,
+def series_reciprocal(a: TruncSeries, old=None) -> TruncSeries:
+    """b with a·b = 1 up to the truncation order, for a = nums/den over QQ
+    with a_0 != 0, fraction-free, keeping the coefficients of `old` (1/a at
+    a lower order, or None).  With 1/a = bs/D so far,
     b_m = -(1/a_0) sum_{j=1..m} a_j b_{m-j} is -sum_j nums[j] bs[m-j] over
-    nums[0] D: each new coefficient multiplies the denominator by nums[0]."""
+    nums[0] D: each new coefficient multiplies the denominator by nums[0].
+    A series over QQ[l,a] has no integer numerators: TypeError."""
     nums, n0 = a.nums, a.nums[0]
     if n0 == 0:
         raise SeriesDomainError("division by zero in QQ")
@@ -812,38 +752,6 @@ def _reciprocal_qq(a: TruncSeries, old=None) -> TruncSeries:
         bs.append(-total)
         den *= n0
     return TruncSeries._qq(a.var, a.order, bs, den)
-
-
-def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
-    """outer(inner) for inner with zero constant term, by Horner evaluation
-    in the truncated series ring."""
-    outer._check_compatible(inner)
-    if inner.coeffs[0] != inner.ring.zero:
-        raise SeriesDomainError("series_compose needs zero inner constant term")
-    result = TruncSeries.constant(outer.coeffs[outer.order], outer.var,
-                                  outer.order, outer.ring)
-    for m in range(outer.order - 1, -1, -1):
-        result = result * inner + outer.coeffs[m]
-    return result
-
-
-def series_differentiate(a: TruncSeries) -> TruncSeries:
-    """Formal derivative; the order drops by one (clamped at zero)."""
-    coeffs = [a.coeffs[j + 1] * (j + 1) for j in range(a.order)]
-    return TruncSeries(a.var, max(a.order - 1, 0), coeffs or [a.ring.zero],
-                       a.ring)
-
-
-def series_integrate(a: TruncSeries, order: int | None = None) -> TruncSeries:
-    """Formal antiderivative with zero constant term.  By default the order
-    rises to N+1; pass `order` to clamp the result."""
-    n = a.order + 1 if order is None else order
-    zero = a.ring.zero
-    out = [zero] * (n + 1)
-    for j in range(1, n + 1):
-        if j - 1 <= a.order and a.coeffs[j - 1] != zero:
-            out[j] = a.coeffs[j - 1] * Fraction(1, j)
-    return TruncSeries(a.var, n, out, a.ring)
 
 
 def exp_t(order: int, ring=QQ) -> TruncSeries:

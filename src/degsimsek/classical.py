@@ -1,6 +1,5 @@
 """Classical special-number families: Stirling numbers of both kinds,
-(degenerate) falling factorials, and higher-order Bernoulli numbers and
-polynomials.
+degenerate falling factorials, and higher-order Bernoulli numbers.
 
 Triangles are filled by their defining recurrences with memoized rows; the
 generating-function route is kept in the test suite as an independent
@@ -15,7 +14,7 @@ from fractions import Fraction
 import math
 from operator import mul
 
-from .algebra import QQ, TruncSeries, _reciprocal_qq
+from .algebra import QQ, TruncSeries, series_reciprocal
 
 # Row r of each triangle holds the values for n = r, k = 0..r.
 _S2_ROWS: list[list[int]] = [[1]]
@@ -60,12 +59,6 @@ def _stirling1_row(n: int) -> list[int]:
             row[j] = left - (r - 1) * above
         _S1_ROWS.append(row)
     return _S1_ROWS[n]
-
-
-def falling_factorial(x, n: int):
-    """x(x-1)...(x-n+1) for x in any commutative ring of the kit; the empty
-    product is 1."""
-    return degenerate_falling(x, n, 1)
 
 
 def degenerate_falling(x, n: int, alpha):
@@ -167,18 +160,14 @@ class _Reciprocal:
     def __call__(self, order: int) -> TruncSeries:
         held = self.held
         if held is None or held.order < order:
-            held = self.held = _reciprocal_qq(self.y(order), held)
+            held = self.held = series_reciprocal(self.y(order), held)
         return held if held.order == order else held.truncate(order)
 
 
 # ---------------------------------------------------------------------------
-# Higher-order Bernoulli numbers B_n^(k) and polynomials B_k^(n)(x):
-#   (t/(e^t-1))^k       = sum_n B_n^(k) t^n/n!
-#   t^n e^{xt}/(e^t-1)^n = sum_k B_k^(n)(x) t^k/k!
+# Higher-order Bernoulli numbers B_n^(k):
+#   (t/(e^t-1))^k = sum_n B_n^(k) t^n/n!
 # ---------------------------------------------------------------------------
-
-_bern_poly_cache: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-
 
 def _bernoulli_inner(order: int) -> TruncSeries:
     """(e^t - 1)/t = sum_m t^m/(m+1)!, over the one denominator (order+1)!."""
@@ -207,26 +196,3 @@ def bernoulli_number(n: int, k: int) -> Fraction:
         value = chain.values[(n, k)] = Fraction(
             series.nums[n] * math.factorial(n), series.den)
     return value
-
-
-def bernoulli_poly_coeffs(k: int, n: int) -> tuple[Fraction, ...]:
-    """Coefficients c_0..c_k of B_k^(n)(x) = sum_j C(k,j) B_{k-j}^(n) x^j."""
-    key = (k, n)
-    cached = _bern_poly_cache.get(key)
-    if cached is None:
-        cached = tuple(
-            Fraction(math.comb(k, j)) * bernoulli_number(k - j, n)
-            for j in range(k + 1))
-        _bern_poly_cache[key] = cached
-    return cached
-
-
-def bernoulli_poly(k: int, n: int, x):
-    """B_k^(n)(x) evaluated at a ring element x (rational, polynomial, or
-    series) by Horner on the binomial-convolution coefficients."""
-    coeffs = bernoulli_poly_coeffs(k, n)
-    result = x * 0 + coeffs[k]
-    for j in range(k - 1, -1, -1):
-        result = result * x + coeffs[j]
-    return result
-

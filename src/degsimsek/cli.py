@@ -253,7 +253,15 @@ def main(argv=None) -> int:
         "table": _cmd_table,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:  # str() of an int above the digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"degsimsek {args.command}: a value exceeds the limit of "
+              f"{sys.get_int_max_str_digits()} digits for integer string "
+              "conversion", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Degenerate special-number families: the degenerate exponential series,
-degenerate Stirling numbers of both kinds, the new-type degenerate Stirling
-numbers S2*(n,k|a), and degenerate Apostol-Euler numbers.
+"""Degenerate special-number families: degenerate Stirling numbers of both
+kinds, the new-type degenerate Stirling numbers S2*(n,k|a), and degenerate
+Apostol-Euler numbers.
 
 The degenerate Stirling triangles are the two change-of-basis matrices
 between the ordinary and the a-deformed falling-factorial bases:
@@ -23,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import (PP, QQ, ParamPoly, SeriesDomainError, TruncSeries,
-                      _combine, _over, exp_t)
+from .algebra import (ParamPoly, SeriesDomainError, TruncSeries, _combine,
+                      _over, exp_t)
 from .classical import _ProductChain, _Reciprocal, _stirling1_row, stirling2
 
 # row caches: n -> list of ParamPoly (index l), polynomials in a only
@@ -130,20 +130,6 @@ def new_deg_stirling2(n: int, k: int, alpha):
             series.nums[n] * math.factorial(n),
             series.den * math.factorial(k))
     return value
-
-
-def deg_exp_series(x, alpha, order: int) -> TruncSeries:
-    """Degenerate exponential e_a^x as a truncated series in t: coefficient
-    m is (x)_{m,alpha}/m!.  Over QQ[l,a] when x or alpha is a ParamPoly,
-    else over QQ; at alpha = 0 it reduces to exp(x*t)."""
-    ring = PP if isinstance(x, ParamPoly) or isinstance(alpha, ParamPoly) \
-        else QQ
-    prod = ring.one
-    coeffs = [prod]
-    for m in range(1, order + 1):
-        prod = prod * (x - alpha * (m - 1))
-        coeffs.append(prod * Fraction(1, math.factorial(m)))
-    return TruncSeries("t", order, coeffs, ring)
 
 
 def _euler_half(lam0: Fraction, alpha0: Fraction, order: int) -> TruncSeries:

@@ -4,9 +4,9 @@ Everything here is deliberately written from first principles (enumeration,
 list convolution, triangular solves, or sympy's own series expansion, a
 test-only dependency) without importing the package under test, so a value
 computed here is evidence, not an echo.  The second routes at the end are
-the exception: they are built on the package's ring types and its Bernoulli
-polynomials, and reach a family by a formula the package does not use for
-it.
+the exception: they are built on the package's ring types, its Bernoulli
+numbers and its degenerate falling factorials, and reach a family by a
+formula the package does not use for it.
 """
 
 from fractions import Fraction
@@ -369,6 +369,49 @@ def ring_product(a: list, b: list, zero) -> list:
 # Second routes on the package's types.
 # ---------------------------------------------------------------------------
 
+def log1p_series(order: int, c=1, var: str = "t"):
+    """log(1 + c*t)/c over QQ from its coefficients (-c)^(m-1)/m."""
+    from degsimsek.algebra import QQ, TruncSeries
+    return TruncSeries(var, order, [0] + [Fraction(-c) ** (m - 1) / m
+                                          for m in range(1, order + 1)], QQ)
+
+
+def compose(outer, inner):
+    """outer(inner), inner(0) = 0, by Horner over the series + and *."""
+    assert inner.coeffs[0] == 0
+    result = inner * 0 + outer.coeffs[-1]
+    for c in reversed(outer.coeffs[:-1]):
+        result = result * inner + c
+    return result
+
+
+def deg_exp_series(x, alpha, order: int):
+    """e_alpha^x(t) = sum_m (x)_{m,alpha} t^m/m! over QQ, with
+    (x)_{m,alpha} from the package's degenerate_falling."""
+    from degsimsek.algebra import QQ, TruncSeries
+    from degsimsek.classical import degenerate_falling
+    return TruncSeries("t", order, [
+        Fraction(degenerate_falling(Fraction(x), m, alpha), math.factorial(m))
+        for m in range(order + 1)], QQ)
+
+
+def bernoulli_poly_coeffs(k: int, n: int) -> list:
+    """c_0..c_k of B_k^(n)(x) = sum_j C(k,j) B_{k-j}^(n) x^j, from the
+    package's bernoulli_number."""
+    from degsimsek.classical import bernoulli_number
+    return [math.comb(k, j) * bernoulli_number(k - j, n)
+            for j in range(k + 1)]
+
+
+def bernoulli_poly(k: int, n: int, x):
+    """B_k^(n)(x) at a rational, ParamPoly or series x, by Horner."""
+    coeffs = bernoulli_poly_coeffs(k, n)
+    result = x * 0 + coeffs[k]
+    for c in reversed(coeffs[:k]):
+        result = result * x + c
+    return result
+
+
 def simsek_y1_via_gf(n: int, k: int):
     """y1(n,k) = n! [t^n] (l*e^t+1)^k / k!, by series powers."""
     from degsimsek.algebra import PP, ParamPoly, exp_t
@@ -394,11 +437,11 @@ def deg_simsek_y1_alt(n: int, k: int):
 
 def apostol_euler_series(k: int, lam, alpha, order: int):
     """The series (2/(lam e_alpha(t) + 1))^k, lam != -1, whose coefficient n
-    times n! is E_n^(k)(lam|alpha): the package's degenerate exponential
-    series, inverted by series_reciprocal and raised to the power k by
-    series products, not by the product chain apostol_euler reads."""
+    times n! is E_n^(k)(lam|alpha): e_alpha(t) with coefficients
+    (1)_{m,alpha}/m! (deg_exp_series above), inverted by series_reciprocal
+    and raised to the power k by series products, not by the product chain
+    apostol_euler reads."""
     from degsimsek.algebra import series_reciprocal
-    from degsimsek.degenerate import deg_exp_series
     half = (deg_exp_series(1, Fraction(alpha), order) * Fraction(lam) + 1) \
         * Fraction(1, 2)
     return series_reciprocal(half) ** k
@@ -409,7 +452,6 @@ def fk_series_via_bernoulli(k: int, order: int, lam, alpha):
     (a^k/k!) * B_k^(k+1)((l*e^t+1)/a + 1), the order-(k+1) Bernoulli
     polynomial evaluated at a series argument."""
     from degsimsek.algebra import exp_t
-    from degsimsek.classical import bernoulli_poly
     lam = Fraction(lam)
     alpha = Fraction(alpha)
     if alpha == 0:

@@ -7,8 +7,8 @@ convolution and, over QQ[l,a], against the plain ring loop, a symbolic
 S2* (a Stirling-1 sum) against the series of the product it expands, and
 every operation on QQ series against a Fraction list.  Scalar +, - and *,
 the product and the reciprocal of QQ series run on their integer numerators;
-the other operations run on their Fraction coefficients, and every result
-must still read back in the canonical integer form."""
+negation, series + and - and truncate run on their Fraction coefficients,
+and every result must still read back in the canonical integer form."""
 
 from fractions import Fraction
 import math
@@ -18,9 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from degsimsek.algebra import (PP, QQ, ParamPoly, SeriesDomainError,
-                               TruncSeries, _int_terms, _over,
-                               _reciprocal_qq, exp_t,
-                               series_differentiate, series_integrate,
+                               TruncSeries, _int_terms, _over, exp_t,
                                series_reciprocal)
 from degsimsek.classical import degenerate_falling
 from degsimsek.degenerate import new_deg_stirling2
@@ -359,7 +357,7 @@ def test_qq_reciprocal(a):
 def test_qq_reciprocal_extended_from_a_lower_order(a, m):
     # the coefficients held at order m are kept, the others appended
     m = min(m, len(a) - 1)
-    extended = _reciprocal_qq(qq(a), _reciprocal_qq(qq(a[:m + 1])))
+    extended = series_reciprocal(qq(a), series_reciprocal(qq(a[:m + 1])))
     assert_canonical(extended, reciprocal_solve(a, len(a) - 1))
 
 
@@ -370,17 +368,3 @@ def test_qq_reciprocal_needs_a_unit(a):
     with pytest.raises(SeriesDomainError):
         series_reciprocal(qq([Fraction(0)] + a[1:]))
 
-
-@SETTINGS
-@given(qq_lists, st.integers(0, 9))
-@example([Fraction(0)], 0)
-@example([Fraction(5, 3)], 3)
-def test_qq_differentiate_and_integrate(a, clamp):
-    order = len(a) - 1
-    assert_canonical(series_differentiate(qq(a)),
-                     [a[j + 1] * (j + 1) for j in range(order)]
-                     or [Fraction(0)])
-    integral = [Fraction(0)] + [x / (j + 1) for j, x in enumerate(a)]
-    assert_canonical(series_integrate(qq(a)), integral)
-    clamped = (integral + [Fraction(0)] * clamp)[:clamp + 1]
-    assert_canonical(series_integrate(qq(a), clamp), clamped)

@@ -1,17 +1,19 @@
 """Stirling triangles, falling factorials, and higher-order Bernoulli
-numbers/polynomials, cross-checked against their generating functions."""
+numbers, cross-checked against their generating functions, also through
+the Bernoulli polynomials built from them."""
 
 from fractions import Fraction
 import math
 
 import pytest
 
-from degsimsek.algebra import PP, QQ, ParamPoly, TruncSeries, exp_t, series_log1p
-from degsimsek.classical import (bernoulli_number, bernoulli_poly,
-                                 bernoulli_poly_coeffs, degenerate_falling,
-                                 falling_factorial, stirling1, stirling2)
+from degsimsek.algebra import (PP, QQ, ParamPoly, TruncSeries, exp_t,
+                               series_reciprocal)
+from degsimsek.classical import (bernoulli_number, degenerate_falling,
+                                 stirling1, stirling2)
 
-from oracles import count_partitions, falling_factorial_coeffs
+from oracles import (bernoulli_poly, bernoulli_poly_coeffs, count_partitions,
+                     falling_factorial_coeffs, log1p_series)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -48,7 +50,7 @@ def test_triangles_match_generating_functions():
     # second kind: n! [t^n] (e^t-1)^k / k!; first kind: n! [t^n] log(1+t)^k / k!
     order = 12
     em1 = exp_t(order) - 1
-    logt = series_log1p(TruncSeries.variable("t", order, QQ))
+    logt = log1p_series(order)
     for k in range(order + 1):
         gf2 = em1**k
         gf1 = logt**k
@@ -63,12 +65,12 @@ def test_basis_inversion_identities():
     for n in range(13):
         lhs = ParamPoly()
         for k in range(n + 1):
-            lhs = lhs + falling_factorial(L, k) * stirling2(n, k)
+            lhs = lhs + degenerate_falling(L, k, 1) * stirling2(n, k)
         assert lhs == L**n
         rhs = ParamPoly()
         for k in range(n + 1):
             rhs = rhs + L**k * stirling1(n, k)
-        assert rhs == falling_factorial(L, n)
+        assert rhs == degenerate_falling(L, n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +82,14 @@ def test_degenerate_falling_basics():
     for n in range(6):
         assert degenerate_falling(L, n, ParamPoly.const(0)) == L**n
     assert degenerate_falling(Fraction(1), 2, Fraction(1)) == 0
-    assert falling_factorial(Fraction(5), 0) == 1
+    assert degenerate_falling(Fraction(5), 0, 1) == 1
 
 
 def test_degenerate_falling_at_alpha_one_is_falling():
     for n in range(7):
-        assert degenerate_falling(L, n, ParamPoly.const(1)) == \
-            falling_factorial(L, n)
+        falling = ParamPoly({(j, 0): c for j, c in
+                             enumerate(falling_factorial_coeffs(n))})
+        assert degenerate_falling(L, n, ParamPoly.const(1)) == falling
 
 
 def test_degenerate_falling_at_integers_from_stirling1():
@@ -100,7 +103,8 @@ def test_degenerate_falling_at_integers_from_stirling1():
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and polynomials
+# Bernoulli numbers, and the polynomials
+# B_k^(n)(x) = sum_j C(k,j) B_{k-j}^(n) x^j built from them
 # ---------------------------------------------------------------------------
 
 def test_bernoulli_numbers_low_order():
@@ -125,11 +129,9 @@ def test_bernoulli_poly_against_gf():
     ext = TruncSeries("t", order,
                       [L**m * Fraction(1, math.factorial(m))
                        for m in range(order + 1)], PP)
+    em1_over_t = TruncSeries("t", order, [Fraction(1, math.factorial(m + 1))
+                                          for m in range(order + 1)], QQ)
     for n in range(4):
-        em1_over_t = TruncSeries(
-            "t", order, [Fraction(1, math.factorial(m + 1))
-                         for m in range(order + 1)], PP)
-        from degsimsek.algebra import series_reciprocal
         gf = ext * series_reciprocal(em1_over_t) ** n
         for k in range(order + 1):
             assert bernoulli_poly(k, n, L) == gf.coeffs[k] * math.factorial(k)
@@ -167,4 +169,4 @@ def test_index_validation():
     with pytest.raises(ValueError):
         bernoulli_number(-1, 0)
     with pytest.raises(ValueError):
-        falling_factorial(L, -2)
+        degenerate_falling(L, -2, 1)

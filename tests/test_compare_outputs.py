@@ -102,23 +102,22 @@ def test_library_stream_catches_a_wrong_power_of_zero(tool, tmp_path,
 
 def test_series_stream_catches_a_wrong_qq_integral(tool, tmp_path,
                                                    monkeypatch, capsys):
-    # a tree whose QQ series_integrate is off by one in its top coefficient
-    # reads alike in the CLI and in the library stream, which never
-    # integrate, but not in the series stream
+    # a tree whose public series_reciprocal is off by one in its top
+    # coefficient, while the product chains keep the exact one, reads alike
+    # in the CLI and in the library stream, which never call the public
+    # name, but not in the series stream
     monkeypatch.setattr(tool, "cases", lambda: [
         ["compute", "--family", "y1star", "--n", "2", "--k", "2"],
         tool.LIBRARY_CASE, tool.SERIES_CASE])
     good = copy_tree(tmp_path / "good")
     wrong = copy_tree(tmp_path / "wrong")
-    with open(wrong / "src" / "degsimsek" / "algebra.py", "a") as handle:
+    with open(wrong / "src" / "degsimsek" / "__init__.py", "a") as handle:
         handle.write(
-            "\n_exact_integrate = series_integrate\n\n\n"
-            "def series_integrate(a, order=None):\n"
-            "    out = _exact_integrate(a, order)\n"
-            "    if a.ring is not QQ:\n"
-            "        return out\n"
+            "\n_exact_reciprocal = series_reciprocal\n\n\n"
+            "def series_reciprocal(a, old=None):\n"
+            "    out = _exact_reciprocal(a, old)\n"
             "    top = [0] * out.order + [1]\n"
-            "    return out + TruncSeries(out.var, out.order, top, QQ)\n")
+            "    return out + TruncSeries(out.var, out.order, top, out.ring)\n")
     assert tool.main([str(good), str(good)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "3 cases, 0 differing"
     assert tool.main([str(good), str(wrong)]) == 1

@@ -13,8 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from degsimsek import classical, degenerate, phi, registry, simsek
-from degsimsek.algebra import (QQ, ParamPoly, TruncSeries, _int_terms, _over,
-                               series_compose, series_log1p)
+from degsimsek.algebra import QQ, ParamPoly, TruncSeries, _int_terms, _over
 from degsimsek.classical import degenerate_falling
 from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
@@ -24,8 +23,8 @@ from degsimsek.reports import (EXPECTED_DISCREPANCY, FAIL, PASS,
                                reports_to_json)
 from degsimsek.simsek import ROUTES, simsek_y1, y1star
 
-from oracles import (expl_c_printed_sympy, phi_reference,
-                     rel_s2star_reference, rel_s2star_terms)
+from oracles import (compose, expl_c_printed_sympy, log1p_series,
+                     phi_reference, rel_s2star_reference, rel_s2star_terms)
 
 POINTS = list(FIXED_POINTS) + random_points(seed=5, count=3)
 RATIONAL = [e for e in REGISTRY if e.mode == "rational"]
@@ -419,10 +418,10 @@ def test_log_substitution_powers_equal_horner_composition(lam, alpha, n,
     ctx = PointContext(lam, alpha)
     outer = TruncSeries("x", order, [simsek_y1(n, k).evaluate(lam, 0)
                                      for k in range(order + 1)], QQ)
-    x = TruncSeries.variable("x", order, QQ)
-    inner = series_log1p(x * alpha) * (1 / alpha)
+    # log(1 + alpha x)/alpha
+    inner = log1p_series(order, alpha, "x")
     assert x_series(ctx, log_substitution_rhs(ctx, n, order)) == \
-        series_compose(outer, inner)
+        compose(outer, inner)
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,10 +9,11 @@ import pytest
 
 from degsimsek.algebra import (QQ, ParamPoly, SeriesDomainError, TruncSeries,
                                exp_t, series_reciprocal)
-from degsimsek.classical import (degenerate_falling, falling_factorial,
-                                 stirling1, stirling2)
-from degsimsek.degenerate import (apostol_euler, deg_exp_series, deg_stirling1,
-                                  deg_stirling2, new_deg_stirling2)
+from degsimsek.classical import degenerate_falling, stirling1, stirling2
+from degsimsek.degenerate import (apostol_euler, deg_stirling1, deg_stirling2,
+                                  new_deg_stirling2)
+
+from oracles import deg_exp_series
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -49,12 +50,12 @@ def test_deg_stirling_basis_identities():
     for n in range(11):
         lhs = ParamPoly()
         for l in range(n + 1):
-            lhs = lhs + deg_stirling2(n, l) * falling_factorial(L, l)
+            lhs = lhs + deg_stirling2(n, l) * degenerate_falling(L, l, 1)
         assert lhs == degenerate_falling(L, n, A)
         rhs = ParamPoly()
         for l in range(n + 1):
             rhs = rhs + deg_stirling1(n, l) * degenerate_falling(L, l, A)
-        assert rhs == falling_factorial(L, n)
+        assert rhs == degenerate_falling(L, n, 1)
 
 
 def test_deg_stirling_rows_match_sympy_ff_expansion():
@@ -137,7 +138,7 @@ def test_s2star_not_triangular_in_general():
 
 
 # ---------------------------------------------------------------------------
-# degenerate exponential series
+# the degenerate exponential series, from degenerate_falling
 # ---------------------------------------------------------------------------
 
 def test_deg_exp_series_values():
@@ -152,13 +153,6 @@ def test_deg_exp_series_alpha_zero_is_exp():
     s = deg_exp_series(x, Fraction(0), 6)
     expected = [x**n / math.factorial(n) for n in range(7)]
     assert list(s.coeffs) == expected
-
-
-def test_deg_exp_series_symbolic_coefficients():
-    s = deg_exp_series(L, A, 3)
-    for n in range(4):
-        assert s.coeffs[n] == degenerate_falling(L, n, A) \
-            * Fraction(1, math.factorial(n))
 
 
 # ---------------------------------------------------------------------------

@@ -249,12 +249,12 @@ def test_base_climbed_one_order_at_a_time_equals_a_fresh_base(
         (chain,) = degenerate._apostol_chains.values()
         base = classical._Reciprocal(chain.base.y)
     steps = []
-    inner = classical._reciprocal_qq
+    inner = classical.series_reciprocal
 
     def counted(y, old=None):
         steps.append((-1 if old is None else old.order, y.order))
         return inner(y, old)
-    monkeypatch.setattr(classical, "_reciprocal_qq", counted)
+    monkeypatch.setattr(classical, "series_reciprocal", counted)
     climbed = [base(order) for order in range(13)]
     # each order step extends the base held, by one coefficient
     assert steps == [(order - 1, order) for order in range(13)]
@@ -301,7 +301,8 @@ def test_equal_points_share_one_memo_entry(monkeypatch):
         return inner(self, *point)
     monkeypatch.setattr(ParamPoly, "_evaluate", counted)
     for lam, alpha in ((1, Fraction(1, 2)), (Fraction(1), Fraction(2, 4)),
-                       (Fraction(3, 3), 0.5), (True, "2/4")):
+                       (Fraction(3, 3), 0.5), (True, "2/4"), (1.0, 0.5),
+                       ("3/3", "1/2")):
         assert poly.evaluate(lam, alpha) == expected
     # the point in lowest terms, whichever way it was written
     assert evaluations == [(1, 1, 1, 2)]

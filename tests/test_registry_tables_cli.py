@@ -348,6 +348,21 @@ def test_cli_caps_the_decimal_exponent_of_a_rational():
         "decimal exponent above the cap of 20000")
 
 
+def test_cli_value_above_the_int_digit_limit_exits_2():
+    # phi_0 to degree 1 is [1, lam + 1]: at lam = 10^(D-1) its second
+    # coefficient has D digits, the interpreter's limit for writing an int
+    limit = sys.get_int_max_str_digits()
+    under = run_cli("phi", "--n", "0", f"--lambda=1e{limit - 1}",
+                    "--alpha=0", "--degree", "1")
+    digits = "1" + "0" * (limit - 2) + "1"
+    assert (under.returncode, under.stdout) == (0, f"[1, {digits}]\n")
+    for lam in (f"1e{limit}", "1e5000"):
+        over = run_cli("phi", "--n", "1", f"--lambda={lam}", "--alpha=0")
+        assert (over.returncode, over.stdout, over.stderr) == (2, "", (
+            f"degsimsek phi: a value exceeds the limit of {limit} digits "
+            "for integer string conversion\n"))
+
+
 def test_cli_usage_errors_exit_2():
     assert run_cli("compute", "--family", "y1", "--n", "-1", "--k", "0").returncode == 2
     assert run_cli("compute", "--family", "y1", "--n", "1", "--k", "0",

@@ -1,6 +1,7 @@
-"""tools/src_lines.py and tools/session_tail.py: the line counts add up to
-each file's line count, and the per-kind latency report covers every
-query kind of the benchmark's session stream."""
+"""tools/src_lines.py, tools/session_tail.py and tools/uncalled.py: the
+line counts add up to each file's line count, the per-kind latency report
+covers every query kind of the benchmark's session stream, and the line
+trace lists a function no case calls."""
 
 import importlib.util
 from pathlib import Path
@@ -71,3 +72,18 @@ def test_session_tail_reports_every_kind():
     # at least half of the queries lie at or below the pooled median
     assert 2 * sum(int(row[7]) for row in rows) >= 2 * session.PER_LEVEL
     assert lines[-1].startswith(f"{2 * session.PER_LEVEL} queries, pooled")
+
+
+def test_uncalled_lists_a_function_no_case_calls(monkeypatch, capsys):
+    tool = load_tool("uncalled")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(tool, "cases", lambda tmp: [
+        ["table", "--family", "stirling2", "--n-max", "3", "--k-max", "3"]])
+    monkeypatch.setattr(tool, "SESSION_SEEDS", ())
+    assert tool.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {row[1]: row[2:] for row in map(str.split, lines[1:-1])}
+    # the table is written, never read back; build_parser runs every line
+    lines_with_code, never_ran = rows["parse_csv"]
+    assert lines_with_code == never_ran and "build_parser" not in rows
+    assert lines[-1].startswith(f"{len(lines) - 2} functions, ")
