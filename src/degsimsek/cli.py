@@ -22,7 +22,7 @@ import sys
 from .algebra import parse_rational
 from .phi import phi_series
 from .registry import (REGISTRY, registry_ids, run_suite, suite_failed)
-from .reports import reports_to_csv, reports_to_json
+from .reports import ERROR, FAIL, reports_to_csv, reports_to_json
 from .simsek import ROUTES, fk_series
 from .tables import (FAMILIES, FAMILY_TABLE, TableUsageError, _specialize,
                      build_table, render_csv, render_json)
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="one family value")
     p.add_argument("--family", choices=_SIMSEK_FAMILIES, required=True)
-    p.add_argument("--route", choices=ROUTES, default="A")
+    p.add_argument("--route", choices=ROUTES, default=None)
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--k", type=_nonneg, required=True)
     add_point_flags(p)
@@ -143,12 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    value, params, _ = FAMILY_TABLE[args.family]
+    value, params, routes = FAMILY_TABLE[args.family]
     if args.alpha is not None and "alpha" not in params:
         print(f"compute: family {args.family} takes no --alpha",
               file=sys.stderr)
         return USAGE_ERROR
-    print(_specialize(value(args.n, args.k, args.route, None), args.lam,
+    if args.route and not routes:
+        print(f"compute: family {args.family} has no routes", file=sys.stderr)
+        return USAGE_ERROR
+    route = args.route or (routes[0] if routes else None)
+    print(_specialize(value(args.n, args.k, route, None), args.lam,
                       args.alpha))
     return 0
 
@@ -222,7 +226,7 @@ def _cmd_verify(args) -> int:
             if r.mismatch:
                 line += f"  [{r.mismatch}]"
             lines.append(line)
-        failed = sum(1 for r in reports if r.status in ("fail", "error"))
+        failed = sum(1 for r in reports if r.status in (FAIL, ERROR))
         lines.append(f"{len(reports)} reports, {failed} failures")
         text = "\n".join(lines) + "\n"
     status = _emit(text, args.out, "verify")

@@ -48,8 +48,7 @@ import math
 from .algebra import QQ, TruncSeries, _point_rows, series_reciprocal, exp_t
 from .classical import stirling2
 from .degenerate import _apostol_chain, _s2star_chain
-from .reports import (EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE,
-                      IdentityReport, merge_status)
+from .reports import EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE
 from .simsek import scaled_y1, scaled_y1star, y1star
 
 
@@ -106,19 +105,18 @@ def _sum_rows(parts, order: int) -> list[int]:
     return out
 
 
-def _series_report(rid: str, ctx: PointContext, orders: str, lhs, rhs,
-                   den: int = 1, extra: str = "",
-                   mismatch_status: str = FAIL) -> IdentityReport:
+def _series_verdict(ctx: PointContext, lhs, rhs, den: int = 1,
+                    extra: str = "",
+                    mismatch_status: str = FAIL) -> tuple[str, str]:
     """Compare lhs and rhs, den times the two sides as integer EGFs in u,
     entry by entry; the lowest differing entry d is written as the two
     sides' coefficients of x^d."""
     for d, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
-            text = (f"{extra}x^{d};lhs={ctx.x_coeff(a, d, den)};"
-                    f"rhs={ctx.x_coeff(b, d, den)}")
-            return IdentityReport(rid, ctx.lam, ctx.alpha, orders,
-                                  mismatch_status, text)
-    return IdentityReport(rid, ctx.lam, ctx.alpha, orders, PASS)
+            return mismatch_status, (f"{extra}x^{d};"
+                                     f"lhs={ctx.x_coeff(a, d, den)};"
+                                     f"rhs={ctx.x_coeff(b, d, den)}")
+    return PASS, ""
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +284,12 @@ class PointContext:
 
 
 # ---------------------------------------------------------------------------
-# The seven checks.  Each returns an IdentityReport for one n at the
-# point of its context.
+# The seven checks.  check_egf returns the (orders, status, mismatch)
+# verdict of PHI-EGF at the point of its context; each other check returns
+# the (status, mismatch) verdict for one n there, which the registry merges.
 # ---------------------------------------------------------------------------
 
-def check_egf(ctx: PointContext, order: int) -> IdentityReport:
+def check_egf(ctx: PointContext, order: int) -> tuple[str, str, str]:
     """sum_n phi_n(x) t^n/n! = e_a^(l*e^t+1)(x), compared as a series in x
     over a series in t, both sides truncated at order in x and in t: the
     coefficient of x^k t^e, times k! D^k e!, is Phi_e[k] on the left and
@@ -304,13 +303,12 @@ def check_egf(ctx: PointContext, order: int) -> IdentityReport:
         for e, row in enumerate(rows):
             if row[k] != product[e]:
                 scale = math.factorial(e)
-                text = (f"x^{k};t^{e};lhs={ctx.x_coeff(row[k], k, scale)};"
-                        f"rhs={ctx.x_coeff(product[e], k, scale)}")
-                return IdentityReport("PHI-EGF", ctx.lam, ctx.alpha, orders,
-                                      FAIL, text)
+                return orders, FAIL, (
+                    f"x^{k};t^{e};lhs={ctx.x_coeff(row[k], k, scale)};"
+                    f"rhs={ctx.x_coeff(product[e], k, scale)}")
         factor = [ctx.ps + ctx.qs - k * ctx.rq] + [ctx.ps] * order
         product = _conv(product, factor, order)
-    return IdentityReport("PHI-EGF", ctx.lam, ctx.alpha, orders, PASS)
+    return orders, PASS, ""
 
 
 def log_substitution_rhs(ctx: PointContext, n: int,
@@ -324,34 +322,31 @@ def log_substitution_rhs(ctx: PointContext, n: int,
 
 
 def check_log_substitution(ctx: PointContext, n: int,
-                           order: int) -> IdentityReport:
+                           order: int) -> tuple[str, str]:
     """phi_n(x) = sum_k (log(1+a*x)/a)^k y1(n,k), the y1 values taken at
     (lam, 0)."""
-    orders = f"K={order};n={n}"
     if ctx.alpha == 0:
         # the inner substitution degenerates to the identity map
-        return IdentityReport("PHI-LOG", ctx.lam, ctx.alpha, orders,
-                              TRIVIALLY_TRUE)
-    return _series_report("PHI-LOG", ctx, orders, ctx.phi_row(n, order),
-                          log_substitution_rhs(ctx, n, order),
-                          extra=f"n={n};")
+        return TRIVIALLY_TRUE, ""
+    return _series_verdict(ctx, ctx.phi_row(n, order),
+                           log_substitution_rhs(ctx, n, order),
+                           extra=f"n={n};")
 
 
 def check_phi_recurrence(ctx: PointContext, n: int,
-                         order: int) -> IdentityReport:
+                         order: int) -> tuple[str, str]:
     """phi_{n+1}(x) = (l/a) log(1+a*x) sum_i C(n,i) phi_i(x); at a=0 the
     prefactor is its limit l*x, which the log row gives there too."""
     # (l/a) log(1+a*x) = l D times column 1 of the log triangle
     factor = [0] + [ctx.ps * row[1] for row in ctx.triangle("log", order)[1:]]
     acc = _sum_rows([(math.comb(n, i), ctx.phi_row(i, order))
                      for i in range(n + 1)], order)
-    return _series_report("PHI-REC", ctx, f"K={order};n={n}",
-                          ctx.phi_row(n + 1, order),
-                          _conv(factor, acc, order), extra=f"n={n};")
+    return _series_verdict(ctx, ctx.phi_row(n + 1, order),
+                           _conv(factor, acc, order), extra=f"n={n};")
 
 
 def check_phi_derivative(ctx: PointContext, n: int,
-                         order: int) -> IdentityReport:
+                         order: int) -> tuple[str, str]:
     """(1+a*x) phi_n'(x) = l sum_i C(n,i) phi_i(x) + phi_n(x), compared to
     x-order K-1 (the derivative loses one order), both sides times D."""
     cmp_order = order - 1
@@ -360,12 +355,11 @@ def check_phi_derivative(ctx: PointContext, n: int,
     rhs = _sum_rows([(ctx.ps * math.comb(n, i), ctx.phi_row(i, order))
                      for i in range(n + 1)]
                     + [(ctx.qs, ctx.phi_row(n, order))], cmp_order)
-    return _series_report("PHI-DER", ctx, f"K={order};n={n}", lhs, rhs,
-                          den=ctx.qs, extra=f"n={n};")
+    return _series_verdict(ctx, lhs, rhs, den=ctx.qs, extra=f"n={n};")
 
 
 def check_phi_apostol(ctx: PointContext, n: int,
-                      order: int) -> IdentityReport:
+                      order: int) -> tuple[str, str]:
     """(1+a*x) sum_m C(n,m) E_{n-m}(l) phi_m'(x) = 2 phi_n(x) with the
     first-kind Apostol-Euler weights E_j(l) = j! [t^j] 2/(l*e^t+1),
     compared to x-order K-1, both sides times D and the weights'
@@ -377,12 +371,11 @@ def check_phi_apostol(ctx: PointContext, n: int,
                     cmp_order)
     lhs = _conv([1, ctx.rq], acc, cmp_order)
     rhs = [2 * den * ctx.qs * c for c in ctx.phi_row(n, order)[:order]]
-    return _series_report("PHI-AE", ctx, f"K={order};n={n}", lhs, rhs,
-                          den=den * ctx.qs, extra=f"n={n};")
+    return _series_verdict(ctx, lhs, rhs, den=den * ctx.qs, extra=f"n={n};")
 
 
 def check_phi_integral(ctx: PointContext, n: int, order: int,
-                       corrected: bool = False) -> IdentityReport:
+                       corrected: bool = False) -> tuple[str, str]:
     """int_0^x phi_n = ((1+a*x)/2) sum_i C(n,i) E_{n-i} phi_i(x) - E_n/2,
     for n >= 1, both sides times twice the weights' denominator.
 
@@ -393,7 +386,6 @@ def check_phi_integral(ctx: PointContext, n: int, order: int,
     """
     if n < 1:
         raise ValueError("the integral identity is stated for n >= 1")
-    rid = "PHI-INT-CORR" if corrected else "PHI-INT"
     euler, den = ctx.corrected_euler_row(n) if corrected else ctx.apostol_row(n)
     # the integral dx is D times a shift by one entry the other way
     lhs = [0] + [2 * den * ctx.qs * c for c in ctx.phi_row(n, order)[:order]]
@@ -403,13 +395,12 @@ def check_phi_integral(ctx: PointContext, n: int, order: int,
     rhs[0] -= euler[n]
     mismatch_status = (FAIL if (ctx.alpha == 0 or corrected)
                        else EXPECTED_DISCREPANCY)
-    return _series_report(rid, ctx, f"K={order};n={n}", lhs, rhs,
-                          den=2 * den, extra=f"n={n};",
-                          mismatch_status=mismatch_status)
+    return _series_verdict(ctx, lhs, rhs, den=2 * den, extra=f"n={n};",
+                           mismatch_status=mismatch_status)
 
 
 def check_f_transform(ctx: PointContext, n: int, f_coeffs,
-                      order: int) -> IdentityReport:
+                      order: int) -> tuple[str, str]:
     """sum_m y*(n,m) f(m) x^m
        = sum_{j<=n} C(n,j) sum_{m<=deg f} sum_{k<=m} S2(m,k) (x/(1+a*x))^k k!
                      f_m y*(j,k) phi_{n-j}(x)
@@ -429,20 +420,5 @@ def check_f_transform(ctx: PointContext, n: int, f_coeffs,
                       ctx.ft_block(n, k, order))
                      for k in range(min(len(f_nums), order + 1))], order)
     f_text = "f=[" + " ".join(str(c) for c in f_coeffs) + "]"
-    return _series_report("PHI-FT", ctx, f"K={order};n={n};{f_text}", lhs,
-                          rhs, den=f_den, extra=f"n={n};{f_text};")
+    return _series_verdict(ctx, lhs, rhs, den=f_den, extra=f"n={n};{f_text};")
 
-
-def merge_reports(rid: str, reports: list[IdentityReport],
-                  orders: str) -> IdentityReport:
-    """Collapse per-n (or per-f) sub-reports for one identity at one point
-    into a single report; the first non-pass sub-report supplies the
-    recorded mismatch."""
-    status = merge_status([r.status for r in reports])
-    mismatch = ""
-    for r in reports:
-        if r.status in (FAIL, EXPECTED_DISCREPANCY):
-            mismatch = r.mismatch
-            break
-    first = reports[0]
-    return IdentityReport(rid, first.lam, first.alpha, orders, status, mismatch)

@@ -12,6 +12,12 @@ Variant entries (suffixed ids) exercise alternative readings of ambiguous
 statements or derived corrections; they can never fail the suite, only
 report what they found.
 
+A check returns its verdict, not a report: a symbolic check and a whole
+rational entry give (orders, status, mismatch), and a phi check for one n
+gives (status, mismatch), which the entry merges over n.  The suite names
+and places each verdict: _run_entry alone builds an IdentityReport, from
+the entry's id, the context's point and the point's index in the grid.
+
 The suite runs serially and is deterministic: for a fixed seed and grid
 the report list (sorted by id, then point index), and hence its
 serialization, is byte-identical for every run.  A rational entry at a
@@ -26,7 +32,6 @@ from collections.abc import Callable
 from fractions import Fraction
 import math
 import random
-import time
 
 from .algebra import _combine, _int_terms, _over
 from .classical import _stirling1_row, stirling1, stirling2
@@ -34,9 +39,9 @@ from .degenerate import deg_stirling1, deg_stirling2, new_deg_stirling2
 from .phi import (PointContext, check_egf, check_f_transform,
                   check_log_substitution, check_phi_apostol,
                   check_phi_derivative, check_phi_integral,
-                  check_phi_recurrence, merge_reports)
+                  check_phi_recurrence)
 from .reports import (ERROR, EXPECTED_DISCREPANCY, FAIL, NOT_APPLICABLE,
-                      PASS, IdentityReport, _Record)
+                      PASS, IdentityReport, _Record, merge_verdicts)
 from .simsek import (_route_c_printed, fk_series, scaled_y1, scaled_y1star,
                      y1star)  # noqa: F401 (perfbench's tracer test reads it)
 
@@ -88,15 +93,16 @@ class RegistryEntry(_Record):
     _FIELDS = ("id", "description", "mode", "variant_of")
 
     def __init__(self, id: str, description: str, mode: str,
-                 run: Callable[[PointContext | None, int], IdentityReport],
+                 run: Callable[[PointContext | None, int],
+                               tuple[str, str, str]],
                  variant_of: str | None = None,
                  domain: Callable[[Fraction, Fraction], bool] = _everywhere):
         set_field = object.__setattr__
         set_field(self, "id", id)
         set_field(self, "description", description)
         set_field(self, "mode", mode)  # "symbolic" | "rational"
-        # run(ctx, order): ctx is the PointContext of a rational entry's point,
-        # None for a symbolic entry
+        # run(ctx, order) -> (orders, status, mismatch): ctx is the
+        # PointContext of a rational entry's point, None for a symbolic entry
         set_field(self, "run", run)
         set_field(self, "variant_of", variant_of)
         # domain(lam, alpha) of a rational entry: outside it the suite reports
@@ -113,11 +119,15 @@ class RegistryEntry(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _per_n(rid: str, check, ctx: PointContext, order: int,
-           ns=PHI_N_VALUES, **options) -> IdentityReport:
+def _merged(order: int, verdicts) -> tuple[str, str, str]:
+    """The verdict of a phi entry from those of its sub-checks."""
+    return (f"K={order};n<=3", *merge_verdicts(verdicts))
+
+
+def _per_n(check, ctx: PointContext, order: int, ns=PHI_N_VALUES,
+           **options) -> tuple[str, str, str]:
     """One phi check for every n in ns at the context's point, merged."""
-    subs = [check(ctx, n, order, **options) for n in ns]
-    return merge_reports(rid, subs, f"K={order};n<=3")
+    return _merged(order, [check(ctx, n, order, **options) for n in ns])
 
 
 # The callables look the checks up when they run, so a wrapper installed on
@@ -125,18 +135,16 @@ def _per_n(rid: str, check, ctx: PointContext, order: int,
 REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry("EXPL-B", "explicit double sum over C(l,j) a^(k-l) s(k,l) "
                   f"l^j j^n equals the series route, n,k <= {SYMBOLIC_BOUND}",
-                  "symbolic",
-                  lambda ctx, order: check_route_against_a("EXPL-B", "B")),
+                  "symbolic", lambda ctx, order: check_route_against_a("B")),
     RegistryEntry("EXPL-C", "explicit double sum with the (1)_{k-l,a} factor "
                   f"equals the series route, n,k <= {SYMBOLIC_BOUND}",
-                  "symbolic",
-                  lambda ctx, order: check_route_against_a("EXPL-C", "C")),
+                  "symbolic", lambda ctx, order: check_route_against_a("C")),
     RegistryEntry("EXPL-C-PRINTED", "step-j variant (1)_{k-l,j} of EXPL-C; "
                   "recorded as a rejected reading", "symbolic",
                   lambda ctx, order: check_expl_c_printed(), "EXPL-C"),
     RegistryEntry("EXPL-D", "order-k Bernoulli-number formula equals the "
                   f"series route, n,k <= {SYMBOLIC_BOUND}", "symbolic",
-                  lambda ctx, order: check_route_against_a("EXPL-D", "D")),
+                  lambda ctx, order: check_route_against_a("D")),
     RegistryEntry("FUNC-EQ", "(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! "
                   "F_i(t), as series with ParamPoly coefficients, "
                   f"k <= {SYMBOLIC_BOUND}", "symbolic",
@@ -150,11 +158,10 @@ REGISTRY: tuple[RegistryEntry, ...] = (
                   lambda ctx, order: check_rel_s2a()),
     RegistryEntry("REC-K", "column recurrence (k+1) y*(n,k+1) = l sum C(n,i) "
                   "y*(i,k) + (1-k a) y*(n,k) reproduces the series route",
-                  "symbolic",
-                  lambda ctx, order: check_route_against_a("REC-K", "E")),
+                  "symbolic", lambda ctx, order: check_route_against_a("E")),
     RegistryEntry("REC-N", "row recurrence for y*(n+1,k) from column k-1 "
                   "reproduces the series route", "symbolic",
-                  lambda ctx, order: check_route_against_a("REC-N", "F")),
+                  lambda ctx, order: check_route_against_a("F")),
     RegistryEntry("RED-A0", "substituting a=0 into y*(n,k) gives the plain "
                   f"Simsek numbers, n,k <= {SYMBOLIC_BOUND}", "symbolic",
                   lambda ctx, order: check_red_a0()),
@@ -184,40 +191,36 @@ REGISTRY: tuple[RegistryEntry, ...] = (
                   lambda ctx, order: check_egf(ctx, order)),
     RegistryEntry("PHI-LOG", "phi_n(x) = sum_k (log(1+a x)/a)^k y1(n,k); "
                   "trivially true at a=0", "rational",
-                  lambda ctx, order: _per_n("PHI-LOG", check_log_substitution,
+                  lambda ctx, order: _per_n(check_log_substitution,
                                             ctx, order)),
     RegistryEntry("PHI-REC", "phi_{n+1} = (l/a) log(1+a x) sum_i C(n,i) phi_i",
                   "rational",
-                  lambda ctx, order: _per_n("PHI-REC", check_phi_recurrence,
-                                            ctx, order)),
+                  lambda ctx, order: _per_n(check_phi_recurrence, ctx, order)),
     RegistryEntry("PHI-DER", "(1+a x) phi_n' = l sum_i C(n,i) phi_i + phi_n",
                   "rational",
-                  lambda ctx, order: _per_n("PHI-DER", check_phi_derivative,
-                                            ctx, order)),
+                  lambda ctx, order: _per_n(check_phi_derivative, ctx, order)),
     RegistryEntry("PHI-AE", "(1+a x) sum_m C(n,m) E_{n-m}(l) phi_m' = 2 phi_n "
                   "with Apostol-Euler weights", "rational",
-                  lambda ctx, order: _per_n("PHI-AE", check_phi_apostol,
-                                            ctx, order),
+                  lambda ctx, order: _per_n(check_phi_apostol, ctx, order),
                   domain=_lam_not_minus_one),
     RegistryEntry("PHI-INT", "int_0^x phi_n = ((1+a x)/2) sum_i C(n,i) "
                   "E_{n-i}(l) phi_i - E_n(l)/2; exact at a=0, deterministic "
                   "discrepancy at a != 0", "rational",
-                  lambda ctx, order: _per_n("PHI-INT", check_phi_integral,
+                  lambda ctx, order: _per_n(check_phi_integral,
                                             ctx, order, PHI_INT_N_VALUES),
                   domain=_lam_not_minus_one),
     RegistryEntry("PHI-INT-CORR", "integral identity with the corrected "
                   "divisor l e^t + 1 + a (derived here, not part of the "
                   "stated family)", "rational",
-                  lambda ctx, order: _per_n("PHI-INT-CORR", check_phi_integral,
+                  lambda ctx, order: _per_n(check_phi_integral,
                                             ctx, order, PHI_INT_N_VALUES,
                                             corrected=True), "PHI-INT",
                   domain=_corrected_divisor_nonzero),
     RegistryEntry("PHI-FT", "polynomial-transform identity for f in "
                   "{1, x, x^2, x^3-2x}", "rational",
-                  lambda ctx, order: merge_reports("PHI-FT", [
+                  lambda ctx, order: _merged(order, [
                       check_f_transform(ctx, n, f, order)
-                      for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES],
-                      f"K={order};n<=3")),
+                      for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES])),
 )
 
 _BY_ID = {e.id: e for e in REGISTRY}
@@ -252,37 +255,36 @@ def falling_sum(k: int, n: int) -> dict:
     return value
 
 
-def _pair_report(rid: str, pairs, orders: str,
-                 mismatch_status: str = FAIL) -> IdentityReport:
+def _pair_verdict(pairs, orders: str,
+                  mismatch_status: str = FAIL) -> tuple[str, str, str]:
     """Compare (location, lhs, rhs, den) quadruples, lhs and rhs the
     integer terms of den times each side, and record the first difference
     as the two sides' polynomials."""
     for loc, lhs, rhs, den in pairs:
         if lhs != rhs:
-            text = (f"{loc};lhs={_over(lhs, den).render()};"
-                    f"rhs={_over(rhs, den).render()}")
-            return IdentityReport(rid, None, None, orders, mismatch_status,
-                                  text)
-    return IdentityReport(rid, None, None, orders, PASS)
+            return orders, mismatch_status, (
+                f"{loc};lhs={_over(lhs, den).render()};"
+                f"rhs={_over(rhs, den).render()}")
+    return orders, PASS, ""
 
 
-def check_route_against_a(rid: str, route: str) -> IdentityReport:
+def check_route_against_a(route: str) -> tuple[str, str, str]:
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
             for n in range(SYMBOLIC_BOUND + 1):
                 yield (f"(n,k)=({n},{k})", scaled_y1star(n, k, route),
                        scaled_y1star(n, k), math.factorial(k))
-    return _pair_report(rid, pairs(), f"n,k<={SYMBOLIC_BOUND}")
+    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_expl_c_printed() -> IdentityReport:
+def check_expl_c_printed() -> tuple[str, str, str]:
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
             for n in range(SYMBOLIC_BOUND + 1):
                 yield (f"(n,k)=({n},{k})", _route_c_printed(n, k),
                        scaled_y1star(n, k), math.factorial(k))
-    return _pair_report("EXPL-C-PRINTED", pairs(), f"n,k<={SYMBOLIC_BOUND}",
-                        mismatch_status=EXPECTED_DISCREPANCY)
+    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}",
+                         mismatch_status=EXPECTED_DISCREPANCY)
 
 
 def _lam_exp_falling(order: int):
@@ -306,7 +308,7 @@ def _lam_exp_falling(order: int):
         j += 1
 
 
-def check_func_eq(order: int) -> IdentityReport:
+def check_func_eq(order: int) -> tuple[str, str, str]:
     """(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! F_i(t), both sides
     compared as N! = order! times their t^d coefficients, in integers: the
     left side's coefficient is falling_sum(k, d)/d!, the right side's comes
@@ -320,10 +322,10 @@ def check_func_eq(order: int) -> IdentityReport:
                 lhs = {key: v * weight
                        for key, v in falling_sum(k, d).items()}
                 yield f"k={k};t^{d}", lhs, rhs[d], scale
-    return _pair_report("FUNC-EQ", pairs(), f"k<={SYMBOLIC_BOUND};N={order}")
+    return _pair_verdict(pairs(), f"k<={SYMBOLIC_BOUND};N={order}")
 
 
-def check_thm_s1() -> IdentityReport:
+def check_thm_s1() -> tuple[str, str, str]:
     """sum_j a^(k-j) s(k,j) l^j j^n = falling_sum(k, n), and its a = 0
     reduction l^k k^n = sum_i (-1)^(k-i) C(k,i) i! y1(n,i)."""
     def pairs():
@@ -337,10 +339,10 @@ def check_thm_s1() -> IdentityReport:
                                  (-1) ** (k - i) * math.comb(k, i), 0, 0)
                                 for i in range(k + 1))
                 yield f"a=0;(n,k)=({n},{k})", lhs0, rhs0, 1
-    return _pair_report("THM-S1", pairs(), f"n,k<={SYMBOLIC_BOUND}")
+    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_rel_s2a() -> IdentityReport:
+def check_rel_s2a() -> tuple[str, str, str]:
     """k! y*(n,k) = sum_j c(k,j) j! y1(n,j) with the weight
     c(k,j) = sum_i S2a(k,i) s(i,j) in Z[a], taken once per k."""
     def pairs():
@@ -355,10 +357,10 @@ def check_rel_s2a() -> IdentityReport:
                                for (dl, da), c in weight.items())
                 yield (f"(n,k)=({n},{k})", scaled_y1star(n, k), rhs,
                        math.factorial(k))
-    return _pair_report("REL-S2A", pairs(), f"n,k<={SYMBOLIC_BOUND}")
+    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_red_a0() -> IdentityReport:
+def check_red_a0() -> tuple[str, str, str]:
     """The a-free terms of k! y*(n,k) are k! y1(n,k)."""
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
@@ -367,10 +369,10 @@ def check_red_a0() -> IdentityReport:
                        if key[1] == 0}
                 yield (f"(n,k)=({n},{k})", lhs, scaled_y1(n, k),
                        math.factorial(k))
-    return _pair_report("RED-A0", pairs(), f"n,k<={SYMBOLIC_BOUND}")
+    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
-def check_red_classical() -> IdentityReport:
+def check_red_classical() -> tuple[str, str, str]:
     """At a = 0 the degenerate Stirling triangles are the classical ones, and
     new_deg_stirling2(n, k, 0) is S2(n,k), both sides times its
     denominator."""
@@ -392,14 +394,14 @@ def check_red_classical() -> IdentityReport:
                 yield (f"S2*->S2;(n,k)=({n},{k})", const(s2star.numerator),
                        const(s2star.denominator * stirling2(n, k)),
                        s2star.denominator)
-    return _pair_report("RED-CLASSICAL", pairs(), f"n,k<={SYMBOLIC_BOUND}")
+    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}")
 
 
 # ---------------------------------------------------------------------------
 # Rational checks beyond the phi family.
 # ---------------------------------------------------------------------------
 
-def check_rel_s2star(ctx: PointContext, reading: str) -> IdentityReport:
+def check_rel_s2star(ctx: PointContext, reading: str) -> tuple[str, str, str]:
     """The S2* decomposition at the context's point, which needs lam != 0,
     for n, k <= SYMBOLIC_BOUND.
 
@@ -416,18 +418,15 @@ def check_rel_s2star(ctx: PointContext, reading: str) -> IdentityReport:
     in integers with Phi_n[k] = k! (q s)^k y*(n,k) from the point's context
     (lam = p/q, alpha = r/s): rhs k! (q s)^k = Phi_n[k] den.
     """
-    lam0, alpha0 = ctx.lam, ctx.alpha
-    if lam0 == 0:
+    if ctx.lam == 0:
         raise ValueError("the S2* relation needs lam != 0")
-    rid = {"j": "REL-S2STAR", "k": "REL-S2STAR-KIDX",
-           "dup": "REL-S2STAR-DUPL", "zero0": "REL-S2STAR-ZERO0"}[reading]
     orders = f"n,k<={SYMBOLIC_BOUND}"
     rows, s2_den = ctx.s2star_table(SYMBOLIC_BOUND)
     for k in range(SYMBOLIC_BOUND + 1):
         weights, den = ctx.s2star_weights(k)
         den *= s2_den * math.factorial(k)
         if reading == "dup":
-            p, q = lam0.numerator, lam0.denominator
+            p, q = ctx.lam.numerator, ctx.lam.denominator
             weights = [w * p**j * q**(k - j) for j, w in enumerate(weights)]
             den *= q**k
         elif reading == "zero0":
@@ -443,11 +442,10 @@ def check_rel_s2star(ctx: PointContext, reading: str) -> IdentityReport:
             lhs = ctx.phi_num(n, k)
             if rhs * scale != lhs * den:
                 status = FAIL if reading == "j" else EXPECTED_DISCREPANCY
-                return IdentityReport(
-                    rid, lam0, alpha0, orders, status,
+                return orders, status, (
                     f"(n,k)=({n},{k});lhs={ctx.x_coeff(lhs, k)};"
                     f"rhs={Fraction(rhs, den)}")
-    return IdentityReport(rid, lam0, alpha0, orders, PASS)
+    return orders, PASS, ""
 
 
 # ---------------------------------------------------------------------------
@@ -515,23 +513,19 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
 
 def _run_entry(entry: RegistryEntry, ctx: PointContext | None, order: int,
                idx: int) -> IdentityReport:
-    """entry.run(ctx, order), timed, ctx None for a symbolic entry; a point
-    outside the entry's domain gives a not-applicable report, and an
-    exception an error report at the context's point, so neither hides
-    another report."""
+    """The report of entry at point idx of the grid: the verdict of
+    entry.run(ctx, order), ctx None for a symbolic entry, under the entry's
+    id and the context's point.  A point outside the entry's domain gives a
+    not-applicable report, and an exception an error report, so neither
+    hides another report."""
     lam, alpha = (None, None) if ctx is None else (ctx.lam, ctx.alpha)
-    start = time.perf_counter()
+    orders, status, mismatch = "", NOT_APPLICABLE, ""
     try:
         if ctx is None or entry.domain(lam, alpha):
-            report = entry.run(ctx, order)
-        else:
-            report = IdentityReport(entry.id, lam, alpha, "", NOT_APPLICABLE)
+            orders, status, mismatch = entry.run(ctx, order)
     except Exception as exc:
-        report = IdentityReport(entry.id, lam, alpha, "", ERROR,
-                                f"{type(exc).__name__}: {exc}")
-    report.wall_time = time.perf_counter() - start
-    report.point_index = idx
-    return report
+        orders, status, mismatch = "", ERROR, f"{type(exc).__name__}: {exc}"
+    return IdentityReport(entry.id, lam, alpha, orders, status, mismatch, idx)
 
 
 def suite_failed(reports: list[IdentityReport]) -> bool:

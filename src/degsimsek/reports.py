@@ -1,8 +1,7 @@
 """Identity-check reports and their canonical serializations.
 
-A report is deterministic for fixed inputs.  Wall time is carried for
-humans but deliberately excluded from the serialized forms, which must be
-byte-identical across runs and worker counts.
+A report is deterministic for fixed inputs, and so are its serialized
+forms, which are byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ ERROR = "error"
 # the point lies outside the identity's domain; the check did not run
 NOT_APPLICABLE = "not-applicable"
 
-# ordering used when merging sub-checks into one report
+# ordering used when merging the verdicts of sub-checks into one
 _SEVERITY = {FAIL: 3, EXPECTED_DISCREPANCY: 2, PASS: 1, TRIVIALLY_TRUE: 0}
 
 
@@ -49,11 +48,11 @@ class _Record:
 
 class IdentityReport(_Record):
     _FIELDS = ("id", "lam", "alpha", "orders", "status", "mismatch",
-               "point_index", "wall_time")
+               "point_index")
 
     def __init__(self, id: str, lam: Fraction | None, alpha: Fraction | None,
                  orders: str, status: str, mismatch: str = "",
-                 point_index: int = 0, wall_time: float = 0.0):
+                 point_index: int = 0):
         self.id = id
         self.lam = lam
         self.alpha = alpha
@@ -61,7 +60,6 @@ class IdentityReport(_Record):
         self.status = status
         self.mismatch = mismatch
         self.point_index = point_index
-        self.wall_time = wall_time
 
     @property
     def point_text(self) -> str:
@@ -83,12 +81,17 @@ class IdentityReport(_Record):
 CSV_FIELDS = ("id", "lambda", "alpha", "orders", "status", "mismatch")
 
 
-def merge_status(statuses: list[str]) -> str:
-    """The dominant status of a family of sub-checks (fail wins, then
-    expected-discrepancy, then pass, then trivially-true)."""
-    if not statuses:
-        return TRIVIALLY_TRUE
-    return max(statuses, key=lambda s: _SEVERITY[s])
+def merge_verdicts(verdicts: list[tuple[str, str]]) -> tuple[str, str]:
+    """The (status, mismatch) verdict of a family of sub-checks from theirs:
+    the dominant status (fail wins, then expected-discrepancy, then pass,
+    then trivially-true, which is also the verdict of no sub-check), and
+    the mismatch of the first sub-check that failed or found an expected
+    discrepancy."""
+    status = max((s for s, _ in verdicts), key=_SEVERITY.__getitem__,
+                 default=TRIVIALLY_TRUE)
+    mismatch = next((m for s, m in verdicts
+                     if s in (FAIL, EXPECTED_DISCREPANCY)), "")
+    return status, mismatch
 
 
 def reports_to_json(reports: list[IdentityReport]) -> str:

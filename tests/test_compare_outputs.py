@@ -100,8 +100,8 @@ def test_library_stream_catches_a_wrong_power_of_zero(tool, tmp_path,
         "DIFFERS (stdout): library stream", "1 cases, 1 differing"]
 
 
-def test_series_stream_catches_a_wrong_qq_integral(tool, tmp_path,
-                                                   monkeypatch, capsys):
+def test_series_stream_catches_a_wrong_qq_reciprocal(tool, tmp_path,
+                                                     monkeypatch, capsys):
     # a tree whose public series_reciprocal is off by one in its top
     # coefficient, while the product chains keep the exact one, reads alike
     # in the CLI and in the library stream, which never call the public

@@ -81,7 +81,7 @@ def test_shared_context_gives_identical_reports(point):
     for entry in RATIONAL:
         fresh = entry.run(PointContext(*point), 8)
         reused = entry.run(shared, 8)
-        assert (fresh.id, fresh.to_dict()) == (reused.id, reused.to_dict())
+        assert fresh == reused, entry.id
 
 
 def test_suite_evaluates_each_value_once_per_point(monkeypatch):
@@ -179,7 +179,7 @@ def test_shared_symbolic_context_gives_identical_reports(monkeypatch):
         for (module, name), store in zip(SYMBOLIC_STORES, shared):
             monkeypatch.setattr(module, name, store)
         reused = entry.run(None, 8)
-        assert (fresh.id, fresh.to_dict()) == (reused.id, reused.to_dict())
+        assert fresh == reused, entry.id
 
 
 def test_suite_builds_symbolic_values_once(monkeypatch):
@@ -357,10 +357,10 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 def test_rel_s2star_readings_match_term_by_term_reference(lam, alpha):
     ctx = PointContext(lam, alpha)
     for reading in ("j", "k", "dup", "zero0"):
-        report = check_rel_s2star(ctx, reading)
+        _, status, mismatch = check_rel_s2star(ctx, reading)
         expected = rel_s2star_reference(
             lam, alpha, lambda n, k: y1star(n, k).evaluate(lam, alpha), reading)
-        assert (report.status, report.mismatch) == expected, reading
+        assert (status, mismatch) == expected, reading
 
 
 @settings(max_examples=15, deadline=None)
@@ -378,12 +378,12 @@ def test_rel_s2star_readings_equal_the_reference_at_every_term(lam, alpha):
             ctx = PointContext(lam, alpha)
             ctx.phi_num = lambda n, k: ((terms[(n, k)] + ((n, k) == raised))
                                         * math.factorial(k) * ctx.qs**k)
-            report = check_rel_s2star(ctx, reading)
+            _, status, mismatch = check_rel_s2star(ctx, reading)
             if raised is None:
-                assert report.status == PASS, (reading, report.mismatch)
+                assert status == PASS, (reading, mismatch)
             else:
-                assert report.status != PASS, reading
-                assert report.mismatch.startswith("(n,k)=(8,8);"), reading
+                assert status != PASS, reading
+                assert mismatch.startswith("(n,k)=(8,8);"), reading
 
 
 def test_expl_c_printed_equals_the_reference_at_every_term(monkeypatch):
@@ -395,19 +395,19 @@ def test_expl_c_printed_equals_the_reference_at_every_term(monkeypatch):
     n, k = next((n, k) for k in range(9) for n in range(9)
                 if printed[(n, k)] != simsek.scaled_y1star(n, k))
     lhs = _over(printed[(n, k)], math.factorial(k)).render()
-    report = registry.check_expl_c_printed()
-    assert (report.status, report.mismatch) == (
+    _, status, mismatch = registry.check_expl_c_printed()
+    assert (status, mismatch) == (
         EXPECTED_DISCREPANCY,
         f"(n,k)=({n},{k});lhs={lhs};rhs={y1star(n, k).render()}")
     raised = dict(printed)
     raised[(8, 8)] = {**printed[(8, 8)],
                       (0, 0): printed[(8, 8)].get((0, 0), 0) + 1}
-    for values, status in ((printed, PASS), (raised, EXPECTED_DISCREPANCY)):
+    for values, expected in ((printed, PASS), (raised, EXPECTED_DISCREPANCY)):
         monkeypatch.setattr(registry, "scaled_y1star",
                             lambda n, k, route="A": values[(n, k)])
-        report = registry.check_expl_c_printed()
-        assert report.status == status
-    assert report.mismatch.startswith("(n,k)=(8,8);")
+        _, status, mismatch = registry.check_expl_c_printed()
+        assert status == expected
+    assert mismatch.startswith("(n,k)=(8,8);")
 
 
 @settings(max_examples=25, deadline=None)
@@ -545,12 +545,12 @@ def test_phi_checks_match_their_series_forms(lam, alpha, order, target):
         for entry in PHI:
             if not entry.domain(lam, alpha):
                 continue
-            report = entry.run(ctx, order)
+            _, status, mismatch = entry.run(ctx, order)
             ns = (registry.PHI_INT_N_VALUES if entry.id.startswith("PHI-INT")
                   else registry.PHI_N_VALUES)
             expected = phi_reference(entry.id, lam, alpha, order, y, y1, ns,
                                      registry.F_TRANSFORM_POLYS)
-            assert (report.status, report.mismatch) == expected, entry.id
+            assert (status, mismatch) == expected, entry.id
 
 
 @pytest.mark.parametrize("point,text", [

@@ -26,7 +26,7 @@ def parameters(cls) -> list[tuple[str, object]]:
 
 
 def check(ctx, order):
-    return IdentityReport("X", None, None, "", "pass")
+    return "", "pass", ""
 
 
 # ---------------------------------------------------------------------------
@@ -37,48 +37,45 @@ def test_identity_report_signature_and_defaults():
     empty = inspect.Parameter.empty
     assert parameters(IdentityReport) == [
         ("id", empty), ("lam", empty), ("alpha", empty), ("orders", empty),
-        ("status", empty), ("mismatch", ""), ("point_index", 0),
-        ("wall_time", 0.0)]
+        ("status", empty), ("mismatch", ""), ("point_index", 0)]
     by_position = IdentityReport("PHI-DER", Fraction(1, 2), Fraction(-3, 4),
-                                 "K=8", "fail", "n=1", 3, 0.25)
-    by_keyword = IdentityReport(wall_time=0.25, point_index=3, mismatch="n=1",
+                                 "K=8", "fail", "n=1", 3)
+    by_keyword = IdentityReport(point_index=3, mismatch="n=1",
                                 status="fail", orders="K=8",
                                 alpha=Fraction(-3, 4), lam=Fraction(1, 2),
                                 id="PHI-DER")
     for report in (by_position, by_keyword):
         assert (report.id, report.lam, report.alpha, report.orders,
-                report.status, report.mismatch, report.point_index,
-                report.wall_time) == ("PHI-DER", Fraction(1, 2),
-                                      Fraction(-3, 4), "K=8", "fail", "n=1",
-                                      3, 0.25)
+                report.status, report.mismatch, report.point_index) == (
+                    "PHI-DER", Fraction(1, 2), Fraction(-3, 4), "K=8",
+                    "fail", "n=1", 3)
     default = IdentityReport("X", None, None, "", "pass")
-    assert (default.mismatch, default.point_index, default.wall_time) \
-        == ("", 0, 0.0)
-    # the suite sets these after the check returns
-    default.point_index, default.wall_time = 2, 1.5
-    assert (default.point_index, default.wall_time) == (2, 1.5)
+    assert (default.mismatch, default.point_index) == ("", 0)
+    # a report is a plain mutable record
+    default.point_index = 2
+    assert default.point_index == 2
 
 
 def test_identity_report_repr():
     report = IdentityReport("PHI-DER", Fraction(1, 2), Fraction(-3, 4),
-                            "K=8", "fail", "n=1", 3, 0.25)
+                            "K=8", "fail", "n=1", 3)
     assert repr(report) == (
         "IdentityReport(id='PHI-DER', lam=Fraction(1, 2), "
         "alpha=Fraction(-3, 4), orders='K=8', status='fail', "
-        "mismatch='n=1', point_index=3, wall_time=0.25)")
+        "mismatch='n=1', point_index=3)")
     assert repr(IdentityReport("X", None, None, "", "pass")) == (
         "IdentityReport(id='X', lam=None, alpha=None, orders='', "
-        "status='pass', mismatch='', point_index=0, wall_time=0.0)")
+        "status='pass', mismatch='', point_index=0)")
 
 
 def test_identity_report_equality_compares_every_field():
     args = ("PHI-DER", Fraction(1, 2), Fraction(-3, 4), "K=8", "fail",
-            "n=1", 3, 0.25)
+            "n=1", 3)
     report = IdentityReport(*args)
     assert report == IdentityReport(*args)
     assert not report != IdentityReport(*args)
     for i, other in enumerate(("PHI-AE", Fraction(1), Fraction(0), "K=4",
-                               "pass", "", 0, 0.5)):
+                               "pass", "", 0)):
         changed = list(args)
         changed[i] = other
         assert report != IdentityReport(*changed), i
@@ -93,7 +90,7 @@ def test_identity_report_equality_compares_every_field():
 
 def test_identity_report_to_dict_and_point_text():
     report = IdentityReport("PHI-DER", Fraction(1, 2), Fraction(-3, 4),
-                            "K=8", "fail", "n=1", 3, 0.25)
+                            "K=8", "fail", "n=1", 3)
     assert report.to_dict() == {
         "id": "PHI-DER", "lambda": "1/2", "alpha": "-3/4", "orders": "K=8",
         "status": "fail", "mismatch": "n=1"}

@@ -14,7 +14,8 @@ import pytest
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, default_grid,
                                 random_points, registry_ids, run_suite,
                                 suite_failed)
-from degsimsek.reports import reports_to_csv, reports_to_json
+from degsimsek.reports import (IdentityReport, merge_verdicts,
+                               reports_to_csv, reports_to_json)
 from degsimsek.tables import (NumberTable, TableUsageError, build_table,
                               parse_csv, parse_json, render_csv, render_json)
 
@@ -196,6 +197,52 @@ def test_cli_verify_exits_one_on_error_report(monkeypatch, capsys):
     assert lines[0].endswith(" error  [SeriesDomainError: broken check]")
     assert lines[1].endswith(" not-applicable")
     assert lines[-1] == "2 reports, 1 failures"
+
+
+def test_run_entry_names_and_places_each_verdict():
+    # a check returns only its verdict: a stub entry that runs EXPL-B's
+    # check reports under its own id, and a rational stub at the point and
+    # index of the context it runs on
+    from degsimsek.phi import PointContext
+    from degsimsek.registry import RegistryEntry, _run_entry
+    [expl_b] = [e for e in REGISTRY if e.id == "EXPL-B"]
+    alias = RegistryEntry("ALIAS", "EXPL-B under another id", "symbolic",
+                          expl_b.run)
+    report = _run_entry(alias, None, 8, 0)
+    assert (report.id, report.lam, report.alpha, report.point_index) == \
+        ("ALIAS", None, None, 0)
+    assert report.to_dict() == {**_run_entry(expl_b, None, 8, 0).to_dict(),
+                                "id": "ALIAS"}
+    runs = []
+
+    def stub(ctx, order):
+        runs.append((ctx, order))
+        return "K=3", "pass", ""
+
+    ctx = PointContext(Fraction(2, 3), Fraction(-1, 4))
+    report = _run_entry(RegistryEntry("STUB", "a stub", "rational", stub),
+                        ctx, 3, 5)
+    assert runs == [(ctx, 3)]
+    assert report == IdentityReport("STUB", Fraction(2, 3), Fraction(-1, 4),
+                                    "K=3", "pass", "", 5)
+
+
+def test_merge_verdicts_keeps_the_worst_status_and_first_mismatch():
+    # fail beats expected-discrepancy, which beats pass, which beats
+    # trivially-true; the first fail or expected-discrepancy mismatch is
+    # kept, even when a later sub-check fails
+    assert merge_verdicts([("pass", ""), ("expected-discrepancy", "n=1;a"),
+                           ("pass", ""), ("fail", "n=2;b"),
+                           ("expected-discrepancy", "n=3;c")]) == \
+        ("fail", "n=1;a")
+    assert merge_verdicts([("fail", "n=0;a"),
+                           ("expected-discrepancy", "n=1;b")]) == \
+        ("fail", "n=0;a")
+    assert merge_verdicts([("trivially-true", ""), ("pass", "")]) == \
+        ("pass", "")
+    assert merge_verdicts([("trivially-true", "")] * 4) == \
+        ("trivially-true", "")
+    assert merge_verdicts([]) == ("trivially-true", "")
 
 
 def test_suite_filter_runs_subset():
@@ -439,6 +486,36 @@ def test_cli_family_flag_usage_errors(capsys, command, flag):
             assert captured.out, argv
 
 
+@pytest.mark.parametrize("command", ["table", "compute"])
+def test_cli_route_flag_usage_errors(monkeypatch, capsys, command):
+    # --route names a route of y1star; for every other family it is a
+    # usage error, and without it y1star is read by route A
+    from degsimsek import cli, simsek, tables
+    from degsimsek.tables import FAMILIES
+    families = FAMILIES if command == "table" else SIMSEK_FAMILIES
+    for family in families:
+        argv = [command, "--family", family, "--route", "C",
+                *COMMAND_SIZES[command]]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        if family == "y1star":
+            assert (code, captured.err) == (0, ""), argv
+        else:
+            quoted = repr(family) if command == "table" else family
+            assert (code, captured.out, captured.err) == (
+                2, "", f"{command}: family {quoted} has no routes\n"), argv
+    routes = set()
+
+    def recording(n, k, route):
+        routes.add(route)
+        return simsek.y1star(n, k, route)
+
+    monkeypatch.setattr(tables, "y1star", recording)
+    assert cli.main([command, "--family", "y1star",
+                     *COMMAND_SIZES[command]]) == 0
+    assert routes == {"A"}
+
+
 def test_cli_family_choice_lists():
     from degsimsek import cli
     from degsimsek.tables import FAMILIES
@@ -477,7 +554,6 @@ def test_cli_verify_subset_and_list():
 def test_cli_verify_exit_one_on_failure(monkeypatch, capsys):
     # exit status must be 1 exactly when some report has status "fail"
     from degsimsek import cli
-    from degsimsek.reports import IdentityReport
 
     def fake_suite(*args, **kwargs):
         return [IdentityReport("PHI-DER", Fraction(1), Fraction(0), "K=8",

@@ -55,6 +55,7 @@ def cases(tmp: str) -> list[list[str]]:
                                   (6, "-5/2", "-3/4"))]
     # usage errors, each exit status 2
     out += ["compute --family y1 --n -1 --k 0",
+            "compute --family y1 --route C --n 2 --k 1",
             "table --family bernoulli --n-max 2 --k-max 2 --out DIR",
             "table --family stirling1 --n-max 2 --k-max 2 --alpha 1",
             "verify --identity ,", "verify --identity NO-SUCH-ID",
