@@ -15,12 +15,12 @@ coefficient beyond it.
 A ParamPoly holds Fraction terms, or integer numerators over one positive
 denominator in lowest terms, or both.  The fraction-free routes build
 their values from integer terms with `_over`, which makes the integer form
-only; `evaluate` reads that form and `_int_terms` reads whichever form is
-built, so a value that is only evaluated or scaled back to integers never
-builds a Fraction per term.  The powers `evaluate` multiplies by are kept
-per point and top degrees, in one table that every polynomial evaluated
-there shares.  Ring operations, ==, substitute, render and the series
-kernel read the Fraction terms.
+only; `evaluate` reads that form, so a value that is only evaluated never
+builds a Fraction per term, and `_int_terms` scales the Fraction form of
+an F_k coefficient back to integers.  The powers `evaluate` multiplies by
+are kept per point and top degrees, in one table that every polynomial
+evaluated there shares.  Ring operations, ==, substitute, render and the
+series kernel read the Fraction terms.
 
 Over QQ the series product convolves integer numerators.  Over QQ[l,a]
 its kernel `_pp_dot`, which serves nothing else, sums each output
@@ -83,8 +83,8 @@ class ParamPoly:
     over one positive denominator `_den`, in lowest terms (the gcd of _den
     and all numerators is 1), so equal polynomials have equal forms.
     Arithmetic, ==, substitute, render and the series kernel `_pp_dot` read
-    `terms`; `evaluate` reads the integer form, which is all `_over` builds,
-    and `_int_terms` whichever form is built.  The canonical text form
+    `terms`, and so does `_int_terms`; `evaluate` reads the integer form,
+    which is all `_over` builds.  The canonical text form
     lists terms with deg_l descending and, within equal deg_l, deg_a
     ascending: "1*l^2 + 1*l + -1/2*l*a".
 
@@ -407,21 +407,15 @@ def _combine(parts) -> dict:
 
 def _int_terms(poly: ParamPoly, scale: int) -> dict:
     """scale * poly as integer terms; ValueError unless that is integral.
-    Reads the integer form if it is built (in lowest terms it is integral
-    exactly when _den divides scale), else the Fraction terms one by one,
-    and builds no form: route A reads each F_k coefficient once."""
+    Reads the Fraction terms one by one, the form the series product
+    builds: route A reads each F_k coefficient once."""
     out = {}
-    if poly._nums is None:
-        for key, c in poly._terms.items():
-            q, r = divmod(c.numerator * scale, c.denominator)
-            if r:
-                raise ValueError(f"{scale} * ({poly.render()}) is not integral")
-            out[key] = q
-        return out
-    factor, r = divmod(scale, poly._den)
-    if r:
-        raise ValueError(f"{scale} * ({poly.render()}) is not integral")
-    return {key: c * factor for key, c in poly._nums.items()}
+    for key, c in poly.terms.items():
+        q, r = divmod(c.numerator * scale, c.denominator)
+        if r:
+            raise ValueError(f"{scale} * ({poly.render()}) is not integral")
+        out[key] = q
+    return out
 
 
 def _pp_dot(left, right) -> ParamPoly:

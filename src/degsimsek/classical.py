@@ -1,11 +1,14 @@
 """Classical special-number families: Stirling numbers of both kinds,
 degenerate falling factorials, and higher-order Bernoulli numbers.
 
-Triangles are filled by their defining recurrences with memoized rows; the
-generating-function route is kept in the test suite as an independent
-cross-check, not here.  The Bernoulli powers, like the rational S2* and
-the Apostol-Euler series of `degenerate`, are read from grow-only product
-chains over QQ.  Caches only ever grow and hold immutable values.
+Every Stirling-type triangle of the package, here, in `degenerate` and at
+a `phi` point, grows row by row through `_grow_rows` by its recurrence
+T(m+1, j) = T(m, j-1) + w(m, j) T(m, j), with its own weight w (j for S2,
+-m for s); the generating-function route is kept in the test suite as an
+independent cross-check, not here.  The Bernoulli powers, like the
+rational S2* and the Apostol-Euler series of `degenerate`, are read from
+grow-only product chains over QQ.  Caches only ever grow and hold
+immutable values.
 """
 
 from __future__ import annotations
@@ -21,20 +24,32 @@ _S2_ROWS: list[list[int]] = [[1]]
 _S1_ROWS: list[list[int]] = [[1]]
 
 
+def _grow_rows(rows: list, n: int, zero, step, *args) -> list:
+    """Append rows to the triangle `rows` (row m holds T(m, 0..m)) until it
+    holds row n, each by T(m+1, j) = step(T(m, j-1), T(m, j), m, j, *args),
+    with T(m, -1) = T(m, m+1) = zero; returns `rows`."""
+    for m in range(len(rows) - 1, n):
+        prev = [zero, *rows[m], zero]
+        rows.append([step(prev[j], prev[j + 1], m, j, *args)
+                     for j in range(m + 2)])
+    return rows
+
+
+def _s2_step(left: int, above: int, m: int, j: int) -> int:
+    return left + j * above
+
+
+def _s1_step(left: int, above: int, m: int, j: int) -> int:
+    return left - m * above
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: partitions of an n-set into k
     non-empty blocks.  Out-of-range indices give 0."""
     if n < 0 or k < 0 or k > n:
         return 0
-    while len(_S2_ROWS) <= n:
-        r = len(_S2_ROWS)
-        prev = _S2_ROWS[r - 1]
-        row = [0] * (r + 1)
-        for j in range(r + 1):
-            above = prev[j] if j <= r - 1 else 0
-            left = prev[j - 1] if j >= 1 else 0
-            row[j] = j * above + left
-        _S2_ROWS.append(row)
+    if len(_S2_ROWS) <= n:
+        _grow_rows(_S2_ROWS, n, 0, _s2_step)
     return _S2_ROWS[n][k]
 
 
@@ -49,15 +64,8 @@ def stirling1(n: int, k: int) -> int:
 def _stirling1_row(n: int) -> list[int]:
     """The signed Stirling numbers s(n, 0..n), for n >= 0: the memoized
     row itself, so do not mutate it."""
-    while len(_S1_ROWS) <= n:
-        r = len(_S1_ROWS)
-        prev = _S1_ROWS[r - 1]
-        row = [0] * (r + 1)
-        for j in range(r + 1):
-            above = prev[j] if j <= r - 1 else 0
-            left = prev[j - 1] if j >= 1 else 0
-            row[j] = left - (r - 1) * above
-        _S1_ROWS.append(row)
+    if len(_S1_ROWS) <= n:
+        _grow_rows(_S1_ROWS, n, 0, _s1_step)
     return _S1_ROWS[n]
 
 

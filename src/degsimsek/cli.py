@@ -28,6 +28,9 @@ from .tables import (FAMILIES, FAMILY_TABLE, TableUsageError, _specialize,
                      build_table, render_csv, render_json)
 
 USAGE_ERROR = 2
+# verify builds every --random-points point before it runs a check, each in
+# milliseconds, so the cap keeps that build under a minute
+MAX_RANDOM_POINTS = 10_000
 
 # compute and series take the families in l, the Simsek numbers, all of
 # which accept --lambda
@@ -57,6 +60,13 @@ def _nonneg(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("index must be non-negative")
     return value
+
+
+def _point_count(text: str) -> int:
+    value = _nonneg(text)
+    if value <= MAX_RANDOM_POINTS:
+        return value
+    raise argparse.ArgumentTypeError(f"over the cap of {MAX_RANDOM_POINTS}")
 
 
 def _order(text: str) -> int:
@@ -133,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", default=None, metavar="ID[,ID...]")
     p.add_argument("--order", type=_order, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random-points", type=_nonneg, default=2)
+    p.add_argument("--random-points", type=_point_count, default=2)
     p.add_argument("--workers", type=_nonneg, default=1,
                    help="accepted and ignored: the suite runs serially")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")

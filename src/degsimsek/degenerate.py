@@ -8,11 +8,19 @@ between the ordinary and the a-deformed falling-factorial bases:
     (x)_{n,a} = sum_l  deg_stirling2(n,l) (x)_l
     (x)_n     = sum_l  deg_stirling1(n,l) (x)_{l,a}
 
-They are computed by a triangular solve against the (monic) target basis,
-straight from the definitions; both bases, like route C's (1)_{n,a} and
-falling_sum's (-1)_{n,a}, are read off the Stirling-1 rows,
-(x)_{n,a} = sum_j s(n,j) a^(n-j) x^j.  So is a symbolic S2*:
-n! [t^n] (e^t-1)^j = j! S2(n,j) makes it an integer sum.  A rational S2*
+Each grows by classical._grow_rows, as integer terms {(0, j): c} of
+Z[a]: (x)_{m+1,a} = (x)_{m,a} (x - m a) and x (x)_l = (x)_{l+1} + l (x)_l
+give
+
+    deg_stirling2(m+1,l) = deg_stirling2(m,l-1) + (l - m a) deg_stirling2(m,l)
+
+and (x)_{m+1} = (x)_m (x - m) and x (x)_{l,a} = (x)_{l+1,a} + l a (x)_{l,a}
+
+    deg_stirling1(m+1,l) = deg_stirling1(m,l-1) + (l a - m) deg_stirling1(m,l).
+
+Route C's (1)_{n,a} and falling_sum's (-1)_{n,a} are read off the
+Stirling-1 rows, (x)_{n,a} = sum_j s(n,j) a^(n-j) x^j.  So is a symbolic
+S2*: n! [t^n] (e^t-1)^j = j! S2(n,j) makes it an integer sum.  A rational S2*
 and the Apostol-Euler numbers are read from grow-only product chains over
 QQ, one per alpha and one per point, which _s2star_chain and
 _apostol_chain hand to the library and the verifier alike.
@@ -25,59 +33,41 @@ import math
 
 from .algebra import (ParamPoly, SeriesDomainError, TruncSeries, _combine,
                       _over, exp_t)
-from .classical import _ProductChain, _Reciprocal, _stirling1_row, stirling2
+from .classical import (_grow_rows, _ProductChain, _Reciprocal,
+                        _stirling1_row, stirling2)
 
-# row caches: n -> list of ParamPoly (index l), polynomials in a only
-_DS2_ROWS: dict[int, list[ParamPoly]] = {}
-_DS1_ROWS: dict[int, list[ParamPoly]] = {}
-
-
-def _falling_terms(n: int, step_a: int) -> list[dict]:
-    """Integer terms {(deg_l, deg_a): c} of prod_{i<m} (l - i a^step_a)
-    = sum_j s(m,j) l^j a^(step_a (m-j)) for m = 0..n: the falling
-    factorials (l)_m at step_a = 0, the degenerate ones (l)_{m,a} at
-    step_a = 1 (l stands for x)."""
-    return [{(j, step_a * (m - j)): s1
-             for j, s1 in enumerate(_stirling1_row(m)) if s1}
-            for m in range(n + 1)]
+# Row m of each triangle holds the integer terms of its (m, 0..m) entries.
+_DS2_ROWS: list[list[dict]] = [[{(0, 0): 1}]]
+_DS1_ROWS: list[list[dict]] = [[{(0, 0): 1}]]
 
 
-def _falling_basis_row(n: int, source_a: int, target_a: int) -> list[ParamPoly]:
-    """Expand the source falling factorial of degree n in the monic target
-    basis (step_a as in _falling_terms) by descending triangular
-    elimination on the l-degree.  Both bases have integer coefficients and
-    are monic, so every step stays in integers."""
-    p = _falling_terms(n, source_a)[n]
-    basis = _falling_terms(n, target_a)
-    row = [ParamPoly() for _ in range(n + 1)]
-    for d in range(n, -1, -1):
-        c = {(0, j): v for (i, j), v in p.items() if i == d}
-        row[d] = _over(c, 1)
-        if c:
-            p = _combine([(p, 1, 0, 0)] + [(basis[d], -v, 0, j)
-                                           for (_, j), v in c.items()])
-    assert not p, "basis conversion left a nonzero remainder"
-    return row
+def _ds2_step(left: dict, above: dict, m: int, j: int) -> dict:
+    return _combine([(left, 1, 0, 0), (above, j, 0, 0), (above, -m, 0, 1)])
+
+
+def _ds1_step(left: dict, above: dict, m: int, j: int) -> dict:
+    return _combine([(left, 1, 0, 0), (above, -m, 0, 0), (above, j, 0, 1)])
+
+
+def _deg_rows(n: int) -> tuple[list[dict], list[dict]]:
+    """Row n >= 0 of each triangle, deg_stirling2 first: the memoized rows
+    themselves, so do not mutate them."""
+    return (_grow_rows(_DS2_ROWS, n, {}, _ds2_step)[n],
+            _grow_rows(_DS1_ROWS, n, {}, _ds1_step)[n])
 
 
 def deg_stirling2(n: int, l: int) -> ParamPoly:
     """Coefficient of (x)_l in (x)_{n,a}, as a polynomial in a."""
     if n < 0 or l < 0 or l > n:
         return ParamPoly()
-    row = _DS2_ROWS.get(n)
-    if row is None:
-        row = _DS2_ROWS[n] = _falling_basis_row(n, 1, 0)
-    return row[l]
+    return _over(_deg_rows(n)[0][l], 1)
 
 
 def deg_stirling1(n: int, l: int) -> ParamPoly:
     """Coefficient of (x)_{l,a} in (x)_n, as a polynomial in a."""
     if n < 0 or l < 0 or l > n:
         return ParamPoly()
-    row = _DS1_ROWS.get(n)
-    if row is None:
-        row = _DS1_ROWS[n] = _falling_basis_row(n, 0, 1)
-    return row[l]
+    return _over(_deg_rows(n)[1][l], 1)
 
 
 # chains of (e^t-1)_{j,a}, keyed by a rational alpha = p/q in lowest terms

@@ -46,7 +46,7 @@ from fractions import Fraction
 import math
 
 from .algebra import QQ, TruncSeries, _point_rows, series_reciprocal, exp_t
-from .classical import stirling2
+from .classical import _grow_rows, stirling2
 from .degenerate import _apostol_chain, _s2star_chain
 from .reports import EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE
 from .simsek import scaled_y1, scaled_y1star, y1star
@@ -123,6 +123,13 @@ def _series_verdict(ctx: PointContext, lhs, rhs, den: int = 1,
 # The values shared by the checks at one point.
 # ---------------------------------------------------------------------------
 
+def _point_step(left: int, above: int, m: int, k: int, c: int,
+                lah: bool) -> int:
+    """The step of PointContext.triangle: weight -(m+k) c for the Lah
+    triangle, -m c for the log one."""
+    return left - (m + k if lah else m) * c * above
+
+
 class PointContext:
     """Everything the rational checks read at one point lam = p/q,
     alpha = r/s, each value computed on first use and kept, in integers:
@@ -151,7 +158,7 @@ class PointContext:
         self.rq = r * q     # alpha D
         self._nums: dict[tuple[int, int], int] = {}
         self._phi: dict[tuple[int, int], list[int]] = {}
-        self._triangles: dict[tuple[str, int], list[list[int]]] = {}
+        self._triangles = {"log": [[1]], "lah": [[1]]}
         self._rows: dict[tuple[str, int], tuple[list[int], int]] = {}
         self._ft_blocks: dict[tuple[int, int, int], list[int]] = {}
         self._s2star = None
@@ -193,23 +200,14 @@ class PointContext:
                 for k in range(order + 1)]
 
     def triangle(self, kind: str, order: int) -> list[list[int]]:
-        """rows[m][k] for m, k <= order, with c = alpha D: for kind "log",
-        s(m,k) c^(m-k), so that column k is (log(1+alpha*x)/alpha)^k /
-        (k! D^k) in u; for kind "lah", L(m,k) (-c)^(m-k), so that column k
-        is (x/(1+alpha*x))^k / (k! D^k) in u.  Row m+1 is row m shifted
-        one column right, less row m times m c (Stirling) or (m+k) c
-        (Lah) in column k."""
-        rows = self._triangles.get((kind, order))
-        if rows is None:
-            c, lah = self.rq, kind == "lah"
-            rows = [[1] + [0] * order]
-            for m in range(order):
-                prev = rows[m]
-                rows.append([(prev[k - 1] if k else 0)
-                             - (m + k if lah else m) * c * prev[k]
-                             for k in range(order + 1)])
-            self._triangles[(kind, order)] = rows
-        return rows
+        """rows[m][k] for k <= m <= order, with c = alpha D: for kind
+        "log", s(m,k) c^(m-k), so that column k is (log(1+alpha*x)/alpha)^k
+        / (k! D^k) in u; for kind "lah", L(m,k) (-c)^(m-k), so that column
+        k is (x/(1+alpha*x))^k / (k! D^k) in u.  One grow-only triangle per
+        kind, grown by classical._grow_rows with the weight -m c (Stirling)
+        or -(m+k) c (Lah); a read at a lower order is a prefix of it."""
+        return _grow_rows(self._triangles[kind], order, 0, _point_step,
+                          self.rq, kind == "lah")[:order + 1]
 
     def _row(self, kind: str, n: int, series) -> tuple[list[int], int]:
         """(nums, den) with nums[j] / den = j! [t^j] series() for j <= n,
@@ -248,7 +246,8 @@ class PointContext:
             acc = _sum_rows([(math.comb(n, j) * self.phi_num(j, k),
                               self.phi_row(n - j, order))
                              for j in range(n + 1)], order)
-            lah = [row[k] for row in self.triangle("lah", order)]
+            lah = [0] * k + [row[k] for row
+                             in self.triangle("lah", order)[k:]]
             block = self._ft_blocks[(n, k, order)] = _conv(lah, acc, order)
         return block
 

@@ -33,9 +33,9 @@ from fractions import Fraction
 import math
 import random
 
-from .algebra import _combine, _int_terms, _over
+from .algebra import _combine, _over
 from .classical import _stirling1_row, stirling1, stirling2
-from .degenerate import deg_stirling1, deg_stirling2, new_deg_stirling2
+from .degenerate import _deg_rows, new_deg_stirling2
 from .phi import (PointContext, check_egf, check_f_transform,
                   check_log_substitution, check_phi_apostol,
                   check_phi_derivative, check_phi_integral,
@@ -347,8 +347,8 @@ def check_rel_s2a() -> tuple[str, str, str]:
     c(k,j) = sum_i S2a(k,i) s(i,j) in Z[a], taken once per k."""
     def pairs():
         for k in range(SYMBOLIC_BOUND + 1):
-            weights = [_combine((_int_terms(deg_stirling2(k, i), 1),
-                                 stirling1(i, j), 0, 0)
+            s2a = _deg_rows(k)[0]
+            weights = [_combine((s2a[i], stirling1(i, j), 0, 0)
                                 for i in range(j, k + 1))
                        for j in range(k + 1)]
             for n in range(SYMBOLIC_BOUND + 1):
@@ -379,16 +379,14 @@ def check_red_classical() -> tuple[str, str, str]:
     def const(c):
         return {(0, 0): c} if c else {}
 
-    def at_a0(poly):
-        return const(_int_terms(poly, 1).get((0, 0), 0))
-
     def pairs():
         for n in range(SYMBOLIC_BOUND + 1):
+            s2a, s1a = _deg_rows(n)
             for k in range(n + 1):
-                yield (f"S2a->S2;(n,k)=({n},{k})", at_a0(deg_stirling2(n, k)),
-                       const(stirling2(n, k)), 1)
-                yield (f"S1a->S1;(n,k)=({n},{k})", at_a0(deg_stirling1(n, k)),
-                       const(stirling1(n, k)), 1)
+                yield (f"S2a->S2;(n,k)=({n},{k})",
+                       const(s2a[k].get((0, 0), 0)), const(stirling2(n, k)), 1)
+                yield (f"S1a->S1;(n,k)=({n},{k})",
+                       const(s1a[k].get((0, 0), 0)), const(stirling1(n, k)), 1)
             for k in range(SYMBOLIC_BOUND + 1):
                 s2star = new_deg_stirling2(n, k, 0)
                 yield (f"S2*->S2;(n,k)=({n},{k})", const(s2star.numerator),

@@ -118,7 +118,8 @@ def test_integer_form_reads_like_the_fraction_form(terms, den, other, lam,
         expected = ({key: int(v) for key, v in scaled.items()}
                     if all(v.denominator == 1 for v in scaled.values())
                     else "not integral")
-        # _int_terms reads the integer form, or a fresh Fraction form
+        # _int_terms reads the Fraction form, built from the integer form
+        # or given
         assert int_terms_or_error(over, scale) == \
             int_terms_or_error(from_fractions(), scale) == expected
     assert over == frac and frac == over

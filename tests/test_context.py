@@ -199,17 +199,21 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
-    # each degenerate Stirling row is built once, from empty row caches
-    built = []
-    basis_row = degenerate._falling_basis_row
+    # each degenerate Stirling row is built once, from triangles that hold
+    # row 0 only: every entry (m+1, j) is one call of its triangle's step
+    built = {"_ds1_step": [], "_ds2_step": []}
 
-    def recording(n, source_a, target_a):
-        built.append((n, source_a, target_a))
-        return basis_row(n, source_a, target_a)
+    def recording(name, step):
+        def wrapper(left, above, m, j):
+            built[name].append((m, j))
+            return step(left, above, m, j)
+        return wrapper
 
-    monkeypatch.setattr(degenerate, "_falling_basis_row", recording)
-    monkeypatch.setattr(degenerate, "_DS1_ROWS", {})
-    monkeypatch.setattr(degenerate, "_DS2_ROWS", {})
+    for name in built:
+        monkeypatch.setattr(degenerate, name,
+                            recording(name, getattr(degenerate, name)))
+    monkeypatch.setattr(degenerate, "_DS1_ROWS", [[{(0, 0): 1}]])
+    monkeypatch.setattr(degenerate, "_DS2_ROWS", [[{(0, 0): 1}]])
     # point values come from integer terms, never from ParamPoly.evaluate
     monkeypatch.setattr(ParamPoly, "evaluate", counting(
         "evaluate", ParamPoly.evaluate))
@@ -248,8 +252,11 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
         order, _, products = chain.state
         assert order <= 8
         assert all(series.order <= 8 for series in products)
-    assert sorted(built) == sorted((n, source_a, 1 - source_a)
-                                   for n in range(9) for source_a in (0, 1))
+    for name, rows in (("_ds1_step", degenerate._DS1_ROWS),
+                       ("_ds2_step", degenerate._DS2_ROWS)):
+        assert len(rows) == 9, name
+        assert sorted(built[name]) == [(m, j) for m in range(8)
+                                       for j in range(m + 2)], name
 
 
 def test_rel_s2star_reads_the_chain_new_deg_stirling2_keeps(monkeypatch,

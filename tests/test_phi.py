@@ -170,3 +170,48 @@ def test_reports_serialize_without_wall_time():
     assert "wall_time" not in data
     assert data["status"] == "pass"
     assert data["lambda"] == "1" and data["alpha"] == "0"
+
+
+# ---------------------------------------------------------------------------
+# the point's log and Lah triangles
+# ---------------------------------------------------------------------------
+
+def lah_number(m: int, k: int) -> int:
+    """Unsigned Lah number L(m,k) = C(m-1,k-1) m!/k!, with L(0,0) = 1."""
+    import sympy
+    if m == 0:
+        return int(k == 0)
+    return int(sympy.binomial(m - 1, k - 1) * sympy.factorial(m)
+               / sympy.factorial(k))
+
+
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(-3, 4),
+                                   Fraction(13, 2**61 - 1)])
+@pytest.mark.parametrize("orders", [(12, 6), (6, 12)])
+def test_triangles_are_stirling_and_lah_rows(monkeypatch, alpha, orders):
+    from sympy.functions.combinatorial.numbers import stirling
+    from degsimsek import phi
+    built = []
+    step = phi._point_step
+
+    def recording(left, above, m, k, c, lah):
+        built.append((lah, m, k))
+        return step(left, above, m, k, c, lah)
+    monkeypatch.setattr(phi, "_point_step", recording)
+    ctx = at(Fraction(-2, 3), alpha)
+    c = ctx.rq
+    expected = {
+        "log": lambda m, k: int(stirling(m, k, kind=1, signed=True))
+        * c ** (m - k),
+        "lah": lambda m, k: lah_number(m, k) * (-c) ** (m - k)}
+    for kind, value in expected.items():
+        first, second = (ctx.triangle(kind, order) for order in orders)
+        low, high = sorted((first, second), key=len)
+        assert [len(row) for row in high] == list(range(1, 14))
+        # the lower read is the higher one's prefix, row for row
+        assert all(a is b for a, b in zip(low, high)) and len(low) == 7
+        for m, row in enumerate(high):
+            assert row == [value(m, k) for k in range(m + 1)], (kind, m)
+    # rows 1..12 of each triangle, each entry built once
+    assert sorted(built) == sorted((lah, m, k) for lah in (False, True)
+                                   for m in range(12) for k in range(m + 2))

@@ -395,6 +395,28 @@ def test_cli_caps_the_decimal_exponent_of_a_rational():
         "decimal exponent above the cap of 20000")
 
 
+def test_cli_caps_the_random_points_of_verify(monkeypatch, capsys):
+    # argparse reads the cap and rejects one more, with exit 2 and a
+    # message naming the cap, before any point is built or suite runs
+    from degsimsek import cli
+    cap = cli.MAX_RANDOM_POINTS
+    assert cap == 10_000
+    args = cli.build_parser().parse_args(["verify", "--random-points",
+                                          str(cap)])
+    assert args.random_points == cap
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--random-points", str(cap + 1)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "degsimsek verify: error: argument --random-points: over the cap "
+        "of 10000")
+
+
 def test_cli_value_above_the_int_digit_limit_exits_2():
     # phi_0 to degree 1 is [1, lam + 1]: at lam = 10^(D-1) its second
     # coefficient has D digits, the interpreter's limit for writing an int

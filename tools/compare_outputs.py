@@ -19,12 +19,14 @@ for routes A-F, symbolic and at two rational points, as CSV and JSON;
 wherever the family accepts them, as CSV and JSON;
 `compute` and `series` for the families y1, y1deg and y1star, symbolic,
 with --lambda only, --alpha only and both, where the CLI accepts the
-combination; three larger symbolic cases, where more terms cancel: the
+combination; five larger symbolic cases, where more terms cancel: the
 products over QQ[l,a] of `table --family y1star` at 12x12 and `series
---family y1star --k 8 --order 12`, and the Stirling-1 sums of `table
---family s2star` at 10x10; and `phi` at three points: 212 cases in all,
-206 CLI calls and six streams.  The six stream cases run a fixed
-stream of library reads with revisits in one interpreter each, with every
+--family y1star --k 8 --order 12`, the Stirling-1 sums of `table
+--family s2star` at 10x10, and the degenerate Stirling triangles of
+`table --family deg-stirling1` and `deg-stirling2` at 16x16; and `phi`
+at three points: 214 cases in all, 208 CLI calls and six streams.  The
+six stream cases run a fixed stream of library reads with revisits in one
+interpreter each, with every
 answer rendered on its own line, so that a value that changes when it is
 read again shows.  The library stream reads `y1star` by every route, its
 value at four rational points (one with lambda = 0, one with the large
@@ -361,12 +363,15 @@ def cases() -> list[list[str]]:
             matrix.append(["series", "--family", family, "--k", "3",
                            "--order", "6", *sub])
     # larger symbolic sizes, where more terms cancel: route A and an F_k
-    # series in the QQ[l,a] product sums, and S2* in its Stirling-1 sums
+    # series in the QQ[l,a] product sums, S2* in its Stirling-1 sums and
+    # the degenerate Stirling triangles in their Z[a] rows
     matrix += [["table", "--family", "y1star", "--n-max", "12",
                 "--k-max", "12"],
                ["series", "--family", "y1star", "--k", "8", "--order", "12"],
                ["table", "--family", "s2star", "--n-max", "10",
                 "--k-max", "10"]]
+    matrix += [["table", "--family", family, "--n-max", "16", "--k-max", "16"]
+               for family in ("deg-stirling1", "deg-stirling2")]
     for n, lam, alpha in (("0", "0", "1"), ("3", "2/3", "1/3"),
                           ("6", "-5/2", "-3/4")):
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",

@@ -59,7 +59,8 @@ def cases(tmp: str) -> list[list[str]]:
             "table --family bernoulli --n-max 2 --k-max 2 --out DIR",
             "table --family stirling1 --n-max 2 --k-max 2 --alpha 1",
             "verify --identity ,", "verify --identity NO-SUCH-ID",
-            "verify --order 0", "phi --n 1 --lambda -1/0 --alpha 0",
+            "verify --order 0", "verify --random-points 10001",
+            "phi --n 1 --lambda -1/0 --alpha 0",
             "phi --n 1 --lambda=1e20001 --alpha 0",
             "phi --n 0 --lambda=1e5000 --alpha 0"]
     paths = {"FILE": os.path.join(tmp, "out"), "DIR": tmp}
