@@ -15,12 +15,13 @@ coefficient beyond it.
 A ParamPoly holds Fraction terms, or integer numerators over one positive
 denominator in lowest terms, or both.  The fraction-free routes build
 their values from integer terms with `_over`, which makes the integer form
-only; `evaluate` reads that form, so a value that is only evaluated never
-builds a Fraction per term, and `_int_terms` scales the Fraction form of
-an F_k coefficient back to integers.  The powers `evaluate` multiplies by
-are kept per point and top degrees, in one table that every polynomial
-evaluated there shares.  Ring operations, ==, substitute, render and the
-series kernel read the Fraction terms.
+only; `evaluate` and `render` read that form, so a value that is only
+evaluated or printed never builds a Fraction per term.  `_int_terms`
+scales a value held as Fraction terms, such as a coefficient of a series
+product, to integer terms.  The powers `evaluate` multiplies by are kept
+per point and top degrees, in one table that every polynomial evaluated
+there shares.  Ring operations, ==, substitute and the series kernel read
+the Fraction terms.
 
 Over QQ the series product convolves integer numerators.  Over QQ[l,a]
 its kernel `_pp_dot`, which serves nothing else, sums each output
@@ -82,9 +83,9 @@ class ParamPoly:
     integer form `_nums`, a dict mapping (deg_l, deg_a) to a nonzero int,
     over one positive denominator `_den`, in lowest terms (the gcd of _den
     and all numerators is 1), so equal polynomials have equal forms.
-    Arithmetic, ==, substitute, render and the series kernel `_pp_dot` read
-    `terms`, and so does `_int_terms`; `evaluate` reads the integer form,
-    which is all `_over` builds.  The canonical text form
+    Arithmetic, ==, substitute and the series kernel `_pp_dot` read
+    `terms`, and so does `_int_terms`; `evaluate` and `render` read the
+    integer form, which is all `_over` builds.  The canonical text form
     lists terms with deg_l descending and, within equal deg_l, deg_a
     ascending: "1*l^2 + 1*l + -1/2*l*a".
 
@@ -300,11 +301,18 @@ class ParamPoly:
     # -- canonical text ------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
+        """The canonical text, read from the integer form: each coefficient
+        c/_den is reduced by one gcd and written as str(Fraction) writes
+        it, "p" or "p/q" (with the same ValueError for an int above the
+        interpreter's digit limit)."""
+        nums, den = self._ints()
+        if not nums:
             return "0"
         parts = []
-        for (i, j) in sorted(self.terms, key=lambda key: (-key[0], key[1])):
-            factors = [str(self.terms[(i, j)])]
+        for (i, j) in sorted(nums, key=lambda key: (-key[0], key[1])):
+            c = nums[(i, j)]
+            g = math.gcd(c, den)
+            factors = [f"{c // g}" if g == den else f"{c // g}/{den // g}"]
             if i:
                 factors.append("l" if i == 1 else f"l^{i}")
             if j:
@@ -408,7 +416,8 @@ def _combine(parts) -> dict:
 def _int_terms(poly: ParamPoly, scale: int) -> dict:
     """scale * poly as integer terms; ValueError unless that is integral.
     Reads the Fraction terms one by one, the form the series product
-    builds: route A reads each F_k coefficient once."""
+    builds: route A scales coefficient n of (l*e^t + 1)_{k,a} by n! once,
+    when F_k first reaches order n."""
     out = {}
     for key, c in poly.terms.items():
         q, r = divmod(c.numerator * scale, c.denominator)

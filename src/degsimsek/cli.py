@@ -31,6 +31,14 @@ USAGE_ERROR = 2
 # verify builds every --random-points point before it runs a check, each in
 # milliseconds, so the cap keeps that build under a minute
 MAX_RANDOM_POINTS = 10_000
+# The size caps, each the largest size measured to finish within a minute
+# with every size flag of the command at it (README's CLI section gives the
+# measurements): MAX_SIZE holds every size flag, and a command that builds
+# route A's symbolic F_k, the costliest value, is held to MAX_FK when it
+# builds one F_k and to MAX_FK_ROWS when it builds F_0..F_k at one order.
+MAX_SIZE = 56
+MAX_FK = 40
+MAX_FK_ROWS = 27
 
 # compute and series take the families in l, the Simsek numbers, all of
 # which accept --lambda
@@ -62,18 +70,39 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _point_count(text: str) -> int:
-    value = _nonneg(text)
-    if value <= MAX_RANDOM_POINTS:
+def _capped(value: int, cap: int) -> int:
+    if value <= cap:
         return value
-    raise argparse.ArgumentTypeError(f"over the cap of {MAX_RANDOM_POINTS}")
+    raise argparse.ArgumentTypeError(f"over the cap of {cap}")
+
+
+def _size(cap: int):
+    """The argparse type of a non-negative size of at most `cap`."""
+    return lambda text: _capped(_nonneg(text), cap)
 
 
 def _order(text: str) -> int:
     value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("order must be >= 1")
-    return value
+    return _capped(value, MAX_FK_ROWS)
+
+
+def _route_a_sizes(args) -> tuple[int, tuple[str, ...]]:
+    """The cap and the size flags of a compute, series or table call that
+    builds route A's symbolic F_k, else (0, ()): argparse caps every other
+    size at MAX_SIZE, and phi's and verify's, which always build F_0..F_k,
+    at MAX_FK_ROWS."""
+    if (getattr(args, "family", None) == "y1star"
+            and getattr(args, "route", None) in (None, "A")):
+        if args.command == "compute":
+            return MAX_FK, ("--n", "--k")
+        if (args.command == "series" and args.lam is None
+                and args.alpha is None):
+            return MAX_FK, ("--k", "--order")
+        if args.command == "table":
+            return MAX_FK_ROWS, ("--n-max", "--k-max")
+    return 0, ()
 
 
 def _emit(text: str, out: str | None, command: str) -> int:
@@ -110,29 +139,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="one family value")
     p.add_argument("--family", choices=_SIMSEK_FAMILIES, required=True)
     p.add_argument("--route", choices=ROUTES, default=None)
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.add_argument("--k", type=_nonneg, required=True)
+    p.add_argument("--n", type=_size(MAX_SIZE), required=True)
+    p.add_argument("--k", type=_size(MAX_SIZE), required=True)
     add_point_flags(p)
 
     p = sub.add_parser("series", help="column generating function in t")
     p.add_argument("--family", choices=_SIMSEK_FAMILIES, default="y1star")
-    p.add_argument("--k", type=_nonneg, required=True)
-    p.add_argument("--order", type=_nonneg, default=8)
+    p.add_argument("--k", type=_size(MAX_SIZE), required=True)
+    p.add_argument("--order", type=_size(MAX_SIZE), default=8)
     add_point_flags(p)
 
     p = sub.add_parser("phi", help="row generating function in x")
-    p.add_argument("--n", type=_nonneg, required=True)
+    p.add_argument("--n", type=_size(MAX_FK_ROWS), required=True)
     p.add_argument("--lambda", dest="lam", type=_rational, required=True,
                    metavar="p/q")
     p.add_argument("--alpha", type=_rational, required=True, metavar="p/q")
-    p.add_argument("--degree", "--order", dest="degree", type=_nonneg,
-                   default=8)
+    p.add_argument("--degree", "--order", dest="degree",
+                   type=_size(MAX_FK_ROWS), default=8)
 
     p = sub.add_parser("table", help="rectangular family table")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--route", choices=ROUTES, default=None)
-    p.add_argument("--n-max", type=_nonneg, required=True)
-    p.add_argument("--k-max", type=_nonneg, required=True)
+    p.add_argument("--n-max", type=_size(MAX_SIZE), required=True)
+    p.add_argument("--k-max", type=_size(MAX_SIZE), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     add_point_flags(p)
@@ -143,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", default=None, metavar="ID[,ID...]")
     p.add_argument("--order", type=_order, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random-points", type=_point_count, default=2)
+    p.add_argument("--random-points", type=_size(MAX_RANDOM_POINTS),
+                   default=2)
     p.add_argument("--workers", type=_nonneg, default=1,
                    help="accepted and ignored: the suite runs serially")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -260,6 +290,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_join_negative_values(argv))
+    cap, flags = _route_a_sizes(args)
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) > cap:
+            print(f"degsimsek {args.command}: error: argument {flag}: over "
+                  f"the cap of {cap} for route A's F_k", file=sys.stderr)
+            return USAGE_ERROR
     handlers = {
         "compute": _cmd_compute,
         "series": _cmd_series,

@@ -88,11 +88,14 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
 
     Symbolic over ParamPoly by default; pass rationals lam/alpha for a
     specialized series over plain fractions.  A symbolic F_k is built once
-    per order rise and kept; a build publishes n! k! [t^n] F_k for every
-    n <= order into the route-A store, skipping the (n, k) already held,
-    before the series is kept, so route A only ever reads that store.  The
-    first symbolic read of (k, order) is kept too, and later reads return
-    the same object, so do not mutate the result.
+    per order rise and kept.  A build forms the product
+    P = (l*e^t + 1)_{k,a} and publishes n! [t^n] P = n! k! [t^n] F_k for
+    every n <= order into the route-A store as integer terms, skipping the
+    (n, k) already held, so route A only ever reads that store.  The
+    series returned divides each stored value by n! k!, so its
+    coefficients hold the integer form only.  The first symbolic read of
+    (k, order) is kept too, and later reads return the same object, so do
+    not mutate the result.
     """
     if (lam is None) != (alpha is None):
         raise ValueError("fk_series: give both lam and alpha or neither")
@@ -105,13 +108,17 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
         if cached is not None and cached.order >= order:
             series = _fk_cache[key] = cached.truncate(order)
             return series
-        base = exp_t(order, PP) * _L + 1
-        series = degenerate_falling(base, k, _A) * Fraction(1, math.factorial(k))
-        scale = math.factorial(k)
-        for n, c in enumerate(series.coeffs):
-            if (n, k) not in _route_a_store:
-                _route_a_store[(n, k)] = _int_terms(c, scale)
-            scale *= n + 1
+        product = degenerate_falling(exp_t(order, PP) * _L + 1, k, _A)
+        coeffs = []
+        k_fact = math.factorial(k)
+        n_fact = 1
+        for n, c in enumerate(product.coeffs):
+            terms = _route_a_store.get((n, k))
+            if terms is None:
+                terms = _route_a_store[(n, k)] = _int_terms(c, n_fact)
+            coeffs.append(_over(terms, n_fact * k_fact))
+            n_fact *= n + 1
+        series = TruncSeries("t", order, coeffs, PP)
         _fk_cache[k] = _fk_cache[key] = series
         return series
     lam = Fraction(lam)

@@ -108,6 +108,10 @@ def test_integer_form_reads_like_the_fraction_form(terms, den, other, lam,
     def from_fractions():
         return ParamPoly({key: Fraction(c, den) for key, c in terms.items()})
     over, frac = _over(terms, den), from_fractions()
+    # render reads the integer form that _over built alone, and gives the
+    # text of the Fraction form without building it
+    assert over.render() == frac.render()
+    assert over._terms is None
     # built alone by _over, and read from the Fraction terms: one form
     assert integer_form(over) == integer_form(frac)
     assert over.evaluate(lam, alpha) == frac.evaluate(lam, alpha) == \

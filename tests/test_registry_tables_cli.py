@@ -417,6 +417,115 @@ def test_cli_caps_the_random_points_of_verify(monkeypatch, capsys):
         "of 10000")
 
 
+# (argv before the capped flag, the flag, its cap's name in cli, whether
+# the cap is route A's); the benchmark, tools/compare_outputs.py,
+# tools/uncalled.py and the tests use sizes of at most 16
+SIZE_CAPS = [
+    (["compute", "--family", "y1star", "--route", "B", "--k", "1"], "--n",
+     "MAX_SIZE", False),
+    (["compute", "--family", "y1", "--n", "1"], "--k", "MAX_SIZE", False),
+    (["series", "--family", "y1deg", "--k", "1"], "--order", "MAX_SIZE",
+     False),
+    (["series", "--order", "1", "--lambda", "1", "--alpha", "0"], "--k",
+     "MAX_SIZE", False),
+    (["table", "--family", "stirling2", "--k-max", "1"], "--n-max",
+     "MAX_SIZE", False),
+    (["table", "--family", "y1star", "--route", "F", "--n-max", "1"],
+     "--k-max", "MAX_SIZE", False),
+    (["phi", "--lambda", "1", "--alpha", "0"], "--n", "MAX_FK_ROWS", False),
+    (["phi", "--n", "1", "--lambda", "1", "--alpha", "0"], "--degree",
+     "MAX_FK_ROWS", False),
+    (["phi", "--n", "1", "--lambda", "1", "--alpha", "0"], "--order",
+     "MAX_FK_ROWS", False),
+    (["verify"], "--order", "MAX_FK_ROWS", False),
+    (["compute", "--family", "y1star", "--k", "1"], "--n", "MAX_FK", True),
+    (["compute", "--family", "y1star", "--route", "A", "--n", "1",
+      "--lambda", "1", "--alpha", "0"], "--k", "MAX_FK", True),
+    (["series", "--k", "1"], "--order", "MAX_FK", True),
+    (["series", "--order", "1"], "--k", "MAX_FK", True),
+    (["table", "--family", "y1star", "--k-max", "1"], "--n-max",
+     "MAX_FK_ROWS", True),
+    (["table", "--family", "y1star", "--route", "A", "--n-max", "1",
+      "--lambda", "1", "--alpha", "0"], "--k-max", "MAX_FK_ROWS", True),
+]
+
+
+@pytest.mark.parametrize("argv, flag, name, route_a", SIZE_CAPS)
+def test_cli_caps_every_size_flag(monkeypatch, capsys, argv, flag, name,
+                                  route_a):
+    # the cap reaches the command; one more exits 2 with a message naming
+    # the cap before any command runs, from argparse, or for route A's
+    # F_k from the check main makes before it runs a command
+    from degsimsek import cli
+    cap = getattr(cli, name)
+    assert (cli.MAX_SIZE, cli.MAX_FK, cli.MAX_FK_ROWS) == (56, 40, 27)
+    ran = []
+    for command in ("compute", "series", "phi", "table", "verify"):
+        monkeypatch.setattr(cli, f"_cmd_{command}",
+                            lambda args: ran.append(args) or 0)
+    assert cli.main(argv + [flag, str(cap)]) == 0
+    assert cap in vars(ran.pop()).values()
+    try:
+        code = cli.main(argv + [flag, str(cap + 1)])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, ran, captured.out) == (2, [], "")
+    shown = ("--degree/--order" if argv[0] == "phi" and flag != "--n"
+             else flag)
+    assert captured.err.splitlines()[-1] == (
+        f"degsimsek {argv[0]}: error: argument {shown}: over the cap of "
+        f"{cap}" + (" for route A's F_k" if route_a else ""))
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["table", "--family", "stirling2", "--n-max", "28", "--k-max", "28"],
+     37),
+    (["compute", "--family", "y1", "--n", "41", "--k", "1"], 1),
+    (["compute", "--family", "y1star", "--route", "B", "--n", "50", "--k",
+      "3"], 1),
+    (["series", "--k", "41", "--order", "5", "--lambda", "1", "--alpha",
+      "0"], 1),
+])
+def test_cli_runs_cheap_sizes_above_the_route_a_caps(capsys, argv, lines):
+    # the route-A caps hold only where route A's symbolic F_k is built:
+    # these sizes run in milliseconds, by other families, routes or a
+    # series at a point
+    from degsimsek import cli
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and len(captured.out.splitlines()) == lines
+
+
+def test_integer_form_render_keeps_the_int_digit_limit(monkeypatch,
+                                                        capsys):
+    # a value held only in the integer form prints like str(Fraction): up
+    # to the interpreter's digit limit, and above it the same ValueError,
+    # which cli.main turns into exit 2 and its message
+    from degsimsek import cli
+    from degsimsek.algebra import PP, TruncSeries, _over
+    limit = sys.get_int_max_str_digits()
+    under = _over({(1, 0): 10**(limit - 1), (0, 0): -1}, 3)
+    assert under.render() == f"{Fraction(10**(limit - 1), 3)}*l + -1/3"
+    assert under._terms is None
+    for den in (1, 3):
+        over = _over({(1, 0): 10**limit}, den)
+        with pytest.raises(ValueError, match="integer string conversion"):
+            over.render()
+        assert over._terms is None
+        with pytest.raises(ValueError, match="integer string conversion"):
+            str(Fraction(10**limit, den))
+
+    def huge_series(k, order, lam, alpha):
+        return TruncSeries("t", 0, [_over({(1, 0): 10**limit}, 1)], PP)
+    monkeypatch.setattr(cli, "fk_series", huge_series)
+    assert cli.main(["series", "--k", "1", "--order", "0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        f"degsimsek series: a value exceeds the limit of {limit} digits "
+        "for integer string conversion\n"))
+
+
 def test_cli_value_above_the_int_digit_limit_exits_2():
     # phi_0 to degree 1 is [1, lam + 1]: at lam = 10^(D-1) its second
     # coefficient has D digits, the interpreter's limit for writing an int

@@ -255,7 +255,8 @@ def test_reads_and_evaluations_build_no_fraction_terms(cold_store, route):
     assert [y1star(n, k, route) for n in range(7) for k in range(7)] == \
         [_over(simsek._route_b(n, k), math.factorial(k))
          for n in range(7) for k in range(7)]
-    # comparing (like rendering or arithmetic) builds the Fraction terms
+    # comparing (like arithmetic, but not rendering) builds the Fraction
+    # terms
     assert all(value._terms is not None for value in values)
 
 
@@ -329,6 +330,23 @@ def test_fk_series_small_k():
     for n in range(1, 5):
         assert f1.coeffs[n] == L * Fraction(1, math.factorial(n))
     assert fk_series(2, 3).coeffs[1] == L**2 + L - L * A * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_fk_coefficients_hold_only_the_integer_form(cold_store, k):
+    # coefficient n of F_k is the route-A store's n! k! [t^n] F_k over
+    # n! k!, held in the integer form alone: on a cold store, in a
+    # truncation of a longer build, and after an order rise rebuilds F_k
+    def check(order):
+        series = fk_series(k, order)
+        assert series.order == order
+        for n, c in enumerate(series.coeffs):
+            expected = y1star(n, k) * Fraction(1, math.factorial(n))
+            assert c._ints() == expected._ints(), (n, order)
+            assert c._terms is None, (n, order)
+    check(6)
+    check(3)
+    check(9)
 
 
 def test_fk_coefficients_are_y1star():
