@@ -6,9 +6,9 @@ a `phi` point, grows row by row through `_grow_rows` by its recurrence
 T(m+1, j) = T(m, j-1) + w(m, j) T(m, j), with its own weight w (j for S2,
 -m for s); the generating-function route is kept in the test suite as an
 independent cross-check, not here.  The Bernoulli powers, like the
-rational S2* and the Apostol-Euler series of `degenerate`, are read from
-grow-only product chains over QQ.  Caches only ever grow and hold
-immutable values.
+rational S2* and the Apostol-Euler series of `degenerate` and F_k at a
+point in `simsek`, are read from grow-only product chains over QQ.
+Caches only ever grow and hold immutable values.
 """
 
 from __future__ import annotations
@@ -101,8 +101,9 @@ class _ProductChain:
     sees an older chain or a newer one, never a mix of the two.
 
     `values` maps (n, k) to the number the chain's public reader returned
-    for it, stored once built, so that a repeated read is one lookup that
-    returns the same object."""
+    for it (on an F_k chain of `simsek`, (order, k) to the series), stored
+    once built, so that a repeated read is one lookup that returns the
+    same object."""
 
     __slots__ = ("base", "step", "state", "values")
 
@@ -110,7 +111,7 @@ class _ProductChain:
         self.base = base
         self.step = step
         self.state = (-1, None, ())
-        self.values: dict[tuple[int, int], Fraction] = {}
+        self.values: dict[tuple[int, int], Fraction | TruncSeries] = {}
 
     def product(self, j: int, order: int) -> TruncSeries:
         """P_j truncated at `order` or above: its coefficients 0..order are

@@ -39,6 +39,10 @@ MAX_RANDOM_POINTS = 10_000
 MAX_SIZE = 56
 MAX_FK = 40
 MAX_FK_ROWS = 27
+# verify's --random-points and --order held together: random points times
+# order^4 at most what MAX_RANDOM_POINTS gives at the default order 8, so
+# that the points left at order MAX_FK_ROWS add seconds to its minute
+MAX_POINT_WORK = MAX_RANDOM_POINTS * 8**4
 
 # compute and series take the families in l, the Simsek numbers, all of
 # which accept --lambda
@@ -290,6 +294,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_join_negative_values(argv))
+    if (args.command == "verify"
+            and args.random_points * args.order**4 > MAX_POINT_WORK):
+        print(f"degsimsek verify: error: argument --random-points: over the "
+              f"cap of {MAX_POINT_WORK // args.order**4} at --order "
+              f"{args.order}", file=sys.stderr)
+        return USAGE_ERROR
     cap, flags = _route_a_sizes(args)
     for flag in flags:
         if getattr(args, flag[2:].replace("-", "_")) > cap:

@@ -19,15 +19,15 @@ u^m; c = r*q):
     1 + a*x                    [1, c]
     d/dx                       entries shifted down by one, over D
     integral dx                entries shifted up by one, times D
-    e_a^(l*e^t+1)(x)           entry k: prod_{i<k} (p s e^t + q s - i c),
-                               an integer EGF in t
+    e_a^(l*e^t+1)(x)           entry k: k! D^k F_k(t) = D^k (l*e^t+1)_{k,a},
+                               an integer EGF in t, from fk_series
 
 A product of two series is the binomial convolution of their entries.
 Each check scales both sides by one integer, so that both are integer
-lists, and compares them entry by entry.  Fractions are built only for the
-corrected Euler weight row, which is then held as integers over one
-denominator, and to write a mismatch: entry d of den times a side stands
-for the coefficient value/(d! D^d den) of x^d.
+lists, and compares them entry by entry.  Fractions are built only for
+alpha/2 in the corrected Euler weight row, which is then held as integers
+over one denominator, and to write a mismatch: entry d of den times a side
+stands for the coefficient value/(d! D^d den) of x^d.
 
 The integral identity is special: its stated form relies on an
 antiderivative of e_a^c(y) with divisor c, while direct differentiation
@@ -45,11 +45,11 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import QQ, TruncSeries, _point_rows, series_reciprocal, exp_t
+from .algebra import QQ, TruncSeries, _point_rows, series_reciprocal
 from .classical import _grow_rows, stirling2
-from .degenerate import _apostol_chain, _s2star_chain
+from .degenerate import _apostol_chain, _euler_half, _s2star_chain
 from .reports import EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE
-from .simsek import scaled_y1, scaled_y1star, y1star
+from .simsek import fk_series, scaled_y1, scaled_y1star, y1star
 
 
 # (n, p, q, r, s, order) -> the phi_n row phi_series returned at the point
@@ -229,11 +229,10 @@ class PointContext:
     def corrected_euler_row(self, n: int) -> tuple[list[int], int]:
         """The weights of 2/(lam*e^t + 1 + alpha), as apostol_row gives
         them: the divisor that direct differentiation of the antiderivative
-        actually produces."""
-        def series():
-            half = (exp_t(n, QQ) * self.lam + 1 + self.alpha) * Fraction(1, 2)
-            return series_reciprocal(half)
-        return self._row("corrected", n, series)
+        actually produces.  Its half is the Apostol-Euler chain's integer
+        (lam*e^t + 1)/2 at alpha = 0, plus alpha/2."""
+        return self._row("corrected", n, lambda: series_reciprocal(
+            _euler_half(self.lam, 0, n) + self.alpha / 2))
 
     def ft_block(self, n: int, k: int, order: int) -> list[int]:
         """(x/(1+alpha*x))^k sum_j C(n,j) y*(j,k) phi_{n-j}(x) as an
@@ -292,21 +291,20 @@ def check_egf(ctx: PointContext, order: int) -> tuple[str, str, str]:
     """sum_n phi_n(x) t^n/n! = e_a^(l*e^t+1)(x), compared as a series in x
     over a series in t, both sides truncated at order in x and in t: the
     coefficient of x^k t^e, times k! D^k e!, is Phi_e[k] on the left and
-    e! [t^e] of D^k (l*e^t+1)_{k,a} on the right."""
+    k! D^k e! [t^e] F_k on the right, F_k = nums/den as fk_series gives
+    it at the point: both sides are compared times den."""
     orders = f"Nt={order};K={order}"
     rows = [ctx.phi_row(e, order) for e in range(order + 1)]
-    # product is D^k (l*e^t+1)_{k,a} as a t-EGF; each k multiplies in the
-    # factor p s e^t + q s - k c, the t-EGF [p s + q s - k c, p s, p s, ...]
-    product = [1] + [0] * order
     for k in range(order + 1):
+        f_k = fk_series(k, order, ctx.lam, ctx.alpha)
+        weight = math.factorial(k) * ctx.qs**k
         for e, row in enumerate(rows):
-            if row[k] != product[e]:
-                scale = math.factorial(e)
+            scale = math.factorial(e)
+            rhs = weight * scale * f_k.nums[e]
+            if row[k] * f_k.den != rhs:
                 return orders, FAIL, (
                     f"x^{k};t^{e};lhs={ctx.x_coeff(row[k], k, scale)};"
-                    f"rhs={ctx.x_coeff(product[e], k, scale)}")
-        factor = [ctx.ps + ctx.qs - k * ctx.rq] + [ctx.ps] * order
-        product = _conv(product, factor, order)
+                    f"rhs={ctx.x_coeff(rhs, k, scale * f_k.den)}")
     return orders, PASS, ""
 
 

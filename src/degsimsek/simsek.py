@@ -31,9 +31,10 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import (PP, QQ, ParamPoly, TruncSeries, _combine, _int_terms,
-                      _over, exp_t)
-from .classical import _stirling1_row, bernoulli_number, degenerate_falling
+from .algebra import (PP, ParamPoly, TruncSeries, _combine, _int_terms, _over,
+                      exp_t)
+from .classical import (_ProductChain, _stirling1_row, bernoulli_number,
+                        degenerate_falling)
 
 _L = ParamPoly.lam()
 _A = ParamPoly.alpha()
@@ -81,21 +82,25 @@ _fk_cache: dict[int | tuple[int, int], TruncSeries] = {}
 # (n, k) -> n! k! [t^n] F_k as integer terms, for every n up to the order
 # each cached F_k was built at: keep it and _fk_cache emptied together
 _route_a_store: dict[tuple[int, int], dict] = {}
+# (p, q, r, s) -> the chain of (l e^t + 1)_{j,a} at lam = p/q, alpha = r/s
+# in lowest terms; its values hold the series fk_series returned, by (order, k)
+_fk_chains: dict[tuple[int, int, int, int], _ProductChain] = {}
 
 
 def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     """F_k(t) = (l*e^t + 1)_{k,a}/k! truncated at `order`.
 
     Symbolic over ParamPoly by default; pass rationals lam/alpha for a
-    specialized series over plain fractions.  A symbolic F_k is built once
-    per order rise and kept.  A build forms the product
+    specialized series over plain fractions, read from the point's chain
+    in _fk_chains.  A symbolic F_k is built once per order rise and kept.
+    A build forms the product
     P = (l*e^t + 1)_{k,a} and publishes n! [t^n] P = n! k! [t^n] F_k for
     every n <= order into the route-A store as integer terms, skipping the
     (n, k) already held, so route A only ever reads that store.  The
     series returned divides each stored value by n! k!, so its
-    coefficients hold the integer form only.  The first symbolic read of
-    (k, order) is kept too, and later reads return the same object, so do
-    not mutate the result.
+    coefficients hold the integer form only.  The first read of
+    (k, order), at a point written any way, is kept too, and later reads
+    return the same object, so do not mutate the result.
     """
     if (lam is None) != (alpha is None):
         raise ValueError("fk_series: give both lam and alpha or neither")
@@ -121,10 +126,27 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
         series = TruncSeries("t", order, coeffs, PP)
         _fk_cache[k] = _fk_cache[key] = series
         return series
-    lam = Fraction(lam)
-    alpha = Fraction(alpha)
-    base = exp_t(order, QQ) * lam + 1
-    return degenerate_falling(base, k, alpha) * Fraction(1, math.factorial(k))
+    lam, alpha = Fraction(lam), Fraction(alpha)
+    key = (lam.numerator, lam.denominator, alpha.numerator, alpha.denominator)
+    chain = _fk_chains.get(key) or _fk_chains.setdefault(key, _ProductChain(
+        lambda top: _lam_exp(lam, top) + 1, alpha))
+    series = chain.values.get((order, k))
+    if series is None:
+        if k < 0 or order < 0:
+            raise ValueError("fk_series needs k, order >= 0")
+        product = chain.product(k, order)
+        series = chain.values[(order, k)] = TruncSeries._qq(
+            "t", order, product.nums[:order + 1],
+            product.den * math.factorial(k))
+    return series
+
+
+def _lam_exp(lam0: Fraction, order: int) -> TruncSeries:
+    """lam e^t at lam = p/q in integers: p N!/m! over q N! at order N."""
+    top = math.factorial(order)
+    return TruncSeries._qq("t", order, [
+        lam0.numerator * (top // math.factorial(m)) for m in range(order + 1)],
+        lam0.denominator * top)
 
 
 # Each route's core gives Y(n,k) = k! y*(n,k) as integer terms

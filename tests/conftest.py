@@ -2,14 +2,16 @@
 
 import pytest
 
-from degsimsek import classical, degenerate
+from degsimsek import classical, degenerate, simsek
 
 
 @pytest.fixture
 def cold_chains(monkeypatch):
-    """Empty product chains behind bernoulli_number, new_deg_stirling2 and
-    apostol_euler for one test; the warm ones come back afterwards."""
+    """Empty product chains behind bernoulli_number, new_deg_stirling2,
+    apostol_euler and fk_series at a point for one test; the warm ones
+    come back afterwards."""
     monkeypatch.setattr(classical, "_bernoulli_powers",
                         classical._ProductChain(classical._bernoulli_base))
     monkeypatch.setattr(degenerate, "_s2star_chains", {})
     monkeypatch.setattr(degenerate, "_apostol_chains", {})
+    monkeypatch.setattr(simsek, "_fk_chains", {})

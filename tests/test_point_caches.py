@@ -1,5 +1,6 @@
 """The product chains behind bernoulli_number, new_deg_stirling2 at a
-rational alpha and apostol_euler, and the memo of ParamPoly.evaluate:
+rational alpha, apostol_euler and fk_series at a point, and the memo of
+ParamPoly.evaluate:
 independent sympy oracles (symbolic S2* among them), a property that any
 interleaving of cached reads equals the uncached formulas, and count
 guards on the work a read does; and the values the public readers keep,
@@ -15,7 +16,8 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 import pytest
 
-from degsimsek import algebra, classical, degenerate, phi, simsek
+from degsimsek import (algebra, classical, degenerate, phi, registry,
+                       simsek)
 from degsimsek.algebra import (PP, ParamPoly, SeriesDomainError, TruncSeries,
                               exp_t)
 from degsimsek.classical import (_bernoulli_base, _ProductChain,
@@ -89,6 +91,8 @@ def cached(kind, n, k, point, route):
         return new_deg_stirling2(n, k, SYMBOLIC_ALPHAS[route % 3])
     if kind == "E":
         return apostol_euler(n, k, lam, alpha)
+    if kind == "F":
+        return fk_series(k, n, lam, alpha).coeffs[n]
     return y1star(n, k, "ABCDEF"[route]).evaluate(lam, alpha)
 
 
@@ -106,11 +110,15 @@ def fresh(kind, n, k, point, route):
     if kind == "E":
         return apostol_euler_series(k, lam, alpha, n).coeffs[n] \
             * math.factorial(n)
+    if kind == "F":
+        return degenerate_falling(exp_t(n) * lam + 1, k, alpha).coeffs[n] \
+            / math.factorial(k)
     value = y1star(n, k, "ABCDEF"[route])
     return ParamPoly(dict(value.terms)).evaluate(lam, alpha)
 
 
-READS = st.tuples(st.sampled_from(("B", "S2", "S2 symbolic", "E", "evaluate")),
+READS = st.tuples(st.sampled_from(("B", "S2", "S2 symbolic", "E", "F",
+                                   "evaluate")),
                   st.integers(0, 7), st.integers(0, 7),
                   st.sampled_from(POINTS), st.integers(0, 5))
 
@@ -471,6 +479,66 @@ def test_equal_alphas_and_points_share_one_chain(cold_chains):
     assert apostol_euler(2, 1, 2, 0) == apostol_euler(2, 1, Fraction(4, 2), 0)
     assert list(degenerate._apostol_chains) == [(3, 2, -1, 4), (2, 1, 0, 1)]
 
+    # F_k at a point: the chain's values keep each series by (order, k)
+    expected = degenerate_falling(exp_t(5) * Fraction(3, 2) + 1, 3,
+                                  Fraction(-1, 4)) * Fraction(1, 6)
+    for point in ((1.5, -0.25), (Fraction(6, 4), Fraction(-2, 8)),
+                  ("3/2", "-1/4"), (Fraction(3, 2), Fraction(-1, 4))):
+        assert fk_series(3, 5, *point) == expected
+    assert list(simsek._fk_chains) == [(3, 2, -1, 4)]
+    assert simsek._fk_chains[(3, 2, -1, 4)].values == {(5, 3): expected}
+    assert fk_series(2, 4, 2, 0) is fk_series(2, 4, Fraction(4, 2), "0/7")
+    assert list(simsek._fk_chains) == [(3, 2, -1, 4), (2, 1, 0, 1)]
+
+
+def plant_wrong_coefficient(lam, alpha):
+    """Put 1 more into coefficient 5 of the product P_3 that the point's
+    F_k chain holds at order 8."""
+    fk_series(8, 8, lam, alpha)  # P_0..P_8 at order 8
+    chain = simsek._fk_chains[(lam.numerator, lam.denominator,
+                               alpha.numerator, alpha.denominator)]
+    order, x, products = chain.state
+    nums = list(products[3].nums)
+    nums[5] += products[3].den
+    wrong = TruncSeries._qq("t", order, nums, products[3].den)
+    chain.state = (order, x, (*products[:3], wrong, *products[4:]))
+
+
+def test_a_wrong_point_f_k_coefficient_fails_phi_egf_at_every_point(
+        cold_chains):
+    # PHI-EGF's right side is read from the chain fk_series serves, so one
+    # wrong coefficient there fails the check at every grid point, at the
+    # coefficient of x^3 t^5, which is [t^5] F_3 = [t^5] P_3 / 3!
+    grid = registry.default_grid()
+    for lam, alpha in grid:
+        plant_wrong_coefficient(lam, alpha)
+    reports = registry.run_suite(["PHI-EGF"])
+    assert len(reports) == len(grid) == 7
+    for report, (lam, alpha) in zip(reports, grid):
+        assert report.status == "fail", (lam, alpha)
+        where, lhs, rhs = report.mismatch.rsplit(";", 2)
+        assert where == "x^3;t^5"
+        assert Fraction(rhs[4:]) - Fraction(lhs[4:]) == Fraction(1, 6)
+        assert fk_series(3, 8, lam, alpha).coeffs[5] == Fraction(rhs[4:])
+
+
+def test_point_f_k_and_phi_egf_call_no_degenerate_falling(cold_chains,
+                                                         monkeypatch):
+    # route A's symbolic F_k, the left side of PHI-EGF, built first: it is
+    # the one caller of degenerate_falling in the package
+    for k in range(9):
+        fk_series(k, 8)
+    calls = []
+    for module in (classical, simsek):
+        def counted(*args, inner=module.degenerate_falling):
+            calls.append(args)
+            return inner(*args)
+        monkeypatch.setattr(module, "degenerate_falling", counted)
+    fk_series(5, 7, Fraction(2, 3), Fraction(-1, 4))
+    reports = registry.run_suite(["PHI-EGF"])
+    assert [report.status for report in reports] == ["pass"] * 7
+    assert calls == []
+
 
 @pytest.mark.parametrize("lam", [-1, Fraction(-2, 2), -1.0, "-1"])
 def test_apostol_euler_at_lambda_minus_one_raises_and_stores_nothing(
@@ -529,6 +597,8 @@ READERS = {
                                                                     alpha),
     "apostol_euler": lambda n, k, lam, alpha: apostol_euler(n, k, lam, alpha),
     "phi_series": lambda n, k, lam, alpha: phi_series(n, lam, alpha, k),
+    "fk_series at a point": lambda n, k, lam, alpha: fk_series(k, n, lam,
+                                                               alpha),
 }
 
 
@@ -540,7 +610,8 @@ def empty_memos(monkeypatch):
     monkeypatch.setattr(degenerate, "_s2star_chains", {})
     monkeypatch.setattr(degenerate, "_apostol_chains", {})
     monkeypatch.setattr(phi, "_phi_rows", {})
-    for name in ("_y1star_store", "_route_a_store", "_fk_cache"):
+    for name in ("_y1star_store", "_route_a_store", "_fk_cache",
+                 "_fk_chains"):
         monkeypatch.setattr(simsek, name, {})
 
 

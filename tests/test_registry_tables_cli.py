@@ -478,6 +478,35 @@ def test_cli_caps_every_size_flag(monkeypatch, capsys, argv, flag, name,
         f"{cap}" + (" for route A's F_k" if route_a else ""))
 
 
+@pytest.mark.parametrize("order, cap", [(1, 10_000), (8, 10_000),
+                                        (9, 6_242), (16, 625), (27, 77)])
+def test_cli_caps_random_points_with_the_order(monkeypatch, capsys, order,
+                                               cap):
+    # --random-points and --order are bounded together: random points times
+    # order^4 at most MAX_POINT_WORK, which MAX_RANDOM_POINTS reaches at
+    # order 8.  The cap at an order reaches run_suite; one point more exits
+    # 2 with a message naming the cap there before any point is built, from
+    # argparse up to order 8
+    from degsimsek import cli
+    assert cli.MAX_POINT_WORK == cli.MAX_RANDOM_POINTS * 8**4
+    ran = []
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda ids, **kwargs: ran.append(kwargs) or [])
+    argv = ["verify", "--order", str(order), "--random-points"]
+    assert cli.main(argv + [str(cap)]) == 0
+    assert ran.pop() == {"order": order, "seed": 0, "extra_points": cap}
+    capsys.readouterr()
+    try:
+        code = cli.main(argv + [str(cap + 1)])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, ran, captured.out) == (2, [], "")
+    assert captured.err.splitlines()[-1] == (
+        "degsimsek verify: error: argument --random-points: over the cap of "
+        f"{cap}" + (f" at --order {order}" if order > 8 else ""))
+
+
 @pytest.mark.parametrize("argv, lines", [
     (["table", "--family", "stirling2", "--n-max", "28", "--k-max", "28"],
      37),

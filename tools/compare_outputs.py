@@ -23,10 +23,11 @@ combination; five larger symbolic cases, where more terms cancel: the
 products over QQ[l,a] of `table --family y1star` at 12x12 and `series
 --family y1star --k 8 --order 12`, the Stirling-1 sums of `table
 --family s2star` at 10x10, and the degenerate Stirling triangles of
-`table --family deg-stirling1` and `deg-stirling2` at 16x16; and `phi`
-at three points: 214 cases in all, 208 CLI calls and six streams.  The
-six stream cases run a fixed stream of library reads with revisits in one
-interpreter each, with every
+`table --family deg-stirling1` and `deg-stirling2` at 16x16; `series
+--family y1star --k 56 --order 56` at (-7/11, 13/17), F_k over QQ at the
+size cap; and `phi` at three points: 216 cases in all, 209 CLI calls and
+seven streams.  The seven stream cases run a fixed stream of library
+reads with revisits in one interpreter each, with every
 answer rendered on its own line, so that a value that changes when it is
 read again shows.  The library stream reads `y1star` by every route, its
 value at four rational points (one with lambda = 0, one with the large
@@ -71,7 +72,12 @@ it returned (`fk_series`, `bernoulli_number`, `new_deg_stirling2` at a
 rational alpha, `apostol_euler` and `phi_series`) twice in a row for
 n, k <= 8, the second time with the point written another way (an
 unreduced Fraction, an int, a string or a float), at points that share
-lambda or alpha, so that every memo hit is compared byte for byte.
+lambda or alpha, so that every memo hit is compared byte for byte.  The
+point F_k stream reads `fk_series` at four points with the order falling,
+then rising above what earlier reads built, and k past the longest
+product held, each read made twice, the second time with the point
+written another way, so that a point's chain read below its order,
+extended and lengthened shows byte for byte.
 Every differing case is printed
 (exit status, stdout or stderr), and so is a case the CLI rejects as a
 usage error; the exit status is 1 on any of these, else 0.  It is 2,
@@ -306,9 +312,29 @@ for n in range(9):
                       phi_series(n, lam, alpha, k).render())
 """
 
+FK_POINT_CASE = ["point F_k stream"]
+# F_k at a point with the order falling, then rising above what earlier
+# reads built, and k past the longest product held; each read is made
+# twice, the second time with the point written another way
+FK_POINT_STREAM = """
+from fractions import Fraction as F
+from degsimsek import fk_series
+spellings = (((F(3, 2), F(1, 3)), ("6/4", F(2, 6))),
+             ((F(-7, 11), F(13, 17)), (F(-14, 22), "13/17")),
+             ((F(0), F(-2, 5)), (0, "-4/10")),
+             ((F(2), F(0)), (2, 0.0)))
+for order in (9, 6, 3, 0, 5, 12, 7, 16):
+    for k in (0, 1, order // 2, order, order + 3, 14):
+        for point in spellings:
+            for lam, alpha in point:
+                print("F", k, order, lam, alpha,
+                      fk_series(k, order, lam, alpha).render())
+"""
+
 STREAMS = {LIBRARY_CASE[0]: LIBRARY_STREAM, SUITE_CASE[0]: SUITE_STREAM,
            SERIES_CASE[0]: SERIES_STREAM, CLIMB_CASE[0]: CLIMB_STREAM,
-           TAIL_CASE[0]: TAIL_STREAM, REVISIT_CASE[0]: REVISIT_STREAM}
+           TAIL_CASE[0]: TAIL_STREAM, REVISIT_CASE[0]: REVISIT_STREAM,
+           FK_POINT_CASE[0]: FK_POINT_STREAM}
 
 
 def cases() -> list[list[str]]:
@@ -372,12 +398,15 @@ def cases() -> list[list[str]]:
                 "--k-max", "10"]]
     matrix += [["table", "--family", family, "--n-max", "16", "--k-max", "16"]
                for family in ("deg-stirling1", "deg-stirling2")]
+    # F_k at the size cap, at a point with large coprime denominators
+    matrix.append(["series", "--family", "y1star", "--k", "56", "--order",
+                   "56", "--lambda=-7/11", "--alpha=13/17"])
     for n, lam, alpha in (("0", "0", "1"), ("3", "2/3", "1/3"),
                           ("6", "-5/2", "-3/4")):
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
                        "--degree", "12"])
     matrix += [LIBRARY_CASE, SUITE_CASE, SERIES_CASE, CLIMB_CASE, TAIL_CASE,
-               REVISIT_CASE]
+               REVISIT_CASE, FK_POINT_CASE]
     return matrix
 
 

@@ -60,6 +60,7 @@ def cases(tmp: str) -> list[list[str]]:
             "table --family stirling1 --n-max 2 --k-max 2 --alpha 1",
             "verify --identity ,", "verify --identity NO-SUCH-ID",
             "verify --order 0", "verify --random-points 10001",
+            "verify --order 27 --random-points 78",
             "table --family y1star --n-max 28 --k-max 1",
             "phi --n 1 --lambda -1/0 --alpha 0",
             "phi --n 1 --lambda=1e20001 --alpha 0",
