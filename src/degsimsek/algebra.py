@@ -1,33 +1,26 @@
 """Exact arithmetic substrate: rationals, sparse (l, a) polynomials, and
-truncated formal power series with coefficients in QQ or QQ[l,a].  Series
-over either ring add, multiply and truncate; the reciprocal, which the
-product chains read, is taken over QQ only.
+truncated formal power series with rational coefficients, which add,
+multiply, truncate and invert.
 
 All values are immutable after construction apart from lazily filled
-memos (a series over QQ and a ParamPoly each build each of their two forms
-once, when first read; a ParamPoly also keeps the values `evaluate`
-computed), and every operation is a pure function, so everything here is
-safe to share across threads.  The `terms` of a ParamPoly and the forms of
-a series must therefore never be mutated.  Series keep coefficients only
-up to an explicit truncation order; no operation ever consults a
-coefficient beyond it.
+memos (a series and a ParamPoly each build each of their two forms once,
+when first read; a ParamPoly also keeps the values `evaluate` computed),
+and every operation is a pure function, so everything here is safe to
+share across threads.  The `terms` of a ParamPoly and the forms of a
+series must therefore never be mutated.  Series keep coefficients only up
+to an explicit truncation order; no operation ever consults a coefficient
+beyond it.
 
 A ParamPoly holds Fraction terms, or integer numerators over one positive
 denominator in lowest terms, or both.  The fraction-free routes build
 their values from integer terms with `_over`, which makes the integer form
 only; `evaluate` and `render` read that form, so a value that is only
 evaluated or printed never builds a Fraction per term.  `_int_terms`
-scales a value held as Fraction terms, such as a coefficient of a series
+scales a value held as Fraction terms, such as a coefficient of route A's
 product, to integer terms.  The powers `evaluate` multiplies by are kept
 per point and top degrees, in one table that every polynomial evaluated
-there shares.  Ring operations, ==, substitute and the series kernel read
-the Fraction terms.
-
-Over QQ the series product convolves integer numerators.  Over QQ[l,a]
-its kernel `_pp_dot`, which serves nothing else, sums each output
-coefficient in one dict keyed by the (l, a) degrees, adding every term
-product c1*c2 of a[r] and b[m-r] to its key, and builds one ParamPoly at
-the end without the terms that cancelled.
+there shares.  Arithmetic, ==, substitute and `_pp_dot`, the kernel of
+route A's product of ParamPoly coefficient lists, read the Fraction terms.
 """
 
 from __future__ import annotations
@@ -165,7 +158,7 @@ class ParamPoly:
             return self.terms[(0, 0)]
         raise SeriesDomainError(f"not a constant polynomial: {self}")
 
-    # -- ring operations ----------------------------------------------------
+    # -- arithmetic -----------------------------------------------------------
 
     @staticmethod
     def _coerce(other) -> "ParamPoly | None":
@@ -247,7 +240,7 @@ class ParamPoly:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, lam0, alpha0) -> Fraction:
-        """Exact substitution (l, a) -> (lam0, alpha0); a ring homomorphism.
+        """Exact substitution (l, a) -> (lam0, alpha0); it respects + and *.
 
         With lam0 = p/q and alpha0 = r/s the integer form is homogenised
         over _den * q^I * s^J (I and J the top degrees) and summed in
@@ -428,9 +421,11 @@ def _int_terms(poly: ParamPoly, scale: int) -> dict:
 
 
 def _pp_dot(left, right) -> ParamPoly:
-    """sum_r left[r] * right[r] over QQ[l,a], summed in one dict as the
-    module docstring says: the series product's kernel, coefficient m of
-    a * b being _pp_dot(a[:m+1], b[m::-1])."""
+    """sum_r left[r] * right[r] for lists of ParamPoly: coefficient m of the
+    truncated product of coefficient lists a and b is
+    _pp_dot(a[:m+1], b[m::-1]).  Every term product c1*c2 is added to the
+    key of its (l, a) degrees in one dict, and one ParamPoly is built at
+    the end without the terms that cancelled."""
     out = {}
     for a, b in zip(left, right):
         right_terms = b.terms.items()
@@ -444,6 +439,15 @@ def _pp_dot(left, right) -> ParamPoly:
     return _poly({key: c for key, c in out.items() if c})
 
 
+def _rational(value) -> Fraction:
+    """An int or a Fraction as a Fraction; TypeError for anything else."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"cannot read {type(value).__name__} as a rational")
+
+
 def render_scalar(value) -> str:
     """Canonical text of a table/report cell: Rational or ParamPoly."""
     if isinstance(value, ParamPoly):
@@ -454,94 +458,58 @@ def render_scalar(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-ring descriptors.  A ring knows its zero/one and how to coerce
-# plain scalars into itself; everything else is handled by the elements'
-# own operators.
-# ---------------------------------------------------------------------------
-
-class RationalField:
-    name = "QQ"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into QQ")
-
-
-class ParamPolyRing:
-    name = "QQ[l,a]"
-
-    @property
-    def zero(self):
-        return ParamPoly()
-
-    @property
-    def one(self):
-        return ParamPoly.const(1)
-
-    def coerce(self, value):
-        if isinstance(value, ParamPoly):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return ParamPoly.const(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into QQ[l,a]")
-
-
-QQ = RationalField()
-PP = ParamPolyRing()
-
-
-# ---------------------------------------------------------------------------
 # Truncated formal power series.
 # ---------------------------------------------------------------------------
 
 class TruncSeries:
-    """Formal power series in one named variable, truncated at a fixed order,
-    over QQ or QQ[l,a].
+    """Formal power series with rational coefficients in one named
+    variable, truncated at a fixed order.
 
-    `coeffs` is a tuple of order+1 coefficient-ring elements; coefficient j
-    of any operation depends only on input coefficients 0..j, so truncating
-    an order-N result to M <= N equals computing at order M directly.
-    Series in different variables or of different orders do not combine:
-    +, - and * raise SeriesStructureError, and == is False.
+    `coeffs` is a tuple of order+1 Fractions; coefficient j of any
+    operation depends only on input coefficients 0..j, so truncating an
+    order-N result to M <= N equals computing at order M directly.  Series
+    in different variables or of different orders do not combine: +, - and
+    * raise SeriesStructureError, and == is False.
 
-    Over QQ a series may also be held fraction-free: integer numerators
-    `nums` over one positive denominator `den`, in lowest terms (the gcd of
-    den and all numerators is 1), so equal series have equal (nums, den).
-    The QQ operations that the number families run in their inner loops
-    (+, - and * by a scalar, the series product and series_reciprocal) work
-    on that form and return series that hold only it; every other operation
-    reads `coeffs`.  Each form is built from the other when it is first
-    read.
+    A series may also be held fraction-free: integer numerators `nums` over
+    one positive denominator `den`, in lowest terms (the gcd of den and all
+    numerators is 1), so equal series have equal (nums, den).  The
+    operations that the number families run in their inner loops (+, - and
+    * by a scalar, the series product and series_reciprocal) work on that
+    form and return series that hold only it; every other operation reads
+    `coeffs`.  Each form is built from the other when it is first read.
+
+    Route A's symbolic F_k (`simsek.fk_series`) is held by `_held` with
+    ParamPoly coefficients, which coeffs, truncate and render read, but it
+    has no integer numerators, so +, -, * and ** raise TypeError.
     """
 
-    __slots__ = ("var", "order", "ring", "_coeffs", "_nums", "_den")
+    __slots__ = ("var", "order", "_coeffs", "_nums", "_den")
 
-    def __init__(self, var: str, order: int, coeffs, ring):
+    def __init__(self, var: str, order: int, coeffs):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        coeffs = [ring.coerce(c) for c in coeffs]
-        if len(coeffs) < order + 1:
-            coeffs.extend(ring.zero for _ in range(order + 1 - len(coeffs)))
+        coeffs = [_rational(c) for c in coeffs][: order + 1]
+        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         self.var = var
         self.order = order
-        self.ring = ring
-        self._coeffs = tuple(coeffs[: order + 1])
+        self._coeffs = tuple(coeffs)
         self._nums = None
 
     @classmethod
+    def _held(cls, var: str, order: int, coeffs) -> "TruncSeries":
+        """The series with the order+1 coefficients `coeffs` (a tuple, or
+        None for `_qq` to fill in), held as given without coercing them."""
+        s = cls.__new__(cls)
+        s.var = var
+        s.order = order
+        s._coeffs = coeffs
+        s._nums = None
+        return s
+
+    @classmethod
     def _qq(cls, var: str, order: int, nums, den: int) -> "TruncSeries":
-        """The QQ series nums/den (order+1 integer numerators, den != 0),
+        """The series nums/den (order+1 integer numerators, den != 0),
         brought to lowest terms with a positive denominator."""
         g = math.gcd(den, *nums)
         if den < 0:
@@ -549,11 +517,7 @@ class TruncSeries:
         if g != 1:
             nums = [c // g for c in nums]
             den //= g
-        s = cls.__new__(cls)
-        s.var = var
-        s.order = order
-        s.ring = QQ
-        s._coeffs = None
+        s = cls._held(var, order, None)
         s._nums = tuple(nums)
         s._den = den
         return s
@@ -568,24 +532,23 @@ class TruncSeries:
 
     @property
     def nums(self) -> tuple:
-        """The integer numerators of a series over QQ."""
+        """The integer numerators."""
         if self._nums is None:
             self._to_ints()
         return self._nums
 
     @property
     def den(self) -> int:
-        """The common denominator of a series over QQ."""
+        """The common denominator."""
         if self._nums is None:
             self._to_ints()
         return self._den
 
     def _to_ints(self):
-        if self.ring is not QQ:
-            raise TypeError(f"a series over {self.ring.name} has no "
-                            "integer numerators")
-        # the lcm of reduced denominators leaves no common factor
-        den = math.lcm(*(c.denominator for c in self._coeffs))
+        try:  # the lcm of reduced denominators leaves no common factor
+            den = math.lcm(*(c.denominator for c in self._coeffs))
+        except AttributeError:
+            raise TypeError("no series arithmetic on ParamPoly") from None
         self._nums = tuple(c.numerator * (den // c.denominator)
                            for c in self._coeffs)
         self._den = den
@@ -593,14 +556,12 @@ class TruncSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, c, var: str, order: int, ring) -> "TruncSeries":
-        return cls(var, order, [c], ring)
+    def constant(cls, c, var: str, order: int) -> "TruncSeries":
+        return cls(var, order, [c])
 
     @classmethod
-    def variable(cls, var: str, order: int, ring) -> "TruncSeries":
-        if order == 0:
-            return cls(var, order, [ring.zero], ring)
-        return cls(var, order, [ring.zero, ring.one], ring)
+    def variable(cls, var: str, order: int) -> "TruncSeries":
+        return cls(var, order, [0, 1][: order + 1])
 
     # -- helpers -------------------------------------------------------------
 
@@ -618,40 +579,29 @@ class TruncSeries:
         if order > self.order:
             raise SeriesStructureError(
                 f"cannot extend order {self.order} series to {order}")
-        out = TruncSeries.__new__(TruncSeries)
-        out.var = self.var
-        out.order = order
-        out.ring = self.ring
-        out._coeffs = self.coeffs[: order + 1]
-        out._nums = None
-        return out
+        return TruncSeries._held(self.var, order, self.coeffs[: order + 1])
 
-    # -- ring operations ----------------------------------------------------
+    # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, TruncSeries):
             self._check_compatible(other)
             coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-            return TruncSeries(self.var, self.order, coeffs, self.ring)
+            return TruncSeries(self.var, self.order, coeffs)
         try:
-            scalar = self.ring.coerce(other)
+            scalar = _rational(other)
         except TypeError:
             return NotImplemented
-        if self.ring is QQ:
-            # self + p/q in integers, over the lcm of the two denominators
-            den = math.lcm(self.den, scalar.denominator)
-            nums = [c * (den // self.den) for c in self.nums]
-            nums[0] += scalar.numerator * (den // scalar.denominator)
-            return TruncSeries._qq(self.var, self.order, nums, den)
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] + scalar
-        return TruncSeries(self.var, self.order, coeffs, self.ring)
+        # self + p/q in integers, over the lcm of the two denominators
+        den = math.lcm(self.den, scalar.denominator)
+        nums = [c * (den // self.den) for c in self.nums]
+        nums[0] += scalar.numerator * (den // scalar.denominator)
+        return TruncSeries._qq(self.var, self.order, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.var, self.order, [-c for c in self.coeffs],
-                           self.ring)
+        return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -662,31 +612,21 @@ class TruncSeries:
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
             self._check_compatible(other)
-            if self.ring is QQ and other.ring is QQ:
-                return self._mul_qq(other)
-            # a series over QQ times one over QQ[l,a] is read over QQ[l,a]
-            a, b = (s.coeffs if s.ring is PP
-                    else tuple(map(PP.coerce, s.coeffs)) for s in (self, other))
-            return TruncSeries(self.var, self.order,
-                               [_pp_dot(a[:m + 1], b[m::-1])
-                                for m in range(self.order + 1)], PP)
+            return self._mul_qq(other)
         try:
-            scalar = self.ring.coerce(other)
+            scalar = _rational(other)
         except TypeError:
             return NotImplemented
-        if self.ring is QQ:
-            p = scalar.numerator
-            return TruncSeries._qq(self.var, self.order,
-                                   [c * p for c in self.nums],
-                                   self.den * scalar.denominator)
-        return TruncSeries(self.var, self.order,
-                           [c * scalar for c in self.coeffs], self.ring)
+        p = scalar.numerator
+        return TruncSeries._qq(self.var, self.order,
+                               [c * p for c in self.nums],
+                               self.den * scalar.denominator)
 
     __rmul__ = __mul__
 
     def _mul_qq(self, other: "TruncSeries") -> "TruncSeries":
-        """The truncated product over QQ, summed in integers: the numerators
-        are convolved over the product of the denominators."""
+        """The truncated product, summed in integers: the numerators are
+        convolved over the product of the denominators."""
         n = self.order
         right = [(j, b) for j, b in enumerate(other.nums) if b]
         sums = [0] * (n + 1)
@@ -702,8 +642,7 @@ class TruncSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("series powers must be non-negative integers")
-        result = TruncSeries.constant(self.ring.one, self.var, self.order,
-                                      self.ring)
+        result = self * 0 + 1
         base = self
         while n:
             if n & 1:
@@ -717,11 +656,10 @@ class TruncSeries:
             return (self.var == other.var and self.order == other.order
                     and self.coeffs == other.coeffs)
         try:
-            scalar = self.ring.coerce(other)
+            scalar = _rational(other)
         except TypeError:
             return NotImplemented
-        zero = self.ring.zero
-        return self.coeffs[0] == scalar and all(c == zero for c in self.coeffs[1:])
+        return self.coeffs[0] == scalar and not any(self.coeffs[1:])
 
     __hash__ = None
 
@@ -739,15 +677,16 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 
 def series_reciprocal(a: TruncSeries, old=None) -> TruncSeries:
-    """b with a·b = 1 up to the truncation order, for a = nums/den over QQ
-    with a_0 != 0, fraction-free, keeping the coefficients of `old` (1/a at
+    """b with a·b = 1 up to the truncation order, for a = nums/den with
+    a_0 != 0, fraction-free, keeping the coefficients of `old` (1/a at
     a lower order, or None).  With 1/a = bs/D so far,
     b_m = -(1/a_0) sum_{j=1..m} a_j b_{m-j} is -sum_j nums[j] bs[m-j] over
     nums[0] D: each new coefficient multiplies the denominator by nums[0].
-    A series over QQ[l,a] has no integer numerators: TypeError."""
+    A series with ParamPoly coefficients has no integer numerators:
+    TypeError."""
     nums, n0 = a.nums, a.nums[0]
     if n0 == 0:
-        raise SeriesDomainError("division by zero in QQ")
+        raise SeriesDomainError("reciprocal of a series with zero constant term")
     bs, den = ([a.den], n0) if old is None else (list(old.nums), old.den)
     for m in range(len(bs), a.order + 1):
         total = sum(nums[j] * bs[m - j] for j in range(1, m + 1) if nums[j])
@@ -757,8 +696,7 @@ def series_reciprocal(a: TruncSeries, old=None) -> TruncSeries:
     return TruncSeries._qq(a.var, a.order, bs, den)
 
 
-def exp_t(order: int, ring=QQ) -> TruncSeries:
+def exp_t(order: int) -> TruncSeries:
     """The exponential series e^t to the given order."""
-    return TruncSeries("t", order,
-                       [Fraction(1, math.factorial(m)) for m in range(order + 1)],
-                       ring)
+    return TruncSeries("t", order, [Fraction(1, math.factorial(m))
+                                    for m in range(order + 1)])

@@ -7,7 +7,7 @@ T(m+1, j) = T(m, j-1) + w(m, j) T(m, j), with its own weight w (j for S2,
 -m for s); the generating-function route is kept in the test suite as an
 independent cross-check, not here.  The Bernoulli powers, like the
 rational S2* and the Apostol-Euler series of `degenerate` and F_k at a
-point in `simsek`, are read from grow-only product chains over QQ.
+point in `simsek`, are read from grow-only product chains of series.
 Caches only ever grow and hold immutable values.
 """
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 import math
 from operator import mul
 
-from .algebra import QQ, TruncSeries, series_reciprocal
+from .algebra import TruncSeries, series_reciprocal
 
 # Row r of each triangle holds the values for n = r, k = 0..r.
 _S2_ROWS: list[list[int]] = [[1]]
@@ -82,7 +82,7 @@ def degenerate_falling(x, n: int, alpha):
 
 class _ProductChain:
     """Grow-only chain of the products P_j = x(x - a)(x - 2a)...(x - (j-1)a)
-    of a series x over QQ, all held at one truncation order: P_0 = 1 and
+    of a series x, all held at one truncation order: P_0 = 1 and
     P_{j+1} = P_j * (x - j a), the products degenerate_falling(x, j, a)
     forms; at a = 0 they are the powers of x.  `base(order)` gives x at a
     truncation order.
@@ -126,8 +126,7 @@ class _ProductChain:
             held = products[i] if i < len(products) else None
             if held is None or held.order < chain_order:
                 held = (_extend_qq(held, grown[i - 1], x, self.step, i - 1)
-                        if i else TruncSeries.constant(QQ.one, x.var,
-                                                       chain_order, QQ))
+                        if i else TruncSeries.constant(1, x.var, chain_order))
             grown.append(held)
         self.state = (chain_order, x, tuple(grown))
         return grown[j]
@@ -155,10 +154,10 @@ def _extend_qq(old, prev: TruncSeries, x: TruncSeries, step,
 
 
 class _Reciprocal:
-    """The base 1/y of a product chain, for `y(order)` a series over QQ
-    given at any order.  A higher order extends the reciprocal held by its
-    new coefficients b_m = -(1/y_0) sum_{j>=1} y_j b_{m-j}; like a chain's
-    state it is replaced whole."""
+    """The base 1/y of a product chain, for `y(order)` a series given at any
+    order.  A higher order extends the reciprocal held by its new
+    coefficients b_m = -(1/y_0) sum_{j>=1} y_j b_{m-j}; like a chain's state
+    it is replaced whole."""
 
     __slots__ = ("y", "held")
 

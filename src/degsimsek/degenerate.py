@@ -21,9 +21,9 @@ and (x)_{m+1} = (x)_m (x - m) and x (x)_{l,a} = (x)_{l+1,a} + l a (x)_{l,a}
 Route C's (1)_{n,a} and falling_sum's (-1)_{n,a} are read off the
 Stirling-1 rows, (x)_{n,a} = sum_j s(n,j) a^(n-j) x^j.  So is a symbolic
 S2*: n! [t^n] (e^t-1)^j = j! S2(n,j) makes it an integer sum.  A rational S2*
-and the Apostol-Euler numbers are read from grow-only product chains over
-QQ, one per alpha and one per point, which _s2star_chain and
-_apostol_chain hand to the library and the verifier alike.
+and the Apostol-Euler numbers are read from grow-only product chains, one
+per alpha and one per point, which _s2star_chain and _apostol_chain hand to
+the library and the verifier alike.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import QQ, TruncSeries, _point_rows, series_reciprocal
+from .algebra import TruncSeries, _point_rows, series_reciprocal
 from .classical import _grow_rows, stirling2
 from .degenerate import _apostol_chain, _euler_half, _s2star_chain
 from .reports import EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE
@@ -72,7 +72,7 @@ def phi_series(n: int, lam0, alpha0, order: int) -> TruncSeries:
     if row is None:
         coeffs = [y1star(n, k).evaluate(lam0, alpha0)
                   for k in range(order + 1)]
-        row = _phi_rows[key] = TruncSeries("x", order, coeffs, QQ)
+        row = _phi_rows[key] = TruncSeries("x", order, coeffs)
     return row
 
 

@@ -31,13 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import (PP, ParamPoly, TruncSeries, _combine, _int_terms, _over,
-                      exp_t)
-from .classical import (_ProductChain, _stirling1_row, bernoulli_number,
-                        degenerate_falling)
-
-_L = ParamPoly.lam()
-_A = ParamPoly.alpha()
+from .algebra import (ParamPoly, TruncSeries, _combine, _int_terms, _over,
+                      _pp_dot)
+from .classical import _ProductChain, _stirling1_row, bernoulli_number
 
 _scaled_y1_store: dict[tuple[int, int], dict] = {}
 
@@ -88,19 +84,20 @@ _fk_chains: dict[tuple[int, int, int, int], _ProductChain] = {}
 
 
 def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
-    """F_k(t) = (l*e^t + 1)_{k,a}/k! truncated at `order`.
+    """F_k(t) = (l*e^t + 1)_{k,a}/k! truncated at `order`; ValueError
+    unless k, order >= 0.
 
-    Symbolic over ParamPoly by default; pass rationals lam/alpha for a
-    specialized series over plain fractions, read from the point's chain
-    in _fk_chains.  A symbolic F_k is built once per order rise and kept.
-    A build forms the product
-    P = (l*e^t + 1)_{k,a} and publishes n! [t^n] P = n! k! [t^n] F_k for
-    every n <= order into the route-A store as integer terms, skipping the
-    (n, k) already held, so route A only ever reads that store.  The
-    series returned divides each stored value by n! k!, so its
-    coefficients hold the integer form only.  The first read of
-    (k, order), at a point written any way, is kept too, and later reads
-    return the same object, so do not mutate the result.
+    Symbolic by default: a series with ParamPoly coefficients, which no
+    series arithmetic takes (TypeError).  Pass rationals lam/alpha for a
+    rational series, read from the point's chain in _fk_chains.  A symbolic
+    F_k is built once per order rise and kept.  A build forms the product
+    P = (l*e^t + 1)_{k,a} with `_route_a_product` and publishes
+    n! [t^n] P = n! k! [t^n] F_k for every n <= order into the route-A store
+    as integer terms, skipping the (n, k) already held, so route A only
+    ever reads that store.  The series returned divides each stored value
+    by n! k!, so its coefficients hold the integer form only.  The first
+    read of (k, order), at a point written any way, is kept too, and later
+    reads return the same object, so do not mutate the result.
     """
     if (lam is None) != (alpha is None):
         raise ValueError("fk_series: give both lam and alpha or neither")
@@ -113,17 +110,18 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
         if cached is not None and cached.order >= order:
             series = _fk_cache[key] = cached.truncate(order)
             return series
-        product = degenerate_falling(exp_t(order, PP) * _L + 1, k, _A)
+        if k < 0 or order < 0:
+            raise ValueError("fk_series needs k, order >= 0")
         coeffs = []
         k_fact = math.factorial(k)
         n_fact = 1
-        for n, c in enumerate(product.coeffs):
+        for n, c in enumerate(_route_a_product(k, order)):
             terms = _route_a_store.get((n, k))
             if terms is None:
                 terms = _route_a_store[(n, k)] = _int_terms(c, n_fact)
             coeffs.append(_over(terms, n_fact * k_fact))
             n_fact *= n + 1
-        series = TruncSeries("t", order, coeffs, PP)
+        series = TruncSeries._held("t", order, tuple(coeffs))
         _fk_cache[k] = _fk_cache[key] = series
         return series
     lam, alpha = Fraction(lam), Fraction(alpha)
@@ -139,6 +137,20 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
             "t", order, product.nums[:order + 1],
             product.den * math.factorial(k))
     return series
+
+
+def _route_a_product(k: int, order: int) -> list[ParamPoly]:
+    """The coefficients 0..order of (l*e^t + 1)_{k,a}, the product of the
+    factors l*e^t + 1 - j*a for j < k, multiplied one factor at a time as
+    lists of ParamPoly: coefficient m of each step is one _pp_dot."""
+    lam_exp = [ParamPoly.term(Fraction(1, math.factorial(m)), 1, 0)
+               for m in range(1, order + 1)]
+    product = [ParamPoly.const(1)] + [ParamPoly()] * order
+    for j in range(k):
+        factor = [ParamPoly({(1, 0): 1, (0, 0): 1, (0, 1): -j}), *lam_exp]
+        product = [_pp_dot(product[:m + 1], factor[m::-1])
+                   for m in range(order + 1)]
+    return product
 
 
 def _lam_exp(lam0: Fraction, order: int) -> TruncSeries:

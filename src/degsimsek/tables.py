@@ -123,20 +123,29 @@ def render_csv(table: NumberTable) -> str:
     return out.getvalue()
 
 
+# what a missing, mistyped or non-numeric field raises while parsing
+_MALFORMED = (IndexError, KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
 def parse_csv(text: str) -> NumberTable:
-    rows = list(csv.reader(io.StringIO(text)))
-    meta = dict(row[:2] for row in rows[:7])
-    n_max = int(meta["n_max"])
-    k_max = int(meta["k_max"])
-    entries = []
-    for n in range(n_max + 1):
-        cells = rows[8 + n]
-        if cells[0] != str(n) or len(cells) != k_max + 2:
-            raise ValueError(f"malformed table row {cells!r}")
-        entries.append(cells[1:])
-    return NumberTable(meta["family"], meta["route"], n_max, k_max,
-                       _param_parse(meta["lambda"]), _param_parse(meta["alpha"]),
-                       entries, meta["version"])
+    """The table render_csv wrote; ValueError if `text` is malformed."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+        meta = dict(row[:2] for row in rows[:7])
+        n_max = int(meta["n_max"])
+        k_max = int(meta["k_max"])
+        entries = []
+        for n in range(n_max + 1):
+            cells = rows[8 + n]
+            if cells[0] != str(n) or len(cells) != k_max + 2:
+                raise ValueError(f"malformed table row {cells!r}")
+            entries.append(cells[1:])
+        return NumberTable(meta["family"], meta["route"], n_max, k_max,
+                           _param_parse(meta["lambda"]),
+                           _param_parse(meta["alpha"]), entries,
+                           meta["version"])
+    except _MALFORMED as exc:
+        raise ValueError(f"malformed table CSV: {exc!r}") from exc
 
 
 def render_json(table: NumberTable) -> str:
@@ -154,8 +163,12 @@ def render_json(table: NumberTable) -> str:
 
 
 def parse_json(text: str) -> NumberTable:
-    doc = json.loads(text)
-    return NumberTable(doc["family"], doc["route"], doc["n_range"][1],
-                       doc["k_range"][1], _param_parse(doc["lambda"]),
-                       _param_parse(doc["alpha"]), doc["entries"],
-                       doc["version"])
+    """The table render_json wrote; ValueError if `text` is malformed."""
+    try:
+        doc = json.loads(text)
+        return NumberTable(doc["family"], doc["route"], doc["n_range"][1],
+                           doc["k_range"][1], _param_parse(doc["lambda"]),
+                           _param_parse(doc["alpha"]), doc["entries"],
+                           doc["version"])
+    except _MALFORMED as exc:
+        raise ValueError(f"malformed table JSON: {exc!r}") from exc

@@ -4,9 +4,9 @@ Everything here is deliberately written from first principles (enumeration,
 list convolution, triangular solves, or sympy's own series expansion, a
 test-only dependency) without importing the package under test, so a value
 computed here is evidence, not an echo.  The second routes at the end are
-the exception: they are built on the package's ring types, its Bernoulli
-numbers and its degenerate falling factorials, and reach a family by a
-formula the package does not use for it.
+the exception: they are built on the package's ParamPoly and series types,
+its Bernoulli numbers and its degenerate falling factorials, and reach a
+family by a formula the package does not use for it.
 """
 
 from fractions import Fraction
@@ -365,15 +365,47 @@ def ring_product(a: list, b: list, zero) -> list:
     return out
 
 
+def falling_product(x: list, k: int, step, one, zero) -> list:
+    """prod_{j<k} (x - j*step) for a coefficient list x (only its constant
+    term shifts), truncated at the length of x, by ring_product over any
+    ring whose elements carry their own + and *; at step 0 it is x^k."""
+    out = [one] + [zero] * (len(x) - 1)
+    for j in range(k):
+        out = ring_product(out, [x[0] - step * j, *x[1:]], zero)
+    return out
+
+
+def fk_sympy(bound: int, order: int) -> dict:
+    """{(k, n): [t^n] (l*e^t + 1)_{k,a}/k! as terms {(deg_l, deg_a):
+    Fraction}} for k <= bound and n <= order, expanded by sympy from the
+    product of the factors l*e^t + 1 - j*a with e^t its series to t^order."""
+    import sympy
+    l, a, t = sympy.symbols("l a t")
+    exp_t = sympy.series(sympy.exp(t), t, 0, order + 1).removeO()
+    out = {}
+    product = sympy.Integer(1)
+    for k in range(bound + 1):
+        for n in range(order + 1):
+            coeff = sympy.expand(product.coeff(t, n) / sympy.factorial(k))
+            out[(k, n)] = {} if coeff == 0 else {
+                key: Fraction(int(c.p), int(c.q))
+                for key, c in sympy.Poly(coeff, l, a).terms()}
+        product = sympy.expand(product * (l * exp_t + 1 - k * a))
+        # drop the powers of t above the order before the next factor
+        product = sum((product.coeff(t, n) * t**n for n in range(order + 1)),
+                      sympy.Integer(0))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Second routes on the package's types.
 # ---------------------------------------------------------------------------
 
 def log1p_series(order: int, c=1, var: str = "t"):
-    """log(1 + c*t)/c over QQ from its coefficients (-c)^(m-1)/m."""
-    from degsimsek.algebra import QQ, TruncSeries
+    """log(1 + c*t)/c from its coefficients (-c)^(m-1)/m."""
+    from degsimsek.algebra import TruncSeries
     return TruncSeries(var, order, [0] + [Fraction(-c) ** (m - 1) / m
-                                          for m in range(1, order + 1)], QQ)
+                                          for m in range(1, order + 1)])
 
 
 def compose(outer, inner):
@@ -386,13 +418,13 @@ def compose(outer, inner):
 
 
 def deg_exp_series(x, alpha, order: int):
-    """e_alpha^x(t) = sum_m (x)_{m,alpha} t^m/m! over QQ, with
+    """e_alpha^x(t) = sum_m (x)_{m,alpha} t^m/m! at a rational x, with
     (x)_{m,alpha} from the package's degenerate_falling."""
-    from degsimsek.algebra import QQ, TruncSeries
+    from degsimsek.algebra import TruncSeries
     from degsimsek.classical import degenerate_falling
     return TruncSeries("t", order, [
         Fraction(degenerate_falling(Fraction(x), m, alpha), math.factorial(m))
-        for m in range(order + 1)], QQ)
+        for m in range(order + 1)])
 
 
 def bernoulli_poly_coeffs(k: int, n: int) -> list:
@@ -413,10 +445,14 @@ def bernoulli_poly(k: int, n: int, x):
 
 
 def simsek_y1_via_gf(n: int, k: int):
-    """y1(n,k) = n! [t^n] (l*e^t+1)^k / k!, by series powers."""
-    from degsimsek.algebra import PP, ParamPoly, exp_t
-    series = (exp_t(n, PP) * ParamPoly.lam() + 1) ** k
-    return series.coeffs[n] * Fraction(math.factorial(n), math.factorial(k))
+    """y1(n,k) = n! [t^n] (l*e^t+1)^k / k!, the k-th power of the
+    coefficient list of l*e^t + 1 by ring_product."""
+    from degsimsek.algebra import ParamPoly
+    lam_exp = [ParamPoly.term(Fraction(1, math.factorial(m)), 1, 0)
+               for m in range(n + 1)]
+    power = falling_product([lam_exp[0] + 1, *lam_exp[1:]], k, 0,
+                            ParamPoly.const(1), ParamPoly())
+    return power[n] * Fraction(math.factorial(n), math.factorial(k))
 
 
 def deg_simsek_y1_alt(n: int, k: int):

@@ -3,10 +3,11 @@ ParamPoly.evaluate and substitute against the plain sum c*l^i*a^j, a
 ParamPoly built in the integer form alone against the same polynomial
 built from Fractions (one canonical integer form, and equal values under
 every operation), the TruncSeries product against a plain list
-convolution and, over QQ[l,a], against the plain ring loop, a symbolic
-S2* (a Stirling-1 sum) against the series of the product it expands, and
-every operation on QQ series against a Fraction list.  Scalar +, - and *,
-the product and the reciprocal of QQ series run on their integer numerators;
+convolution, the product of ParamPoly coefficient lists by `_pp_dot`
+against a plain convolution and the plain ring loop, a symbolic S2* (a
+Stirling-1 sum) against the series of the product it expands, and every
+operation on series against a Fraction list.  Scalar +, - and *, the
+product and the reciprocal of series run on their integer numerators;
 negation, series + and - and truncate run on their Fraction coefficients,
 and every result must still read back in the canonical integer form."""
 
@@ -17,13 +18,11 @@ import operator
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from degsimsek.algebra import (PP, QQ, ParamPoly, SeriesDomainError,
-                               TruncSeries, _int_terms, _over, exp_t,
-                               series_reciprocal)
-from degsimsek.classical import degenerate_falling
+from degsimsek.algebra import (ParamPoly, SeriesDomainError, TruncSeries,
+                               _int_terms, _over, _pp_dot, series_reciprocal)
 from degsimsek.degenerate import new_deg_stirling2
 
-from oracles import reciprocal_solve, ring_product
+from oracles import falling_product, reciprocal_solve, ring_product
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -164,7 +163,7 @@ def zero_or(strategy, zero):
 def test_series_product_over_qq(pair):
     a, b = pair
     order = len(a) - 1
-    product = TruncSeries("t", order, a, QQ) * TruncSeries("t", order, b, QQ)
+    product = TruncSeries("t", order, a) * TruncSeries("t", order, b)
     assert list(product.coeffs) == convolution(a, b, Fraction(0))
     assert all(type(c) is Fraction for c in product.coeffs)
 
@@ -173,16 +172,22 @@ def test_series_product_over_qq(pair):
 @given(sparse(zero_or(polys, ParamPoly())))
 def test_series_product_over_parampoly(pair):
     a, b = pair
-    order = len(a) - 1
-    product = TruncSeries("t", order, a, PP) * TruncSeries("t", order, b, PP)
-    assert list(product.coeffs) == convolution(a, b, ParamPoly())
-    assert all(type(c) is ParamPoly for c in product.coeffs)
+    product = pp_product(a, b)
+    assert product == convolution(a, b, ParamPoly())
+    assert all(type(c) is ParamPoly for c in product)
 
 
 # ---------------------------------------------------------------------------
-# The QQ[l,a] product kernel: one dict per coefficient, against the plain
-# ring loop, with zero coefficients and products that cancel.
+# Route A's product kernel `_pp_dot`: one dict per coefficient, against the
+# plain ring loop, with zero coefficients and products that cancel.
 # ---------------------------------------------------------------------------
+
+
+def pp_product(a: list, b: list) -> list:
+    """The truncated product of two ParamPoly coefficient lists of one
+    length, one _pp_dot per coefficient, as route A multiplies."""
+    return [_pp_dot(a[:m + 1], b[m::-1]) for m in range(len(a))]
+
 
 pp_lists = st.integers(0, 8).flatmap(lambda order: st.lists(
     zero_or(polys, ParamPoly()), min_size=order + 1, max_size=order + 1))
@@ -205,9 +210,9 @@ def pp_pairs(draw):
     return a, b
 
 
-def assert_no_zero_terms(series: TruncSeries):
-    assert all(type(c) is ParamPoly for c in series.coeffs)
-    assert all(v != 0 for c in series.coeffs for v in c.terms.values())
+def assert_no_zero_terms(coeffs: list):
+    assert all(type(c) is ParamPoly for c in coeffs)
+    assert all(v != 0 for c in coeffs for v in c.terms.values())
 
 
 @SETTINGS
@@ -217,9 +222,8 @@ def assert_no_zero_terms(series: TruncSeries):
 @example(([L + 1, L - A], [L + 1, A - L]))  # coefficient 1 cancels
 def test_pp_product_kernel_equals_the_ring_loop(pair):
     a, b = pair
-    order = len(a) - 1
-    product = TruncSeries("t", order, a, PP) * TruncSeries("t", order, b, PP)
-    assert list(product.coeffs) == ring_product(a, b, ParamPoly())
+    product = pp_product(a, b)
+    assert product == ring_product(a, b, ParamPoly())
     assert_no_zero_terms(product)
 
 
@@ -235,16 +239,19 @@ small_alphas = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 @example(ParamPoly(), 4, 3)
 def test_symbolic_s2star_equals_the_series_of_the_falling_product(
         alpha, n, k):
-    # the Stirling-1 sum against n!/k! [t^n] of the product it expands
-    series = degenerate_falling(exp_t(n, PP) - 1, k, alpha)
+    # the Stirling-1 sum against n!/k! [t^n] of the product it expands,
+    # prod_{j<k} (e^t - 1 - j alpha) over ParamPoly coefficient lists
+    em1 = [ParamPoly()] + [ParamPoly.const(Fraction(1, math.factorial(m)))
+                           for m in range(1, n + 1)]
+    series = falling_product(em1, k, alpha, ParamPoly.const(1), ParamPoly())
     value = new_deg_stirling2(n, k, alpha)
-    assert value == series.coeffs[n] * Fraction(math.factorial(n),
-                                                math.factorial(k))
+    assert value == series[n] * Fraction(math.factorial(n),
+                                         math.factorial(k))
     assert all(c != 0 for c in value.terms.values())
 
 
 # ---------------------------------------------------------------------------
-# QQ series: every operation against a plain Fraction-list reference, and
+# Series: every operation against a plain Fraction-list reference, and
 # the canonical integer form of every result.
 # ---------------------------------------------------------------------------
 
@@ -254,7 +261,7 @@ scalars = st.one_of(rationals, st.integers(-20, 20))
 
 
 def qq(coeffs) -> TruncSeries:
-    return TruncSeries("t", len(coeffs) - 1, coeffs, QQ)
+    return TruncSeries("t", len(coeffs) - 1, coeffs)
 
 
 def assert_canonical(series: TruncSeries, expected: list):
@@ -265,19 +272,6 @@ def assert_canonical(series: TruncSeries, expected: list):
     assert [Fraction(c, series.den) for c in series.nums] == expected
     assert list(series.coeffs) == expected
     assert all(type(c) is Fraction for c in series.coeffs)
-
-
-@SETTINGS
-@given(pp_lists, qq_lists)
-def test_pp_times_qq_series_is_read_over_pp(a, b):
-    b = (b + [Fraction(0)] * len(a))[:len(a)]
-    b_pp = [ParamPoly.const(c) for c in b]
-    expected = ring_product(a, b_pp, ParamPoly())
-    for product in (TruncSeries("t", len(a) - 1, a, PP) * qq(b),
-                    qq(b) * TruncSeries("t", len(a) - 1, a, PP)):
-        assert product.ring is PP
-        assert list(product.coeffs) == expected
-        assert_no_zero_terms(product)
 
 
 @SETTINGS
@@ -340,7 +334,7 @@ def test_qq_equality_is_canonical(a, c):
     assert (series.nums, series.den) == (other.nums, other.den)
     assert (series == qq(a[:-1] + [a[-1] + 1])) is False
     assert (series == c) == (a[0] == c and not any(a[1:]))
-    assert series != TruncSeries("x", len(a) - 1, a, QQ)
+    assert series != TruncSeries("x", len(a) - 1, a)
     if len(a) > 1:
         assert series != series.truncate(len(a) - 2)
 

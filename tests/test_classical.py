@@ -7,13 +7,13 @@ import math
 
 import pytest
 
-from degsimsek.algebra import (PP, QQ, ParamPoly, TruncSeries, exp_t,
+from degsimsek.algebra import (ParamPoly, TruncSeries, exp_t,
                                series_reciprocal)
 from degsimsek.classical import (bernoulli_number, degenerate_falling,
                                  stirling1, stirling2)
 
 from oracles import (bernoulli_poly, bernoulli_poly_coeffs, count_partitions,
-                     falling_factorial_coeffs, log1p_series)
+                     falling_factorial_coeffs, log1p_series, ring_product)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -126,15 +126,15 @@ def test_bernoulli_poly_low_order():
 def test_bernoulli_poly_against_gf():
     # B_k^(n)(x) = k! [t^k] e^{xt} (t/(e^t-1))^n with x symbolic
     order = 6
-    ext = TruncSeries("t", order,
-                      [L**m * Fraction(1, math.factorial(m))
-                       for m in range(order + 1)], PP)
+    ext = [L**m * Fraction(1, math.factorial(m)) for m in range(order + 1)]
     em1_over_t = TruncSeries("t", order, [Fraction(1, math.factorial(m + 1))
-                                          for m in range(order + 1)], QQ)
+                                          for m in range(order + 1)])
     for n in range(4):
-        gf = ext * series_reciprocal(em1_over_t) ** n
+        power = series_reciprocal(em1_over_t) ** n
+        gf = ring_product(ext, [ParamPoly.const(c) for c in power.coeffs],
+                          ParamPoly())
         for k in range(order + 1):
-            assert bernoulli_poly(k, n, L) == gf.coeffs[k] * math.factorial(k)
+            assert bernoulli_poly(k, n, L) == gf[k] * math.factorial(k)
 
 
 def test_bernoulli_poly_derivative_property():

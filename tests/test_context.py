@@ -3,8 +3,8 @@ against the uncached library functions, the integer forms of the symbolic
 and REL-S2STAR checks against their definitions, term-by-term references
 and sympy oracles, the phi checks against their truncated-series forms,
 and count guards on ParamPoly.evaluate, simsek_y1, degenerate_falling, the
-degenerate Stirling rows, the route values and the series products of the
-phi checks."""
+factors of route A's product, the degenerate Stirling rows, the route
+values and the series products of the phi checks."""
 
 from fractions import Fraction
 import math
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from degsimsek import classical, degenerate, phi, registry, simsek
-from degsimsek.algebra import QQ, ParamPoly, TruncSeries, _int_terms, _over
+from degsimsek.algebra import ParamPoly, TruncSeries, _int_terms, _over
 from degsimsek.classical import degenerate_falling
 from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
@@ -35,7 +35,7 @@ PHI = [e for e in REGISTRY if e.id.startswith("PHI-")]
 def x_series(ctx: PointContext, row: list[int]) -> TruncSeries:
     """The series in x whose EGF in u = x/(q s) is the integer row."""
     return TruncSeries("x", len(row) - 1,
-                       [ctx.x_coeff(c, d) for d, c in enumerate(row)], QQ)
+                       [ctx.x_coeff(c, d) for d, c in enumerate(row)])
 
 
 def s2star(ctx: PointContext, n: int, j: int) -> Fraction:
@@ -217,18 +217,18 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
     # point values come from integer terms, never from ParamPoly.evaluate
     monkeypatch.setattr(ParamPoly, "evaluate", counting(
         "evaluate", ParamPoly.evaluate))
-    # the factors of every series (x)_{n,a}: at most the F_0..F_8 chain;
-    # the S2* and Apostol-Euler values come from the library's own chains
+    # the factors of route A's symbolic products (l e^t + 1)_{k,a}: at most
+    # the F_0..F_8 chain; the S2* and Apostol-Euler values come from the
+    # library's own chains
     factors = []
     monkeypatch.setattr(degenerate, "_s2star_chains", {})
     monkeypatch.setattr(degenerate, "_apostol_chains", {})
-    falling = simsek.degenerate_falling
+    product = simsek._route_a_product
 
-    def factor_counting(x, n, alpha):
-        if isinstance(x, TruncSeries):
-            factors.append(n)
-        return falling(x, n, alpha)
-    monkeypatch.setattr(simsek, "degenerate_falling", factor_counting)
+    def factor_counting(k, order):
+        factors.append(k)
+        return product(k, order)
+    monkeypatch.setattr(simsek, "_route_a_product", factor_counting)
     reports = run_suite(order=8)
     assert len(reports) == 95
     # k! y1(n,k) is built as integer terms, never from simsek_y1
@@ -261,7 +261,7 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
 
 def test_rel_s2star_reads_the_chain_new_deg_stirling2_keeps(monkeypatch,
                                                             cold_chains):
-    # a product chain over QQ whose step term is doubled from coefficient 3
+    # a product chain whose step term is doubled from coefficient 3
     # on gives wrong S2* values wherever alpha/lam != 0; REL-S2STAR reads
     # that chain, so it fails at every grid point with alpha != 0
     exact = classical._extend_qq
@@ -271,7 +271,7 @@ def test_rel_s2star_reads_the_chain_new_deg_stirling2_keeps(monkeypatch,
         start = max(3, 0 if old is None else old.order + 1)
         extra = [0] * start + [-i * step * c
                                for c in prev.coeffs[start:x.order + 1]]
-        return out + TruncSeries(x.var, x.order, extra[:x.order + 1], QQ)
+        return out + TruncSeries(x.var, x.order, extra[:x.order + 1])
 
     monkeypatch.setattr(classical, "_extend_qq", doubled_step)
     reports = [r for r in run_suite(order=8) if r.id == "REL-S2STAR"]
@@ -424,7 +424,7 @@ def test_log_substitution_powers_equal_horner_composition(lam, alpha, n,
                                                           order):
     ctx = PointContext(lam, alpha)
     outer = TruncSeries("x", order, [simsek_y1(n, k).evaluate(lam, 0)
-                                     for k in range(order + 1)], QQ)
+                                     for k in range(order + 1)])
     # log(1 + alpha x)/alpha
     inner = log1p_series(order, alpha, "x")
     assert x_series(ctx, log_substitution_rhs(ctx, n, order)) == \

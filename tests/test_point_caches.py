@@ -18,8 +18,7 @@ import pytest
 
 from degsimsek import (algebra, classical, degenerate, phi, registry,
                        simsek)
-from degsimsek.algebra import (PP, ParamPoly, SeriesDomainError, TruncSeries,
-                              exp_t)
+from degsimsek.algebra import ParamPoly, SeriesDomainError, TruncSeries, exp_t
 from degsimsek.classical import (_bernoulli_base, _ProductChain,
                                  bernoulli_number, degenerate_falling)
 from degsimsek.degenerate import apostol_euler, new_deg_stirling2
@@ -27,7 +26,8 @@ from degsimsek.phi import phi_series
 from degsimsek.simsek import fk_series, y1star
 
 from oracles import (apostol_euler_series, apostol_euler_sympy,
-                     higher_bernoulli_sympy, reciprocal_solve, s2star_sympy)
+                     falling_product, higher_bernoulli_sympy, reciprocal_solve,
+                     s2star_sympy)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -104,9 +104,10 @@ def fresh(kind, n, k, point, route):
     if kind == "S2":
         return degenerate_falling(exp_t(n) - 1, k, alpha).coeffs[n] * scale
     if kind == "S2 symbolic":
-        series = degenerate_falling(exp_t(n, PP) - 1, k,
-                                    SYMBOLIC_ALPHAS[route % 3])
-        return series.coeffs[n] * scale
+        em1 = [ParamPoly()] + [ParamPoly.const(c) for c in exp_t(n).coeffs[1:]]
+        series = falling_product(em1, k, SYMBOLIC_ALPHAS[route % 3],
+                                 ParamPoly.const(1), ParamPoly())
+        return series[n] * scale
     if kind == "E":
         return apostol_euler_series(k, lam, alpha, n).coeffs[n] \
             * math.factorial(n)
@@ -524,12 +525,15 @@ def test_a_wrong_point_f_k_coefficient_fails_phi_egf_at_every_point(
 
 def test_point_f_k_and_phi_egf_call_no_degenerate_falling(cold_chains,
                                                          monkeypatch):
-    # route A's symbolic F_k, the left side of PHI-EGF, built first: it is
-    # the one caller of degenerate_falling in the package
+    # route A's symbolic F_k, the left side of PHI-EGF, built first; every
+    # module of the package that binds degenerate_falling is watched
     for k in range(9):
         fk_series(k, 8)
     calls = []
-    for module in (classical, simsek):
+    for module in (classical, degenerate, phi, registry, simsek):
+        if not hasattr(module, "degenerate_falling"):
+            continue
+
         def counted(*args, inner=module.degenerate_falling):
             calls.append(args)
             return inner(*args)
@@ -617,8 +621,8 @@ def empty_memos(monkeypatch):
 
 def count_work(monkeypatch) -> list:
     """Record from now on every product-chain extension, every TruncSeries
-    made (built, brought to lowest terms or truncated) and every
-    polynomial evaluated at a point that no memo held."""
+    made (built, brought to lowest terms, held as given or truncated) and
+    every polynomial evaluated at a point that no memo held."""
     work = []
 
     def counting(name, inner):
@@ -631,8 +635,9 @@ def count_work(monkeypatch) -> list:
     for name in ("__init__", "truncate"):
         monkeypatch.setattr(TruncSeries, name, counting(
             "TruncSeries", getattr(TruncSeries, name)))
-    monkeypatch.setattr(TruncSeries, "_qq", classmethod(counting(
-        "TruncSeries", TruncSeries._qq.__func__)))
+    for name in ("_qq", "_held"):
+        monkeypatch.setattr(TruncSeries, name, classmethod(counting(
+            "TruncSeries", getattr(TruncSeries, name).__func__)))
     monkeypatch.setattr(ParamPoly, "_evaluate", counting(
         "ParamPoly._evaluate", ParamPoly._evaluate))
     return work

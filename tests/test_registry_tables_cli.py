@@ -302,6 +302,36 @@ def test_table_csv_rows_parse_back_to_their_cells():
         assert parse_csv(render_csv(table)) == table
 
 
+_TABLE = NumberTable("y1", "", 1, 1, None, None, [["1", "0"], ["0", "1*l"]])
+_CSV = render_csv(_TABLE)
+_JSON = render_json(_TABLE)
+MALFORMED_TABLES = {
+    "csv truncated rows": (parse_csv, _CSV.rsplit("\n", 2)[0] + "\n"),
+    "csv empty": (parse_csv, ""),
+    "csv lambda 1/0": (parse_csv, _CSV.replace("lambda,symbolic",
+                                               "lambda,1/0")),
+    "csv n_max not a number": (parse_csv, _CSV.replace("n_max,1", "n_max,x")),
+    "csv short row": (parse_csv, _CSV.replace("\n1,0,1*l", "\n1,0")),
+    "json empty object": (parse_json, "{}"),
+    "json list": (parse_json, "[1]"),
+    "json truncated": (parse_json, _JSON[:-10]),
+    "json lambda 1/0": (parse_json, json.dumps({**json.loads(_JSON),
+                                                "lambda": "1/0"})),
+    "json n_range not a list": (parse_json, json.dumps(
+        {**json.loads(_JSON), "n_range": 1})),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TABLES)
+def test_malformed_table_text_raises_a_value_error(case):
+    # the well-formed texts read back; each break raises ValueError with a
+    # message, whatever the parser tripped on
+    assert parse_csv(_CSV) == parse_json(_JSON) == _TABLE
+    parse, text = MALFORMED_TABLES[case]
+    with pytest.raises(ValueError, match=r"^malformed table (CSV|JSON): \S"):
+        parse(text)
+
+
 def test_table_determinism():
     a = render_csv(build_table("y1star", "E", 4, 4))
     b = render_csv(build_table("y1star", "E", 4, 4))
@@ -532,7 +562,7 @@ def test_integer_form_render_keeps_the_int_digit_limit(monkeypatch,
     # to the interpreter's digit limit, and above it the same ValueError,
     # which cli.main turns into exit 2 and its message
     from degsimsek import cli
-    from degsimsek.algebra import PP, TruncSeries, _over
+    from degsimsek.algebra import TruncSeries, _over
     limit = sys.get_int_max_str_digits()
     under = _over({(1, 0): 10**(limit - 1), (0, 0): -1}, 3)
     assert under.render() == f"{Fraction(10**(limit - 1), 3)}*l + -1/3"
@@ -546,7 +576,7 @@ def test_integer_form_render_keeps_the_int_digit_limit(monkeypatch,
             str(Fraction(10**limit, den))
 
     def huge_series(k, order, lam, alpha):
-        return TruncSeries("t", 0, [_over({(1, 0): 10**limit}, 1)], PP)
+        return TruncSeries._held("t", 0, (_over({(1, 0): 10**limit}, 1),))
     monkeypatch.setattr(cli, "fk_series", huge_series)
     assert cli.main(["series", "--k", "1", "--order", "0"]) == 2
     captured = capsys.readouterr()

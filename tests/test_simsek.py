@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from degsimsek import phi, simsek
-from degsimsek.algebra import ParamPoly, _over
+from degsimsek.algebra import ParamPoly, _over, exp_t, series_reciprocal
 from degsimsek.classical import (bernoulli_number, degenerate_falling,
                                  stirling1)
 from degsimsek.phi import phi_series
@@ -15,7 +15,7 @@ from degsimsek.registry import run_suite
 from degsimsek.simsek import (ROUTES, deg_simsek_y1, fk_series, simsek_y1,
                               y1star)
 
-from oracles import (deg_simsek_y1_alt, fk_series_via_bernoulli,
+from oracles import (deg_simsek_y1_alt, fk_series_via_bernoulli, fk_sympy,
                      route_c_printed, simsek_y1_via_gf)
 
 L = ParamPoly.lam()
@@ -383,6 +383,46 @@ def test_fk_series_needs_both_point_values_or_neither():
         with pytest.raises(ValueError,
                            match="give both lam and alpha or neither"):
             fk_series(2, 4, **kwargs)
+
+
+def test_symbolic_fk_series_matches_the_sympy_expansion(cold_store):
+    # every coefficient of F_k to t^6, k <= 6, against sympy's expansion of
+    # the product of the factors l e^t + 1 - j a over k!
+    expected = fk_sympy(6, 6)
+    for k in range(7):
+        series = fk_series(k, 6)
+        for n in range(7):
+            assert series.coeffs[n] == ParamPoly(expected[(k, n)]), (k, n)
+
+
+@pytest.mark.parametrize("k,order", [(-1, 3), (2, -1), (-1, -1), (-1, 0)])
+def test_fk_series_rejects_a_negative_index_and_keeps_nothing(cold_store, k,
+                                                              order):
+    for point in ((), (Fraction(1, 2), Fraction(1, 3))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="k, order >= 0"):
+                fk_series(k, order, *point)
+    assert simsek._fk_cache == {}
+    assert simsek._route_a_store == {}
+    assert all(chain.values == {} for chain in simsek._fk_chains.values())
+
+
+def test_symbolic_fk_series_takes_no_series_arithmetic():
+    # its coefficients are ParamPoly: coeffs, truncate and render read it,
+    # and every series operation raises TypeError
+    series = fk_series(2, 3)
+    assert series.truncate(1).coeffs == series.coeffs[:2]
+    assert series.render().startswith("[1/2*l^2 + 1*l + ")
+    other = exp_t(3)
+    for operation in (lambda: series + other, lambda: other - series,
+                      lambda: series * other, lambda: other * series,
+                      lambda: series * series, lambda: series + 1,
+                      lambda: 2 * series, lambda: -series,
+                      lambda: series ** 0, lambda: series ** 2,
+                      lambda: series + L, lambda: series * L,
+                      lambda: series_reciprocal(series)):
+        with pytest.raises(TypeError):
+            operation()
 
 
 # ---------------------------------------------------------------------------
