@@ -3,24 +3,19 @@ truncated formal power series with rational coefficients, which add,
 multiply, truncate and invert.
 
 All values are immutable after construction apart from lazily filled
-memos (a series and a ParamPoly each build each of their two forms once,
-when first read; a ParamPoly also keeps the values `evaluate` computed),
-and every operation is a pure function, so everything here is safe to
-share across threads.  The `terms` of a ParamPoly and the forms of a
-series must therefore never be mutated.  Series keep coefficients only up
-to an explicit truncation order; no operation ever consults a coefficient
-beyond it.
+memos (a series builds each of its two forms once, when first read; a
+ParamPoly keeps the values `evaluate` computed), and every operation is a
+pure function, so everything here is safe to share across threads.  The
+forms of a series must therefore never be mutated.  Series keep
+coefficients only up to an explicit truncation order; no operation ever
+consults a coefficient beyond it.
 
-A ParamPoly holds Fraction terms, or integer numerators over one positive
-denominator in lowest terms, or both.  The fraction-free routes build
-their values from integer terms with `_over`, which makes the integer form
-only; `evaluate` and `render` read that form, so a value that is only
-evaluated or printed never builds a Fraction per term.  `_int_terms`
-scales a value held as Fraction terms, such as a coefficient of route A's
-product, to integer terms.  The powers `evaluate` multiplies by are kept
-per point and top degrees, in one table that every polynomial evaluated
-there shares.  Arithmetic, ==, substitute and `_pp_dot`, the kernel of
-route A's product of ParamPoly coefficient lists, read the Fraction terms.
+A ParamPoly holds integer numerators over one positive denominator in
+lowest terms, which arithmetic, ==, `evaluate` and `render` read; its
+Fraction `terms`, which `substitute` reads, are built on each read.  The
+fraction-free routes build their values from integer terms with `_over`.
+The powers `evaluate` multiplies by are kept per point and top degrees, in
+one table that every polynomial evaluated there shares.
 """
 
 from __future__ import annotations
@@ -71,56 +66,39 @@ def parse_rational(text: str) -> Fraction:
 class ParamPoly:
     """Polynomial in the parameters l and a with exact rational coefficients.
 
-    A value has two forms, each built from the other when first read:
-    `terms`, a dict mapping (deg_l, deg_a) to a nonzero Fraction, and the
-    integer form `_nums`, a dict mapping (deg_l, deg_a) to a nonzero int,
-    over one positive denominator `_den`, in lowest terms (the gcd of _den
-    and all numerators is 1), so equal polynomials have equal forms.
-    Arithmetic, ==, substitute and the series kernel `_pp_dot` read
-    `terms`, and so does `_int_terms`; `evaluate` and `render` read the
-    integer form, which is all `_over` builds.  The canonical text form
-    lists terms with deg_l descending and, within equal deg_l, deg_a
-    ascending: "1*l^2 + 1*l + -1/2*l*a".
+    A value is held in one integer form: `_nums`, a dict mapping
+    (deg_l, deg_a) to a nonzero int, over one positive denominator `_den`,
+    in lowest terms (the gcd of _den and all numerators is 1), so equal
+    polynomials have equal forms.  `terms`, the same value as a dict
+    mapping (deg_l, deg_a) to a nonzero Fraction, is built fresh on each
+    read, so mutating it leaves the polynomial as it was; arithmetic, ==,
+    `evaluate` and `render` read the integer form, `substitute` the terms.
+    The canonical text form lists terms with deg_l descending and, within
+    equal deg_l, deg_a ascending: "1*l^2 + 1*l + -1/2*l*a".
 
-    A value is immutable after construction apart from those lazily built
-    forms and its memo of point values, which `evaluate` fills; `terms`
-    must not be mutated, or the other form and the memo would answer for
-    the old polynomial.
+    A value is immutable after construction apart from its memo of point
+    values, which `evaluate` fills.
     """
 
-    __slots__ = ("_terms", "_nums", "_den", "_values")
+    __slots__ = ("_nums", "_den", "_values")
 
     def __init__(self, terms: dict | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                key = _degrees(key)
-                c = Fraction(c)
-                if c != 0:
-                    clean[key] = c
-        self._terms = clean
-        self._nums = None
+        for key, c in (terms or {}).items():
+            key, c = _degrees(key), Fraction(c)
+            if c != 0:
+                clean[key] = c
+        # the lcm of reduced denominators leaves no common factor
+        den = self._den = math.lcm(*(c.denominator for c in clean.values()))
+        self._nums = {key: c.numerator * (den // c.denominator)
+                      for key, c in clean.items()}
 
     @property
     def terms(self) -> dict:
-        """The Fraction form {(deg_l, deg_a): nonzero Fraction}."""
-        terms = self._terms
-        if terms is None:
-            den = self._den
-            terms = self._terms = {key: Fraction(c, den)
-                                   for key, c in self._nums.items()}
-        return terms
-
-    def _ints(self) -> tuple[dict, int]:
-        """The integer form (_nums, _den)."""
-        if self._nums is None:
-            terms = self._terms
-            # the lcm of reduced denominators leaves no common factor
-            den = self._den = math.lcm(*(c.denominator
-                                         for c in terms.values()))
-            self._nums = {key: c.numerator * (den // c.denominator)
-                          for key, c in terms.items()}
-        return self._nums, self._den
+        """The value as {(deg_l, deg_a): nonzero Fraction}, built on each
+        read."""
+        den = self._den
+        return {key: Fraction(c, den) for key, c in self._nums.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -144,18 +122,19 @@ class ParamPoly:
 
     @property
     def deg_l(self) -> int:
-        return max((i for i, _ in self.terms), default=0)
+        return max((i for i, _ in self._nums), default=0)
 
     @property
     def deg_a(self) -> int:
-        return max((j for _, j in self.terms), default=0)
+        return max((j for _, j in self._nums), default=0)
 
     def constant_value(self) -> Fraction:
         """The value of a degree-(0,0) polynomial; error otherwise."""
-        if not self.terms:
+        nums = self._nums
+        if not nums:
             return Fraction(0)
-        if set(self.terms) == {(0, 0)}:
-            return self.terms[(0, 0)]
+        if set(nums) == {(0, 0)}:
+            return Fraction(nums[(0, 0)], self._den)
         raise SeriesDomainError(f"not a constant polynomial: {self}")
 
     # -- arithmetic -----------------------------------------------------------
@@ -165,27 +144,25 @@ class ParamPoly:
         if isinstance(other, ParamPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return _poly({(0, 0): Fraction(other)} if other else {})
+            return _over({(0, 0): other.numerator}, other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            if key not in out:
-                out[key] = c
-            elif s := out[key] + c:
-                out[key] = s
-            else:
-                del out[key]
-        return _poly(out)
+        # over the lcm of the two denominators
+        den = math.lcm(self._den, o._den)
+        out = {key: c * (den // self._den) for key, c in self._nums.items()}
+        scale = den // o._den
+        for key, c in o._nums.items():
+            out[key] = out.get(key, 0) + c * scale
+        return _over(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly({key: -c for key, c in self.terms.items()})
+        return _over({key: -c for key, c in self._nums.items()}, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -203,17 +180,13 @@ class ParamPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in o.terms.items():
+        out: dict[tuple[int, int], int] = {}
+        right = o._nums.items()
+        for (i1, j1), c1 in self._nums.items():
+            for (i2, j2), c2 in right:
                 key = (i1 + i2, j1 + j2)
-                if key not in out:
-                    out[key] = c1 * c2
-                elif s := out[key] + c1 * c2:
-                    out[key] = s
-                else:
-                    del out[key]
-        return _poly(out)
+                out[key] = out.get(key, 0) + c1 * c2
+        return _over(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -233,7 +206,7 @@ class ParamPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self._den == o._den and self._nums == o._nums
 
     __hash__ = None
 
@@ -265,7 +238,7 @@ class ParamPoly:
         return value
 
     def _evaluate(self, p: int, q: int, r: int, s: int) -> Fraction:
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         if not nums:
             return Fraction(0)
         l_row, a_row, scale = _point_rows(p, q, r, s, max(nums)[0],
@@ -294,11 +267,10 @@ class ParamPoly:
     # -- canonical text ------------------------------------------------------
 
     def render(self) -> str:
-        """The canonical text, read from the integer form: each coefficient
-        c/_den is reduced by one gcd and written as str(Fraction) writes
-        it, "p" or "p/q" (with the same ValueError for an int above the
-        interpreter's digit limit)."""
-        nums, den = self._ints()
+        """The canonical text: each coefficient c/_den is reduced by one gcd
+        and written as str(Fraction) writes it, "p" or "p/q" (with the same
+        ValueError for an int above the interpreter's digit limit)."""
+        nums, den = self._nums, self._den
         if not nums:
             return "0"
         parts = []
@@ -368,8 +340,8 @@ def _point_rows(p: int, q: int, r: int, s: int, top_i: int,
 # when a value is returned or a mismatch is written out.
 
 def _over(terms: dict, den: int) -> ParamPoly:
-    """The polynomial with integer terms `terms`, divided by `den` (nonzero),
-    held in the integer form only."""
+    """The polynomial with integer terms `terms`, divided by `den`
+    (nonzero), brought to lowest terms with a positive denominator."""
     nums = {key: c for key, c in terms.items() if c}
     g = math.gcd(den, *nums.values())
     if den < 0:
@@ -378,18 +350,8 @@ def _over(terms: dict, den: int) -> ParamPoly:
         nums = {key: c // g for key, c in nums.items()}
         den //= g
     p = ParamPoly.__new__(ParamPoly)
-    p._terms = None
     p._den = den
     p._nums = nums
-    return p
-
-
-def _poly(terms: dict) -> ParamPoly:
-    """The polynomial with the Fraction terms `terms` (nonzero, keyed by
-    int degrees), held in the Fraction form only."""
-    p = ParamPoly.__new__(ParamPoly)
-    p._terms = terms
-    p._nums = None
     return p
 
 
@@ -404,39 +366,6 @@ def _combine(parts) -> dict:
             key = (i + dl, j + da)
             out[key] = out.get(key, 0) + c * v
     return {key: v for key, v in out.items() if v}
-
-
-def _int_terms(poly: ParamPoly, scale: int) -> dict:
-    """scale * poly as integer terms; ValueError unless that is integral.
-    Reads the Fraction terms one by one, the form the series product
-    builds: route A scales coefficient n of (l*e^t + 1)_{k,a} by n! once,
-    when F_k first reaches order n."""
-    out = {}
-    for key, c in poly.terms.items():
-        q, r = divmod(c.numerator * scale, c.denominator)
-        if r:
-            raise ValueError(f"{scale} * ({poly.render()}) is not integral")
-        out[key] = q
-    return out
-
-
-def _pp_dot(left, right) -> ParamPoly:
-    """sum_r left[r] * right[r] for lists of ParamPoly: coefficient m of the
-    truncated product of coefficient lists a and b is
-    _pp_dot(a[:m+1], b[m::-1]).  Every term product c1*c2 is added to the
-    key of its (l, a) degrees in one dict, and one ParamPoly is built at
-    the end without the terms that cancelled."""
-    out = {}
-    for a, b in zip(left, right):
-        right_terms = b.terms.items()
-        for (i1, j1), c1 in a.terms.items():
-            for (i2, j2), c2 in right_terms:
-                key = (i1 + i2, j1 + j2)
-                if key in out:
-                    out[key] += c1 * c2
-                else:
-                    out[key] = c1 * c2
-    return _poly({key: c for key, c in out.items() if c})
 
 
 def _rational(value) -> Fraction:

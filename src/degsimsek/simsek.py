@@ -31,8 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import (ParamPoly, TruncSeries, _combine, _int_terms, _over,
-                      _pp_dot)
+from .algebra import ParamPoly, TruncSeries, _combine, _over
 from .classical import _ProductChain, _stirling1_row, bernoulli_number
 
 _scaled_y1_store: dict[tuple[int, int], dict] = {}
@@ -85,17 +84,18 @@ _fk_chains: dict[tuple[int, int, int, int], _ProductChain] = {}
 
 def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     """F_k(t) = (l*e^t + 1)_{k,a}/k! truncated at `order`; ValueError
-    unless k, order >= 0.
+    unless k, order >= 0, raised before any store, cache or chain is
+    touched.
 
     Symbolic by default: a series with ParamPoly coefficients, which no
     series arithmetic takes (TypeError).  Pass rationals lam/alpha for a
     rational series, read from the point's chain in _fk_chains.  A symbolic
     F_k is built once per order rise and kept.  A build forms the product
-    P = (l*e^t + 1)_{k,a} with `_route_a_product` and publishes
-    n! [t^n] P = n! k! [t^n] F_k for every n <= order into the route-A store
-    as integer terms, skipping the (n, k) already held, so route A only
-    ever reads that store.  The series returned divides each stored value
-    by n! k!, so its coefficients hold the integer form only.  The first
+    P = (l*e^t + 1)_{k,a} with `_route_a_product`, as Fraction terms, and
+    publishes n! [t^n] P = n! k! [t^n] F_k for every n <= order into the
+    route-A store as integer terms, skipping the (n, k) already held, so
+    route A only ever reads that store.  Coefficient n of the series
+    returned is that stored value over n! k! (`_over`).  The first
     read of (k, order), at a point written any way, is kept too, and later
     reads return the same object, so do not mutate the result.
     """
@@ -124,14 +124,14 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
         series = TruncSeries._held("t", order, tuple(coeffs))
         _fk_cache[k] = _fk_cache[key] = series
         return series
+    if k < 0 or order < 0:  # before a chain is made for the point
+        raise ValueError("fk_series needs k, order >= 0")
     lam, alpha = Fraction(lam), Fraction(alpha)
     key = (lam.numerator, lam.denominator, alpha.numerator, alpha.denominator)
     chain = _fk_chains.get(key) or _fk_chains.setdefault(key, _ProductChain(
         lambda top: _lam_exp(lam, top) + 1, alpha))
     series = chain.values.get((order, k))
     if series is None:
-        if k < 0 or order < 0:
-            raise ValueError("fk_series needs k, order >= 0")
         product = chain.product(k, order)
         series = chain.values[(order, k)] = TruncSeries._qq(
             "t", order, product.nums[:order + 1],
@@ -139,18 +139,54 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     return series
 
 
-def _route_a_product(k: int, order: int) -> list[ParamPoly]:
+def _route_a_product(k: int, order: int) -> list[dict]:
     """The coefficients 0..order of (l*e^t + 1)_{k,a}, the product of the
     factors l*e^t + 1 - j*a for j < k, multiplied one factor at a time as
-    lists of ParamPoly: coefficient m of each step is one _pp_dot."""
-    lam_exp = [ParamPoly.term(Fraction(1, math.factorial(m)), 1, 0)
+    lists of Fraction terms {(deg_l, deg_a): nonzero Fraction}: coefficient
+    m of each step is one _pp_dot."""
+    lam_exp = [{(1, 0): Fraction(1, math.factorial(m))}
                for m in range(1, order + 1)]
-    product = [ParamPoly.const(1)] + [ParamPoly()] * order
+    product = [{(0, 0): Fraction(1)}] + [{}] * order
     for j in range(k):
-        factor = [ParamPoly({(1, 0): 1, (0, 0): 1, (0, 1): -j}), *lam_exp]
+        # l + 1 - j*a, with no zero a-term at j = 0
+        factor = [{key: Fraction(c) for key, c in
+                   (((1, 0), 1), ((0, 0), 1), ((0, 1), -j)) if c}, *lam_exp]
         product = [_pp_dot(product[:m + 1], factor[m::-1])
                    for m in range(order + 1)]
     return product
+
+
+def _pp_dot(left: list, right: list) -> dict:
+    """sum_r left[r] * right[r] for lists of Fraction terms: coefficient m
+    of the truncated product of coefficient lists a and b is
+    _pp_dot(a[:m+1], b[m::-1]).  Every term product c1*c2 is added to the
+    key of its (l, a) degrees in one dict, and the terms that cancelled
+    are dropped at the end."""
+    out = {}
+    for a, b in zip(left, right):
+        right_terms = b.items()
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in right_terms:
+                key = (i1 + i2, j1 + j2)
+                if key in out:
+                    out[key] += c1 * c2
+                else:
+                    out[key] = c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _int_terms(terms: dict, scale: int) -> dict:
+    """scale * terms for Fraction terms, as integer terms; ValueError unless
+    that is integral.  Route A scales coefficient n of (l*e^t + 1)_{k,a} by
+    n! once, when F_k first reaches order n."""
+    out = {}
+    for key, c in terms.items():
+        q, r = divmod(c.numerator * scale, c.denominator)
+        if r:
+            raise ValueError(
+                f"{scale} * ({ParamPoly(terms).render()}) is not integral")
+        out[key] = q
+    return out
 
 
 def _lam_exp(lam0: Fraction, order: int) -> TruncSeries:

@@ -3,6 +3,7 @@
 import pytest
 
 from degsimsek import classical, degenerate, simsek
+from degsimsek.algebra import ParamPoly
 
 
 @pytest.fixture
@@ -15,3 +16,18 @@ def cold_chains(monkeypatch):
     monkeypatch.setattr(degenerate, "_s2star_chains", {})
     monkeypatch.setattr(degenerate, "_apostol_chains", {})
     monkeypatch.setattr(simsek, "_fk_chains", {})
+
+
+@pytest.fixture
+def terms_reads(monkeypatch) -> list:
+    """Record each read of ParamPoly.terms, which builds a Fraction per
+    term, for one test: the polynomial read is appended to the returned
+    list."""
+    reads = []
+    inner = ParamPoly.terms
+
+    def counted(poly):
+        reads.append(poly)
+        return inner.fget(poly)
+    monkeypatch.setattr(ParamPoly, "terms", property(counted))
+    return reads

@@ -348,6 +348,53 @@ def phi_reference(rid: str, lam, alpha, order: int, y, y1, ns, f_polys=()):
     return status, mismatch
 
 
+# Polynomials in (l, a) as plain Fraction dicts {(deg_l, deg_a): nonzero
+# Fraction}: the references ParamPoly's operators are checked against.
+
+def terms_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def terms_neg(p: dict) -> dict:
+    return {key: -c for key, c in p.items()}
+
+
+def terms_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def terms_pow(p: dict, n: int) -> dict:
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = terms_mul(out, p)
+    return out
+
+
+def terms_substitute(p: dict, lam=None, alpha=None) -> dict:
+    """p with lam for l and alpha for a, either left symbolic when None."""
+    out = {}
+    for (i, j), c in p.items():
+        key = (0 if lam is not None else i, 0 if alpha is not None else j)
+        value = c * (1 if lam is None else lam**i) * (
+            1 if alpha is None else alpha**j)
+        out[key] = out.get(key, 0) + value
+    return {key: c for key, c in out.items() if c}
+
+
+def terms_degrees(p: dict) -> tuple[int, int]:
+    """(deg_l, deg_a), each 0 for the zero polynomial."""
+    return (max((i for i, _ in p), default=0),
+            max((j for _, j in p), default=0))
+
+
 def ring_product(a: list, b: list, zero) -> list:
     """The truncated product of two coefficient lists of one length over a
     ring whose elements carry their own + and *, by the plain loop

@@ -1,9 +1,10 @@
 """Property tests of the point layer against naive references: integer
 ParamPoly.evaluate and substitute against the plain sum c*l^i*a^j, a
-ParamPoly built in the integer form alone against the same polynomial
-built from Fractions (one canonical integer form, and equal values under
-every operation), the TruncSeries product against a plain list
-convolution, the product of ParamPoly coefficient lists by `_pp_dot`
+ParamPoly built by `_over` against the same polynomial built from
+Fractions (one canonical integer form, and equal values under every
+operation), every ParamPoly operator against a plain Fraction-dict
+reference, the TruncSeries product against a plain list convolution,
+route A's product of Fraction-term coefficient lists by `_pp_dot`
 against a plain convolution and the plain ring loop, a symbolic S2* (a
 Stirling-1 sum) against the series of the product it expands, and every
 operation on series against a Fraction list.  Scalar +, - and *, the
@@ -19,10 +20,13 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from degsimsek.algebra import (ParamPoly, SeriesDomainError, TruncSeries,
-                               _int_terms, _over, _pp_dot, series_reciprocal)
+                               _over, series_reciprocal)
 from degsimsek.degenerate import new_deg_stirling2
+from degsimsek.simsek import _int_terms, _pp_dot
 
-from oracles import falling_product, reciprocal_solve, ring_product
+from oracles import (falling_product, reciprocal_solve, ring_product,
+                     terms_add, terms_degrees, terms_mul, terms_neg,
+                     terms_pow, terms_substitute)
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -78,15 +82,15 @@ denominators = st.integers(-720, 720).filter(bool)
 
 def integer_form(poly: ParamPoly) -> tuple[dict, int]:
     """poly's integer form, which must be in lowest terms."""
-    nums, den = poly._ints()
+    nums, den = poly._nums, poly._den
     assert den > 0 and 0 not in nums.values()
     assert math.gcd(den, *nums.values()) == 1
     return nums, den
 
 
-def int_terms_or_error(poly: ParamPoly, scale: int):
+def int_terms_or_error(terms: dict, scale: int):
     try:
-        return _int_terms(poly, scale)
+        return _int_terms(terms, scale)
     except ValueError:
         return "not integral"
 
@@ -104,14 +108,10 @@ def int_terms_or_error(poly: ParamPoly, scale: int):
 @example({}, 5, ParamPoly.const(Fraction(1, 3)), Fraction(2), Fraction(-1))
 def test_integer_form_reads_like_the_fraction_form(terms, den, other, lam,
                                                    alpha):
-    def from_fractions():
-        return ParamPoly({key: Fraction(c, den) for key, c in terms.items()})
-    over, frac = _over(terms, den), from_fractions()
-    # render reads the integer form that _over built alone, and gives the
-    # text of the Fraction form without building it
+    fractions = {key: Fraction(c, den) for key, c in terms.items() if c}
+    over, frac = _over(terms, den), ParamPoly(fractions)
+    # built by _over, and from the Fraction terms: one form and one text
     assert over.render() == frac.render()
-    assert over._terms is None
-    # built alone by _over, and read from the Fraction terms: one form
     assert integer_form(over) == integer_form(frac)
     assert over.evaluate(lam, alpha) == frac.evaluate(lam, alpha) == \
         naive_value(frac, lam, alpha)
@@ -121,10 +121,10 @@ def test_integer_form_reads_like_the_fraction_form(terms, den, other, lam,
         expected = ({key: int(v) for key, v in scaled.items()}
                     if all(v.denominator == 1 for v in scaled.values())
                     else "not integral")
-        # _int_terms reads the Fraction form, built from the integer form
-        # or given
-        assert int_terms_or_error(over, scale) == \
-            int_terms_or_error(from_fractions(), scale) == expected
+        # route A's _int_terms reads Fraction terms: read back from the
+        # integer form, or as given
+        assert int_terms_or_error(over.terms, scale) == \
+            int_terms_or_error(fractions, scale) == expected
     assert over == frac and frac == over
     assert over.render() == frac.render()
     for op in (operator.add, operator.sub, operator.mul):
@@ -134,6 +134,60 @@ def test_integer_form_reads_like_the_fraction_form(terms, den, other, lam,
                    {"lam": lam, "alpha": alpha}):
         assert over.substitute(**values).render() == \
             frac.substitute(**values).render()
+
+
+@SETTINGS
+@given(polys, polys, st.integers(0, 4), small_rationals, small_rationals)
+# a sum and a product that cancel whole, and scalars 0 and 1
+@example(ParamPoly({(1, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4)}),
+         ParamPoly({(1, 0): Fraction(-1, 2), (0, 2): Fraction(3, 4)}),
+         0, Fraction(0), Fraction(1))
+@example(ParamPoly.const(Fraction(-2, 3)), ParamPoly(), 4, Fraction(1),
+         Fraction(0))
+@example(ParamPoly(), ParamPoly.lam() * Fraction(5, 6), 3, Fraction(-1),
+         Fraction(7, 2))
+def test_operators_equal_the_fraction_dict_reference(p, q, n, lam, alpha):
+    # each operator against the plain Fraction-dict reference, with every
+    # result held in lowest terms over a positive denominator
+    P, Q = dict(p.terms), dict(q.terms)
+    results = [(p + q, terms_add(P, Q)),
+               (p - q, terms_add(P, terms_neg(Q))),
+               (-p, terms_neg(P)),
+               (p * q, terms_mul(P, Q)),
+               (p ** n, terms_pow(P, n)),
+               (p.substitute(lam=lam), terms_substitute(P, lam=lam)),
+               (p.substitute(alpha=alpha), terms_substitute(P, alpha=alpha)),
+               (p.substitute(lam, alpha), terms_substitute(P, lam, alpha))]
+    for c in (lam, n):
+        C = {(0, 0): Fraction(c)} if c else {}
+        results += [(p + c, terms_add(P, C)), (c + p, terms_add(C, P)),
+                    (p - c, terms_add(P, terms_neg(C))),
+                    (c - p, terms_add(C, terms_neg(P))),
+                    (p * c, terms_mul(P, C)), (c * p, terms_mul(C, P))]
+    for value, expected in results:
+        assert type(value) is ParamPoly
+        assert value.terms == expected
+        integer_form(value)
+        assert value == ParamPoly(expected)
+    assert (p == q) == (P == Q)
+    assert (p == lam) == (P == ({(0, 0): lam} if lam else {}))
+    assert (p.deg_l, p.deg_a) == terms_degrees(P)
+    if set(P) <= {(0, 0)}:
+        value = p.constant_value()
+        assert type(value) is Fraction and value == P.get((0, 0), 0)
+    else:
+        with pytest.raises(SeriesDomainError):
+            p.constant_value()
+    # terms is built on each read: mutating it leaves the polynomial as it
+    # was
+    nums, den = integer_form(p)
+    held = dict(nums), den
+    view = p.terms
+    view.clear()
+    view[(9, 9)] = Fraction(1)
+    assert p.terms == P and p.terms is not p.terms
+    assert integer_form(p) == held
+    assert p == ParamPoly(P) and p.render() == ParamPoly(P).render()
 
 
 def convolution(a: list, b: list, zero) -> list:
@@ -173,8 +227,8 @@ def test_series_product_over_qq(pair):
 def test_series_product_over_parampoly(pair):
     a, b = pair
     product = pp_product(a, b)
-    assert product == convolution(a, b, ParamPoly())
-    assert all(type(c) is ParamPoly for c in product)
+    assert product == [c.terms for c in convolution(a, b, ParamPoly())]
+    assert_no_zero_terms(product)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +238,10 @@ def test_series_product_over_parampoly(pair):
 
 
 def pp_product(a: list, b: list) -> list:
-    """The truncated product of two ParamPoly coefficient lists of one
-    length, one _pp_dot per coefficient, as route A multiplies."""
+    """The truncated product of two coefficient lists of one length, given
+    as ParamPoly and multiplied as their Fraction terms, one _pp_dot per
+    coefficient, as route A multiplies."""
+    a, b = [p.terms for p in a], [p.terms for p in b]
     return [_pp_dot(a[:m + 1], b[m::-1]) for m in range(len(a))]
 
 
@@ -211,8 +267,10 @@ def pp_pairs(draw):
 
 
 def assert_no_zero_terms(coeffs: list):
-    assert all(type(c) is ParamPoly for c in coeffs)
-    assert all(v != 0 for c in coeffs for v in c.terms.values())
+    """Each coefficient is a dict of nonzero Fraction terms."""
+    assert all(type(c) is dict for c in coeffs)
+    assert all(type(v) is Fraction and v != 0
+               for c in coeffs for v in c.values())
 
 
 @SETTINGS
@@ -223,7 +281,7 @@ def assert_no_zero_terms(coeffs: list):
 def test_pp_product_kernel_equals_the_ring_loop(pair):
     a, b = pair
     product = pp_product(a, b)
-    assert product == ring_product(a, b, ParamPoly())
+    assert product == [c.terms for c in ring_product(a, b, ParamPoly())]
     assert_no_zero_terms(product)
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from degsimsek import classical, degenerate, phi, registry, simsek
-from degsimsek.algebra import ParamPoly, TruncSeries, _int_terms, _over
+from degsimsek.algebra import ParamPoly, TruncSeries, _over
 from degsimsek.classical import degenerate_falling
 from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
@@ -21,7 +21,7 @@ from degsimsek.registry import (FIXED_POINTS, REGISTRY, check_rel_s2star,
                                 falling_sum, random_points, run_suite)
 from degsimsek.reports import (EXPECTED_DISCREPANCY, FAIL, PASS,
                                reports_to_json)
-from degsimsek.simsek import ROUTES, simsek_y1, y1star
+from degsimsek.simsek import ROUTES, _int_terms, simsek_y1, y1star
 
 from oracles import (compose, expl_c_printed_sympy, log1p_series,
                      phi_reference, rel_s2star_reference, rel_s2star_terms)
@@ -145,7 +145,7 @@ def test_symbolic_weights_match_their_definitions(monkeypatch):
                 simsek_y1(n, k), (n, k)
             assert all(isinstance(c, int) for c in falling_sum(k, n).values())
     with pytest.raises(ValueError, match="not integral"):
-        _int_terms(y1star(2, 2), 1)
+        _int_terms(y1star(2, 2).terms, 1)
 
 
 def test_func_eq_right_side_matches_sympy_series():
@@ -312,9 +312,9 @@ def count_route_a_extractions(monkeypatch) -> tuple[list, list]:
     empty_symbolic_stores(monkeypatch)
     monkeypatch.setattr(simsek, "_route_a_store", RecordingStore(extracted))
 
-    def counted(poly, scale):
+    def counted(terms, scale):
         converted.append(scale)
-        return _int_terms(poly, scale)
+        return _int_terms(terms, scale)
     monkeypatch.setattr(simsek, "_int_terms", counted)
     return extracted, converted
 

@@ -556,24 +556,24 @@ def test_cli_runs_cheap_sizes_above_the_route_a_caps(capsys, argv, lines):
     assert captured.err == "" and len(captured.out.splitlines()) == lines
 
 
-def test_integer_form_render_keeps_the_int_digit_limit(monkeypatch,
-                                                        capsys):
-    # a value held only in the integer form prints like str(Fraction): up
-    # to the interpreter's digit limit, and above it the same ValueError,
-    # which cli.main turns into exit 2 and its message
+def test_integer_form_render_keeps_the_int_digit_limit(monkeypatch, capsys,
+                                                        terms_reads):
+    # a value in the integer form prints like str(Fraction), without
+    # building its Fraction terms: up to the interpreter's digit limit,
+    # and above it the same ValueError, which cli.main turns into exit 2
+    # and its message
     from degsimsek import cli
     from degsimsek.algebra import TruncSeries, _over
     limit = sys.get_int_max_str_digits()
     under = _over({(1, 0): 10**(limit - 1), (0, 0): -1}, 3)
     assert under.render() == f"{Fraction(10**(limit - 1), 3)}*l + -1/3"
-    assert under._terms is None
     for den in (1, 3):
         over = _over({(1, 0): 10**limit}, den)
         with pytest.raises(ValueError, match="integer string conversion"):
             over.render()
-        assert over._terms is None
         with pytest.raises(ValueError, match="integer string conversion"):
             str(Fraction(10**limit, den))
+    assert terms_reads == []
 
     def huge_series(k, order, lam, alpha):
         return TruncSeries._held("t", 0, (_over({(1, 0): 10**limit}, 1),))

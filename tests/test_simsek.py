@@ -243,24 +243,23 @@ def test_route_a_equals_route_b_on_cold_stores(n, k):
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_reads_and_evaluations_build_no_fraction_terms(cold_store, route):
-    # y1star divides a route's integer terms by k! in the integer form of
-    # ParamPoly, and evaluate sums that form: a value that is only read and
-    # evaluated never builds a Fraction per term (its terms stay unbuilt)
+def test_reads_and_evaluations_build_no_fraction_terms(cold_store, route,
+                                                       terms_reads):
+    # y1star divides a route's integer terms by k! into the integer form
+    # of ParamPoly, and evaluate and == read that form: a value that is
+    # only read, evaluated and compared never builds a Fraction per term
     values = [y1star(n, k, route) for n in range(7) for k in range(7)]
     for value in values:
         value.evaluate(Fraction(-7, 11), Fraction(13, 17))
         value.evaluate(0, Fraction(1, 2))
-    assert all(value._terms is None for value in values)
     assert [y1star(n, k, route) for n in range(7) for k in range(7)] == \
         [_over(simsek._route_b(n, k), math.factorial(k))
          for n in range(7) for k in range(7)]
-    # comparing (like arithmetic, but not rendering) builds the Fraction
-    # terms
-    assert all(value._terms is not None for value in values)
+    # route A's product builds Fraction terms of its own, not ParamPoly's
+    assert terms_reads == []
 
 
-def test_phi_series_points_build_no_fraction_terms(cold_store):
+def test_phi_series_points_build_no_fraction_terms(cold_store, terms_reads):
     # a phi_series row fills route A's values at its first point; later
     # reads of those values and new points evaluate the integer form only
     row = phi_series(5, Fraction(3, 2), Fraction(1, 3), 6)
@@ -268,7 +267,7 @@ def test_phi_series_points_build_no_fraction_terms(cold_store):
     assert phi_series(5, Fraction(-7, 11), Fraction(13, 17), 6) != row
     for value in values:
         value.evaluate(Fraction(2, 3), Fraction(-1, 4))
-    assert all(value._terms is None for value in values)
+    assert terms_reads == []
 
 
 def test_phi_series_then_suite_read_each_f_k_coefficient_once(cold_store,
@@ -342,8 +341,8 @@ def test_fk_coefficients_hold_only_the_integer_form(cold_store, k):
         assert series.order == order
         for n, c in enumerate(series.coeffs):
             expected = y1star(n, k) * Fraction(1, math.factorial(n))
-            assert c._ints() == expected._ints(), (n, order)
-            assert c._terms is None, (n, order)
+            assert (c._nums, c._den) == (expected._nums, expected._den), \
+                (n, order)
     check(6)
     check(3)
     check(9)
@@ -404,7 +403,7 @@ def test_fk_series_rejects_a_negative_index_and_keeps_nothing(cold_store, k,
                 fk_series(k, order, *point)
     assert simsek._fk_cache == {}
     assert simsek._route_a_store == {}
-    assert all(chain.values == {} for chain in simsek._fk_chains.values())
+    assert simsek._fk_chains == {}
 
 
 def test_symbolic_fk_series_takes_no_series_arithmetic():
