@@ -4,8 +4,7 @@ identities over polynomials in (l, a) or rational sample grids."""
 
 from .algebra import (ParamPoly, SeriesDomainError, SeriesStructureError,
                       TruncSeries, series_reciprocal)
-from .classical import (bernoulli_number, degenerate_falling, stirling1,
-                        stirling2)
+from .classical import bernoulli_number, stirling1, stirling2
 from .degenerate import (apostol_euler, deg_stirling1, deg_stirling2,
                          new_deg_stirling2)
 from .phi import phi_series
@@ -18,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ParamPoly", "TruncSeries",
     "SeriesDomainError", "SeriesStructureError", "series_reciprocal",
-    "stirling1", "stirling2", "degenerate_falling", "bernoulli_number",
+    "stirling1", "stirling2", "bernoulli_number",
     "deg_stirling1", "deg_stirling2", "new_deg_stirling2", "apostol_euler",
     "simsek_y1", "deg_simsek_y1", "y1star", "fk_series",
     "phi_series",

@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: rationals, sparse (l, a) polynomials, and
-truncated formal power series with rational coefficients, which add,
-multiply, truncate and invert.
+truncated formal power series with rational coefficients, which shift by
+a scalar, truncate and invert.  The products of series that the number
+families need are summed in their own kernels, not here.
 
 All values are immutable after construction apart from lazily filled
 memos (a series builds each of its two forms once, when first read; a
@@ -27,7 +28,7 @@ import re
 
 
 class SeriesStructureError(ValueError):
-    """Two series were combined whose variable or order disagree."""
+    """A series was asked for at an order above its own."""
 
 
 class SeriesDomainError(ValueError):
@@ -73,6 +74,9 @@ class ParamPoly:
     mapping (deg_l, deg_a) to a nonzero Fraction, is built fresh on each
     read, so mutating it leaves the polynomial as it was; arithmetic, ==,
     `evaluate` and `render` read the integer form, `substitute` the terms.
+    A value is built from terms or as `lam()` or `alpha()`; it adds,
+    subtracts and multiplies with a ParamPoly, an int or a Fraction, which
+    symbolic S2*'s Horner loop runs, and has no power.
     The canonical text form lists terms with deg_l descending and, within
     equal deg_l, deg_a ascending: "1*l^2 + 1*l + -1/2*l*a".
 
@@ -103,39 +107,12 @@ class ParamPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def const(cls, c) -> "ParamPoly":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def term(cls, c, deg_l: int, deg_a: int) -> "ParamPoly":
-        return cls({(deg_l, deg_a): Fraction(c)})
-
-    @classmethod
     def lam(cls) -> "ParamPoly":
         return cls({(1, 0): Fraction(1)})
 
     @classmethod
     def alpha(cls) -> "ParamPoly":
         return cls({(0, 1): Fraction(1)})
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def deg_l(self) -> int:
-        return max((i for i, _ in self._nums), default=0)
-
-    @property
-    def deg_a(self) -> int:
-        return max((j for _, j in self._nums), default=0)
-
-    def constant_value(self) -> Fraction:
-        """The value of a degree-(0,0) polynomial; error otherwise."""
-        nums = self._nums
-        if not nums:
-            return Fraction(0)
-        if set(nums) == {(0, 0)}:
-            return Fraction(nums[(0, 0)], self._den)
-        raise SeriesDomainError(f"not a constant polynomial: {self}")
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -189,18 +166,6 @@ class ParamPoly:
         return _over(out, self._den * o._den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        result = ParamPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -396,21 +361,26 @@ class TruncSeries:
 
     `coeffs` is a tuple of order+1 Fractions; coefficient j of any
     operation depends only on input coefficients 0..j, so truncating an
-    order-N result to M <= N equals computing at order M directly.  Series
-    in different variables or of different orders do not combine: +, - and
-    * raise SeriesStructureError, and == is False.
+    order-N result to M <= N equals computing at order M directly.  A
+    series is a value that the number families build, read and print: it
+    adds or subtracts an int or a Fraction, truncates to a lower order,
+    compares with == (series in different variables or of different orders
+    are unequal) and renders; `series_reciprocal` inverts it.  It has no
+    series sum or product, no scalar product, no power and no negation:
+    those raise TypeError.  The products of the number families are summed
+    in their own kernels (`classical._ProductChain`,
+    `simsek._route_a_product`).
 
     A series may also be held fraction-free: integer numerators `nums` over
     one positive denominator `den`, in lowest terms (the gcd of den and all
-    numerators is 1), so equal series have equal (nums, den).  The
-    operations that the number families run in their inner loops (+, - and
-    * by a scalar, the series product and series_reciprocal) work on that
-    form and return series that hold only it; every other operation reads
-    `coeffs`.  Each form is built from the other when it is first read.
+    numerators is 1), so equal series have equal (nums, den).  Scalar + and
+    -, series_reciprocal and the product chains work on that form and
+    return series that hold only it; every other operation reads `coeffs`.
+    Each form is built from the other when it is first read.
 
     Route A's symbolic F_k (`simsek.fk_series`) is held by `_held` with
     ParamPoly coefficients, which coeffs, truncate and render read, but it
-    has no integer numerators, so +, -, * and ** raise TypeError.
+    has no integer numerators, so + and - raise TypeError.
     """
 
     __slots__ = ("var", "order", "_coeffs", "_nums", "_den")
@@ -482,46 +452,29 @@ class TruncSeries:
                            for c in self._coeffs)
         self._den = den
 
-    # -- constructors -------------------------------------------------------
+    # -- a constant series, and truncation ---------------------------------
 
     @classmethod
     def constant(cls, c, var: str, order: int) -> "TruncSeries":
         return cls(var, order, [c])
 
-    @classmethod
-    def variable(cls, var: str, order: int) -> "TruncSeries":
-        return cls(var, order, [0, 1][: order + 1])
-
-    # -- helpers -------------------------------------------------------------
-
-    def _check_compatible(self, other: "TruncSeries"):
-        if self.var != other.var:
-            raise SeriesStructureError(
-                f"variable mismatch: {self.var!r} vs {other.var!r}")
-        if self.order != other.order:
-            raise SeriesStructureError(
-                f"order mismatch: {self.order} vs {other.order}")
-
     def truncate(self, order: int) -> "TruncSeries":
         """The first order+1 coefficients, sliced without coercing them
-        again."""
+        again; ValueError for a negative order, SeriesStructureError for
+        one above the series' own."""
+        if order < 0:
+            raise ValueError("truncation order must be non-negative")
         if order > self.order:
             raise SeriesStructureError(
                 f"cannot extend order {self.order} series to {order}")
         return TruncSeries._held(self.var, order, self.coeffs[: order + 1])
 
-    # -- arithmetic -----------------------------------------------------------
+    # -- arithmetic by a scalar ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, TruncSeries):
-            self._check_compatible(other)
-            coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-            return TruncSeries(self.var, self.order, coeffs)
-        try:
-            scalar = _rational(other)
-        except TypeError:
-            return NotImplemented
-        # self + p/q in integers, over the lcm of the two denominators
+        """self + p/q for an int or a Fraction p/q, summed in integers over
+        the lcm of the two denominators; TypeError for anything else."""
+        scalar = _rational(other)
         den = math.lcm(self.den, scalar.denominator)
         nums = [c * (den // self.den) for c in self.nums]
         nums[0] += scalar.numerator * (den // scalar.denominator)
@@ -529,56 +482,8 @@ class TruncSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
-
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            self._check_compatible(other)
-            return self._mul_qq(other)
-        try:
-            scalar = _rational(other)
-        except TypeError:
-            return NotImplemented
-        p = scalar.numerator
-        return TruncSeries._qq(self.var, self.order,
-                               [c * p for c in self.nums],
-                               self.den * scalar.denominator)
-
-    __rmul__ = __mul__
-
-    def _mul_qq(self, other: "TruncSeries") -> "TruncSeries":
-        """The truncated product, summed in integers: the numerators are
-        convolved over the product of the denominators."""
-        n = self.order
-        right = [(j, b) for j, b in enumerate(other.nums) if b]
-        sums = [0] * (n + 1)
-        for i, a in enumerate(self.nums):
-            if not a:
-                continue
-            for j, b in right:
-                if i + j > n:
-                    break
-                sums[i + j] += a * b
-        return TruncSeries._qq(self.var, n, sums, self.den * other.den)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers must be non-negative integers")
-        result = self * 0 + 1
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries):

@@ -1,5 +1,6 @@
-"""Classical special-number families: Stirling numbers of both kinds,
-degenerate falling factorials, and higher-order Bernoulli numbers.
+"""Classical special-number families: Stirling numbers of both kinds and
+higher-order Bernoulli numbers, with the grow-only chains of degenerate
+falling-factorial products of a series that the number families read.
 
 Every Stirling-type triangle of the package, here, in `degenerate` and at
 a `phi` point, grows row by row through `_grow_rows` by its recurrence
@@ -67,17 +68,6 @@ def _stirling1_row(n: int) -> list[int]:
     if len(_S1_ROWS) <= n:
         _grow_rows(_S1_ROWS, n, 0, _s1_step)
     return _S1_ROWS[n]
-
-
-def degenerate_falling(x, n: int, alpha):
-    """x(x-alpha)(x-2*alpha)...(x-(n-1)*alpha); reduces to x^n at alpha=0
-    and to the ordinary falling factorial at alpha=1."""
-    if n < 0:
-        raise ValueError("degenerate falling factorial needs n >= 0")
-    result = x * 0 + 1
-    for i in range(n):
-        result = result * (x - alpha * i)
-    return result
 
 
 class _ProductChain:

@@ -4,8 +4,8 @@ Everything here is deliberately written from first principles (enumeration,
 list convolution, triangular solves, or sympy's own series expansion, a
 test-only dependency) without importing the package under test, so a value
 computed here is evidence, not an echo.  The second routes at the end are
-the exception: they are built on the package's ParamPoly and series types,
-its Bernoulli numbers and its degenerate falling factorials, and reach a
+the exception: they are built on the package's ParamPoly and series types
+and its Bernoulli numbers, multiply by the plain loops above, and reach a
 family by a formula the package does not use for it.
 """
 
@@ -455,22 +455,53 @@ def log1p_series(order: int, c=1, var: str = "t"):
                                           for m in range(1, order + 1)])
 
 
+def series_mul(a, b):
+    """The truncated product of two rational series of one variable and
+    order, by ring_product on their coefficients."""
+    from degsimsek.algebra import TruncSeries
+    assert (a.var, a.order) == (b.var, b.order)
+    return TruncSeries(a.var, a.order, ring_product(
+        list(a.coeffs), list(b.coeffs), Fraction(0)))
+
+
+def series_falling(x, k: int, step=0):
+    """prod_{j<k} (x - j*step), x^k at step 0, for a rational series x, by
+    falling_product on its coefficients."""
+    from degsimsek.algebra import TruncSeries
+    return TruncSeries(x.var, x.order, falling_product(
+        list(x.coeffs), k, step, Fraction(1), Fraction(0)))
+
+
+def falling(x, n: int, step=0):
+    """x(x - step)(x - 2*step)...(x - (n-1)*step), x^n at step 0, for a
+    rational or a ParamPoly x: falling_product of the list [x]."""
+    return falling_product([x], n, step, x * 0 + 1, x * 0)[0]
+
+
+def horner(coeffs, x):
+    """sum_j coeffs[j] x^j for a rational series x, by Horner over
+    ring_product, as a series of x's variable and order."""
+    from degsimsek.algebra import TruncSeries
+    xs = list(x.coeffs)
+    result = [Fraction(0)] * (x.order + 1)
+    for c in reversed(coeffs):
+        result = ring_product(result, xs, Fraction(0))
+        result[0] += c
+    return TruncSeries(x.var, x.order, result)
+
+
 def compose(outer, inner):
-    """outer(inner), inner(0) = 0, by Horner over the series + and *."""
+    """outer(inner) for series with inner(0) = 0, by horner."""
     assert inner.coeffs[0] == 0
-    result = inner * 0 + outer.coeffs[-1]
-    for c in reversed(outer.coeffs[:-1]):
-        result = result * inner + c
-    return result
+    return horner(outer.coeffs, inner)
 
 
 def deg_exp_series(x, alpha, order: int):
     """e_alpha^x(t) = sum_m (x)_{m,alpha} t^m/m! at a rational x, with
-    (x)_{m,alpha} from the package's degenerate_falling."""
+    (x)_{m,alpha} from falling."""
     from degsimsek.algebra import TruncSeries
-    from degsimsek.classical import degenerate_falling
     return TruncSeries("t", order, [
-        Fraction(degenerate_falling(Fraction(x), m, alpha), math.factorial(m))
+        Fraction(falling(Fraction(x), m, alpha), math.factorial(m))
         for m in range(order + 1)])
 
 
@@ -484,7 +515,10 @@ def bernoulli_poly_coeffs(k: int, n: int) -> list:
 
 def bernoulli_poly(k: int, n: int, x):
     """B_k^(n)(x) at a rational, ParamPoly or series x, by Horner."""
+    from degsimsek.algebra import TruncSeries
     coeffs = bernoulli_poly_coeffs(k, n)
+    if isinstance(x, TruncSeries):
+        return horner(coeffs, x)
     result = x * 0 + coeffs[k]
     for c in reversed(coeffs[:k]):
         result = result * x + c
@@ -495,10 +529,10 @@ def simsek_y1_via_gf(n: int, k: int):
     """y1(n,k) = n! [t^n] (l*e^t+1)^k / k!, the k-th power of the
     coefficient list of l*e^t + 1 by ring_product."""
     from degsimsek.algebra import ParamPoly
-    lam_exp = [ParamPoly.term(Fraction(1, math.factorial(m)), 1, 0)
+    lam_exp = [ParamPoly({(1, 0): Fraction(1, math.factorial(m))})
                for m in range(n + 1)]
     power = falling_product([lam_exp[0] + 1, *lam_exp[1:]], k, 0,
-                            ParamPoly.const(1), ParamPoly())
+                            ParamPoly({(0, 0): 1}), ParamPoly())
     return power[n] * Fraction(math.factorial(n), math.factorial(k))
 
 
@@ -507,14 +541,13 @@ def deg_simsek_y1_alt(n: int, k: int):
     (1/k!) sum_j C(k,j) l^j (j)_{n,a}, the a^n (j/a)_n product read as the
     polynomial prod_{i<n} (j - i*a)."""
     from degsimsek.algebra import ParamPoly
-    from degsimsek.classical import degenerate_falling
     if n < 0 or k < 0:
         return ParamPoly()
     inv = Fraction(1, math.factorial(k))
     out = ParamPoly()
     for j in range(k + 1):
-        prod = degenerate_falling(ParamPoly.const(j), n, ParamPoly.alpha())
-        out = out + prod * ParamPoly.term(inv * math.comb(k, j), j, 0)
+        prod = falling(ParamPoly({(0, 0): j}), n, ParamPoly.alpha())
+        out = out + prod * ParamPoly({(j, 0): inv * math.comb(k, j)})
     return out
 
 
@@ -522,26 +555,28 @@ def apostol_euler_series(k: int, lam, alpha, order: int):
     """The series (2/(lam e_alpha(t) + 1))^k, lam != -1, whose coefficient n
     times n! is E_n^(k)(lam|alpha): e_alpha(t) with coefficients
     (1)_{m,alpha}/m! (deg_exp_series above), inverted by series_reciprocal
-    and raised to the power k by series products, not by the product chain
+    and raised to the power k by series_falling, not by the product chain
     apostol_euler reads."""
-    from degsimsek.algebra import series_reciprocal
-    half = (deg_exp_series(1, Fraction(alpha), order) * Fraction(lam) + 1) \
-        * Fraction(1, 2)
-    return series_reciprocal(half) ** k
+    from degsimsek.algebra import TruncSeries, series_reciprocal
+    e = deg_exp_series(1, Fraction(alpha), order).coeffs
+    half = [(Fraction(lam) * c + (m == 0)) / 2 for m, c in enumerate(e)]
+    return series_falling(series_reciprocal(TruncSeries("t", order, half)), k)
 
 
 def fk_series_via_bernoulli(k: int, order: int, lam, alpha):
     """F_k at a rational point with alpha != 0 as
     (a^k/k!) * B_k^(k+1)((l*e^t+1)/a + 1), the order-(k+1) Bernoulli
     polynomial evaluated at a series argument."""
-    from degsimsek.algebra import exp_t
+    from degsimsek.algebra import TruncSeries
     lam = Fraction(lam)
     alpha = Fraction(alpha)
     if alpha == 0:
         raise ValueError("the Bernoulli representation needs alpha != 0")
-    x = (exp_t(order) * lam + 1) * (1 / alpha) + 1
-    return bernoulli_poly(k, k + 1, x) * Fraction(alpha**k,
-                                                  math.factorial(k))
+    x = TruncSeries("t", order, [(lam + 1) / alpha + 1] + [
+        lam / alpha / math.factorial(m) for m in range(1, order + 1)])
+    scale = Fraction(alpha**k, math.factorial(k))
+    return TruncSeries("t", order, [c * scale for c in
+                                    bernoulli_poly(k, k + 1, x).coeffs])
 
 
 def route_c_printed(n: int, k: int):

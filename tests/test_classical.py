@@ -9,11 +9,12 @@ import pytest
 
 from degsimsek.algebra import (ParamPoly, TruncSeries, exp_t,
                                series_reciprocal)
-from degsimsek.classical import (bernoulli_number, degenerate_falling,
-                                 stirling1, stirling2)
+from degsimsek.classical import (_ProductChain, bernoulli_number, stirling1,
+                                 stirling2)
 
 from oracles import (bernoulli_poly, bernoulli_poly_coeffs, count_partitions,
-                     falling_factorial_coeffs, log1p_series, ring_product)
+                     falling, falling_factorial_coeffs, log1p_series,
+                     ring_product, series_falling)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -52,8 +53,8 @@ def test_triangles_match_generating_functions():
     em1 = exp_t(order) - 1
     logt = log1p_series(order)
     for k in range(order + 1):
-        gf2 = em1**k
-        gf1 = logt**k
+        gf2 = series_falling(em1, k)
+        gf1 = series_falling(logt, k)
         for n in range(k, order + 1):
             scale = Fraction(math.factorial(n), math.factorial(k))
             assert stirling2(n, k) == gf2.coeffs[n] * scale
@@ -65,31 +66,41 @@ def test_basis_inversion_identities():
     for n in range(13):
         lhs = ParamPoly()
         for k in range(n + 1):
-            lhs = lhs + degenerate_falling(L, k, 1) * stirling2(n, k)
-        assert lhs == L**n
+            lhs = lhs + falling(L, k, 1) * stirling2(n, k)
+        assert lhs == falling(L, n)
         rhs = ParamPoly()
         for k in range(n + 1):
-            rhs = rhs + L**k * stirling1(n, k)
-        assert rhs == degenerate_falling(L, n, 1)
+            rhs = rhs + falling(L, k) * stirling1(n, k)
+        assert rhs == falling(L, n, 1)
 
 
 # ---------------------------------------------------------------------------
-# falling factorials
+# falling factorials: the products P_n = x(x - a)...(x - (n-1)a) that the
+# product chains hold, and their Stirling-1 expansion
 # ---------------------------------------------------------------------------
+
+def series_t(order: int) -> TruncSeries:
+    return TruncSeries("t", order, [0, 1])
+
 
 def test_degenerate_falling_basics():
-    assert degenerate_falling(L, 2, A) == L**2 - A * L
+    a = Fraction(2, 3)
+    assert _ProductChain(series_t, a).product(2, 4) == \
+        TruncSeries("t", 4, [0, -a, 1])
+    powers = _ProductChain(series_t)
     for n in range(6):
-        assert degenerate_falling(L, n, ParamPoly.const(0)) == L**n
-    assert degenerate_falling(Fraction(1), 2, Fraction(1)) == 0
-    assert degenerate_falling(Fraction(5), 0, 1) == 1
+        assert powers.product(n, 6) == TruncSeries("t", 6, [0] * n + [1])
+    one = _ProductChain(lambda order: TruncSeries.constant(1, "t", order), 1)
+    assert one.product(2, 3) == 0
+    five = _ProductChain(lambda order: TruncSeries.constant(5, "t", order), 1)
+    assert five.product(0, 3) == 1
 
 
 def test_degenerate_falling_at_alpha_one_is_falling():
+    chain = _ProductChain(series_t, 1)
     for n in range(7):
-        falling = ParamPoly({(j, 0): c for j, c in
-                             enumerate(falling_factorial_coeffs(n))})
-        assert degenerate_falling(L, n, ParamPoly.const(1)) == falling
+        assert list(chain.product(n, 6).coeffs) == \
+            (falling_factorial_coeffs(n) + [0] * 6)[:7]
 
 
 def test_degenerate_falling_at_integers_from_stirling1():
@@ -97,7 +108,7 @@ def test_degenerate_falling_at_integers_from_stirling1():
     # the degenerate Stirling bases read off the Stirling-1 rows
     for x in (1, -1, 3):
         for m in range(11):
-            expected = degenerate_falling(Fraction(x), m, A)
+            expected = falling(Fraction(x), m, A)
             assert ParamPoly({(0, m - j): stirling1(m, j) * x**j
                               for j in range(m + 1)}) == expected, (x, m)
 
@@ -116,7 +127,7 @@ def test_bernoulli_numbers_low_order():
 
 
 def test_bernoulli_poly_low_order():
-    assert bernoulli_poly(0, 3, L) == ParamPoly.const(1)
+    assert bernoulli_poly(0, 3, L) == 1
     # B_1^(1)(x) = x - 1/2 from expanding t e^{xt}/(e^t - 1) to order 1
     assert bernoulli_poly(1, 1, L) == L - Fraction(1, 2)
     # recurrence spot value: B_1^(2)(x) = (1-1/1) B_1^(1) + 1*(x/1-1) B_0^(1)
@@ -126,12 +137,12 @@ def test_bernoulli_poly_low_order():
 def test_bernoulli_poly_against_gf():
     # B_k^(n)(x) = k! [t^k] e^{xt} (t/(e^t-1))^n with x symbolic
     order = 6
-    ext = [L**m * Fraction(1, math.factorial(m)) for m in range(order + 1)]
+    ext = [falling(L, m) * Fraction(1, math.factorial(m)) for m in range(order + 1)]
     em1_over_t = TruncSeries("t", order, [Fraction(1, math.factorial(m + 1))
                                           for m in range(order + 1)])
     for n in range(4):
-        power = series_reciprocal(em1_over_t) ** n
-        gf = ring_product(ext, [ParamPoly.const(c) for c in power.coeffs],
+        power = series_falling(series_reciprocal(em1_over_t), n)
+        gf = ring_product(ext, [ParamPoly({(0, 0): c}) for c in power.coeffs],
                           ParamPoly())
         for k in range(order + 1):
             assert bernoulli_poly(k, n, L) == gf[k] * math.factorial(k)
@@ -168,5 +179,3 @@ def test_bernoulli_poly_series_argument():
 def test_index_validation():
     with pytest.raises(ValueError):
         bernoulli_number(-1, 0)
-    with pytest.raises(ValueError):
-        degenerate_falling(L, -2, 1)

@@ -116,8 +116,9 @@ def test_series_stream_catches_a_wrong_qq_reciprocal(tool, tmp_path,
             "\n_exact_reciprocal = series_reciprocal\n\n\n"
             "def series_reciprocal(a, old=None):\n"
             "    out = _exact_reciprocal(a, old)\n"
-            "    top = [0] * out.order + [1]\n"
-            "    return out + TruncSeries(out.var, out.order, top)\n")
+            "    top = out.coeffs[-1] + 1\n"
+            "    return TruncSeries(out.var, out.order,\n"
+            "                       [*out.coeffs[:-1], top])\n")
     assert tool.main([str(good), str(good)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "3 cases, 0 differing"
     assert tool.main([str(good), str(wrong)]) == 1
@@ -192,8 +193,9 @@ def test_climb_stream_catches_an_error_of_one_order_steps(
             "    out = _exact_extend_qq(old, prev, x, step, i)\n"
             "    if old is None or old.order != x.order - 1 or x.order < 10:\n"
             "        return out\n"
-            "    top = [0] * out.order + [1]\n"
-            "    return out + TruncSeries(out.var, out.order, top)\n")
+            "    top = out.coeffs[-1] + 1\n"
+            "    return TruncSeries(out.var, out.order,\n"
+            "                       [*out.coeffs[:-1], top])\n")
     assert tool.main([str(good), str(wrong)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "DIFFERS (stdout): climb stream", "2 cases, 1 differing"]

@@ -2,9 +2,8 @@
 against the uncached library functions, the integer forms of the symbolic
 and REL-S2STAR checks against their definitions, term-by-term references
 and sympy oracles, the phi checks against their truncated-series forms,
-and count guards on ParamPoly.evaluate, simsek_y1, degenerate_falling, the
-factors of route A's product, the degenerate Stirling rows, the route
-values and the series products of the phi checks."""
+and count guards on ParamPoly.evaluate, simsek_y1, the factors of route
+A's product, the degenerate Stirling rows and the route values."""
 
 from fractions import Fraction
 import math
@@ -14,7 +13,6 @@ import pytest
 
 from degsimsek import classical, degenerate, phi, registry, simsek
 from degsimsek.algebra import ParamPoly, TruncSeries, _over
-from degsimsek.classical import degenerate_falling
 from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, check_rel_s2star,
@@ -23,7 +21,7 @@ from degsimsek.reports import (EXPECTED_DISCREPANCY, FAIL, PASS,
                                reports_to_json)
 from degsimsek.simsek import ROUTES, _int_terms, simsek_y1, y1star
 
-from oracles import (compose, expl_c_printed_sympy, log1p_series,
+from oracles import (compose, expl_c_printed_sympy, falling, log1p_series,
                      phi_reference, rel_s2star_reference, rel_s2star_terms)
 
 POINTS = list(FIXED_POINTS) + random_points(seed=5, count=3)
@@ -134,9 +132,8 @@ def test_symbolic_weights_match_their_definitions(monkeypatch):
         for n in reversed(range(10)):
             expected = ParamPoly()
             for i in range(k + 1):
-                expected = expected + y1star(n, i) * degenerate_falling(
-                    ParamPoly.const(-1), k - i, a) * (
-                        math.comb(k, i) * math.factorial(i))
+                expected = expected + y1star(n, i) * falling(
+                    -1, k - i, a) * (math.comb(k, i) * math.factorial(i))
             assert _over(falling_sum(k, n), 1) == expected, (k, n)
             for route in ROUTES:
                 assert _over(simsek.scaled_y1star(n, k, route),
@@ -186,7 +183,7 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
     # a count, not a clock: the symbolic checks must read y1 values and
     # the (-1)_{m,a} / (1)_{m,a} factors from their stores instead of
     # rebuilding them inside their innermost loops
-    calls = {"simsek_y1": 0, "degenerate_falling": 0, "evaluate": 0}
+    calls = {"simsek_y1": 0, "evaluate": 0}
 
     def counting(name, func):
         def wrapper(*args, **kwargs):
@@ -233,7 +230,6 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
     assert len(reports) == 95
     # k! y1(n,k) is built as integer terms, never from simsek_y1
     assert calls["simsek_y1"] == 0
-    assert calls["degenerate_falling"] <= 100
     assert calls["evaluate"] == 0
     # F_0..F_8 take 0 + 1 + ... + 8 = 36 factors when nothing is cached;
     # one S2* series per (n, k) of RED-CLASSICAL would take 324 more
@@ -271,7 +267,8 @@ def test_rel_s2star_reads_the_chain_new_deg_stirling2_keeps(monkeypatch,
         start = max(3, 0 if old is None else old.order + 1)
         extra = [0] * start + [-i * step * c
                                for c in prev.coeffs[start:x.order + 1]]
-        return out + TruncSeries(x.var, x.order, extra[:x.order + 1])
+        return TruncSeries(x.var, x.order,
+                           [c + e for c, e in zip(out.coeffs, extra)])
 
     monkeypatch.setattr(classical, "_extend_qq", doubled_step)
     reports = [r for r in run_suite(order=8) if r.id == "REL-S2STAR"]
@@ -570,38 +567,3 @@ def test_integral_discrepancy_text_at_nonzero_alpha(point, text):
     # mismatch, written from the integer comparison
     [report] = run_suite(["PHI-INT"], order=8, grid=[point])
     assert (report.status, report.mismatch) == ("expected-discrepancy", text)
-
-
-def test_phi_checks_take_no_series_product_outside_the_euler_rows(
-        monkeypatch):
-    # a count, not a clock: the eight phi checks multiply integer EGF rows;
-    # a TruncSeries product is taken only to build the Euler weight rows
-    for k in range(9):
-        simsek.fk_series(k, 8)  # route A's F_k, read by every point
-    outside = 0
-    depth = 0
-    product = TruncSeries.__mul__
-
-    def counting(self, other):
-        nonlocal outside
-        outside += not depth
-        return product(self, other)
-
-    def euler(method):
-        def wrapper(*args):
-            nonlocal depth
-            depth += 1
-            try:
-                return method(*args)
-            finally:
-                depth -= 1
-        return wrapper
-
-    monkeypatch.setattr(TruncSeries, "__mul__", counting)
-    monkeypatch.setattr(TruncSeries, "__rmul__", counting)
-    for name in ("apostol_row", "corrected_euler_row"):
-        monkeypatch.setattr(PointContext, name,
-                            euler(getattr(PointContext, name)))
-    reports = run_suite([e.id for e in PHI], order=8)
-    assert len(reports) == 8 * 7
-    assert outside == 0

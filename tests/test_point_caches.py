@@ -19,15 +19,14 @@ import pytest
 from degsimsek import (algebra, classical, degenerate, phi, registry,
                        simsek)
 from degsimsek.algebra import ParamPoly, SeriesDomainError, TruncSeries, exp_t
-from degsimsek.classical import (_bernoulli_base, _ProductChain,
-                                 bernoulli_number, degenerate_falling)
+from degsimsek.classical import _ProductChain, bernoulli_number
 from degsimsek.degenerate import apostol_euler, new_deg_stirling2
 from degsimsek.phi import phi_series
 from degsimsek.simsek import fk_series, y1star
 
 from oracles import (apostol_euler_series, apostol_euler_sympy,
                      falling_product, higher_bernoulli_sympy, reciprocal_solve,
-                     s2star_sympy)
+                     s2star_sympy, series_falling, terms_degrees)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -96,23 +95,44 @@ def cached(kind, n, k, point, route):
     return y1star(n, k, "ABCDEF"[route]).evaluate(lam, alpha)
 
 
+def exp_list(order: int, lam=1, shift=0) -> list:
+    """The coefficients of lam e^t + shift to t^order."""
+    return [Fraction(lam, math.factorial(m)) + (m == 0) * shift
+            for m in range(order + 1)]
+
+
+def fresh_bernoulli(n: int, k: int) -> Fraction:
+    """n! [t^n] (t/(e^t - 1))^k, the reciprocal solved and raised to the
+    power k on plain lists."""
+    base = reciprocal_solve(exp_list(n + 1, 1, -1)[1:], n)
+    return falling_product(base, k, 0, Fraction(1), Fraction(0))[n] \
+        * math.factorial(n)
+
+
+def fresh_s2star(n: int, k: int, alpha) -> Fraction:
+    """n!/k! [t^n] prod_{j<k} (e^t - 1 - j alpha) on plain lists."""
+    series = falling_product(exp_list(n, 1, -1), k, Fraction(alpha),
+                             Fraction(1), Fraction(0))
+    return series[n] * Fraction(math.factorial(n), math.factorial(k))
+
+
 def fresh(kind, n, k, point, route):
     lam, alpha = point
-    scale = Fraction(math.factorial(n), math.factorial(k))
     if kind == "B":
-        return (_bernoulli_base(n) ** k).coeffs[n] * math.factorial(n)
+        return fresh_bernoulli(n, k)
     if kind == "S2":
-        return degenerate_falling(exp_t(n) - 1, k, alpha).coeffs[n] * scale
+        return fresh_s2star(n, k, alpha)
     if kind == "S2 symbolic":
-        em1 = [ParamPoly()] + [ParamPoly.const(c) for c in exp_t(n).coeffs[1:]]
+        em1 = [ParamPoly({(0, 0): c}) for c in exp_list(n, 1, -1)]
         series = falling_product(em1, k, SYMBOLIC_ALPHAS[route % 3],
-                                 ParamPoly.const(1), ParamPoly())
-        return series[n] * scale
+                                 ParamPoly({(0, 0): 1}), ParamPoly())
+        return series[n] * Fraction(math.factorial(n), math.factorial(k))
     if kind == "E":
         return apostol_euler_series(k, lam, alpha, n).coeffs[n] \
             * math.factorial(n)
     if kind == "F":
-        return degenerate_falling(exp_t(n) * lam + 1, k, alpha).coeffs[n] \
+        return falling_product(exp_list(n, lam, 1), k, Fraction(alpha),
+                               Fraction(1), Fraction(0))[n] \
             / math.factorial(k)
     value = y1star(n, k, "ABCDEF"[route])
     return ParamPoly(dict(value.terms)).evaluate(lam, alpha)
@@ -137,19 +157,6 @@ def test_interleaved_reads_equal_fresh_formulas(cold_chains, reads):
 # ---------------------------------------------------------------------------
 # count guards
 # ---------------------------------------------------------------------------
-
-def count_products(monkeypatch) -> list:
-    """Record the order of every series-by-series product from now on."""
-    products = []
-    inner = TruncSeries.__mul__
-
-    def counted(self, other):
-        if isinstance(other, TruncSeries):
-            products.append(self.order)
-        return inner(self, other)
-    monkeypatch.setattr(TruncSeries, "__mul__", counted)
-    return products
-
 
 FAMILIES = {
     "bernoulli": bernoulli_number,
@@ -193,13 +200,12 @@ def test_revisit_is_free_and_one_more_k_is_one_product(cold_chains,
     read = FAMILIES[family]
     first = read(5, 4)
     chain = family_chain(family)
-    products = count_products(monkeypatch)
     extensions, terms = count_extensions(monkeypatch)
     # a revisit, a lower order and a shorter product read the chain
     assert read(5, 4) == first
     read(3, 4)
     read(0, 2)
-    assert products == extensions == terms == []
+    assert extensions == terms == []
     # each further k is one product at the chain's order: coefficients
     # 0..5, 1 + 2 + ... + 6 terms
     read(5, 5)
@@ -208,11 +214,10 @@ def test_revisit_is_free_and_one_more_k_is_one_product(cold_chains,
     assert len(terms) == 2 * 21
     held = chain.state
     # one order more extends each of P_1..P_6 by its one new coefficient,
-    # 7 terms each, and runs no series-by-series product
+    # 7 terms each
     extensions.clear()
     terms.clear()
     read(6, 3)
-    assert products == []
     assert extensions == [(5, 6)] * 6
     assert len(terms) == 6 * 7
     # the extended products are the ones the factors give at order 6, in a
@@ -222,8 +227,8 @@ def test_revisit_is_free_and_one_more_k_is_one_product(cold_chains,
     assert (order, len(grown)) == (6, 7)
     base = chain.base(6)
     for j, product in enumerate(grown):
-        assert product == degenerate_falling(base, j, chain.step), j
-        assert held[2][j] == degenerate_falling(chain.base(5), j, chain.step)
+        assert product == series_falling(base, j, chain.step), j
+        assert held[2][j] == series_falling(chain.base(5), j, chain.step)
 
 
 def euler_half(lam, alpha, order: int) -> list:
@@ -289,7 +294,7 @@ def test_climbing_reads_equal_one_build_at_the_top_order(cold_chains,
     values = {(n, k): read(n, k) for n in range(13) for k in range(n + 1)}
     chain = family_chain(family)
     top = chain.base(12)
-    fresh = [degenerate_falling(top, k, chain.step) for k in range(13)]
+    fresh = [series_falling(top, k, chain.step) for k in range(13)]
     scale = (lambda n, k: Fraction(math.factorial(n), math.factorial(k))) \
         if family == "s2star" else (lambda n, k: math.factorial(n))
     for (n, k), value in values.items():
@@ -343,23 +348,23 @@ def test_power_table_evaluation_equals_substitution(terms, shift, extra,
     # degree in l and in a, adds to it; each value equals the substitution,
     # and the first entry is kept as it was
     low = ParamPoly(terms)
-    high = low * ParamPoly.term(1, *shift) + ParamPoly.term(
-        extra, low.deg_l + shift[0] + 1, low.deg_a + shift[1] + 1)
+    top_l, top_a = terms_degrees(low.terms)
+    high = low * ParamPoly({shift: 1}) + ParamPoly(
+        {(top_l + shift[0] + 1, top_a + shift[1] + 1): extra})
+    tops = [terms_degrees(p.terms) for p in (low, high)]
     point = (lam.numerator, lam.denominator,
              alpha.numerator, alpha.denominator)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(algebra, "_power_rows", {})
         entries = []
-        for poly in (low, high):
-            expected = poly.substitute(lam, alpha).constant_value()
+        for poly, top in zip((low, high), tops):
+            expected = poly.substitute(lam, alpha)
             assert ParamPoly(dict(poly.terms)).evaluate(lam, alpha) \
                 == expected
-            key = (*point, poly.deg_l, poly.deg_a)
+            key = (*point, *top)
             entries.append(algebra._power_rows[key])
-        assert list(algebra._power_rows) == [(*point, p.deg_l, p.deg_a)
-                                             for p in (low, high)]
-    for (top_i, top_j), (l_row, a_row, scale) in zip(
-            ((low.deg_l, low.deg_a), (high.deg_l, high.deg_a)), entries):
+        assert list(algebra._power_rows) == [(*point, *top) for top in tops]
+    for (top_i, top_j), (l_row, a_row, scale) in zip(tops, entries):
         p, q, r, s = point
         assert l_row == [p**i * q**(top_i - i) for i in range(top_i + 1)]
         assert a_row == [r**j * s**(top_j - j) for j in range(top_j + 1)]
@@ -387,7 +392,7 @@ def test_new_phi_series_row_computes_each_power_row_once(monkeypatch):
         (base, top) for k in range(1, 11)
         for base, top in ((-7, k), (11, k), (13, k - 1), (17, k - 1)))
     assert list(row.coeffs) == [y1star(10, k).substitute(*point)
-                                .constant_value() for k in range(11)]
+                                for k in range(11)]
     calls.clear()
     assert phi_series(10, Fraction(-14, 22), Fraction(26, 34), 10) == row
     phi_series(9, *point, 10)
@@ -419,10 +424,8 @@ def test_chain_reads_from_threads_stay_exact(cold_chains):
     # product at the wrong index or a coefficient at the wrong order
     keys = [(n, k) for n in range(7) for k in range(7)]
     alphas = [Fraction(1, r + 2) for r in range(8)]
-    bernoulli = {(n, k): (_bernoulli_base(n) ** k).coeffs[n]
-                 * math.factorial(n) for n, k in keys}
-    s2star = {(alpha, n, k): degenerate_falling(exp_t(n) - 1, k, alpha)
-              .coeffs[n] * Fraction(math.factorial(n), math.factorial(k))
+    bernoulli = {(n, k): fresh_bernoulli(n, k) for n, k in keys}
+    s2star = {(alpha, n, k): fresh_s2star(n, k, alpha)
               for alpha in alphas for n, k in keys}
     wrong = []
     threads = 6
@@ -460,8 +463,7 @@ def test_chain_reads_from_threads_stay_exact(cold_chains):
 def test_equal_alphas_and_points_share_one_chain(cold_chains):
     # a rational alpha is keyed by (p, q) and a point by (p, q, r, s) in
     # lowest terms, whichever way it is written
-    expected = degenerate_falling(exp_t(5) - 1, 3, Fraction(1, 2)).coeffs[5] \
-        * Fraction(math.factorial(5), math.factorial(3))
+    expected = fresh_s2star(5, 3, Fraction(1, 2))
     for alpha in (1 / 2, Fraction(2, 4), "1/2", Fraction(1, 2)):
         assert new_deg_stirling2(5, 3, alpha) == expected
     assert list(degenerate._s2star_chains) == [(1, 2)]
@@ -481,8 +483,9 @@ def test_equal_alphas_and_points_share_one_chain(cold_chains):
     assert list(degenerate._apostol_chains) == [(3, 2, -1, 4), (2, 1, 0, 1)]
 
     # F_k at a point: the chain's values keep each series by (order, k)
-    expected = degenerate_falling(exp_t(5) * Fraction(3, 2) + 1, 3,
-                                  Fraction(-1, 4)) * Fraction(1, 6)
+    expected = TruncSeries("t", 5, [c / 6 for c in falling_product(
+        exp_list(5, Fraction(3, 2), 1), 3, Fraction(-1, 4), Fraction(1),
+        Fraction(0))])
     for point in ((1.5, -0.25), (Fraction(6, 4), Fraction(-2, 8)),
                   ("3/2", "-1/4"), (Fraction(3, 2), Fraction(-1, 4))):
         assert fk_series(3, 5, *point) == expected
@@ -523,27 +526,6 @@ def test_a_wrong_point_f_k_coefficient_fails_phi_egf_at_every_point(
         assert fk_series(3, 8, lam, alpha).coeffs[5] == Fraction(rhs[4:])
 
 
-def test_point_f_k_and_phi_egf_call_no_degenerate_falling(cold_chains,
-                                                         monkeypatch):
-    # route A's symbolic F_k, the left side of PHI-EGF, built first; every
-    # module of the package that binds degenerate_falling is watched
-    for k in range(9):
-        fk_series(k, 8)
-    calls = []
-    for module in (classical, degenerate, phi, registry, simsek):
-        if not hasattr(module, "degenerate_falling"):
-            continue
-
-        def counted(*args, inner=module.degenerate_falling):
-            calls.append(args)
-            return inner(*args)
-        monkeypatch.setattr(module, "degenerate_falling", counted)
-    fk_series(5, 7, Fraction(2, 3), Fraction(-1, 4))
-    reports = registry.run_suite(["PHI-EGF"])
-    assert [report.status for report in reports] == ["pass"] * 7
-    assert calls == []
-
-
 @pytest.mark.parametrize("lam", [-1, Fraction(-2, 2), -1.0, "-1"])
 def test_apostol_euler_at_lambda_minus_one_raises_and_stores_nothing(
         cold_chains, lam):
@@ -579,12 +561,12 @@ def test_chain_state_is_replaced_not_mutated(step):
     # the held products are still P_0..P_3 at order 4; the later states
     # keep them at order 4 and extend all seven to order 7
     for j in range(7):
-        at_4 = degenerate_falling(base(4), j, step)
+        at_4 = series_falling(base(4), j, step)
         if j < 4:
             assert products[j] == at_4
             assert longer[2][j] is products[j]
         assert longer[2][j] == at_4
-        assert extended[2][j] == degenerate_falling(base(7), j, step)
+        assert extended[2][j] == series_falling(base(7), j, step)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,10 @@ size; it runs `run_suite` twice, at order 12 with seed 7 and then at order
 outlives a suite, and that a fresh interpreter per case cannot see, shows
 there.  The series stream reads `new_deg_stirling2` with rational alpha
 and with the symbolic alphas a, 2a, l + a and 0 (a ParamPoly),
-`bernoulli_number`, `apostol_euler` and `fk_series` at a point; it applies
-series + and -, negation, the series product, `**`, `==`, `truncate` and
-`series_reciprocal` to a series built from e^t - 1 by those operators.
+`bernoulli_number`, `apostol_euler` and `fk_series` at a point; it builds
+series with `TruncSeries` from Fraction coefficients it sums itself, a
+polynomial in e^t - 1, and applies `series_reciprocal` (from nothing and
+extended from a lower order), scalar + and -, `==` and `truncate` to them.
 It then reads `apostol_euler`, `new_deg_stirling2`
 (rational and the four symbolic alphas) and `bernoulli_number` at three
 points with n falling and rising and k above and below what earlier reads
@@ -158,10 +159,10 @@ for route in "ABCDEF":
 SERIES_CASE = ["series stream"]
 SERIES_STREAM = """
 from fractions import Fraction as F
-from degsimsek import (ParamPoly, apostol_euler, bernoulli_number, fk_series,
-                       new_deg_stirling2, phi_series, series_reciprocal,
-                       y1star)
-from degsimsek.algebra import exp_t
+from math import factorial
+from degsimsek import (ParamPoly, TruncSeries, apostol_euler,
+                       bernoulli_number, fk_series, new_deg_stirling2,
+                       phi_series, series_reciprocal, y1star)
 l, a = ParamPoly.lam(), ParamPoly.alpha()
 points = ((F(3, 2), F(1, 3)), (F(-3, 5), F(1, 2)))
 symbolic_alphas = (a, 2 * a, l + a, ParamPoly())
@@ -172,28 +173,32 @@ def show(name, value):
 
 
 def series(coeffs):
-    # sum_m coeffs[m] (e^t - 1)^m to t^(len - 1), by Horner over + and *
-    em1 = exp_t(len(coeffs) - 1) - 1
-    out = em1 * 0
+    # sum_m coeffs[m] (e^t - 1)^m to t^(len - 1), by Horner over Fraction
+    # lists
+    n = len(coeffs) - 1
+    em1 = [F(0)] + [F(1, factorial(m)) for m in range(1, n + 1)]
+    out = [F(0)] * (n + 1)
     for c in reversed(coeffs):
-        out = out * em1 + c
-    return out
+        out = [sum((out[i] * em1[m - i] for i in range(m + 1)), F(0))
+               for m in range(n + 1)]
+        out[0] += c
+    return TruncSeries("t", n, out)
 
 
 def operations(s, z, w):
     # s has a unit constant term, z a zero one; w is a second series
-    show("reciprocal", series_reciprocal(s))
-    show("add", s + w)
-    show("sub", s - w)
-    show("neg", -s)
+    inverse = series_reciprocal(s)
+    show("reciprocal", inverse)
+    show("reciprocal extended",
+         series_reciprocal(s, series_reciprocal(s.truncate(s.order // 2))))
     show("add scalar", s + F(2, 3))
-    show("rsub scalar", F(2, 3) - s)
-    show("mul", s * w)
-    show("pow", s ** 3)
-    show("eq", (s == w, s - w + w == s, z == 0))
+    show("radd scalar", 2 + w)
+    show("sub scalar", s - F(2, 3))
+    show("eq", (s == w, s + F(1, 3) - F(1, 3) == s, z == 0,
+                w == w.coeffs[0], z + 1 == s))
     for m in range(s.order + 1):
         show(f"truncate {m}", s.truncate(m))
-        show(f"product truncate {m}", (s * w).truncate(m))
+        show(f"reciprocal truncate {m}", inverse.truncate(m))
 
 
 for top in (4, 7, 3, 9, 7):
