@@ -220,6 +220,27 @@ def test_series_product_over_qq(pair):
 
 
 @SETTINGS
+@given(sparse(zero_or(rationals, Fraction(0))), st.integers(0, 7))
+@example(([Fraction(1, 2), Fraction(0), Fraction(-3, 4), Fraction(0)],
+          [Fraction(2, 3), Fraction(0), Fraction(0), Fraction(0)]), 1)
+@example(([Fraction(0), Fraction(-1, 25), Fraction(0)],
+          [Fraction(0), Fraction(0), Fraction(0)]), 0)
+def test_qq_product_is_canonical(pair, m):
+    # every product of a chain stays in lowest terms over den > 0, also
+    # when read first at a lower order m and then extended to the full one
+    a, b = pair
+    order = len(a) - 1
+    m = min(m, order)
+    chain = _ProductChain(lambda n: TruncSeries("t", n, a[:n + 1]), b[0])
+    for j in range(4):
+        assert_canonical(chain.product(j, m), falling_product(
+            a[:m + 1], j, b[0], Fraction(1), Fraction(0)))
+    for j in range(4):
+        assert_canonical(chain.product(j, order), falling_product(
+            a, j, b[0], Fraction(1), Fraction(0)))
+
+
+@SETTINGS
 @given(sparse(zero_or(polys, ParamPoly())))
 def test_series_product_over_parampoly(pair):
     a, b = pair
