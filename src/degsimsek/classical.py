@@ -73,9 +73,9 @@ def _stirling1_row(n: int) -> list[int]:
 class _ProductChain:
     """Grow-only chain of the products P_j = x(x - a)(x - 2a)...(x - (j-1)a)
     of a series x, all held at one truncation order: P_0 = 1 and
-    P_{j+1} = P_j * (x - j a), the products degenerate_falling(x, j, a)
-    forms; at a = 0 they are the powers of x.  `base(order)` gives x at a
-    truncation order.
+    P_{j+1} = P_j * (x - j a), the degenerate falling factorials (x)_{j,a}
+    of the series x; at a = 0 they are the powers of x.  `base(order)`
+    gives x at a truncation order.
 
     The chain only extends.  A read at a higher order than the chain's
     extends every product held by its coefficients above the old order; a

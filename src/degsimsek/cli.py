@@ -132,13 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "degenerate Simsek numbers and their relatives.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_point_flags(p, lam=True, alpha=True):
-        if lam:
-            p.add_argument("--lambda", dest="lam", type=_rational, default=None,
-                           metavar="p/q")
-        if alpha:
-            p.add_argument("--alpha", type=_rational, default=None,
-                           metavar="p/q")
+    def add_point_flags(p):
+        p.add_argument("--lambda", dest="lam", type=_rational, default=None,
+                       metavar="p/q")
+        p.add_argument("--alpha", type=_rational, default=None, metavar="p/q")
 
     p = sub.add_parser("compute", help="one family value")
     p.add_argument("--family", choices=_SIMSEK_FAMILIES, required=True)

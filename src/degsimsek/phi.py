@@ -24,15 +24,15 @@ u^m; c = r*q):
 
 A product of two series is the binomial convolution of their entries.
 Each check scales both sides by one integer, so that both are integer
-lists, and compares them entry by entry.  Fractions are built only for
+lists, and yields them entry by entry for the registry to compare.  Fractions are built only for
 alpha/2 in the corrected Euler weight row, which is then held as integers
 over one denominator, and to write a mismatch: entry d of den times a side
 stands for the coefficient value/(d! D^d den) of x^d.
 
 The integral identity is special: its stated form relies on an
 antiderivative of e_a^c(y) with divisor c, while direct differentiation
-gives divisor c+a, so the identity is exact only at a=0.  At a != 0 the
-check reports the (deterministic) first mismatch as "expected-discrepancy",
+gives divisor c+a, so the identity is exact only at a=0.  At a != 0 its
+entry reports the (deterministic) first mismatch as "expected-discrepancy",
 and a corrected-divisor variant (divisor c+a) is checked alongside, clearly
 labeled as derived here rather than part of the stated formula family.
 
@@ -48,7 +48,6 @@ import math
 from .algebra import TruncSeries, _point_rows, series_reciprocal
 from .classical import _grow_rows, stirling2
 from .degenerate import _apostol_chain, _euler_half, _s2star_chain
-from .reports import EXPECTED_DISCREPANCY, FAIL, PASS, TRIVIALLY_TRUE
 from .simsek import fk_series, scaled_y1, scaled_y1star, y1star
 
 
@@ -105,18 +104,11 @@ def _sum_rows(parts, order: int) -> list[int]:
     return out
 
 
-def _series_verdict(ctx: PointContext, lhs, rhs, den: int = 1,
-                    extra: str = "",
-                    mismatch_status: str = FAIL) -> tuple[str, str]:
-    """Compare lhs and rhs, den times the two sides as integer EGFs in u,
-    entry by entry; the lowest differing entry d is written as the two
-    sides' coefficients of x^d."""
-    for d, (a, b) in enumerate(zip(lhs, rhs)):
-        if a != b:
-            return mismatch_status, (f"{extra}x^{d};"
-                                     f"lhs={ctx.x_coeff(a, d, den)};"
-                                     f"rhs={ctx.x_coeff(b, d, den)}")
-    return PASS, ""
+def _entries(extra: str, lhs, rhs, den: int = 1):
+    """The (where, lhs, rhs) triples of den times two sides as integer EGFs
+    in u, entry by entry: where = (extra + "x^d", d, den) for entry d."""
+    return (((f"{extra}x^{d}", d, den), a, b)
+            for d, (a, b) in enumerate(zip(lhs, rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +130,9 @@ class PointContext:
     of x/(1+alpha*x) in u, the PHI-FT blocks, the Apostol-Euler and
     corrected Euler weight rows over one denominator each, the
     S2*(n, j | alpha/lam) table and the REL-S2STAR weights; phi_num(n, k)
-    gives the single integer Phi_n[k], and x_coeff turns an entry of an
-    integer EGF back into the Fraction coefficient of x^d.
+    gives the single integer Phi_n[k], x_coeff turns an entry of an
+    integer EGF back into the Fraction coefficient of x^d, and describe
+    writes a mismatch with it.
     The values are read from simsek.scaled_y1star (route A) and
     simsek.scaled_y1, the integer terms of k! y1star(n,k) and of k! y1(n,k)
     that every point of a suite shares; the S2* table and the Apostol-Euler
@@ -176,6 +169,13 @@ class PointContext:
         """The coefficient of x^d for which value / den is entry d of an
         EGF in u: value / (d! D^d den)."""
         return Fraction(value, math.factorial(d) * self.qs**d * den)
+
+    def describe(self, where, lhs: int, rhs: int) -> str:
+        """The mismatch text of two sides at where = (location, d, den):
+        each side written as the coefficient of x^d it stands for."""
+        location, d, den = where
+        return (f"{location};lhs={self.x_coeff(lhs, d, den)};"
+                f"rhs={self.x_coeff(rhs, d, den)}")
 
     def phi_num(self, n: int, k: int) -> int:
         """Phi_n[k] = k! D^k y1star(n,k)."""
@@ -282,30 +282,28 @@ class PointContext:
 
 
 # ---------------------------------------------------------------------------
-# The seven checks.  check_egf returns the (orders, status, mismatch)
-# verdict of PHI-EGF at the point of its context; each other check returns
-# the (status, mismatch) verdict for one n there, which the registry merges.
+# The seven checks.  Each yields the (where, lhs, rhs) triples it compares
+# at the point of its context, in order, as integers that ctx.describe
+# writes back as coefficients of x^d: check_egf all of PHI-EGF's, each
+# other check those of one n, which the registry chains over n.  The
+# registry walks a stream with reports.verdict, which stops at the first
+# unequal pair.
 # ---------------------------------------------------------------------------
 
-def check_egf(ctx: PointContext, order: int) -> tuple[str, str, str]:
+def check_egf(ctx: PointContext, order: int):
     """sum_n phi_n(x) t^n/n! = e_a^(l*e^t+1)(x), compared as a series in x
     over a series in t, both sides truncated at order in x and in t: the
     coefficient of x^k t^e, times k! D^k e!, is Phi_e[k] on the left and
     k! D^k e! [t^e] F_k on the right, F_k = nums/den as fk_series gives
     it at the point: both sides are compared times den."""
-    orders = f"Nt={order};K={order}"
     rows = [ctx.phi_row(e, order) for e in range(order + 1)]
     for k in range(order + 1):
         f_k = fk_series(k, order, ctx.lam, ctx.alpha)
         weight = math.factorial(k) * ctx.qs**k
         for e, row in enumerate(rows):
             scale = math.factorial(e)
-            rhs = weight * scale * f_k.nums[e]
-            if row[k] * f_k.den != rhs:
-                return orders, FAIL, (
-                    f"x^{k};t^{e};lhs={ctx.x_coeff(row[k], k, scale)};"
-                    f"rhs={ctx.x_coeff(rhs, k, scale * f_k.den)}")
-    return orders, PASS, ""
+            yield ((f"x^{k};t^{e}", k, scale * f_k.den), row[k] * f_k.den,
+                   weight * scale * f_k.nums[e])
 
 
 def log_substitution_rhs(ctx: PointContext, n: int,
@@ -318,32 +316,28 @@ def log_substitution_rhs(ctx: PointContext, n: int,
             for row in ctx.triangle("log", order)]
 
 
-def check_log_substitution(ctx: PointContext, n: int,
-                           order: int) -> tuple[str, str]:
+def check_log_substitution(ctx: PointContext, n: int, order: int):
     """phi_n(x) = sum_k (log(1+a*x)/a)^k y1(n,k), the y1 values taken at
     (lam, 0)."""
     if ctx.alpha == 0:
         # the inner substitution degenerates to the identity map
-        return TRIVIALLY_TRUE, ""
-    return _series_verdict(ctx, ctx.phi_row(n, order),
-                           log_substitution_rhs(ctx, n, order),
-                           extra=f"n={n};")
+        return ()
+    return _entries(f"n={n};", ctx.phi_row(n, order),
+                    log_substitution_rhs(ctx, n, order))
 
 
-def check_phi_recurrence(ctx: PointContext, n: int,
-                         order: int) -> tuple[str, str]:
+def check_phi_recurrence(ctx: PointContext, n: int, order: int):
     """phi_{n+1}(x) = (l/a) log(1+a*x) sum_i C(n,i) phi_i(x); at a=0 the
     prefactor is its limit l*x, which the log row gives there too."""
     # (l/a) log(1+a*x) = l D times column 1 of the log triangle
     factor = [0] + [ctx.ps * row[1] for row in ctx.triangle("log", order)[1:]]
     acc = _sum_rows([(math.comb(n, i), ctx.phi_row(i, order))
                      for i in range(n + 1)], order)
-    return _series_verdict(ctx, ctx.phi_row(n + 1, order),
-                           _conv(factor, acc, order), extra=f"n={n};")
+    return _entries(f"n={n};", ctx.phi_row(n + 1, order),
+                    _conv(factor, acc, order))
 
 
-def check_phi_derivative(ctx: PointContext, n: int,
-                         order: int) -> tuple[str, str]:
+def check_phi_derivative(ctx: PointContext, n: int, order: int):
     """(1+a*x) phi_n'(x) = l sum_i C(n,i) phi_i(x) + phi_n(x), compared to
     x-order K-1 (the derivative loses one order), both sides times D."""
     cmp_order = order - 1
@@ -352,11 +346,10 @@ def check_phi_derivative(ctx: PointContext, n: int,
     rhs = _sum_rows([(ctx.ps * math.comb(n, i), ctx.phi_row(i, order))
                      for i in range(n + 1)]
                     + [(ctx.qs, ctx.phi_row(n, order))], cmp_order)
-    return _series_verdict(ctx, lhs, rhs, den=ctx.qs, extra=f"n={n};")
+    return _entries(f"n={n};", lhs, rhs, ctx.qs)
 
 
-def check_phi_apostol(ctx: PointContext, n: int,
-                      order: int) -> tuple[str, str]:
+def check_phi_apostol(ctx: PointContext, n: int, order: int):
     """(1+a*x) sum_m C(n,m) E_{n-m}(l) phi_m'(x) = 2 phi_n(x) with the
     first-kind Apostol-Euler weights E_j(l) = j! [t^j] 2/(l*e^t+1),
     compared to x-order K-1, both sides times D and the weights'
@@ -368,18 +361,18 @@ def check_phi_apostol(ctx: PointContext, n: int,
                     cmp_order)
     lhs = _conv([1, ctx.rq], acc, cmp_order)
     rhs = [2 * den * ctx.qs * c for c in ctx.phi_row(n, order)[:order]]
-    return _series_verdict(ctx, lhs, rhs, den=den * ctx.qs, extra=f"n={n};")
+    return _entries(f"n={n};", lhs, rhs, den * ctx.qs)
 
 
 def check_phi_integral(ctx: PointContext, n: int, order: int,
-                       corrected: bool = False) -> tuple[str, str]:
+                       corrected: bool = False):
     """int_0^x phi_n = ((1+a*x)/2) sum_i C(n,i) E_{n-i} phi_i(x) - E_n/2,
     for n >= 1, both sides times twice the weights' denominator.
 
     With corrected=True the weights use the divisor l*e^t+1+a instead (the
     exact-antiderivative variant derived here); at a=0 both coincide.  The
-    stated form mismatches whenever a != 0, which is reported as
-    expected-discrepancy rather than failure.
+    stated form mismatches whenever a != 0, which the PHI-INT entry reports
+    as expected-discrepancy rather than failure.
     """
     if n < 1:
         raise ValueError("the integral identity is stated for n >= 1")
@@ -390,14 +383,10 @@ def check_phi_integral(ctx: PointContext, n: int, order: int,
                      for i in range(n + 1)], order)
     rhs = _conv([1, ctx.rq], acc, order)
     rhs[0] -= euler[n]
-    mismatch_status = (FAIL if (ctx.alpha == 0 or corrected)
-                       else EXPECTED_DISCREPANCY)
-    return _series_verdict(ctx, lhs, rhs, den=2 * den, extra=f"n={n};",
-                           mismatch_status=mismatch_status)
+    return _entries(f"n={n};", lhs, rhs, 2 * den)
 
 
-def check_f_transform(ctx: PointContext, n: int, f_coeffs,
-                      order: int) -> tuple[str, str]:
+def check_f_transform(ctx: PointContext, n: int, f_coeffs, order: int):
     """sum_m y*(n,m) f(m) x^m
        = sum_{j<=n} C(n,j) sum_{m<=deg f} sum_{k<=m} S2(m,k) (x/(1+a*x))^k k!
                      f_m y*(j,k) phi_{n-j}(x)
@@ -417,5 +406,5 @@ def check_f_transform(ctx: PointContext, n: int, f_coeffs,
                       ctx.ft_block(n, k, order))
                      for k in range(min(len(f_nums), order + 1))], order)
     f_text = "f=[" + " ".join(str(c) for c in f_coeffs) + "]"
-    return _series_verdict(ctx, lhs, rhs, den=f_den, extra=f"n={n};{f_text};")
+    return _entries(f"n={n};{f_text};", lhs, rhs, f_den)
 

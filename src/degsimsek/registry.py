@@ -12,10 +12,12 @@ Variant entries (suffixed ids) exercise alternative readings of ambiguous
 statements or derived corrections; they can never fail the suite, only
 report what they found.
 
-A check returns its verdict, not a report: a symbolic check and a whole
-rational entry give (orders, status, mismatch), and a phi check for one n
-gives (status, mismatch), which the entry merges over n.  The suite names
-and places each verdict: _run_entry alone builds an IdentityReport, from
+Every check is a stream of the (where, lhs, rhs) pairs it compares, in
+order: a rational check yields its pairs (a phi check those of one n,
+which its entry chains over n); a symbolic check builds its own stream.
+reports.verdict walks a stream to the first unequal pair and gives its
+status and mismatch; the entry adds its orders.  The suite names and
+places each verdict: _run_entry alone builds an IdentityReport, from
 the entry's id, the context's point and the point's index in the grid.
 
 The suite runs serially and is deterministic: for a fixed seed and grid
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from itertools import chain
 import math
 import random
 
@@ -41,11 +44,12 @@ from .phi import (PointContext, check_egf, check_f_transform,
                   check_phi_derivative, check_phi_integral,
                   check_phi_recurrence)
 from .reports import (ERROR, EXPECTED_DISCREPANCY, FAIL, NOT_APPLICABLE,
-                      PASS, IdentityReport, _Record, merge_verdicts)
+                      IdentityReport, _Record, verdict)
 from .simsek import (_route_c_printed, fk_series, scaled_y1, scaled_y1star,
                      y1star)  # noqa: F401 (perfbench's tracer test reads it)
 
 SYMBOLIC_BOUND = 8
+_GRID_ORDERS = f"n,k<={SYMBOLIC_BOUND}"
 
 FIXED_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(1), Fraction(0)),
@@ -119,15 +123,19 @@ class RegistryEntry(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _merged(order: int, verdicts) -> tuple[str, str, str]:
-    """The verdict of a phi entry from those of its sub-checks."""
-    return (f"K={order};n<=3", *merge_verdicts(verdicts))
+def _at_point(orders: str, ctx: PointContext, pairs,
+              mismatch_status: str = FAIL) -> tuple[str, str, str]:
+    """The verdict of a rational entry from the pairs it compares at the
+    context's point."""
+    return orders, *verdict(pairs, ctx.describe, mismatch_status)
 
 
 def _per_n(check, ctx: PointContext, order: int, ns=PHI_N_VALUES,
-           **options) -> tuple[str, str, str]:
-    """One phi check for every n in ns at the context's point, merged."""
-    return _merged(order, [check(ctx, n, order, **options) for n in ns])
+           mismatch_status: str = FAIL, **options) -> tuple[str, str, str]:
+    """One phi check for every n in ns at the context's point, its streams
+    chained in order of n."""
+    return _at_point(f"K={order};n<=3", ctx, chain.from_iterable(
+        check(ctx, n, order, **options) for n in ns), mismatch_status)
 
 
 # The callables look the checks up when they run, so a wrapper installed on
@@ -171,24 +179,32 @@ REGISTRY: tuple[RegistryEntry, ...] = (
                   "symbolic", lambda ctx, order: check_red_classical()),
     RegistryEntry("REL-S2STAR", "y*(n,k) = (1/k!) sum_j C(k,j) j! l^j "
                   "(l+1)_{k-j,a} S2*(n,j|a/l) at rational points with l != 0",
-                  "rational", lambda ctx, order: check_rel_s2star(ctx, "j"),
+                  "rational", lambda ctx, order: _at_point(
+                      _GRID_ORDERS, ctx, check_rel_s2star(ctx, "j")),
                   domain=_lam_nonzero),
     RegistryEntry("REL-S2STAR-KIDX", "variant with the fixed index "
                   "S2*(n,k|a/l) inside the sum; recorded as a rejected "
                   "reading", "rational",
-                  lambda ctx, order: check_rel_s2star(ctx, "k"), "REL-S2STAR",
+                  lambda ctx, order: _at_point(
+                      _GRID_ORDERS, ctx, check_rel_s2star(ctx, "k"),
+                      EXPECTED_DISCREPANCY), "REL-S2STAR",
                   domain=_lam_nonzero),
     RegistryEntry("REL-S2STAR-DUPL", "variant with a duplicated l^j factor; "
                   "recorded as a rejected reading", "rational",
-                  lambda ctx, order: check_rel_s2star(ctx, "dup"),
+                  lambda ctx, order: _at_point(
+                      _GRID_ORDERS, ctx, check_rel_s2star(ctx, "dup"),
+                      EXPECTED_DISCREPANCY),
                   "REL-S2STAR", domain=_lam_nonzero),
     RegistryEntry("REL-S2STAR-ZERO0", "variant dropping the j=0 term per the "
                   "S2*(n,0)=0 convention; mismatches at n=0", "rational",
-                  lambda ctx, order: check_rel_s2star(ctx, "zero0"),
+                  lambda ctx, order: _at_point(
+                      _GRID_ORDERS, ctx, check_rel_s2star(ctx, "zero0"),
+                      EXPECTED_DISCREPANCY),
                   "REL-S2STAR", domain=_lam_nonzero),
     RegistryEntry("PHI-EGF", "sum_n phi_n(x) t^n/n! = e_a^(l e^t + 1)(x) as a "
                   "bivariate truncated series", "rational",
-                  lambda ctx, order: check_egf(ctx, order)),
+                  lambda ctx, order: _at_point(f"Nt={order};K={order}", ctx,
+                                               check_egf(ctx, order))),
     RegistryEntry("PHI-LOG", "phi_n(x) = sum_k (log(1+a x)/a)^k y1(n,k); "
                   "trivially true at a=0", "rational",
                   lambda ctx, order: _per_n(check_log_substitution,
@@ -206,8 +222,9 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry("PHI-INT", "int_0^x phi_n = ((1+a x)/2) sum_i C(n,i) "
                   "E_{n-i}(l) phi_i - E_n(l)/2; exact at a=0, deterministic "
                   "discrepancy at a != 0", "rational",
-                  lambda ctx, order: _per_n(check_phi_integral,
-                                            ctx, order, PHI_INT_N_VALUES),
+                  lambda ctx, order: _per_n(
+                      check_phi_integral, ctx, order, PHI_INT_N_VALUES,
+                      FAIL if ctx.alpha == 0 else EXPECTED_DISCREPANCY),
                   domain=_lam_not_minus_one),
     RegistryEntry("PHI-INT-CORR", "integral identity with the corrected "
                   "divisor l e^t + 1 + a (derived here, not part of the "
@@ -218,9 +235,10 @@ REGISTRY: tuple[RegistryEntry, ...] = (
                   domain=_corrected_divisor_nonzero),
     RegistryEntry("PHI-FT", "polynomial-transform identity for f in "
                   "{1, x, x^2, x^3-2x}", "rational",
-                  lambda ctx, order: _merged(order, [
-                      check_f_transform(ctx, n, f, order)
-                      for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES])),
+                  lambda ctx, order: _at_point(
+                      f"K={order};n<=3", ctx, chain.from_iterable(
+                          check_f_transform(ctx, n, f, order)
+                          for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES))),
 )
 
 _BY_ID = {e.id: e for e in REGISTRY}
@@ -255,36 +273,36 @@ def falling_sum(k: int, n: int) -> dict:
     return value
 
 
-def _pair_verdict(pairs, orders: str,
-                  mismatch_status: str = FAIL) -> tuple[str, str, str]:
-    """Compare (location, lhs, rhs, den) quadruples, lhs and rhs the
-    integer terms of den times each side, and record the first difference
-    as the two sides' polynomials."""
-    for loc, lhs, rhs, den in pairs:
-        if lhs != rhs:
-            return orders, mismatch_status, (
-                f"{loc};lhs={_over(lhs, den).render()};"
-                f"rhs={_over(rhs, den).render()}")
-    return orders, PASS, ""
+def _terms_text(where, lhs: dict, rhs: dict) -> str:
+    """The mismatch text of the integer terms of den times two sides at
+    where = (location, den): the two sides' polynomials."""
+    location, den = where
+    return (f"{location};lhs={_over(lhs, den).render()};"
+            f"rhs={_over(rhs, den).render()}")
+
+
+def _symbolic(pairs, orders: str = _GRID_ORDERS,
+              mismatch_status: str = FAIL) -> tuple[str, str, str]:
+    """The verdict of a symbolic check from the pairs it compares."""
+    return orders, *verdict(pairs, _terms_text, mismatch_status)
+
+
+def _grid(left, right, mismatch_status: str = FAIL) -> tuple[str, str, str]:
+    """Compare left(n, k) with right(n, k), the integer terms of k! times
+    each side, over k and then n <= SYMBOLIC_BOUND."""
+    return _symbolic((((f"(n,k)=({n},{k})", math.factorial(k)), left(n, k),
+                       right(n, k))
+                      for k in range(SYMBOLIC_BOUND + 1)
+                      for n in range(SYMBOLIC_BOUND + 1)),
+                     mismatch_status=mismatch_status)
 
 
 def check_route_against_a(route: str) -> tuple[str, str, str]:
-    def pairs():
-        for k in range(SYMBOLIC_BOUND + 1):
-            for n in range(SYMBOLIC_BOUND + 1):
-                yield (f"(n,k)=({n},{k})", scaled_y1star(n, k, route),
-                       scaled_y1star(n, k), math.factorial(k))
-    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}")
+    return _grid(lambda n, k: scaled_y1star(n, k, route), scaled_y1star)
 
 
 def check_expl_c_printed() -> tuple[str, str, str]:
-    def pairs():
-        for k in range(SYMBOLIC_BOUND + 1):
-            for n in range(SYMBOLIC_BOUND + 1):
-                yield (f"(n,k)=({n},{k})", _route_c_printed(n, k),
-                       scaled_y1star(n, k), math.factorial(k))
-    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}",
-                         mismatch_status=EXPECTED_DISCREPANCY)
+    return _grid(_route_c_printed, scaled_y1star, EXPECTED_DISCREPANCY)
 
 
 def _lam_exp_falling(order: int):
@@ -321,8 +339,8 @@ def check_func_eq(order: int) -> tuple[str, str, str]:
                 weight = scale // math.factorial(d)
                 lhs = {key: v * weight
                        for key, v in falling_sum(k, d).items()}
-                yield f"k={k};t^{d}", lhs, rhs[d], scale
-    return _pair_verdict(pairs(), f"k<={SYMBOLIC_BOUND};N={order}")
+                yield (f"k={k};t^{d}", scale), lhs, rhs[d]
+    return _symbolic(pairs(), f"k<={SYMBOLIC_BOUND};N={order}")
 
 
 def check_thm_s1() -> tuple[str, str, str]:
@@ -333,43 +351,33 @@ def check_thm_s1() -> tuple[str, str, str]:
             for n in range(SYMBOLIC_BOUND + 1):
                 lhs = {(j, k - j): c for j in range(k + 1)
                        if (c := stirling1(k, j) * j**n)}
-                yield f"(n,k)=({n},{k})", lhs, falling_sum(k, n), 1
+                yield (f"(n,k)=({n},{k})", 1), lhs, falling_sum(k, n)
                 lhs0 = {(k, 0): k**n} if k**n else {}
                 rhs0 = _combine((scaled_y1(n, i),
                                  (-1) ** (k - i) * math.comb(k, i), 0, 0)
                                 for i in range(k + 1))
-                yield f"a=0;(n,k)=({n},{k})", lhs0, rhs0, 1
-    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}")
+                yield (f"a=0;(n,k)=({n},{k})", 1), lhs0, rhs0
+    return _symbolic(pairs())
 
 
 def check_rel_s2a() -> tuple[str, str, str]:
     """k! y*(n,k) = sum_j c(k,j) j! y1(n,j) with the weight
     c(k,j) = sum_i S2a(k,i) s(i,j) in Z[a], taken once per k."""
-    def pairs():
-        for k in range(SYMBOLIC_BOUND + 1):
-            s2a = _deg_rows(k)[0]
-            weights = [_combine((s2a[i], stirling1(i, j), 0, 0)
-                                for i in range(j, k + 1))
-                       for j in range(k + 1)]
-            for n in range(SYMBOLIC_BOUND + 1):
-                rhs = _combine((scaled_y1(n, j), c, dl, da)
-                               for j, weight in enumerate(weights)
-                               for (dl, da), c in weight.items())
-                yield (f"(n,k)=({n},{k})", scaled_y1star(n, k), rhs,
-                       math.factorial(k))
-    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}")
+    weights = []
+    for k in range(SYMBOLIC_BOUND + 1):
+        s2a = _deg_rows(k)[0]
+        weights.append([_combine((s2a[i], stirling1(i, j), 0, 0)
+                                 for i in range(j, k + 1))
+                        for j in range(k + 1)])
+    return _grid(scaled_y1star, lambda n, k: _combine(
+        (scaled_y1(n, j), c, dl, da) for j, weight in enumerate(weights[k])
+        for (dl, da), c in weight.items()))
 
 
 def check_red_a0() -> tuple[str, str, str]:
     """The a-free terms of k! y*(n,k) are k! y1(n,k)."""
-    def pairs():
-        for k in range(SYMBOLIC_BOUND + 1):
-            for n in range(SYMBOLIC_BOUND + 1):
-                lhs = {key: c for key, c in scaled_y1star(n, k).items()
-                       if key[1] == 0}
-                yield (f"(n,k)=({n},{k})", lhs, scaled_y1(n, k),
-                       math.factorial(k))
-    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}")
+    return _grid(lambda n, k: {key: c for key, c in scaled_y1star(n, k).items()
+                               if key[1] == 0}, scaled_y1)
 
 
 def check_red_classical() -> tuple[str, str, str]:
@@ -383,25 +391,25 @@ def check_red_classical() -> tuple[str, str, str]:
         for n in range(SYMBOLIC_BOUND + 1):
             s2a, s1a = _deg_rows(n)
             for k in range(n + 1):
-                yield (f"S2a->S2;(n,k)=({n},{k})",
-                       const(s2a[k].get((0, 0), 0)), const(stirling2(n, k)), 1)
-                yield (f"S1a->S1;(n,k)=({n},{k})",
-                       const(s1a[k].get((0, 0), 0)), const(stirling1(n, k)), 1)
+                yield ((f"S2a->S2;(n,k)=({n},{k})", 1),
+                       const(s2a[k].get((0, 0), 0)), const(stirling2(n, k)))
+                yield ((f"S1a->S1;(n,k)=({n},{k})", 1),
+                       const(s1a[k].get((0, 0), 0)), const(stirling1(n, k)))
             for k in range(SYMBOLIC_BOUND + 1):
                 s2star = new_deg_stirling2(n, k, 0)
-                yield (f"S2*->S2;(n,k)=({n},{k})", const(s2star.numerator),
-                       const(s2star.denominator * stirling2(n, k)),
-                       s2star.denominator)
-    return _pair_verdict(pairs(), f"n,k<={SYMBOLIC_BOUND}")
+                yield ((f"S2*->S2;(n,k)=({n},{k})", s2star.denominator),
+                       const(s2star.numerator),
+                       const(s2star.denominator * stirling2(n, k)))
+    return _symbolic(pairs())
 
 
 # ---------------------------------------------------------------------------
 # Rational checks beyond the phi family.
 # ---------------------------------------------------------------------------
 
-def check_rel_s2star(ctx: PointContext, reading: str) -> tuple[str, str, str]:
-    """The S2* decomposition at the context's point, which needs lam != 0,
-    for n, k <= SYMBOLIC_BOUND.
+def check_rel_s2star(ctx: PointContext, reading: str):
+    """The pairs of the S2* decomposition at the context's point, which
+    needs lam != 0, for k and then n <= SYMBOLIC_BOUND.
 
     reading selects the summation-index/factor variant:
       "j"     sum index inside S2*, single l^j factor (the proved form)
@@ -414,11 +422,10 @@ def check_rel_s2star(ctx: PointContext, reading: str) -> tuple[str, str, str]:
     j! S2*(n,j|a/l) (PointContext.s2star_weights and .s2star_table), so
     each right side is one integer dot product over den.  It is compared
     in integers with Phi_n[k] = k! (q s)^k y*(n,k) from the point's context
-    (lam = p/q, alpha = r/s): rhs k! (q s)^k = Phi_n[k] den.
+    (lam = p/q, alpha = r/s): Phi_n[k] den = rhs k! (q s)^k.
     """
     if ctx.lam == 0:
         raise ValueError("the S2* relation needs lam != 0")
-    orders = f"n,k<={SYMBOLIC_BOUND}"
     rows, s2_den = ctx.s2star_table(SYMBOLIC_BOUND)
     for k in range(SYMBOLIC_BOUND + 1):
         weights, den = ctx.s2star_weights(k)
@@ -437,13 +444,8 @@ def check_rel_s2star(ctx: PointContext, reading: str) -> tuple[str, str, str]:
         scale = math.factorial(k) * ctx.qs**k
         for n in range(SYMBOLIC_BOUND + 1):
             rhs = sum(w * rows[j][n] for j, w in enumerate(weights))
-            lhs = ctx.phi_num(n, k)
-            if rhs * scale != lhs * den:
-                status = FAIL if reading == "j" else EXPECTED_DISCREPANCY
-                return orders, status, (
-                    f"(n,k)=({n},{k});lhs={ctx.x_coeff(lhs, k)};"
-                    f"rhs={Fraction(rhs, den)}")
-    return orders, PASS, ""
+            yield ((f"(n,k)=({n},{k})", k, den), ctx.phi_num(n, k) * den,
+                   rhs * scale)
 
 
 # ---------------------------------------------------------------------------

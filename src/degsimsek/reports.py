@@ -20,9 +20,6 @@ ERROR = "error"
 # the point lies outside the identity's domain; the check did not run
 NOT_APPLICABLE = "not-applicable"
 
-# ordering used when merging the verdicts of sub-checks into one
-_SEVERITY = {FAIL: 3, EXPECTED_DISCREPANCY: 2, PASS: 1, TRIVIALLY_TRUE: 0}
-
 
 class _Record:
     """Base of the record classes: equal when of one class with equal
@@ -81,17 +78,18 @@ class IdentityReport(_Record):
 CSV_FIELDS = ("id", "lambda", "alpha", "orders", "status", "mismatch")
 
 
-def merge_verdicts(verdicts: list[tuple[str, str]]) -> tuple[str, str]:
-    """The (status, mismatch) verdict of a family of sub-checks from theirs:
-    the dominant status (fail wins, then expected-discrepancy, then pass,
-    then trivially-true, which is also the verdict of no sub-check), and
-    the mismatch of the first sub-check that failed or found an expected
-    discrepancy."""
-    status = max((s for s, _ in verdicts), key=_SEVERITY.__getitem__,
-                 default=TRIVIALLY_TRUE)
-    mismatch = next((m for s, m in verdicts
-                     if s in (FAIL, EXPECTED_DISCREPANCY)), "")
-    return status, mismatch
+def verdict(pairs, describe, mismatch_status: str = FAIL) -> tuple[str, str]:
+    """The (status, mismatch) verdict of a check from the (where, lhs, rhs)
+    triples it compares, walked in order: mismatch_status and
+    describe(where, lhs, rhs) at the first unequal pair, pass when every
+    pair is equal, and trivially-true when there was no pair, so a check
+    that compared nothing never says pass."""
+    status = TRIVIALLY_TRUE
+    for where, lhs, rhs in pairs:
+        if lhs != rhs:
+            return mismatch_status, describe(where, lhs, rhs)
+        status = PASS
+    return status, ""
 
 
 def reports_to_json(reports: list[IdentityReport]) -> str:

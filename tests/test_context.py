@@ -15,8 +15,8 @@ from degsimsek import classical, degenerate, phi, registry, simsek
 from degsimsek.algebra import ParamPoly, TruncSeries, _over
 from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
-from degsimsek.registry import (FIXED_POINTS, REGISTRY, check_rel_s2star,
-                                falling_sum, random_points, run_suite)
+from degsimsek.registry import (FIXED_POINTS, REGISTRY, falling_sum,
+                                random_points, run_suite)
 from degsimsek.reports import (EXPECTED_DISCREPANCY, FAIL, PASS,
                                reports_to_json)
 from degsimsek.simsek import ROUTES, _int_terms, simsek_y1, y1star
@@ -28,6 +28,10 @@ POINTS = list(FIXED_POINTS) + random_points(seed=5, count=3)
 RATIONAL = [e for e in REGISTRY if e.mode == "rational"]
 SYMBOLIC = [e for e in REGISTRY if e.mode == "symbolic"]
 PHI = [e for e in REGISTRY if e.id.startswith("PHI-")]
+# the REL-S2STAR entry of each reading of check_rel_s2star
+READINGS = {reading: registry._BY_ID[rid] for reading, rid in (
+    ("j", "REL-S2STAR"), ("k", "REL-S2STAR-KIDX"), ("dup", "REL-S2STAR-DUPL"),
+    ("zero0", "REL-S2STAR-ZERO0"))}
 
 
 def x_series(ctx: PointContext, row: list[int]) -> TruncSeries:
@@ -361,7 +365,7 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 def test_rel_s2star_readings_match_term_by_term_reference(lam, alpha):
     ctx = PointContext(lam, alpha)
     for reading in ("j", "k", "dup", "zero0"):
-        _, status, mismatch = check_rel_s2star(ctx, reading)
+        _, status, mismatch = READINGS[reading].run(ctx, 8)
         expected = rel_s2star_reference(
             lam, alpha, lambda n, k: y1star(n, k).evaluate(lam, alpha), reading)
         assert (status, mismatch) == expected, reading
@@ -382,7 +386,7 @@ def test_rel_s2star_readings_equal_the_reference_at_every_term(lam, alpha):
             ctx = PointContext(lam, alpha)
             ctx.phi_num = lambda n, k: ((terms[(n, k)] + ((n, k) == raised))
                                         * math.factorial(k) * ctx.qs**k)
-            _, status, mismatch = check_rel_s2star(ctx, reading)
+            _, status, mismatch = READINGS[reading].run(ctx, 8)
             if raised is None:
                 assert status == PASS, (reading, mismatch)
             else:

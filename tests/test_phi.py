@@ -10,14 +10,32 @@ from degsimsek.phi import (PointContext, check_egf, check_f_transform,
                            check_phi_recurrence, phi_series)
 from degsimsek.registry import (FIXED_POINTS, F_TRANSFORM_POLYS, REGISTRY,
                                _run_entry, random_points)
+from degsimsek.reports import verdict
 from degsimsek.simsek import y1star
 
 POINTS = list(FIXED_POINTS) + random_points(seed=42, count=5)
+[PHI_INT] = [e for e in REGISTRY if e.id == "PHI-INT"]
 
 
 def at(lam, alpha) -> PointContext:
     """A fresh context at (lam, alpha) on the shared route-A store."""
     return PointContext(lam, alpha)
+
+
+def run(check, lam, alpha, *args, mismatch_status="fail", **options):
+    """The (status, mismatch) verdict of check's pairs at a fresh context
+    at (lam, alpha), as the registry walks them."""
+    ctx = at(lam, alpha)
+    return verdict(check(ctx, *args, **options), ctx.describe,
+                   mismatch_status)
+
+
+def integral(lam, alpha, n, order, corrected=False):
+    """check_phi_integral's verdict with the PHI-INT entries' mismatch
+    status: expected-discrepancy for the stated form at alpha != 0."""
+    status = "expected-discrepancy" if alpha and not corrected else "fail"
+    return run(check_phi_integral, lam, alpha, n, order,
+               mismatch_status=status, corrected=corrected)
 
 
 # ---------------------------------------------------------------------------
@@ -54,18 +72,18 @@ def test_phi_coefficient_consistency():
 
 def test_egf_passes_on_grid():
     for lam, alpha in POINTS:
-        _, status, mismatch = check_egf(at(lam, alpha), 8)
+        status, mismatch = run(check_egf, lam, alpha, 8)
         assert status == "pass", (lam, alpha, mismatch)
 
 
 def test_egf_degenerate_point():
-    assert check_egf(at(0, 0), 6)[1] == "pass"
+    assert run(check_egf, 0, 0, 6)[0] == "pass"
 
 
 def test_log_substitution():
     for lam, alpha in POINTS:
         for n in range(4):
-            status, mismatch = check_log_substitution(at(lam, alpha), n, 8)
+            status, mismatch = run(check_log_substitution, lam, alpha, n, 8)
             expected = "trivially-true" if alpha == 0 else "pass"
             assert status == expected, (n, lam, alpha, mismatch)
 
@@ -73,49 +91,48 @@ def test_log_substitution():
 def test_recurrence_check():
     for lam, alpha in POINTS:
         for n in range(4):
-            status, mismatch = check_phi_recurrence(at(lam, alpha), n, 8)
+            status, mismatch = run(check_phi_recurrence, lam, alpha, n, 8)
             assert status == "pass", (n, lam, alpha, mismatch)
 
 
 def test_derivative_check():
     for lam, alpha in POINTS:
         for n in range(4):
-            status, mismatch = check_phi_derivative(at(lam, alpha), n, 8)
+            status, mismatch = run(check_phi_derivative, lam, alpha, n, 8)
             assert status == "pass", (n, lam, alpha, mismatch)
 
 
 def test_apostol_check():
     for lam, alpha in POINTS:
         for n in range(4):
-            status, mismatch = check_phi_apostol(at(lam, alpha), n, 8)
+            status, mismatch = run(check_phi_apostol, lam, alpha, n, 8)
             assert status == "pass", (n, lam, alpha, mismatch)
 
 
 def test_checks_at_lambda_zero_edge():
     # at lam = 0 every row n >= 1 of y1star vanishes, so the recurrence and
     # derivative statements degenerate but must still verify
-    assert check_phi_recurrence(at(0, Fraction(1, 3)), 0, 6)[0] == "pass"
-    assert check_phi_derivative(at(0, 0), 0, 6)[0] == "pass"
-    assert check_phi_apostol(at(0, Fraction(1, 2)), 0, 6)[0] == "pass"
-    status, _ = check_phi_apostol(at(Fraction(1, 3), Fraction(1, 5)), 2, 8)
+    assert run(check_phi_recurrence, 0, Fraction(1, 3), 0, 6)[0] == "pass"
+    assert run(check_phi_derivative, 0, 0, 0, 6)[0] == "pass"
+    assert run(check_phi_apostol, 0, Fraction(1, 2), 0, 6)[0] == "pass"
+    status, _ = run(check_phi_apostol, Fraction(1, 3), Fraction(1, 5), 2, 8)
     assert status == "pass"
 
 
 def test_integral_check_exact_at_alpha_zero():
     for lam in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-2, 3)):
         for n in range(1, 4):
-            status, mismatch = check_phi_integral(at(lam, 0), n, 8)
+            status, mismatch = integral(lam, 0, n, 8)
             assert status == "pass", (n, lam, mismatch)
 
 
 def test_integral_check_discrepancy_is_regression_locked():
-    status, mismatch = check_phi_integral(at(1, Fraction(1, 2)), 1, 8)
+    status, mismatch = integral(1, Fraction(1, 2), 1, 8)
     assert status == "expected-discrepancy"
     assert mismatch == "n=1;x^1;lhs=0;rhs=-1/8"
-    _, again = check_phi_integral(at(1, Fraction(1, 2)), 1, 8)
+    _, again = integral(1, Fraction(1, 2), 1, 8)
     assert again == mismatch
-    status2, mismatch2 = check_phi_integral(at(Fraction(2, 3), Fraction(1, 3)),
-                                            1, 8)
+    status2, mismatch2 = integral(Fraction(2, 3), Fraction(1, 3), 1, 8)
     assert status2 == "expected-discrepancy"
     assert mismatch2 == "n=1;x^1;lhs=0;rhs=-2/25"
 
@@ -125,17 +142,19 @@ def test_integral_check_never_passes_silently_at_nonzero_alpha():
         if alpha == 0:
             continue
         for n in range(1, 4):
-            status, mismatch = check_phi_integral(at(lam, alpha), n, 8)
+            status, mismatch = integral(lam, alpha, n, 8)
             assert status == "expected-discrepancy"
             assert mismatch
+        # the PHI-INT entry picks that status itself
+        report = _run_entry(PHI_INT, at(lam, alpha), 8, 0)
+        assert report.status == "expected-discrepancy", (lam, alpha)
 
 
 def test_corrected_integral_variant_passes():
     [entry] = [e for e in REGISTRY if e.id == "PHI-INT-CORR"]
     for lam, alpha in POINTS:
         for n in range(1, 4):
-            status, mismatch = check_phi_integral(at(lam, alpha), n, 8,
-                                                  corrected=True)
+            status, mismatch = integral(lam, alpha, n, 8, corrected=True)
             assert status == "pass", (n, lam, alpha, mismatch)
         # the suite reports the merged verdict under the variant's own id
         report = _run_entry(entry, at(lam, alpha), 8, 0)
@@ -145,21 +164,22 @@ def test_corrected_integral_variant_passes():
 
 def test_integral_check_requires_positive_n():
     with pytest.raises(ValueError):
-        check_phi_integral(at(1, 0), 0, 8)
+        integral(1, 0, 0, 8)
 
 
 def test_f_transform():
     for lam, alpha in POINTS[:5] + random_points(seed=9, count=3):
         for f in F_TRANSFORM_POLYS:
             for n in range(4):
-                status, mismatch = check_f_transform(at(lam, alpha), n, f, 8)
+                status, mismatch = run(check_f_transform, lam, alpha, n,
+                                       f, 8)
                 assert status == "pass", (n, f, lam, alpha, mismatch)
 
 
 def test_f_transform_constant_f_is_phi():
     # with f = 1 the right side collapses to phi_n itself
-    status, _ = check_f_transform(at(Fraction(1, 3), Fraction(2, 7)), 5,
-                                  (Fraction(1),), 6)
+    status, _ = run(check_f_transform, Fraction(1, 3), Fraction(2, 7), 5,
+                    (Fraction(1),), 6)
     assert status == "pass"
 
 

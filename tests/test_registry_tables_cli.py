@@ -14,8 +14,8 @@ import pytest
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, default_grid,
                                 random_points, registry_ids, run_suite,
                                 suite_failed)
-from degsimsek.reports import (IdentityReport, merge_verdicts,
-                               reports_to_csv, reports_to_json)
+from degsimsek.reports import (IdentityReport, reports_to_csv,
+                               reports_to_json, verdict)
 from degsimsek.tables import (NumberTable, TableUsageError, build_table,
                               parse_csv, parse_json, render_csv, render_json)
 
@@ -227,22 +227,81 @@ def test_run_entry_names_and_places_each_verdict():
                                     "K=3", "pass", "", 5)
 
 
-def test_merge_verdicts_keeps_the_worst_status_and_first_mismatch():
-    # fail beats expected-discrepancy, which beats pass, which beats
-    # trivially-true; the first fail or expected-discrepancy mismatch is
-    # kept, even when a later sub-check fails
-    assert merge_verdicts([("pass", ""), ("expected-discrepancy", "n=1;a"),
-                           ("pass", ""), ("fail", "n=2;b"),
-                           ("expected-discrepancy", "n=3;c")]) == \
-        ("fail", "n=1;a")
-    assert merge_verdicts([("fail", "n=0;a"),
-                           ("expected-discrepancy", "n=1;b")]) == \
-        ("fail", "n=0;a")
-    assert merge_verdicts([("trivially-true", ""), ("pass", "")]) == \
-        ("pass", "")
-    assert merge_verdicts([("trivially-true", "")] * 4) == \
+def test_verdict_reports_the_first_unequal_pair():
+    # the first unequal pair gives the status and the text, even when a
+    # later pair differs too, and the stream is read no further; every
+    # pair equal is pass, and no pair at all trivially-true
+    described = []
+
+    def describe(where, lhs, rhs):
+        described.append(where)
+        return f"{where};lhs={lhs};rhs={rhs}"
+
+    pairs = [("n=0", 1, 1), ("n=1", 2, 3), ("n=2", 4, 5)]
+    stream = iter(pairs)
+    assert verdict(stream, describe) == ("fail", "n=1;lhs=2;rhs=3")
+    assert list(stream) == [("n=2", 4, 5)]
+    assert verdict(pairs, describe, "expected-discrepancy") == \
+        ("expected-discrepancy", "n=1;lhs=2;rhs=3")
+    assert described == ["n=1", "n=1"]
+    assert verdict([("n=0", 1, 1), ("n=1", {}, {})], describe) == ("pass", "")
+    assert verdict(iter(()), describe) == ("trivially-true", "")
+    assert verdict([], describe, "expected-discrepancy") == \
         ("trivially-true", "")
-    assert merge_verdicts([]) == ("trivially-true", "")
+    assert described == ["n=1", "n=1"]
+
+
+# Phi wrong by one at (n, k) = (0, 2) and (2, 0), at lambda = 2/3 and
+# alpha = 1/3: PHI-REC then mismatches at n = 0 (x^3) and n = 1 (x^0),
+# PHI-INT at n = 1 (x^1) and n = 2 (x^0), and PHI-FT under f = 1 at n = 2
+# and under f = x at n = 0.  Each entry reports the first mismatch of its
+# stream, in order of n, and of f before n for PHI-FT: not the lowest
+# degree, nor the lowest n over every f.
+@pytest.mark.parametrize("rid,status,text", [
+    ("PHI-REC", "fail", "n=0;x^3;lhs=47/81;rhs=142/243"),
+    ("PHI-INT", "expected-discrepancy", "n=1;x^1;lhs=0;rhs=-2/25"),
+    ("PHI-FT", "fail", "n=2;f=[1];x^0;lhs=1;rhs=2")])
+def test_planted_faults_report_the_first_mismatch_in_stream_order(
+        rid, status, text):
+    from degsimsek.phi import PointContext
+    from degsimsek.registry import _BY_ID
+    ctx = PointContext(Fraction(2, 3), Fraction(1, 3))
+    phi_num = ctx.phi_num
+    ctx.phi_num = lambda n, k: phi_num(n, k) + ((n, k) in ((0, 2), (2, 0)))
+    assert _BY_ID[rid].run(ctx, 8) == ("K=8;n<=3", status, text)
+
+
+def test_a_pass_at_order_one_compared_at_least_one_pair(monkeypatch):
+    # verify --order 1: every rational entry that reports pass at a point
+    # of the default grid walked at least one pair through reports.verdict
+    from degsimsek import registry
+    from degsimsek.phi import PointContext
+    counts = []
+
+    def counting(pairs, describe, mismatch_status="fail"):
+        counts.append(0)
+
+        def walk():
+            for pair in pairs:
+                counts[-1] += 1
+                yield pair
+        return verdict(walk(), describe, mismatch_status)
+
+    monkeypatch.setattr(registry, "verdict", counting)
+    passed = {}
+    for idx, point in enumerate(default_grid()):
+        ctx = PointContext(*point)
+        for entry in REGISTRY:
+            if entry.mode != "rational":
+                continue
+            counts.clear()
+            report = registry._run_entry(entry, ctx, 1, idx)
+            if report.status == "pass":
+                assert counts[0] > 0, (entry.id, point)
+                passed[entry.id] = counts[0]
+    # one pair per n at x^0 for the derivative checks, which lose an order
+    assert passed["PHI-DER"] == passed["PHI-AE"] == 4
+    assert {"PHI-EGF", "PHI-REC", "PHI-FT", "REL-S2STAR"} <= set(passed)
 
 
 def test_suite_filter_runs_subset():
