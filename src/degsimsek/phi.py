@@ -104,10 +104,12 @@ def _sum_rows(parts, order: int) -> list[int]:
     return out
 
 
-def _entries(extra: str, lhs, rhs, den: int = 1):
+def _entries(values: tuple, lhs, rhs, den: int = 1,
+             template: str = "n={};x^{}"):
     """The (where, lhs, rhs) triples of den times two sides as integer EGFs
-    in u, entry by entry: where = (extra + "x^d", d, den) for entry d."""
-    return (((f"{extra}x^{d}", d, den), a, b)
+    in u, entry by entry: where = (template, values + (d,), d, den) for
+    entry d."""
+    return (((template, (*values, d), d, den), a, b)
             for d, (a, b) in enumerate(zip(lhs, rhs)))
 
 
@@ -171,10 +173,11 @@ class PointContext:
         return Fraction(value, math.factorial(d) * self.qs**d * den)
 
     def describe(self, where, lhs: int, rhs: int) -> str:
-        """The mismatch text of two sides at where = (location, d, den):
-        each side written as the coefficient of x^d it stands for."""
-        location, d, den = where
-        return (f"{location};lhs={self.x_coeff(lhs, d, den)};"
+        """The mismatch text of two sides at where = (template, values, d,
+        den): the location template.format(*values), and each side written
+        as the coefficient of x^d it stands for."""
+        template, values, d, den = where
+        return (f"{template.format(*values)};lhs={self.x_coeff(lhs, d, den)};"
                 f"rhs={self.x_coeff(rhs, d, den)}")
 
     def phi_num(self, n: int, k: int) -> int:
@@ -302,8 +305,8 @@ def check_egf(ctx: PointContext, order: int):
         weight = math.factorial(k) * ctx.qs**k
         for e, row in enumerate(rows):
             scale = math.factorial(e)
-            yield ((f"x^{k};t^{e}", k, scale * f_k.den), row[k] * f_k.den,
-                   weight * scale * f_k.nums[e])
+            yield (("x^{};t^{}", (k, e), k, scale * f_k.den),
+                   row[k] * f_k.den, weight * scale * f_k.nums[e])
 
 
 def log_substitution_rhs(ctx: PointContext, n: int,
@@ -322,7 +325,7 @@ def check_log_substitution(ctx: PointContext, n: int, order: int):
     if ctx.alpha == 0:
         # the inner substitution degenerates to the identity map
         return ()
-    return _entries(f"n={n};", ctx.phi_row(n, order),
+    return _entries((n,), ctx.phi_row(n, order),
                     log_substitution_rhs(ctx, n, order))
 
 
@@ -333,7 +336,7 @@ def check_phi_recurrence(ctx: PointContext, n: int, order: int):
     factor = [0] + [ctx.ps * row[1] for row in ctx.triangle("log", order)[1:]]
     acc = _sum_rows([(math.comb(n, i), ctx.phi_row(i, order))
                      for i in range(n + 1)], order)
-    return _entries(f"n={n};", ctx.phi_row(n + 1, order),
+    return _entries((n,), ctx.phi_row(n + 1, order),
                     _conv(factor, acc, order))
 
 
@@ -346,7 +349,7 @@ def check_phi_derivative(ctx: PointContext, n: int, order: int):
     rhs = _sum_rows([(ctx.ps * math.comb(n, i), ctx.phi_row(i, order))
                      for i in range(n + 1)]
                     + [(ctx.qs, ctx.phi_row(n, order))], cmp_order)
-    return _entries(f"n={n};", lhs, rhs, ctx.qs)
+    return _entries((n,), lhs, rhs, ctx.qs)
 
 
 def check_phi_apostol(ctx: PointContext, n: int, order: int):
@@ -361,7 +364,7 @@ def check_phi_apostol(ctx: PointContext, n: int, order: int):
                     cmp_order)
     lhs = _conv([1, ctx.rq], acc, cmp_order)
     rhs = [2 * den * ctx.qs * c for c in ctx.phi_row(n, order)[:order]]
-    return _entries(f"n={n};", lhs, rhs, den * ctx.qs)
+    return _entries((n,), lhs, rhs, den * ctx.qs)
 
 
 def check_phi_integral(ctx: PointContext, n: int, order: int,
@@ -383,7 +386,7 @@ def check_phi_integral(ctx: PointContext, n: int, order: int,
                      for i in range(n + 1)], order)
     rhs = _conv([1, ctx.rq], acc, order)
     rhs[0] -= euler[n]
-    return _entries(f"n={n};", lhs, rhs, 2 * den)
+    return _entries((n,), lhs, rhs, 2 * den)
 
 
 def check_f_transform(ctx: PointContext, n: int, f_coeffs, order: int):
@@ -405,6 +408,6 @@ def check_f_transform(ctx: PointContext, n: int, f_coeffs, order: int):
                                               for m, f in enumerate(f_nums)),
                       ctx.ft_block(n, k, order))
                      for k in range(min(len(f_nums), order + 1))], order)
-    f_text = "f=[" + " ".join(str(c) for c in f_coeffs) + "]"
-    return _entries(f"n={n};{f_text};", lhs, rhs, f_den)
+    f_text = " ".join(str(c) for c in f_coeffs)
+    return _entries((n, f_text), lhs, rhs, f_den, "n={};f=[{}];x^{}")
 

@@ -1,24 +1,27 @@
 """Identity registry and the verification suite runner.
 
-Each entry is one identity with a stable id, a self-contained statement,
-a mode and the callable that runs it: "symbolic" entries hold in (l, a),
-run once, and compare values in Z[l,a] that simsek and falling_sum compute
-once and keep; "rational" entries run at every grid point, all of them at
-one point on one shared PointContext.  The symbolic checks and REL-S2STAR
+Each entry is one identity, held as data: a stable id, a self-contained
+statement, a mode, the stream of pairs it compares, its orders text and
+the status of a mismatch.  "symbolic" entries hold in (l, a), run once,
+and compare values in Z[l,a] that simsek and falling_sum compute once and
+keep; "rational" entries run at every grid point, all of them at one
+point on one shared PointContext.  The symbolic checks and REL-S2STAR
 compare n, k <= SYMBOLIC_BOUND whatever the suite's order.  The S2* and
 Apostol-Euler values they compare are the ones new_deg_stirling2 and
 apostol_euler serve, read from the same chains.
 Variant entries (suffixed ids) exercise alternative readings of ambiguous
-statements or derived corrections; they can never fail the suite, only
-report what they found.
+statements or derived corrections.  A mismatch of a rejected reading
+(EXPL-C-PRINTED and the REL-S2STAR variants) is expected-discrepancy,
+which fails nothing; PHI-INT-CORR, the correction derived here, is held
+to its identity, so a mismatch there is fail and fails the suite.
 
-Every check is a stream of the (where, lhs, rhs) pairs it compares, in
-order: a rational check yields its pairs (a phi check those of one n,
-which its entry chains over n); a symbolic check builds its own stream.
-reports.verdict walks a stream to the first unequal pair and gives its
-status and mismatch; the entry adds its orders.  The suite names and
-places each verdict: _run_entry alone builds an IdentityReport, from
-the entry's id, the context's point and the point's index in the grid.
+An entry's stream yields the (where, lhs, rhs) pairs it compares, in
+order (a phi check yields those of one n, which its entry chains over n);
+where holds a location template and its integers, written out only at a
+mismatch.  _run_entry alone turns an entry into a report: reports.verdict
+walks the stream to the first unequal pair and gives the entry's mismatch
+status with the pair's text, and _run_entry adds the entry's orders and
+id, the context's point and the point's index in the grid.
 
 The suite runs serially and is deterministic: for a fixed seed and grid
 the report list (sorted by id, then point index), and hence its
@@ -50,6 +53,7 @@ from .simsek import (_route_c_printed, fk_series, scaled_y1, scaled_y1star,
 
 SYMBOLIC_BOUND = 8
 _GRID_ORDERS = f"n,k<={SYMBOLIC_BOUND}"
+_PHI_ORDERS = "K={order};n<=3"
 
 FIXED_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(1), Fraction(0)),
@@ -90,52 +94,48 @@ def _lam_nonzero(lam: Fraction, alpha: Fraction) -> bool:
     return lam != 0
 
 
+def _fail(lam: Fraction | None, alpha: Fraction | None) -> str:
+    return FAIL
+
+
+def _rejected(lam: Fraction | None, alpha: Fraction | None) -> str:
+    """A rejected reading: its mismatch is expected."""
+    return EXPECTED_DISCREPANCY
+
+
+def _exact_at_alpha_zero(lam: Fraction, alpha: Fraction) -> str:
+    """The stated integral identity is exact only at alpha = 0."""
+    return FAIL if alpha == 0 else EXPECTED_DISCREPANCY
+
+
 class RegistryEntry(_Record):
-    """An immutable, hashable entry; `run` and `domain` take no part in
-    equality, hash or repr."""
+    """One identity as data, equal by id, description, mode and variant_of,
+    and not hashable.  pairs(ctx, order) yields the pairs it compares, ctx
+    None for a symbolic entry; orders is their text, {order} standing for
+    the suite's order; mismatch_status(lam, alpha) gives the status of a
+    mismatch, and outside domain(lam, alpha) a rational entry reports
+    "not-applicable" without running."""
 
     _FIELDS = ("id", "description", "mode", "variant_of")
 
-    def __init__(self, id: str, description: str, mode: str,
-                 run: Callable[[PointContext | None, int],
-                               tuple[str, str, str]],
-                 variant_of: str | None = None,
+    def __init__(self, id: str, description: str, mode: str, orders: str,
+                 pairs: Callable, variant_of: str | None = None,
+                 mismatch_status: Callable = _fail,
                  domain: Callable[[Fraction, Fraction], bool] = _everywhere):
-        set_field = object.__setattr__
-        set_field(self, "id", id)
-        set_field(self, "description", description)
-        set_field(self, "mode", mode)  # "symbolic" | "rational"
-        # run(ctx, order) -> (orders, status, mismatch): ctx is the
-        # PointContext of a rational entry's point, None for a symbolic entry
-        set_field(self, "run", run)
-        set_field(self, "variant_of", variant_of)
-        # domain(lam, alpha) of a rational entry: outside it the suite reports
-        # "not-applicable" without running the check
-        set_field(self, "domain", domain)
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self.id = id
+        self.description = description
+        self.mode = mode  # "symbolic" | "rational"
+        self.orders = orders
+        self.pairs = pairs
+        self.variant_of = variant_of
+        self.mismatch_status = mismatch_status
+        self.domain = domain
 
 
-def _at_point(orders: str, ctx: PointContext, pairs,
-              mismatch_status: str = FAIL) -> tuple[str, str, str]:
-    """The verdict of a rational entry from the pairs it compares at the
-    context's point."""
-    return orders, *verdict(pairs, ctx.describe, mismatch_status)
-
-
-def _per_n(check, ctx: PointContext, order: int, ns=PHI_N_VALUES,
-           mismatch_status: str = FAIL, **options) -> tuple[str, str, str]:
-    """One phi check for every n in ns at the context's point, its streams
-    chained in order of n."""
-    return _at_point(f"K={order};n<=3", ctx, chain.from_iterable(
-        check(ctx, n, order, **options) for n in ns), mismatch_status)
+def _per_n(check, ctx, order: int, ns=PHI_N_VALUES, **options):
+    """The pairs of one phi check for every n in ns at the context's
+    point, chained in order of n."""
+    return chain.from_iterable(check(ctx, n, order, **options) for n in ns)
 
 
 # The callables look the checks up when they run, so a wrapper installed on
@@ -143,102 +143,101 @@ def _per_n(check, ctx: PointContext, order: int, ns=PHI_N_VALUES,
 REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry("EXPL-B", "explicit double sum over C(l,j) a^(k-l) s(k,l) "
                   f"l^j j^n equals the series route, n,k <= {SYMBOLIC_BOUND}",
-                  "symbolic", lambda ctx, order: check_route_against_a("B")),
+                  "symbolic", _GRID_ORDERS, lambda ctx, order: _grid(
+                      lambda n, k: scaled_y1star(n, k, "B"), scaled_y1star)),
     RegistryEntry("EXPL-C", "explicit double sum with the (1)_{k-l,a} factor "
                   f"equals the series route, n,k <= {SYMBOLIC_BOUND}",
-                  "symbolic", lambda ctx, order: check_route_against_a("C")),
+                  "symbolic", _GRID_ORDERS, lambda ctx, order: _grid(
+                      lambda n, k: scaled_y1star(n, k, "C"), scaled_y1star)),
     RegistryEntry("EXPL-C-PRINTED", "step-j variant (1)_{k-l,j} of EXPL-C; "
-                  "recorded as a rejected reading", "symbolic",
-                  lambda ctx, order: check_expl_c_printed(), "EXPL-C"),
+                  "recorded as a rejected reading", "symbolic", _GRID_ORDERS,
+                  lambda ctx, order: _grid(_route_c_printed, scaled_y1star),
+                  "EXPL-C", _rejected),
     RegistryEntry("EXPL-D", "order-k Bernoulli-number formula equals the "
-                  f"series route, n,k <= {SYMBOLIC_BOUND}", "symbolic",
-                  lambda ctx, order: check_route_against_a("D")),
+                  f"series route, n,k <= {SYMBOLIC_BOUND}",
+                  "symbolic", _GRID_ORDERS, lambda ctx, order: _grid(
+                      lambda n, k: scaled_y1star(n, k, "D"), scaled_y1star)),
     RegistryEntry("FUNC-EQ", "(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! "
                   "F_i(t), as series with ParamPoly coefficients, "
                   f"k <= {SYMBOLIC_BOUND}", "symbolic",
+                  f"k<={SYMBOLIC_BOUND};N={{order}}",
                   lambda ctx, order: check_func_eq(order)),
     RegistryEntry("THM-S1", "sum_j a^(k-j) s(k,j) l^j j^n = sum_i (-1)_{k-i,a} "
                   "i! C(k,i) y*(n,i), plus its a=0 reduction, "
-                  f"n,k <= {SYMBOLIC_BOUND}", "symbolic",
+                  f"n,k <= {SYMBOLIC_BOUND}", "symbolic", _GRID_ORDERS,
                   lambda ctx, order: check_thm_s1()),
     RegistryEntry("REL-S2A", "y*(n,k) = (1/k!) sum_{i,j} S2a(k,i) s(i,j) j! "
                   f"y1(n,j), symbolic, n,k <= {SYMBOLIC_BOUND}", "symbolic",
-                  lambda ctx, order: check_rel_s2a()),
+                  _GRID_ORDERS, lambda ctx, order: check_rel_s2a()),
     RegistryEntry("REC-K", "column recurrence (k+1) y*(n,k+1) = l sum C(n,i) "
                   "y*(i,k) + (1-k a) y*(n,k) reproduces the series route",
-                  "symbolic", lambda ctx, order: check_route_against_a("E")),
+                  "symbolic", _GRID_ORDERS, lambda ctx, order: _grid(
+                      lambda n, k: scaled_y1star(n, k, "E"), scaled_y1star)),
     RegistryEntry("REC-N", "row recurrence for y*(n+1,k) from column k-1 "
-                  "reproduces the series route", "symbolic",
-                  lambda ctx, order: check_route_against_a("F")),
+                  "reproduces the series route",
+                  "symbolic", _GRID_ORDERS, lambda ctx, order: _grid(
+                      lambda n, k: scaled_y1star(n, k, "F"), scaled_y1star)),
     RegistryEntry("RED-A0", "substituting a=0 into y*(n,k) gives the plain "
                   f"Simsek numbers, n,k <= {SYMBOLIC_BOUND}", "symbolic",
-                  lambda ctx, order: check_red_a0()),
+                  _GRID_ORDERS, lambda ctx, order: check_red_a0()),
     RegistryEntry("RED-CLASSICAL", "degenerate Stirling triangles at a=0 "
                   "equal the classical ones; S2* at a=0 equals S2, "
-                  f"n <= {SYMBOLIC_BOUND}",
-                  "symbolic", lambda ctx, order: check_red_classical()),
+                  f"n <= {SYMBOLIC_BOUND}", "symbolic", _GRID_ORDERS,
+                  lambda ctx, order: check_red_classical()),
     RegistryEntry("REL-S2STAR", "y*(n,k) = (1/k!) sum_j C(k,j) j! l^j "
                   "(l+1)_{k-j,a} S2*(n,j|a/l) at rational points with l != 0",
-                  "rational", lambda ctx, order: _at_point(
-                      _GRID_ORDERS, ctx, check_rel_s2star(ctx, "j")),
+                  "rational", _GRID_ORDERS,
+                  lambda ctx, order: check_rel_s2star(ctx, "j"),
                   domain=_lam_nonzero),
     RegistryEntry("REL-S2STAR-KIDX", "variant with the fixed index "
                   "S2*(n,k|a/l) inside the sum; recorded as a rejected "
-                  "reading", "rational",
-                  lambda ctx, order: _at_point(
-                      _GRID_ORDERS, ctx, check_rel_s2star(ctx, "k"),
-                      EXPECTED_DISCREPANCY), "REL-S2STAR",
-                  domain=_lam_nonzero),
+                  "reading", "rational", _GRID_ORDERS,
+                  lambda ctx, order: check_rel_s2star(ctx, "k"),
+                  "REL-S2STAR", _rejected, _lam_nonzero),
     RegistryEntry("REL-S2STAR-DUPL", "variant with a duplicated l^j factor; "
-                  "recorded as a rejected reading", "rational",
-                  lambda ctx, order: _at_point(
-                      _GRID_ORDERS, ctx, check_rel_s2star(ctx, "dup"),
-                      EXPECTED_DISCREPANCY),
-                  "REL-S2STAR", domain=_lam_nonzero),
+                  "recorded as a rejected reading", "rational", _GRID_ORDERS,
+                  lambda ctx, order: check_rel_s2star(ctx, "dup"),
+                  "REL-S2STAR", _rejected, _lam_nonzero),
     RegistryEntry("REL-S2STAR-ZERO0", "variant dropping the j=0 term per the "
                   "S2*(n,0)=0 convention; mismatches at n=0", "rational",
-                  lambda ctx, order: _at_point(
-                      _GRID_ORDERS, ctx, check_rel_s2star(ctx, "zero0"),
-                      EXPECTED_DISCREPANCY),
-                  "REL-S2STAR", domain=_lam_nonzero),
+                  _GRID_ORDERS,
+                  lambda ctx, order: check_rel_s2star(ctx, "zero0"),
+                  "REL-S2STAR", _rejected, _lam_nonzero),
     RegistryEntry("PHI-EGF", "sum_n phi_n(x) t^n/n! = e_a^(l e^t + 1)(x) as a "
                   "bivariate truncated series", "rational",
-                  lambda ctx, order: _at_point(f"Nt={order};K={order}", ctx,
-                                               check_egf(ctx, order))),
+                  "Nt={order};K={order}",
+                  lambda ctx, order: check_egf(ctx, order)),
     RegistryEntry("PHI-LOG", "phi_n(x) = sum_k (log(1+a x)/a)^k y1(n,k); "
-                  "trivially true at a=0", "rational",
-                  lambda ctx, order: _per_n(check_log_substitution,
-                                            ctx, order)),
+                  "trivially true at a=0", "rational", _PHI_ORDERS,
+                  lambda ctx, order: _per_n(check_log_substitution, ctx,
+                                            order)),
     RegistryEntry("PHI-REC", "phi_{n+1} = (l/a) log(1+a x) sum_i C(n,i) phi_i",
-                  "rational",
+                  "rational", _PHI_ORDERS,
                   lambda ctx, order: _per_n(check_phi_recurrence, ctx, order)),
     RegistryEntry("PHI-DER", "(1+a x) phi_n' = l sum_i C(n,i) phi_i + phi_n",
-                  "rational",
+                  "rational", _PHI_ORDERS,
                   lambda ctx, order: _per_n(check_phi_derivative, ctx, order)),
     RegistryEntry("PHI-AE", "(1+a x) sum_m C(n,m) E_{n-m}(l) phi_m' = 2 phi_n "
-                  "with Apostol-Euler weights", "rational",
+                  "with Apostol-Euler weights", "rational", _PHI_ORDERS,
                   lambda ctx, order: _per_n(check_phi_apostol, ctx, order),
                   domain=_lam_not_minus_one),
     RegistryEntry("PHI-INT", "int_0^x phi_n = ((1+a x)/2) sum_i C(n,i) "
                   "E_{n-i}(l) phi_i - E_n(l)/2; exact at a=0, deterministic "
-                  "discrepancy at a != 0", "rational",
-                  lambda ctx, order: _per_n(
-                      check_phi_integral, ctx, order, PHI_INT_N_VALUES,
-                      FAIL if ctx.alpha == 0 else EXPECTED_DISCREPANCY),
-                  domain=_lam_not_minus_one),
+                  "discrepancy at a != 0", "rational", _PHI_ORDERS,
+                  lambda ctx, order: _per_n(check_phi_integral, ctx, order,
+                                            PHI_INT_N_VALUES),
+                  None, _exact_at_alpha_zero, _lam_not_minus_one),
     RegistryEntry("PHI-INT-CORR", "integral identity with the corrected "
                   "divisor l e^t + 1 + a (derived here, not part of the "
-                  "stated family)", "rational",
-                  lambda ctx, order: _per_n(check_phi_integral,
-                                            ctx, order, PHI_INT_N_VALUES,
-                                            corrected=True), "PHI-INT",
-                  domain=_corrected_divisor_nonzero),
+                  "stated family)", "rational", _PHI_ORDERS,
+                  lambda ctx, order: _per_n(check_phi_integral, ctx, order,
+                                            PHI_INT_N_VALUES, corrected=True),
+                  "PHI-INT", domain=_corrected_divisor_nonzero),
     RegistryEntry("PHI-FT", "polynomial-transform identity for f in "
-                  "{1, x, x^2, x^3-2x}", "rational",
-                  lambda ctx, order: _at_point(
-                      f"K={order};n<=3", ctx, chain.from_iterable(
-                          check_f_transform(ctx, n, f, order)
-                          for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES))),
+                  "{1, x, x^2, x^3-2x}", "rational", _PHI_ORDERS,
+                  lambda ctx, order: chain.from_iterable(
+                      check_f_transform(ctx, n, f, order)
+                      for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES)),
 )
 
 _BY_ID = {e.id: e for e in REGISTRY}
@@ -275,34 +274,20 @@ def falling_sum(k: int, n: int) -> dict:
 
 def _terms_text(where, lhs: dict, rhs: dict) -> str:
     """The mismatch text of the integer terms of den times two sides at
-    where = (location, den): the two sides' polynomials."""
-    location, den = where
-    return (f"{location};lhs={_over(lhs, den).render()};"
+    where = (template, values, den): the location template.format(*values)
+    and the two sides' polynomials."""
+    template, values, den = where
+    return (f"{template.format(*values)};lhs={_over(lhs, den).render()};"
             f"rhs={_over(rhs, den).render()}")
 
 
-def _symbolic(pairs, orders: str = _GRID_ORDERS,
-              mismatch_status: str = FAIL) -> tuple[str, str, str]:
-    """The verdict of a symbolic check from the pairs it compares."""
-    return orders, *verdict(pairs, _terms_text, mismatch_status)
-
-
-def _grid(left, right, mismatch_status: str = FAIL) -> tuple[str, str, str]:
-    """Compare left(n, k) with right(n, k), the integer terms of k! times
-    each side, over k and then n <= SYMBOLIC_BOUND."""
-    return _symbolic((((f"(n,k)=({n},{k})", math.factorial(k)), left(n, k),
-                       right(n, k))
-                      for k in range(SYMBOLIC_BOUND + 1)
-                      for n in range(SYMBOLIC_BOUND + 1)),
-                     mismatch_status=mismatch_status)
-
-
-def check_route_against_a(route: str) -> tuple[str, str, str]:
-    return _grid(lambda n, k: scaled_y1star(n, k, route), scaled_y1star)
-
-
-def check_expl_c_printed() -> tuple[str, str, str]:
-    return _grid(_route_c_printed, scaled_y1star, EXPECTED_DISCREPANCY)
+def _grid(left, right):
+    """The pairs of left(n, k) and right(n, k), the integer terms of k!
+    times each side, over k and then n <= SYMBOLIC_BOUND."""
+    return ((("(n,k)=({},{})", (n, k), math.factorial(k)), left(n, k),
+             right(n, k))
+            for k in range(SYMBOLIC_BOUND + 1)
+            for n in range(SYMBOLIC_BOUND + 1))
 
 
 def _lam_exp_falling(order: int):
@@ -326,41 +311,35 @@ def _lam_exp_falling(order: int):
         j += 1
 
 
-def check_func_eq(order: int) -> tuple[str, str, str]:
+def check_func_eq(order: int):
     """(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! F_i(t), both sides
     compared as N! = order! times their t^d coefficients, in integers: the
     left side's coefficient is falling_sum(k, d)/d!, the right side's comes
     from _lam_exp_falling."""
     scale = math.factorial(order)
-
-    def pairs():
-        for k, rhs in zip(range(SYMBOLIC_BOUND + 1), _lam_exp_falling(order)):
-            for d in range(order + 1):
-                weight = scale // math.factorial(d)
-                lhs = {key: v * weight
-                       for key, v in falling_sum(k, d).items()}
-                yield (f"k={k};t^{d}", scale), lhs, rhs[d]
-    return _symbolic(pairs(), f"k<={SYMBOLIC_BOUND};N={order}")
+    for k, rhs in zip(range(SYMBOLIC_BOUND + 1), _lam_exp_falling(order)):
+        for d in range(order + 1):
+            weight = scale // math.factorial(d)
+            lhs = {key: v * weight for key, v in falling_sum(k, d).items()}
+            yield ("k={};t^{}", (k, d), scale), lhs, rhs[d]
 
 
-def check_thm_s1() -> tuple[str, str, str]:
+def check_thm_s1():
     """sum_j a^(k-j) s(k,j) l^j j^n = falling_sum(k, n), and its a = 0
     reduction l^k k^n = sum_i (-1)^(k-i) C(k,i) i! y1(n,i)."""
-    def pairs():
-        for k in range(SYMBOLIC_BOUND + 1):
-            for n in range(SYMBOLIC_BOUND + 1):
-                lhs = {(j, k - j): c for j in range(k + 1)
-                       if (c := stirling1(k, j) * j**n)}
-                yield (f"(n,k)=({n},{k})", 1), lhs, falling_sum(k, n)
-                lhs0 = {(k, 0): k**n} if k**n else {}
-                rhs0 = _combine((scaled_y1(n, i),
-                                 (-1) ** (k - i) * math.comb(k, i), 0, 0)
-                                for i in range(k + 1))
-                yield (f"a=0;(n,k)=({n},{k})", 1), lhs0, rhs0
-    return _symbolic(pairs())
+    for k in range(SYMBOLIC_BOUND + 1):
+        for n in range(SYMBOLIC_BOUND + 1):
+            lhs = {(j, k - j): c for j in range(k + 1)
+                   if (c := stirling1(k, j) * j**n)}
+            yield ("(n,k)=({},{})", (n, k), 1), lhs, falling_sum(k, n)
+            lhs0 = {(k, 0): k**n} if k**n else {}
+            rhs0 = _combine((scaled_y1(n, i),
+                             (-1) ** (k - i) * math.comb(k, i), 0, 0)
+                            for i in range(k + 1))
+            yield ("a=0;(n,k)=({},{})", (n, k), 1), lhs0, rhs0
 
 
-def check_rel_s2a() -> tuple[str, str, str]:
+def check_rel_s2a():
     """k! y*(n,k) = sum_j c(k,j) j! y1(n,j) with the weight
     c(k,j) = sum_i S2a(k,i) s(i,j) in Z[a], taken once per k."""
     weights = []
@@ -374,33 +353,31 @@ def check_rel_s2a() -> tuple[str, str, str]:
         for (dl, da), c in weight.items()))
 
 
-def check_red_a0() -> tuple[str, str, str]:
+def check_red_a0():
     """The a-free terms of k! y*(n,k) are k! y1(n,k)."""
     return _grid(lambda n, k: {key: c for key, c in scaled_y1star(n, k).items()
                                if key[1] == 0}, scaled_y1)
 
 
-def check_red_classical() -> tuple[str, str, str]:
+def check_red_classical():
     """At a = 0 the degenerate Stirling triangles are the classical ones, and
     new_deg_stirling2(n, k, 0) is S2(n,k), both sides times its
     denominator."""
     def const(c):
         return {(0, 0): c} if c else {}
 
-    def pairs():
-        for n in range(SYMBOLIC_BOUND + 1):
-            s2a, s1a = _deg_rows(n)
-            for k in range(n + 1):
-                yield ((f"S2a->S2;(n,k)=({n},{k})", 1),
-                       const(s2a[k].get((0, 0), 0)), const(stirling2(n, k)))
-                yield ((f"S1a->S1;(n,k)=({n},{k})", 1),
-                       const(s1a[k].get((0, 0), 0)), const(stirling1(n, k)))
-            for k in range(SYMBOLIC_BOUND + 1):
-                s2star = new_deg_stirling2(n, k, 0)
-                yield ((f"S2*->S2;(n,k)=({n},{k})", s2star.denominator),
-                       const(s2star.numerator),
-                       const(s2star.denominator * stirling2(n, k)))
-    return _symbolic(pairs())
+    for n in range(SYMBOLIC_BOUND + 1):
+        s2a, s1a = _deg_rows(n)
+        for k in range(n + 1):
+            yield (("S2a->S2;(n,k)=({},{})", (n, k), 1),
+                   const(s2a[k].get((0, 0), 0)), const(stirling2(n, k)))
+            yield (("S1a->S1;(n,k)=({},{})", (n, k), 1),
+                   const(s1a[k].get((0, 0), 0)), const(stirling1(n, k)))
+        for k in range(SYMBOLIC_BOUND + 1):
+            s2star = new_deg_stirling2(n, k, 0)
+            yield (("S2*->S2;(n,k)=({},{})", (n, k), s2star.denominator),
+                   const(s2star.numerator),
+                   const(s2star.denominator * stirling2(n, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +421,8 @@ def check_rel_s2star(ctx: PointContext, reading: str):
         scale = math.factorial(k) * ctx.qs**k
         for n in range(SYMBOLIC_BOUND + 1):
             rhs = sum(w * rows[j][n] for j, w in enumerate(weights))
-            yield ((f"(n,k)=({n},{k})", k, den), ctx.phi_num(n, k) * den,
-                   rhs * scale)
+            yield (("(n,k)=({},{})", (n, k), k, den),
+                   ctx.phi_num(n, k) * den, rhs * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +490,21 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
 
 def _run_entry(entry: RegistryEntry, ctx: PointContext | None, order: int,
                idx: int) -> IdentityReport:
-    """The report of entry at point idx of the grid: the verdict of
-    entry.run(ctx, order), ctx None for a symbolic entry, under the entry's
-    id and the context's point.  A point outside the entry's domain gives a
-    not-applicable report, and an exception an error report, so neither
-    hides another report."""
+    """The report of entry at point idx of the grid, ctx None for a
+    symbolic entry: the verdict of the pairs it compares, written with
+    _terms_text or with the context's describe, under the entry's id,
+    orders and the context's point.  A point outside the entry's domain
+    gives a not-applicable report, and an exception an error report, so
+    neither hides another report."""
     lam, alpha = (None, None) if ctx is None else (ctx.lam, ctx.alpha)
     orders, status, mismatch = "", NOT_APPLICABLE, ""
     try:
         if ctx is None or entry.domain(lam, alpha):
-            orders, status, mismatch = entry.run(ctx, order)
+            status, mismatch = verdict(
+                entry.pairs(ctx, order),
+                _terms_text if entry.mode == "symbolic" else ctx.describe,
+                entry.mismatch_status(lam, alpha))
+            orders = entry.orders.format(order=order)
     except Exception as exc:
         orders, status, mismatch = "", ERROR, f"{type(exc).__name__}: {exc}"
     return IdentityReport(entry.id, lam, alpha, orders, status, mismatch, idx)

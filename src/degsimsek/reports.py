@@ -1,7 +1,7 @@
 """Identity-check reports and their canonical serializations.
 
 A report is deterministic for fixed inputs, and so are its serialized
-forms, which are byte-identical across runs and worker counts.
+forms, which are byte-identical across runs.
 """
 
 from __future__ import annotations

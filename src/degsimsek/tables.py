@@ -3,7 +3,7 @@ CSV and JSON serializations.
 
 Entries are stored as canonical text (rationals as "p/q", polynomials as
 "c*l^i*a^j" sums), never as decimals, so emitted bytes are reproducible
-and parse/re-render round-trips are exact.
+and a table read back with csv.reader or json.loads holds them exactly.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ def _param_text(value: Fraction | None) -> str:
     return "symbolic" if value is None else str(value)
 
 
-def _param_parse(text: str) -> Fraction | None:
-    return None if text == "symbolic" else Fraction(text)
-
-
 def render_csv(table: NumberTable) -> str:
+    """The table as CSV: the rows family, route, n_max, k_max, lambda,
+    alpha and version, each a name and its value ("symbolic" for a
+    parameter left symbolic); the header row n\\k, 0, ..., k_max; then
+    for each n the row n, cell_0, ..., cell_k_max."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerows([
@@ -123,32 +123,10 @@ def render_csv(table: NumberTable) -> str:
     return out.getvalue()
 
 
-# what a missing, mistyped or non-numeric field raises while parsing
-_MALFORMED = (IndexError, KeyError, TypeError, ValueError, ZeroDivisionError)
-
-
-def parse_csv(text: str) -> NumberTable:
-    """The table render_csv wrote; ValueError if `text` is malformed."""
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-        meta = dict(row[:2] for row in rows[:7])
-        n_max = int(meta["n_max"])
-        k_max = int(meta["k_max"])
-        entries = []
-        for n in range(n_max + 1):
-            cells = rows[8 + n]
-            if cells[0] != str(n) or len(cells) != k_max + 2:
-                raise ValueError(f"malformed table row {cells!r}")
-            entries.append(cells[1:])
-        return NumberTable(meta["family"], meta["route"], n_max, k_max,
-                           _param_parse(meta["lambda"]),
-                           _param_parse(meta["alpha"]), entries,
-                           meta["version"])
-    except _MALFORMED as exc:
-        raise ValueError(f"malformed table CSV: {exc!r}") from exc
-
-
 def render_json(table: NumberTable) -> str:
+    """The table as one JSON object, keys sorted: family, route, n_range
+    [0, n_max], k_range [0, k_max], lambda and alpha as render_csv writes
+    them, version, and entries, the list of rows of cells."""
     doc = {
         "family": table.family,
         "route": table.route,
@@ -160,15 +138,3 @@ def render_json(table: NumberTable) -> str:
         "entries": table.entries,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def parse_json(text: str) -> NumberTable:
-    """The table render_json wrote; ValueError if `text` is malformed."""
-    try:
-        doc = json.loads(text)
-        return NumberTable(doc["family"], doc["route"], doc["n_range"][1],
-                           doc["k_range"][1], _param_parse(doc["lambda"]),
-                           _param_parse(doc["alpha"]), doc["entries"],
-                           doc["version"])
-    except _MALFORMED as exc:
-        raise ValueError(f"malformed table JSON: {exc!r}") from exc

@@ -34,6 +34,15 @@ READINGS = {reading: registry._BY_ID[rid] for reading, rid in (
     ("zero0", "REL-S2STAR-ZERO0"))}
 
 
+def verdict_of(entry, ctx, order=8) -> tuple[str, str, str]:
+    """(orders, status, mismatch) of entry's report at ctx, None for a
+    symbolic entry, as the suite's registry._run_entry makes it; a check
+    that raised fails the test."""
+    report = registry._run_entry(entry, ctx, order, 0)
+    assert report.status != "error", report.mismatch
+    return report.orders, report.status, report.mismatch
+
+
 def x_series(ctx: PointContext, row: list[int]) -> TruncSeries:
     """The series in x whose EGF in u = x/(q s) is the integer row."""
     return TruncSeries("x", len(row) - 1,
@@ -79,10 +88,10 @@ def test_shared_context_gives_identical_reports(point):
     # order, then compare each entry on it against a fresh context
     shared = PointContext(*point)
     for entry in reversed(RATIONAL):
-        entry.run(shared, 8)
+        verdict_of(entry, shared)
     for entry in RATIONAL:
-        fresh = entry.run(PointContext(*point), 8)
-        reused = entry.run(shared, 8)
+        fresh = verdict_of(entry, PointContext(*point))
+        reused = verdict_of(entry, shared)
         assert fresh == reused, entry.id
 
 
@@ -172,14 +181,14 @@ def test_shared_symbolic_context_gives_identical_reports(monkeypatch):
     # order, then compare each entry on them against a run on empty stores
     empty_symbolic_stores(monkeypatch)
     for entry in reversed(SYMBOLIC):
-        entry.run(None, 8)
+        verdict_of(entry, None)
     shared = [getattr(module, name) for module, name in SYMBOLIC_STORES]
     for entry in SYMBOLIC:
         empty_symbolic_stores(monkeypatch)
-        fresh = entry.run(None, 8)
+        fresh = verdict_of(entry, None)
         for (module, name), store in zip(SYMBOLIC_STORES, shared):
             monkeypatch.setattr(module, name, store)
-        reused = entry.run(None, 8)
+        reused = verdict_of(entry, None)
         assert fresh == reused, entry.id
 
 
@@ -365,7 +374,7 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 def test_rel_s2star_readings_match_term_by_term_reference(lam, alpha):
     ctx = PointContext(lam, alpha)
     for reading in ("j", "k", "dup", "zero0"):
-        _, status, mismatch = READINGS[reading].run(ctx, 8)
+        _, status, mismatch = verdict_of(READINGS[reading], ctx)
         expected = rel_s2star_reference(
             lam, alpha, lambda n, k: y1star(n, k).evaluate(lam, alpha), reading)
         assert (status, mismatch) == expected, reading
@@ -386,7 +395,7 @@ def test_rel_s2star_readings_equal_the_reference_at_every_term(lam, alpha):
             ctx = PointContext(lam, alpha)
             ctx.phi_num = lambda n, k: ((terms[(n, k)] + ((n, k) == raised))
                                         * math.factorial(k) * ctx.qs**k)
-            _, status, mismatch = READINGS[reading].run(ctx, 8)
+            _, status, mismatch = verdict_of(READINGS[reading], ctx)
             if raised is None:
                 assert status == PASS, (reading, mismatch)
             else:
@@ -403,7 +412,8 @@ def test_expl_c_printed_equals_the_reference_at_every_term(monkeypatch):
     n, k = next((n, k) for k in range(9) for n in range(9)
                 if printed[(n, k)] != simsek.scaled_y1star(n, k))
     lhs = _over(printed[(n, k)], math.factorial(k)).render()
-    _, status, mismatch = registry.check_expl_c_printed()
+    entry = registry._BY_ID["EXPL-C-PRINTED"]
+    _, status, mismatch = verdict_of(entry, None)
     assert (status, mismatch) == (
         EXPECTED_DISCREPANCY,
         f"(n,k)=({n},{k});lhs={lhs};rhs={y1star(n, k).render()}")
@@ -413,7 +423,7 @@ def test_expl_c_printed_equals_the_reference_at_every_term(monkeypatch):
     for values, expected in ((printed, PASS), (raised, EXPECTED_DISCREPANCY)):
         monkeypatch.setattr(registry, "scaled_y1star",
                             lambda n, k, route="A": values[(n, k)])
-        _, status, mismatch = registry.check_expl_c_printed()
+        _, status, mismatch = verdict_of(entry, None)
         assert status == expected
     assert mismatch.startswith("(n,k)=(8,8);")
 
@@ -553,7 +563,7 @@ def test_phi_checks_match_their_series_forms(lam, alpha, order, target):
         for entry in PHI:
             if not entry.domain(lam, alpha):
                 continue
-            _, status, mismatch = entry.run(ctx, order)
+            _, status, mismatch = verdict_of(entry, ctx, order)
             ns = (registry.PHI_INT_N_VALUES if entry.id.startswith("PHI-INT")
                   else registry.PHI_N_VALUES)
             expected = phi_reference(entry.id, lam, alpha, order, y, y1, ns,

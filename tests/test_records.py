@@ -1,9 +1,8 @@
 """The three record classes (IdentityReport, NumberTable, RegistryEntry):
-constructor signatures and defaults, repr text, equality, the immutability
-and hash of a registry entry; and a guard that importing the package or
-its CLI loads none of the heavy introspection modules."""
+constructor signatures and defaults, repr text, equality, and that none
+is hashable; and a guard that importing the package or its CLI loads none
+of the heavy introspection modules."""
 
-import copy
 from fractions import Fraction
 import inspect
 import os
@@ -13,7 +12,8 @@ import sys
 
 import pytest
 
-from degsimsek.registry import REGISTRY, RegistryEntry, _everywhere
+from degsimsek.registry import (REGISTRY, RegistryEntry, _everywhere, _fail,
+                                _rejected)
 from degsimsek.reports import IdentityReport
 from degsimsek.tables import KIT_VERSION, NumberTable
 
@@ -25,8 +25,8 @@ def parameters(cls) -> list[tuple[str, object]]:
             inspect.signature(cls).parameters.items()]
 
 
-def check(ctx, order):
-    return "", "pass", ""
+def pairs(ctx, order):
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +158,30 @@ def test_registry_entry_signature_and_defaults():
     empty = inspect.Parameter.empty
     assert parameters(RegistryEntry) == [
         ("id", empty), ("description", empty), ("mode", empty),
-        ("run", empty), ("variant_of", None), ("domain", _everywhere)]
-    by_position = RegistryEntry("X-1", "an identity", "rational", check,
-                                "X", bool)
-    by_keyword = RegistryEntry(domain=bool, variant_of="X", run=check,
+        ("orders", empty), ("pairs", empty), ("variant_of", None),
+        ("mismatch_status", _fail), ("domain", _everywhere)]
+    by_position = RegistryEntry("X-1", "an identity", "rational", "K={order}",
+                                pairs, "X", _rejected, bool)
+    by_keyword = RegistryEntry(domain=bool, mismatch_status=_rejected,
+                               variant_of="X", pairs=pairs, orders="K={order}",
                                mode="rational", description="an identity",
                                id="X-1")
     for entry in (by_position, by_keyword):
-        assert (entry.id, entry.description, entry.mode, entry.run,
-                entry.variant_of, entry.domain) \
-            == ("X-1", "an identity", "rational", check, "X", bool)
-    default = RegistryEntry("X", "an identity", "symbolic", check)
+        assert (entry.id, entry.description, entry.mode, entry.orders,
+                entry.pairs, entry.variant_of, entry.mismatch_status,
+                entry.domain) == ("X-1", "an identity", "rational",
+                                  "K={order}", pairs, "X", _rejected, bool)
+    default = RegistryEntry("X", "an identity", "symbolic", "", pairs)
     assert default.variant_of is None
+    assert default.mismatch_status is _fail
     assert default.domain is _everywhere
 
 
 def test_registry_entry_repr_leaves_out_run_and_domain():
-    entry = RegistryEntry("X-1", "an identity", "rational", check, "X", bool)
+    # the stream, the orders text, the mismatch status and the domain take
+    # no part in the repr
+    entry = RegistryEntry("X-1", "an identity", "rational", "K={order}",
+                          pairs, "X", _rejected, bool)
     assert repr(entry) == ("RegistryEntry(id='X-1', description='an "
                            "identity', mode='rational', variant_of='X')")
     assert repr(REGISTRY[0]) == (
@@ -184,40 +191,30 @@ def test_registry_entry_repr_leaves_out_run_and_domain():
 
 
 def test_registry_entry_equality_ignores_run_and_domain():
-    entry = RegistryEntry("X-1", "an identity", "rational", check, "X")
-    same = RegistryEntry("X-1", "an identity", "rational", print, "X", bool)
+    # equal by id, description, mode and variant_of alone; the stream,
+    # the orders text, the mismatch status and the domain take no part,
+    # and an entry is a plain record: not hashable
+    entry = RegistryEntry("X-1", "an identity", "rational", "K={order}",
+                          pairs, "X")
+    same = RegistryEntry("X-1", "an identity", "rational", "n<=3", print,
+                         "X", _rejected, bool)
     assert entry == same
     assert not entry != same
-    assert hash(entry) == hash(same)
-    assert len({entry, same}) == 1
-    for changed in (RegistryEntry("X-2", "an identity", "rational", check,
+    for changed in (RegistryEntry("X-2", "an identity", "rational", "",
+                                  pairs, "X"),
+                    RegistryEntry("X-1", "another", "rational", "", pairs,
                                   "X"),
-                    RegistryEntry("X-1", "another", "rational", check, "X"),
-                    RegistryEntry("X-1", "an identity", "symbolic", check,
-                                  "X"),
-                    RegistryEntry("X-1", "an identity", "rational", check)):
+                    RegistryEntry("X-1", "an identity", "symbolic", "",
+                                  pairs, "X"),
+                    RegistryEntry("X-1", "an identity", "rational", "",
+                                  pairs)):
         assert entry != changed
         assert not entry == changed
     assert entry != ("X-1", "an identity", "rational", "X")
-    # every registered entry is a distinct dictionary key
-    assert len(set(REGISTRY)) == len(REGISTRY)
-
-
-@pytest.mark.parametrize("field", ["id", "description", "mode", "run",
-                                   "variant_of", "domain"])
-def test_registry_entry_is_immutable(field):
-    entry = RegistryEntry("X-1", "an identity", "rational", check, "X", bool)
-    before = getattr(entry, field)
-    with pytest.raises(AttributeError):
-        setattr(entry, field, "changed")
-    with pytest.raises(AttributeError):
-        delattr(entry, field)
-    assert getattr(entry, field) is before
-    # a copy is equal, and as immutable
-    duplicate = copy.copy(entry)
-    assert duplicate == entry and getattr(duplicate, field) is before
-    with pytest.raises(AttributeError):
-        setattr(duplicate, field, "changed")
+    with pytest.raises(TypeError):
+        hash(entry)
+    # no two registered entries are equal
+    assert all(a != b for i, a in enumerate(REGISTRY) for b in REGISTRY[i + 1:])
 
 
 # ---------------------------------------------------------------------------

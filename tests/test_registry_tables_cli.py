@@ -17,7 +17,7 @@ from degsimsek.registry import (FIXED_POINTS, REGISTRY, default_grid,
 from degsimsek.reports import (IdentityReport, reports_to_csv,
                                reports_to_json, verdict)
 from degsimsek.tables import (NumberTable, TableUsageError, build_table,
-                              parse_csv, parse_json, render_csv, render_json)
+                              render_csv, render_json)
 
 CORE_IDS = {"FUNC-EQ", "THM-S1", "EXPL-B", "EXPL-C", "EXPL-D", "REL-S2A",
             "REL-S2STAR", "REC-K", "REC-N", "PHI-EGF", "PHI-LOG", "PHI-REC",
@@ -136,15 +136,17 @@ def test_suite_determinism_across_workers():
 @pytest.mark.parametrize("order", [2, 12])
 def test_symbolic_bound_is_independent_of_order(order):
     # the symbolic checks and REL-S2STAR compare n, k <= 8 at every order;
-    # only FUNC-EQ's series order N follows it
-    ids = [e.id for e in REGISTRY
-           if e.mode == "symbolic" or e.id.startswith("REL-S2STAR")]
-    reports = run_suite(ids, order=order, extra_points=0)
-    assert {r.id for r in reports} == set(ids)
+    # FUNC-EQ's series order N, PHI-EGF's orders in x and t and the phi
+    # checks' order K follow it: every entry's orders text, at every point
+    reports = run_suite(order=order, extra_points=0)
+    assert {r.id for r in reports} == set(registry_ids())
     assert not suite_failed(reports)
+    expected = {"FUNC-EQ": f"k<=8;N={order}",
+                "PHI-EGF": f"Nt={order};K={order}"}
     for r in reports:
-        expected = f"k<=8;N={order}" if r.id == "FUNC-EQ" else "n,k<=8"
-        assert r.orders == expected, r.id
+        phi = r.id.startswith("PHI-")
+        orders = expected.get(r.id, f"K={order};n<=3" if phi else "n,k<=8")
+        assert r.orders == orders, (r.id, r.point_index)
 
 
 BAD_POINTS = [(Fraction(-1), Fraction(0)),      # Apostol-Euler needs lam != -1
@@ -200,31 +202,57 @@ def test_cli_verify_exits_one_on_error_report(monkeypatch, capsys):
 
 
 def test_run_entry_names_and_places_each_verdict():
-    # a check returns only its verdict: a stub entry that runs EXPL-B's
-    # check reports under its own id, and a rational stub at the point and
-    # index of the context it runs on
+    # an entry is data: one that streams EXPL-B's pairs reports under its
+    # own id, and a stub with only a stream and metadata reports pass,
+    # fail, trivially-true, not-applicable and error through _run_entry,
+    # with its orders text at the suite's order, at the point and index of
+    # the context it runs on
     from degsimsek.phi import PointContext
-    from degsimsek.registry import RegistryEntry, _run_entry
-    [expl_b] = [e for e in REGISTRY if e.id == "EXPL-B"]
+    from degsimsek.registry import _BY_ID, RegistryEntry, _run_entry
+    expl_b = _BY_ID["EXPL-B"]
     alias = RegistryEntry("ALIAS", "EXPL-B under another id", "symbolic",
-                          expl_b.run)
+                          expl_b.orders, expl_b.pairs)
     report = _run_entry(alias, None, 8, 0)
     assert (report.id, report.lam, report.alpha, report.point_index) == \
         ("ALIAS", None, None, 0)
     assert report.to_dict() == {**_run_entry(expl_b, None, 8, 0).to_dict(),
                                 "id": "ALIAS"}
-    runs = []
 
-    def stub(ctx, order):
-        runs.append((ctx, order))
-        return "K=3", "pass", ""
+    # at (2/3, -1/4), D = 12: entry 1 of an EGF in u over den 1 is 12 times
+    # the coefficient of x^1
+    equal = (("n={};x^{}", (1, 0), 0, 1), 5, 5)
+    unequal = (("n={};x^{}", (1, 1), 1, 1), 24, 36)
+
+    def stream(*pairs):
+        def pairs_at(ctx, order):
+            runs.append((ctx, order))
+            for pair in pairs:
+                if pair is None:
+                    raise ValueError("bad stream")
+                yield pair
+        return pairs_at
 
     ctx = PointContext(Fraction(2, 3), Fraction(-1, 4))
-    report = _run_entry(RegistryEntry("STUB", "a stub", "rational", stub),
-                        ctx, 3, 5)
-    assert runs == [(ctx, 3)]
-    assert report == IdentityReport("STUB", Fraction(2, 3), Fraction(-1, 4),
-                                    "K=3", "pass", "", 5)
+    cases = [
+        (stream(equal), {}, ("K=3", "pass", "")),
+        (stream(equal, unequal, None), {},
+         ("K=3", "fail", "n=1;x^1;lhs=2;rhs=3")),
+        (stream(equal, unequal), {"mismatch_status": lambda lam, alpha:
+                                  "expected-discrepancy" if alpha else "fail"},
+         ("K=3", "expected-discrepancy", "n=1;x^1;lhs=2;rhs=3")),
+        (stream(), {}, ("K=3", "trivially-true", "")),
+        (stream(equal), {"domain": lambda lam, alpha: alpha > 0},
+         ("", "not-applicable", "")),
+        (stream(equal, None), {}, ("", "error", "ValueError: bad stream"))]
+    for pairs, fields, (orders, status, mismatch) in cases:
+        runs = []
+        stub = RegistryEntry("STUB", "a stub", "rational", "K={order}",
+                             pairs, **fields)
+        report = _run_entry(stub, ctx, 3, 5)
+        assert runs == ([] if status == "not-applicable" else [(ctx, 3)])
+        assert report == IdentityReport("STUB", Fraction(2, 3),
+                                        Fraction(-1, 4), orders, status,
+                                        mismatch, 5)
 
 
 def test_verdict_reports_the_first_unequal_pair():
@@ -264,11 +292,42 @@ def test_verdict_reports_the_first_unequal_pair():
 def test_planted_faults_report_the_first_mismatch_in_stream_order(
         rid, status, text):
     from degsimsek.phi import PointContext
-    from degsimsek.registry import _BY_ID
+    from degsimsek.registry import _BY_ID, _run_entry
     ctx = PointContext(Fraction(2, 3), Fraction(1, 3))
     phi_num = ctx.phi_num
     ctx.phi_num = lambda n, k: phi_num(n, k) + ((n, k) in ((0, 2), (2, 0)))
-    assert _BY_ID[rid].run(ctx, 8) == ("K=8;n<=3", status, text)
+    report = _run_entry(_BY_ID[rid], ctx, 8, 0)
+    assert (report.orders, report.status, report.mismatch) == \
+        ("K=8;n<=3", status, text)
+
+
+def test_a_fault_in_the_corrected_variant_fails_the_suite(monkeypatch):
+    # PHI-INT-CORR is a variant of PHI-INT, but a correction held to its
+    # identity: a one-off fault in its corrected Euler row reports fail at
+    # every point and fails the suite, while the rejected readings report
+    # what they report without it, expected-discrepancy (or pass where a
+    # reading coincides, as DUPL's l^j factor does at lambda = 1), and
+    # fail nothing
+    from degsimsek.phi import PointContext
+    rejected = ["EXPL-C-PRINTED", "REL-S2STAR-KIDX", "REL-S2STAR-DUPL",
+                "REL-S2STAR-ZERO0"]
+    before = run_suite(rejected, order=4, extra_points=0)
+    row = PointContext.corrected_euler_row
+
+    def faulty(self, n):
+        nums, den = row(self, n)
+        return [nums[0] + 1, *nums[1:]], den
+
+    monkeypatch.setattr(PointContext, "corrected_euler_row", faulty)
+    reports = run_suite(["PHI-INT-CORR", *rejected], order=4,
+                        extra_points=0)
+    corrected = [r for r in reports if r.id == "PHI-INT-CORR"]
+    assert len(corrected) == len(FIXED_POINTS)
+    assert all(r.status == "fail" and r.mismatch for r in corrected)
+    assert suite_failed(reports)
+    assert [r for r in reports if r.id in rejected] == before
+    assert {r.status for r in before} == {"expected-discrepancy", "pass"}
+    assert not suite_failed(before)
 
 
 def test_a_pass_at_order_one_compared_at_least_one_pair(monkeypatch):
@@ -333,11 +392,22 @@ def test_table_round_trip_csv_and_json():
         build_table("bernoulli", None, 4, 3),
         build_table("y1deg", None, 3, 3, lam=Fraction(1), alpha=Fraction(1, 2)),
     ]
+    # read back with the csv and json modules, each text holds every field
+    # of the table
     for table in cases:
-        csv_text = render_csv(table)
-        assert render_csv(parse_csv(csv_text)) == csv_text
-        json_text = render_json(table)
-        assert render_json(parse_json(json_text)) == json_text
+        fields = {"family": table.family, "route": table.route,
+                  "lambda": "symbolic" if table.lam is None else str(table.lam),
+                  "alpha": ("symbolic" if table.alpha is None
+                            else str(table.alpha)),
+                  "version": table.version}
+        rows = list(csv.reader(io.StringIO(render_csv(table))))
+        assert dict(rows[:7]) == {**fields, "n_max": str(table.n_max),
+                                  "k_max": str(table.k_max)}
+        assert rows[7:] == [["n\\k", *map(str, range(table.k_max + 1))]] + [
+            [str(n), *row] for n, row in enumerate(table.entries)]
+        assert json.loads(render_json(table)) == {
+            **fields, "n_range": [0, table.n_max],
+            "k_range": [0, table.k_max], "entries": table.entries}
 
 
 def test_table_csv_rows_parse_back_to_their_cells():
@@ -358,37 +428,6 @@ def test_table_csv_rows_parse_back_to_their_cells():
             ["n\\k", *(str(k) for k in range(table.k_max + 1))]]
         assert rows[8:] == [[str(n), *row]
                             for n, row in enumerate(table.entries)]
-        assert parse_csv(render_csv(table)) == table
-
-
-_TABLE = NumberTable("y1", "", 1, 1, None, None, [["1", "0"], ["0", "1*l"]])
-_CSV = render_csv(_TABLE)
-_JSON = render_json(_TABLE)
-MALFORMED_TABLES = {
-    "csv truncated rows": (parse_csv, _CSV.rsplit("\n", 2)[0] + "\n"),
-    "csv empty": (parse_csv, ""),
-    "csv lambda 1/0": (parse_csv, _CSV.replace("lambda,symbolic",
-                                               "lambda,1/0")),
-    "csv n_max not a number": (parse_csv, _CSV.replace("n_max,1", "n_max,x")),
-    "csv short row": (parse_csv, _CSV.replace("\n1,0,1*l", "\n1,0")),
-    "json empty object": (parse_json, "{}"),
-    "json list": (parse_json, "[1]"),
-    "json truncated": (parse_json, _JSON[:-10]),
-    "json lambda 1/0": (parse_json, json.dumps({**json.loads(_JSON),
-                                                "lambda": "1/0"})),
-    "json n_range not a list": (parse_json, json.dumps(
-        {**json.loads(_JSON), "n_range": 1})),
-}
-
-
-@pytest.mark.parametrize("case", MALFORMED_TABLES)
-def test_malformed_table_text_raises_a_value_error(case):
-    # the well-formed texts read back; each break raises ValueError with a
-    # message, whatever the parser tripped on
-    assert parse_csv(_CSV) == parse_json(_JSON) == _TABLE
-    parse, text = MALFORMED_TABLES[case]
-    with pytest.raises(ValueError, match=r"^malformed table (CSV|JSON): \S"):
-        parse(text)
 
 
 def test_table_determinism():

@@ -83,7 +83,8 @@ def test_uncalled_lists_a_function_no_case_calls(monkeypatch, capsys):
     assert tool.main() == 0
     lines = capsys.readouterr().out.splitlines()
     rows = {row[1]: row[2:] for row in map(str.split, lines[1:-1])}
-    # the table is written, never read back; build_parser runs every line
-    lines_with_code, never_ran = rows["parse_csv"]
+    # the table is written as CSV, never as JSON; build_parser runs every
+    # line
+    lines_with_code, never_ran = rows["render_json"]
     assert lines_with_code == never_ran and "build_parser" not in rows
     assert lines[-1].startswith(f"{len(lines) - 2} functions, ")
