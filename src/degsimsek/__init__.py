@@ -3,7 +3,7 @@ number families around them, and mechanical verification of their
 identities over polynomials in (l, a) or rational sample grids."""
 
 from .algebra import (ParamPoly, SeriesDomainError, SeriesStructureError,
-                      TruncSeries, series_reciprocal)
+                      TruncSeries)
 from .classical import bernoulli_number, stirling1, stirling2
 from .degenerate import (apostol_euler, deg_stirling1, deg_stirling2,
                          new_deg_stirling2)
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ParamPoly", "TruncSeries",
-    "SeriesDomainError", "SeriesStructureError", "series_reciprocal",
+    "SeriesDomainError", "SeriesStructureError",
     "stirling1", "stirling2", "bernoulli_number",
     "deg_stirling1", "deg_stirling2", "new_deg_stirling2", "apostol_euler",
     "simsek_y1", "deg_simsek_y1", "y1star", "fk_series",

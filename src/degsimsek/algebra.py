@@ -1,15 +1,13 @@
-"""Exact arithmetic substrate: rationals, sparse (l, a) polynomials, and
-truncated formal power series with rational coefficients, which shift by
-a scalar, truncate and invert.  The products of series that the number
-families need are summed in their own kernels, not here.
+"""Exact arithmetic substrate: rationals, sparse (l, a) polynomials,
+truncated formal power series, the type a series is returned in, and
+integer rows, the form in which the number families sum series: a row's
+reciprocal is here, its products are in the chains of `classical`.
 
-All values are immutable after construction apart from lazily filled
-memos (a series builds each of its two forms once, when first read; a
-ParamPoly keeps the values `evaluate` computed), and every operation is a
-pure function, so everything here is safe to share across threads.  The
-forms of a series must therefore never be mutated.  Series keep
-coefficients only up to an explicit truncation order; no operation ever
-consults a coefficient beyond it.
+All values are immutable after construction apart from the memo of
+values a ParamPoly keeps for `evaluate`, and every operation is a pure
+function, so everything here is safe to share across threads.  Series and
+rows keep coefficients only up to an explicit truncation order; no
+operation ever consults a coefficient beyond it.
 
 A ParamPoly holds integer numerators over one positive denominator in
 lowest terms, which arithmetic, ==, `evaluate` and `render` read; its
@@ -352,38 +350,25 @@ def render_scalar(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Truncated formal power series.
+# Truncated formal power series, the output type, and integer rows, the
+# form the number families sum in.
 # ---------------------------------------------------------------------------
 
 class TruncSeries:
-    """Formal power series with rational coefficients in one named
-    variable, truncated at a fixed order.
+    """Formal power series in one named variable, truncated at a fixed
+    order: the type in which the package returns a series.
 
-    `coeffs` is a tuple of order+1 Fractions; coefficient j of any
-    operation depends only on input coefficients 0..j, so truncating an
-    order-N result to M <= N equals computing at order M directly.  A
-    series is a value that the number families build, read and print: it
-    adds or subtracts an int or a Fraction, truncates to a lower order,
-    compares with == (series in different variables or of different orders
-    are unequal) and renders; `series_reciprocal` inverts it.  It has no
-    series sum or product, no scalar product, no power and no negation:
-    those raise TypeError.  The products of the number families are summed
-    in their own kernels (`classical._ProductChain`,
-    `simsek._route_a_product`).
-
-    A series may also be held fraction-free: integer numerators `nums` over
-    one positive denominator `den`, in lowest terms (the gcd of den and all
-    numerators is 1), so equal series have equal (nums, den).  Scalar + and
-    -, series_reciprocal and the product chains work on that form and
-    return series that hold only it; every other operation reads `coeffs`.
-    Each form is built from the other when it is first read.
-
-    Route A's symbolic F_k (`simsek.fk_series`) is held by `_held` with
-    ParamPoly coefficients, which coeffs, truncate and render read, but it
-    has no integer numerators, so + and - raise TypeError.
+    `coeffs` is a tuple of order+1 Fractions, or of ParamPoly values for
+    route A's symbolic F_k, which `simsek.fk_series` holds with `_held`.
+    A series truncates to a lower order, compares with == (series in
+    different variables or of different orders are unequal) and renders;
+    it has no arithmetic, so every operator raises TypeError.  The number
+    families sum on integer rows instead (`_lowest`, `_reciprocal` and the
+    product chains of `classical`), and route A on its own kernel
+    (`simsek._route_a_product`); a series is built once, from the values.
     """
 
-    __slots__ = ("var", "order", "_coeffs", "_nums", "_den")
+    __slots__ = ("var", "order", "coeffs")
 
     def __init__(self, var: str, order: int, coeffs):
         if order < 0:
@@ -392,71 +377,17 @@ class TruncSeries:
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         self.var = var
         self.order = order
-        self._coeffs = tuple(coeffs)
-        self._nums = None
+        self.coeffs = tuple(coeffs)
 
     @classmethod
-    def _held(cls, var: str, order: int, coeffs) -> "TruncSeries":
-        """The series with the order+1 coefficients `coeffs` (a tuple, or
-        None for `_qq` to fill in), held as given without coercing them."""
+    def _held(cls, var: str, order: int, coeffs: tuple) -> "TruncSeries":
+        """The series with the order+1 coefficients `coeffs`, a tuple held
+        as given without coercing them."""
         s = cls.__new__(cls)
         s.var = var
         s.order = order
-        s._coeffs = coeffs
-        s._nums = None
+        s.coeffs = coeffs
         return s
-
-    @classmethod
-    def _qq(cls, var: str, order: int, nums, den: int) -> "TruncSeries":
-        """The series nums/den (order+1 integer numerators, den != 0),
-        brought to lowest terms with a positive denominator."""
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
-        s = cls._held(var, order, None)
-        s._nums = tuple(nums)
-        s._den = den
-        return s
-
-    @property
-    def coeffs(self) -> tuple:
-        coeffs = self._coeffs
-        if coeffs is None:
-            den = self._den
-            coeffs = self._coeffs = tuple(Fraction(c, den) for c in self._nums)
-        return coeffs
-
-    @property
-    def nums(self) -> tuple:
-        """The integer numerators."""
-        if self._nums is None:
-            self._to_ints()
-        return self._nums
-
-    @property
-    def den(self) -> int:
-        """The common denominator."""
-        if self._nums is None:
-            self._to_ints()
-        return self._den
-
-    def _to_ints(self):
-        try:  # the lcm of reduced denominators leaves no common factor
-            den = math.lcm(*(c.denominator for c in self._coeffs))
-        except AttributeError:
-            raise TypeError("no series arithmetic on ParamPoly") from None
-        self._nums = tuple(c.numerator * (den // c.denominator)
-                           for c in self._coeffs)
-        self._den = den
-
-    # -- a constant series, and truncation ---------------------------------
-
-    @classmethod
-    def constant(cls, c, var: str, order: int) -> "TruncSeries":
-        return cls(var, order, [c])
 
     def truncate(self, order: int) -> "TruncSeries":
         """The first order+1 coefficients, sliced without coercing them
@@ -468,22 +399,6 @@ class TruncSeries:
             raise SeriesStructureError(
                 f"cannot extend order {self.order} series to {order}")
         return TruncSeries._held(self.var, order, self.coeffs[: order + 1])
-
-    # -- arithmetic by a scalar ----------------------------------------------
-
-    def __add__(self, other):
-        """self + p/q for an int or a Fraction p/q, summed in integers over
-        the lcm of the two denominators; TypeError for anything else."""
-        scalar = _rational(other)
-        den = math.lcm(self.den, scalar.denominator)
-        nums = [c * (den // self.den) for c in self.nums]
-        nums[0] += scalar.numerator * (den // scalar.denominator)
-        return TruncSeries._qq(self.var, self.order, nums, den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries):
@@ -506,31 +421,47 @@ class TruncSeries:
         return f"TruncSeries({self.var!r}, N={self.order}, {self.render()})"
 
 
-# ---------------------------------------------------------------------------
-# Series operations.
-# ---------------------------------------------------------------------------
+# A row is a truncated series with rational coefficients held as a tuple of
+# integer numerators over one positive denominator, (nums, den), in lowest
+# terms (the gcd of den and all numerators is 1), so equal series have equal
+# rows; its order is len(nums) - 1.
 
-def series_reciprocal(a: TruncSeries, old=None) -> TruncSeries:
-    """b with a·b = 1 up to the truncation order, for a = nums/den with
-    a_0 != 0, fraction-free, keeping the coefficients of `old` (1/a at
-    a lower order, or None).  With 1/a = bs/D so far,
+def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """The row nums/den (den != 0) in lowest terms with a positive
+    denominator."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return tuple(c // g for c in nums), den // g
+    return tuple(nums), den
+
+
+def _reciprocal(nums, den: int, old=None) -> tuple[tuple[int, ...], int]:
+    """The row of b with a b = 1 to the order of a = nums/den, which needs
+    a_0 != 0, keeping the coefficients of `old` (the row of 1/a at a lower
+    order, or None).  With 1/a = bs/D so far,
     b_m = -(1/a_0) sum_{j=1..m} a_j b_{m-j} is -sum_j nums[j] bs[m-j] over
-    nums[0] D: each new coefficient multiplies the denominator by nums[0].
-    A series with ParamPoly coefficients has no integer numerators:
-    TypeError."""
-    nums, n0 = a.nums, a.nums[0]
+    nums[0] D: each new coefficient multiplies the denominator by nums[0]."""
+    n0 = nums[0]
     if n0 == 0:
         raise SeriesDomainError("reciprocal of a series with zero constant term")
-    bs, den = ([a.den], n0) if old is None else (list(old.nums), old.den)
-    for m in range(len(bs), a.order + 1):
+    bs, d = ([den], n0) if old is None else (list(old[0]), old[1])
+    for m in range(len(bs), len(nums)):
         total = sum(nums[j] * bs[m - j] for j in range(1, m + 1) if nums[j])
         bs = [c * n0 for c in bs]
         bs.append(-total)
-        den *= n0
-    return TruncSeries._qq(a.var, a.order, bs, den)
+        d *= n0
+    return _lowest(bs, d)
 
 
-def exp_t(order: int) -> TruncSeries:
-    """The exponential series e^t to the given order."""
-    return TruncSeries("t", order, [Fraction(1, math.factorial(m))
-                                    for m in range(order + 1)])
+def _point_key(*values) -> tuple[int, ...]:
+    """The rationals `values` in lowest terms as one tuple of ints,
+    (p, q, ...) for p/q, ...: the key of the chains kept per alpha or per
+    point, so that equal values written any way (an int, a Fraction, or a
+    float or a string, read exactly) share one chain."""
+    try:
+        return tuple(part for value in values
+                     for part in (value.numerator, value.denominator))
+    except AttributeError:  # a float or a string
+        return _point_key(*map(Fraction, values))

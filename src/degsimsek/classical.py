@@ -7,8 +7,9 @@ a `phi` point, grows row by row through `_grow_rows` by its recurrence
 T(m+1, j) = T(m, j-1) + w(m, j) T(m, j), with its own weight w (j for S2,
 -m for s); the generating-function route is kept in the test suite as an
 independent cross-check, not here.  The Bernoulli powers, like the
-rational S2* and the Apostol-Euler series of `degenerate` and F_k at a
-point in `simsek`, are read from grow-only product chains of series.
+rational S2* and the Apostol-Euler numbers of `degenerate` and F_k at a
+point in `simsek`, are read from grow-only product chains, which sum
+series as integer rows and build a number or a series only to return it.
 Caches only ever grow and hold immutable values.
 """
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 import math
 from operator import mul
 
-from .algebra import TruncSeries, series_reciprocal
+from .algebra import TruncSeries, _lowest, _reciprocal
 
 # Row r of each triangle holds the values for n = r, k = 0..r.
 _S2_ROWS: list[list[int]] = [[1]]
@@ -72,10 +73,11 @@ def _stirling1_row(n: int) -> list[int]:
 
 class _ProductChain:
     """Grow-only chain of the products P_j = x(x - a)(x - 2a)...(x - (j-1)a)
-    of a series x, all held at one truncation order: P_0 = 1 and
+    of a series x, all held at one truncation order as integer rows
+    (nums, den) in lowest terms (`algebra._lowest`): P_0 = 1 and
     P_{j+1} = P_j * (x - j a), the degenerate falling factorials (x)_{j,a}
     of the series x; at a = 0 they are the powers of x.  `base(order)`
-    gives x at a truncation order.
+    gives the row of x at a truncation order.
 
     The chain only extends.  A read at a higher order than the chain's
     extends every product held by its coefficients above the old order; a
@@ -90,8 +92,8 @@ class _ProductChain:
     products) is one tuple replaced whole, so a reader in another thread
     sees an older chain or a newer one, never a mix of the two.
 
-    `values` maps (n, k) to the number the chain's public reader returned
-    for it (on an F_k chain of `simsek`, (order, k) to the series), stored
+    `values` maps (n, k) to the number `read` returned for it (on an F_k
+    chain of `simsek`, (order, k) to the series fk_series returned), stored
     once built, so that a repeated read is one lookup that returns the
     same object."""
 
@@ -103,9 +105,9 @@ class _ProductChain:
         self.state = (-1, None, ())
         self.values: dict[tuple[int, int], Fraction | TruncSeries] = {}
 
-    def product(self, j: int, order: int) -> TruncSeries:
-        """P_j truncated at `order` or above: its coefficients 0..order are
-        those of P_j at `order`."""
+    def product(self, j: int, order: int) -> tuple[tuple[int, ...], int]:
+        """The row of P_j at `order` or above: its coefficients 0..order
+        are those of P_j at `order`."""
         chain_order, x, products = self.state
         if len(products) > j and chain_order >= order:
             return products[j]
@@ -114,40 +116,47 @@ class _ProductChain:
         grown = []
         for i in range(max(j + 1, len(products))):
             held = products[i] if i < len(products) else None
-            if held is None or held.order < chain_order:
+            if held is None or len(held[0]) <= chain_order:
                 held = (_extend_qq(held, grown[i - 1], x, self.step, i - 1)
-                        if i else TruncSeries.constant(1, x.var, chain_order))
+                        if i else ((1,) + (0,) * chain_order, 1))
             grown.append(held)
         self.state = (chain_order, x, tuple(grown))
         return grown[j]
 
+    def read(self, n: int, k: int, divisor: int = 1) -> Fraction:
+        """n! [t^n] P_k / divisor, kept in `values` under (n, k): the miss
+        path of each reader, which looks (n, k) up there first."""
+        nums, den = self.product(k, n)
+        value = self.values[(n, k)] = Fraction(
+            nums[n] * math.factorial(n), den * divisor)
+        return value
 
-def _extend_qq(old, prev: TruncSeries, x: TruncSeries, step,
-               i: int) -> TruncSeries:
-    """prev * (x - i step) at x's order, summed in integers: with
-    prev = a/da, x = xs/dx and i step = p/q, coefficient m is
+
+def _extend_qq(old, prev: tuple, x: tuple, step, i: int) -> tuple:
+    """The row of prev * (x - i step) at x's order, summed in integers:
+    with prev = a/da, x = xs/dx and i step = p/q, coefficient m is
     (q sum_r a[r] xs[m-r] - p dx a[m]) / (da dx q).  The coefficients of
-    `old`, the product at a lower order (or None), are kept, so only the
-    ones above its order are summed."""
-    a, xs = prev.nums, x.nums
+    `old`, the row of the product at a lower order (or None), are kept, so
+    only the ones above its order are summed."""
+    (a, da), (xs, dx) = prev, x
     p, q = i * step.numerator, step.denominator
-    den = prev.den * x.den * q
+    den = da * dx * q
     if old is None:
         nums = []
     else:
-        scale = den // old.den
-        nums = [c * scale for c in old.nums]
-    shift = p * x.den
-    for m in range(len(nums), x.order + 1):
+        scale = den // old[1]
+        nums = [c * scale for c in old[0]]
+    shift = p * dx
+    for m in range(len(nums), len(xs)):
         nums.append(q * sum(map(mul, a[:m + 1], xs[m::-1])) - shift * a[m])
-    return TruncSeries._qq(x.var, x.order, nums, den)
+    return _lowest(nums, den)
 
 
 class _Reciprocal:
-    """The base 1/y of a product chain, for `y(order)` a series given at any
-    order.  A higher order extends the reciprocal held by its new
-    coefficients b_m = -(1/y_0) sum_{j>=1} y_j b_{m-j}; like a chain's state
-    it is replaced whole."""
+    """The base 1/y of a product chain, for `y(order)` the row of a series
+    at any order.  A higher order extends the row held by its new
+    coefficients (`algebra._reciprocal`); like a chain's state it is
+    replaced whole, and a lower order is read from it in lowest terms."""
 
     __slots__ = ("y", "held")
 
@@ -155,11 +164,11 @@ class _Reciprocal:
         self.y = y
         self.held = None
 
-    def __call__(self, order: int) -> TruncSeries:
+    def __call__(self, order: int) -> tuple[tuple[int, ...], int]:
         held = self.held
-        if held is None or held.order < order:
-            held = self.held = series_reciprocal(self.y(order), held)
-        return held if held.order == order else held.truncate(order)
+        if held is None or len(held[0]) <= order:
+            held = self.held = _reciprocal(*self.y(order), held)
+        return _lowest(held[0][:order + 1], held[1])
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +176,12 @@ class _Reciprocal:
 #   (t/(e^t-1))^k = sum_n B_n^(k) t^n/n!
 # ---------------------------------------------------------------------------
 
-def _bernoulli_inner(order: int) -> TruncSeries:
-    """(e^t - 1)/t = sum_m t^m/(m+1)!, over the one denominator (order+1)!."""
+def _bernoulli_inner(order: int) -> tuple[tuple[int, ...], int]:
+    """The row of (e^t - 1)/t = sum_m t^m/(m+1)!, over the one denominator
+    (order+1)!."""
     top = math.factorial(order + 1)
-    return TruncSeries._qq("t", order, [top // math.factorial(m + 1)
-                                        for m in range(order + 1)], top)
+    return _lowest([top // math.factorial(m + 1) for m in range(order + 1)],
+                   top)
 
 
 # t/(e^t - 1)
@@ -190,7 +200,5 @@ def bernoulli_number(n: int, k: int) -> Fraction:
     if value is None:
         if n < 0 or k < 0:
             raise ValueError("bernoulli_number needs n, k >= 0")
-        series = chain.product(k, n)
-        value = chain.values[(n, k)] = Fraction(
-            series.nums[n] * math.factorial(n), series.den)
+        value = chain.read(n, k)
     return value

@@ -31,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import (ParamPoly, SeriesDomainError, TruncSeries, _combine,
-                      _over, exp_t)
+from .algebra import (ParamPoly, SeriesDomainError, _combine, _lowest, _over,
+                      _point_key)
 from .classical import (_grow_rows, _ProductChain, _Reciprocal,
                         _stirling1_row, stirling2)
 
@@ -76,18 +76,22 @@ def deg_stirling1(n: int, l: int) -> ParamPoly:
 _s2star_chains: dict[tuple[int, int], _ProductChain] = {}
 
 
+def _expm1(order: int) -> tuple[tuple[int, ...], int]:
+    """The row of e^t - 1 = sum_{m>=1} t^m/m!, over the one denominator
+    order!."""
+    top = math.factorial(order)
+    return _lowest([0] + [top // math.factorial(m)
+                          for m in range(1, order + 1)], top)
+
+
 def _s2star_chain(alpha) -> _ProductChain:
     """The chain of the products (e^t-1)_{j,alpha}, j = 0, 1, ..., at a
     rational alpha, that new_deg_stirling2 and the verifier's S2* tables
     read; made on first use."""
-    try:
-        key = alpha.numerator, alpha.denominator
-    except AttributeError:  # a float or a string: read it exactly
-        return _s2star_chain(Fraction(alpha))
+    key = _point_key(alpha)
     chain = _s2star_chains.get(key)
     if chain is None:
-        chain = _s2star_chains[key] = _ProductChain(
-            lambda order: exp_t(order) - 1, Fraction(*key))
+        chain = _s2star_chains[key] = _ProductChain(_expm1, Fraction(*key))
     return chain
 
 
@@ -115,20 +119,17 @@ def new_deg_stirling2(n: int, k: int, alpha):
         chain = _s2star_chain(alpha)
     value = chain.values.get((n, k))
     if value is None:
-        series = chain.product(k, n)
-        value = chain.values[(n, k)] = Fraction(
-            series.nums[n] * math.factorial(n),
-            series.den * math.factorial(k))
+        value = chain.read(n, k, math.factorial(k))
     return value
 
 
-def _euler_half(lam0: Fraction, alpha0: Fraction, order: int) -> TruncSeries:
-    """(lam * e_a(t) + 1)/2, with e_a(t) = exp(t) at a = 0, summed in
-    integers: at lam = p/q, alpha = r/s the coefficient (1)_{m,a}/m! of
-    e_a is f_m/(s^m m!) with f_m = prod_{i<m} (s - i r), so at order N
-    coefficient m >= 1 is p f_m s^(N-m) N!/m! over 2 q s^N N!."""
-    p, q = lam0.numerator, lam0.denominator
-    r, s = alpha0.numerator, alpha0.denominator
+def _euler_half(p: int, q: int, r: int, s: int,
+                order: int) -> tuple[tuple[int, ...], int]:
+    """The row of (lam * e_a(t) + 1)/2 at lam = p/q, alpha = r/s, with
+    e_a(t) = exp(t) at a = 0, summed in integers: the coefficient
+    (1)_{m,a}/m! of e_a is f_m/(s^m m!) with f_m = prod_{i<m} (s - i r), so
+    at order N coefficient m >= 1 is p f_m s^(N-m) N!/m! over
+    2 q s^N N!."""
     falling = [1]
     for m in range(order):
         falling.append(falling[-1] * (s - m * r))
@@ -138,7 +139,7 @@ def _euler_half(lam0: Fraction, alpha0: Fraction, order: int) -> TruncSeries:
         nums[m] = p * falling[m] * weight
         weight *= s * m
     nums[0] = (p + q) * weight
-    return TruncSeries._qq("t", order, nums, 2 * q * weight)
+    return _lowest(nums, 2 * q * weight)
 
 
 # chains of (2/(lam * e_a(t) + 1))^k, keyed by the point lam = p/q,
@@ -151,18 +152,13 @@ def _apostol_chain(lam0, alpha0) -> _ProductChain:
     the point, that apostol_euler and the verifier's Euler weights read;
     made on first use.  Raises at lam = -1, so no chain is ever stored for
     it."""
-    try:
-        key = (lam0.numerator, lam0.denominator,
-               alpha0.numerator, alpha0.denominator)
-    except AttributeError:  # a float or a string: read it exactly
-        return _apostol_chain(Fraction(lam0), Fraction(alpha0))
+    key = _point_key(lam0, alpha0)
     chain = _apostol_chains.get(key)
     if chain is None:
-        lam0, alpha0 = Fraction(lam0), Fraction(alpha0)
-        if lam0 == -1:
+        if key[:2] == (-1, 1):
             raise SeriesDomainError("Apostol-Euler numbers need lam != -1")
         chain = _apostol_chains[key] = _ProductChain(
-            _Reciprocal(lambda order: _euler_half(lam0, alpha0, order)))
+            _Reciprocal(lambda order: _euler_half(*key, order)))
     return chain
 
 
@@ -181,7 +177,5 @@ def apostol_euler(n: int, k: int, lam0, alpha0) -> Fraction:
         chain = _apostol_chain(lam0, alpha0)
     value = chain.values.get((n, k))
     if value is None:
-        series = chain.product(k, n)
-        value = chain.values[(n, k)] = Fraction(
-            series.nums[n] * math.factorial(n), series.den)
+        value = chain.read(n, k)
     return value

@@ -24,10 +24,10 @@ u^m; c = r*q):
 
 A product of two series is the binomial convolution of their entries.
 Each check scales both sides by one integer, so that both are integer
-lists, and yields them entry by entry for the registry to compare.  Fractions are built only for
-alpha/2 in the corrected Euler weight row, which is then held as integers
-over one denominator, and to write a mismatch: entry d of den times a side
-stands for the coefficient value/(d! D^d den) of x^d.
+lists, and yields them entry by entry for the registry to compare.  The
+Euler weight rows are integers over one denominator each, and a Fraction
+is built only to write a mismatch: entry d of den times a side stands for
+the coefficient value/(d! D^d den) of x^d.
 
 The integral identity is special: its stated form relies on an
 antiderivative of e_a^c(y) with divisor c, while direct differentiation
@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import TruncSeries, _point_rows, series_reciprocal
+from .algebra import TruncSeries, _point_rows, _reciprocal
 from .classical import _grow_rows, stirling2
 from .degenerate import _apostol_chain, _euler_half, _s2star_chain
 from .simsek import fk_series, scaled_y1, scaled_y1star, y1star
@@ -214,13 +214,12 @@ class PointContext:
 
     def _row(self, kind: str, n: int, series) -> tuple[list[int], int]:
         """(nums, den) with nums[j] / den = j! [t^j] series() for j <= n,
-        over the series' one denominator."""
+        over the one denominator of the row series() gives."""
         row = self._rows.get((kind, n))
         if row is None:
-            values = series()
+            nums, den = series()
             row = self._rows[(kind, n)] = (
-                [math.factorial(j) * values.nums[j] for j in range(n + 1)],
-                values.den)
+                [math.factorial(j) * nums[j] for j in range(n + 1)], den)
         return row
 
     def apostol_row(self, n: int) -> tuple[list[int], int]:
@@ -232,10 +231,16 @@ class PointContext:
     def corrected_euler_row(self, n: int) -> tuple[list[int], int]:
         """The weights of 2/(lam*e^t + 1 + alpha), as apostol_row gives
         them: the divisor that direct differentiation of the antiderivative
-        actually produces.  Its half is the Apostol-Euler chain's integer
-        (lam*e^t + 1)/2 at alpha = 0, plus alpha/2."""
-        return self._row("corrected", n, lambda: series_reciprocal(
-            _euler_half(self.lam, 0, n) + self.alpha / 2))
+        actually produces.  Its half is the row of the Apostol-Euler
+        chain's (lam*e^t + 1)/2 at alpha = 0, plus alpha/2 = r/(2 s) in
+        its constant term."""
+        def series():
+            nums, den = _euler_half(*self._point[:2], 0, 1, n)
+            r, s = self._point[2:]
+            nums = [c * 2 * s for c in nums]
+            nums[0] += r * den
+            return _reciprocal(nums, 2 * s * den)
+        return self._row("corrected", n, series)
 
     def ft_block(self, n: int, k: int, order: int) -> list[int]:
         """(x/(1+alpha*x))^k sum_j C(n,j) y*(j,k) phi_{n-j}(x) as an
@@ -263,10 +268,10 @@ class PointContext:
             chain = _s2star_chain(self.alpha / self.lam)
             chain.product(size, size)  # P_0..P_size at order size or above
             products = [chain.product(j, size) for j in range(size + 1)]
-            den = math.lcm(*(series.den for series in products))
-            self._s2star = ([[math.factorial(n) * c * (den // series.den)
-                              for n, c in enumerate(series.nums[:size + 1])]
-                             for series in products], den)
+            den = math.lcm(*(d for _, d in products))
+            self._s2star = ([[math.factorial(n) * c * (den // d)
+                              for n, c in enumerate(nums[:size + 1])]
+                             for nums, d in products], den)
         return self._s2star
 
     def s2star_weights(self, k: int) -> tuple[list[int], int]:
@@ -297,16 +302,17 @@ def check_egf(ctx: PointContext, order: int):
     """sum_n phi_n(x) t^n/n! = e_a^(l*e^t+1)(x), compared as a series in x
     over a series in t, both sides truncated at order in x and in t: the
     coefficient of x^k t^e, times k! D^k e!, is Phi_e[k] on the left and
-    k! D^k e! [t^e] F_k on the right, F_k = nums/den as fk_series gives
-    it at the point: both sides are compared times den."""
+    k! D^k e! [t^e] F_k on the right, [t^e] F_k = c/d the coefficient that
+    fk_series serves at the point: both sides are compared times d."""
     rows = [ctx.phi_row(e, order) for e in range(order + 1)]
     for k in range(order + 1):
-        f_k = fk_series(k, order, ctx.lam, ctx.alpha)
+        f_k = fk_series(k, order, ctx.lam, ctx.alpha).coeffs
         weight = math.factorial(k) * ctx.qs**k
         for e, row in enumerate(rows):
             scale = math.factorial(e)
-            yield (("x^{};t^{}", (k, e), k, scale * f_k.den),
-                   row[k] * f_k.den, weight * scale * f_k.nums[e])
+            c, d = f_k[e].numerator, f_k[e].denominator
+            yield (("x^{};t^{}", (k, e), k, scale * d),
+                   row[k] * d, weight * scale * c)
 
 
 def log_substitution_rhs(ctx: PointContext, n: int,

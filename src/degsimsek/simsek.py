@@ -31,7 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .algebra import ParamPoly, TruncSeries, _combine, _over
+from .algebra import (ParamPoly, TruncSeries, _combine, _lowest, _over,
+                      _point_key)
 from .classical import _ProductChain, _stirling1_row, bernoulli_number
 
 _scaled_y1_store: dict[tuple[int, int], dict] = {}
@@ -87,10 +88,10 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     unless k, order >= 0, raised before any store, cache or chain is
     touched.
 
-    Symbolic by default: a series with ParamPoly coefficients, which no
-    series arithmetic takes (TypeError).  Pass rationals lam/alpha for a
-    rational series, read from the point's chain in _fk_chains.  A symbolic
-    F_k is built once per order rise and kept.  A build forms the product
+    Symbolic by default: a series with ParamPoly coefficients.  Pass
+    rationals lam/alpha for a rational series, built from the row of the
+    point's chain in _fk_chains.  A symbolic F_k is built once per order
+    rise and kept.  A build forms the product
     P = (l*e^t + 1)_{k,a} with `_route_a_product`, as Fraction terms, and
     publishes n! [t^n] P = n! k! [t^n] F_k for every n <= order into the
     route-A store as integer terms, skipping the (n, k) already held, so
@@ -126,16 +127,15 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
         return series
     if k < 0 or order < 0:  # before a chain is made for the point
         raise ValueError("fk_series needs k, order >= 0")
-    lam, alpha = Fraction(lam), Fraction(alpha)
-    key = (lam.numerator, lam.denominator, alpha.numerator, alpha.denominator)
+    key = _point_key(lam, alpha)
     chain = _fk_chains.get(key) or _fk_chains.setdefault(key, _ProductChain(
-        lambda top: _lam_exp(lam, top) + 1, alpha))
+        lambda top: _lam_exp_plus_one(*key[:2], top), Fraction(*key[2:])))
     series = chain.values.get((order, k))
     if series is None:
-        product = chain.product(k, order)
-        series = chain.values[(order, k)] = TruncSeries._qq(
-            "t", order, product.nums[:order + 1],
-            product.den * math.factorial(k))
+        nums, den = chain.product(k, order)
+        den *= math.factorial(k)
+        series = chain.values[(order, k)] = TruncSeries._held(
+            "t", order, tuple(Fraction(c, den) for c in nums[:order + 1]))
     return series
 
 
@@ -189,12 +189,14 @@ def _int_terms(terms: dict, scale: int) -> dict:
     return out
 
 
-def _lam_exp(lam0: Fraction, order: int) -> TruncSeries:
-    """lam e^t at lam = p/q in integers: p N!/m! over q N! at order N."""
+def _lam_exp_plus_one(p: int, q: int,
+                      order: int) -> tuple[tuple[int, ...], int]:
+    """The row of lam e^t + 1 at lam = p/q: p N!/m!, plus q N! at m = 0,
+    over q N! at order N."""
     top = math.factorial(order)
-    return TruncSeries._qq("t", order, [
-        lam0.numerator * (top // math.factorial(m)) for m in range(order + 1)],
-        lam0.denominator * top)
+    nums = [p * (top // math.factorial(m)) for m in range(order + 1)]
+    nums[0] += q * top
+    return _lowest(nums, q * top)
 
 
 # Each route's core gives Y(n,k) = k! y*(n,k) as integer terms

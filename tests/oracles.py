@@ -61,6 +61,28 @@ def reciprocal_solve(a, order: int):
     return b
 
 
+def as_row(coeffs) -> tuple[tuple[int, ...], int]:
+    """A coefficient list as an integer row (nums, den) in lowest terms:
+    den the lcm of the reduced denominators, so that the gcd of den and
+    all numerators is 1."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def row_values(row) -> list:
+    """The coefficients nums[j] / den of an integer row (nums, den)."""
+    nums, den = row
+    return [Fraction(c, den) for c in nums]
+
+
+def row_falling(row, k: int, step=0) -> tuple[tuple[int, ...], int]:
+    """The row of prod_{j<k} (x - j*step) for the row of a series x, by
+    falling_product on its coefficients."""
+    return as_row(falling_product(row_values(row), k, Fraction(step),
+                                  Fraction(1), Fraction(0)))
+
+
 def _sympy_power_table(expr, t, bound: int) -> dict:
     """{(n, k): n! [t^n] expr^k} for n, k <= bound, from sympy's series of
     expr in t, raised to the power k and read to t^bound."""
@@ -448,6 +470,21 @@ def fk_sympy(bound: int, order: int) -> dict:
 # Second routes on the package's types.
 # ---------------------------------------------------------------------------
 
+def exp_series(order: int):
+    """e^t from its coefficients 1/m!."""
+    from degsimsek.algebra import TruncSeries
+    return TruncSeries("t", order, [Fraction(1, math.factorial(m))
+                                    for m in range(order + 1)])
+
+
+def add_constant(series, c):
+    """series + c for a rational series and a rational c: the constant
+    term shifted."""
+    from degsimsek.algebra import TruncSeries
+    return TruncSeries(series.var, series.order,
+                       [series.coeffs[0] + c, *series.coeffs[1:]])
+
+
 def log1p_series(order: int, c=1, var: str = "t"):
     """log(1 + c*t)/c from its coefficients (-c)^(m-1)/m."""
     from degsimsek.algebra import TruncSeries
@@ -554,13 +591,14 @@ def deg_simsek_y1_alt(n: int, k: int):
 def apostol_euler_series(k: int, lam, alpha, order: int):
     """The series (2/(lam e_alpha(t) + 1))^k, lam != -1, whose coefficient n
     times n! is E_n^(k)(lam|alpha): e_alpha(t) with coefficients
-    (1)_{m,alpha}/m! (deg_exp_series above), inverted by series_reciprocal
+    (1)_{m,alpha}/m! (deg_exp_series above), inverted by reciprocal_solve
     and raised to the power k by series_falling, not by the product chain
     apostol_euler reads."""
-    from degsimsek.algebra import TruncSeries, series_reciprocal
+    from degsimsek.algebra import TruncSeries
     e = deg_exp_series(1, Fraction(alpha), order).coeffs
     half = [(Fraction(lam) * c + (m == 0)) / 2 for m, c in enumerate(e)]
-    return series_falling(series_reciprocal(TruncSeries("t", order, half)), k)
+    return series_falling(TruncSeries("t", order,
+                                      reciprocal_solve(half, order)), k)
 
 
 def fk_series_via_bernoulli(k: int, order: int, lam, alpha):

@@ -1,5 +1,5 @@
-"""Scalar and polynomial arithmetic, and what truncated series keep:
-scalar + and -, truncate, ==, render and series_reciprocal."""
+"""Scalar and polynomial arithmetic, what truncated series keep (truncate,
+==, render), and the reciprocal of an integer row."""
 
 from fractions import Fraction
 import math
@@ -9,15 +9,16 @@ import random
 import pytest
 
 import degsimsek
-from degsimsek import classical
+from degsimsek import algebra, classical
 from degsimsek.algebra import (MAX_DECIMAL_EXPONENT, ParamPoly,
-                               SeriesDomainError, TruncSeries, exp_t,
-                               parse_rational, series_reciprocal)
+                               SeriesDomainError, TruncSeries, _lowest,
+                               _reciprocal, parse_rational)
 from degsimsek.classical import _ProductChain
 from degsimsek.simsek import fk_series
 
-from oracles import (compose, count_partitions, log1p_series, poly_mul,
-                     reciprocal_solve, series_mul)
+from oracles import (add_constant, as_row, compose, count_partitions,
+                     exp_series, log1p_series, poly_mul, reciprocal_solve,
+                     row_values, series_mul)
 
 
 def qs(coeffs, order=None, var="t"):
@@ -25,74 +26,86 @@ def qs(coeffs, order=None, var="t"):
     return TruncSeries(var, order, [Fraction(c) for c in coeffs])
 
 
+def row(coeffs, order=None):
+    """The integer row of qs(coeffs, order)."""
+    return as_row(qs(coeffs, order).coeffs)
+
+
 # ---------------------------------------------------------------------------
 # the series operations that were removed, and the ones kept
 # ---------------------------------------------------------------------------
 
 REMOVED = {
-    "degsimsek": ("degenerate_falling",),
+    "degsimsek": ("degenerate_falling", "series_reciprocal"),
+    "algebra": ("exp_t", "series_reciprocal"),
     "classical": ("degenerate_falling",),
     "ParamPoly": ("const", "term", "deg_l", "deg_a", "constant_value",
                   "__pow__"),
     "TruncSeries": ("__mul__", "__rmul__", "_mul_qq", "__pow__", "__neg__",
-                    "__rsub__", "variable", "_check_compatible"),
+                    "__rsub__", "variable", "_check_compatible", "__add__",
+                    "__radd__", "__sub__", "constant", "_qq", "nums", "den",
+                    "_to_ints", "_coeffs", "_nums", "_den"),
 }
 
 
 @pytest.mark.parametrize("operation", [
     lambda s: s * s, lambda s: 2 * s, lambda s: s ** 2, lambda s: -s,
-    lambda s: s + s, lambda s: 1 - s],
-    ids=["s*s", "2*s", "s**2", "-s", "s+s", "1-s"])
+    lambda s: s + s, lambda s: 1 - s, lambda s: s + 1, lambda s: 1 + s,
+    lambda s: s - 1],
+    ids=["s*s", "2*s", "s**2", "-s", "s+s", "1-s", "s+1", "1+s", "s-1"])
 def test_removed_series_algebra_raises_and_its_names_are_gone(operation):
-    # series products and powers are summed in the kernels that need them
-    # (the product chains, route A); a series only shifts by a scalar
+    # series products, powers and shifts are summed in the kernels that
+    # need them (integer rows, the product chains, route A); a series has
+    # no arithmetic
     with pytest.raises(TypeError):
-        operation(exp_t(4) - 1)
-    owners = {"degsimsek": degsimsek, "classical": classical,
-              "ParamPoly": ParamPoly, "TruncSeries": TruncSeries}
+        operation(add_constant(exp_series(4), -1))
+    owners = {"degsimsek": degsimsek, "algebra": algebra,
+              "classical": classical, "ParamPoly": ParamPoly,
+              "TruncSeries": TruncSeries}
     for owner, names in REMOVED.items():
         for name in names:
             assert not hasattr(owners[owner], name), (owner, name)
-    assert "degenerate_falling" not in degsimsek.__all__
+    for name in REMOVED["degsimsek"]:
+        assert name not in degsimsek.__all__
+    assert TruncSeries.__slots__ == ("var", "order", "coeffs")
 
 
 @pytest.mark.parametrize("order", [-3, -1])
 def test_truncate_rejects_a_negative_order(order):
     for series in (fk_series(2, 6, Fraction(1, 2), Fraction(1, 3)),
-                   fk_series(2, 6), exp_t(6)):
+                   fk_series(2, 6), exp_series(6)):
         with pytest.raises(ValueError, match="non-negative"):
             series.truncate(order)
 
 
 # ---------------------------------------------------------------------------
-# series products: summed by the product chains, undone by series_reciprocal
+# series products: summed by the product chains, undone by _reciprocal, on
+# integer rows
 # ---------------------------------------------------------------------------
 
 def test_mul_difference_of_squares():
     # the chain's P_2 = x(x - 2) at x = 1 + t is (t + 1)(t - 1)
-    chain = _ProductChain(lambda order: qs([1, 1], order=order), 2)
-    assert chain.product(2, 5) == qs([-1, 0, 1], order=5)
+    chain = _ProductChain(lambda order: row([1, 1], order=order), 2)
+    assert chain.product(2, 5) == row([-1, 0, 1], order=5)
 
 
 def test_mul_exp_times_exp_minus():
-    e = exp_t(8)
-    em = TruncSeries("t", 8, [Fraction((-1) ** m, math.factorial(m))
-                              for m in range(9)])
-    assert series_reciprocal(e) == em
-    assert series_reciprocal(em) == e
+    e = as_row(exp_series(8).coeffs)
+    em = as_row([Fraction((-1) ** m, math.factorial(m)) for m in range(9)])
+    assert _reciprocal(*e) == em
+    assert _reciprocal(*em) == e
 
 
 def test_mul_geometric_telescopes():
-    geo = qs([1] * 7, order=6)
-    assert series_reciprocal(geo) == qs([1, -1], order=6)
+    assert _reciprocal(*row([1] * 7, order=6)) == row([1, -1], order=6)
 
 
 def test_series_in_different_variables_do_not_combine():
     c = Fraction(-2, 3)
     t = TruncSeries("t", 3, [c, 1, c])
     x = TruncSeries("x", 3, [c, 1, c])
-    # t + 3 holds only integer numerators
-    for a, b in ((t, x), (x, t), (t + 3, x), (x, t + 3)):
+    t3 = add_constant(t, 3)
+    for a, b in ((t, x), (x, t), (t3, x), (x, t3)):
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
                 op(a, b)
@@ -105,51 +118,49 @@ def test_series_in_different_variables_do_not_combine():
 # ---------------------------------------------------------------------------
 
 def test_exp_of_t():
-    assert exp_t(4) == qs([1, 1, Fraction(1, 2), Fraction(1, 6),
-                           Fraction(1, 24)])
+    assert exp_series(4) == qs([1, 1, Fraction(1, 2), Fraction(1, 6),
+                                Fraction(1, 24)])
 
 
 def test_exp_undoes_log():
-    assert compose(exp_t(6), log1p_series(6)) == qs([1, 1], order=6)
+    assert compose(exp_series(6), log1p_series(6)) == qs([1, 1], order=6)
 
 
 def test_exp_of_2t_cubic_coefficient():
-    e = exp_t(3).coeffs
+    e = exp_series(3).coeffs
     assert poly_mul(e, e)[3] == Fraction(4, 3)
 
 
 def test_log_undoes_exp():
     t = qs([0, 1], order=6)
-    assert compose(log1p_series(6), exp_t(6) - 1) == t
+    assert compose(log1p_series(6), add_constant(exp_series(6), -1)) == t
 
 
 # ---------------------------------------------------------------------------
-# series_reciprocal
+# _reciprocal
 # ---------------------------------------------------------------------------
 
 def test_reciprocal_geometric():
-    assert series_reciprocal(qs([1, -1], order=5)) == qs([1] * 6)
+    assert _reciprocal(*row([1, -1], order=5)) == row([1] * 6)
 
 
 def test_reciprocal_is_involution():
-    a = qs([1, 3, 1], order=6)
-    assert series_reciprocal(series_reciprocal(a)) == a
+    a = row([1, 3, 1], order=6)
+    assert _reciprocal(*_reciprocal(*a)) == a
 
 
 def test_reciprocal_t_over_expm1():
     # oracle: triangular solve of ((e^t-1)/t) * b = 1 by hand, to order 2
     oracle = reciprocal_solve([1, Fraction(1, 2), Fraction(1, 6)], 2)
     assert oracle[2] == Fraction(1, 12)
-    em1_over_t = TruncSeries("t", 8, [Fraction(1, math.factorial(m + 1))
-                                      for m in range(9)])
-    assert series_reciprocal(em1_over_t).coeffs[2] == oracle[2]
+    em1_over_t = as_row([Fraction(1, math.factorial(m + 1))
+                         for m in range(9)])
+    assert row_values(_reciprocal(*em1_over_t))[2] == oracle[2]
 
 
 def test_reciprocal_needs_a_unit():
     with pytest.raises(SeriesDomainError):
-        series_reciprocal(qs([0, 1], order=4))
-    with pytest.raises(TypeError):
-        series_reciprocal(fk_series(1, 3))  # ParamPoly coefficients
+        _reciprocal(*row([0, 1], order=4))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +170,8 @@ def test_reciprocal_needs_a_unit():
 def test_compose_exp_with_expm1_gives_bell_numbers():
     bell4 = count_partitions(4)
     assert bell4 == 15
-    e = exp_t(4)
-    assert compose(e, e - 1).coeffs[4] == Fraction(bell4, 24)
+    e = exp_series(4)
+    assert compose(e, add_constant(e, -1)).coeffs[4] == Fraction(bell4, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +310,14 @@ def test_truncation_consistency():
         b = _random_series(rng, n)
         assert series_mul(a, b).truncate(m) == \
             series_mul(a.truncate(m), b.truncate(m))
-        az = a - a.coeffs[0]  # zero constant term
-        for outer in (exp_t(n), log1p_series(n), b):
+        az = add_constant(a, -a.coeffs[0])  # zero constant term
+        for outer in (exp_series(n), log1p_series(n), b):
             assert compose(outer, az).truncate(m) == \
                 compose(outer.truncate(m), az.truncate(m))
         if a.coeffs[0] != 0:
-            assert series_reciprocal(a).truncate(m) == \
-                series_reciprocal(a.truncate(m))
+            nums, den = _reciprocal(*as_row(a.coeffs))
+            assert _lowest(nums[:m + 1], den) == \
+                _reciprocal(*as_row(a.coeffs[:m + 1]))
 
 
 def test_exp_log_inversion_random():
@@ -313,10 +325,10 @@ def test_exp_log_inversion_random():
     for _ in range(20):
         n = rng.randint(1, 10)
         a = _random_series(rng, n)
-        a = a - a.coeffs[0]
-        exp, log1p = exp_t(n), log1p_series(n)
-        assert compose(exp, compose(log1p, a)) == a + 1
-        assert compose(log1p, compose(exp, a) - 1) == a
+        a = add_constant(a, -a.coeffs[0])
+        exp, log1p = exp_series(n), log1p_series(n)
+        assert compose(exp, compose(log1p, a)) == add_constant(a, 1)
+        assert compose(log1p, add_constant(compose(exp, a), -1)) == a
 
 
 def test_reciprocal_correctness_random():
@@ -325,5 +337,6 @@ def test_reciprocal_correctness_random():
         n = rng.randint(0, 10)
         a = _random_series(rng, n)
         if a.coeffs[0] == 0:
-            a = a + 1
-        assert series_mul(a, series_reciprocal(a)) == qs([1], order=n)
+            a = add_constant(a, 1)
+        inverse = qs(row_values(_reciprocal(*as_row(a.coeffs))))
+        assert series_mul(a, inverse) == qs([1], order=n)

@@ -7,10 +7,10 @@ reference, a product chain's series product against a plain list
 convolution, route A's product of Fraction-term coefficient lists by
 `_pp_dot` against a plain convolution and the plain ring loop, a
 symbolic S2* (a Stirling-1 sum) against the series of the product it
-expands, and every operation on series against a Fraction list.  Scalar
-+ and -, the chain products and the reciprocal of series run on their
-integer numerators; truncate runs on their Fraction coefficients, and
-every result must still read back in the canonical integer form."""
+expands, and every operation on series and integer rows against a
+Fraction list.  The chain products and the reciprocal run on integer rows
+(nums, den), and every result must be the row in lowest terms that
+`_lowest` gives; truncate and == run on a series' Fraction coefficients."""
 
 from fractions import Fraction
 import math
@@ -20,13 +20,13 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from degsimsek.algebra import (ParamPoly, SeriesDomainError, TruncSeries,
-                               _over, series_reciprocal)
+                               _lowest, _over, _reciprocal)
 from degsimsek.classical import _ProductChain
 from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.simsek import _int_terms, _pp_dot
 
-from oracles import (falling_product, reciprocal_solve, ring_product,
-                     series_mul, terms_add, terms_mul, terms_neg,
+from oracles import (as_row, falling_product, reciprocal_solve, ring_product,
+                     row_values, series_mul, terms_add, terms_mul, terms_neg,
                      terms_substitute)
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
@@ -214,7 +214,7 @@ def test_series_product_over_qq(pair):
     # against a plain convolution, in the canonical integer form
     a, b = pair
     order = len(a) - 1
-    chain = _ProductChain(lambda m: TruncSeries("t", m, a[:m + 1]), b[0])
+    chain = _ProductChain(lambda m: as_row(a[:m + 1]), b[0])
     assert_canonical(chain.product(2, order),
                      convolution(a, [a[0] - b[0], *a[1:]], Fraction(0)))
 
@@ -231,7 +231,7 @@ def test_qq_product_is_canonical(pair, m):
     a, b = pair
     order = len(a) - 1
     m = min(m, order)
-    chain = _ProductChain(lambda n: TruncSeries("t", n, a[:n + 1]), b[0])
+    chain = _ProductChain(lambda n: as_row(a[:n + 1]), b[0])
     for j in range(4):
         assert_canonical(chain.product(j, m), falling_product(
             a[:m + 1], j, b[0], Fraction(1), Fraction(0)))
@@ -341,26 +341,22 @@ def qq(coeffs) -> TruncSeries:
     return TruncSeries("t", len(coeffs) - 1, coeffs)
 
 
-def assert_canonical(series: TruncSeries, expected: list):
-    """series holds exactly `expected`, in lowest terms over den > 0."""
-    assert series.den > 0
-    assert math.gcd(series.den, *series.nums) == 1
-    assert len(series.nums) == series.order + 1 == len(expected)
-    assert [Fraction(c, series.den) for c in series.nums] == expected
+def assert_canonical(row: tuple, expected: list):
+    """row = (nums, den) holds exactly `expected`, as a tuple of ints in
+    lowest terms over den > 0."""
+    nums, den = row
+    assert den > 0
+    assert math.gcd(den, *nums) == 1
+    assert type(nums) is tuple and len(nums) == len(expected)
+    assert all(type(c) is int for c in nums)
+    assert row_values(row) == expected
+
+
+def assert_series(series: TruncSeries, expected: list):
+    """series holds exactly `expected`, as Fractions."""
+    assert series.order + 1 == len(expected)
     assert list(series.coeffs) == expected
     assert all(type(c) is Fraction for c in series.coeffs)
-
-
-@SETTINGS
-@given(qq_lists, scalars)
-@example([Fraction(3, 4), Fraction(0), Fraction(-5, 2)], 0)
-@example([Fraction(0)], Fraction(-7, 3))
-def test_qq_scalar_operations(a, c):
-    c_q = Fraction(c)
-    rest = a[1:]
-    assert_canonical(qq(a) + c, [a[0] + c_q] + rest)
-    assert_canonical(c + qq(a), [a[0] + c_q] + rest)
-    assert_canonical(qq(a) - c, [a[0] - c_q] + rest)
 
 
 @SETTINGS
@@ -368,21 +364,26 @@ def test_qq_scalar_operations(a, c):
 @example([Fraction(1, 2), Fraction(1, 3)], 0)
 def test_qq_truncate(a, m):
     m = min(m, len(a) - 1)
-    # built from Fractions, and a sum that holds only integers
-    assert_canonical(qq(a).truncate(m), a[:m + 1])
-    assert_canonical((qq(a) + 0).truncate(m), a[:m + 1])
+    # a series built from Fractions, and an integer row brought back to
+    # lowest terms
+    assert_series(qq(a).truncate(m), a[:m + 1])
+    nums, den = as_row(a)
+    assert_canonical(_lowest(nums[:m + 1], den), a[:m + 1])
 
 
 @SETTINGS
-@given(qq_lists, scalars)
-@example([Fraction(2, 4)], Fraction(1, 2))
-@example([Fraction(0)] * 4, 0)
-def test_qq_equality_is_canonical(a, c):
+@given(qq_lists, scalars, st.integers(-9, 9).filter(bool))
+@example([Fraction(2, 4)], Fraction(1, 2), -1)
+@example([Fraction(0)] * 4, 0, 6)
+def test_qq_equality_is_canonical(a, c, scale):
     series = qq(a)
-    # the same series reached by another path compares equal
-    other = series + Fraction(1, 7) - Fraction(1, 7)
+    # the same series reached by another path compares equal, and the same
+    # row scaled by any nonzero int, of either sign, comes back to one form
+    other = TruncSeries("t", len(a) - 1, [Fraction(x) for x in a])
     assert series == other
-    assert (series.nums, series.den) == (other.nums, other.den)
+    row = as_row(a)
+    assert _lowest([scale * x for x in row[0]], scale * row[1]) == row
+    assert_canonical(_lowest(*row), a)
     assert (series == qq(a[:-1] + [a[-1] + 1])) is False
     assert (series == c) == (a[0] == c and not any(a[1:]))
     assert series != TruncSeries("x", len(a) - 1, a)
@@ -396,9 +397,9 @@ def test_qq_equality_is_canonical(a, c):
 @example([Fraction(-3, 5), Fraction(2, 7), Fraction(0), Fraction(-1, 9)])
 @example([Fraction(7, 2), Fraction(0), Fraction(0)])
 def test_qq_reciprocal(a):
-    inverse = series_reciprocal(qq(a))
+    inverse = _reciprocal(*as_row(a))
     assert_canonical(inverse, reciprocal_solve(a, len(a) - 1))
-    assert series_mul(qq(a), inverse) == 1
+    assert series_mul(qq(a), qq(row_values(inverse))) == 1
 
 
 @SETTINGS
@@ -407,7 +408,7 @@ def test_qq_reciprocal(a):
 def test_qq_reciprocal_extended_from_a_lower_order(a, m):
     # the coefficients held at order m are kept, the others appended
     m = min(m, len(a) - 1)
-    extended = series_reciprocal(qq(a), series_reciprocal(qq(a[:m + 1])))
+    extended = _reciprocal(*as_row(a), _reciprocal(*as_row(a[:m + 1])))
     assert_canonical(extended, reciprocal_solve(a, len(a) - 1))
 
 
@@ -416,5 +417,4 @@ def test_qq_reciprocal_extended_from_a_lower_order(a, m):
 @example([Fraction(0), Fraction(1, 3), Fraction(-2, 9)])
 def test_qq_reciprocal_needs_a_unit(a):
     with pytest.raises(SeriesDomainError):
-        series_reciprocal(qq([Fraction(0)] + a[1:]))
-
+        _reciprocal(*as_row([Fraction(0)] + a[1:]))

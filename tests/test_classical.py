@@ -7,14 +7,15 @@ import math
 
 import pytest
 
-from degsimsek.algebra import (ParamPoly, TruncSeries, exp_t,
-                               series_reciprocal)
+from degsimsek.algebra import ParamPoly, TruncSeries
 from degsimsek.classical import (_ProductChain, bernoulli_number, stirling1,
                                  stirling2)
 
-from oracles import (bernoulli_poly, bernoulli_poly_coeffs, count_partitions,
+from oracles import (add_constant, as_row, bernoulli_poly,
+                     bernoulli_poly_coeffs, count_partitions, exp_series,
                      falling, falling_factorial_coeffs, log1p_series,
-                     ring_product, series_falling)
+                     reciprocal_solve, ring_product, row_values,
+                     series_falling)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -50,7 +51,7 @@ def test_stirling1_by_expansion():
 def test_triangles_match_generating_functions():
     # second kind: n! [t^n] (e^t-1)^k / k!; first kind: n! [t^n] log(1+t)^k / k!
     order = 12
-    em1 = exp_t(order) - 1
+    em1 = add_constant(exp_series(order), -1)
     logt = log1p_series(order)
     for k in range(order + 1):
         gf2 = series_falling(em1, k)
@@ -79,27 +80,32 @@ def test_basis_inversion_identities():
 # product chains hold, and their Stirling-1 expansion
 # ---------------------------------------------------------------------------
 
-def series_t(order: int) -> TruncSeries:
-    return TruncSeries("t", order, [0, 1])
+def row(order: int, coeffs) -> tuple:
+    """The integer row of the series with the given coefficients, padded
+    with zeros to `order`."""
+    return as_row([*coeffs, *[0] * (order + 1 - len(coeffs))])
+
+
+def series_t(order: int) -> tuple:
+    return row(order, [0, 1])
 
 
 def test_degenerate_falling_basics():
     a = Fraction(2, 3)
-    assert _ProductChain(series_t, a).product(2, 4) == \
-        TruncSeries("t", 4, [0, -a, 1])
+    assert _ProductChain(series_t, a).product(2, 4) == row(4, [0, -a, 1])
     powers = _ProductChain(series_t)
     for n in range(6):
-        assert powers.product(n, 6) == TruncSeries("t", 6, [0] * n + [1])
-    one = _ProductChain(lambda order: TruncSeries.constant(1, "t", order), 1)
-    assert one.product(2, 3) == 0
-    five = _ProductChain(lambda order: TruncSeries.constant(5, "t", order), 1)
-    assert five.product(0, 3) == 1
+        assert powers.product(n, 6) == row(6, [0] * n + [1])
+    one = _ProductChain(lambda order: row(order, [1]), 1)
+    assert one.product(2, 3) == row(3, [0])
+    five = _ProductChain(lambda order: row(order, [5]), 1)
+    assert five.product(0, 3) == row(3, [1])
 
 
 def test_degenerate_falling_at_alpha_one_is_falling():
     chain = _ProductChain(series_t, 1)
     for n in range(7):
-        assert list(chain.product(n, 6).coeffs) == \
+        assert row_values(chain.product(n, 6)) == \
             (falling_factorial_coeffs(n) + [0] * 6)[:7]
 
 
@@ -138,10 +144,10 @@ def test_bernoulli_poly_against_gf():
     # B_k^(n)(x) = k! [t^k] e^{xt} (t/(e^t-1))^n with x symbolic
     order = 6
     ext = [falling(L, m) * Fraction(1, math.factorial(m)) for m in range(order + 1)]
-    em1_over_t = TruncSeries("t", order, [Fraction(1, math.factorial(m + 1))
-                                          for m in range(order + 1)])
+    t_over_em1 = TruncSeries("t", order, reciprocal_solve(
+        [Fraction(1, math.factorial(m + 1)) for m in range(order + 1)], order))
     for n in range(4):
-        power = series_falling(series_reciprocal(em1_over_t), n)
+        power = series_falling(t_over_em1, n)
         gf = ring_product(ext, [ParamPoly({(0, 0): c}) for c in power.coeffs],
                           ParamPoly())
         for k in range(order + 1):
@@ -172,8 +178,8 @@ def test_bernoulli_poly_recurrence():
 
 def test_bernoulli_poly_series_argument():
     # evaluation must accept series arguments: B_1^(1)(e^t) = e^t - 1/2
-    e = exp_t(5)
-    assert bernoulli_poly(1, 1, e) == e - Fraction(1, 2)
+    e = exp_series(5)
+    assert bernoulli_poly(1, 1, e) == add_constant(e, Fraction(-1, 2))
 
 
 def test_index_validation():

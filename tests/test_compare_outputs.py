@@ -102,28 +102,28 @@ def test_library_stream_catches_a_wrong_power_of_zero(tool, tmp_path,
 
 def test_series_stream_catches_a_wrong_qq_reciprocal(tool, tmp_path,
                                                      monkeypatch, capsys):
-    # a tree whose public series_reciprocal is off by one in its top
-    # coefficient, while the product chains keep the exact one, reads alike
-    # in the CLI and in the library stream, which never call the public
-    # name, but not in the series stream
+    # a tree whose reciprocal of integer rows is off by one in its top
+    # coefficient reads alike in route A's CLI value, which reads no chain
+    # built on it, but not in the library stream, whose route D reads
+    # Bernoulli numbers, nor in the series stream, which reads the
+    # Bernoulli and Apostol-Euler chains
     monkeypatch.setattr(tool, "cases", lambda: [
         ["compute", "--family", "y1star", "--n", "2", "--k", "2"],
         tool.LIBRARY_CASE, tool.SERIES_CASE])
     good = copy_tree(tmp_path / "good")
     wrong = copy_tree(tmp_path / "wrong")
-    with open(wrong / "src" / "degsimsek" / "__init__.py", "a") as handle:
+    with open(wrong / "src" / "degsimsek" / "algebra.py", "a") as handle:
         handle.write(
-            "\n_exact_reciprocal = series_reciprocal\n\n\n"
-            "def series_reciprocal(a, old=None):\n"
-            "    out = _exact_reciprocal(a, old)\n"
-            "    top = out.coeffs[-1] + 1\n"
-            "    return TruncSeries(out.var, out.order,\n"
-            "                       [*out.coeffs[:-1], top])\n")
+            "\n_exact_reciprocal = _reciprocal\n\n\n"
+            "def _reciprocal(nums, den, old=None):\n"
+            "    bs, d = _exact_reciprocal(nums, den, old)\n"
+            "    return _lowest([*bs[:-1], bs[-1] + d], d)\n")
     assert tool.main([str(good), str(good)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "3 cases, 0 differing"
     assert tool.main([str(good), str(wrong)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "DIFFERS (stdout): series stream", "3 cases, 1 differing"]
+        "DIFFERS (stdout): library stream", "DIFFERS (stdout): series stream",
+        "3 cases, 2 differing"]
 
 
 def test_table_cases_catch_a_wrong_s2star_cell(tool, tmp_path, monkeypatch,
@@ -190,12 +190,11 @@ def test_climb_stream_catches_an_error_of_one_order_steps(
         handle.write(
             "\n_exact_extend_qq = _extend_qq\n\n\n"
             "def _extend_qq(old, prev, x, step, i):\n"
-            "    out = _exact_extend_qq(old, prev, x, step, i)\n"
-            "    if old is None or old.order != x.order - 1 or x.order < 10:\n"
-            "        return out\n"
-            "    top = out.coeffs[-1] + 1\n"
-            "    return TruncSeries(out.var, out.order,\n"
-            "                       [*out.coeffs[:-1], top])\n")
+            "    nums, den = _exact_extend_qq(old, prev, x, step, i)\n"
+            "    if old is None or len(old[0]) != len(nums) - 1 \\\n"
+            "            or len(nums) < 11:\n"
+            "        return nums, den\n"
+            "    return _lowest([*nums[:-1], nums[-1] + den], den)\n")
     assert tool.main([str(good), str(wrong)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "DIFFERS (stdout): climb stream", "2 cases, 1 differing"]

@@ -21,8 +21,9 @@ from degsimsek.reports import (EXPECTED_DISCREPANCY, FAIL, PASS,
                                reports_to_json)
 from degsimsek.simsek import ROUTES, _int_terms, simsek_y1, y1star
 
-from oracles import (compose, expl_c_printed_sympy, falling, log1p_series,
-                     phi_reference, rel_s2star_reference, rel_s2star_terms)
+from oracles import (as_row, compose, expl_c_printed_sympy, falling,
+                     log1p_series, phi_reference, rel_s2star_reference,
+                     rel_s2star_terms, row_values)
 
 POINTS = list(FIXED_POINTS) + random_points(seed=5, count=3)
 RATIONAL = [e for e in REGISTRY if e.mode == "rational"]
@@ -260,7 +261,7 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
                   *degenerate._apostol_chains.values()):
         order, _, products = chain.state
         assert order <= 8
-        assert all(series.order <= 8 for series in products)
+        assert all(len(nums) <= 9 for nums, _ in products)
     for name, rows in (("_ds1_step", degenerate._DS1_ROWS),
                        ("_ds2_step", degenerate._DS2_ROWS)):
         assert len(rows) == 9, name
@@ -276,12 +277,11 @@ def test_rel_s2star_reads_the_chain_new_deg_stirling2_keeps(monkeypatch,
     exact = classical._extend_qq
 
     def doubled_step(old, prev, x, step, i):
-        out = exact(old, prev, x, step, i)
-        start = max(3, 0 if old is None else old.order + 1)
+        out = row_values(exact(old, prev, x, step, i))
+        start = max(3, 0 if old is None else len(old[0]))
         extra = [0] * start + [-i * step * c
-                               for c in prev.coeffs[start:x.order + 1]]
-        return TruncSeries(x.var, x.order,
-                           [c + e for c, e in zip(out.coeffs, extra)])
+                               for c in row_values(prev)[start:len(out)]]
+        return as_row([c + e for c, e in zip(out, extra)])
 
     monkeypatch.setattr(classical, "_extend_qq", doubled_step)
     reports = [r for r in run_suite(order=8) if r.id == "REL-S2STAR"]

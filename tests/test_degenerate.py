@@ -7,13 +7,13 @@ import random
 
 import pytest
 
-from degsimsek.algebra import (ParamPoly, SeriesDomainError, TruncSeries,
-                               exp_t, series_reciprocal)
+from degsimsek.algebra import ParamPoly, SeriesDomainError, TruncSeries
 from degsimsek.classical import stirling1, stirling2
 from degsimsek.degenerate import (apostol_euler, deg_stirling1, deg_stirling2,
                                   new_deg_stirling2)
 
-from oracles import deg_exp_series, falling, series_falling, terms_degrees
+from oracles import (deg_exp_series, exp_series, falling, reciprocal_solve,
+                     series_falling, terms_degrees)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -185,13 +185,13 @@ def test_apostol_euler_order_zero():
 
 
 def test_apostol_euler_alpha_zero_matches_direct_gf():
-    # independent path: assemble (2/(l e^t + 1))^k from exp_t directly
+    # independent path: assemble (2/(l e^t + 1))^k from e^t directly
     for lam in (Fraction(1), Fraction(2, 5), Fraction(-1, 3)):
         for k in range(4):
             half = [(lam * c + (m == 0)) / 2
-                    for m, c in enumerate(exp_t(10).coeffs)]
+                    for m, c in enumerate(exp_series(10).coeffs)]
             direct = series_falling(
-                series_reciprocal(TruncSeries("t", 10, half)), k)
+                TruncSeries("t", 10, reciprocal_solve(half, 10)), k)
             for n in range(11):
                 assert apostol_euler(n, k, lam, 0) == \
                     direct.coeffs[n] * math.factorial(n)

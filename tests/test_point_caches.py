@@ -18,15 +18,15 @@ import pytest
 
 from degsimsek import (algebra, classical, degenerate, phi, registry,
                        simsek)
-from degsimsek.algebra import ParamPoly, SeriesDomainError, TruncSeries, exp_t
+from degsimsek.algebra import ParamPoly, SeriesDomainError, TruncSeries
 from degsimsek.classical import _ProductChain, bernoulli_number
 from degsimsek.degenerate import apostol_euler, new_deg_stirling2
 from degsimsek.phi import phi_series
 from degsimsek.simsek import fk_series, y1star
 
-from oracles import (apostol_euler_series, apostol_euler_sympy,
+from oracles import (apostol_euler_series, apostol_euler_sympy, as_row,
                      falling_product, higher_bernoulli_sympy, reciprocal_solve,
-                     s2star_sympy, series_falling, terms_degrees)
+                     row_falling, row_values, s2star_sympy, terms_degrees)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -183,7 +183,7 @@ def count_extensions(monkeypatch) -> tuple[list, list]:
     inner = classical._extend_qq
 
     def counted(old, prev, x, step, i):
-        calls.append((-1 if old is None else old.order, x.order))
+        calls.append((-1 if old is None else len(old[0]) - 1, len(x[0]) - 1))
         return inner(old, prev, x, step, i)
     monkeypatch.setattr(classical, "_extend_qq", counted)
 
@@ -227,8 +227,8 @@ def test_revisit_is_free_and_one_more_k_is_one_product(cold_chains,
     assert (order, len(grown)) == (6, 7)
     base = chain.base(6)
     for j, product in enumerate(grown):
-        assert product == series_falling(base, j, chain.step), j
-        assert held[2][j] == series_falling(chain.base(5), j, chain.step)
+        assert product == row_falling(base, j, chain.step), j
+        assert held[2][j] == row_falling(chain.base(5), j, chain.step)
 
 
 def euler_half(lam, alpha, order: int) -> list:
@@ -263,24 +263,24 @@ def test_base_climbed_one_order_at_a_time_equals_a_fresh_base(
         (chain,) = degenerate._apostol_chains.values()
         base = classical._Reciprocal(chain.base.y)
     steps = []
-    inner = classical.series_reciprocal
+    inner = classical._reciprocal
 
-    def counted(y, old=None):
-        steps.append((-1 if old is None else old.order, y.order))
-        return inner(y, old)
-    monkeypatch.setattr(classical, "series_reciprocal", counted)
+    def counted(nums, den, old=None):
+        steps.append((-1 if old is None else len(old[0]) - 1, len(nums) - 1))
+        return inner(nums, den, old)
+    monkeypatch.setattr(classical, "_reciprocal", counted)
     climbed = [base(order) for order in range(13)]
     # each order step extends the base held, by one coefficient
     assert steps == [(order - 1, order) for order in range(13)]
     fresh = reciprocal_solve(BASES[name](12), 12)
-    for order, series in enumerate(climbed):
-        assert list(series.coeffs) == fresh[:order + 1], order
-    top = climbed[-1]
-    assert top.den > 0 and math.gcd(top.den, *top.nums) == 1
+    for order, row in enumerate(climbed):
+        assert row_values(row) == fresh[:order + 1], order
+    nums, den = climbed[-1]
+    assert den > 0 and math.gcd(den, *nums) == 1
     # a lower order is read from the base held, in lowest terms
     low = base(5)
-    assert steps[-1] == (11, 12) and list(low.coeffs) == fresh[:6]
-    assert math.gcd(low.den, *low.nums) == 1
+    assert steps[-1] == (11, 12) and row_values(low) == fresh[:6]
+    assert math.gcd(low[1], *low[0]) == 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -294,11 +294,11 @@ def test_climbing_reads_equal_one_build_at_the_top_order(cold_chains,
     values = {(n, k): read(n, k) for n in range(13) for k in range(n + 1)}
     chain = family_chain(family)
     top = chain.base(12)
-    fresh = [series_falling(top, k, chain.step) for k in range(13)]
+    fresh = [row_falling(top, k, chain.step) for k in range(13)]
     scale = (lambda n, k: Fraction(math.factorial(n), math.factorial(k))) \
         if family == "s2star" else (lambda n, k: math.factorial(n))
     for (n, k), value in values.items():
-        assert value == fresh[k].coeffs[n] * scale(n, k), (n, k)
+        assert value == row_values(fresh[k])[n] * scale(n, k), (n, k)
     order, _, products = chain.state
     assert order == 12 and list(products) == fresh
 
@@ -502,10 +502,9 @@ def plant_wrong_coefficient(lam, alpha):
     chain = simsek._fk_chains[(lam.numerator, lam.denominator,
                                alpha.numerator, alpha.denominator)]
     order, x, products = chain.state
-    nums = list(products[3].nums)
-    nums[5] += products[3].den
-    wrong = TruncSeries._qq("t", order, nums, products[3].den)
-    chain.state = (order, x, (*products[:3], wrong, *products[4:]))
+    values = row_values(products[3])
+    values[5] += 1
+    chain.state = (order, x, (*products[:3], as_row(values), *products[4:]))
 
 
 def test_a_wrong_point_f_k_coefficient_fails_phi_egf_at_every_point(
@@ -540,19 +539,20 @@ def test_chain_state_is_replaced_not_mutated(step):
     # a reader holding the state keeps a consistent chain however the chain
     # grows after it: a longer product and a higher order each publish a
     # new tuple, and neither touches a product already handed out
-    base = lambda order: exp_t(order) - 1  # noqa: E731
+    def base(order):  # e^t - 1
+        return as_row([0] + [Fraction(1, math.factorial(m))
+                             for m in range(1, order + 1)])
     chain = _ProductChain(base, step)
     chain.product(3, 4)
     held = chain.state
     order, x, products = held
-    texts = [product.render() for product in products]
+    rows = list(products)
     chain.product(6, 4)  # longer products at the same order
     longer = chain.state
     chain.product(4, 7)  # every product extended to a higher order
     extended = chain.state
     assert held == (order, x, products) and held[2] is products
-    assert (len(products), [product.render() for product in products]) \
-        == (4, texts)
+    assert (len(products), list(products)) == (4, rows)
     assert longer is not held and extended is not longer
     for state, top in ((longer, 4), (extended, 7)):
         assert type(state) is tuple and type(state[2]) is tuple
@@ -561,12 +561,12 @@ def test_chain_state_is_replaced_not_mutated(step):
     # the held products are still P_0..P_3 at order 4; the later states
     # keep them at order 4 and extend all seven to order 7
     for j in range(7):
-        at_4 = series_falling(base(4), j, step)
+        at_4 = row_falling(base(4), j, step)
         if j < 4:
             assert products[j] == at_4
             assert longer[2][j] is products[j]
         assert longer[2][j] == at_4
-        assert extended[2][j] == series_falling(base(7), j, step)
+        assert extended[2][j] == row_falling(base(7), j, step)
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +602,10 @@ def empty_memos(monkeypatch):
 
 
 def count_work(monkeypatch) -> list:
-    """Record from now on every product-chain extension, every TruncSeries
-    made (built, brought to lowest terms, held as given or truncated) and
-    every polynomial evaluated at a point that no memo held."""
+    """Record from now on every product-chain extension, every integer row
+    brought to lowest terms, every TruncSeries made (built, held as given
+    or truncated) and every polynomial evaluated at a point that no memo
+    held."""
     work = []
 
     def counting(name, inner):
@@ -617,9 +618,11 @@ def count_work(monkeypatch) -> list:
     for name in ("__init__", "truncate"):
         monkeypatch.setattr(TruncSeries, name, counting(
             "TruncSeries", getattr(TruncSeries, name)))
-    for name in ("_qq", "_held"):
-        monkeypatch.setattr(TruncSeries, name, classmethod(counting(
-            "TruncSeries", getattr(TruncSeries, name).__func__)))
+    for module in (classical, degenerate, simsek):
+        monkeypatch.setattr(module, "_lowest",
+                            counting("_lowest", module._lowest))
+    monkeypatch.setattr(TruncSeries, "_held", classmethod(counting(
+        "TruncSeries", TruncSeries._held.__func__)))
     monkeypatch.setattr(ParamPoly, "_evaluate", counting(
         "ParamPoly._evaluate", ParamPoly._evaluate))
     return work

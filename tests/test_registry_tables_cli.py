@@ -330,6 +330,45 @@ def test_a_fault_in_the_corrected_variant_fails_the_suite(monkeypatch):
     assert not suite_failed(before)
 
 
+def test_a_fault_in_the_shared_reciprocal_fails_every_check_reading_it(
+        monkeypatch):
+    # algebra._reciprocal inverts the Bernoulli and Apostol-Euler bases of
+    # the product chains and the corrected Euler weights of a point; with
+    # one wrong coefficient from t^2 on (the later ones extend it), EXPL-D,
+    # which reads the Bernoulli chain through route D's weights, never
+    # passes, and PHI-AE and PHI-INT-CORR fail at every grid point in
+    # their domain
+    from degsimsek import algebra, classical, degenerate, phi, simsek
+    from degsimsek.registry import _BY_ID
+    exact = algebra._reciprocal
+
+    def faulty(nums, den, old=None):
+        bs, d = exact(nums, den, old)
+        if len(bs) > 2 and (old is None or len(old[0]) <= 2):
+            bs = [*bs[:2], bs[2] + d, *bs[3:]]
+        return algebra._lowest(bs, d)
+
+    for module in (classical, phi):
+        monkeypatch.setattr(module, "_reciprocal", faulty)
+    # cold chains and weights, so that every value is read through the fault
+    monkeypatch.setattr(classical, "_bernoulli_powers", classical._ProductChain(
+        classical._Reciprocal(classical._bernoulli_inner)))
+    monkeypatch.setattr(degenerate, "_apostol_chains", {})
+    monkeypatch.setattr(simsek, "_route_d_weights", {})
+    reports = run_suite(order=8)
+    assert suite_failed(reports)
+    expl_d = [r for r in reports if r.id == "EXPL-D"]
+    assert len(expl_d) == 1 and expl_d[0].status in ("fail", "error")
+    for rid in ("PHI-AE", "PHI-INT-CORR"):
+        checked = [r for r in reports if r.id == rid]
+        assert len(checked) == len(default_grid())
+        for r in checked:
+            inside = _BY_ID[rid].domain(r.lam, r.alpha)
+            assert r.status == ("fail" if inside else "not-applicable"), \
+                (rid, r.lam, r.alpha)
+        assert any(r.status == "fail" for r in checked)
+
+
 def test_a_pass_at_order_one_compared_at_least_one_pair(monkeypatch):
     # verify --order 1: every rational entry that reports pass at a point
     # of the default grid walked at least one pair through reports.verdict

@@ -45,8 +45,7 @@ there.  The series stream reads `new_deg_stirling2` with rational alpha
 and with the symbolic alphas a, 2a, l + a and 0 (a ParamPoly),
 `bernoulli_number`, `apostol_euler` and `fk_series` at a point; it builds
 series with `TruncSeries` from Fraction coefficients it sums itself, a
-polynomial in e^t - 1, and applies `series_reciprocal` (from nothing and
-extended from a lower order), scalar + and -, `==` and `truncate` to them.
+polynomial in e^t - 1, and applies `==` and `truncate` to them.
 It then reads `apostol_euler`, `new_deg_stirling2`
 (rational and the four symbolic alphas) and `bernoulli_number` at three
 points with n falling and rising and k above and below what earlier reads
@@ -163,7 +162,7 @@ from fractions import Fraction as F
 from math import factorial
 from degsimsek import (ParamPoly, TruncSeries, apostol_euler,
                        bernoulli_number, fk_series, new_deg_stirling2,
-                       phi_series, series_reciprocal, y1star)
+                       phi_series, y1star)
 l, a = ParamPoly.lam(), ParamPoly.alpha()
 points = ((F(3, 2), F(1, 3)), (F(-3, 5), F(1, 2)))
 symbolic_alphas = (a, 2 * a, l + a, ParamPoly())
@@ -186,20 +185,14 @@ def series(coeffs):
     return TruncSeries("t", n, out)
 
 
-def operations(s, z, w):
-    # s has a unit constant term, z a zero one; w is a second series
-    inverse = series_reciprocal(s)
-    show("reciprocal", inverse)
-    show("reciprocal extended",
-         series_reciprocal(s, series_reciprocal(s.truncate(s.order // 2))))
-    show("add scalar", s + F(2, 3))
-    show("radd scalar", 2 + w)
-    show("sub scalar", s - F(2, 3))
-    show("eq", (s == w, s + F(1, 3) - F(1, 3) == s, z == 0,
-                w == w.coeffs[0], z + 1 == s))
+def operations(s, w):
+    # w is a second series, z is s with a zero constant term
+    z = TruncSeries(s.var, s.order, [0, *s.coeffs[1:]])
+    show("eq", (s == w, TruncSeries(s.var, s.order, s.coeffs) == s, z == 0,
+                w == w.coeffs[0], z == s))
     for m in range(s.order + 1):
         show(f"truncate {m}", s.truncate(m))
-        show(f"reciprocal truncate {m}", inverse.truncate(m))
+        show(f"zero constant truncate {m}", z.truncate(m))
 
 
 for top in (4, 7, 3, 9, 7):
@@ -216,7 +209,7 @@ for top in (4, 7, 3, 9, 7):
         show(f"F {k}", fk_series(k, top, lam, alpha))
     qq = series([F((-1) ** m * (m + 2), m * m + 3) for m in range(top + 1)])
     qq2 = series([F(m - 2, 2 * m + 1) for m in range(top + 1)])
-    operations(qq, qq - qq.coeffs[0], qq2)
+    operations(qq, qq2)
 
 # (n, k) with n falling and rising and k above and below the length of the
 # chains that earlier reads built; the second pass revisits every value at
