@@ -127,14 +127,14 @@ def _point_step(left: int, above: int, m: int, k: int, c: int,
 class PointContext:
     """Everything the rational checks read at one point lam = p/q,
     alpha = r/s, each value computed on first use and kept, in integers:
-    the rows of phi_n and of sum_k y1(n,k) x^k as integer EGFs in
-    u = x/(q s), the triangles of the powers of log(1+alpha*x)/alpha and
-    of x/(1+alpha*x) in u, the PHI-FT blocks, the Apostol-Euler and
+    the rows of phi_n, one grow-only row per n that every read shares,
+    and of sum_k y1(n,k) x^k as integer EGFs in u = x/(q s), the
+    triangles of the powers of log(1+alpha*x)/alpha and of
+    x/(1+alpha*x) in u, the PHI-FT blocks, the Apostol-Euler and
     corrected Euler weight rows over one denominator each, the
-    S2*(n, j | alpha/lam) table and the REL-S2STAR weights; phi_num(n, k)
-    gives the single integer Phi_n[k], x_coeff turns an entry of an
-    integer EGF back into the Fraction coefficient of x^d, and describe
-    writes a mismatch with it.
+    S2*(n, j | alpha/lam) table and the REL-S2STAR weights; x_coeff turns
+    an entry of an integer EGF back into the Fraction coefficient of x^d,
+    and describe writes a mismatch with it.
     The values are read from simsek.scaled_y1star (route A) and
     simsek.scaled_y1, the integer terms of k! y1star(n,k) and of k! y1(n,k)
     that every point of a suite shares; the S2* table and the Apostol-Euler
@@ -151,8 +151,7 @@ class PointContext:
         self.qs = q * s     # D: x = D u
         self.ps = p * s     # lam D
         self.rq = r * q     # alpha D
-        self._nums: dict[tuple[int, int], int] = {}
-        self._phi: dict[tuple[int, int], list[int]] = {}
+        self._phi: dict[int, list[int]] = {}
         self._triangles = {"log": [[1]], "lah": [[1]]}
         self._rows: dict[tuple[str, int], tuple[list[int], int]] = {}
         self._ft_blocks: dict[tuple[int, int, int], list[int]] = {}
@@ -180,20 +179,14 @@ class PointContext:
         return (f"{template.format(*values)};lhs={self.x_coeff(lhs, d, den)};"
                 f"rhs={self.x_coeff(rhs, d, den)}")
 
-    def phi_num(self, n: int, k: int) -> int:
-        """Phi_n[k] = k! D^k y1star(n,k)."""
-        value = self._nums.get((n, k))
-        if value is None:
-            value = self._nums[(n, k)] = self._numerator(
-                scaled_y1star(n, k), k)
-        return value
-
     def phi_row(self, n: int, order: int) -> list[int]:
-        """Phi_n[0..order]: phi_n at the point as an integer EGF in u."""
-        row = self._phi.get((n, order))
-        if row is None:
-            row = self._phi[(n, order)] = [self.phi_num(n, k)
-                                           for k in range(order + 1)]
+        """Phi_n[0..order] and on: phi_n at the point as an integer EGF in
+        u, entry k = k! D^k y1star(n,k).  One grow-only row per n, extended
+        to order on first need; the row itself is returned, so it may be
+        longer, and a read of one entry is phi_row(n, k)[k]."""
+        row = self._phi.setdefault(n, [])
+        for k in range(len(row), order + 1):
+            row.append(self._numerator(scaled_y1star(n, k), k))
         return row
 
     def y1_row(self, n: int, order: int) -> list[int]:
@@ -250,7 +243,7 @@ class PointContext:
         if block is None:
             # k! D^k y*(j,k) (x/(1+alpha*x))^k is Phi_j[k] times the Lah
             # column k, which starts at u^k: k <= order
-            acc = _sum_rows([(math.comb(n, j) * self.phi_num(j, k),
+            acc = _sum_rows([(math.comb(n, j) * self.phi_row(j, k)[k],
                               self.phi_row(n - j, order))
                              for j in range(n + 1)], order)
             lah = [0] * k + [row[k] for row
@@ -408,7 +401,7 @@ def check_f_transform(ctx: PointContext, n: int, f_coeffs, order: int):
     f_den = math.lcm(*(c.denominator for c in f_coeffs))
     f_nums = [c.numerator * (f_den // c.denominator) for c in f_coeffs]
     lhs = [c * sum(f * m**i for i, f in enumerate(f_nums))
-           for m, c in enumerate(ctx.phi_row(n, order))]
+           for m, c in enumerate(ctx.phi_row(n, order)[:order + 1])]
     # block k starts at x^k, so blocks past the order add nothing
     rhs = _sum_rows([(math.factorial(k) * sum(stirling2(m, k) * f
                                               for m, f in enumerate(f_nums)),

@@ -4,8 +4,9 @@ Each entry is one identity, held as data: a stable id, a self-contained
 statement, a mode, the stream of pairs it compares, its orders text and
 the status of a mismatch.  "symbolic" entries hold in (l, a), run once,
 and compare values in Z[l,a] that simsek and falling_sum compute once and
-keep; "rational" entries run at every grid point, all of them at one
-point on one shared PointContext.  The symbolic checks and REL-S2STAR
+keep (FUNC-EQ reads route E's recurrence at c = 0 as well, on a triangle
+of its own); "rational" entries run at every grid point, all of them at
+one point on one shared PointContext.  The symbolic checks and REL-S2STAR
 compare n, k <= SYMBOLIC_BOUND whatever the suite's order.  The S2* and
 Apostol-Euler values they compare are the ones new_deg_stirling2 and
 apostol_euler serve, read from the same chains.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 import math
 import random
@@ -48,7 +50,8 @@ from .phi import (PointContext, check_egf, check_f_transform,
                   check_phi_recurrence)
 from .reports import (ERROR, EXPECTED_DISCREPANCY, FAIL, NOT_APPLICABLE,
                       IdentityReport, _Record, verdict)
-from .simsek import (_route_c_printed, fk_series, scaled_y1, scaled_y1star,
+from .simsek import (_Triangle, _fill_k_recurrence, _route_c_printed,
+                     fk_series, scaled_y1, scaled_y1star,
                      y1star)  # noqa: F401 (perfbench's tracer test reads it)
 
 SYMBOLIC_BOUND = 8
@@ -259,7 +262,7 @@ _falling_sums: dict[tuple[int, int], dict] = {}
 
 def falling_sum(k: int, n: int) -> dict:
     """sum_i (-1)_{k-i,a} C(k,i) Y(n,i): the right side of THM-S1, and
-    n! [t^n] of the left side of FUNC-EQ, with
+    n! [t^n] of the right side of FUNC-EQ, with
     (-1)_{m,a} = sum_j s(m,j) (-1)^j a^(m-j); computed once per (k, n) and
     kept, so do not mutate the result."""
     value = _falling_sums.get((k, n))
@@ -290,38 +293,17 @@ def _grid(left, right):
             for n in range(SYMBOLIC_BOUND + 1))
 
 
-def _lam_exp_falling(order: int):
-    """Yield, for k = 0, 1, ..., the integer terms of N! [t^d] (l e^t)_{k,a}
-    for d <= N = order: the OGF product of the factors l e^t - j a, j < k.
-    Each factor's coefficients are kept scaled by N!, so a product is N!^2
-    times the value and each of its coefficients is divided by N! once,
-    exactly."""
-    scale = math.factorial(order)
-    lam_exp = [{(1, 0): scale // math.factorial(d)} for d in range(order + 1)]
-    product = [{(0, 0): scale}] + [{}] * order
-    j = 0
-    while True:
-        yield product
-        factor = [_combine([(lam_exp[0], 1, 0, 0), ({(0, 1): scale}, -j, 0, 0)])]
-        factor += lam_exp[1:]
-        product = [{key: v // scale for key, v in _combine(
-            (product[d - e], c, dl, da) for e in range(d + 1)
-            for (dl, da), c in factor[e].items()).items()}
-                   for d in range(order + 1)]
-        j += 1
-
-
 def check_func_eq(order: int):
     """(l e^t)_{k,a} = sum_i (-1)_{k-i,a} C(k,i) i! F_i(t), both sides
-    compared as N! = order! times their t^d coefficients, in integers: the
-    left side's coefficient is falling_sum(k, d)/d!, the right side's comes
-    from _lam_exp_falling."""
-    scale = math.factorial(order)
-    for k, rhs in zip(range(SYMBOLIC_BOUND + 1), _lam_exp_falling(order)):
+    compared as d! times their t^d coefficients, in integers, the sum
+    first: falling_sum(k, d), then d! [t^d] (l e^t)_{k,a}, the cell (d, k)
+    of route E's column recurrence at c = 0, from a triangle built for
+    this call."""
+    left = _Triangle(partial(_fill_k_recurrence, c=0))
+    for k in range(SYMBOLIC_BOUND + 1):
         for d in range(order + 1):
-            weight = scale // math.factorial(d)
-            lhs = {key: v * weight for key, v in falling_sum(k, d).items()}
-            yield ("k={};t^{}", (k, d), scale), lhs, rhs[d]
+            yield (("k={};t^{}", (k, d), math.factorial(d)),
+                   falling_sum(k, d), left.get(d, k))
 
 
 def check_thm_s1():
@@ -422,7 +404,7 @@ def check_rel_s2star(ctx: PointContext, reading: str):
         for n in range(SYMBOLIC_BOUND + 1):
             rhs = sum(w * rows[j][n] for j, w in enumerate(weights))
             yield (("(n,k)=({},{})", (n, k), k, den),
-                   ctx.phi_num(n, k) * den, rhs * scale)
+                   ctx.phi_row(n, k)[k] * den, rhs * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +452,10 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
     if grid is None:
         grid = default_grid(seed, extra_points)
 
-    # F_0..F_bound at the suite bound: route A then reads truncations and
-    # never rebuilds an F_k for a larger n
-    bound = max(SYMBOLIC_BOUND, order)
+    # F_0..F_bound at the bound of what the selection compares: route A
+    # then reads truncations and never rebuilds an F_k for a larger n
+    bound = max([SYMBOLIC_BOUND] + [order for entry in selected
+                                    if "{order}" in entry.orders])
     for k in range(bound + 1):
         fk_series(k, bound)
 

@@ -24,6 +24,10 @@ are verification surfaces:
 
 (s is the signed Stirling-1 triangle, B the higher-order Bernoulli numbers,
 and the convention 0^0 = 1 applies in every j^n sum.)
+
+E's kernel multiplies by the factor l*e^t + c - k*a with the constant term
+c a parameter: route E reads it at c = 1, and the FUNC-EQ check of the
+registry at c = 0, where it gives (l*e^t)_{k,a}.
 """
 
 from __future__ import annotations
@@ -289,7 +293,7 @@ def _route_d(n: int, k: int) -> dict:
 
 class _Triangle:
     """Grow-only (n,k)-triangle filled by an integer recurrence: a cell holds
-    Y(n,k) = k! y*(n,k) as integer terms."""
+    integer terms, Y(n,k) = k! y*(n,k) for routes E and F."""
 
     def __init__(self, fill):
         self.cells: dict[tuple[int, int], dict] = {}
@@ -305,8 +309,10 @@ class _Triangle:
         return self.cells[(n, k)]
 
 
-def _fill_k_recurrence(cells, n_max, k_max):
-    """E: Y(n,k+1) = l sum_i C(n,i) Y(i,k) + (1 - k a) Y(n,k)."""
+def _fill_k_recurrence(cells, n_max, k_max, c=1):
+    """E: Y(n,k+1) = l sum_i C(n,i) Y(i,k) + (c - k a) Y(n,k), so that a
+    cell holds n! [t^n] (l e^t + c)_{k,a}: route E's Y(n,k) at c = 1, and
+    at c = 0 the left side of FUNC-EQ, (l e^t)_{k,a}."""
     for n in range(n_max + 1):
         cells[(n, 0)] = {(0, 0): 1} if n == 0 else {}
     for k in range(k_max):
@@ -316,7 +322,7 @@ def _fill_k_recurrence(cells, n_max, k_max):
             y = cells[(n, k)]
             cells[(n, k + 1)] = _combine(
                 [(cells[(i, k)], math.comb(n, i), 1, 0) for i in range(n + 1)]
-                + [(y, 1, 0, 0), (y, -k, 0, 1)])
+                + [(y, c, 0, 0), (y, -k, 0, 1)])
 
 
 def _fill_n_recurrence(cells, n_max, k_max):

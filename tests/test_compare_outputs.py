@@ -155,9 +155,10 @@ def test_table_cases_catch_a_wrong_s2star_cell(tool, tmp_path, monkeypatch,
 
 def test_suite_stream_catches_a_memo_that_outlives_a_suite(
         tool, tmp_path, monkeypatch, capsys):
-    # a tree that keeps FUNC-EQ's right side from the first suite, whatever
-    # the order of the next, reads alike in every single verify call and
-    # in the library stream, but not in the suite stream
+    # a tree that keeps FUNC-EQ's right side from the first suite as one
+    # list in stream order, whatever the order of the next, reads alike in
+    # every single verify call and in the library stream, but not in the
+    # suite stream
     monkeypatch.setattr(tool, "cases", lambda: [
         ["verify", "--identity", "FUNC-EQ", "--order", "12"],
         ["verify", "--identity", "FUNC-EQ", "--order", "8"],
@@ -166,12 +167,13 @@ def test_suite_stream_catches_a_memo_that_outlives_a_suite(
     stale = copy_tree(tmp_path / "stale")
     with open(stale / "src" / "degsimsek" / "registry.py", "a") as handle:
         handle.write(
-            "\n_fresh_chain = _lam_exp_falling\n_kept = []\n\n\n"
-            "def _lam_exp_falling(order):\n"
+            "\n_exact_func_eq = check_func_eq\n_kept = []\n\n\n"
+            "def check_func_eq(order):\n"
+            "    pairs = list(_exact_func_eq(order))\n"
             "    if not _kept:\n"
-            "        chain = _fresh_chain(order)\n"
-            "        _kept.extend(next(chain) for _ in range(9))\n"
-            "    return iter(_kept)\n")
+            "        _kept.extend(rhs for _, _, rhs in pairs)\n"
+            "    return ((where, lhs, rhs) for (where, lhs, _), rhs\n"
+            "            in zip(pairs, _kept))\n")
     assert tool.main([str(good), str(stale)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "DIFFERS (stdout): suite stream", "4 cases, 1 differing"]

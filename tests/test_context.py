@@ -6,6 +6,7 @@ and count guards on ParamPoly.evaluate, simsek_y1, the factors of route
 A's product, the degenerate Stirling rows and the route values."""
 
 from fractions import Fraction
+from functools import partial
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -160,21 +161,22 @@ def test_symbolic_weights_match_their_definitions(monkeypatch):
 
 
 def test_func_eq_right_side_matches_sympy_series():
-    # an independent derivation: N! [t^d] of the product of the defining
-    # factors l e^t - j a, for k <= 5, with e^t the sympy series
+    # an independent derivation: d! [t^d] of the product of the defining
+    # factors l e^t - j a, for k <= 5, with e^t the sympy series, against
+    # route E's column recurrence at c = 0, which FUNC-EQ reports as rhs
     import sympy
     l, a, t = sympy.symbols("l a t")
     order = 6
-    scale = math.factorial(order)
+    left = simsek._Triangle(partial(simsek._fill_k_recurrence, c=0))
     exp_t = sympy.series(sympy.exp(t), t, 0, order + 1).removeO()
-    for k, rhs in zip(range(6), registry._lam_exp_falling(order)):
+    for k in range(6):
         series = sympy.expand(sympy.Mul(*[l * exp_t - j * a
                                           for j in range(k)]))
         for d in range(order + 1):
-            coeff = sympy.expand(series.coeff(t, d) * scale)
+            coeff = sympy.expand(series.coeff(t, d) * math.factorial(d))
             expected = {} if coeff == 0 else {
                 key: int(c) for key, c in sympy.Poly(coeff, l, a).terms()}
-            assert rhs[d] == expected, (k, d)
+            assert left.get(d, k) == expected, (k, d)
 
 
 def test_shared_symbolic_context_gives_identical_reports(monkeypatch):
@@ -361,6 +363,18 @@ def test_suites_in_one_process_share_the_route_a_store(monkeypatch):
     assert extracted == [] == converted
 
 
+def test_suite_warms_route_a_only_as_far_as_its_selection_compares(
+        monkeypatch):
+    # EXPL-B compares n, k <= 8 whatever the order: alone at order 20 on
+    # cold stores, the suite builds F_0..F_8 at order 8 and nothing above
+    empty_symbolic_stores(monkeypatch)
+    reports = run_suite(["EXPL-B"], order=20)
+    assert [r.status for r in reports] == [PASS]
+    assert {key: series.order for key, series in simsek._fk_cache.items()
+            if isinstance(key, int)} == {k: 8 for k in range(9)}
+    assert max(n for n, _ in simsek._route_a_store) == 8
+
+
 # REL-S2STAR and PHI-LOG against references at random points: lam and
 # alpha with negative numerators, alpha = 0, and larger denominators
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -393,8 +407,10 @@ def test_rel_s2star_readings_equal_the_reference_at_every_term(lam, alpha):
         terms = rel_s2star_terms(lam, alpha, reading)
         for raised in (None, (8, 8)):
             ctx = PointContext(lam, alpha)
-            ctx.phi_num = lambda n, k: ((terms[(n, k)] + ((n, k) == raised))
-                                        * math.factorial(k) * ctx.qs**k)
+            for n in range(9):
+                ctx.phi_row(n, 8)[:] = [
+                    (terms[(n, k)] + ((n, k) == raised))
+                    * math.factorial(k) * ctx.qs**k for k in range(9)]
             _, status, mismatch = verdict_of(READINGS[reading], ctx)
             if raised is None:
                 assert status == PASS, (reading, mismatch)

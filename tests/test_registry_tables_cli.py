@@ -294,8 +294,9 @@ def test_planted_faults_report_the_first_mismatch_in_stream_order(
     from degsimsek.phi import PointContext
     from degsimsek.registry import _BY_ID, _run_entry
     ctx = PointContext(Fraction(2, 3), Fraction(1, 3))
-    phi_num = ctx.phi_num
-    ctx.phi_num = lambda n, k: phi_num(n, k) + ((n, k) in ((0, 2), (2, 0)))
+    # every check reads the context's one kept row per n
+    for n, k in ((0, 2), (2, 0)):
+        ctx.phi_row(n, 8)[k] += 1
     report = _run_entry(_BY_ID[rid], ctx, 8, 0)
     assert (report.orders, report.status, report.mismatch) == \
         ("K=8;n<=3", status, text)
@@ -367,6 +368,27 @@ def test_a_fault_in_the_shared_reciprocal_fails_every_check_reading_it(
             assert r.status == ("fail" if inside else "not-applicable"), \
                 (rid, r.lam, r.alpha)
         assert any(r.status == "fail" for r in checked)
+
+
+def test_a_wrong_step_in_route_e_fails_rec_k_and_func_eq(monkeypatch):
+    # route E's column recurrence serves REC-K at c = 1 and FUNC-EQ's left
+    # side at c = 0: with its step term -k read as -(k + 1) from k = 3 on,
+    # both fail, and so does the suite, while EXPL-B, which reads route A
+    # and route B alone, passes
+    import inspect
+    from degsimsek import registry, simsek
+    source = inspect.getsource(simsek._fill_k_recurrence)
+    assert source.count("(y, -k, 0, 1)") == 1
+    namespace = dict(vars(simsek))
+    exec(source.replace("(y, -k, 0, 1)", "(y, -k - (k >= 3), 0, 1)"),
+         namespace)
+    mutant = namespace["_fill_k_recurrence"]
+    monkeypatch.setattr(simsek, "_triangle_e", simsek._Triangle(mutant))
+    monkeypatch.setattr(registry, "_fill_k_recurrence", mutant)
+    reports = run_suite(["EXPL-B", "FUNC-EQ", "REC-K"], order=8)
+    assert {r.id: r.status for r in reports} == {
+        "EXPL-B": "pass", "FUNC-EQ": "fail", "REC-K": "fail"}
+    assert suite_failed(reports)
 
 
 def test_a_pass_at_order_one_compared_at_least_one_pair(monkeypatch):
