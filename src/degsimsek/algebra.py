@@ -10,11 +10,11 @@ rows keep coefficients only up to an explicit truncation order; no
 operation ever consults a coefficient beyond it.
 
 A ParamPoly holds integer numerators over one positive denominator in
-lowest terms, which arithmetic, ==, `evaluate` and `render` read; its
-Fraction `terms`, which `substitute` reads, are built on each read.  The
-fraction-free routes build their values from integer terms with `_over`.
-The powers `evaluate` multiplies by are kept per point and top degrees, in
-one table that every polynomial evaluated there shares.
+lowest terms, which every operation reads; its Fraction `terms` are built
+on each read, for callers only.  The fraction-free routes build their
+values from integer terms with `_over`.  The powers `evaluate` and
+`substitute` multiply by are kept per point and top degrees, in one table
+that every polynomial read there shares.
 """
 
 from __future__ import annotations
@@ -68,13 +68,13 @@ class ParamPoly:
     A value is held in one integer form: `_nums`, a dict mapping
     (deg_l, deg_a) to a nonzero int, over one positive denominator `_den`,
     in lowest terms (the gcd of _den and all numerators is 1), so equal
-    polynomials have equal forms.  `terms`, the same value as a dict
-    mapping (deg_l, deg_a) to a nonzero Fraction, is built fresh on each
-    read, so mutating it leaves the polynomial as it was; arithmetic, ==,
-    `evaluate` and `render` read the integer form, `substitute` the terms.
-    A value is built from terms or as `lam()` or `alpha()`; it adds,
-    subtracts and multiplies with a ParamPoly, an int or a Fraction, which
-    symbolic S2*'s Horner loop runs, and has no power.
+    polynomials have equal forms, and every operation reads it.  `terms`,
+    the same value as a dict mapping (deg_l, deg_a) to a nonzero Fraction,
+    is built fresh on each read, so mutating it leaves the polynomial as it
+    was.  A value is built from terms, with `_over`, or as `lam()` or
+    `alpha()`; it evaluates, substitutes and renders, and has only the
+    operators a caller runs, with an int, a Fraction or a ParamPoly on
+    either side: `+`, `*` and `==`.  For p - q write p + (-1) * q.
     The canonical text form lists terms with deg_l descending and, within
     equal deg_l, deg_a ascending: "1*l^2 + 1*l + -1/2*l*a".
 
@@ -106,16 +106,19 @@ class ParamPoly:
 
     @classmethod
     def lam(cls) -> "ParamPoly":
+        """l; kept for perfbench's tracer test, which multiplies it."""
         return cls({(1, 0): Fraction(1)})
 
     @classmethod
     def alpha(cls) -> "ParamPoly":
+        """a; kept as the symbolic alpha of `table --family s2star`."""
         return cls({(0, 1): Fraction(1)})
 
     # -- arithmetic -----------------------------------------------------------
 
     @staticmethod
     def _coerce(other) -> "ParamPoly | None":
+        """other as a ParamPoly, or None: the operand of +, * and ==."""
         if isinstance(other, ParamPoly):
             return other
         if isinstance(other, (int, Fraction)):
@@ -123,6 +126,7 @@ class ParamPoly:
         return None
 
     def __add__(self, other):
+        """Kept for symbolic S2*'s Horner loop, and sum() (__radd__)."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -136,22 +140,8 @@ class ParamPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _over({key: -c for key, c in self._nums.items()}, self._den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
+        """Kept for the Horner loop and perfbench's reference and tracer."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -166,6 +156,7 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        """Kept: value equality, which TruncSeries == reads per coefficient."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -213,19 +204,23 @@ class ParamPoly:
 
     def substitute(self, lam=None, alpha=None) -> "ParamPoly":
         """Substitute rationals for either or both parameters, keeping the
-        other symbolic."""
-        lam = None if lam is None else Fraction(lam)
-        alpha = None if alpha is None else Fraction(alpha)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            if lam is not None:
-                c *= lam**i
-                i = 0
-            if alpha is not None:
-                c *= alpha**j
-                j = 0
-            out[(i, j)] = out.get((i, j), 0) + c
-        return ParamPoly(out)
+        other symbolic.  As in `evaluate`, lam = p/q homogenises the integer
+        form over _den * q^I, each term c l^i a^j read as c p^i q^(I-i) a^j
+        from the point's rows (`_point_rows`), and alpha = r/s alike; a
+        parameter kept symbolic is read at 1/1, whose rows are all 1."""
+        nums = self._nums
+        if not nums:
+            return self
+        keep_l, keep_a = lam is None, alpha is None
+        l_row, a_row, scale = _point_rows(
+            *(1, 1) if keep_l else _point_key(lam),
+            *(1, 1) if keep_a else _point_key(alpha),
+            max(nums)[0], max(j for _, j in nums))
+        out: dict[tuple[int, int], int] = {}
+        for (i, j), c in nums.items():
+            key = (i if keep_l else 0, j if keep_a else 0)
+            out[key] = out.get(key, 0) + c * l_row[i] * a_row[j]
+        return _over(out, self._den * scale)
 
     # -- canonical text ------------------------------------------------------
 
@@ -358,13 +353,15 @@ class TruncSeries:
     """Formal power series in one named variable, truncated at a fixed
     order: the type in which the package returns a series.
 
-    `coeffs` is a tuple of order+1 Fractions, or of ParamPoly values for
-    route A's symbolic F_k, which `simsek.fk_series` holds with `_held`.
-    A series truncates to a lower order, compares with == (series in
-    different variables or of different orders are unequal) and renders;
-    it has no arithmetic, so every operator raises TypeError.  The number
-    families sum on integer rows instead (`_lowest`, `_reciprocal` and the
-    product chains of `classical`), and route A on its own kernel
+    `coeffs` is a tuple of order+1 Fractions, or of ParamPoly values
+    (route A's symbolic F_k), which the constructor keeps as given; it
+    reads an int or a Fraction as a Fraction, and it is the one way a
+    series is built, `truncate` included.  A series truncates to a lower
+    order, compares with == (series in different variables or of different
+    orders are unequal) and renders; it has no arithmetic, so every
+    operator raises TypeError.  The number families sum on integer rows
+    instead (`_lowest`, `_reciprocal` and the product chains of
+    `classical`), and route A on its own kernel
     (`simsek._route_a_product`); a series is built once, from the values.
     """
 
@@ -373,32 +370,22 @@ class TruncSeries:
     def __init__(self, var: str, order: int, coeffs):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        coeffs = [_rational(c) for c in coeffs][: order + 1]
+        coeffs = [c if isinstance(c, ParamPoly) else _rational(c)
+                  for c in coeffs][: order + 1]
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         self.var = var
         self.order = order
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def _held(cls, var: str, order: int, coeffs: tuple) -> "TruncSeries":
-        """The series with the order+1 coefficients `coeffs`, a tuple held
-        as given without coercing them."""
-        s = cls.__new__(cls)
-        s.var = var
-        s.order = order
-        s.coeffs = coeffs
-        return s
-
     def truncate(self, order: int) -> "TruncSeries":
-        """The first order+1 coefficients, sliced without coercing them
-        again; ValueError for a negative order, SeriesStructureError for
-        one above the series' own."""
+        """The first order+1 coefficients; ValueError for a negative order,
+        SeriesStructureError for one above the series' own."""
         if order < 0:
             raise ValueError("truncation order must be non-negative")
         if order > self.order:
             raise SeriesStructureError(
                 f"cannot extend order {self.order} series to {order}")
-        return TruncSeries._held(self.var, order, self.coeffs[: order + 1])
+        return TruncSeries(self.var, order, self.coeffs[: order + 1])
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries):

@@ -21,7 +21,7 @@ import sys
 
 from .algebra import parse_rational
 from .phi import phi_series
-from .registry import (REGISTRY, registry_ids, run_suite, suite_failed)
+from .registry import REGISTRY, run_suite, suite_failed
 from .reports import ERROR, FAIL, reports_to_csv, reports_to_json
 from .simsek import ROUTES, fk_series
 from .tables import (FAMILIES, FAMILY_TABLE, TableUsageError, _specialize,
@@ -249,13 +249,12 @@ def _cmd_verify(args) -> int:
         if not ids:
             print("verify: --identity names no identity id", file=sys.stderr)
             return USAGE_ERROR
-        unknown = [i for i in ids if i not in registry_ids()]
-        if unknown:
-            print(f"verify: unknown identity id(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-    reports = run_suite(ids, order=args.order, seed=args.seed,
-                        extra_points=args.random_points)
+    try:
+        reports = run_suite(ids, order=args.order, seed=args.seed,
+                            extra_points=args.random_points)
+    except KeyError as exc:  # an unknown id, named once in the message
+        print(f"verify: {exc.args[0]}", file=sys.stderr)
+        return USAGE_ERROR
     if args.format == "json":
         text = reports_to_json(reports)
     elif args.format == "csv":

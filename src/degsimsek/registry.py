@@ -75,6 +75,11 @@ F_TRANSFORM_POLYS: tuple[tuple[Fraction, ...], ...] = (
 
 PHI_N_VALUES = (0, 1, 2, 3)
 PHI_INT_N_VALUES = (1, 2, 3)
+# (K, N) of the y*(n,k) an entry reads, None standing for the suite's
+# order: the symbolic grid's and REL-S2STAR's, and a phi check's but
+# PHI-EGF's, which reads phi_n for n <= 4 (PHI-REC reads phi_{n+1})
+_GRID_READS = (SYMBOLIC_BOUND, SYMBOLIC_BOUND)
+_PHI_READS = (None, max(PHI_N_VALUES) + 1)
 
 
 def _everywhere(lam: Fraction, alpha: Fraction) -> bool:
@@ -117,14 +122,17 @@ class RegistryEntry(_Record):
     None for a symbolic entry; orders is their text, {order} standing for
     the suite's order; mismatch_status(lam, alpha) gives the status of a
     mismatch, and outside domain(lam, alpha) a rational entry reports
-    "not-applicable" without running."""
+    "not-applicable" without running; reads is (K, N), the largest k and
+    n of the y*(n,k) it reads, None standing for the suite's order, which
+    run_suite warms route A to."""
 
     _FIELDS = ("id", "description", "mode", "variant_of")
 
     def __init__(self, id: str, description: str, mode: str, orders: str,
                  pairs: Callable, variant_of: str | None = None,
                  mismatch_status: Callable = _fail,
-                 domain: Callable[[Fraction, Fraction], bool] = _everywhere):
+                 domain: Callable[[Fraction, Fraction], bool] = _everywhere,
+                 reads: tuple = _GRID_READS):
         self.id = id
         self.description = description
         self.mode = mode  # "symbolic" | "rational"
@@ -133,6 +141,7 @@ class RegistryEntry(_Record):
         self.variant_of = variant_of
         self.mismatch_status = mismatch_status
         self.domain = domain
+        self.reads = reads
 
 
 def _per_n(check, ctx, order: int, ns=PHI_N_VALUES, **options):
@@ -164,7 +173,8 @@ REGISTRY: tuple[RegistryEntry, ...] = (
                   "F_i(t), as series with ParamPoly coefficients, "
                   f"k <= {SYMBOLIC_BOUND}", "symbolic",
                   f"k<={SYMBOLIC_BOUND};N={{order}}",
-                  lambda ctx, order: check_func_eq(order)),
+                  lambda ctx, order: check_func_eq(order),
+                  reads=(SYMBOLIC_BOUND, None)),
     RegistryEntry("THM-S1", "sum_j a^(k-j) s(k,j) l^j j^n = sum_i (-1)_{k-i,a} "
                   "i! C(k,i) y*(n,i), plus its a=0 reduction, "
                   f"n,k <= {SYMBOLIC_BOUND}", "symbolic", _GRID_ORDERS,
@@ -209,45 +219,47 @@ REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry("PHI-EGF", "sum_n phi_n(x) t^n/n! = e_a^(l e^t + 1)(x) as a "
                   "bivariate truncated series", "rational",
                   "Nt={order};K={order}",
-                  lambda ctx, order: check_egf(ctx, order)),
+                  lambda ctx, order: check_egf(ctx, order),
+                  reads=(None, None)),
     RegistryEntry("PHI-LOG", "phi_n(x) = sum_k (log(1+a x)/a)^k y1(n,k); "
                   "trivially true at a=0", "rational", _PHI_ORDERS,
                   lambda ctx, order: _per_n(check_log_substitution, ctx,
-                                            order)),
+                                            order), reads=_PHI_READS),
     RegistryEntry("PHI-REC", "phi_{n+1} = (l/a) log(1+a x) sum_i C(n,i) phi_i",
                   "rational", _PHI_ORDERS,
-                  lambda ctx, order: _per_n(check_phi_recurrence, ctx, order)),
+                  lambda ctx, order: _per_n(check_phi_recurrence, ctx, order),
+                  reads=_PHI_READS),
     RegistryEntry("PHI-DER", "(1+a x) phi_n' = l sum_i C(n,i) phi_i + phi_n",
                   "rational", _PHI_ORDERS,
-                  lambda ctx, order: _per_n(check_phi_derivative, ctx, order)),
+                  lambda ctx, order: _per_n(check_phi_derivative, ctx, order),
+                  reads=_PHI_READS),
     RegistryEntry("PHI-AE", "(1+a x) sum_m C(n,m) E_{n-m}(l) phi_m' = 2 phi_n "
                   "with Apostol-Euler weights", "rational", _PHI_ORDERS,
                   lambda ctx, order: _per_n(check_phi_apostol, ctx, order),
-                  domain=_lam_not_minus_one),
+                  domain=_lam_not_minus_one, reads=_PHI_READS),
     RegistryEntry("PHI-INT", "int_0^x phi_n = ((1+a x)/2) sum_i C(n,i) "
                   "E_{n-i}(l) phi_i - E_n(l)/2; exact at a=0, deterministic "
                   "discrepancy at a != 0", "rational", _PHI_ORDERS,
                   lambda ctx, order: _per_n(check_phi_integral, ctx, order,
                                             PHI_INT_N_VALUES),
-                  None, _exact_at_alpha_zero, _lam_not_minus_one),
+                  None, _exact_at_alpha_zero, _lam_not_minus_one,
+                  _PHI_READS),
     RegistryEntry("PHI-INT-CORR", "integral identity with the corrected "
                   "divisor l e^t + 1 + a (derived here, not part of the "
                   "stated family)", "rational", _PHI_ORDERS,
                   lambda ctx, order: _per_n(check_phi_integral, ctx, order,
                                             PHI_INT_N_VALUES, corrected=True),
-                  "PHI-INT", domain=_corrected_divisor_nonzero),
+                  "PHI-INT", domain=_corrected_divisor_nonzero,
+                  reads=_PHI_READS),
     RegistryEntry("PHI-FT", "polynomial-transform identity for f in "
                   "{1, x, x^2, x^3-2x}", "rational", _PHI_ORDERS,
                   lambda ctx, order: chain.from_iterable(
                       check_f_transform(ctx, n, f, order)
-                      for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES)),
+                      for f in F_TRANSFORM_POLYS for n in PHI_N_VALUES),
+                  reads=_PHI_READS),
 )
 
 _BY_ID = {e.id: e for e in REGISTRY}
-
-
-def registry_ids() -> list[str]:
-    return [e.id for e in REGISTRY]
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +464,12 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
     if grid is None:
         grid = default_grid(seed, extra_points)
 
-    # F_0..F_bound at the bound of what the selection compares: route A
-    # then reads truncations and never rebuilds an F_k for a larger n
-    bound = max([SYMBOLIC_BOUND] + [order for entry in selected
-                                    if "{order}" in entry.orders])
-    for k in range(bound + 1):
-        fk_series(k, bound)
+    # F_0..F_K at order N, the largest k and n the selection reads: route
+    # A then reads truncations and never rebuilds an F_k for a larger n
+    top_k, top_n = (max(order if top is None else top for top in tops)
+                    for tops in zip(*(entry.reads for entry in selected)))
+    for k in range(top_k + 1):
+        fk_series(k, top_n)
 
     reports = [_run_entry(entry, None, order, 0)
                for entry in selected if entry.mode == "symbolic"]

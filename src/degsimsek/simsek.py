@@ -126,7 +126,7 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
                 terms = _route_a_store[(n, k)] = _int_terms(c, n_fact)
             coeffs.append(_over(terms, n_fact * k_fact))
             n_fact *= n + 1
-        series = TruncSeries._held("t", order, tuple(coeffs))
+        series = TruncSeries("t", order, coeffs)
         _fk_cache[k] = _fk_cache[key] = series
         return series
     if k < 0 or order < 0:  # before a chain is made for the point
@@ -138,8 +138,8 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     if series is None:
         nums, den = chain.product(k, order)
         den *= math.factorial(k)
-        series = chain.values[(order, k)] = TruncSeries._held(
-            "t", order, tuple(Fraction(c, den) for c in nums[:order + 1]))
+        series = chain.values[(order, k)] = TruncSeries(
+            "t", order, [Fraction(c, den) for c in nums[:order + 1]])
     return series
 
 

@@ -370,6 +370,17 @@ def phi_reference(rid: str, lam, alpha, order: int, y, y1, ns, f_polys=()):
     return status, mismatch
 
 
+def neg(x):
+    """-x for a rational or a ParamPoly, which has no unary minus."""
+    return (-1) * x
+
+
+def sub(x, y):
+    """x - y for rationals or ParamPoly values: x + (-1) * y, as ParamPoly
+    has no binary minus."""
+    return x + (-1) * y
+
+
 # Polynomials in (l, a) as plain Fraction dicts {(deg_l, deg_a): nonzero
 # Fraction}: the references ParamPoly's operators are checked against.
 
@@ -440,7 +451,7 @@ def falling_product(x: list, k: int, step, one, zero) -> list:
     ring whose elements carry their own + and *; at step 0 it is x^k."""
     out = [one] + [zero] * (len(x) - 1)
     for j in range(k):
-        out = ring_product(out, [x[0] - step * j, *x[1:]], zero)
+        out = ring_product(out, [sub(x[0], step * j), *x[1:]], zero)
     return out
 
 

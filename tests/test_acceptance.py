@@ -20,7 +20,7 @@ from degsimsek.registry import FIXED_POINTS, run_suite
 from degsimsek.simsek import ROUTES, y1star
 
 from oracles import (count_partitions, falling, falling_factorial_coeffs,
-                     reciprocal_solve)
+                     reciprocal_solve, sub)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -145,15 +145,15 @@ def test_criterion_7_golden_oracle_values():
     ok &= recip[2] * math.factorial(2) == Fraction(1, 6) == bernoulli_number(2, 1)
 
     # hand expansion of F_2 to order 1: factors (l+1)+l t and (l+1-a)+l t
-    hand = ((L + 1) * L + L * (L + 1 - A)) * Fraction(1, 2)
-    ok &= hand == L * L + L - L * A * Fraction(1, 2)
+    hand = ((L + 1) * L + L * sub(L + 1, A)) * Fraction(1, 2)
+    ok &= hand == sub(L * L + L, L * A * Fraction(1, 2))
     ok &= all(y1star(1, 2, route) == hand for route in ROUTES)
 
     # x(x-a) - (x)_2 = (1-a) x  and  (x)_2 - x(x-a) = (a-1) x
-    diff2 = falling(L, 2, A) - falling(L, 2, 1)
-    ok &= diff2 == (1 - A) * L and deg_stirling2(2, 1) == 1 - A
-    diff1 = falling(L, 2, 1) - falling(L, 2, A)
-    ok &= diff1 == (A - 1) * L and deg_stirling1(2, 1) == A - 1
+    diff2 = sub(falling(L, 2, A), falling(L, 2, 1))
+    ok &= diff2 == sub(1, A) * L and deg_stirling2(2, 1) == sub(1, A)
+    diff1 = sub(falling(L, 2, 1), falling(L, 2, A))
+    ok &= diff1 == sub(A, 1) * L and deg_stirling1(2, 1) == sub(A, 1)
 
     _report("7 golden values pinned by independent oracles", bool(ok))
 

@@ -17,8 +17,8 @@ from degsimsek.classical import _ProductChain
 from degsimsek.simsek import fk_series
 
 from oracles import (add_constant, as_row, compose, count_partitions,
-                     exp_series, log1p_series, poly_mul, reciprocal_solve,
-                     row_values, series_mul)
+                     exp_series, log1p_series, neg, poly_mul,
+                     reciprocal_solve, row_values, series_mul, sub)
 
 
 def qs(coeffs, order=None, var="t"):
@@ -40,7 +40,7 @@ REMOVED = {
     "algebra": ("exp_t", "series_reciprocal"),
     "classical": ("degenerate_falling",),
     "ParamPoly": ("const", "term", "deg_l", "deg_a", "constant_value",
-                  "__pow__"),
+                  "__pow__", "__sub__", "__rsub__", "__neg__"),
     "TruncSeries": ("__mul__", "__rmul__", "_mul_qq", "__pow__", "__neg__",
                     "__rsub__", "variable", "_check_compatible", "__add__",
                     "__radd__", "__sub__", "constant", "_qq", "nums", "den",
@@ -68,6 +68,20 @@ def test_removed_series_algebra_raises_and_its_names_are_gone(operation):
     for name in REMOVED["degsimsek"]:
         assert name not in degsimsek.__all__
     assert TruncSeries.__slots__ == ("var", "order", "coeffs")
+
+
+@pytest.mark.parametrize("operation", [
+    lambda p, q: p - 1, lambda p, q: 1 - p, lambda p, q: -p,
+    lambda p, q: p - q], ids=["p-1", "1-p", "-p", "p-q"])
+def test_removed_parampoly_minus_raises(operation):
+    # no command subtracts or negates a polynomial: p - q is p + (-1) * q
+    p = ParamPoly({(1, 0): 2, (0, 0): Fraction(-1, 3)})
+    with pytest.raises(TypeError):
+        operation(p, ParamPoly.alpha())
+    # the replacements README gives
+    assert p + (-1) * ParamPoly.alpha() == ParamPoly(
+        {(1, 0): 2, (0, 0): Fraction(-1, 3), (0, 1): -1})
+    assert (-1) * p == ParamPoly({(1, 0): -2, (0, 0): Fraction(1, 3)})
 
 
 @pytest.mark.parametrize("order", [-3, -1])
@@ -179,8 +193,8 @@ def test_compose_exp_with_expm1_gives_bell_numbers():
 # ---------------------------------------------------------------------------
 
 def test_poly_eval_examples():
-    p = (ParamPoly.lam() * ParamPoly.lam() + ParamPoly.lam()
-         - ParamPoly.lam() * ParamPoly.alpha() * Fraction(1, 2))
+    p = sub(ParamPoly.lam() * ParamPoly.lam() + ParamPoly.lam(),
+            ParamPoly.lam() * ParamPoly.alpha() * Fraction(1, 2))
     assert p.evaluate(1, 0) == 2
     assert ParamPoly({(0, 0): 1}).evaluate(Fraction(7, 3), Fraction(-5)) == 1
     assert (ParamPoly.lam() * ParamPoly.alpha()).evaluate(
@@ -224,8 +238,8 @@ def test_parse_rational_caps_the_decimal_exponent():
 
 
 def test_parampoly_render_canonical_order():
-    p = (ParamPoly.lam() * ParamPoly.lam() + ParamPoly.lam()
-         - ParamPoly.lam() * ParamPoly.alpha() * Fraction(1, 2))
+    p = sub(ParamPoly.lam() * ParamPoly.lam() + ParamPoly.lam(),
+            ParamPoly.lam() * ParamPoly.alpha() * Fraction(1, 2))
     assert p.render() == "1*l^2 + 1*l + -1/2*l*a"
     assert ParamPoly().render() == "0"
     assert ParamPoly({(0, 0): Fraction(-1, 2)}).render() == "-1/2"
@@ -284,7 +298,7 @@ def _ring_axioms(a, b, c, one):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * one == a
-    assert a + (-a) == a - a
+    assert a + neg(a) == sub(a, a)
 
 
 def test_ring_axioms_rationals():

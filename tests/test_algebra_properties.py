@@ -25,9 +25,9 @@ from degsimsek.classical import _ProductChain
 from degsimsek.degenerate import new_deg_stirling2
 from degsimsek.simsek import _int_terms, _pp_dot
 
-from oracles import (as_row, falling_product, reciprocal_solve, ring_product,
-                     row_values, series_mul, terms_add, terms_mul, terms_neg,
-                     terms_substitute)
+from oracles import (as_row, falling_product, neg, reciprocal_solve,
+                     ring_product, row_values, series_mul, sub, terms_add,
+                     terms_mul, terms_neg, terms_substitute)
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 25))
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -75,6 +75,27 @@ def test_substitute_one_then_other_equals_evaluate(poly, value):
         ParamPoly({(0, 0): poly.evaluate(value, value)})
     assert poly.substitute(alpha=value).evaluate(value, 0) == \
         poly.evaluate(value, value)
+
+
+@SETTINGS
+@given(polys, small_rationals, small_rationals)
+# zero and negative numerators on either side, and the zero polynomial
+@example(ParamPoly({(2, 3): Fraction(-5, 6), (0, 1): 3}), Fraction(0),
+         Fraction(-4, 7))
+@example(ParamPoly({(1, 2): Fraction(7, 2), (3, 0): -1}), Fraction(-9, 4),
+         Fraction(0))
+@example(ParamPoly(), Fraction(-1), Fraction(-2, 3))
+def test_substitute_then_evaluate_equals_evaluate(poly, x, y):
+    # substitute homogenises the integer form over the point's rows as
+    # evaluate does: one parameter substituted, the other evaluated, gives
+    # the value at (x, y), and the substituted parameter is gone
+    value = poly.evaluate(x, y)
+    by_lam, by_alpha = poly.substitute(lam=x), poly.substitute(alpha=y)
+    assert by_lam.evaluate(x, y) == by_alpha.evaluate(x, y) == value
+    assert all(i == 0 for i, _ in by_lam.terms)
+    assert all(j == 0 for _, j in by_alpha.terms)
+    integer_form(by_lam)
+    integer_form(by_alpha)
 
 
 int_terms = st.dictionaries(exponents, st.integers(-10**6, 10**6), max_size=8)
@@ -129,7 +150,7 @@ def test_integer_form_reads_like_the_fraction_form(terms, den, other, lam,
             int_terms_or_error(fractions, scale) == expected
     assert over == frac and frac == over
     assert over.render() == frac.render()
-    for op in (operator.add, operator.sub, operator.mul):
+    for op in (operator.add, sub, operator.mul):
         assert op(over, other).render() == op(frac, other).render()
         assert op(other, over).render() == op(other, frac).render()
     for values in ({"lam": lam}, {"alpha": alpha},
@@ -153,8 +174,8 @@ def test_operators_equal_the_fraction_dict_reference(p, q, n, lam, alpha):
     # result held in lowest terms over a positive denominator
     P, Q = dict(p.terms), dict(q.terms)
     results = [(p + q, terms_add(P, Q)),
-               (p - q, terms_add(P, terms_neg(Q))),
-               (-p, terms_neg(P)),
+               (sub(p, q), terms_add(P, terms_neg(Q))),
+               (neg(p), terms_neg(P)),
                (p * q, terms_mul(P, Q)),
                (p.substitute(lam=lam), terms_substitute(P, lam=lam)),
                (p.substitute(alpha=alpha), terms_substitute(P, alpha=alpha)),
@@ -162,8 +183,8 @@ def test_operators_equal_the_fraction_dict_reference(p, q, n, lam, alpha):
     for c in (lam, n):
         C = {(0, 0): Fraction(c)} if c else {}
         results += [(p + c, terms_add(P, C)), (c + p, terms_add(C, P)),
-                    (p - c, terms_add(P, terms_neg(C))),
-                    (c - p, terms_add(C, terms_neg(P))),
+                    (sub(p, c), terms_add(P, terms_neg(C))),
+                    (sub(c, p), terms_add(C, terms_neg(P))),
                     (p * c, terms_mul(P, C)), (c * p, terms_mul(C, P))]
     for value, expected in results:
         assert type(value) is ParamPoly
@@ -280,7 +301,7 @@ def pp_pairs(draw):
         p, q, s = draw(polys), draw(polys), draw(polys)
         x = draw(zero_or(polys, ParamPoly()))
         a[:2] = [p, q]
-        b[:2] = [p * s, -(q * s) + x]
+        b[:2] = [p * s, neg(q * s) + x]
     return a, b
 
 
@@ -293,9 +314,9 @@ def assert_no_zero_terms(coeffs: list):
 
 @SETTINGS
 @given(pp_pairs())
-@example(([L, L], [A, -A]))  # (l + l t)(a - a t) = l a - l a t^2
+@example(([L, L], [A, neg(A)]))  # (l + l t)(a - a t) = l a - l a t^2
 @example(([ParamPoly()] * 3, [L, ParamPoly(), A]))
-@example(([L + 1, L - A], [L + 1, A - L]))  # coefficient 1 cancels
+@example(([L + 1, sub(L, A)], [L + 1, sub(A, L)]))  # coefficient 1 cancels
 def test_pp_product_kernel_equals_the_ring_loop(pair):
     a, b = pair
     product = pp_product(a, b)

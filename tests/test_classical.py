@@ -15,7 +15,7 @@ from oracles import (add_constant, as_row, bernoulli_poly,
                      bernoulli_poly_coeffs, count_partitions, exp_series,
                      falling, falling_factorial_coeffs, log1p_series,
                      reciprocal_solve, ring_product, row_values,
-                     series_falling)
+                     series_falling, sub)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -135,9 +135,9 @@ def test_bernoulli_numbers_low_order():
 def test_bernoulli_poly_low_order():
     assert bernoulli_poly(0, 3, L) == 1
     # B_1^(1)(x) = x - 1/2 from expanding t e^{xt}/(e^t - 1) to order 1
-    assert bernoulli_poly(1, 1, L) == L - Fraction(1, 2)
+    assert bernoulli_poly(1, 1, L) == sub(L, Fraction(1, 2))
     # recurrence spot value: B_1^(2)(x) = (1-1/1) B_1^(1) + 1*(x/1-1) B_0^(1)
-    assert bernoulli_poly(1, 2, L) == L - 1
+    assert bernoulli_poly(1, 2, L) == sub(L, 1)
 
 
 def test_bernoulli_poly_against_gf():
@@ -171,7 +171,7 @@ def test_bernoulli_poly_recurrence():
             lhs = bernoulli_poly(k, n + 1, L)
             rhs = bernoulli_poly(k, n, L) * (1 - Fraction(k, n))
             if k >= 1:
-                rhs = rhs + (L * Fraction(1, n) - 1) \
+                rhs = rhs + sub(L * Fraction(1, n), 1) \
                     * bernoulli_poly(k - 1, n, L) * k
             assert lhs == rhs
 

@@ -19,7 +19,7 @@ from degsimsek.phi import PointContext, log_substitution_rhs, phi_series
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, falling_sum,
                                 random_points, run_suite)
 from degsimsek.reports import (EXPECTED_DISCREPANCY, FAIL, PASS,
-                               reports_to_json)
+                               TRIVIALLY_TRUE, reports_to_json)
 from degsimsek.simsek import ROUTES, _int_terms, simsek_y1, y1star
 
 from oracles import (as_row, compose, expl_c_printed_sympy, falling,
@@ -373,6 +373,23 @@ def test_suite_warms_route_a_only_as_far_as_its_selection_compares(
     assert {key: series.order for key, series in simsek._fk_cache.items()
             if isinstance(key, int)} == {k: 8 for k in range(9)}
     assert max(n for n, _ in simsek._route_a_store) == 8
+    # FUNC-EQ reads k <= 8 and n <= the order: F_0..F_8 at order 20, and
+    # no F_k above
+    empty_symbolic_stores(monkeypatch)
+    reports = run_suite(["FUNC-EQ"], order=20)
+    assert [r.status for r in reports] == [PASS]
+    assert {key: series.order for key, series in simsek._fk_cache.items()
+            if isinstance(key, int)} == {k: 20 for k in range(9)}
+    assert max(k for _, k in simsek._route_a_store) == 8
+    # PHI-LOG reads phi_n for n <= 3 to x^order: F_0..F_20 at order 4, so
+    # no F_k above order 8
+    empty_symbolic_stores(monkeypatch)
+    reports = run_suite(["PHI-LOG"], order=20)
+    # trivially true at alpha = 0
+    assert {r.status for r in reports} == {PASS, TRIVIALLY_TRUE}
+    assert {key: series.order for key, series in simsek._fk_cache.items()
+            if isinstance(key, int)} == {k: 4 for k in range(21)}
+    assert max(n for n, _ in simsek._route_a_store) <= 8
 
 
 # REL-S2STAR and PHI-LOG against references at random points: lam and

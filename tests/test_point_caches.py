@@ -603,9 +603,8 @@ def empty_memos(monkeypatch):
 
 def count_work(monkeypatch) -> list:
     """Record from now on every product-chain extension, every integer row
-    brought to lowest terms, every TruncSeries made (built, held as given
-    or truncated) and every polynomial evaluated at a point that no memo
-    held."""
+    brought to lowest terms, every TruncSeries made (built or truncated)
+    and every polynomial evaluated at a point that no memo held."""
     work = []
 
     def counting(name, inner):
@@ -621,8 +620,6 @@ def count_work(monkeypatch) -> list:
     for module in (classical, degenerate, simsek):
         monkeypatch.setattr(module, "_lowest",
                             counting("_lowest", module._lowest))
-    monkeypatch.setattr(TruncSeries, "_held", classmethod(counting(
-        "TruncSeries", TruncSeries._held.__func__)))
     monkeypatch.setattr(ParamPoly, "_evaluate", counting(
         "ParamPoly._evaluate", ParamPoly._evaluate))
     return work

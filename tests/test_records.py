@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from degsimsek.registry import (REGISTRY, RegistryEntry, _everywhere, _fail,
-                                _rejected)
+                                _GRID_READS, _rejected)
 from degsimsek.reports import IdentityReport
 from degsimsek.tables import KIT_VERSION, NumberTable
 
@@ -159,22 +159,26 @@ def test_registry_entry_signature_and_defaults():
     assert parameters(RegistryEntry) == [
         ("id", empty), ("description", empty), ("mode", empty),
         ("orders", empty), ("pairs", empty), ("variant_of", None),
-        ("mismatch_status", _fail), ("domain", _everywhere)]
+        ("mismatch_status", _fail), ("domain", _everywhere),
+        ("reads", _GRID_READS)]
     by_position = RegistryEntry("X-1", "an identity", "rational", "K={order}",
-                                pairs, "X", _rejected, bool)
-    by_keyword = RegistryEntry(domain=bool, mismatch_status=_rejected,
-                               variant_of="X", pairs=pairs, orders="K={order}",
+                                pairs, "X", _rejected, bool, (3, None))
+    by_keyword = RegistryEntry(reads=(3, None), domain=bool,
+                               mismatch_status=_rejected, variant_of="X",
+                               pairs=pairs, orders="K={order}",
                                mode="rational", description="an identity",
                                id="X-1")
     for entry in (by_position, by_keyword):
         assert (entry.id, entry.description, entry.mode, entry.orders,
                 entry.pairs, entry.variant_of, entry.mismatch_status,
-                entry.domain) == ("X-1", "an identity", "rational",
-                                  "K={order}", pairs, "X", _rejected, bool)
+                entry.domain, entry.reads) == (
+                    "X-1", "an identity", "rational", "K={order}", pairs, "X",
+                    _rejected, bool, (3, None))
     default = RegistryEntry("X", "an identity", "symbolic", "", pairs)
     assert default.variant_of is None
     assert default.mismatch_status is _fail
     assert default.domain is _everywhere
+    assert default.reads is _GRID_READS and _GRID_READS == (8, 8)
 
 
 def test_registry_entry_repr_leaves_out_run_and_domain():

@@ -12,8 +12,7 @@ import sys
 import pytest
 
 from degsimsek.registry import (FIXED_POINTS, REGISTRY, default_grid,
-                                random_points, registry_ids, run_suite,
-                                suite_failed)
+                                random_points, run_suite, suite_failed)
 from degsimsek.reports import (IdentityReport, reports_to_csv,
                                reports_to_json, verdict)
 from degsimsek.tables import (NumberTable, TableUsageError, build_table,
@@ -30,7 +29,7 @@ CORE_IDS = {"FUNC-EQ", "THM-S1", "EXPL-B", "EXPL-C", "EXPL-D", "REL-S2A",
 # ---------------------------------------------------------------------------
 
 def test_registry_ids_unique_and_complete():
-    ids = registry_ids()
+    ids = [entry.id for entry in REGISTRY]
     assert len(ids) == len(set(ids))
     assert CORE_IDS <= set(ids)
     # variants must point at a real core entry
@@ -139,7 +138,7 @@ def test_symbolic_bound_is_independent_of_order(order):
     # FUNC-EQ's series order N, PHI-EGF's orders in x and t and the phi
     # checks' order K follow it: every entry's orders text, at every point
     reports = run_suite(order=order, extra_points=0)
-    assert {r.id for r in reports} == set(registry_ids())
+    assert {r.id for r in reports} == {entry.id for entry in REGISTRY}
     assert not suite_failed(reports)
     expected = {"FUNC-EQ": f"k<=8;N={order}",
                 "PHI-EGF": f"Nt={order};K={order}"}
@@ -735,7 +734,7 @@ def test_integer_form_render_keeps_the_int_digit_limit(monkeypatch, capsys,
     assert terms_reads == []
 
     def huge_series(k, order, lam, alpha):
-        return TruncSeries._held("t", 0, (_over({(1, 0): 10**limit}, 1),))
+        return TruncSeries("t", 0, [_over({(1, 0): 10**limit}, 1)])
     monkeypatch.setattr(cli, "fk_series", huge_series)
     assert cli.main(["series", "--k", "1", "--order", "0"]) == 2
     captured = capsys.readouterr()
@@ -957,6 +956,16 @@ def test_cli_verify_rejects_empty_identity_list(identity):
     assert result.stderr.startswith("verify: ")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_cli_verify_names_each_unknown_id_once(capsys):
+    # run_suite's KeyError is the one unknown-id check: a repeated unknown
+    # id is named once, and nothing runs
+    from degsimsek import cli
+    assert cli.main(["verify", "--identity", "BOGUS,EXPL-B,BOGUS,NOPE"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "verify: unknown identity id(s): BOGUS, NOPE\n")
 
 
 def test_cli_verify_rejects_order_below_one():

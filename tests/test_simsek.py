@@ -1,13 +1,14 @@
 """The three Simsek families and the six-route agreement for y1star."""
 
 from fractions import Fraction
+import hashlib
 import math
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from degsimsek import phi, simsek
-from degsimsek.algebra import ParamPoly, _over
+from degsimsek.algebra import ParamPoly, TruncSeries, _over
 from degsimsek.classical import bernoulli_number, stirling1
 from degsimsek.phi import phi_series
 from degsimsek.registry import run_suite
@@ -16,7 +17,7 @@ from degsimsek.simsek import (ROUTES, deg_simsek_y1, fk_series, simsek_y1,
 
 from oracles import (deg_simsek_y1_alt, exp_series, falling,
                      fk_series_via_bernoulli, fk_sympy, route_c_printed,
-                     simsek_y1_via_gf, terms_degrees)
+                     simsek_y1_via_gf, sub, terms_degrees)
 
 L = ParamPoly.lam()
 A = ParamPoly.alpha()
@@ -28,7 +29,7 @@ def hand_f2_linear_coefficient():
     To order 1 the factors are (l+1) + l t and (l+1-a) + l t; the t^1
     coefficient of their product over 2! is the value."""
     c0 = [L + 1, L]
-    c1 = [L + 1 - A, L]
+    c1 = [sub(L + 1, A), L]
     t1 = c0[0] * c1[1] + c0[1] * c1[0]
     return t1 * Fraction(1, 2)
 
@@ -94,7 +95,7 @@ def test_y1star_row_zero_is_degenerate_falling():
 
 def test_y1star_1_2_against_hand_expansion():
     oracle = hand_f2_linear_coefficient()
-    assert oracle == L * L + L - L * A * Fraction(1, 2)
+    assert oracle == sub(L * L + L, L * A * Fraction(1, 2))
     for route in ROUTES:
         assert y1star(1, 2, route) == oracle
 
@@ -328,7 +329,8 @@ def test_fk_series_small_k():
     assert f1.coeffs[0] == L + 1
     for n in range(1, 5):
         assert f1.coeffs[n] == L * Fraction(1, math.factorial(n))
-    assert fk_series(2, 3).coeffs[1] == L * L + L - L * A * Fraction(1, 2)
+    assert fk_series(2, 3).coeffs[1] == sub(L * L + L,
+                                            L * A * Fraction(1, 2))
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 6])
@@ -392,6 +394,31 @@ def test_symbolic_fk_series_matches_the_sympy_expansion(cold_store):
         series = fk_series(k, 6)
         for n in range(7):
             assert series.coeffs[n] == ParamPoly(expected[(k, n)]), (k, n)
+
+
+# sha256 of the renders of fk_series(k, order) for k and then order <= 8,
+# one per line: the text route A's symbolic F_k had while the series was
+# held past the constructor, pinned so that building it through
+# TruncSeries(var, order, coeffs) changes no byte
+FK_RENDERS_SHA256 = ("5068def20bdb611a1fc419119b1c623b"
+                     "eddc3b819002d3cd2141d3e497918b67")
+
+
+def test_symbolic_fk_series_from_the_constructor_keeps_its_text(cold_store):
+    # a series built from the sympy expansion's ParamPoly coefficients
+    # renders and compares equal to fk_series, which keeps the pinned text
+    expected = fk_sympy(8, 8)
+    renders = []
+    for k in range(9):
+        for order in range(9):
+            series = fk_series(k, order)
+            built = TruncSeries("t", order, [ParamPoly(expected[(k, n)])
+                                             for n in range(order + 1)])
+            assert all(type(c) is ParamPoly for c in built.coeffs)
+            assert built == series and built.render() == series.render()
+            renders.append(series.render())
+    digest = hashlib.sha256("\n".join(renders).encode()).hexdigest()
+    assert digest == FK_RENDERS_SHA256
 
 
 @pytest.mark.parametrize("k,order", [(-1, 3), (2, -1), (-1, -1), (-1, 0)])
