@@ -221,6 +221,9 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_phi(args) -> int:
+    # one product publishes y1star(n, k) for every k <= degree, which
+    # phi_series would otherwise build F_k by F_k
+    fk_series(args.degree, args.n)
     series = phi_series(args.n, args.lam, args.alpha, args.degree)
     print(series.render())
     return 0

@@ -464,12 +464,12 @@ def run_suite(ids=None, *, order: int = 8, seed: int = 0,
     if grid is None:
         grid = default_grid(seed, extra_points)
 
-    # F_0..F_K at order N, the largest k and n the selection reads: route
-    # A then reads truncations and never rebuilds an F_k for a larger n
+    # F_0..F_K at order N, the largest k and n the selection reads: the one
+    # product that builds F_K publishes every F_j on its way into the
+    # route-A store, which route A then reads for any n <= N
     top_k, top_n = (max(order if top is None else top for top in tops)
                     for tops in zip(*(entry.reads for entry in selected)))
-    for k in range(top_k + 1):
-        fk_series(k, top_n)
+    fk_series(top_k, top_n)
 
     reports = [_run_entry(entry, None, order, 0)
                for entry in selected if entry.mode == "symbolic"]

@@ -74,13 +74,13 @@ def deg_simsek_y1(n: int, k: int) -> ParamPoly:
 # The generating function F_k and the six y1star routes.
 # ---------------------------------------------------------------------------
 
-# k -> F_k at the highest order built so far, and (k, order) -> the series
+# k -> F_k at the highest order read so far, and (k, order) -> the series
 # fk_series handed out for that order, so that a repeated read is one
-# lookup: both go with the route-A store below, and emptying this dict
-# empties both
+# lookup: both are read from the route-A store below, and emptying this
+# dict empties both
 _fk_cache: dict[int | tuple[int, int], TruncSeries] = {}
-# (n, k) -> n! k! [t^n] F_k as integer terms, for every n up to the order
-# each cached F_k was built at: keep it and _fk_cache emptied together
+# (n, k) -> n! k! [t^n] F_k as integer terms: each column k is held from
+# n = 0 up to the highest order a product through (l e^t + 1)_{k,a} reached
 _route_a_store: dict[tuple[int, int], dict] = {}
 # (p, q, r, s) -> the chain of (l e^t + 1)_{j,a} at lam = p/q, alpha = r/s
 # in lowest terms; its values hold the series fk_series returned, by (order, k)
@@ -92,17 +92,17 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     unless k, order >= 0, raised before any store, cache or chain is
     touched.
 
-    Symbolic by default: a series with ParamPoly coefficients.  Pass
-    rationals lam/alpha for a rational series, built from the row of the
-    point's chain in _fk_chains.  A symbolic F_k is built once per order
-    rise and kept.  A build forms the product
-    P = (l*e^t + 1)_{k,a} with `_route_a_product`, as Fraction terms, and
-    publishes n! [t^n] P = n! k! [t^n] F_k for every n <= order into the
-    route-A store as integer terms, skipping the (n, k) already held, so
-    route A only ever reads that store.  Coefficient n of the series
-    returned is that stored value over n! k! (`_over`).  The first
-    read of (k, order), at a point written any way, is kept too, and later
-    reads return the same object, so do not mutate the result.
+    Symbolic by default: a series with ParamPoly coefficients, read back
+    from the route-A store, which holds n! [t^n] (l*e^t + 1)_{k,a} =
+    n! k! [t^n] F_k as integer terms: coefficient n of the series is that
+    value over n! k! (`_over`).  When column k of the store does not reach
+    `order`, `_route_a_product(k, order)` fills it, and the columns of
+    every j < k on the way.  A symbolic F_k is kept at the highest order
+    read, and a lower order is its truncation.  Pass rationals lam/alpha
+    for a rational series, built from the row of the point's chain in
+    _fk_chains.  The first read of (k, order), at a point written any way,
+    is kept too, and later reads return the same object, so do not mutate
+    the result.
     """
     if (lam is None) != (alpha is None):
         raise ValueError("fk_series: give both lam and alpha or neither")
@@ -117,16 +117,12 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
             return series
         if k < 0 or order < 0:
             raise ValueError("fk_series needs k, order >= 0")
-        coeffs = []
+        if (order, k) not in _route_a_store:  # a column is held from n = 0
+            _route_a_product(k, order)
         k_fact = math.factorial(k)
-        n_fact = 1
-        for n, c in enumerate(_route_a_product(k, order)):
-            terms = _route_a_store.get((n, k))
-            if terms is None:
-                terms = _route_a_store[(n, k)] = _int_terms(c, n_fact)
-            coeffs.append(_over(terms, n_fact * k_fact))
-            n_fact *= n + 1
-        series = TruncSeries("t", order, coeffs)
+        series = TruncSeries("t", order, [
+            _over(_route_a_store[(n, k)], math.factorial(n) * k_fact)
+            for n in range(order + 1)])
         _fk_cache[k] = _fk_cache[key] = series
         return series
     if k < 0 or order < 0:  # before a chain is made for the point
@@ -143,21 +139,29 @@ def fk_series(k: int, order: int, lam=None, alpha=None) -> TruncSeries:
     return series
 
 
-def _route_a_product(k: int, order: int) -> list[dict]:
-    """The coefficients 0..order of (l*e^t + 1)_{k,a}, the product of the
-    factors l*e^t + 1 - j*a for j < k, multiplied one factor at a time as
-    lists of Fraction terms {(deg_l, deg_a): nonzero Fraction}: coefficient
-    m of each step is one _pp_dot."""
+def _route_a_product(k: int, order: int) -> None:
+    """Publish n! [t^n] (l*e^t + 1)_{j,a} for every j <= k and n <= order
+    into the route-A store as integer terms, skipping the (n, j) already
+    held.  The product of the factors l*e^t + 1 - j*a is multiplied one
+    factor at a time as lists of Fraction terms {(deg_l, deg_a): nonzero
+    Fraction}, coefficient m of each step one _pp_dot, so it passes
+    through (l*e^t + 1)_{j,a} for each j on its way to k."""
     lam_exp = [{(1, 0): Fraction(1, math.factorial(m))}
                for m in range(1, order + 1)]
     product = [{(0, 0): Fraction(1)}] + [{}] * order
-    for j in range(k):
+    for j in range(k + 1):
+        n_fact = 1
+        for n, c in enumerate(product):
+            if (n, j) not in _route_a_store:
+                _route_a_store[(n, j)] = _int_terms(c, n_fact)
+            n_fact *= n + 1
+        if j == k:
+            return
         # l + 1 - j*a, with no zero a-term at j = 0
         factor = [{key: Fraction(c) for key, c in
                    (((1, 0), 1), ((0, 0), 1), ((0, 1), -j)) if c}, *lam_exp]
         product = [_pp_dot(product[:m + 1], factor[m::-1])
                    for m in range(order + 1)]
-    return product
 
 
 def _pp_dot(left: list, right: list) -> dict:
@@ -182,7 +186,7 @@ def _pp_dot(left: list, right: list) -> dict:
 def _int_terms(terms: dict, scale: int) -> dict:
     """scale * terms for Fraction terms, as integer terms; ValueError unless
     that is integral.  Route A scales coefficient n of (l*e^t + 1)_{k,a} by
-    n! once, when F_k first reaches order n."""
+    n! once, when a product first reaches it."""
     out = {}
     for key, c in terms.items():
         q, r = divmod(c.numerator * scale, c.denominator)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from degsimsek import classical, degenerate, simsek
+from degsimsek import classical, degenerate, phi, simsek
 from degsimsek.algebra import ParamPoly
 
 
@@ -16,6 +16,22 @@ def cold_chains(monkeypatch):
     monkeypatch.setattr(degenerate, "_s2star_chains", {})
     monkeypatch.setattr(degenerate, "_apostol_chains", {})
     monkeypatch.setattr(simsek, "_fk_chains", {})
+
+
+def empty_route_a(monkeypatch):
+    """Empty the route-A store, the F_k cache read from it, the y1star
+    store and the phi_series rows read from the y1star store; the
+    monkeypatch brings the warm ones back."""
+    for module, name in ((simsek, "_route_a_store"), (simsek, "_fk_cache"),
+                         (simsek, "_y1star_store"), (phi, "_phi_rows")):
+        monkeypatch.setattr(module, name, {})
+
+
+@pytest.fixture
+def cold_route_a(monkeypatch):
+    """Route A cold for one test (`empty_route_a`); the warm stores come
+    back afterwards."""
+    empty_route_a(monkeypatch)
 
 
 @pytest.fixture

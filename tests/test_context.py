@@ -195,7 +195,7 @@ def test_shared_symbolic_context_gives_identical_reports(monkeypatch):
         assert fresh == reused, entry.id
 
 
-def test_suite_builds_symbolic_values_once(monkeypatch):
+def test_suite_builds_symbolic_values_once(monkeypatch, cold_route_a):
     # a count, not a clock: the symbolic checks must read y1 values and
     # the (-1)_{m,a} / (1)_{m,a} factors from their stores instead of
     # rebuilding them inside their innermost loops
@@ -230,10 +230,11 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
     # point values come from integer terms, never from ParamPoly.evaluate
     monkeypatch.setattr(ParamPoly, "evaluate", counting(
         "evaluate", ParamPoly.evaluate))
-    # the factors of route A's symbolic products (l e^t + 1)_{k,a}: at most
-    # the F_0..F_8 chain; the S2* and Apostol-Euler values come from the
-    # library's own chains
+    # route A's symbolic products (l e^t + 1)_{k,a} on cold stores: the
+    # one that builds F_8 at order 8; the S2* and Apostol-Euler values
+    # come from the library's own chains
     factors = []
+    dots = []
     monkeypatch.setattr(degenerate, "_s2star_chains", {})
     monkeypatch.setattr(degenerate, "_apostol_chains", {})
     product = simsek._route_a_product
@@ -242,14 +243,20 @@ def test_suite_builds_symbolic_values_once(monkeypatch):
         factors.append(k)
         return product(k, order)
     monkeypatch.setattr(simsek, "_route_a_product", factor_counting)
+    dot = simsek._pp_dot
+
+    def dot_counting(left, right):
+        dots.append(len(left))
+        return dot(left, right)
+    monkeypatch.setattr(simsek, "_pp_dot", dot_counting)
     reports = run_suite(order=8)
     assert len(reports) == 95
     # k! y1(n,k) is built as integer terms, never from simsek_y1
     assert calls["simsek_y1"] == 0
     assert calls["evaluate"] == 0
-    # F_0..F_8 take 0 + 1 + ... + 8 = 36 factors when nothing is cached;
-    # one S2* series per (n, k) of RED-CLASSICAL would take 324 more
-    assert sum(factors) <= 36
+    # F_0..F_8 from one product of 8 factors, 9 coefficients each
+    assert factors == [8]
+    assert len(dots) == 72
     # one S2* chain per alpha/lam of the grid, and (0, 1) for
     # RED-CLASSICAL; one Apostol-Euler chain per lam, at alpha = 0
     grid = registry.default_grid()
@@ -366,30 +373,36 @@ def test_suites_in_one_process_share_the_route_a_store(monkeypatch):
 def test_suite_warms_route_a_only_as_far_as_its_selection_compares(
         monkeypatch):
     # EXPL-B compares n, k <= 8 whatever the order: alone at order 20 on
-    # cold stores, the suite builds F_0..F_8 at order 8 and nothing above
+    # cold stores, the suite builds F_8 at order 8, which publishes
+    # F_0..F_8 to order 8 into the route-A store, and nothing above
+    def warmed():
+        """The orders of the F_k built, and the columns of the route-A
+        store: the highest n of each k."""
+        columns = {}
+        for n, k in simsek._route_a_store:
+            columns[k] = max(n, columns.get(k, n))
+        assert len(simsek._route_a_store) == sum(
+            n + 1 for n in columns.values())
+        return ({key: series.order for key, series in
+                 simsek._fk_cache.items() if isinstance(key, int)}, columns)
+
     empty_symbolic_stores(monkeypatch)
     reports = run_suite(["EXPL-B"], order=20)
     assert [r.status for r in reports] == [PASS]
-    assert {key: series.order for key, series in simsek._fk_cache.items()
-            if isinstance(key, int)} == {k: 8 for k in range(9)}
-    assert max(n for n, _ in simsek._route_a_store) == 8
+    assert warmed() == ({8: 8}, {k: 8 for k in range(9)})
     # FUNC-EQ reads k <= 8 and n <= the order: F_0..F_8 at order 20, and
     # no F_k above
     empty_symbolic_stores(monkeypatch)
     reports = run_suite(["FUNC-EQ"], order=20)
     assert [r.status for r in reports] == [PASS]
-    assert {key: series.order for key, series in simsek._fk_cache.items()
-            if isinstance(key, int)} == {k: 20 for k in range(9)}
-    assert max(k for _, k in simsek._route_a_store) == 8
+    assert warmed() == ({8: 20}, {k: 20 for k in range(9)})
     # PHI-LOG reads phi_n for n <= 3 to x^order: F_0..F_20 at order 4, so
     # no F_k above order 8
     empty_symbolic_stores(monkeypatch)
     reports = run_suite(["PHI-LOG"], order=20)
     # trivially true at alpha = 0
     assert {r.status for r in reports} == {PASS, TRIVIALLY_TRUE}
-    assert {key: series.order for key, series in simsek._fk_cache.items()
-            if isinstance(key, int)} == {k: 4 for k in range(21)}
-    assert max(n for n, _ in simsek._route_a_store) <= 8
+    assert warmed() == ({20: 4}, {k: 4 for k in range(21)})
 
 
 # REL-S2STAR and PHI-LOG against references at random points: lam and

@@ -24,6 +24,7 @@ from degsimsek.degenerate import apostol_euler, new_deg_stirling2
 from degsimsek.phi import phi_series
 from degsimsek.simsek import fk_series, y1star
 
+from conftest import empty_route_a
 from oracles import (apostol_euler_series, apostol_euler_sympy, as_row,
                      falling_product, higher_bernoulli_sympy, reciprocal_solve,
                      row_falling, row_values, s2star_sympy, terms_degrees)
@@ -595,10 +596,8 @@ def empty_memos(monkeypatch):
                         classical._ProductChain(classical._bernoulli_base))
     monkeypatch.setattr(degenerate, "_s2star_chains", {})
     monkeypatch.setattr(degenerate, "_apostol_chains", {})
-    monkeypatch.setattr(phi, "_phi_rows", {})
-    for name in ("_y1star_store", "_route_a_store", "_fk_cache",
-                 "_fk_chains"):
-        monkeypatch.setattr(simsek, name, {})
+    monkeypatch.setattr(simsek, "_fk_chains", {})
+    empty_route_a(monkeypatch)
 
 
 def count_work(monkeypatch) -> list:

@@ -7,7 +7,7 @@ import math
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from degsimsek import phi, simsek
+from degsimsek import simsek
 from degsimsek.algebra import ParamPoly, TruncSeries, _over
 from degsimsek.classical import bernoulli_number, stirling1
 from degsimsek.phi import phi_series
@@ -15,6 +15,7 @@ from degsimsek.registry import run_suite
 from degsimsek.simsek import (ROUTES, deg_simsek_y1, fk_series, simsek_y1,
                               y1star)
 
+from conftest import empty_route_a
 from oracles import (deg_simsek_y1_alt, exp_series, falling,
                      fk_series_via_bernoulli, fk_sympy, route_c_printed,
                      simsek_y1_via_gf, sub, terms_degrees)
@@ -146,17 +147,12 @@ def test_negative_index_is_zero():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def cold_store(monkeypatch, cold_chains):
-    """Empty y1star, route-A and scaled_y1 stores, route-D weights, F_k
-    cache, E/F triangles, product chains (route D reads the Bernoulli
-    chain) and the phi_series rows read from the y1star store for one
-    test; the warm ones come back afterwards."""
-    monkeypatch.setattr(phi, "_phi_rows", {})
-    monkeypatch.setattr(simsek, "_y1star_store", {})
-    monkeypatch.setattr(simsek, "_route_a_store", {})
+def cold_store(monkeypatch, cold_chains, cold_route_a):
+    """Route A cold (`cold_route_a`), and empty scaled_y1 store, route-D
+    weights, E/F triangles and product chains (route D reads the Bernoulli
+    chain) for one test; the warm ones come back afterwards."""
     monkeypatch.setattr(simsek, "_scaled_y1_store", {})
     monkeypatch.setattr(simsek, "_route_d_weights", {})
-    monkeypatch.setattr(simsek, "_fk_cache", {})
     monkeypatch.setattr(simsek, "_triangle_e",
                         simsek._Triangle(simsek._fill_k_recurrence))
     monkeypatch.setattr(simsek, "_triangle_f",
@@ -235,8 +231,7 @@ def test_store_reads_interleaved_with_fk_series(cold_store):
 @given(st.integers(0, 10), st.integers(0, 10))
 def test_route_a_equals_route_b_on_cold_stores(n, k):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for name in ("_y1star_store", "_route_a_store", "_fk_cache"):
-            monkeypatch.setattr(simsek, name, {})
+        empty_route_a(monkeypatch)
         value = y1star(n, k, "A")
         assert value == y1star(n, k, "B")
         assert value == _over(simsek._route_a_store[(n, k)],
@@ -294,27 +289,66 @@ def test_phi_series_then_suite_read_each_f_k_coefficient_once(cold_store,
 @given(st.integers(0, 9), st.integers(0, 9), st.integers(1, 3))
 def test_fk_series_publishes_every_route_a_value(k, order, more):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for name in ("_y1star_store", "_route_a_store", "_fk_cache"):
-            monkeypatch.setattr(simsek, name, {})
+        empty_route_a(monkeypatch)
         fk_series(k, order)
+        # the product passes through (l e^t + 1)_{j,a} for every j <= k
         store = simsek._route_a_store
-        assert sorted(store) == [(n, k) for n in range(order + 1)]
-        for n in range(order + 1):
-            assert store[(n, k)] == simsek._route_b(n, k), n
+        assert sorted(store) == [(n, j) for n in range(order + 1)
+                                 for j in range(k + 1)]
+        for (n, j), terms in store.items():
+            assert terms == simsek._route_b(n, j), (n, j)
         # a later y1star reads the store: no F_k and no coefficient
         fk = count_calls(monkeypatch, simsek, "fk_series")
         converted = count_calls(monkeypatch, simsek, "_int_terms")
-        for n in range(order + 1):
-            assert y1star(n, k, "A") == _over(simsek._route_b(n, k),
-                                              math.factorial(k))
+        for n, j in sorted(store):
+            assert y1star(n, j, "A") == _over(simsek._route_b(n, j),
+                                              math.factorial(j))
         assert fk == [] == converted
-        # a build at a higher order publishes only the orders it adds, and
-        # keeps the values already held
+        # a build at a higher order publishes only the orders it adds, in
+        # every column j <= k, and keeps the values already held
         held = dict(store)
         fk_series(k, order + more)
-        assert len(converted) == more
+        assert len(converted) == (k + 1) * more
         assert all(store[key] is value for key, value in held.items())
-        assert sorted(store) == [(n, k) for n in range(order + more + 1)]
+        assert sorted(store) == [(n, j) for n in range(order + more + 1)
+                                 for j in range(k + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9))
+def test_one_build_of_f_k_serves_every_lower_f_j(k, order, low):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        empty_route_a(monkeypatch)
+        fk_series(k, order)
+        products = count_calls(monkeypatch, simsek, "_route_a_product")
+        texts = [fk_series(j, order).render() for j in range(k + 1)]
+        # every F_j was read back from the store, and renders as a build
+        # of F_j alone on cold stores does
+        assert products == []
+        for j, text in enumerate(texts):
+            with pytest.MonkeyPatch.context() as cold:
+                empty_route_a(cold)
+                assert text == fk_series(j, order).render(), j
+        # a build at a lower order, of F_k and of the F_j below it, takes
+        # no held F_j down to its order
+        held = {j: simsek._fk_cache[j].order for j in range(k + 1)}
+        for j in range(k + 2):
+            fk_series(j, min(low, order))
+        assert all(simsek._fk_cache[j].order == held[j] for j in held)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9))
+def test_ascending_reads_of_f_k_multiply_as_before(top_k, order):
+    # the row n = order read for k = 0, 1, ..., top_k, as `table` and the
+    # session's phi rows read it: F_k builds its k factors, none more
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        empty_route_a(monkeypatch)
+        dots = count_calls(monkeypatch, simsek, "_pp_dot")
+        for k in range(top_k + 1):
+            assert y1star(order, k) == _over(simsek._route_b(order, k),
+                                             math.factorial(k)), k
+        assert len(dots) == sum(k * (order + 1) for k in range(top_k + 1))
 
 
 # ---------------------------------------------------------------------------

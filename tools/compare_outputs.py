@@ -26,8 +26,8 @@ route-A products of `table --family y1star` at 12x12 and `series
 --family s2star` at 10x10, and the degenerate Stirling triangles of
 `table --family deg-stirling1` and `deg-stirling2` at 16x16; `series
 --family y1star --k 56 --order 56` at (-7/11, 13/17), F_k at a point at
-the size cap; and `phi` at three points: 151 cases in all, 144 CLI calls and
-seven streams.  The seven stream cases run a fixed stream of library
+the size cap; and `phi` at three points: 152 cases in all, 144 CLI calls and
+eight streams.  The eight stream cases run a fixed stream of library
 reads with revisits in one interpreter each, with every
 answer rendered on its own line, so that a value that changes when it is
 read again shows.  The library stream reads `y1star` by every route, its
@@ -78,7 +78,12 @@ point F_k stream reads `fk_series` at four points with the order falling,
 then rising above what earlier reads built, and k past the longest
 product held, each read made twice, the second time with the point
 written another way, so that a point's chain read below its order,
-extended and lengthened shows byte for byte.
+extended and lengthened shows byte for byte.  The top-k stream builds
+F_9 first, which publishes every lower F_j into the route-A store, reads
+F_0..F_9 and their route-A values in ascending k, then reads F_k at
+orders rising above and falling below that build, for k below, at and
+above 9, so that series read back from the store, truncated and rebuilt
+show byte for byte.
 Every differing case is printed
 (exit status, stdout or stderr), and so is a case the CLI rejects as a
 usage error; the exit status is 1 on any of these, else 0.  It is 2,
@@ -331,10 +336,26 @@ for order in (9, 6, 3, 0, 5, 12, 7, 16):
                       fk_series(k, order, lam, alpha).render())
 """
 
+TOP_K_CASE = ["top-k stream"]
+# F_9 first, as `verify` warms route A, then the ascending reads of `table`
+# and the session, then order rises and falls on lower and higher k
+TOP_K_STREAM = """
+from degsimsek import fk_series, y1star
+from degsimsek.simsek import scaled_y1star
+print("F", 9, 7, fk_series(9, 7).render())
+reads = [(k, 7) for k in range(10)]
+reads += [(4, 11), (2, 5), (11, 4), (4, 9), (0, 12), (9, 11), (10, 10)]
+for k, order in reads:
+    print("F", k, order, fk_series(k, order).render())
+    for n in range(order + 1):
+        print("A", n, k, y1star(n, k).render(),
+              sorted(scaled_y1star(n, k).items()))
+"""
+
 STREAMS = {LIBRARY_CASE[0]: LIBRARY_STREAM, SUITE_CASE[0]: SUITE_STREAM,
            SERIES_CASE[0]: SERIES_STREAM, CLIMB_CASE[0]: CLIMB_STREAM,
            TAIL_CASE[0]: TAIL_STREAM, REVISIT_CASE[0]: REVISIT_STREAM,
-           FK_POINT_CASE[0]: FK_POINT_STREAM}
+           FK_POINT_CASE[0]: FK_POINT_STREAM, TOP_K_CASE[0]: TOP_K_STREAM}
 
 
 def cases() -> list[list[str]]:
@@ -408,7 +429,7 @@ def cases() -> list[list[str]]:
         matrix.append(["phi", "--n", n, f"--lambda={lam}", f"--alpha={alpha}",
                        "--degree", "12"])
     matrix += [LIBRARY_CASE, SUITE_CASE, SERIES_CASE, CLIMB_CASE, TAIL_CASE,
-               REVISIT_CASE, FK_POINT_CASE]
+               REVISIT_CASE, FK_POINT_CASE, TOP_K_CASE]
     return matrix
 
 
